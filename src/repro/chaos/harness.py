@@ -110,8 +110,11 @@ def scenarios() -> list[ChaosScenario]:
     _ = ChaosScenario
     return [
         # ---- blob store write protocol (campaign-driven) ----
+        # A cold run writes two blobs: the operational profile while
+        # planning (before the run row opens, one index commit), then
+        # the golden trace at finalize.  @2 rows target the latter.
         _("blob write hits a full disk",
-          "store.blob.pre-temp-write", "enospc",
+          "store.blob.pre-temp-write", "enospc", trigger_at=2,
           effect="golden-trace blob cannot be written; the campaign "
                  "halts mid-finalize",
           detection="coded E413 diagnostic (no traceback)",
@@ -119,25 +122,25 @@ def scenarios() -> list[ChaosScenario]:
                    "completes once space clears",
           smoke=True),
         _("crash before the blob temp file exists",
-          "store.blob.pre-temp-write", "kill",
+          "store.blob.pre-temp-write", "kill", trigger_at=2,
           effect="process dies with no blob and an open run row",
           detection="fsck flags the interrupted run (E408)",
           recovery="warm rerun recomputes the blob from cached "
                    "outcomes"),
         _("torn blob temp write (lost page flush)",
-          "store.blob.post-temp-write", "torn",
+          "store.blob.post-temp-write", "torn", trigger_at=2,
           effect="the temp file is truncated and the process dies",
           detection="temp file never reaches its content address — "
                     "readers cannot see it",
           recovery="orphan temp is ignored; rerun rewrites the blob"),
         _("crash between temp fsync and rename",
-          "store.blob.pre-rename", "kill",
+          "store.blob.pre-rename", "kill", trigger_at=2,
           effect="fully-written temp file, no visible blob",
           detection="fsck flags the interrupted run (E408)",
           recovery="rename never happened: readers saw nothing; "
                    "rerun rewrites the blob"),
         _("torn blob after rename (power loss before data flush)",
-          "store.blob.post-rename", "torn",
+          "store.blob.post-rename", "torn", trigger_at=2,
           effect="a truncated object sits under its final content "
                  "address",
           detection="checksum-on-read (CorruptBlobError) and fsck "
@@ -146,15 +149,45 @@ def scenarios() -> list[ChaosScenario]:
                    "rerun recomputes it",
           smoke=True),
         _("device i/o error after blob rename",
-          "store.blob.post-rename", "eio",
+          "store.blob.post-rename", "eio", trigger_at=2,
           effect="the durability fsync fails after the object is "
                  "visible",
           detection="coded E414 diagnostic (no traceback)",
           recovery="blob content is already correct (checksummed); "
                    "rerun verifies and completes"),
+        _("profile blob write hits a full disk",
+          "store.blob.pre-temp-write", "enospc",
+          effect="the operational profile cannot be stored; the "
+                 "campaign halts while planning",
+          detection="coded E413 diagnostic (no traceback)",
+          recovery="store unchanged (no run row yet); the rerun "
+                   "replays the profile and completes"),
+        _("crash before the profile blob temp file exists",
+          "store.blob.pre-temp-write", "kill",
+          effect="process dies while planning, before any blob or "
+                 "run row exists",
+          detection="SIGKILL seen by the caller; the store holds no "
+                    "partial state",
+          recovery="the rerun replays the profile and completes"),
+        _("crash between profile temp fsync and rename",
+          "store.blob.pre-rename", "kill",
+          effect="fully-written profile temp file, no visible blob, "
+                 "no run row",
+          detection="readers and fsck see an unchanged store",
+          recovery="rename never happened; the rerun replays and "
+                   "rewrites the profile"),
+        _("torn profile blob after rename",
+          "store.blob.post-rename", "torn",
+          effect="a truncated profile sits under its content address",
+          detection="checksum-on-read (CorruptBlobError) and fsck "
+                    "E401",
+          recovery="fsck --repair deletes the torn blob; the warm "
+                   "rerun replays the profile and rewrites it"),
         # ---- store index transactions (campaign-driven) ----
+        # commits of a cold run: profile index, run row, then one per
+        # shard — @5 is the third shard's
         _("crash mid index write transaction",
-          "store.db.pre-commit", "kill", trigger_at=4,
+          "store.db.pre-commit", "kill", trigger_at=5,
           effect="the process dies between two shard commits",
           detection="SQLite WAL atomicity: the open transaction "
                     "never becomes visible; fsck E408",
@@ -162,13 +195,13 @@ def scenarios() -> list[ChaosScenario]:
                    "shard (only missing cones re-simulate)",
           smoke=True),
         _("index write hits a full disk",
-          "store.db.pre-commit", "enospc", trigger_at=4,
+          "store.db.pre-commit", "enospc", trigger_at=5,
           effect="a shard flush cannot commit",
           detection="coded E413 diagnostic (no traceback)",
           recovery="committed evidence intact; warm rerun completes "
                    "once space clears"),
         _("crash immediately after an index commit",
-          "store.db.post-commit", "kill", trigger_at=4,
+          "store.db.post-commit", "kill", trigger_at=5,
           effect="evidence is durable but the campaign never "
                  "finalizes",
           detection="fsck flags the interrupted run (E408)",

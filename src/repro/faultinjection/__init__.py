@@ -89,7 +89,6 @@ from .validation import (
 _STORE_EXPORTS = (
     "BlobStore", "CacheStats", "CampaignCache", "CampaignPlan",
     "CorruptBlobError", "FingerprintContext", "OutcomeRow", "StoreDB",
-    "SupportIndex",
 )
 
 

@@ -189,12 +189,18 @@ class InjectionEnvironment:
         self._profile = None
 
     # ------------------------------------------------------------------
-    def profile(self) -> OperationalProfile:
-        """The (cached) operational profile of the workload."""
+    def profile(self, cache=None) -> OperationalProfile:
+        """The (memoized) operational profile of the workload.
+
+        Given a :class:`~repro.store.CampaignCache`, the first call is
+        served from its content-addressed store (or replayed and
+        recorded there) instead of replaying the workload.
+        """
         if self._profile is None:
-            self._profile = profile_workload(
-                self.circuit, self.stimuli, setup=self.setup,
-                read_strobes=self.read_strobes)
+            self._profile = cache.profile(self) if cache is not None \
+                else profile_workload(self.circuit, self.stimuli,
+                                      setup=self.setup,
+                                      read_strobes=self.read_strobes)
         return self._profile
 
     def candidates(self, config: FaultListConfig | None = None

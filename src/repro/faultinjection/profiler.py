@@ -43,6 +43,33 @@ class OperationalProfile:
     output_toggles: dict[str, list[int]] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
+    def to_dict(self) -> dict:
+        """Plain JSON data; :meth:`from_dict` rebuilds an equal profile
+        (dict order included)."""
+        return {
+            "length": self.length,
+            "flop_toggles": self.flop_toggles,
+            "mem_accesses": {
+                name: [[a.cycle, a.addr, a.write] for a in accesses]
+                for name, accesses in self.mem_accesses.items()},
+            "output_toggles": self.output_toggles,
+        }
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "OperationalProfile":
+        """Inverse of :meth:`to_dict`; raises ``KeyError``,
+        ``TypeError`` or ``ValueError`` on data of another shape."""
+        return cls(
+            length=int(data["length"]),
+            flop_toggles=dict(data["flop_toggles"]),
+            mem_accesses={
+                name: [MemAccess(cycle=cycle, addr=addr, write=write)
+                       for cycle, addr, write in accesses]
+                for name, accesses in data["mem_accesses"].items()},
+            output_toggles=dict(data["output_toggles"]),
+        )
+
+    # ------------------------------------------------------------------
     def zone_activity(self, zone: SensibleZone) -> list[int]:
         """Cycles in which the zone's state was (re)written or read."""
         if zone.kind is ZoneKind.REGISTER:

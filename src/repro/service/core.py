@@ -410,12 +410,14 @@ class CampaignService:
                            "against the netlist — nothing to inject")
                 return outcome(EXIT_DIAGNOSTIC)
 
+        if cache is None and request.use_cache:
+            cache = self.open_cache()
+        if cache is not None:
+            env.profile(cache)          # served from the store
         candidates = env.candidates()
         if request.sample:
             candidates = randomize(candidates, request.sample)
 
-        if cache is None and request.use_cache:
-            cache = self.open_cache()
         config = CampaignConfig(
             machines_per_pass=request.machines_per_pass,
             engine=request.engine)
@@ -479,6 +481,7 @@ class CampaignService:
         hits = misses = simulated = 0
         if cache is not None:
             out.append(cache.stats.summary())
+            out.append(cache.stats.planning())
             run_id = cache.last_run_id
             hits, misses = cache.stats.hits, cache.stats.misses
             simulated = cache.stats.simulated

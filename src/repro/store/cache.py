@@ -29,9 +29,10 @@ from ..faultinjection.manager import (
     FaultInjectionManager,
     FaultResult,
 )
+from ..faultinjection import profiler
 from .blobs import BlobStore, CorruptBlobError
 from .db import OutcomeRow, StoreDB
-from .fingerprint import FingerprintContext
+from .fingerprint import FingerprintContext, profile_key
 
 
 @dataclass
@@ -47,6 +48,11 @@ class CacheStats:
     poisoned: int = 0        # known-poison faults quarantined up front
     golden_hits: int = 0
     golden_misses: int = 0
+    profile_hits: int = 0    # operational profiles served from the store
+    profile_misses: int = 0  # operational profiles replayed
+    profile_s: float = 0.0   # time spent obtaining the profile
+    fingerprint_s: float = 0.0   # time spent fingerprinting faults
+    seed_sets: int = 0       # distinct support cones walked
 
     def hit_rate(self) -> float:
         total = self.hits + self.misses
@@ -57,6 +63,15 @@ class CacheStats:
                 f"({self.hit_rate() * 100:.1f}% hit rate), "
                 f"{self.writes} new outcomes, "
                 f"{self.simulated} faults simulated")
+
+    def planning(self) -> str:
+        """Where the planning pass (profile, fingerprints) spent its
+        time."""
+        profile = "hit" if self.profile_hits and not self.profile_misses \
+            else "miss"
+        return (f"planning: profile {profile} {self.profile_s:.2f}s, "
+                f"fingerprints {self.fingerprint_s:.2f}s over "
+                f"{self.seed_sets} seed sets")
 
 
 @dataclass
@@ -82,6 +97,9 @@ class CampaignCache:
         self.flush_passes = max(1, flush_passes)
         self.stats = CacheStats()
         self.last_run_id: int | None = None
+        #: blob of the last profile served, recorded on the next run
+        #: row so ``gc`` keeps it while that run is kept
+        self._profile_blob: str | None = None
 
     def close(self) -> None:
         self.db.close()
@@ -95,9 +113,52 @@ class CampaignCache:
     # ------------------------------------------------------------------
     # planning
     # ------------------------------------------------------------------
+    def profile(self, env) -> profiler.OperationalProfile:
+        """The operational profile of ``env``'s workload, from the store.
+
+        The profile is a fault-free property of (design, workload), so
+        it is content-addressed like the golden trace (see
+        :func:`~repro.store.fingerprint.profile_key`) and indexed in
+        the same table.  A missing, corrupt or unparsable entry is
+        replayed and rewritten; a setup that cannot be snapshotted is
+        replayed without touching the store.
+        """
+        from ..faultinjection.parallel import snapshot_setup
+        start = time.perf_counter()
+        try:
+            setup = snapshot_setup(env.circuit, env.setup)
+        except ValueError:      # programs fault overlays
+            key = digest = data = None
+        else:
+            key = profile_key(env.circuit, env.stimuli, setup,
+                              env.read_strobes)
+            digest, data = self._get_json(key)
+        profile = None
+        if data is not None:
+            try:
+                profile = profiler.OperationalProfile.from_dict(data)
+            except (KeyError, TypeError, ValueError, AttributeError):
+                self.stats.corrupt += 1
+        if profile is not None:
+            self.stats.profile_hits += 1
+        else:
+            profile = profiler.profile_workload(
+                env.circuit, env.stimuli, setup=env.setup,
+                read_strobes=env.read_strobes)
+            if key is not None:
+                digest = self._put_blob(key, json.dumps(
+                    profile.to_dict(), separators=(",", ":")).encode())
+            self.stats.profile_misses += 1
+        self._profile_blob = digest
+        self.stats.profile_s += time.perf_counter() - start
+        return profile
+
     def plan(self, ctx: FingerprintContext,
              faults: list) -> CampaignPlan:
+        start = time.perf_counter()
         fps = [ctx.fault_fingerprint(f) for f in faults]
+        self.stats.fingerprint_s += time.perf_counter() - start
+        self.stats.seed_sets += ctx.seed_sets
         rows = self.db.get_outcomes(sorted(set(fps)))
         plan = CampaignPlan(fingerprints=fps)
         for i, fp in enumerate(fps):
@@ -262,7 +323,9 @@ class CampaignCache:
             env_fp=ctx.environment_fingerprint(),
             faults=len(faults), workers=workers,
             window=cfg.detection_window,
-            test_windows=cfg.test_windows)
+            test_windows=cfg.test_windows,
+            profile_blob=self._profile_blob)
+        self._profile_blob = None
         self.last_run_id = run_id
         return run_id
 
@@ -324,35 +387,55 @@ class CampaignCache:
         return golden_seconds
 
     # ------------------------------------------------------------------
-    # golden-trace blobs
+    # content-keyed JSON blobs: golden traces and operational profiles
     # ------------------------------------------------------------------
+    def _get_json(self, key: str) -> tuple[str | None, object]:
+        """``(blob digest, JSON document)`` indexed under ``key``; the
+        document is ``None`` when the entry is absent or unreadable
+        (counted in ``stats.corrupt``)."""
+        digest = self.db.get_golden(key)
+        if digest is None:
+            return None, None
+        try:
+            return digest, json.loads(self.blobs.get(digest))
+        except CorruptBlobError:
+            # drop the torn object, or the rewrite would be skipped as
+            # already present
+            self.blobs.delete(digest)
+        except (KeyError, ValueError):
+            pass
+        self.stats.corrupt += 1
+        return digest, None
+
+    def _put_blob(self, key: str, data: bytes) -> str:
+        digest = self.blobs.put(data)
+        self.db.put_golden(key, digest)
+        return digest
+
     def _golden(self, ctx, manager):
         from ..faultinjection.parallel import (
             GoldenTrace,
             compute_golden_trace,
         )
         key = ctx.golden_key()
-        digest = self.db.get_golden(key)
-        if digest is not None:
+        digest, data = self._get_json(key)
+        if data is not None:
             try:
-                data = json.loads(self.blobs.get(digest))
                 trace = GoldenTrace(
                     cycles=int(data["cycles"]),
                     obse_active=tuple(data["obse_active"]),
                     diag_active=tuple(data["diag_active"]))
                 self.stats.golden_hits += 1
                 return trace, digest
-            except (KeyError, CorruptBlobError, ValueError,
-                    TypeError):
-                # missing or corrupt blob: recompute, never crash
+            except (KeyError, ValueError, TypeError):
+                # unparsable entry: recompute, never crash
                 self.stats.corrupt += 1
         trace = compute_golden_trace(manager)
-        digest = self.blobs.put(json.dumps({
+        digest = self._put_blob(key, json.dumps({
             "cycles": trace.cycles,
             "obse_active": list(trace.obse_active),
             "diag_active": list(trace.diag_active),
         }, sort_keys=True).encode())
-        self.db.put_golden(key, digest)
         self.stats.golden_misses += 1
         return trace, digest
 

@@ -14,7 +14,10 @@ Three concerns, three groups of tables:
   ``done`` at the end; a SIGKILLed campaign leaves the marker behind
   (visible in ``store stats``) while all its completed outcomes stay
   reusable.
-* ``golden`` — maps a golden-trace content key to its blob digest.
+* ``golden`` — maps a content key (golden trace or operational
+  profile) to its blob digest.  A run references the blobs it used in
+  ``runs.golden_blob`` / ``runs.profile_blob``, which keeps them alive
+  through ``gc``.
 * ``jobs`` — the durable campaign job queue (:mod:`repro.service`):
   one row per submitted campaign with lease bookkeeping
   (owner/deadline), a retry budget, and the terminal ``done`` /
@@ -77,7 +80,8 @@ CREATE TABLE IF NOT EXISTS runs(
     safe_fraction REAL,
     outcome_counts TEXT,
     wall_seconds  REAL,
-    golden_blob   TEXT
+    golden_blob   TEXT,
+    profile_blob  TEXT
 );
 CREATE TABLE IF NOT EXISTS run_faults(
     run_id     INTEGER NOT NULL,
@@ -146,13 +150,16 @@ CREATE UNIQUE INDEX IF NOT EXISTS idx_jobs_idem
       AND status != 'cancelled';
 """
 
-#: columns added to ``jobs`` after the table first shipped (PR 7);
-#: opening an old store upgrades it in place — ``CREATE TABLE IF NOT
-#: EXISTS`` alone would silently leave the schema behind
-_JOBS_MIGRATIONS = (
-    ("idempotency_key", "TEXT"),
-    ("progress", "TEXT"),
-)
+#: columns added to a table after it first shipped; opening an old
+#: store upgrades it in place — ``CREATE TABLE IF NOT EXISTS`` alone
+#: would silently leave the schema behind
+_MIGRATIONS = {
+    "jobs": (("idempotency_key", "TEXT"), ("progress", "TEXT")),
+    "runs": (("profile_blob", "TEXT"),),
+}
+
+#: the ``runs`` columns that reference a blob
+RUN_BLOB_COLUMNS = ("golden_blob", "profile_blob")
 
 #: job states a queue worker may still act on — everything that is
 #: not terminally ``done`` / ``dead`` / ``cancelled``
@@ -221,27 +228,28 @@ class StoreDB:
         self._conn.execute("PRAGMA synchronous=NORMAL")
         self._conn.execute("PRAGMA busy_timeout=30000")
         with self._conn:
-            self._migrate_jobs()
+            self._migrate()
             self._conn.executescript(_SCHEMA)
 
-    def _migrate_jobs(self) -> None:
-        """Upgrade a pre-existing ``jobs`` table in place.
+    def _migrate(self) -> None:
+        """Upgrade pre-existing tables in place.
 
         Runs before ``_SCHEMA`` so the partial unique index on
-        ``idempotency_key`` finds its column even on stores created
-        by older releases.
+        ``jobs.idempotency_key`` finds its column even on stores
+        created by older releases.
         """
-        exists = self._conn.execute(
-            "SELECT 1 FROM sqlite_master"
-            " WHERE type='table' AND name='jobs'").fetchone()
-        if not exists:
-            return
-        have = {row[1] for row in self._conn.execute(
-            "PRAGMA table_info(jobs)")}
-        for column, decl in _JOBS_MIGRATIONS:
-            if column not in have:
-                self._conn.execute(
-                    f"ALTER TABLE jobs ADD COLUMN {column} {decl}")
+        for table, columns in _MIGRATIONS.items():
+            exists = self._conn.execute(
+                "SELECT 1 FROM sqlite_master"
+                " WHERE type='table' AND name=?", (table,)).fetchone()
+            if not exists:
+                continue
+            have = {row[1] for row in self._conn.execute(
+                f"PRAGMA table_info({table})")}
+            for column, decl in columns:
+                if column not in have:
+                    self._conn.execute(
+                        f"ALTER TABLE {table} ADD COLUMN {column} {decl}")
 
     def close(self) -> None:
         self._conn.close()
@@ -362,16 +370,17 @@ class StoreDB:
     # ------------------------------------------------------------------
     def begin_run(self, design: str, env_fp: str, faults: int,
                   workers: int, window: int,
-                  test_windows) -> int:
+                  test_windows, profile_blob: str | None = None) -> int:
         def txn():
             with self._conn:
                 return self._conn.execute(
                     "INSERT INTO runs (created_at, status, design,"
-                    " env_fp, workers, faults, window, test_windows)"
-                    " VALUES (?,?,?,?,?,?,?,?)",
+                    " env_fp, workers, faults, window, test_windows,"
+                    " profile_blob) VALUES (?,?,?,?,?,?,?,?,?)",
                     (time.time(), "running", design, env_fp, workers,
                      faults, window,
-                     json.dumps([list(w) for w in test_windows])))
+                     json.dumps([list(w) for w in test_windows]),
+                     profile_blob))
         return self._write(txn).lastrowid
 
     def finish_run(self, run_id: int, hits: int, misses: int,
@@ -706,7 +715,7 @@ class StoreDB:
         return removed
 
     def golden_rows(self) -> list[tuple[str, str]]:
-        """All ``(key, digest)`` pairs of the golden-trace map."""
+        """All ``(key, digest)`` pairs of the content-key map."""
         return self._conn.execute(
             "SELECT key, digest FROM golden").fetchall()
 
@@ -718,18 +727,23 @@ class StoreDB:
                     "DELETE FROM golden WHERE key=?", (key,)).rowcount
         return removed
 
-    def runs_with_golden(self) -> list[tuple[int, str]]:
-        """All ``(run_id, golden_blob)`` pairs that reference a blob."""
-        return self._conn.execute(
-            "SELECT run_id, golden_blob FROM runs"
-            " WHERE golden_blob IS NOT NULL").fetchall()
+    def run_blob_refs(self) -> list[tuple[int, str, str]]:
+        """Every ``(run_id, column, digest)`` blob reference of a run
+        (see :data:`RUN_BLOB_COLUMNS`)."""
+        return [(run_id, column, digest)
+                for column in RUN_BLOB_COLUMNS
+                for run_id, digest in self._conn.execute(
+                    f"SELECT run_id, {column} FROM runs"
+                    f" WHERE {column} IS NOT NULL").fetchall()]
 
-    def clear_run_golden(self, run_ids: list[int]) -> int:
+    def clear_run_blob_refs(self, refs: list[tuple[int, str]]) -> int:
+        """Null the ``(run_id, column)`` blob references that
+        :meth:`run_blob_refs` returned."""
         cleared = 0
         with self._conn:
-            for run_id in run_ids:
+            for run_id, column in refs:
                 cleared += self._conn.execute(
-                    "UPDATE runs SET golden_blob=NULL WHERE run_id=?",
+                    f"UPDATE runs SET {column}=NULL WHERE run_id=?",
                     (run_id,)).rowcount
         return cleared
 
@@ -820,6 +834,9 @@ class StoreDB:
             self._conn.execute(
                 "DELETE FROM golden WHERE digest NOT IN"
                 " (SELECT golden_blob FROM runs"
-                "  WHERE golden_blob IS NOT NULL)")
+                "  WHERE golden_blob IS NOT NULL)"
+                " AND digest NOT IN"
+                " (SELECT profile_blob FROM runs"
+                "  WHERE profile_blob IS NOT NULL)")
         self._conn.execute("VACUUM")
         return removed_runs, removed_outcomes

@@ -36,6 +36,10 @@ influence set is smaller than the whole campaign environment:
 Mutating one gate therefore re-fingerprints (and re-simulates) only
 the faults whose support cone contains it; faults in disjoint logic
 islands keep their content address and are served from the store.
+
+The workload's operational profile is content-addressed as well
+(:func:`profile_key`): it is a fault-free replay, so only the circuit,
+the stimuli, the setup and the read strobes enter its key.
 """
 
 from __future__ import annotations
@@ -43,6 +47,10 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import fields
+from itertools import compress
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
+from typing import NamedTuple
 
 from ..faultinjection.faults import Fault
 from ..hdl.netlist import OP_NAMES, Circuit
@@ -61,6 +69,25 @@ def digest(obj) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+def profile_key(circuit: Circuit, stimuli, setup,
+                read_strobes: dict[str, str]) -> str:
+    """Content address of a workload's operational profile.
+
+    The profile is a fault-free replay, so it depends on the circuit,
+    the full stimuli, the simulator setup (already snapshotted, see
+    :func:`~repro.faultinjection.parallel.snapshot_setup`) and the read
+    strobes — never on zones, observation points or faults.
+    """
+    return digest({
+        "v": FP_VERSION,
+        "kind": "operational_profile",
+        "circuit": circuit.structural_hash(),
+        "stimuli": _stimuli_digest(stimuli),
+        "setup": _setup_canonical(setup),
+        "read_strobes": sorted(read_strobes.items()),
+    })
+
+
 def fault_descriptor(fault: Fault) -> dict:
     """Every behavioural field of a fault, as plain JSON data."""
     desc = {"class": type(fault).__name__, "kind": fault.kind}
@@ -75,8 +102,19 @@ def fault_descriptor(fault: Fault) -> dict:
 # ----------------------------------------------------------------------
 # support cones
 # ----------------------------------------------------------------------
+class Cone(NamedTuple):
+    """The closures of one seed set, as marks over the index's nodes."""
+
+    #: fan-out closure of the seeds
+    forward: bytearray
+    #: fan-in closure of the forward closure
+    support: bytearray
+    #: content address of the sub-circuit inside ``support``
+    fingerprint: str
+
+
 class SupportIndex:
-    """Per-seed support cones of a circuit, with cached fingerprints.
+    """Support cones of one circuit, fingerprinted per seed set.
 
     The support of a seed set is the fan-in closure of its fan-out
     closure, both taken *through* flip-flops and memory macros: a
@@ -84,19 +122,48 @@ class SupportIndex:
     observed anywhere in that downstream region depends on the full
     fan-in of the region (including golden write streams into any
     memory the fault can touch).
+
+    The index's nodes are the nets ``0 .. num_nets - 1`` followed by
+    one node per memory macro, with integer successor and predecessor
+    lists, so a closure is one walk that marks a ``bytearray``.  Each
+    gate, flop, memory and input bit carries its canonical JSON
+    fragment in one global sorted order; the canonical document of a
+    cone is therefore a filter-and-join over those fragments, byte for
+    byte the ``json.dumps`` of the cone's sorted records.
     """
 
     def __init__(self, circuit: Circuit):
         self.circuit = circuit
-        self._fanout = circuit.fanout_map()
-        self._drivers = circuit.driver_map()
+        self.num_nets = n = circuit.num_nets
+        size = n + len(circuit.memories)
+        succ: list[list[int]] = [[] for _ in range(size)]
+        pred: list[list[int]] = [[] for _ in range(size)]
+        for gate in circuit.gates:
+            for net in gate.inputs:
+                succ[net].append(gate.out)
+            pred[gate.out].extend(gate.inputs)
+        for flop in circuit.flops:
+            for net in (flop.d, flop.en, flop.rst):
+                if net is not None:
+                    succ[net].append(flop.q)
+                    pred[flop.q].append(net)
+        for mi, mem in enumerate(circuit.memories):
+            node = n + mi
+            for net in (*mem.addr, *mem.wdata, mem.we):
+                succ[net].append(node)
+                pred[node].append(net)
+            for net in mem.rdata:
+                succ[node].append(net)
+                pred[net].append(node)
+        self._succ = succ
+        self._pred = pred
         self._mem_index = {m.name: i
                            for i, m in enumerate(circuit.memories)}
         self._flop_q = {f.name: f.q for f in circuit.flops}
         self._net_index: dict[str, int] = {}
         for i, name in enumerate(circuit.net_names):
             self._net_index.setdefault(name, i)
-        self._fp_cache: dict[tuple, str] = {}
+        self._fragments = _Fragments(circuit)
         self._full_fp: str | None = None
 
     # ------------------------------------------------------------------
@@ -114,90 +181,24 @@ class SupportIndex:
             return self._net_index[name], None
         return None, None
 
-    def forward_closure(self, nets: set[int], mems: set[int]
-                        ) -> tuple[set[int], set[int]]:
-        circuit = self.circuit
-        out_nets = set(nets)
-        out_mems = set(mems)
-        queue = list(nets)
-        for mi in mems:
-            for net in circuit.memories[mi].rdata:
-                if net not in out_nets:
-                    out_nets.add(net)
-                    queue.append(net)
-        while queue:
-            net = queue.pop()
-            for desc in self._fanout.get(net, ()):
-                if desc[0] == "gate":
-                    new = (circuit.gates[desc[1]].out,)
-                elif desc[0] == "flop":
-                    new = (circuit.flops[desc[1]].q,)
-                elif desc[0] == "mem":
-                    mi = desc[1]
-                    if mi in out_mems:
-                        continue
-                    out_mems.add(mi)
-                    new = circuit.memories[mi].rdata
-                else:           # primary output: nothing downstream
-                    continue
-                for n in new:
-                    if n not in out_nets:
-                        out_nets.add(n)
-                        queue.append(n)
-        return out_nets, out_mems
+    def cone(self, nets, mems) -> Cone:
+        """Walk the closures of a resolved seed set and fingerprint its
+        support cone."""
+        reached, forward = self._seeded(nets, mems)
+        _spread(self._succ, reached, forward)
+        support = bytearray(forward)
+        _spread(self._pred, reached, support)
+        return Cone(forward, support, hashlib.sha256(
+            self._fragments.document(support)).hexdigest())
 
-    def backward_closure(self, nets: set[int], mems: set[int]
-                         ) -> tuple[set[int], set[int]]:
-        circuit = self.circuit
-        out_nets = set(nets)
-        out_mems = set(mems)
-        queue = list(nets)
-
-        def pull(new_nets):
-            for n in new_nets:
-                if n is not None and n not in out_nets:
-                    out_nets.add(n)
-                    queue.append(n)
-
-        def pull_mem(mi):
-            if mi in out_mems:
-                return
-            out_mems.add(mi)
-            mem = circuit.memories[mi]
-            pull((*mem.addr, *mem.wdata, mem.we))
-
-        for mi in list(mems):
-            out_mems.discard(mi)
-            pull_mem(mi)
-        while queue:
-            net = queue.pop()
-            desc = self._drivers.get(net)
-            if desc is None:
-                continue
-            if desc[0] == "gate":
-                pull(circuit.gates[desc[1]].inputs)
-            elif desc[0] == "flop":
-                flop = circuit.flops[desc[1]]
-                pull((flop.d, flop.en, flop.rst))
-            elif desc[0] == "mem":
-                pull_mem(desc[1])
-        return out_nets, out_mems
-
-    def support(self, nets: set[int], mems: set[int]
-                ) -> tuple[frozenset[int], frozenset[int]]:
-        fwd_nets, fwd_mems = self.forward_closure(nets, mems)
-        sup_nets, sup_mems = self.backward_closure(fwd_nets, fwd_mems)
-        return frozenset(sup_nets), frozenset(sup_mems)
-
-    # ------------------------------------------------------------------
-    def fingerprint(self, nets: set[int], mems: set[int]) -> str:
-        """Content address of the sub-circuit supporting the seeds."""
-        key = (frozenset(nets), frozenset(mems))
-        cached = self._fp_cache.get(key)
-        if cached is None:
-            cached = digest(self._canonical(*self.support(*key)))
-            self._fp_cache[key] = cached
-        return cached
+    def _seeded(self, nets, mems) -> tuple[list[int], bytearray]:
+        mark = bytearray(len(self._succ))
+        reached = []
+        for node in (*nets, *(self.num_nets + mi for mi in mems)):
+            if not mark[node]:
+                mark[node] = 1
+                reached.append(node)
+        return reached, mark
 
     def full_fingerprint(self) -> str:
         """Whole-circuit fallback (unresolvable or zone-less faults)."""
@@ -206,33 +207,89 @@ class SupportIndex:
                 self.circuit.canonical_bytes()).hexdigest()
         return self._full_fp
 
-    def _canonical(self, nets: frozenset[int],
-                   mems: frozenset[int]) -> dict:
-        circuit = self.circuit
+
+def _spread(adjacency: list[list[int]], reached: list[int],
+            mark: bytearray) -> None:
+    """Extend ``reached`` (already marked) to its closure over
+    ``adjacency``, marking every node it adds."""
+    for node in reached:            # visits what the loop appends
+        for nxt in adjacency[node]:
+            if not mark[nxt]:
+                mark[nxt] = 1
+                reached.append(nxt)
+
+
+def _picker(nodes: list[int]):
+    """``mark -> (mark[node] for node in nodes)`` as one C-level call."""
+    if len(nodes) > 1:
+        return itemgetter(*nodes)
+    if nodes:
+        node = nodes[0]
+        return lambda mark: (mark[node],)
+    return lambda mark: ()
+
+
+class _Fragments:
+    """The canonical JSON fragment of every record a cone document can
+    hold, each kind in the order ``sorted()`` gives its records."""
+
+    def __init__(self, circuit: Circuit):
         name_of = circuit.net_names
+        quoted = [encode_basestring_ascii(name) for name in name_of]
+        compact = {"separators": (",", ":")}
 
         def names(seq):
             return [name_of[n] for n in seq]
 
-        return {
-            "gates": sorted(
-                (name_of[g.out], OP_NAMES[g.op], names(g.inputs))
-                for g in circuit.gates if g.out in nets),
-            "flops": sorted(
-                (f.name, name_of[f.d], name_of[f.q],
-                 None if f.en is None else name_of[f.en],
-                 None if f.rst is None else name_of[f.rst], f.init)
-                for f in circuit.flops if f.q in nets),
-            "memories": sorted(
-                (m.name, m.depth, m.width, names(m.addr),
-                 names(m.wdata), name_of[m.we], names(m.rdata))
-                for i, m in enumerate(circuit.memories) if i in mems),
-            "inputs": {
-                port: [[bit, name_of[n]]
-                       for bit, n in enumerate(port_nets) if n in nets]
-                for port, port_nets in sorted(circuit.inputs.items())
-                if any(n in nets for n in port_nets)},
-        }
+        gates = sorted(circuit.gates, key=lambda g: (
+            name_of[g.out], OP_NAMES[g.op], names(g.inputs)))
+        self.gates = ['[%s,"%s",[%s]]' % (
+            quoted[g.out], OP_NAMES[g.op],
+            ",".join([quoted[n] for n in g.inputs])) for g in gates]
+        self.pick_gates = _picker([g.out for g in gates])
+
+        flops = sorted(
+            ((f.name, name_of[f.d], name_of[f.q],
+              None if f.en is None else name_of[f.en],
+              None if f.rst is None else name_of[f.rst], f.init), f.q)
+            for f in circuit.flops)
+        self.flops = [json.dumps(record, **compact)
+                      for record, _ in flops]
+        self.pick_flops = _picker([q for _, q in flops])
+
+        mems = sorted(
+            ((m.name, m.depth, m.width, names(m.addr), names(m.wdata),
+              name_of[m.we], names(m.rdata)), circuit.num_nets + i)
+            for i, m in enumerate(circuit.memories))
+        self.memories = [json.dumps(record, **compact)
+                         for record, _ in mems]
+        self.pick_memories = _picker([node for _, node in mems])
+
+        self.inputs = [
+            (encode_basestring_ascii(port) + ":[",
+             ["[%d,%s]" % (bit, quoted[n])
+              for bit, n in enumerate(port_nets)],
+             _picker(list(port_nets)))
+            for port, port_nets in sorted(circuit.inputs.items())]
+
+    def document(self, mark: bytearray) -> bytes:
+        """``json.dumps(canonical, sort_keys=True, separators=(",",
+        ":"))`` of the records inside ``mark``."""
+        ports = []
+        for key, bits, pick in self.inputs:
+            chosen = ",".join(compress(bits, pick(mark)))
+            if chosen:
+                ports.append(key + chosen + "]")
+        return "".join((
+            '{"flops":[',
+            ",".join(compress(self.flops, self.pick_flops(mark))),
+            '],"gates":[',
+            ",".join(compress(self.gates, self.pick_gates(mark))),
+            '],"inputs":{', ",".join(ports),
+            '},"memories":[',
+            ",".join(compress(self.memories,
+                              self.pick_memories(mark))),
+            "]}")).encode()
 
 
 # ----------------------------------------------------------------------
@@ -256,8 +313,7 @@ class FingerprintContext:
         effective = list(stimuli)
         if max_cycles is not None:
             effective = effective[:max_cycles]
-        self.stimuli_fp = digest(
-            [sorted(cycle.items()) for cycle in effective])
+        self.stimuli_fp = _stimuli_digest(effective)
         self.cycles = len(effective)
         self.setup_fp = _setup_canonical(setup)
         # only reachable after _setup_canonical accepted it: None or a
@@ -275,11 +331,11 @@ class FingerprintContext:
             return [point.name, point.kind.value,
                     [circuit.net_names[n] for n in point.nets]]
 
-        # Per group: canonical entries paired with their net sets, in
-        # group order, so :meth:`_zone_support` can take the reachable
-        # subsequence per fault without re-deriving either.
+        # Per group: canonical entries paired with their nets, in group
+        # order, so :meth:`_reachable_obs_fp` can take the reachable
+        # subsequence per seed set without re-deriving either.
         self._obs_groups = [
-            (group, [(canon(p), frozenset(p.nets)) for p in points])
+            (group, [(canon(p), tuple(p.nets)) for p in points])
             for group, points in (
                 ("functional", [p for p in observation_points
                                 if p.kind is ObservationKind.OUTPUT]),
@@ -292,8 +348,25 @@ class FingerprintContext:
                               for group, entries in self._obs_groups})
         self.support = SupportIndex(circuit)
         self._zones = {z.name: z for z in zones}
-        self._zone_fp: dict[tuple, tuple[str, dict | None, str,
-                                         str | None]] = {}
+        #: (zone, fault targets) -> (resolved seed set or None, zone
+        #: canon); None marks an unresolvable or empty seed set
+        self._seeds: dict[tuple, tuple[tuple | None, dict | None]] = {}
+        #: resolved seed set -> (support, observation, setup) digests
+        self._cones: dict[tuple, tuple[str, str, str | None]] = {}
+        self._setup_fps: dict[tuple, str] = {}
+        if setup is not None:
+            # the setup state a cone can contain: memory images by the
+            # memory nodes and initial flop values by the q nets
+            n = circuit.num_nets
+            self._setup_mems = [
+                (name, [n + i for i, m in enumerate(circuit.memories)
+                        if m.name == name])
+                for name in sorted(setup.mem_images)]
+            q_nets: dict[str, list[int]] = {}
+            for flop in circuit.flops:
+                q_nets.setdefault(flop.name, []).append(flop.q)
+            self._setup_flops = [(name, q_nets.get(name, []))
+                                 for name in sorted(setup.flop_values)]
 
     # ------------------------------------------------------------------
     @classmethod
@@ -356,8 +429,13 @@ class FingerprintContext:
             "obs": obs_fp,
         })
 
+    @property
+    def seed_sets(self) -> int:
+        """Distinct resolved seed sets whose cones were walked."""
+        return len(self._cones)
+
     # ------------------------------------------------------------------
-    def _reachable_obs_fp(self, fwd_nets: set[int]) -> str:
+    def _reachable_obs_fp(self, forward: bytearray) -> str:
         """Digest of the observation points the fault can reach.
 
         Points with no net in the fan-out closure see faulty values
@@ -369,11 +447,10 @@ class FingerprintContext:
         """
         return digest({
             group: [entry for entry, nets in entries
-                    if nets & fwd_nets]
+                    if any(forward[n] for n in nets)]
             for group, entries in self._obs_groups})
 
-    def _restricted_setup_fp(self, sup_nets: set[int],
-                             sup_mems: set[int]) -> str | None:
+    def _restricted_setup_fp(self, support: bytearray) -> str | None:
         """Digest of the setup state inside the support cone.
 
         A preload image or initial flop value outside the cone drives
@@ -382,30 +459,55 @@ class FingerprintContext:
         """
         if self._setup is None:
             return self.setup_fp
-        mem_names = {self.circuit.memories[i].name for i in sup_mems}
-        flop_names = {f.name for f in self.circuit.flops
-                      if f.q in sup_nets}
-        return digest({
-            "mem_images": {name: list(image) for name, image
-                           in sorted(self._setup.mem_images.items())
-                           if name in mem_names},
-            "flop_values": {name: value for name, value
-                            in sorted(self._setup.flop_values.items())
-                            if name in flop_names},
-        })
+        key = (tuple(name for name, nodes in self._setup_mems
+                     if any(support[node] for node in nodes)),
+               tuple(name for name, nets in self._setup_flops
+                     if any(support[net] for net in nets)))
+        fp = self._setup_fps.get(key)
+        if fp is None:
+            mem_names, flop_names = key
+            fp = self._setup_fps[key] = digest({
+                "mem_images": {name: list(self._setup.mem_images[name])
+                               for name in mem_names},
+                "flop_values": {name: self._setup.flop_values[name]
+                                for name in flop_names},
+            })
+        return fp
 
     def _zone_support(self, fault: Fault
                       ) -> tuple[str, dict | None, str, str | None]:
-        zone = self._zones.get(fault.zone) \
-            if fault.zone is not None else None
-        seeds_key = (fault.zone, _fault_targets(fault))
-        cached = self._zone_fp.get(seeds_key)
-        if cached is not None:
-            return cached
+        targets = _fault_targets(fault)
+        seeds_key = (fault.zone, targets)
+        resolved = self._seeds.get(seeds_key)
+        if resolved is None:
+            resolved = self._seeds[seeds_key] = self._resolve(
+                fault.zone, targets)
+        seed_set, zone_canon = resolved
+        if seed_set is None:
+            # unknown target or empty seed set: the only sound cone is
+            # the whole circuit, observed everywhere with full state
+            return (self.support.full_fingerprint(), zone_canon,
+                    self.obs_fp, self.setup_fp)
+        cone = self._cones.get(seed_set)
+        if cone is None:
+            walked = self.support.cone(*seed_set)
+            cone = self._cones[seed_set] = (
+                walked.fingerprint,
+                self._reachable_obs_fp(walked.forward),
+                self._restricted_setup_fp(walked.support))
+        support_fp, obs_fp, setup_fp = cone
+        return support_fp, zone_canon, obs_fp, setup_fp
+
+    def _resolve(self, zone_name: str | None, targets: tuple
+                 ) -> tuple[tuple | None, dict | None]:
+        """The seed set ``(nets, mems)`` of a fault's targets plus its
+        zone, and the zone's canonical form."""
+        zone = self._zones.get(zone_name) \
+            if zone_name is not None else None
         nets: set[int] = set()
         mems: set[int] = set()
         resolved = True
-        for name in _fault_targets(fault):
+        for name in targets:
             net, mem = self.support.resolve_seed(name)
             if net is not None:
                 nets.add(net)
@@ -427,24 +529,9 @@ class FingerprintContext:
                     mems.add(mem)
                 else:
                     resolved = False
-        if resolved and (nets or mems):
-            fwd_nets, fwd_mems = self.support.forward_closure(nets,
-                                                              mems)
-            sup_nets, sup_mems = self.support.backward_closure(
-                fwd_nets, fwd_mems)
-            support_fp = digest(self.support._canonical(
-                frozenset(sup_nets), frozenset(sup_mems)))
-            obs_fp = self._reachable_obs_fp(fwd_nets)
-            setup_fp = self._restricted_setup_fp(sup_nets, sup_mems)
-        else:
-            # unknown target or empty seed set: the only sound cone is
-            # the whole circuit, observed everywhere with full state
-            support_fp = self.support.full_fingerprint()
-            obs_fp = self.obs_fp
-            setup_fp = self.setup_fp
-        out = (support_fp, zone_canon, obs_fp, setup_fp)
-        self._zone_fp[seeds_key] = out
-        return out
+        if not resolved or not (nets or mems):
+            return None, zone_canon
+        return (frozenset(nets), frozenset(mems)), zone_canon
 
 
 def _fault_targets(fault: Fault) -> tuple[str, ...]:
@@ -466,6 +553,10 @@ def _zone_canonical(zone: SensibleZone, circuit: Circuit) -> dict:
         "mem_words": list(zone.mem_words)
         if zone.mem_words is not None else None,
     }
+
+
+def _stimuli_digest(stimuli) -> str:
+    return digest([sorted(cycle.items()) for cycle in stimuli])
 
 
 def _setup_canonical(setup) -> str | None:

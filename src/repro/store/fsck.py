@@ -15,7 +15,7 @@ code      invariant violated                          repair action
           b-tree integrity check
 ``E401``  blob content hashes to its address          delete blob
 ``E402``  every golden-map digest has a blob          drop map entry
-``E403``  every run's golden_blob exists              clear reference
+``E403``  every run's golden/profile blob exists       clear reference
 ``E404``  run_faults/shard_attempts rows belong       delete rows
           to a recorded run
 ``E405``  outcome 'effects' payloads parse            delete rows
@@ -135,19 +135,19 @@ def fsck_store(cache: CampaignCache, *, repair: bool = False,
             f"{'y' if len(missing_keys) == 1 else 'ies'} with "
             f"missing blobs")
 
-    # E403 — runs referencing vanished golden blobs
-    broken_runs = [run_id for run_id, digest
-                   in cache.db.runs_with_golden()
+    # E403 — runs referencing vanished golden/profile blobs
+    broken_refs = [(run_id, column) for run_id, column, digest
+                   in cache.db.run_blob_refs()
                    if digest not in present]
-    for run_id in broken_runs:
+    for run_id, column in broken_refs:
+        kind = column.removesuffix("_blob")
         collect.error(
-            "E403", f"run #{run_id} references a missing golden "
+            "E403", f"run #{run_id} references a missing {kind} "
                     f"blob")
-    if repair and broken_runs:
-        cache.db.clear_run_golden(broken_runs)
+    if repair and broken_refs:
+        cache.db.clear_run_blob_refs(broken_refs)
         result.repaired.append(
-            f"cleared the golden reference of {len(broken_runs)} "
-            f"run(s)")
+            f"cleared {len(broken_refs)} blob reference(s) of runs")
 
     # E404 — membership rows of vanished runs
     dangling = cache.db.dangling_membership()
@@ -202,8 +202,8 @@ def fsck_store(cache: CampaignCache, *, repair: bool = False,
 
     # E407 — orphan blobs (space leak, not corruption → warning)
     referenced = cache.db.golden_digests()
-    referenced.update(digest for _, digest
-                      in cache.db.runs_with_golden())
+    referenced.update(digest for _, _, digest
+                      in cache.db.run_blob_refs())
     orphans = [d for d in sorted(present) if d not in referenced]
     for digest in orphans:
         collect.warn(

@@ -206,8 +206,8 @@ def gc_store(cache: CampaignCache, keep_runs: int = 10) -> GcResult:
     """Drop old runs, unreferenced outcomes and orphaned blobs."""
     runs_removed, outcomes_removed = cache.db.gc(keep_runs)
     referenced = cache.db.golden_digests()
-    referenced.update(r["golden_blob"] for r in cache.db.runs()
-                      if r.get("golden_blob"))
+    referenced.update(digest for _, _, digest
+                      in cache.db.run_blob_refs())
     blobs_removed = 0
     bytes_reclaimed = 0
     for digest in cache.blobs.digests():

@@ -1,0 +1,124 @@
+"""Pinned content addresses: the store's on-disk key format.
+
+Every other fingerprint test is a self-consistency check (same input,
+same digest; changed input, changed digest), which a wholesale format
+change passes.  Existing ``.socfmea_store/`` directories stay warm only
+while the digests themselves are unchanged, so this test pins their
+values for four designs: the small memory subsystem (fmem), the
+lock-step mini CPU, the two-bank small baseline and the full-size
+improved subsystem.
+
+Per design it pins a SHA-256 over the ordered per-fault fingerprints,
+``golden_key()`` and ``environment_fingerprint()``.  A deliberate
+format change bumps ``FP_VERSION`` and regenerates the data file::
+
+    PYTHONPATH=src python -m tests.test_fingerprint_pins --write
+"""
+
+import hashlib
+import json
+import random
+import sys
+from pathlib import Path
+
+import pytest
+
+from repro.faultinjection import (
+    CandidateList,
+    FaultInjectionManager,
+    MemFlipFault,
+    SeuFault,
+    StuckNetFault,
+    build_environment,
+)
+from repro.service.core import make_subsystem
+from repro.soc.minicpu import CpuConfig, MiniCpu, assemble
+from repro.store.fingerprint import FP_VERSION, FingerprintContext
+from repro.zones import ZoneKind, extract_zones
+
+PINS = Path(__file__).parent / "data" / "fingerprints_pinned.json"
+
+MINICPU_PROGRAM = [("ldi", 5), ("st", 0), ("ldi", 3), ("add", 0),
+                   ("out",), ("ldi", 0), ("jnz", 0), ("out",)]
+
+
+def _subsystem_case(variant: str, banks: int = 1):
+    env = build_environment(make_subsystem(variant, banks=banks),
+                            quick=True)
+    return (FingerprintContext.from_spec(env.spec()),
+            env.candidates().faults)
+
+
+def _minicpu_case():
+    """Zone-attributed register faults, unresolvable net-index targets
+    and zone-less memory flips on the lock-step CPU with a preloaded
+    program ROM."""
+    cpu = MiniCpu(CpuConfig.lockstep_pair())
+    circuit = cpu.circuit
+    zone_set = extract_zones(circuit)
+    zone_of = {flop: zone.name
+               for zone in zone_set.of_kind(ZoneKind.REGISTER)
+               for flop in zone.flops}
+    faults = []
+    for i, flop in enumerate(f.name for f in circuit.flops
+                             if f.name.startswith("core_a/")):
+        faults.append(SeuFault(target=flop, zone=zone_of[flop],
+                               offset=6 + i % 9))
+        faults.append(StuckNetFault(target=flop, zone=zone_of[flop],
+                                    value=i % 2))
+    rng = random.Random(99)
+    ram = next(m for m in circuit.memories if "ram" in m.name)
+    faults += [StuckNetFault(target=rng.randrange(circuit.num_nets),
+                             value=rng.getrandbits(1))
+               for _ in range(8)]
+    faults += [MemFlipFault(target=ram.name, word=rng.randrange(ram.depth),
+                            bit=rng.randrange(ram.width),
+                            offset=rng.randrange(30))
+               for _ in range(8)]
+    manager = FaultInjectionManager(
+        circuit, [cpu.idle(rst=1)] * 2 + [cpu.idle()] * 80,
+        zone_set=zone_set,
+        setup=lambda sim: sim.load_mem("imem/rom",
+                                       assemble(MINICPU_PROGRAM)))
+    return FingerprintContext.from_manager(manager), \
+        CandidateList(faults=faults).faults
+
+
+CASES = {
+    "fmem": lambda: _subsystem_case("small-improved"),
+    "minicpu": _minicpu_case,
+    "small-baseline-x2": lambda: _subsystem_case("small-baseline",
+                                                 banks=2),
+    "improved": lambda: _subsystem_case("improved"),
+}
+
+
+def pins_of(name: str) -> dict:
+    ctx, faults = CASES[name]()
+    ordered = hashlib.sha256()
+    for fault in faults:
+        ordered.update(ctx.fault_fingerprint(fault).encode())
+        ordered.update(b"\n")
+    return {"faults": len(faults),
+            "fault_fingerprints": ordered.hexdigest(),
+            "golden_key": ctx.golden_key(),
+            "environment_fingerprint": ctx.environment_fingerprint()}
+
+
+def test_pins_cover_the_current_format():
+    assert json.loads(PINS.read_text())["fp_version"] == FP_VERSION
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_fingerprints_match_pinned_values(name):
+    pinned = json.loads(PINS.read_text())["designs"][name]
+    assert pins_of(name) == pinned
+
+
+if __name__ == "__main__":
+    if "--write" not in sys.argv[1:]:
+        sys.exit("usage: python -m tests.test_fingerprint_pins --write")
+    PINS.write_text(json.dumps(
+        {"fp_version": FP_VERSION,
+         "designs": {name: pins_of(name) for name in sorted(CASES)}},
+        indent=2, sort_keys=True) + "\n")

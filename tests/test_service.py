@@ -12,6 +12,7 @@ and the queue audits wired into ``store fsck`` (E410/E411/E412) and
 
 import json
 import os
+import re
 import signal
 import sqlite3
 import subprocess
@@ -377,6 +378,88 @@ def test_run_campaign_matches_serial_reference(tmp_path, serial,
     assert outcome.safe_fraction == serial.measured_safe_fraction()
     assert "measured DC:" in outcome.out
     assert outcome.run_id is not None and outcome.simulated > 0
+
+
+def _count_profile_replays(monkeypatch) -> list:
+    """Count ``profile_workload`` calls under every name it is bound
+    to."""
+    from repro.faultinjection import environment, profiler
+    calls = []
+    real = profiler.profile_workload
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(profiler, "profile_workload", counted)
+    monkeypatch.setattr(environment, "profile_workload", counted)
+    return calls
+
+
+def test_warm_rerun_replays_no_workload(tmp_path, monkeypatch):
+    root = tmp_path / "store"
+    request = CampaignRequest(variant="small-improved")
+    calls = _count_profile_replays(monkeypatch)
+    cold = CampaignService(root).run_campaign(request)
+    assert len(calls) == 1
+    warm = CampaignService(root).run_campaign(request)
+    assert len(calls) == 1              # zero replays on the rerun
+    uncached = CampaignService(root).run_campaign(
+        CampaignRequest(variant="small-improved", use_cache=False))
+    assert len(calls) == 2              # --no-cache replays as before
+
+    for outcome in (warm, uncached):
+        assert outcome.exit_code == cold.exit_code == 0
+        assert (outcome.faults, outcome.measured_dc,
+                outcome.safe_fraction, outcome.claimed_sff,
+                outcome.claimed_dc) == \
+            (cold.faults, cold.measured_dc, cold.safe_fraction,
+             cold.claimed_sff, cold.claimed_dc)
+    assert warm.simulated == 0 and warm.hits == warm.faults
+    with CampaignCache(root) as cache:
+        # identical candidates: the same fault addresses, in order
+        assert [(r["fault_fp"], r["fault_name"])
+                for r in cache.db.run_faults(warm.run_id)] == \
+            [(r["fault_fp"], r["fault_name"])
+             for r in cache.db.run_faults(cold.run_id)]
+
+    planning = r"planning: profile (hit|miss) \d+\.\d\ds, " \
+               r"fingerprints \d+\.\d\ds over (\d+) seed sets"
+    cold_line = re.search(planning, cold.out)
+    warm_line = re.search(planning, warm.out)
+    assert cold_line.group(1) == "miss" and warm_line.group(1) == "hit"
+    assert int(warm_line.group(2)) == int(cold_line.group(2)) > 0
+    assert "planning:" not in uncached.out
+    # the line the CI jobs parse is unchanged, and precedes planning
+    lines = warm.out.splitlines()
+    assert lines[-2] == (
+        f"store: {warm.faults} hits, 0 misses (100.0% hit rate), "
+        f"0 new outcomes, 0 faults simulated")
+    assert lines[-1].startswith("planning: ")
+
+
+def test_gc_keeps_the_profile_of_kept_runs(tmp_path, monkeypatch):
+    root = tmp_path / "store"
+    request = CampaignRequest(variant="small-improved")
+    calls = _count_profile_replays(monkeypatch)
+    CampaignService(root).run_campaign(request)         # cold: replays
+    with CampaignCache(root) as cache:
+        gc_store(cache, keep_runs=1)
+    warm = CampaignService(root).run_campaign(request)  # profile hit
+    with CampaignCache(root) as cache:
+        # drops the cold run that wrote the profile; the warm run
+        # that read it keeps it alive
+        assert gc_store(cache, keep_runs=1).runs_removed == 1
+        assert [r["run_id"] for r in cache.db.runs()] == [warm.run_id]
+        assert fsck_store(cache).clean
+    CampaignService(root).run_campaign(request)
+    assert len(calls) == 1              # no replay after either gc
+
+    with CampaignCache(root) as cache:
+        # no run left: the profile is swept with the golden trace
+        gc_store(cache, keep_runs=0)
+        assert cache.db.golden_rows() == []
+        assert len(cache.blobs) == 0
 
 
 def test_project_namespaces_isolate_evidence(tmp_path):

@@ -20,8 +20,10 @@ import pytest
 
 from repro.faultinjection import (
     CampaignConfig,
+    MemoryImageSetup,
     ParallelCampaignRunner,
     build_environment,
+    snapshot_setup,
 )
 from repro.hdl.netlist import OP_OR, OP_XOR
 from repro.soc import MemorySubsystem, SubsystemConfig
@@ -34,7 +36,8 @@ from repro.store import (
     gc_store,
     store_stats,
 )
-from repro.store.fingerprint import digest, fault_descriptor
+from repro.store.fingerprint import digest, fault_descriptor, \
+    profile_key
 
 REPO = Path(__file__).parent.parent
 ENV = {**os.environ, "PYTHONPATH": str(REPO / "src")}
@@ -326,3 +329,128 @@ def test_unsnapshottable_setup_bypasses_store(env, candidates,
         manager.run(candidates, cache=cache)
         assert cache.stats.uncacheable == len(candidates.faults)
         assert cache.db.outcome_count() == 0
+
+
+# ----------------------------------------------------------------------
+# the operational profile is served from the store
+# ----------------------------------------------------------------------
+def _with(env, **inputs):
+    """A copy of ``env`` with some workload inputs replaced."""
+    other = copy.copy(env)
+    other._profile = None
+    for name, value in inputs.items():
+        setattr(other, name, value)
+    return other
+
+
+def _profile_bytes(profile) -> str:
+    """Order-sensitive serialization: equal means bit-identical."""
+    return json.dumps(profile.to_dict())
+
+
+def _profile_key(env) -> str:
+    return profile_key(env.circuit, env.stimuli,
+                       snapshot_setup(env.circuit, env.setup),
+                       env.read_strobes)
+
+
+def test_profile_is_served_from_the_store(env, tmp_path):
+    with CampaignCache(tmp_path / "store") as cache:
+        cold = cache.profile(env)
+        assert (cache.stats.profile_hits,
+                cache.stats.profile_misses) == (0, 1)
+    with CampaignCache(tmp_path / "store") as cache:
+        warm = cache.profile(env)
+        # the snapshot of the setup is the same workload
+        snapshotted = cache.profile(_with(
+            env, setup=snapshot_setup(env.circuit, env.setup)))
+        assert (cache.stats.profile_hits,
+                cache.stats.profile_misses) == (2, 0)
+    assert _profile_bytes(cold) == _profile_bytes(warm) \
+        == _profile_bytes(snapshotted) == _profile_bytes(env.profile())
+
+
+def _changed_stimuli(env):
+    stimuli = list(env.stimuli)
+    stimuli[5] = dict(stimuli[5], haddr=3)
+    return _with(env, stimuli=stimuli)
+
+
+def _changed_read_strobe(env):
+    return _with(env, read_strobes={})
+
+
+def _changed_preload(env):
+    snap = snapshot_setup(env.circuit, env.setup)
+    images = {name: list(image) for name, image
+              in snap.mem_images.items()}
+    images["memarray/array"][0] ^= 1
+    return _with(env, setup=MemoryImageSetup(
+        mem_images=images, flop_values=dict(snap.flop_values)))
+
+
+def _changed_gate(env):
+    circuit = copy.deepcopy(env.circuit)
+    gate = next(g for g in circuit.gates if g.op == OP_OR
+                and "coder_check" in circuit.net_names[g.out])
+    gate.op = OP_XOR
+    return _with(env, circuit=circuit)
+
+
+@pytest.mark.parametrize("change", [
+    _changed_stimuli, _changed_read_strobe, _changed_preload,
+    _changed_gate], ids=["stimuli", "read-strobe", "preload", "gate"])
+def test_changed_workload_input_misses_the_profile(env, tmp_path,
+                                                   change):
+    changed = change(env)
+    assert _profile_key(changed) != _profile_key(env)
+    with CampaignCache(tmp_path / "store") as cache:
+        cache.profile(env)
+        profile = cache.profile(changed)
+        assert (cache.stats.profile_hits,
+                cache.stats.profile_misses) == (0, 2)
+    assert _profile_bytes(profile) == _profile_bytes(changed.profile())
+
+
+def _truncate(cache, key):
+    path = cache.blobs.path_for(cache.db.get_golden(key))
+    path.write_bytes(path.read_bytes()[:100])
+
+
+def _repoint(payload):
+    def damage(cache, key):
+        cache.db.put_golden(key, cache.blobs.put(payload))
+    return damage
+
+
+@pytest.mark.parametrize("damage", [
+    _truncate, _repoint(b"not json"), _repoint(b'{"length": 3}')],
+    ids=["truncated", "unparsable", "wrong-shape"])
+def test_damaged_profile_blob_is_recomputed(env, tmp_path, damage):
+    store = tmp_path / "store"
+    with CampaignCache(store) as cache:
+        reference = cache.profile(env)
+        damage(cache, _profile_key(env))
+    with CampaignCache(store) as cache:
+        again = cache.profile(env)
+        assert cache.stats.corrupt == 1
+        assert cache.stats.profile_misses == 1
+    assert _profile_bytes(again) == _profile_bytes(reference)
+    with CampaignCache(store) as cache:     # the rewrite is readable
+        cache.profile(env)
+        assert cache.stats.profile_hits == 1
+        assert cache.stats.corrupt == 0
+
+
+def test_unsnapshottable_setup_profiles_without_the_store(env,
+                                                          tmp_path):
+    def overlay(sim):
+        env.setup(sim)
+        sim.stick_net(0, 1)
+
+    changed = _with(env, setup=overlay)
+    with CampaignCache(tmp_path / "store") as cache:
+        profile = cache.profile(changed)
+        assert cache.stats.profile_misses == 1
+        assert cache.db.golden_rows() == []
+    assert _profile_bytes(profile) == _profile_bytes(changed.profile())
