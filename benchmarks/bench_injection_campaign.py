@@ -33,7 +33,6 @@ from repro.faultinjection import (
     ENGINE_COMPILED,
     ENGINE_INTERPRETED,
     FaultListConfig,
-    ParallelCampaignRunner,
     ResultAnalyzer,
     build_environment,
     randomize,
@@ -188,11 +187,11 @@ def test_campaign_engine_speedup(benchmark, env):
 
 
 def test_campaign_sharded_worker_speedup(benchmark, env):
-    """Serial pass loop vs the sharded multi-process campaign runner.
+    """Serial pass loop vs the sharded multi-process campaign.
 
     The large campaign (denser per-zone sampling than the default) is
     run once through the in-process manager and then through
-    ``ParallelCampaignRunner`` with 4 workers; both paths must agree
+    ``CampaignSupervisor`` with 4 workers; both paths must agree
     bit-for-bit on the safety metrics, and on a machine with enough
     cores the sharded run must be at least 1.5x faster.
     """
@@ -205,9 +204,9 @@ def test_campaign_sharded_worker_speedup(benchmark, env):
     serial = spec.manager().run(candidates)
 
     def sharded():
-        runner = ParallelCampaignRunner(spec, workers=workers)
-        result = runner.run(candidates)
-        result.stats = runner.last_stats
+        supervisor = CampaignSupervisor(spec, workers=workers)
+        result = supervisor.run(candidates)
+        result.stats = supervisor.last_stats
         return result
 
     campaign = benchmark.pedantic(sharded, rounds=1, iterations=1)
@@ -242,14 +241,14 @@ def test_campaign_cache_warm_speedup(benchmark, env, tmp_path_factory):
     spec = env.spec()
 
     with CampaignCache(store) as cache:
-        cold = ParallelCampaignRunner(spec, workers=1,
-                                      cache=cache).run(candidates)
+        cold = CampaignSupervisor(spec, workers=1,
+                                  cache=cache).run(candidates)
         assert cache.stats.simulated == len(candidates.faults)
     cold_seconds = cold.wall_seconds
 
     def warm():
         with CampaignCache(store) as cache:
-            result = ParallelCampaignRunner(
+            result = CampaignSupervisor(
                 spec, workers=1, cache=cache).run(candidates)
             result.cache_stats = cache.stats
             return result
@@ -273,59 +272,6 @@ def test_campaign_cache_warm_speedup(benchmark, env, tmp_path_factory):
     # below ~0.2s of cold work the ratio is dominated by fixed costs
     if cold_seconds > 0.2:
         assert speedup >= 5
-
-
-def test_campaign_supervisor_overhead(benchmark, env):
-    """The fault-tolerant supervisor on a clean run vs the bare
-    sharded runner.
-
-    Supervision adds per-shard process management (one worker process
-    per shard instead of a long-lived pool) plus deadline polling;
-    on a healthy campaign that bookkeeping must stay under 5% of the
-    unsupervised wall-clock — resilience is supposed to be free until
-    something actually fails.  Results must stay bit-identical.
-    """
-    candidates = env.candidates(FaultListConfig(
-        transient_per_zone=8, permanent_per_zone=8,
-        mem_words_sampled=8))
-    spec = CampaignSpec.from_environment(env)
-    workers = 4
-
-    def unsupervised():
-        return ParallelCampaignRunner(
-            spec, workers=workers).run(candidates)
-
-    def supervised():
-        supervisor = CampaignSupervisor(spec, workers=workers)
-        result = supervisor.run(candidates)
-        result.anomalies = supervisor.anomalies
-        return result
-
-    base = min(unsupervised().wall_seconds,
-               unsupervised().wall_seconds)
-    campaign = benchmark.pedantic(supervised, rounds=2, iterations=1)
-    reference = unsupervised()
-
-    assert campaign.anomalies == []
-    assert campaign.outcomes() == reference.outcomes()
-    assert campaign.measured_dc() == reference.measured_dc()
-    assert campaign.measured_safe_fraction() == \
-        reference.measured_safe_fraction()
-
-    supervised_s = min(benchmark.stats.stats.as_dict()["min"],
-                       campaign.wall_seconds)
-    overhead = supervised_s / max(base, 1e-9) - 1.0
-    report(benchmark,
-           injections=len(campaign.results),
-           workers=workers,
-           unsupervised_s=f"{base:.2f}",
-           supervised_s=f"{supervised_s:.2f}",
-           overhead_pct=f"{overhead * 100:.1f}%",
-           cores=os.cpu_count())
-    # under ~1s the ratio is noise-dominated; elsewhere supervision
-    # must cost <5%
-    if base > 1.0:
-        assert overhead < 0.05
 
 
 def test_scaled_banked_campaign(benchmark, banked_small):

@@ -761,7 +761,8 @@ def build_parser() -> argparse.ArgumentParser:
                  "behind a shared bus (default: 1 = the flat variant)")
         p.add_argument(
             "--workers", type=int, default=1,
-            help="worker processes (1 = in-process serial run)")
+            help="worker processes running shards at once "
+                 "(default: 1)")
         p.add_argument("--shards", type=int, default=None,
                        help="shard count (default: one per worker)")
         p.add_argument("--sample", type=int, default=None,
@@ -800,10 +801,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--no-quarantine", action="store_true",
             help="abort the campaign on an inexecutable fault "
                  "instead of quarantining it")
-        p.add_argument(
-            "--no-supervise", action="store_true",
-            help="run the bare campaign engine without the "
-                 "fault-tolerant supervisor")
         p.add_argument(
             "--zones", metavar="FILE",
             help="restrict the campaign to a zone-config "

@@ -41,11 +41,9 @@ from .parallel import (
     CampaignStats,
     GoldenTrace,
     MemoryImageSetup,
-    ParallelCampaignRunner,
     SafeProgress,
     ShardStats,
     compute_golden_trace,
-    run_shard,
     shard_candidates,
     snapshot_setup,
 )
@@ -114,9 +112,8 @@ __all__ = [
     "FaultResult", "OUTCOME_DD", "OUTCOME_DETECTED_SAFE", "OUTCOME_DU",
     "OUTCOME_SAFE",
     "CampaignSpec", "CampaignStats", "GoldenTrace", "MemoryImageSetup",
-    "ParallelCampaignRunner", "SafeProgress", "ShardStats",
-    "compute_golden_trace",
-    "run_shard", "shard_candidates", "snapshot_setup",
+    "SafeProgress", "ShardStats", "compute_golden_trace",
+    "shard_candidates", "snapshot_setup",
     "ANOMALY_CRASH", "ANOMALY_EXCEPTION", "ANOMALY_HANG",
     "CampaignAborted", "CampaignHealth", "CampaignSupervisor",
     "FaultAnomaly", "SupervisorConfig",

@@ -223,13 +223,6 @@ class InjectionEnvironment:
         from .parallel import CampaignSpec
         return CampaignSpec.from_environment(self, config=config)
 
-    def runner(self, workers: int | None = None,
-               config: CampaignConfig | None = None, **kw):
-        """A :class:`ParallelCampaignRunner` over this environment."""
-        from .parallel import ParallelCampaignRunner
-        return ParallelCampaignRunner(self.spec(config), workers=workers,
-                                      **kw)
-
     def supervisor(self, workers: int | None = None,
                    config: CampaignConfig | None = None, **kw):
         """A fault-tolerant :class:`CampaignSupervisor` over this

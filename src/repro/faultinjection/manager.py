@@ -160,28 +160,25 @@ class CampaignResult:
         safe = counts[OUTCOME_SAFE] + counts[OUTCOME_DETECTED_SAFE]
         return safe / len(self.results)
 
-    def merge_run(self, other: "CampaignResult") -> None:
-        """Append another run's raw per-fault output to this one.
+    def merge_toggles(self, other: "CampaignResult") -> None:
+        """OR another run's any-machine toggle bitmaps into this one.
 
-        Used by the sharded campaign path: per-shard results are
-        concatenated in shard order so the merged ``results`` list is
-        identical to what a single serial run over the same candidate
-        order would produce.  Coverage bookkeeping is *not* merged here
-        — the campaign driver recomputes it over the merged results.
+        Used by the sharded campaign: every pass also simulates the
+        fault-free machine and each fault's machine behaves the same
+        whatever pass it lands in, so the union over shards equals
+        what a single in-process run over all the faults collects.
         """
-        self.results.extend(other.results)
-        self.passes += other.passes
-        self.cycles_simulated += other.cycles_simulated
-        if other.seen0 is not None and other.seen1 is not None:
-            if self.seen0 is None:
-                self.seen0 = bytearray(len(other.seen0))
-                self.seen1 = bytearray(len(other.seen1))
-            for net, seen in enumerate(other.seen0):
-                if seen:
-                    self.seen0[net] = 1
-            for net, seen in enumerate(other.seen1):
-                if seen:
-                    self.seen1[net] = 1
+        if other.seen0 is None or other.seen1 is None:
+            return
+        if self.seen0 is None:
+            self.seen0 = bytearray(len(other.seen0))
+            self.seen1 = bytearray(len(other.seen1))
+        for net, seen in enumerate(other.seen0):
+            if seen:
+                self.seen0[net] = 1
+        for net, seen in enumerate(other.seen1):
+            if seen:
+                self.seen1[net] = 1
 
 
 class FaultInjectionManager:
@@ -222,14 +219,12 @@ class FaultInjectionManager:
         return CampaignResult(window=cfg.detection_window,
                               test_windows=tuple(cfg.test_windows))
 
-    def run(self, candidates: CandidateList,
-            cache=None) -> CampaignResult:
-        """Run the campaign; with ``cache`` (a
-        :class:`repro.store.CampaignCache`) previously stored outcomes
-        are served from the content-addressed store and only cache
-        misses are simulated — bit-identical either way."""
-        if cache is not None:
-            return cache.run_serial(self, candidates)
+    def run(self, candidates: CandidateList) -> CampaignResult:
+        """Run the whole campaign in this process, without a store.
+
+        The in-process reference the sharded
+        :class:`~repro.faultinjection.supervisor.CampaignSupervisor`
+        is proved bit-identical against."""
         start = time.time()
         result = self.new_result()
         self._init_coverage(result.coverage, candidates)
@@ -244,11 +239,11 @@ class FaultInjectionManager:
         """The raw pass loop: simulate ``faults`` in per-pass batches.
 
         This is the per-shard core shared by :meth:`run` and the
-        worker processes of the parallel campaign runner.  It performs
-        no coverage initialisation or post-processing; when
+        worker processes of the campaign supervisor.  It performs no
+        coverage initialisation or post-processing; when
         ``track_golden`` is false the golden-activity bookkeeping is
-        skipped too (the parallel runner computes the fault-free trace
-        once and shares it instead of recomputing it per batch).
+        skipped too (the supervisor computes the fault-free trace once
+        and shares it instead of recomputing it per batch).
         """
         result = into if into is not None else self.new_result()
         per_pass = self.config.resolved_machines_per_pass()

@@ -1,54 +1,48 @@
-"""Parallel sharded fault-injection campaigns.
+"""Building blocks of sharded fault-injection campaigns.
 
-The serial :class:`~repro.faultinjection.manager.FaultInjectionManager`
+The :class:`~repro.faultinjection.manager.FaultInjectionManager`
 already multiplexes up to 63 faulty machines per simulator pass, but the
 passes themselves run one after another in a single Python process.
-This module distributes the passes across worker *processes*:
+:class:`~repro.faultinjection.supervisor.CampaignSupervisor` distributes
+them across worker *processes* using the pieces defined here:
 
 * the candidate list is **deterministically sharded** into contiguous
-  per-worker batches (:func:`shard_candidates`) so that concatenating
-  the per-shard result lists in shard order reproduces the exact
-  per-fault ordering of the serial run;
+  batches (:func:`shard_candidates`) so that concatenating the
+  per-shard result lists in shard order reproduces the exact per-fault
+  ordering of the in-process run;
 * every worker is created from a **picklable**
   :class:`CampaignSpec` — circuit, stimuli, zones, observation points,
   configuration and a picklable setup (see :class:`MemoryImageSetup`)
-  — and rebuilds its own manager once per process;
+  — and rebuilds its own manager;
 * the **golden (fault-free) trace** is computed once in the parent
   (:func:`compute_golden_trace`) and its activity bits are merged into
   the final coverage ledger, instead of every batch re-deriving the
   golden bookkeeping cycle by cycle;
-* per-shard wall-clock / fault-count statistics and a progress
-  callback give campaign observability.
+* per-shard wall-clock / fault-count statistics
+  (:class:`CampaignStats`) and a shielded progress callback
+  (:class:`SafeProgress`) give campaign observability.
 
 Because each fault occupies its own machine-bit and is only ever
 compared against machine 0 of its own pass, per-fault results are
 independent of how faults are grouped into passes; the merged
 :class:`~repro.faultinjection.manager.CampaignResult` is therefore
-bit-identical to the serial one in outcome counts, ``measured_dc`` and
-``measured_safe_fraction`` regardless of worker count or shard order
-(``tests/test_parallel_campaign.py`` proves this differentially).
+bit-identical to the in-process one in outcome counts, ``measured_dc``
+and ``measured_safe_fraction`` regardless of worker count or shard
+order (``tests/test_parallel_campaign.py`` proves this differentially).
 """
 
 from __future__ import annotations
 
-import os
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
-from multiprocessing import get_context
 
 from ..hdl.netlist import Circuit
 from ..hdl.simulator import Simulator
 from ..zones.extractor import ZoneSet
 from ..zones.model import ObservationPoint, SensibleZone
-from .faultlist import CandidateList
 from .faults import Fault
-from .manager import (
-    CampaignConfig,
-    CampaignResult,
-    FaultInjectionManager,
-)
+from .manager import CampaignConfig, FaultInjectionManager
 
 
 # ----------------------------------------------------------------------
@@ -235,36 +229,6 @@ def compute_golden_trace(manager: FaultInjectionManager) -> GoldenTrace:
 
 
 # ----------------------------------------------------------------------
-# worker side
-# ----------------------------------------------------------------------
-def run_shard(spec: CampaignSpec, shard: list[Fault],
-              track_golden: bool = True) -> CampaignResult:
-    """Pure per-shard core: spec + faults in, raw results out.
-
-    Stateless and picklable end to end — this is the function the
-    campaign is really made of; everything else is distribution and
-    merging.
-    """
-    return spec.manager().run_batches(list(shard),
-                                      track_golden=track_golden)
-
-
-_WORKER_MANAGER: FaultInjectionManager | None = None
-
-
-def _worker_init(spec: CampaignSpec) -> None:
-    global _WORKER_MANAGER
-    _WORKER_MANAGER = spec.manager()
-
-
-def _worker_run(index: int, shard: list[Fault]):
-    start = time.time()
-    result = _WORKER_MANAGER.run_batches(list(shard),
-                                         track_golden=False)
-    return index, os.getpid(), result, time.time() - start
-
-
-# ----------------------------------------------------------------------
 # observability
 # ----------------------------------------------------------------------
 class SafeProgress:
@@ -314,7 +278,7 @@ class ShardStats:
 
 @dataclass
 class CampaignStats:
-    """Per-worker observability for one parallel campaign run."""
+    """Per-worker observability for one sharded campaign run."""
 
     workers: int
     total_faults: int = 0
@@ -347,119 +311,11 @@ class CampaignStats:
         return "\n".join(lines)
 
 
-# ----------------------------------------------------------------------
-# the runner
-# ----------------------------------------------------------------------
-class ParallelCampaignRunner:
-    """Runs a campaign spec across worker processes, deterministically.
-
-    ``workers=1`` falls back to the in-process serial manager.  For
-    ``workers=N`` the candidates are sharded (``shards`` defaults to
-    the worker count), executed by a process pool, and merged in shard
-    order; ``progress(done, total)`` is invoked in the parent each
-    time a shard completes.  ``last_stats`` holds the
-    :class:`CampaignStats` of the most recent run.
-    """
-
-    def __init__(self, spec: CampaignSpec, workers: int | None = None,
-                 shards: int | None = None, progress=None,
-                 start_method: str | None = None, cache=None):
-        if workers is not None and workers < 1:
-            raise ValueError("need at least one worker")
-        self.spec = spec
-        self.workers = workers if workers is not None \
-            else (os.cpu_count() or 1)
-        self.shards = shards
-        self.progress = SafeProgress.wrap(progress)
-        self.start_method = start_method
-        #: optional :class:`repro.store.CampaignCache`: cached faults
-        #: are served from the store, only misses are sharded
-        self.cache = cache
-        self.last_stats: CampaignStats | None = None
-
-    # ------------------------------------------------------------------
-    def run(self, candidates: CandidateList) -> CampaignResult:
-        if self.cache is not None:
-            return self.cache.run_parallel(self, candidates)
-        return self.run_uncached(candidates)
-
-    def run_uncached(self, candidates: CandidateList) -> CampaignResult:
-        faults = list(candidates.faults)
-        if self.workers == 1 or len(faults) <= 1:
-            return self._run_serial(candidates)
-        return self._run_sharded(candidates)
-
-    # ------------------------------------------------------------------
-    def _run_serial(self, candidates: CandidateList) -> CampaignResult:
-        start = time.time()
-        result = self.spec.manager().run(candidates)
-        stats = CampaignStats(workers=1,
-                              total_faults=len(result.results),
-                              wall_seconds=time.time() - start)
-        stats.shards.append(ShardStats(
-            shard=0, worker=os.getpid(), faults=len(result.results),
-            passes=result.passes, cycles=result.cycles_simulated,
-            wall_seconds=result.wall_seconds))
-        self.last_stats = stats
-        if self.progress is not None:
-            self.progress(len(result.results), len(result.results))
-        return result
-
-    def _run_sharded(self, candidates: CandidateList) -> CampaignResult:
-        start = time.time()
-        manager = self.spec.manager()
-        golden = compute_golden_trace(manager)
-        shards = shard_candidates(list(candidates.faults),
-                                  self.shards or self.workers)
-        total = len(candidates.faults)
-
-        stats = CampaignStats(workers=min(self.workers, len(shards)),
-                              total_faults=total,
-                              golden_seconds=golden.wall_seconds)
-        method = self.start_method or _default_start_method()
-        outputs: dict[int, CampaignResult] = {}
-        done = 0
-        with ProcessPoolExecutor(
-                max_workers=min(self.workers, len(shards)),
-                mp_context=get_context(method),
-                initializer=_worker_init,
-                initargs=(self.spec,)) as pool:
-            futures = [pool.submit(_worker_run, index, shard)
-                       for index, shard in enumerate(shards)]
-            for future in as_completed(futures):
-                index, pid, shard_result, seconds = future.result()
-                outputs[index] = shard_result
-                stats.shards.append(ShardStats(
-                    shard=index, worker=pid,
-                    faults=len(shard_result.results),
-                    passes=shard_result.passes,
-                    cycles=shard_result.cycles_simulated,
-                    wall_seconds=seconds))
-                done += len(shard_result.results)
-                if self.progress is not None:
-                    self.progress(done, total)
-
-        result = manager.new_result()
-        manager._init_coverage(result.coverage, candidates)
-        for index in range(len(shards)):
-            result.merge_run(outputs[index])
-        for name in golden.obse_active:
-            result.coverage.obse[name] = True
-        for name in golden.diag_active:
-            result.coverage.diag[name] = True
-        manager.fill_coverage(result)
-        result.wall_seconds = time.time() - start
-        stats.wall_seconds = result.wall_seconds
-        stats.shards.sort(key=lambda s: s.shard)
-        self.last_stats = stats
-        return result
-
-
 def _default_start_method() -> str:
     """``fork`` where available (cheap on Linux), else ``spawn``.
 
-    Every payload crossing the pool boundary is picklable either way;
-    fork merely skips re-importing the package per worker.
+    Every payload crossing the process boundary is picklable either
+    way; fork merely skips re-importing the package per worker.
     """
     import multiprocessing
     return "fork" if "fork" in multiprocessing.get_all_start_methods() \

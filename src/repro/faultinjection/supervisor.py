@@ -6,8 +6,10 @@ an exhaustive per-zone campaign and discard hours of in-flight work,
 and evidence that could not be collected must be reported as a
 structured anomaly instead of silently dropped.
 
-:class:`CampaignSupervisor` is the resilient execution layer around
-the sharded campaign of :mod:`~repro.faultinjection.parallel`:
+:class:`CampaignSupervisor` is the campaign runner: it shards the
+fault list with the building blocks of
+:mod:`~repro.faultinjection.parallel` and executes the shards under
+supervision:
 
 * every shard attempt runs in its **own worker process** with a pipe
   back to the supervisor, so a crash (SIGKILL, segfault-equivalent),
@@ -110,9 +112,6 @@ class SupervisorConfig:
     #: isolate poison faults and complete the campaign without them;
     #: when off, an inexecutable fault raises :class:`CampaignAborted`
     quarantine: bool = True
-    #: with a cache: pre-quarantine faults whose fingerprint already
-    #: has a recorded anomaly instead of re-executing them
-    skip_known_poison: bool = True
     #: fall back to in-process serial execution when worker processes
     #: cannot be spawned (last resort; crash/hang containment is lost)
     degrade_in_process: bool = True
@@ -246,12 +245,15 @@ class _Active:
 class CampaignSupervisor:
     """Runs a campaign spec under failure supervision.
 
-    Drop-in sibling of
-    :class:`~repro.faultinjection.parallel.ParallelCampaignRunner`:
-    same spec/workers/shards/progress/cache surface, same
-    bit-identical merged :class:`CampaignResult` on a clean run —
-    plus ``anomalies`` and a :class:`CampaignHealth` section in
-    ``last_stats.summary()`` when something went wrong.
+    Every shard runs in a worker process (``workers`` at a time, one
+    shard per worker unless ``shards`` or a store says otherwise) and
+    the merged :class:`CampaignResult` of a clean run is bit-identical
+    to an in-process :meth:`FaultInjectionManager.run` over the same
+    candidates.  ``progress(done, total)`` is invoked as shards land;
+    with ``cache`` (a :class:`~repro.store.CampaignCache`) only cache
+    misses are simulated.  ``last_stats`` holds the
+    :class:`CampaignStats` of the most recent run, ``anomalies`` the
+    faults it quarantined.
     """
 
     def __init__(self, spec: CampaignSpec, workers: int | None = None,
@@ -274,16 +276,6 @@ class CampaignSupervisor:
         self.last_stats: CampaignStats | None = None
         #: anomalies of the most recent run, in candidate order
         self.anomalies: list[FaultAnomaly] = []
-
-    @classmethod
-    def from_runner(cls, runner,
-                    config: SupervisorConfig | None = None
-                    ) -> "CampaignSupervisor":
-        """Wrap an existing ``ParallelCampaignRunner`` setup."""
-        return cls(runner.spec, workers=runner.workers,
-                   shards=runner.shards, progress=runner.progress,
-                   config=config, cache=runner.cache,
-                   start_method=runner.start_method)
 
     # ------------------------------------------------------------------
     def run(self, candidates: CandidateList) -> CampaignResult:
@@ -382,7 +374,9 @@ class CampaignSupervisor:
         miss_indices = list(plan.misses)
         run_id = self.cache._begin(ctx, manager, faults,
                                    workers=self.workers)
-        if self.config.skip_known_poison and miss_indices:
+        if miss_indices:
+            # pre-quarantine faults whose fingerprint already has a
+            # recorded anomaly instead of re-executing them
             known = self.cache.db.get_anomalies(
                 [plan.fingerprints[i] for i in miss_indices])
             still = []
@@ -537,20 +531,19 @@ class CampaignSupervisor:
         """Default shard count for this run.
 
         With a store attached, shards are capped at the simulator's
-        pass size times the store's flush granularity so completed
-        work persists incrementally (a SIGKILLed campaign resumes
-        from the last flushed shard, not from zero) — and since a
-        pass simulates ``machines_per_pass`` faults at once anyway,
-        slicing at pass boundaries leaves the total pass count (and
-        cost) identical to a serial run.  Without a store nothing is
-        flushed, so one shard per worker minimizes overhead.
+        pass size so completed work persists after every pass (a
+        SIGKILLed campaign resumes from the last flushed shard, not
+        from zero) — and since a pass simulates ``machines_per_pass``
+        faults at once anyway, slicing at pass boundaries leaves the
+        total pass count (and cost) identical to a serial run.
+        Without a store nothing is flushed, so one shard per worker
+        minimizes overhead.
         """
         if self.shards is not None:
             return self.shards
         if self.cache is None or self._fingerprints is None:
             return self.workers
-        chunk = max(1, self.spec.config.resolved_machines_per_pass()
-                    * self.cache.flush_passes)
+        chunk = max(1, self.spec.config.resolved_machines_per_pass())
         return max(self.workers, -(-len(miss_indices) // chunk))
 
     @staticmethod
@@ -637,6 +630,7 @@ class CampaignSupervisor:
             self._merged[i] = res
         self._result.passes += part.passes
         self._result.cycles_simulated += part.cycles_simulated
+        self._result.merge_toggles(part)
         self._stats.shards.append(ShardStats(
             shard=self._shard_seq, worker=pid,
             faults=len(part.results), passes=part.passes,

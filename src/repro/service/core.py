@@ -114,7 +114,6 @@ class CampaignRequest:
     cycle_budget: int | None = None
     max_retries: int = 2
     quarantine: bool = True
-    supervise: bool = True
     zones: str | None = None
     stimuli: str | None = None
     degraded: bool = False
@@ -192,7 +191,6 @@ class CampaignRequest:
             cycle_budget=args.cycle_budget,
             max_retries=args.max_retries,
             quarantine=not args.no_quarantine,
-            supervise=not getattr(args, "no_supervise", False),
             zones=args.zones, stimuli=args.stimuli,
             degraded=args.degraded)
 
@@ -331,10 +329,7 @@ class CampaignService:
             validate_stimuli,
         )
         from ..faultinjection.manager import CampaignConfig
-        from ..faultinjection.parallel import (
-            CampaignSpec,
-            ParallelCampaignRunner,
-        )
+        from ..faultinjection.parallel import CampaignSpec
         from ..faultinjection.supervisor import (
             CampaignAborted,
             CampaignSupervisor,
@@ -422,35 +417,25 @@ class CampaignService:
             machines_per_pass=request.machines_per_pass,
             engine=request.engine)
         spec = CampaignSpec.from_environment(env, config=config)
-        anomalies = []
-        health = None
-        if not request.supervise:
-            runner = ParallelCampaignRunner(
-                spec, workers=request.workers, shards=request.shards,
-                progress=progress, cache=cache)
+        runner = CampaignSupervisor(
+            spec, workers=request.workers, shards=request.shards,
+            progress=progress, cache=cache,
+            config=SupervisorConfig(
+                shard_timeout=request.shard_timeout,
+                cycle_budget=request.cycle_budget,
+                max_retries=request.max_retries,
+                quarantine=request.quarantine,
+                heartbeat=heartbeat,
+                heartbeat_interval=heartbeat_interval))
+        try:
             campaign = runner.run(candidates)
-        else:
-            runner = CampaignSupervisor(
-                spec, workers=request.workers, shards=request.shards,
-                progress=progress, cache=cache,
-                config=SupervisorConfig(
-                    shard_timeout=request.shard_timeout,
-                    cycle_budget=request.cycle_budget,
-                    max_retries=request.max_retries,
-                    quarantine=request.quarantine,
-                    heartbeat=heartbeat,
-                    heartbeat_interval=heartbeat_interval))
-            try:
-                campaign = runner.run(candidates)
-            except CampaignAborted as exc:
-                err.append(f"error: campaign aborted: {exc}")
-                if cache is not None:
-                    cache.close()
-                return outcome(EXIT_FAILURE,
-                               design=sub.cfg.name)
-            anomalies = runner.anomalies
-            health = runner.last_stats.health \
-                if runner.last_stats is not None else None
+        except CampaignAborted as exc:
+            err.append(f"error: campaign aborted: {exc}")
+            if cache is not None:
+                cache.close()
+            return outcome(EXIT_FAILURE,
+                           design=sub.cfg.name)
+        anomalies = runner.anomalies
 
         counts = campaign.outcomes()
         rows = [[name, count, pct(count / len(campaign.results))
@@ -464,12 +449,11 @@ class CampaignService:
                    f"{pct(campaign.measured_dc())}")
         out.append(f"measured safe fraction: "
                    f"{pct(campaign.measured_safe_fraction())}")
-        if runner.last_stats is not None:
-            out.append(runner.last_stats.summary())
+        out.append(runner.last_stats.summary())
         if anomalies:
             from ..reporting.health import render_campaign_health
-            out.append(render_campaign_health(campaign, anomalies,
-                                              health=health))
+            out.append(render_campaign_health(
+                campaign, anomalies, health=runner.last_stats.health))
         if skipped_zones:
             from ..reporting.health import (
                 degraded_bounds,

@@ -1,19 +1,20 @@
 """The campaign cache façade: serve cached outcomes, simulate the rest.
 
-:class:`CampaignCache` sits between the campaign engines and the
-content-addressed store.  Both entry points produce results that are
-bit-identical to an uncached cold run over the same candidates:
-
-* :meth:`run_serial` backs ``FaultInjectionManager.run(..., cache=)``;
-* :meth:`run_parallel` backs ``ParallelCampaignRunner`` — only cache
-  *misses* are sharded across worker processes.
+:class:`CampaignCache` sits between the campaign supervisor
+(:class:`~repro.faultinjection.supervisor.CampaignSupervisor`) and the
+content-addressed store.  It plans a candidate list into cached
+outcomes and misses (:meth:`CampaignCache.plan`), serves the
+operational profile and golden trace from the store, and persists the
+outcomes the supervisor simulates; the supervisor shards only the
+misses across worker processes, and the result is bit-identical to an
+uncached cold run over the same candidates.
 
 Fresh outcomes are persisted incrementally (after every simulated
-chunk or shard), so a killed campaign resumes exactly where it
-stopped: re-running the same command turns the completed work into
-cache hits and simulates only the remainder.  Campaigns whose inputs
-cannot be content-addressed (toggle collection, un-snapshottable
-setups) transparently bypass the store and are counted in
+shard), so a killed campaign resumes exactly where it stopped:
+re-running the same command turns the completed work into cache hits
+and simulates only the remainder.  Campaigns whose inputs cannot be
+content-addressed (toggle collection, un-snapshottable setups)
+transparently bypass the store and are counted in
 ``stats.uncacheable``.
 """
 
@@ -23,12 +24,7 @@ import json
 import time
 from dataclasses import dataclass, field
 
-from ..faultinjection.faultlist import CandidateList
-from ..faultinjection.manager import (
-    CampaignResult,
-    FaultInjectionManager,
-    FaultResult,
-)
+from ..faultinjection.manager import FaultResult
 from ..faultinjection import profiler
 from .blobs import BlobStore, CorruptBlobError
 from .db import OutcomeRow, StoreDB
@@ -86,15 +82,12 @@ class CampaignPlan:
 class CampaignCache:
     """Content-addressed campaign store under one root directory."""
 
-    def __init__(self, path, flush_passes: int = 1):
+    def __init__(self, path):
         from pathlib import Path
         self.root = Path(path)
         self.root.mkdir(parents=True, exist_ok=True)
         self.blobs = BlobStore(self.root)
         self.db = StoreDB(self.root / "store.db")
-        #: simulated passes per persistence flush — 1 gives the finest
-        #: crash-safe resume granularity
-        self.flush_passes = max(1, flush_passes)
         self.stats = CacheStats()
         self.last_run_id: int | None = None
         #: blob of the last profile served, recorded on the next run
@@ -172,150 +165,8 @@ class CampaignCache:
         return plan
 
     # ------------------------------------------------------------------
-    # serial path (FaultInjectionManager.run)
+    # run bookkeeping (used by the campaign supervisor)
     # ------------------------------------------------------------------
-    def run_serial(self, manager: FaultInjectionManager,
-                   candidates: CandidateList) -> CampaignResult:
-        ctx = self._context_for(manager)
-        if ctx is None:
-            self.stats.uncacheable += len(candidates.faults)
-            return manager.run(candidates)
-        start = time.time()
-        faults = list(candidates.faults)
-        plan = self.plan(ctx, faults)
-        run_id = self._begin(ctx, manager, faults, workers=1)
-        result = manager.new_result()
-        manager._init_coverage(result.coverage, candidates)
-        merged = {i: _rebuild(faults[i], row)
-                  for i, row in plan.cached.items()}
-        self._simulate_chunked(manager, faults, plan, merged, result)
-        self._finalize(ctx, manager, faults, plan, merged, result,
-                       run_id, start)
-        return result
-
-    # ------------------------------------------------------------------
-    # parallel path (ParallelCampaignRunner)
-    # ------------------------------------------------------------------
-    def run_parallel(self, runner, candidates: CandidateList
-                     ) -> CampaignResult:
-        from ..faultinjection.parallel import (
-            CampaignStats,
-            ShardStats,
-            _worker_init,
-            _worker_run,
-            _default_start_method,
-            shard_candidates,
-        )
-        import os
-        from concurrent.futures import (
-            ProcessPoolExecutor,
-            as_completed,
-        )
-        from multiprocessing import get_context
-
-        spec = runner.spec
-        try:
-            ctx = None if spec.config.collect_toggles \
-                else FingerprintContext.from_spec(spec)
-        except ValueError:
-            ctx = None
-        if ctx is None:
-            self.stats.uncacheable += len(candidates.faults)
-            return runner.run_uncached(candidates)
-        start = time.time()
-        manager = spec.manager()
-        faults = list(candidates.faults)
-        plan = self.plan(ctx, faults)
-        total = len(faults)
-        run_id = self._begin(ctx, manager, faults,
-                             workers=runner.workers)
-        result = manager.new_result()
-        manager._init_coverage(result.coverage, candidates)
-        merged = {i: _rebuild(faults[i], row)
-                  for i, row in plan.cached.items()}
-        if runner.progress is not None and plan.cached:
-            runner.progress(len(plan.cached), total)
-
-        stats = CampaignStats(workers=1, total_faults=total)
-        if runner.workers == 1 or len(plan.misses) <= 1:
-            # not worth a pool — run the misses in-process
-            before = self.stats.simulated
-            sim_start = time.time()
-            self._simulate_chunked(manager, faults, plan, merged,
-                                   result, progress=runner.progress,
-                                   progress_base=len(plan.cached),
-                                   progress_total=total)
-            if plan.misses:
-                stats.shards.append(ShardStats(
-                    shard=0, worker=os.getpid(),
-                    faults=self.stats.simulated - before,
-                    passes=result.passes,
-                    cycles=result.cycles_simulated,
-                    wall_seconds=time.time() - sim_start))
-        else:
-            shards = shard_candidates(
-                [faults[i] for i in plan.misses],
-                runner.shards or runner.workers)
-            # per-shard index lists, in the same contiguous split
-            idx_shards, lo = [], 0
-            for shard in shards:
-                idx_shards.append(plan.misses[lo:lo + len(shard)])
-                lo += len(shard)
-            stats.workers = min(runner.workers, len(shards))
-            method = runner.start_method or _default_start_method()
-            done = len(plan.cached)
-            with ProcessPoolExecutor(
-                    max_workers=min(runner.workers, len(shards)),
-                    mp_context=get_context(method),
-                    initializer=_worker_init,
-                    initargs=(spec,)) as pool:
-                futures = [pool.submit(_worker_run, index, shard)
-                           for index, shard in enumerate(shards)]
-                for future in as_completed(futures):
-                    index, pid, part, seconds = future.result()
-                    # persist as soon as a shard lands: a killed
-                    # campaign keeps every completed shard
-                    self._persist(
-                        [(plan.fingerprints[i], res) for i, res
-                         in zip(idx_shards[index], part.results)])
-                    for i, res in zip(idx_shards[index],
-                                      part.results):
-                        merged[i] = res
-                    result.passes += part.passes
-                    result.cycles_simulated += part.cycles_simulated
-                    stats.shards.append(ShardStats(
-                        shard=index, worker=pid,
-                        faults=len(part.results),
-                        passes=part.passes,
-                        cycles=part.cycles_simulated,
-                        wall_seconds=seconds))
-                    done += len(part.results)
-                    if runner.progress is not None:
-                        runner.progress(done, total)
-            self.stats.simulated += len(plan.misses)
-            stats.shards.sort(key=lambda s: s.shard)
-
-        golden_seconds = self._finalize(ctx, manager, faults, plan,
-                                        merged, result, run_id, start)
-        stats.golden_seconds = golden_seconds
-        stats.wall_seconds = result.wall_seconds
-        runner.last_stats = stats
-        return result
-
-    # ------------------------------------------------------------------
-    # shared internals
-    # ------------------------------------------------------------------
-    def _context_for(self, manager: FaultInjectionManager
-                     ) -> FingerprintContext | None:
-        if manager.config.collect_toggles:
-            # any-machine toggle bits are a per-pass aggregate that a
-            # per-fault store cannot reconstruct
-            return None
-        try:
-            return FingerprintContext.from_manager(manager)
-        except ValueError:
-            return None
-
     def _begin(self, ctx, manager, faults, workers: int) -> int:
         cfg = manager.config
         run_id = self.db.begin_run(
@@ -329,27 +180,6 @@ class CampaignCache:
         self.last_run_id = run_id
         return run_id
 
-    def _simulate_chunked(self, manager, faults, plan, merged, result,
-                          progress=None, progress_base=0,
-                          progress_total=0) -> None:
-        chunk = manager.config.resolved_machines_per_pass() \
-            * self.flush_passes
-        done = progress_base
-        for lo in range(0, len(plan.misses), chunk):
-            idxs = plan.misses[lo:lo + chunk]
-            part = manager.run_batches([faults[i] for i in idxs],
-                                       track_golden=False)
-            result.passes += part.passes
-            result.cycles_simulated += part.cycles_simulated
-            for i, res in zip(idxs, part.results):
-                merged[i] = res
-            self._persist([(plan.fingerprints[i], res)
-                           for i, res in zip(idxs, part.results)])
-            self.stats.simulated += len(idxs)
-            done += len(idxs)
-            if progress is not None:
-                progress(done, progress_total)
-
     def _persist(self, fresh: list[tuple[str, FaultResult]]) -> None:
         rows = [OutcomeRow(
             fault_fp=fp, fault_name=res.fault.name,
@@ -358,33 +188,6 @@ class CampaignCache:
             diag_cycle=res.diag_cycle, first_alarm=res.first_alarm,
             effects=dict(res.effects)) for fp, res in fresh]
         self.stats.writes += self.db.put_outcomes(rows)
-
-    def _finalize(self, ctx, manager, faults, plan, merged, result,
-                  run_id, start) -> float:
-        golden_digest = None
-        golden_seconds = 0.0
-        if faults:
-            golden, golden_digest = self._golden(ctx, manager)
-            golden_seconds = golden.wall_seconds
-            result.results = [merged[i] for i in range(len(faults))]
-            for name in golden.obse_active:
-                result.coverage.obse[name] = True
-            for name in golden.diag_active:
-                result.coverage.diag[name] = True
-        manager.fill_coverage(result)
-        result.wall_seconds = time.time() - start
-        membership = [
-            (plan.fingerprints[i], faults[i].name, faults[i].zone,
-             result.outcome_of(merged[i]))
-            for i in range(len(faults))]
-        self.db.finish_run(
-            run_id, hits=len(plan.cached), misses=len(plan.misses),
-            measured_dc=result.measured_dc(),
-            safe_fraction=result.measured_safe_fraction(),
-            outcome_counts=result.outcomes(),
-            wall_seconds=result.wall_seconds,
-            golden_blob=golden_digest, membership=membership)
-        return golden_seconds
 
     # ------------------------------------------------------------------
     # content-keyed JSON blobs: golden traces and operational profiles

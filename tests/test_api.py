@@ -205,9 +205,11 @@ def test_health_submit_dedupe_and_coded_rejections(tmp_path):
         codes = {d["code"] for d in
                  exc.value.payload["error"]["diagnostics"]}
         assert "E431" in codes
-        with pytest.raises(ApiClientError) as exc:
-            client.submit({"bogus_field": 1})
-        assert exc.value.status == 400
+        for field in ("bogus_field", "supervise"):
+            with pytest.raises(ApiClientError) as exc:
+                client.submit({field: 1})
+            assert exc.value.status == 400 and \
+                exc.value.code == "E420"
         with pytest.raises(ApiClientError) as exc:
             client.job(999)
         assert exc.value.status == 404 and exc.value.code == "E423"

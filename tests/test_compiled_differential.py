@@ -36,10 +36,8 @@ from repro.faultinjection import (
     StuckNetFault,
     build_environment,
 )
-from repro.faultinjection.parallel import (
-    CampaignSpec,
-    ParallelCampaignRunner,
-)
+from repro.faultinjection.parallel import CampaignSpec
+from repro.faultinjection.supervisor import CampaignSupervisor
 from repro.hdl import CompiledSimulator, Module, Simulator, \
     compile_circuit
 from repro.soc import MemorySubsystem, SubsystemConfig
@@ -354,7 +352,7 @@ def test_minicpu_campaign_engines_identical():
 
 
 # ----------------------------------------------------------------------
-# sharded parallel runner, both engines
+# sharded supervised campaign, both engines
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("workers", [1, 2, 4])
 def test_sharded_campaign_engines_identical(fmem_env, workers):
@@ -365,8 +363,7 @@ def test_sharded_campaign_engines_identical(fmem_env, workers):
 
     spec = CampaignSpec.from_environment(
         fmem_env, config=CampaignConfig(engine=ENGINE_COMPILED))
-    runner = ParallelCampaignRunner(spec, workers=workers)
-    sharded = runner.run(candidates)
+    sharded = CampaignSupervisor(spec, workers=workers).run(candidates)
 
     assert _fault_records(sharded) == _fault_records(reference)
     assert sharded.outcomes() == reference.outcomes()

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.faultinjection import CampaignConfig, ENGINE_COMPILED, \
-    ENGINE_INTERPRETED, ParallelCampaignRunner, build_environment
+    ENGINE_INTERPRETED, CampaignSupervisor, build_environment
 from repro.hdl import Simulator, compile_circuit
 from repro.hdl.compiled import CompileError, LOOP_CODE, decompile
 from repro.hdl.netlist import OP_AND, OP_CONST0, OP_CONST1, OP_OR, Circuit
@@ -164,7 +164,7 @@ def test_cache_interop_between_engines(fmem_env, tmp_path, cold, warm):
 
     def run(engine, cache):
         spec = fmem_env.spec(CampaignConfig(engine=engine))
-        return ParallelCampaignRunner(spec, cache=cache).run(candidates)
+        return CampaignSupervisor(spec, cache=cache).run(candidates)
 
     with CampaignCache(tmp_path / "store") as cache:
         first = run(cold, cache)

@@ -27,7 +27,6 @@ from repro.cli import main
 from repro.diagnostics import DiagnosticReport
 from repro.faultinjection import (
     CandidateList,
-    ParallelCampaignRunner,
     build_environment,
 )
 from repro.fmea.io import (
@@ -245,8 +244,7 @@ def test_fsck_detects_and_repairs_corruption(env, tmp_path):
     subset = CandidateList(faults=env.candidates().faults[:16])
     store = tmp_path / "store"
     with CampaignCache(store) as cache:
-        cold = ParallelCampaignRunner(env.spec(), cache=cache).run(
-            subset)
+        cold = env.supervisor(cache=cache).run(subset)
     cold_rows = _fault_rows(cold)
 
     # corrupt one blob, one outcome row, and plant dangling rows
@@ -272,8 +270,7 @@ def test_fsck_detects_and_repairs_corruption(env, tmp_path):
         after = fsck_store(cache)
         assert not after.report.errors
 
-        warm = ParallelCampaignRunner(env.spec(), cache=cache).run(
-            subset)
+        warm = env.supervisor(cache=cache).run(subset)
     assert _fault_rows(warm) == cold_rows
 
 

@@ -1,5 +1,5 @@
-"""Differential tests: the sharded parallel campaign runner must be
-bit-identical to the serial :class:`FaultInjectionManager` path.
+"""Differential tests: the sharded campaign supervisor must be
+bit-identical to the in-process :class:`FaultInjectionManager` path.
 
 The safety metrics (DC, SFF) extracted from a campaign are only
 trustworthy if distributing the faults over worker processes cannot
@@ -17,15 +17,14 @@ from repro.faultinjection import (
     CampaignConfig,
     CampaignResult,
     CampaignSpec,
+    CampaignSupervisor,
     CandidateList,
     FaultInjectionManager,
     MemoryImageSetup,
-    ParallelCampaignRunner,
     SeuFault,
     StuckNetFault,
     build_environment,
     compute_golden_trace,
-    run_shard,
     shard_candidates,
     snapshot_setup,
 )
@@ -64,8 +63,7 @@ def _fault_rows(campaign):
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
 def test_fmem_parallel_equals_serial(env, candidates, serial, workers):
-    runner = ParallelCampaignRunner(env.spec(), workers=workers)
-    campaign = runner.run(candidates)
+    campaign = env.supervisor(workers=workers).run(candidates)
     assert campaign.outcomes() == serial.outcomes()
     assert campaign.measured_dc() == serial.measured_dc()
     assert campaign.measured_safe_fraction() == \
@@ -74,8 +72,7 @@ def test_fmem_parallel_equals_serial(env, candidates, serial, workers):
 
 
 def test_fmem_parallel_coverage_equals_serial(env, candidates, serial):
-    campaign = ParallelCampaignRunner(env.spec(), workers=2) \
-        .run(candidates)
+    campaign = env.supervisor(workers=2).run(candidates)
     assert campaign.coverage.sens == serial.coverage.sens
     assert campaign.coverage.obse == serial.coverage.obse
     assert campaign.coverage.diag == serial.coverage.diag
@@ -83,11 +80,24 @@ def test_fmem_parallel_coverage_equals_serial(env, candidates, serial):
     assert campaign.coverage.injections == serial.coverage.injections
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_supervisor_toggle_coverage_equals_serial(env, candidates,
+                                                  workers):
+    # any-machine toggle bitmaps are collected per shard and must be
+    # merged, not dropped, when the shards land
+    reference = env.manager(
+        CampaignConfig(collect_toggles=True)).run(candidates)
+    campaign = env.supervisor(
+        workers=workers,
+        config=CampaignConfig(collect_toggles=True)).run(candidates)
+    assert reference.toggled_nets()
+    assert campaign.toggled_nets() == reference.toggled_nets()
+
+
 def test_shard_count_does_not_change_results(env, candidates, serial):
     # more shards than workers: shard order, not completion order,
     # must drive the merge
-    runner = ParallelCampaignRunner(env.spec(), workers=2, shards=7)
-    campaign = runner.run(candidates)
+    campaign = env.supervisor(workers=2, shards=7).run(candidates)
     assert _fault_rows(campaign) == _fault_rows(serial)
 
 
@@ -134,7 +144,7 @@ def cpu_serial(cpu_setup):
 @pytest.mark.parametrize("workers", [1, 2, 4])
 def test_minicpu_parallel_equals_serial(cpu_setup, cpu_serial, workers):
     *_, candidates, spec = cpu_setup
-    campaign = ParallelCampaignRunner(spec, workers=workers) \
+    campaign = CampaignSupervisor(spec, workers=workers) \
         .run(candidates)
     assert campaign.outcomes() == cpu_serial.outcomes()
     assert campaign.measured_dc() == cpu_serial.measured_dc()
@@ -150,7 +160,7 @@ def test_campaign_spec_round_trips_through_pickle(env, candidates,
                                                   serial):
     spec = pickle.loads(pickle.dumps(env.spec()))
     shard = list(candidates.faults[:12])
-    out = run_shard(spec, shard)
+    out = spec.manager().run_batches(shard)
     assert [r.fault.name for r in out.results] == \
         [f.name for f in shard]
     assert _fault_rows(out) == _fault_rows(serial)[:12]
@@ -196,8 +206,8 @@ def test_golden_trace_matches_serial_coverage(env, serial):
 # ----------------------------------------------------------------------
 def test_runner_stats_and_progress(env, candidates):
     seen = []
-    runner = ParallelCampaignRunner(
-        env.spec(), workers=2,
+    runner = env.supervisor(
+        workers=2,
         progress=lambda done, total: seen.append((done, total)))
     campaign = runner.run(candidates)
     total = len(candidates.faults)
@@ -210,13 +220,6 @@ def test_runner_stats_and_progress(env, candidates):
     assert all(s.wall_seconds >= 0 for s in stats.shards)
     assert stats.total_faults == len(campaign.results)
     assert "worker" in stats.summary()
-
-
-def test_shard_stats_in_serial_fallback(env, candidates):
-    runner = ParallelCampaignRunner(env.spec(), workers=1)
-    runner.run(candidates)
-    assert len(runner.last_stats.shards) == 1
-    assert runner.last_stats.shards[0].faults == len(candidates.faults)
 
 
 # ----------------------------------------------------------------------
@@ -232,8 +235,7 @@ def test_empty_campaign_metrics_are_zero(env):
 
 
 def test_empty_campaign_through_runner(env):
-    campaign = ParallelCampaignRunner(env.spec(), workers=4) \
-        .run(CandidateList())
+    campaign = env.supervisor(workers=4).run(CandidateList())
     assert campaign.results == []
     assert campaign.measured_dc() == 0.0
     assert campaign.measured_safe_fraction() == 0.0

@@ -24,11 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.faultinjection import (
-    CampaignConfig,
-    ParallelCampaignRunner,
-    build_environment,
-)
+from repro.faultinjection import CampaignConfig, build_environment
 from repro.service import (
     CampaignRequest,
     CampaignService,
@@ -496,6 +492,29 @@ def test_daemon_drain_executes_submitted_job(tmp_path, serial,
         assert cache.db.outcome_count() == len(candidates.faults)
 
 
+def test_queued_unsupervised_job_runs_supervised(tmp_path, serial,
+                                                candidates):
+    """A job row written when requests still carried a ``supervise``
+    switch is claimed and completes under the supervisor."""
+    root = tmp_path / "store"
+    spec = {**CampaignRequest(variant="small-improved").to_dict(),
+            "supervise": False}
+    with JobQueue(root) as queue:
+        job_id = queue.submit(spec)
+    code = ServiceDaemon(root, DaemonConfig(
+        drain=True, verbose=False)).serve()
+    assert code == 0
+    job = CampaignService(root).status(job_id)
+    assert job.status == JOB_DONE
+    assert job.result["faults"] == len(candidates.faults)
+    assert job.result["measured_dc"] == serial.measured_dc()
+    assert job.result["safe_fraction"] == \
+        serial.measured_safe_fraction()
+    # shard attempts are logged by the supervisor alone
+    with CampaignCache(root) as cache:
+        assert cache.db.shard_attempt_count() > 0
+
+
 def test_poison_job_dead_letters_with_diagnostic(tmp_path, env,
                                                  serial, capsys):
     """A job whose spec references a missing stimuli file is
@@ -677,12 +696,10 @@ def test_fsck_detects_and_repairs_queue_faults(tmp_path):
 def test_gc_keeps_runs_of_active_jobs(tmp_path, env, candidates):
     root = tmp_path / "store"
     with CampaignCache(root) as cache:
-        ParallelCampaignRunner(env.spec(), workers=1,
-                               cache=cache).run(candidates)
+        env.supervisor(workers=1, cache=cache).run(candidates)
         first_run = cache.db.runs()[-1]["run_id"]
     with CampaignCache(root) as cache:
-        ParallelCampaignRunner(env.spec(), workers=1,
-                               cache=cache).run(candidates)
+        env.supervisor(workers=1, cache=cache).run(candidates)
 
     with JobQueue(root) as queue:
         job_id = queue.submit({})

@@ -2,8 +2,8 @@
 
 Covers the fingerprint semantics (what invalidates a cached outcome
 and — just as important — what must *not*), the blob store's corruption
-handling, crash-safe resume after SIGKILL, and two campaign runners
-sharing one store directory concurrently.
+handling, crash-safe resume after SIGKILL, and two campaigns sharing
+one store directory concurrently.
 """
 
 import copy
@@ -20,8 +20,9 @@ import pytest
 
 from repro.faultinjection import (
     CampaignConfig,
+    CampaignSpec,
+    CampaignSupervisor,
     MemoryImageSetup,
-    ParallelCampaignRunner,
     build_environment,
     snapshot_setup,
 )
@@ -66,8 +67,7 @@ def _fault_rows(campaign):
 
 
 def _cached_run(env, candidates, cache, **kw):
-    runner = ParallelCampaignRunner(env.spec(), cache=cache, **kw)
-    return runner.run(candidates)
+    return env.supervisor(cache=cache, **kw).run(candidates)
 
 
 # ----------------------------------------------------------------------
@@ -311,8 +311,8 @@ def test_diff_requires_two_runs(tmp_path, env, candidates):
 def test_toggle_collection_bypasses_store(env, candidates, tmp_path):
     with CampaignCache(tmp_path / "store") as cache:
         spec = env.spec(CampaignConfig(collect_toggles=True))
-        runner = ParallelCampaignRunner(spec, workers=1, cache=cache)
-        campaign = runner.run(candidates)
+        supervisor = CampaignSupervisor(spec, workers=1, cache=cache)
+        campaign = supervisor.run(candidates)
         assert cache.stats.uncacheable == len(candidates.faults)
         assert cache.stats.hits == cache.stats.misses == 0
         assert cache.db.outcome_count() == 0
@@ -321,12 +321,16 @@ def test_toggle_collection_bypasses_store(env, candidates, tmp_path):
 
 def test_unsnapshottable_setup_bypasses_store(env, candidates,
                                               tmp_path):
-    from repro.faultinjection import FaultInjectionManager
-    manager = FaultInjectionManager(
-        env.circuit, env.stimuli, zone_set=env.zone_set,
+    # a setup that programs a fault overlay has no content address;
+    # under fork the lambda still reaches the worker unpickled
+    spec = CampaignSpec(
+        circuit=env.circuit, stimuli=list(env.stimuli),
+        zones=list(env.zone_set.zones),
+        observation_points=list(env.zone_set.observation_points),
         setup=lambda sim: sim.stick_net(0, 1))
     with CampaignCache(tmp_path / "store") as cache:
-        manager.run(candidates, cache=cache)
+        CampaignSupervisor(spec, workers=1, cache=cache,
+                           start_method="fork").run(candidates)
         assert cache.stats.uncacheable == len(candidates.faults)
         assert cache.db.outcome_count() == 0
 

@@ -1,7 +1,7 @@
 """Differential acceptance tests for the campaign store.
 
 A cached, resumed or incremental campaign must be *bit-identical* to a
-cold serial :class:`FaultInjectionManager` run over the same inputs —
+cold in-process :class:`FaultInjectionManager` run over the same inputs —
 same per-fault records, same outcome counts, same measured DC and safe
 fraction, same coverage bits — for every worker count.  A warm rerun
 must additionally perform **zero** fault simulations.
@@ -13,9 +13,9 @@ import pytest
 
 from repro.faultinjection import (
     CampaignConfig,
+    CampaignSupervisor,
     CandidateList,
     FaultInjectionManager,
-    ParallelCampaignRunner,
     SeuFault,
     StuckNetFault,
     build_environment,
@@ -72,9 +72,8 @@ def _assert_identical(campaign, reference):
 def test_fmem_cached_equals_cold_serial(env, candidates, serial,
                                         workers, tmp_path):
     with CampaignCache(tmp_path / "store") as cache:
-        runner = ParallelCampaignRunner(env.spec(), workers=workers,
-                                        cache=cache)
-        _assert_identical(runner.run(candidates), serial)
+        supervisor = env.supervisor(workers=workers, cache=cache)
+        _assert_identical(supervisor.run(candidates), serial)
         assert cache.stats.misses == len(candidates.faults)
 
 
@@ -82,13 +81,11 @@ def test_fmem_cached_equals_cold_serial(env, candidates, serial,
 def test_fmem_warm_rerun_simulates_nothing(env, candidates, serial,
                                            workers, tmp_path):
     with CampaignCache(tmp_path / "store") as cache:
-        ParallelCampaignRunner(env.spec(), workers=workers,
-                               cache=cache).run(candidates)
+        env.supervisor(workers=workers, cache=cache).run(candidates)
 
     with CampaignCache(tmp_path / "store") as cache:
-        runner = ParallelCampaignRunner(env.spec(), workers=workers,
-                                        cache=cache)
-        campaign = runner.run(candidates)
+        campaign = env.supervisor(workers=workers,
+                                  cache=cache).run(candidates)
         assert cache.stats.simulated == 0
         assert cache.stats.misses == 0
         assert cache.stats.hits == len(candidates.faults)
@@ -96,29 +93,16 @@ def test_fmem_warm_rerun_simulates_nothing(env, candidates, serial,
         _assert_identical(campaign, serial)
 
 
-def test_fmem_serial_manager_cached_path(env, candidates, serial,
-                                         tmp_path):
-    with CampaignCache(tmp_path / "store") as cache:
-        manager = env.manager(CampaignConfig())
-        _assert_identical(manager.run(candidates, cache=cache), serial)
-        warm = env.manager(CampaignConfig()).run(candidates,
-                                                 cache=cache)
-        _assert_identical(warm, serial)
-        assert cache.stats.simulated == len(candidates.faults)
-        assert cache.stats.hits == len(candidates.faults)
-
-
 def test_store_is_portable_across_entry_points(env, candidates, serial,
                                                tmp_path):
-    """Outcomes written by the parallel runner are served to the
-    serial manager (and vice versa): the content address does not
-    depend on which engine produced the record."""
+    """Outcomes written by a two-worker campaign are served to a
+    one-worker campaign: the content address does not depend on how
+    the shards that produced the record were laid out."""
     with CampaignCache(tmp_path / "store") as cache:
-        ParallelCampaignRunner(env.spec(), workers=2,
-                               cache=cache).run(candidates)
+        env.supervisor(workers=2, cache=cache).run(candidates)
     with CampaignCache(tmp_path / "store") as cache:
-        campaign = env.manager(CampaignConfig()).run(candidates,
-                                                     cache=cache)
+        campaign = env.supervisor(workers=1,
+                                  cache=cache).run(candidates)
         assert cache.stats.simulated == 0
         _assert_identical(campaign, serial)
 
@@ -128,15 +112,14 @@ def test_detection_window_change_is_all_hits(env, candidates, tmp_path):
     with another detection window reuses every raw record and only the
     derived outcome classes move."""
     with CampaignCache(tmp_path / "store") as cache:
-        ParallelCampaignRunner(env.spec(), workers=1,
-                               cache=cache).run(candidates)
+        env.supervisor(workers=1, cache=cache).run(candidates)
     reference = env.manager(CampaignConfig(detection_window=2)) \
         .run(candidates)
     with CampaignCache(tmp_path / "store") as cache:
-        runner = ParallelCampaignRunner(
-            env.spec(CampaignConfig(detection_window=2)),
-            workers=1, cache=cache)
-        campaign = runner.run(candidates)
+        supervisor = env.supervisor(
+            workers=1, config=CampaignConfig(detection_window=2),
+            cache=cache)
+        campaign = supervisor.run(candidates)
         assert cache.stats.simulated == 0
         assert cache.stats.hits == len(candidates.faults)
         _assert_identical(campaign, reference)
@@ -170,11 +153,11 @@ def test_incremental_campaign_after_gate_mutation(env, candidates,
     reference = spec1.manager().run(candidates)    # cold, mutated
 
     with CampaignCache(tmp_path / "store") as cache:
-        ParallelCampaignRunner(spec0, workers=2,
-                               cache=cache).run(candidates)
+        CampaignSupervisor(spec0, workers=2,
+                           cache=cache).run(candidates)
     with CampaignCache(tmp_path / "store") as cache:
-        runner = ParallelCampaignRunner(spec1, workers=2, cache=cache)
-        campaign = runner.run(candidates)
+        supervisor = CampaignSupervisor(spec1, workers=2, cache=cache)
+        campaign = supervisor.run(candidates)
         # only the faults whose support cone contains the mutated gate
         # were re-simulated; the rest were served from the store
         assert cache.stats.hits == unchanged
@@ -239,14 +222,14 @@ def test_minicpu_cached_equals_cold_serial(cpu_setup, cpu_serial,
                                            workers, tmp_path):
     *_, candidates, spec = cpu_setup
     with CampaignCache(tmp_path / "store") as cache:
-        campaign = ParallelCampaignRunner(spec, workers=workers,
-                                          cache=cache).run(candidates)
+        campaign = CampaignSupervisor(spec, workers=workers,
+                                      cache=cache).run(candidates)
         _assert_identical(campaign, cpu_serial)
         assert cache.stats.misses == len(candidates.faults)
 
     with CampaignCache(tmp_path / "store") as cache:
-        warm = ParallelCampaignRunner(spec, workers=workers,
-                                      cache=cache).run(candidates)
+        warm = CampaignSupervisor(spec, workers=workers,
+                                  cache=cache).run(candidates)
         assert cache.stats.simulated == 0
         assert cache.stats.hits == len(candidates.faults)
         _assert_identical(warm, cpu_serial)

@@ -24,7 +24,6 @@ from repro.faultinjection import (
     CandidateList,
     FaultInjectionManager,
     MemoryImageSetup,
-    ParallelCampaignRunner,
     SafeProgress,
     SeuFault,
     StimuliValidationError,
@@ -247,7 +246,7 @@ def test_hang_is_killed_and_quarantined(env, candidates):
     assert supervisor.last_stats.health.hangs >= 1
 
 
-def test_retries_rerun_shard_before_bisecting(env, candidates):
+def test_retries_repeat_shard_before_bisecting(env, candidates):
     spliced, _ = hostile_candidates(env, candidates, ["raise"])
     supervisor = CampaignSupervisor(
         env.spec(), workers=2,
@@ -433,23 +432,11 @@ def test_store_stats_count_anomalies(env, candidates, tmp_path):
 # ----------------------------------------------------------------------
 # progress callback shielding
 # ----------------------------------------------------------------------
-def test_progress_exception_does_not_abort_campaign(env, candidates):
+def test_progress_exception_shielded_in_supervisor(env, candidates):
     calls = []
 
     def bad_progress(done, total):
         calls.append((done, total))
-        raise ValueError("progress bar exploded")
-
-    runner = ParallelCampaignRunner(env.spec(), workers=2,
-                                    progress=bad_progress)
-    with pytest.warns(RuntimeWarning, match="progress callback"):
-        campaign = runner.run(candidates)
-    assert len(campaign.results) == len(candidates.faults)
-    assert len(calls) == 1   # disabled after the first failure
-
-
-def test_progress_exception_shielded_in_supervisor(env, candidates):
-    def bad_progress(done, total):
         raise ValueError("boom")
 
     supervisor = CampaignSupervisor(env.spec(), workers=2,
@@ -457,6 +444,7 @@ def test_progress_exception_shielded_in_supervisor(env, candidates):
     with pytest.warns(RuntimeWarning, match="progress callback"):
         campaign = supervisor.run(candidates)
     assert len(campaign.results) == len(candidates.faults)
+    assert len(calls) == 1   # disabled after the first failure
 
 
 def test_supervisor_progress_is_monotonic(env, candidates):
