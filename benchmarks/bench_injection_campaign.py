@@ -222,7 +222,6 @@ def test_campaign_sharded_worker_speedup(benchmark, env):
            serial_s=f"{serial.wall_seconds:.2f}",
            sharded_s=f"{campaign.wall_seconds:.2f}",
            speedup=f"{speedup:.2f}x",
-           golden_trace_s=f"{campaign.stats.golden_seconds:.2f}",
            cores=os.cpu_count())
     # the speedup target only holds where the cores exist to back it
     if (os.cpu_count() or 1) >= workers:

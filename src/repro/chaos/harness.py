@@ -71,10 +71,17 @@ class ChaosScenario:
             self.failpoint, self.kind, self.arg, self.trigger_at)])
 
     @property
+    def key(self) -> tuple[str, str, int, str]:
+        """Identity of the row in the worksheet."""
+        return (self.failpoint, self.kind, self.trigger_at, self.mode)
+
+    @property
     def slug(self) -> str:
         text = f"{self.failpoint}-{self.kind}"
         if self.trigger_at != 1:
             text += f"-{self.trigger_at}"
+        if self.mode != "campaign":
+            text += f"-{self.mode}"
         return re.sub(r"[^a-z0-9.-]+", "-", text.lower())
 
 
@@ -109,52 +116,59 @@ def scenarios() -> list[ChaosScenario]:
     """
     _ = ChaosScenario
     return [
-        # ---- blob store write protocol (campaign-driven) ----
-        # A cold run writes two blobs: the operational profile while
-        # planning (before the run row opens, one index commit), then
-        # the golden trace at finalize.  @2 rows target the latter.
-        _("blob write hits a full disk",
-          "store.blob.pre-temp-write", "enospc", trigger_at=2,
-          effect="golden-trace blob cannot be written; the campaign "
-                 "halts mid-finalize",
-          detection="coded E413 diagnostic (no traceback)",
-          recovery="store unchanged; warm rerun resumes and "
-                   "completes once space clears",
+        # ---- blob store write protocol ----
+        # A run writes one blob: the operational profile while
+        # planning, before its run row opens (one index commit).  The
+        # service-driven rows hit that write inside a daemon holding a
+        # leased job; the campaign-driven rows hit it in a CLI run.
+        _("blob write hits a full disk inside the daemon",
+          "store.blob.pre-temp-write", "enospc", mode="service",
+          effect="the leased job cannot store its operational "
+                 "profile; it halts while planning",
+          detection="coded E413 inside the daemon (no traceback)",
+          recovery="the job is released (attempt refunded) and the "
+                   "queue pauses; the next serve replays the profile "
+                   "and completes it",
           smoke=True),
-        _("crash before the blob temp file exists",
-          "store.blob.pre-temp-write", "kill", trigger_at=2,
-          effect="process dies with no blob and an open run row",
-          detection="fsck flags the interrupted run (E408)",
-          recovery="warm rerun recomputes the blob from cached "
-                   "outcomes"),
+        _("daemon dies before the blob temp file exists",
+          "store.blob.pre-temp-write", "kill", mode="service",
+          effect="a leased job loses its worker with no blob and no "
+                 "run row",
+          detection="lease expiry",
+          recovery="re-claim replays the profile and completes the "
+                   "job"),
         _("torn blob temp write (lost page flush)",
-          "store.blob.post-temp-write", "torn", trigger_at=2,
-          effect="the temp file is truncated and the process dies",
+          "store.blob.post-temp-write", "torn", mode="service",
+          effect="the temp file is truncated and the daemon dies",
           detection="temp file never reaches its content address — "
-                    "readers cannot see it",
-          recovery="orphan temp is ignored; rerun rewrites the blob"),
-        _("crash between temp fsync and rename",
-          "store.blob.pre-rename", "kill", trigger_at=2,
-          effect="fully-written temp file, no visible blob",
-          detection="fsck flags the interrupted run (E408)",
-          recovery="rename never happened: readers saw nothing; "
-                   "rerun rewrites the blob"),
+                    "readers cannot see it; lease expiry",
+          recovery="orphan temp is ignored; the re-claimed job "
+                   "rewrites the blob"),
+        _("daemon dies between blob temp fsync and rename",
+          "store.blob.pre-rename", "kill", mode="service",
+          effect="fully-written temp file, no visible blob, a leased "
+                 "job with a dead owner",
+          detection="lease expiry; readers and fsck see no blob",
+          recovery="rename never happened: the re-claimed job "
+                   "rewrites the blob"),
         _("torn blob after rename (power loss before data flush)",
-          "store.blob.post-rename", "torn", trigger_at=2,
+          "store.blob.post-rename", "torn", mode="service",
           effect="a truncated object sits under its final content "
-                 "address",
+                 "address and the daemon dies",
           detection="checksum-on-read (CorruptBlobError) and fsck "
                     "E401",
-          recovery="fsck --repair deletes the torn blob; the warm "
-                   "rerun recomputes it",
+          recovery="fsck --repair deletes the torn blob; the "
+                   "re-claimed job replays the profile and rewrites "
+                   "it",
           smoke=True),
         _("device i/o error after blob rename",
-          "store.blob.post-rename", "eio", trigger_at=2,
+          "store.blob.post-rename", "eio", mode="service",
           effect="the durability fsync fails after the object is "
                  "visible",
-          detection="coded E414 diagnostic (no traceback)",
+          detection="coded E414 inside the daemon (no traceback)",
           recovery="blob content is already correct (checksummed); "
-                   "rerun verifies and completes"),
+                   "the job is released and the next serve verifies "
+                   "and completes it"),
         _("profile blob write hits a full disk",
           "store.blob.pre-temp-write", "enospc",
           effect="the operational profile cannot be stored; the "

@@ -89,15 +89,12 @@ def build_worksheet(results: list[ScenarioResult],
     it was filtered out of this run (verdict ``not run``), so a
     partial sweep can never masquerade as full coverage.
     """
-    by_key = {(r.scenario.failpoint, r.scenario.kind,
-               r.scenario.trigger_at): r for r in results}
+    by_key = {r.scenario.key: r for r in results}
     base = scenarios() if all_rows \
         else [r.scenario for r in results]
     rows = []
     for scenario in base:
-        key = (scenario.failpoint, scenario.kind,
-               scenario.trigger_at)
-        result = by_key.get(key)
+        result = by_key.get(scenario.key)
         row = WorksheetRow(scenario)
         if result is not None:
             row.seconds = result.seconds

@@ -1,19 +1,17 @@
 """The §5 validation flow: profiler, fault lists, campaigns, analysis."""
 
 from .faults import (
-    ArmedFault,
     BridgeFault,
     Fault,
     GlobalStuckFault,
     MbuFault,
-    MemCouplingFault,
     MemFlipFault,
     MemStuckFault,
     SetFault,
     SeuFault,
     StuckNetFault,
 )
-from .profiler import MemAccess, OperationalProfile, profile_workload
+from .profiler import OperationalProfile, profile_workload
 from .faultlist import (
     CandidateList,
     FaultListConfig,
@@ -48,23 +46,15 @@ from .parallel import (
     snapshot_setup,
 )
 from .supervisor import (
-    ANOMALY_CRASH,
-    ANOMALY_EXCEPTION,
-    ANOMALY_HANG,
     CampaignAborted,
     CampaignHealth,
     CampaignSupervisor,
     FaultAnomaly,
     SupervisorConfig,
 )
-from .analyzer import (
-    EffectComparison,
-    ResultAnalyzer,
-    ZoneMeasurement,
-)
+from .analyzer import ResultAnalyzer
 from .diagnosis import Candidate, FaultDictionary, signature_of
 from .environment import (
-    STIMULI_SCHEMA_VERSION,
     InjectionEnvironment,
     StimuliValidationError,
     build_environment,
@@ -73,9 +63,8 @@ from .environment import (
     validate_stimuli,
     validate_stimuli_report,
 )
-from .faultsim import FaultSimReport, simulate_faults
+from .faultsim import simulate_faults
 from .validation import (
-    StepResult,
     ValidationConfig,
     ValidationReport,
     run_validation,
@@ -99,10 +88,10 @@ def __getattr__(name: str):
 
 
 __all__ = [
-    "ArmedFault", "BridgeFault", "Fault", "GlobalStuckFault",
-    "MbuFault", "MemCouplingFault", "MemFlipFault", "MemStuckFault", "SetFault",
-    "SeuFault", "StuckNetFault",
-    "MemAccess", "OperationalProfile", "profile_workload",
+    "BridgeFault", "Fault", "GlobalStuckFault", "MbuFault",
+    "MemFlipFault", "MemStuckFault", "SetFault", "SeuFault",
+    "StuckNetFault",
+    "OperationalProfile", "profile_workload",
     "CandidateList", "FaultListConfig", "collapse",
     "generate_cone_faults", "generate_gate_faults",
     "generate_zone_faults", "randomize",
@@ -114,16 +103,15 @@ __all__ = [
     "CampaignSpec", "CampaignStats", "GoldenTrace", "MemoryImageSetup",
     "SafeProgress", "ShardStats", "compute_golden_trace",
     "shard_candidates", "snapshot_setup",
-    "ANOMALY_CRASH", "ANOMALY_EXCEPTION", "ANOMALY_HANG",
     "CampaignAborted", "CampaignHealth", "CampaignSupervisor",
     "FaultAnomaly", "SupervisorConfig",
-    "EffectComparison", "ResultAnalyzer", "ZoneMeasurement",
+    "ResultAnalyzer",
     "Candidate", "FaultDictionary", "signature_of",
-    "InjectionEnvironment", "STIMULI_SCHEMA_VERSION",
+    "InjectionEnvironment",
     "StimuliValidationError", "build_environment", "load_stimuli",
     "save_stimuli", "validate_stimuli", "validate_stimuli_report",
-    "FaultSimReport", "simulate_faults",
-    "StepResult", "ValidationConfig", "ValidationReport",
+    "simulate_faults",
+    "ValidationConfig", "ValidationReport",
     "run_validation",
     *_STORE_EXPORTS,
 ]

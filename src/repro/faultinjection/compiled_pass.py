@@ -14,7 +14,8 @@ per-point Python observation loop with vectorized group reductions:
   different semantics (``raised = v & ~golden`` instead of
   ``v ^ golden``) are one in-place slice operation;
 * flop- and memory-word SENS probes get the same treatment over the
-  flop-state array and the transposed memory store;
+  flop-state array and the transposed memory store (one gather per
+  stacked group of same-shape memories);
 * per-point *seen* masks ensure the Python recording loop only ever
   touches a (point, machine) pair once — after the first divergence is
   recorded the steady-state per-cycle cost is a handful of numpy calls.
@@ -56,14 +57,18 @@ class _Group:
         self.buf = np.empty((len(index), words), dtype=_U64)
 
 
-def _build_groups(manager, cc, batch, words):
+def _build_groups(manager, sim, batch):
     """Partition points + SENS probes into vectorizable groups.
 
     Returns ``(net_group, diag_seg_lo, func_count, flop_group,
-    mem_groups)``; any group may be ``None``/empty.  Zero-net points
-    are dropped — they can never mismatch (and ``reduceat`` cannot
-    represent empty segments).
+    mem_groups)``; any group may be ``None``/empty.  ``mem_groups``
+    holds one ``(stacked store, member per probe, group)`` entry per
+    stacked memory group of ``sim``.  Zero-net points are dropped —
+    they can never mismatch (and ``reduceat`` cannot represent empty
+    segments).
     """
+    cc = sim.compiled
+    words = sim.words
     rows: list[int] = []
     starts: list[int] = []
     pts: list[tuple] = []
@@ -97,7 +102,7 @@ def _build_groups(manager, cc, batch, words):
     flop_pts: list[tuple] = []
     mem_index = {m.name: i
                  for i, m in enumerate(manager.circuit.memories)}
-    by_mem: dict[int, tuple[list[int], list[tuple]]] = {}
+    by_mem: dict[int, tuple[list[int], list[int], list[tuple]]] = {}
     for probe, members in probe_members.items():
         if probe[0] == "nets":
             add_point(_PROBE, None, list(probe[1]), members)
@@ -108,8 +113,9 @@ def _build_groups(manager, cc, batch, words):
             flop_idx.extend(probe[1])
             flop_pts.append((_PROBE, None, members))
         else:                                # ("mem", name, word)
-            mi = mem_index[probe[1]]
-            mwords, mpts = by_mem.setdefault(mi, ([], []))
+            gi, j = sim._mem_slot[mem_index[probe[1]]]
+            mjs, mwords, mpts = by_mem.setdefault(gi, ([], [], []))
+            mjs.append(j)
             mwords.append(probe[2])
             mpts.append((_PROBE, None, members))
 
@@ -122,9 +128,10 @@ def _build_groups(manager, cc, batch, words):
     net_group = _Group(rows, starts, pts, words) if pts else None
     flop_group = _Group(flop_idx, flop_starts, flop_pts, words) \
         if flop_pts else None
-    mem_groups = [(mi, _Group(mwords, list(range(len(mwords))),
-                              mpts, words))
-                  for mi, (mwords, mpts) in by_mem.items()]
+    mem_groups = [(sim._mem_groups[gi].store,
+                   np.asarray(mjs, dtype=np.intp),
+                   _Group(mwords, list(range(len(mwords))), mpts, words))
+                  for gi, (mjs, mwords, mpts) in by_mem.items()]
     return net_group, diag_seg_lo, func_count, flop_group, mem_groups
 
 
@@ -157,8 +164,8 @@ def run_pass_compiled(manager, batch, result,
         return False
 
     results = [FaultResult(fault=f) for f in batch]
-    net, diag_lo, nfunc, flopg, memgs = _build_groups(
-        manager, cc, batch, sim.words)
+    net, diag_lo, nfunc, flopg, memgs = _build_groups(manager, sim,
+                                                      batch)
     diag_row_lo = int(net.starts[diag_lo]) \
         if net is not None and diag_lo < len(net.pts) \
         else (len(net.index) if net is not None else 0)
@@ -242,8 +249,8 @@ def run_pass_compiled(manager, batch, result,
             record(np.bitwise_or.reduceat(subf ^ gwf, flopg.starts,
                                           axis=0), flopg)
 
-        for mi, mg in memgs:
-            subm = sim._mem_store[mi][mg.index]     # (P, W, width)
+        for store, members, mg in memgs:
+            subm = store[members, mg.index]         # (P, W, width)
             gm = (subm[:, 0, :] & one)[:, None, :] \
                 * full[None, :, None]
             record(np.bitwise_or.reduce(subm ^ gm, axis=2), mg)

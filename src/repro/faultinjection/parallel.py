@@ -14,10 +14,11 @@ them across worker *processes* using the pieces defined here:
   :class:`CampaignSpec` — circuit, stimuli, zones, observation points,
   configuration and a picklable setup (see :class:`MemoryImageSetup`)
   — and rebuilds its own manager;
-* the **golden (fault-free) trace** is computed once in the parent
-  (:func:`compute_golden_trace`) and its activity bits are merged into
-  the final coverage ledger, instead of every batch re-deriving the
-  golden bookkeeping cycle by cycle;
+* the **golden (fault-free) trace** is derived once in the parent
+  (:func:`compute_golden_trace`) from the per-net first events the
+  operational-profile replay recorded, and its activity bits are
+  merged into the final coverage ledger, instead of every batch
+  re-deriving the golden bookkeeping cycle by cycle;
 * per-shard wall-clock / fault-count statistics
   (:class:`CampaignStats`) and a shielded progress callback
   (:class:`SafeProgress`) give campaign observability.
@@ -33,7 +34,6 @@ order (``tests/test_parallel_campaign.py`` proves this differentially).
 
 from __future__ import annotations
 
-import time
 import warnings
 from dataclasses import dataclass, field
 
@@ -43,6 +43,7 @@ from ..zones.extractor import ZoneSet
 from ..zones.model import ObservationPoint, SensibleZone
 from .faults import Fault
 from .manager import CampaignConfig, FaultInjectionManager
+from .profiler import NetActivity, profile_workload
 
 
 # ----------------------------------------------------------------------
@@ -129,7 +130,10 @@ class CampaignSpec:
 
     All fields are plain data (or picklable callables for ``setup``),
     so the spec can cross a process boundary under any multiprocessing
-    start method.
+    start method.  ``activity`` is the fault-free replay's per-net
+    first events (:attr:`OperationalProfile.activity
+    <repro.faultinjection.profiler.OperationalProfile.activity>`); the
+    golden trace is derived from it, or from one replay when absent.
     """
 
     circuit: Circuit
@@ -139,11 +143,16 @@ class CampaignSpec:
         default_factory=list)
     config: CampaignConfig = field(default_factory=CampaignConfig)
     setup: MemoryImageSetup | None = None
+    activity: NetActivity | None = None
 
     @classmethod
     def from_environment(cls, env, config: CampaignConfig | None = None
                          ) -> "CampaignSpec":
-        """Derive a spec from an :class:`InjectionEnvironment`."""
+        """Derive a spec from an :class:`InjectionEnvironment`.
+
+        The environment's (memoized) operational profile supplies the
+        golden activity, so the workload is replayed at most once.
+        """
         config = config or CampaignConfig()
         if not config.test_windows:
             config.test_windows = env.test_windows
@@ -153,7 +162,8 @@ class CampaignSpec:
                    observation_points=list(
                        env.zone_set.observation_points),
                    config=config,
-                   setup=snapshot_setup(env.circuit, env.setup))
+                   setup=snapshot_setup(env.circuit, env.setup),
+                   activity=env.profile().activity)
 
     @classmethod
     def from_zone_set(cls, circuit: Circuit, stimuli, zone_set: ZoneSet,
@@ -177,11 +187,11 @@ class CampaignSpec:
 
 
 # ----------------------------------------------------------------------
-# golden-run cache
+# golden (fault-free) reference
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class GoldenTrace:
-    """Fault-free reference activity, computed once per campaign.
+    """Fault-free reference activity, derived once per campaign.
 
     ``obse_active`` are the functional points the workload itself
     toggles (they self-cover their OBSE items); ``diag_active`` are the
@@ -193,39 +203,34 @@ class GoldenTrace:
     cycles: int
     obse_active: tuple[str, ...]
     diag_active: tuple[str, ...]
-    wall_seconds: float = 0.0
 
 
-def compute_golden_trace(manager: FaultInjectionManager) -> GoldenTrace:
-    """One fault-free run of the workload, recording activity bits."""
-    start = time.time()
-    sim = Simulator(manager.circuit, machines=1)
-    if manager.setup is not None:
-        manager.setup(sim)
+def compute_golden_trace(manager: FaultInjectionManager,
+                         activity: NetActivity | None = None
+                         ) -> GoldenTrace:
+    """The golden activity bits of ``manager``'s observation points.
+
+    A pure derivation from the fault-free replay's per-net first
+    events, for the run's first ``max_cycles`` cycles: a functional
+    point is OBSE-active iff one of its nets changes value within
+    them, a diagnostic point is DIAG-active iff one of its nets is 1
+    within them.  Without ``activity`` the workload is replayed once
+    to record it.
+    """
     stimuli = manager.stimuli
     if manager.config.max_cycles is not None:
         stimuli = stimuli[:manager.config.max_cycles]
-    func_nets = {p.name: list(p.nets) for p in manager.functional}
-    diag_nets = {p.name: list(p.nets) for p in manager.diagnostic}
-    prev: dict[str, int] = {}
-    obse: set[str] = set()
-    diag: set[str] = set()
-    for inputs in stimuli:
-        sim.step_eval(inputs)
-        for name, nets in func_nets.items():
-            value = sim.value_of(nets)
-            if name in prev and prev[name] != value:
-                obse.add(name)
-            prev[name] = value
-        for name, nets in diag_nets.items():
-            if name not in diag and \
-                    any(sim.peek(net) & 1 for net in nets):
-                diag.add(name)
-        sim.step_commit()
-    return GoldenTrace(cycles=len(stimuli),
-                       obse_active=tuple(sorted(obse)),
-                       diag_active=tuple(sorted(diag)),
-                       wall_seconds=time.time() - start)
+    cycles = len(stimuli)
+    if activity is None:
+        activity = profile_workload(manager.circuit, stimuli,
+                                    setup=manager.setup).activity
+    change, one = activity
+    obse = {p.name for p in manager.functional
+            if any(0 <= change[net] < cycles for net in p.nets)}
+    diag = {p.name for p in manager.diagnostic
+            if any(0 <= one[net] < cycles for net in p.nets)}
+    return GoldenTrace(cycles=cycles, obse_active=tuple(sorted(obse)),
+                       diag_active=tuple(sorted(diag)))
 
 
 # ----------------------------------------------------------------------
@@ -282,7 +287,6 @@ class CampaignStats:
 
     workers: int
     total_faults: int = 0
-    golden_seconds: float = 0.0
     wall_seconds: float = 0.0
     shards: list[ShardStats] = field(default_factory=list)
     #: set by :class:`~repro.faultinjection.supervisor.\
@@ -299,8 +303,7 @@ class CampaignStats:
         lines = [f"=== campaign: {self.total_faults} faults, "
                  f"{self.workers} worker(s), "
                  f"{len(self.shards)} shard(s), "
-                 f"{self.wall_seconds:.2f}s wall "
-                 f"(golden trace {self.golden_seconds:.2f}s) ==="]
+                 f"{self.wall_seconds:.2f}s wall ==="]
         for pid, shards in sorted(self.by_worker().items()):
             faults = sum(s.faults for s in shards)
             busy = sum(s.wall_seconds for s in shards)

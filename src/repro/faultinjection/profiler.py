@@ -12,13 +12,20 @@ selected during the fault list generation process."
 The profiler replays the workload on a fault-free simulator and records
 per-cycle flip-flop toggles and memory-port traffic; fault-list
 generation then places transient injections in cycles where the target
-zone actually holds live data.
+zone actually holds live data.  The same replay records, per net, the
+first cycle it changes and the first cycle it is 1
+(:class:`NetActivity`): the campaign's golden OBSE/DIAG reference
+(:func:`~repro.faultinjection.parallel.compute_golden_trace`) is
+derived from those, so a campaign replays its workload fault-free only
+once.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from operator import itemgetter
+from typing import NamedTuple
 
 from ..hdl.netlist import Circuit
 from ..hdl.simulator import Simulator
@@ -33,6 +40,19 @@ class MemAccess:
     write: bool
 
 
+class NetActivity(NamedTuple):
+    """First events of every net in the fault-free replay (-1: never).
+
+    ``first_change[net]`` is the first cycle >= 1 at which the net's
+    evaluated value differs from the previous cycle's;
+    ``first_one[net]`` is the first cycle at which it is 1.  Both are
+    indexed by net id and describe every prefix of the run at once.
+    """
+
+    first_change: list[int]
+    first_one: list[int]
+
+
 @dataclass
 class OperationalProfile:
     """The recorded fault-free activity of one workload."""
@@ -41,6 +61,8 @@ class OperationalProfile:
     flop_toggles: dict[str, list[int]] = field(default_factory=dict)
     mem_accesses: dict[str, list[MemAccess]] = field(default_factory=dict)
     output_toggles: dict[str, list[int]] = field(default_factory=dict)
+    activity: NetActivity = field(
+        default_factory=lambda: NetActivity([], []))
 
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
@@ -53,6 +75,8 @@ class OperationalProfile:
                 name: [[a.cycle, a.addr, a.write] for a in accesses]
                 for name, accesses in self.mem_accesses.items()},
             "output_toggles": self.output_toggles,
+            "first_change": self.activity.first_change,
+            "first_one": self.activity.first_one,
         }
 
     @classmethod
@@ -67,6 +91,8 @@ class OperationalProfile:
                        for cycle, addr, write in accesses]
                 for name, accesses in data["mem_accesses"].items()},
             output_toggles=dict(data["output_toggles"]),
+            activity=NetActivity(list(data["first_change"]),
+                                 list(data["first_one"])),
         )
 
     # ------------------------------------------------------------------
@@ -147,9 +173,37 @@ def profile_workload(circuit: Circuit, stimuli, setup=None,
     profile = OperationalProfile(length=len(stimuli))
     prev_flops = {f.name: None for f in circuit.flops}
     prev_outs = {name: None for name in circuit.outputs}
+    # per-net first events: each cycle reads only the nets still
+    # waiting for theirs, as one C-level gather (values are 0 or 1)
+    vals = sim._values
+    first_change = [-1] * circuit.num_nets
+    first_one = [-1] * circuit.num_nets
+    waiting_change = waiting_one = list(range(circuit.num_nets))
+    pick_change = pick_one = _picker(waiting_change)
+    last = None
 
     for cycle, inputs in enumerate(stimuli):
         sim.step_eval(inputs)
+        now = pick_change(vals)
+        if last is not None and now != last:
+            rest = []
+            for net, value, before in zip(waiting_change, now, last):
+                if value != before:
+                    first_change[net] = cycle
+                else:
+                    rest.append(net)
+            waiting_change, pick_change = rest, _picker(rest)
+            now = pick_change(vals)
+        last = now
+        now = pick_one(vals)
+        if any(now):
+            rest = []
+            for net, value in zip(waiting_one, now):
+                if value:
+                    first_one[net] = cycle
+                else:
+                    rest.append(net)
+            waiting_one, pick_one = rest, _picker(rest)
         # memory port traffic (during evaluation, pre-edge)
         for mem in circuit.memories:
             addr = sim.value_of(mem.addr)
@@ -174,4 +228,15 @@ def profile_workload(circuit: Circuit, stimuli, setup=None,
                 profile.flop_toggles.setdefault(flop.name, []).append(
                     cycle)
             prev_flops[flop.name] = bit
+    profile.activity = NetActivity(first_change, first_one)
     return profile
+
+
+def _picker(indices: list[int]):
+    """``seq -> (seq[i] for i in indices)`` as one C-level call."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    if indices:
+        index = indices[0]
+        return lambda seq: (seq[index],)
+    return lambda seq: ()

@@ -309,26 +309,11 @@ class CampaignSupervisor:
         if self.progress is not None and self._done_count():
             self.progress(self._done_count(), self._total)
 
-        # on an uncached run the fault-free golden trace is computed
-        # in the supervisor's own process *while* the workers simulate
-        # — the event loop would otherwise idle in connection waits
-        self._golden_early = None
-        self._golden_task = (lambda: compute_golden_trace(manager)) \
-            if miss_indices and ctx is None else None
-
         if miss_indices:
             self._execute(miss_indices)
 
-        golden_seconds = 0.0
-        golden_digest = None
         if faults:
-            if ctx is not None:
-                golden, golden_digest = self.cache._golden(ctx, manager)
-            elif self._golden_early is not None:
-                golden = self._golden_early
-            else:
-                golden = compute_golden_trace(manager)
-            golden_seconds = golden.wall_seconds
+            golden = compute_golden_trace(manager, self.spec.activity)
             result.results = [self._merged[i]
                               for i in range(len(faults))
                               if i not in self._quarantined]
@@ -342,13 +327,12 @@ class CampaignSupervisor:
         health.quarantined = len(self._quarantined)
         self.anomalies = [self._quarantined[i]
                           for i in sorted(self._quarantined)]
-        stats.golden_seconds = golden_seconds
         stats.wall_seconds = result.wall_seconds
         stats.shards.sort(key=lambda s: s.shard)
         self.last_stats = stats
 
         if ctx is not None:
-            self._finalize_store(ctx, run_id, golden_digest)
+            self._finalize_store(ctx, run_id)
         return result
 
     # ------------------------------------------------------------------
@@ -447,11 +431,6 @@ class CampaignSupervisor:
                         pending.appendleft(job)
                         break
                     active.append(handle)
-
-                if self._golden_task is not None and active:
-                    # overlap the golden trace with the running workers
-                    task, self._golden_task = self._golden_task, None
-                    self._golden_early = task()
 
                 if self._degraded and not active:
                     # one shard per tick so the heartbeat keeps firing
@@ -692,7 +671,7 @@ class CampaignSupervisor:
     # ------------------------------------------------------------------
     # store finalization
     # ------------------------------------------------------------------
-    def _finalize_store(self, ctx, run_id, golden_digest) -> None:
+    def _finalize_store(self, ctx, run_id) -> None:
         from ..store.db import AnomalyRow
         fps = self._fingerprints
         fresh = [AnomalyRow(
@@ -727,5 +706,4 @@ class CampaignSupervisor:
             measured_dc=result.measured_dc(),
             safe_fraction=result.measured_safe_fraction(),
             outcome_counts=counts,
-            wall_seconds=result.wall_seconds,
-            golden_blob=golden_digest, membership=membership)
+            wall_seconds=result.wall_seconds, membership=membership)

@@ -353,6 +353,48 @@ def decompile(compiled: CompiledCircuit) -> Circuit:
 # ----------------------------------------------------------------------
 # the simulator
 # ----------------------------------------------------------------------
+class _MemGroup:
+    """Memories of one (depth, width, address bits) shape, stacked.
+
+    One ``(G, depth, W, width)`` store holds the G members (a banked
+    design has one per bank), so the memory step runs once per group
+    and cycle instead of once per memory.  The divergent-lane
+    selection of the last cycle is kept and reused while the
+    address-mismatch words repeat.
+    """
+
+    __slots__ = ("members", "depth", "store", "rdata", "addr_rows",
+                 "we_rows", "wdata_rows", "rdata_rows", "pow2", "gidx",
+                 "sel_mism", "sel")
+
+    def __init__(self, cc: CompiledCircuit, members: list[int],
+                 depth: int, width: int, words: int):
+        G = len(members)
+        self.members = members
+        self.depth = depth
+        # transposed store layout (depth, W, width) per member: one
+        # fancy-index per divergent-address access touches all bits of
+        # a word
+        self.store = np.zeros((G, depth, words, width), dtype=_U64)
+        self.rdata = np.zeros((G, words, width), dtype=_U64)
+        self.addr_rows = np.stack([cc.mem_addr_rows[mi]
+                                   for mi in members])      # (G, A)
+        self.we_rows = np.asarray([cc.mem_we_rows[mi]
+                                   for mi in members], dtype=np.intp)
+        self.wdata_rows = np.stack([cc.mem_wdata_rows[mi]
+                                    for mi in members])     # (G, width)
+        self.rdata_rows = np.concatenate([cc.mem_rdata_rows[mi]
+                                          for mi in members])
+        # address-bit weights: golden/per-lane addresses assemble as a
+        # dot product instead of a Python loop over address bits
+        self.pow2 = np.left_shift(
+            np.int64(1), np.arange(self.addr_rows.shape[1],
+                                   dtype=np.int64))
+        self.gidx = np.arange(G, dtype=np.intp)
+        self.sel_mism: np.ndarray | None = None
+        self.sel: tuple | None = None
+
+
 class CompiledSimulator:
     """Drop-in bit-parallel simulator running a compiled program.
 
@@ -398,19 +440,21 @@ class CompiledSimulator:
             if F else np.zeros((0, W), dtype=_U64)
         self._flop_init_words = self._flop_state.copy()
 
-        # transposed store layout (depth, W, width): one fancy-index
-        # per divergent-address access touches all bits of a word
-        self._mem_store = [np.zeros((m.depth, W, m.width), dtype=_U64)
-                           for m in self.circuit.memories]
-        self._mem_rdata = [np.zeros((W, m.width), dtype=_U64)
-                           for m in self.circuit.memories]
-        # address-bit weights: golden/per-lane addresses assemble as a
-        # dot product instead of a Python loop over address bits
-        self._mem_pow2 = [
-            np.left_shift(np.int64(1),
-                          np.arange(len(cc.mem_addr_rows[i]),
-                                    dtype=np.int64))
-            for i in range(len(self.circuit.memories))]
+        # same-shape memories share one stacked store and one memory
+        # step; _mem_store[mi] is memory mi's (depth, W, width) view
+        shapes: dict[tuple[int, int, int], list[int]] = {}
+        for mi, m in enumerate(self.circuit.memories):
+            shapes.setdefault((m.depth, m.width,
+                               len(cc.mem_addr_rows[mi])), []).append(mi)
+        self._mem_groups = [_MemGroup(cc, members, depth, width, W)
+                            for (depth, width, _), members
+                            in shapes.items()]
+        slots = {mi: (gi, j) for gi, group in enumerate(self._mem_groups)
+                 for j, mi in enumerate(group.members)}
+        #: memory index -> (group index, position in the group)
+        self._mem_slot = [slots[mi] for mi in range(len(slots))]
+        self._mem_store = [self._mem_groups[gi].store[j]
+                           for gi, j in self._mem_slot]
 
         self._input_rows = {
             name: cc.perm[np.asarray(nets, dtype=np.intp)]
@@ -446,9 +490,9 @@ class CompiledSimulator:
         self._net_glitches: dict[int, dict[int, np.ndarray]] = {}
         self._mem_flips: dict[int, list] = {}
         self._mem_stuck: dict[int, dict[tuple[int, int], tuple]] = {}
-        # per-memory stacked (words, bits, ~clear, set) arrays, built
-        # lazily from _mem_stuck and applied as one gather/scatter
-        self._mem_stuck_cache: dict[int, tuple] = {}
+        # per-group stacked (members, words, bits, ~clear, set) arrays,
+        # built lazily from _mem_stuck and applied as one gather/scatter
+        self._mem_stuck_cache: dict[int, tuple | None] = {}
 
         self.collect_toggles = collect_toggles
         self.toggle_any_machine = toggle_any_machine
@@ -561,7 +605,7 @@ class CompiledSimulator:
         clear = clear | mask
         setm = (setm & ~mask) | (mask if value else _U64(0))
         table[(word, bit)] = (clear, setm)
-        self._mem_stuck_cache.pop(mem, None)
+        self._mem_stuck_cache.pop(self._mem_slot[mem][0], None)
 
     def schedule_mem_flip(self, mem, word: int, bit: int, cycle: int,
                           machines=None) -> None:
@@ -786,9 +830,10 @@ class CompiledSimulator:
         vals = self._vals
         if len(cc.flop_q_rows):
             vals[cc.flop_q_rows] = self._flop_state
-        for mi, rows in enumerate(cc.mem_rdata_rows):
-            if len(rows):
-                vals[rows] = self._mem_rdata[mi].T
+        for group in self._mem_groups:
+            if len(group.rdata_rows):
+                vals[group.rdata_rows] = group.rdata.transpose(
+                    0, 2, 1).reshape(-1, self.words)
         # overlays may have clobbered constant rows last cycle
         if len(cc.const0_rows):
             vals[cc.const0_rows] = _U64(0)
@@ -878,8 +923,8 @@ class CompiledSimulator:
             np.bitwise_or(nxt, self._fbuf_b, out=nxt)
             self._state_alt = q
             self._flop_state = nxt
-        for mi in range(len(self.circuit.memories)):
-            self._mem_cycle(mi)
+        for gi, group in enumerate(self._mem_groups):
+            self._mem_cycle(gi, group)
         self.cycle += 1
 
     def _begin_cycle_events(self) -> None:
@@ -914,135 +959,143 @@ class CompiledSimulator:
     # ------------------------------------------------------------------
     # memory engine
     # ------------------------------------------------------------------
-    def _mem_cycle(self, mi: int) -> None:
-        cc = self.compiled
-        mem = self.circuit.memories[mi]
+    def _mem_cycle(self, gi: int, group: _MemGroup) -> None:
+        """One clock edge of every memory in ``group``.
+
+        Per member: a golden-address base read/write, plus a scatter
+        patch restricted to the (usually few) lanes whose address
+        diverges from machine 0's.  All reads are gathered before any
+        write lands; lane isolation makes the interpreted per-machine
+        loop order-independent, so this is bit-equivalent.
+        """
         vals = self._vals
-        store = self._mem_store[mi]
-        addr_rows = vals[cc.mem_addr_rows[mi]]      # (A, W)
-        we = vals[cc.mem_we_rows[mi]]               # (W,)
-        full = self._full
+        store = group.store                         # (G, depth, W, width)
+        one = _U64(1)
+        addr_rows = vals[group.addr_rows]           # (G, A, W)
+        we = vals[group.we_rows]                    # (G, W)
 
         # golden address + lanes-that-diverge words, in one sweep: a
         # lane agrees with machine 0 iff every address row matches the
         # golden bit broadcast
-        b0 = addr_rows[:, 0] & _U64(1)              # (A,)
+        b0 = addr_rows[:, :, 0] & one               # (G, A)
         mism = np.bitwise_or.reduce(
-            addr_rows ^ b0[:, None] * full, axis=0)  # (W,)
-        addr = int(b0.astype(np.int64) @ self._mem_pow2[mi]) \
-            % mem.depth
+            addr_rows ^ b0[:, :, None] * self._full, axis=1)  # (G, W)
+        addr = (b0.astype(np.int64) @ group.pow2) % group.depth  # (G,)
+        diverged = mism.any(axis=1)                 # (G,)
+        gidx = group.gidx
 
-        if not mism.any():
-            uniform = True
-            word = store[addr]                      # (W, width) view
-            rdata = word.copy()
-            if we.any():
-                # wdata rows are (width, W); the store is transposed
-                wdata = vals[cc.mem_wdata_rows[mi]].T
-                word &= ~we[:, None]
-                word |= wdata & we[:, None]
-        else:
-            uniform = False
-            rdata = self._mem_cycle_divergent(mi, mem, addr_rows, we,
-                                              mism, addr)
-            addr = None
+        rdata = store[gidx, addr]                   # (G, W, width) copy
+        agree = ~mism
+        wdata = None
+        divergent = diverged.any()
+        if divergent:
+            gD, wD, bitD, starts, seg = self._divergent_lanes(group,
+                                                              mism)
+            lane_bits = addr_rows[gD, :, wD] & bitD  # (D, A)
+            addrs = ((lane_bits != 0) @ group.pow2) % group.depth
+            contrib = store[gD, addrs, wD] & bitD   # (D, width)
+            np.bitwise_and(rdata, agree[:, :, None], out=rdata)
+            rdata[seg] |= np.bitwise_or.reduceat(contrib, starts,
+                                                 axis=0)
 
-        stuck = self._mem_stuck.get(mi)
-        if stuck:
-            arrs = self._mem_stuck_cache.get(mi)
-            if arrs is None:
-                arrs = (np.asarray([k[0] for k in stuck],
-                                   dtype=np.intp),
-                        np.asarray([k[1] for k in stuck],
-                                   dtype=np.intp),
-                        np.stack([~c for c, _ in stuck.values()]),
-                        np.stack([s for _, s in stuck.values()]))
-                self._mem_stuck_cache[mi] = arrs
-            sw, sb, nclear, sset = arrs
-            cells = store[sw, :, sb]                # (S, W) copy
-            np.bitwise_and(cells, nclear, out=cells)
-            np.bitwise_or(cells, sset, out=cells)
-            store[sw, :, sb] = cells
-            if uniform:
+        uw = we & agree                             # uniform writers
+        if uw.any():
+            # wdata rows are (G, width, W); the store is transposed
+            wdata = vals[group.wdata_rows].transpose(0, 2, 1)
+            word = store[gidx, addr]
+            word &= ~uw[:, :, None]
+            word |= wdata & uw[:, :, None]
+            store[gidx, addr] = word
+
+        if divergent:
+            webits = (we[gD, wD] & bitD[:, 0]) != 0
+            if webits.any():
+                if wdata is None:
+                    wdata = vals[group.wdata_rows].transpose(0, 2, 1)
+                sel = np.nonzero(webits)[0]
+                aw = addrs[sel]
+                gw = gD[sel]
+                ww = wD[sel]
+                lane = bitD[sel]                    # (K, 1)
+                wd = wdata[gw, ww] & lane
+                # group writers hitting the same (memory, word,
+                # lane-word) cell so the read-modify-write can use
+                # unique fancy indices
+                key = (gw * np.int64(self.words) + ww) \
+                    * np.int64(group.depth) + aw
+                order = np.argsort(key, kind="stable")
+                sorted_key = key[order]
+                kmask = np.empty(sorted_key.shape[0], dtype=bool)
+                kmask[0] = True
+                np.not_equal(sorted_key[1:], sorted_key[:-1],
+                             out=kmask[1:])
+                kstarts = np.flatnonzero(kmask)
+                clear = np.bitwise_or.reduceat(lane[order], kstarts,
+                                               axis=0)
+                setm = np.bitwise_or.reduceat(wd[order], kstarts, axis=0)
+                first = order[kstarts]
+                at = (gw[first], aw[first], ww[first])
+                cell = store[at]
+                np.bitwise_and(cell, ~clear, out=cell)
+                np.bitwise_or(cell, setm, out=cell)
+                store[at] = cell
+
+        if self._mem_stuck:
+            stuck = self._stuck_cells(gi, group)
+            if stuck is not None:
+                sg, sw, sb, nclear, sset = stuck
+                cells = store[sg, sw, :, sb]        # (S, W) copy
+                np.bitwise_and(cells, nclear, out=cells)
+                np.bitwise_or(cells, sset, out=cells)
+                store[sg, sw, :, sb] = cells
                 # the interpreted engine patches read data only on the
                 # uniform path — replicated bit-for-bit
-                rsel = np.flatnonzero(sw == addr)
-                if rsel.size:
+                rsel = np.flatnonzero((sw == addr[sg]) & ~diverged[sg]) \
+                    if not diverged.all() else ()
+                if len(rsel):
+                    rg = sg[rsel]
                     cols = sb[rsel]
-                    rdata[:, cols] = ((rdata[:, cols].T
-                                       & nclear[rsel])
-                                      | sset[rsel]).T
+                    rdata[rg, :, cols] = (rdata[rg, :, cols]
+                                          & nclear[rsel]) | sset[rsel]
 
-        self._mem_rdata[mi] = rdata
+        group.rdata = rdata
 
-    def _mem_cycle_divergent(self, mi, mem, addr_rows, we,
-                             mism, addr_g):
-        """Per-machine addressing: a golden-address base read/write
-        plus a scatter patch restricted to the (usually few) lanes
-        whose address actually diverges from machine 0's.
-
-        All reads are gathered before any write lands; lane isolation
-        makes the interpreted per-machine loop order-independent, so
-        this is bit-equivalent."""
-        store = self._mem_store[mi]
-        vals = self._vals
-        w_of = self._lane_word                      # (M,) intp
-        s_of = self._lane_shift                     # (M,) uint64
-        one = _U64(1)
-
-        dsel = np.flatnonzero((mism[w_of] >> s_of) & one)
-        wD = w_of[dsel]
-        sD = s_of[dsel]
-        bits = (addr_rows[:, wD] >> sD[None, :]) & one    # (A, D)
-        addrs = (self._mem_pow2[mi] @ bits.astype(np.int64)) \
-            % mem.depth
-
-        rdata = store[addr_g].copy()                # (W, width)
-        cells = store[addrs, wD]                    # (D, width)
-        contrib = ((cells >> sD[:, None]) & one) << sD[:, None]
-        np.bitwise_and(rdata, ~mism[:, None], out=rdata)
-        # dsel ascends, so wD is sorted: per-word OR-pack is segmented
-        smask = np.empty(wD.shape[0], dtype=bool)
+    def _divergent_lanes(self, group: _MemGroup, mism: np.ndarray):
+        """The lanes whose address diverges, reused while ``mism``
+        repeats: ``(members, lane words, (D, 1) lane bit masks,
+        segment starts, (member, word) index of each segment)``."""
+        if group.sel is not None and \
+                np.array_equal(mism, group.sel_mism):
+            return group.sel
+        gD, dsel = np.nonzero(
+            (mism[:, self._lane_word] >> self._lane_shift) & _U64(1))
+        wD = self._lane_word[dsel]
+        bitD = (_U64(1) << self._lane_shift[dsel])[:, None]
+        # nonzero ascends row-major, so (member, word) pairs are
+        # sorted: the per-word OR-pack is segmented
+        key = gD * self.words + wD
+        smask = np.empty(key.shape[0], dtype=bool)
         smask[0] = True
-        np.not_equal(wD[1:], wD[:-1], out=smask[1:])
+        np.not_equal(key[1:], key[:-1], out=smask[1:])
         starts = np.flatnonzero(smask)
-        rdata[wD[starts]] |= np.bitwise_or.reduceat(
-            contrib, starts, axis=0)
+        group.sel_mism = mism
+        group.sel = (gD, wD, bitD, starts, (gD[starts], wD[starts]))
+        return group.sel
 
-        wdata = vals[self.compiled.mem_wdata_rows[mi]]  # (width, W)
-        uw = we & ~mism                             # uniform writers
-        if uw.any():
-            word = store[addr_g]
-            word &= ~uw[:, None]
-            word |= wdata.T & uw[:, None]
-
-        webits = ((we[wD] >> sD) & one).astype(bool)
-        if webits.any():
-            sel = np.nonzero(webits)[0]
-            aw = addrs[sel]
-            ww = wD[sel]
-            ss = sD[sel]
-            lane = (one << ss)[:, None]              # (K, 1)
-            wd = ((wdata.T[ww] >> ss[:, None]) & one) << ss[:, None]
-            # group writers hitting the same (word, lane-word) cell so
-            # the read-modify-write can use unique fancy indices
-            key = ww * np.int64(mem.depth) + aw
-            order = np.argsort(key, kind="stable")
-            sorted_key = key[order]
-            kmask = np.empty(sorted_key.shape[0], dtype=bool)
-            kmask[0] = True
-            np.not_equal(sorted_key[1:], sorted_key[:-1],
-                         out=kmask[1:])
-            kstarts = np.flatnonzero(kmask)
-            clear = np.bitwise_or.reduceat(lane[order], kstarts, axis=0)
-            setm = np.bitwise_or.reduceat(wd[order], kstarts, axis=0)
-            aw_u = aw[order][kstarts]
-            ww_u = ww[order][kstarts]
-            cell = store[aw_u, ww_u]
-            np.bitwise_and(cell, ~clear, out=cell)
-            np.bitwise_or(cell, setm, out=cell)
-            store[aw_u, ww_u] = cell
-        return rdata
+    def _stuck_cells(self, gi: int, group: _MemGroup):
+        """The group's stuck-at cells as stacked arrays, or ``None``."""
+        if gi not in self._mem_stuck_cache:
+            entries = [(j, word, bit, clear, setm)
+                       for j, mi in enumerate(group.members)
+                       for (word, bit), (clear, setm)
+                       in self._mem_stuck.get(mi, {}).items()]
+            self._mem_stuck_cache[gi] = (
+                np.asarray([e[0] for e in entries], dtype=np.intp),
+                np.asarray([e[1] for e in entries], dtype=np.intp),
+                np.asarray([e[2] for e in entries], dtype=np.intp),
+                np.stack([~e[3] for e in entries]),
+                np.stack([e[4] for e in entries])) if entries else None
+        return self._mem_stuck_cache[gi]
 
     # ------------------------------------------------------------------
     # toggle coverage (same views as the interpreted simulator)

@@ -4,7 +4,8 @@
 (:class:`~repro.faultinjection.supervisor.CampaignSupervisor`) and the
 content-addressed store.  It plans a candidate list into cached
 outcomes and misses (:meth:`CampaignCache.plan`), serves the
-operational profile and golden trace from the store, and persists the
+operational profile — the campaign's one fault-free replay, from which
+the golden trace is derived — from the store, and persists the
 outcomes the supervisor simulates; the supervisor shards only the
 misses across worker processes, and the result is bit-identical to an
 uncached cold run over the same candidates.
@@ -42,8 +43,6 @@ class CacheStats:
     uncacheable: int = 0     # faults that bypassed the store entirely
     corrupt: int = 0         # corrupt/unreadable entries re-derived
     poisoned: int = 0        # known-poison faults quarantined up front
-    golden_hits: int = 0
-    golden_misses: int = 0
     profile_hits: int = 0    # operational profiles served from the store
     profile_misses: int = 0  # operational profiles replayed
     profile_s: float = 0.0   # time spent obtaining the profile
@@ -109,12 +108,13 @@ class CampaignCache:
     def profile(self, env) -> profiler.OperationalProfile:
         """The operational profile of ``env``'s workload, from the store.
 
-        The profile is a fault-free property of (design, workload), so
-        it is content-addressed like the golden trace (see
+        The profile, with the per-net activity the golden trace is
+        derived from, is a fault-free property of (design, workload),
+        so it is content-addressed (see
         :func:`~repro.store.fingerprint.profile_key`) and indexed in
-        the same table.  A missing, corrupt or unparsable entry is
-        replayed and rewritten; a setup that cannot be snapshotted is
-        replayed without touching the store.
+        the ``golden`` table.  A missing, corrupt or unparsable entry
+        is replayed and rewritten; a setup that cannot be snapshotted
+        is replayed without touching the store.
         """
         from ..faultinjection.parallel import snapshot_setup
         start = time.perf_counter()
@@ -190,7 +190,7 @@ class CampaignCache:
         self.stats.writes += self.db.put_outcomes(rows)
 
     # ------------------------------------------------------------------
-    # content-keyed JSON blobs: golden traces and operational profiles
+    # content-keyed JSON blobs (operational profiles)
     # ------------------------------------------------------------------
     def _get_json(self, key: str) -> tuple[str | None, object]:
         """``(blob digest, JSON document)`` indexed under ``key``; the
@@ -214,33 +214,6 @@ class CampaignCache:
         digest = self.blobs.put(data)
         self.db.put_golden(key, digest)
         return digest
-
-    def _golden(self, ctx, manager):
-        from ..faultinjection.parallel import (
-            GoldenTrace,
-            compute_golden_trace,
-        )
-        key = ctx.golden_key()
-        digest, data = self._get_json(key)
-        if data is not None:
-            try:
-                trace = GoldenTrace(
-                    cycles=int(data["cycles"]),
-                    obse_active=tuple(data["obse_active"]),
-                    diag_active=tuple(data["diag_active"]))
-                self.stats.golden_hits += 1
-                return trace, digest
-            except (KeyError, ValueError, TypeError):
-                # unparsable entry: recompute, never crash
-                self.stats.corrupt += 1
-        trace = compute_golden_trace(manager)
-        digest = self._put_blob(key, json.dumps({
-            "cycles": trace.cycles,
-            "obse_active": list(trace.obse_active),
-            "diag_active": list(trace.diag_active),
-        }, sort_keys=True).encode())
-        self.stats.golden_misses += 1
-        return trace, digest
 
 
 def _rebuild(fault, row: OutcomeRow) -> FaultResult:

@@ -14,10 +14,10 @@ Three concerns, three groups of tables:
   ``done`` at the end; a SIGKILLed campaign leaves the marker behind
   (visible in ``store stats``) while all its completed outcomes stay
   reusable.
-* ``golden`` — maps a content key (golden trace or operational
-  profile) to its blob digest.  A run references the blobs it used in
-  ``runs.golden_blob`` / ``runs.profile_blob``, which keeps them alive
-  through ``gc``.
+* ``golden`` — maps a content key (the operational profile, or a
+  golden trace written by an older version) to its blob digest.  A run
+  references the blob it used in ``runs.profile_blob`` (older runs
+  also in ``runs.golden_blob``), which keeps it alive through ``gc``.
 * ``jobs`` — the durable campaign job queue (:mod:`repro.service`):
   one row per submitted campaign with lease bookkeeping
   (owner/deadline), a retry budget, and the terminal ``done`` /
@@ -387,7 +387,6 @@ class StoreDB:
                    measured_dc: float, safe_fraction: float,
                    outcome_counts: dict[str, int],
                    wall_seconds: float,
-                   golden_blob: str | None,
                    membership: list[tuple[str, str, str | None, str]]
                    ) -> None:
         """Mark a run done and record its ordered fault membership.
@@ -400,11 +399,11 @@ class StoreDB:
                 self._conn.execute(
                     "UPDATE runs SET status='done', hits=?, misses=?,"
                     " measured_dc=?, safe_fraction=?,"
-                    " outcome_counts=?, wall_seconds=?, golden_blob=?"
+                    " outcome_counts=?, wall_seconds=?"
                     " WHERE run_id=?",
                     (hits, misses, measured_dc, safe_fraction,
                      json.dumps(outcome_counts), wall_seconds,
-                     golden_blob, run_id))
+                     run_id))
                 self._conn.executemany(
                     "INSERT OR REPLACE INTO run_faults VALUES "
                     "(?,?,?,?,?,?)",
@@ -540,7 +539,7 @@ class StoreDB:
             "SELECT COUNT(*) FROM shard_attempts").fetchone()[0]
 
     # ------------------------------------------------------------------
-    # golden traces
+    # content-keyed blobs (operational profiles)
     # ------------------------------------------------------------------
     def get_golden(self, key: str) -> str | None:
         row = self._conn.execute(

@@ -38,8 +38,9 @@ the faults whose support cone contains it; faults in disjoint logic
 islands keep their content address and are served from the store.
 
 The workload's operational profile is content-addressed as well
-(:func:`profile_key`): it is a fault-free replay, so only the circuit,
-the stimuli, the setup and the read strobes enter its key.
+(:func:`profile_key`): it is the campaign's one fault-free replay (the
+golden trace is derived from it), so only the circuit, the stimuli,
+the setup and the read strobes enter its key.
 """
 
 from __future__ import annotations
@@ -49,10 +50,10 @@ import json
 from dataclasses import fields
 from itertools import compress
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 from typing import NamedTuple
 
 from ..faultinjection.faults import Fault
+from ..faultinjection.profiler import _picker
 from ..hdl.netlist import OP_NAMES, Circuit
 from ..zones.model import ObservationPoint, SensibleZone
 
@@ -78,9 +79,11 @@ def profile_key(circuit: Circuit, stimuli, setup,
     :func:`~repro.faultinjection.parallel.snapshot_setup`) and the read
     strobes — never on zones, observation points or faults.
     """
+    # "kind" names the blob layout; a new layout takes a new kind, so
+    # entries of the old one miss instead of parsing as corrupt
     return digest({
         "v": FP_VERSION,
-        "kind": "operational_profile",
+        "kind": "fault_free_replay",
         "circuit": circuit.structural_hash(),
         "stimuli": _stimuli_digest(stimuli),
         "setup": _setup_canonical(setup),
@@ -217,16 +220,6 @@ def _spread(adjacency: list[list[int]], reached: list[int],
             if not mark[nxt]:
                 mark[nxt] = 1
                 reached.append(nxt)
-
-
-def _picker(nodes: list[int]):
-    """``mark -> (mark[node] for node in nodes)`` as one C-level call."""
-    if len(nodes) > 1:
-        return itemgetter(*nodes)
-    if nodes:
-        node = nodes[0]
-        return lambda mark: (mark[node],)
-    return lambda mark: ()
 
 
 class _Fragments:
@@ -405,17 +398,6 @@ class FingerprintContext:
             "zones": sorted(self._zones),
         })
 
-    def golden_key(self) -> str:
-        """Content address of the fault-free (golden) trace."""
-        return digest({
-            "v": FP_VERSION,
-            "kind": "golden_trace",
-            "circuit": self.support.full_fingerprint(),
-            "stimuli": self.stimuli_fp,
-            "setup": self.setup_fp,
-            "obs": self.obs_fp,
-        })
-
     def fault_fingerprint(self, fault: Fault) -> str:
         support_fp, zone_canon, obs_fp, setup_fp = \
             self._zone_support(fault)
@@ -555,8 +537,21 @@ def _zone_canonical(zone: SensibleZone, circuit: Circuit) -> dict:
     }
 
 
+#: the last stimuli digested and their digest: the profile key and the
+#: fingerprint context of one campaign digest the same workload, and
+#: comparing the dict copies is ~10x cheaper than encoding them again
+_last_stimuli: tuple[list[dict], str] | None = None
+
+
 def _stimuli_digest(stimuli) -> str:
-    return digest([sorted(cycle.items()) for cycle in stimuli])
+    global _last_stimuli
+    cycles = list(stimuli)
+    last = _last_stimuli
+    if last is not None and last[0] == cycles:
+        return last[1]
+    fp = digest([sorted(cycle.items()) for cycle in cycles])
+    _last_stimuli = ([dict(cycle) for cycle in cycles], fp)
+    return fp
 
 
 def _setup_canonical(setup) -> str | None:

@@ -124,9 +124,9 @@ def fsck_store(cache: CampaignCache, *, repair: bool = False,
                     if digest not in present]
     for key in missing_keys:
         collect.error(
-            "E402", f"golden-trace entry {key[:12]} points at a "
+            "E402", f"golden-map entry {key[:12]} points at a "
                     f"missing blob",
-            hint="repair drops the entry; the trace is recomputed "
+            hint="repair drops the entry; the profile is replayed "
                  "on the next campaign")
     if repair and missing_keys:
         cache.db.delete_golden_keys(missing_keys)

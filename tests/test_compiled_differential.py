@@ -10,6 +10,9 @@ inputs, bit for bit:
 * hundreds of fuzzed random netlists (random gate mix, fan-out,
   flop/memory placement) swept cycle-by-cycle under random fault loads,
   comparing every net, every flop, and every memory word;
+* fuzzed and real multi-bank designs whose same-shape memories the
+  kernel steps as one stacked group, under address-line stuck-ats in
+  every bank plus cell flips and stuck cells;
 * full campaigns on the fmem subsystem and the mini CPU, comparing the
   per-fault records, outcome tallies, DC and SFF between engines;
 * the sharded parallel runner at 1, 2, and 4 workers against the
@@ -40,6 +43,7 @@ from repro.faultinjection.parallel import CampaignSpec
 from repro.faultinjection.supervisor import CampaignSupervisor
 from repro.hdl import CompiledSimulator, Module, Simulator, \
     compile_circuit
+from repro.service.core import make_subsystem
 from repro.soc import MemorySubsystem, SubsystemConfig
 from repro.soc.minicpu import CpuConfig, MiniCpu, assemble
 from repro.zones.model import ObservationKind, ObservationPoint
@@ -180,6 +184,143 @@ def test_fuzzed_lane_boundaries_dense():
         circuit = fuzz_circuit(seed)
         for machines in (63, 64, 65):
             _sweep_and_compare(circuit, seed, machines, cycles=12)
+
+
+# ----------------------------------------------------------------------
+# stacked memories: same-shape banks stepped as one group
+# ----------------------------------------------------------------------
+def fuzz_banked_circuit(seed: int, banks: int):
+    """A random design with ``banks`` same-shape memories (one stacked
+    group in the compiled kernel) plus one memory of another shape."""
+    rng = random.Random(seed)
+    m = Module(f"banked{seed}")
+    pool = []
+    for i in range(4):
+        pool.extend(m.input(f"in{i}", 2))
+    for _ in range(rng.randrange(8, 20)):
+        a, b = rng.choice(pool), rng.choice(pool)
+        pool.append(rng.choice((a & b, a | b, a ^ b, ~a)))
+    for bank in range(banks):
+        addr = m.cat(*(rng.choice(pool) for _ in range(3)))
+        wdata = m.cat(*(rng.choice(pool) for _ in range(4)))
+        pool.extend(m.memory(f"bank{bank}", 8, 4, addr, wdata,
+                             rng.choice(pool)))
+    pool.extend(m.memory("odd", 4, 3,
+                         m.cat(*(rng.choice(pool) for _ in range(2))),
+                         m.cat(*(rng.choice(pool) for _ in range(3))),
+                         rng.choice(pool)))
+    for r in range(3):
+        pool.append(m.reg(f"r{r}", rng.choice(pool)))
+    m.output("y", m.cat(*pool[-6:]))
+    return m.build()
+
+
+def _sweep_banked(circuit, seed, machines, cycles=16):
+    """Address-line stuck-ats in every bank plus cell flips and stuck
+    cells, compared every cycle against the interpreted oracle.
+
+    Returns, per memory-step call that had diverging lanes, whether
+    the kernel could reuse the last cycle's lane selection.
+    """
+    rng = random.Random(seed)
+    isim = Simulator(circuit, machines=machines)
+    csim = CompiledSimulator(compile_circuit(circuit),
+                             machines=machines)
+    reused = []
+    select = csim._divergent_lanes
+
+    def spy(group, mism):
+        reused.append(group.sel is not None
+                      and (mism == group.sel_mism).all())
+        return select(group, mism)
+
+    csim._divergent_lanes = spy
+    for k in range(1, machines):
+        mem = rng.choice(circuit.memories)
+        kind = rng.randrange(3)
+        for s in (isim, csim):
+            if kind == 0:
+                s.stick_net(mem.addr[k % len(mem.addr)], k % 2,
+                            machines=1 << k)
+            elif kind == 1:
+                s.schedule_mem_flip(mem.name, k % mem.depth,
+                                    k % mem.width, k % cycles,
+                                    machines=1 << k)
+            else:
+                s.set_mem_cell_stuck(mem.name, k % mem.depth,
+                                     k % mem.width, k % 2,
+                                     machines=1 << k)
+    widths = {n: len(bits) for n, bits in circuit.inputs.items()}
+    full = (1 << machines) - 1
+    for cyc in range(cycles):
+        stim = {n: rng.getrandbits(w) for n, w in widths.items()}
+        isim.step(stim)
+        csim.step(stim)
+        for n in range(circuit.num_nets):
+            assert (isim.peek(n) & full) == csim.peek(n), \
+                (seed, machines, cyc, n)
+        for mem in circuit.memories:
+            for w in range(mem.depth):
+                assert isim.mem_word_mismatch(mem.name, w) == \
+                    csim.mem_word_mismatch(mem.name, w), \
+                    (seed, machines, cyc, mem.name, w)
+    for mem in circuit.memories:
+        for w in range(mem.depth):
+            for mch in range(machines):
+                assert isim.read_mem_word(mem.name, w, machine=mch) \
+                    == csim.read_mem_word(mem.name, w, machine=mch), \
+                    (seed, machines, mem.name, w, mch)
+    return reused
+
+
+@pytest.mark.parametrize("banks", [2, 4])
+def test_stacked_memory_banks_bit_identical(banks):
+    reused = []
+    for seed in range(24):
+        circuit = fuzz_banked_circuit(seed, banks)
+        reused += _sweep_banked(circuit, seed,
+                                MACHINE_SWEEP[seed % len(MACHINE_SWEEP)])
+    # both the reused and the recomputed lane selection were exercised
+    assert any(reused) and not all(reused)
+
+
+def _bank_faults(circuit, rng):
+    """Address-line stuck-ats in every bank plus cell flips and stuck
+    cells in every bank."""
+    faults = []
+    for mem in circuit.memories:
+        for bit, net in enumerate(mem.addr):
+            faults.append(StuckNetFault(target=net, value=bit % 2))
+        for _ in range(3):
+            faults.append(MemFlipFault(target=mem.name,
+                                       word=rng.randrange(mem.depth),
+                                       bit=rng.randrange(mem.width),
+                                       offset=rng.randrange(200)))
+            faults.append(MemStuckFault(target=mem.name,
+                                        word=rng.randrange(mem.depth),
+                                        bit=rng.randrange(mem.width),
+                                        value=rng.getrandbits(1)))
+    return faults
+
+
+@pytest.mark.parametrize("banks", [2, 4])
+def test_banked_subsystem_campaign_engines_identical(banks):
+    env = build_environment(
+        make_subsystem("small-baseline", banks=banks), quick=True)
+    faults = _bank_faults(env.circuit, random.Random(banks))
+    stimuli = env.stimuli[:240]
+
+    def run(engine):
+        manager = FaultInjectionManager(
+            env.circuit, stimuli, zone_set=env.zone_set,
+            setup=env.setup, config=CampaignConfig(engine=engine))
+        return manager.run(CandidateList(faults=faults))
+
+    ri = run(ENGINE_INTERPRETED)
+    rc = run(ENGINE_COMPILED)
+    assert _fault_records(ri) == _fault_records(rc)
+    assert ri.outcomes() == rc.outcomes()
+    assert ri.coverage.sens == rc.coverage.sens
 
 
 # ----------------------------------------------------------------------

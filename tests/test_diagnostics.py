@@ -244,6 +244,7 @@ def test_fsck_detects_and_repairs_corruption(env, tmp_path):
     subset = CandidateList(faults=env.candidates().faults[:16])
     store = tmp_path / "store"
     with CampaignCache(store) as cache:
+        cache.profile(env)          # the store's one blob
         cold = env.supervisor(cache=cache).run(subset)
     cold_rows = _fault_rows(cold)
 

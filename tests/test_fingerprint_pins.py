@@ -8,8 +8,8 @@ values for four designs: the small memory subsystem (fmem), the
 lock-step mini CPU, the two-bank small baseline and the full-size
 improved subsystem.
 
-Per design it pins a SHA-256 over the ordered per-fault fingerprints,
-``golden_key()`` and ``environment_fingerprint()``.  A deliberate
+Per design it pins a SHA-256 over the ordered per-fault fingerprints
+and ``environment_fingerprint()``.  A deliberate
 format change bumps ``FP_VERSION`` and regenerates the data file::
 
     PYTHONPATH=src python -m tests.test_fingerprint_pins --write
@@ -101,7 +101,6 @@ def pins_of(name: str) -> dict:
         ordered.update(b"\n")
     return {"faults": len(faults),
             "fault_fingerprints": ordered.hexdigest(),
-            "golden_key": ctx.golden_key(),
             "environment_fingerprint": ctx.environment_fingerprint()}
 
 

@@ -452,7 +452,7 @@ def test_gc_keeps_the_profile_of_kept_runs(tmp_path, monkeypatch):
     assert len(calls) == 1              # no replay after either gc
 
     with CampaignCache(root) as cache:
-        # no run left: the profile is swept with the golden trace
+        # no run left: the profile is swept
         gc_store(cache, keep_runs=0)
         assert cache.db.golden_rows() == []
         assert len(cache.blobs) == 0

@@ -167,16 +167,20 @@ def test_corrupt_blob_is_detected(tmp_path):
 # ----------------------------------------------------------------------
 # corruption never crashes a campaign
 # ----------------------------------------------------------------------
-def test_corrupt_golden_blob_recomputes(env, candidates, serial,
-                                        tmp_path):
+def test_corrupt_profile_blob_recomputes(env, candidates, serial,
+                                         tmp_path):
     with CampaignCache(tmp_path / "store") as cache:
+        cache.profile(env)
         _cached_run(env, candidates, cache, workers=1)
         run = cache.db.runs(limit=1)[0]
-        cache.blobs.path_for(run["golden_blob"]).write_bytes(b"junk")
+        assert run["golden_blob"] is None
+        cache.blobs.path_for(run["profile_blob"]).write_bytes(b"junk")
 
     with CampaignCache(tmp_path / "store") as cache:
+        cache.profile(env)
         campaign = _cached_run(env, candidates, cache, workers=1)
         assert cache.stats.corrupt == 1
+        assert cache.stats.profile_misses == 1  # replayed once
         assert cache.stats.simulated == 0       # outcomes still hit
         assert _fault_rows(campaign) == _fault_rows(serial)
 
@@ -270,8 +274,9 @@ def test_resume_after_sigkill(tmp_path, env, candidates, serial):
 # ----------------------------------------------------------------------
 def test_store_stats_and_gc(tmp_path, env, candidates):
     with CampaignCache(tmp_path / "store") as cache:
-        _cached_run(env, candidates, cache, workers=1)
-        _cached_run(env, candidates, cache, workers=1)
+        for _ in range(2):
+            cache.profile(env)
+            _cached_run(env, candidates, cache, workers=1)
         stats = store_stats(cache)
         assert stats.runs == 2 and stats.done_runs == 2
         assert stats.outcomes == len(candidates.faults)
@@ -289,7 +294,7 @@ def test_store_stats_and_gc(tmp_path, env, candidates):
         assert result.outcomes_removed == 0
         assert len(cache.db.runs()) == 1
 
-        # dropping all runs sweeps the outcomes and the golden blob
+        # dropping all runs sweeps the outcomes and the profile blob
         result = gc_store(cache, keep_runs=0)
         assert result.outcomes_removed == len(candidates.faults)
         assert result.blobs_removed == 1
@@ -444,6 +449,52 @@ def test_damaged_profile_blob_is_recomputed(env, tmp_path, damage):
         cache.profile(env)
         assert cache.stats.profile_hits == 1
         assert cache.stats.corrupt == 0
+
+
+def test_profile_written_without_net_activity_is_a_clean_miss(
+        env, candidates, serial, tmp_path, monkeypatch):
+    """A store from before the profile recorded per-net activity: its
+    entry (kind "operational_profile", no first-event arrays) is not
+    looked up, so the campaign replays once and counts no corruption."""
+    from repro.faultinjection import parallel, profiler
+    from repro.store.fingerprint import FP_VERSION, _setup_canonical, \
+        _stimuli_digest
+    legacy = env.profile().to_dict()
+    del legacy["first_change"], legacy["first_one"]
+    legacy_key = digest({
+        "v": FP_VERSION, "kind": "operational_profile",
+        "circuit": env.circuit.structural_hash(),
+        "stimuli": _stimuli_digest(env.stimuli),
+        "setup": _setup_canonical(snapshot_setup(env.circuit,
+                                                 env.setup)),
+        "read_strobes": sorted(env.read_strobes.items())})
+    store = tmp_path / "store"
+    with CampaignCache(store) as cache:
+        cache.db.put_golden(legacy_key, cache.blobs.put(
+            json.dumps(legacy).encode()))
+
+    replays = []
+    real = profiler.profile_workload
+
+    def counted(*args, **kw):
+        replays.append(1)
+        return real(*args, **kw)
+
+    monkeypatch.setattr(profiler, "profile_workload", counted)
+    monkeypatch.setattr(parallel, "profile_workload", counted)
+    fresh = _with(env)
+    with CampaignCache(store) as cache:
+        fresh.profile(cache)
+        campaign = _cached_run(fresh, candidates, cache, workers=1)
+        assert len(replays) == 1
+        assert (cache.stats.profile_hits,
+                cache.stats.profile_misses) == (0, 1)
+        assert cache.stats.corrupt == 0
+        assert sorted(key for key, _ in cache.db.golden_rows()) == \
+            sorted([legacy_key, _profile_key(env)])
+    assert _fault_rows(campaign) == _fault_rows(serial)
+    assert campaign.coverage.obse == serial.coverage.obse
+    assert campaign.coverage.diag == serial.coverage.diag
 
 
 def test_unsnapshottable_setup_profiles_without_the_store(env,
