@@ -30,14 +30,13 @@ from repro.faultinjection import (
     CampaignConfig,
     CampaignSpec,
     CampaignSupervisor,
-    ENGINE_COMPILED,
-    ENGINE_INTERPRETED,
     FaultListConfig,
     ResultAnalyzer,
     build_environment,
     randomize,
 )
 from repro.zones import predict_effects_table
+from tests.campaign_oracle import run_interpreted
 
 import pytest
 
@@ -146,10 +145,10 @@ def test_campaign_engine_speedup(benchmark, env):
     """Compiled bit-parallel kernel vs the interpreted oracle.
 
     A dense 1023-fault list fills one full compiled shard (1024
-    machines including the golden lane) that the interpreted engine
-    has to chew through in 22 passes of 48 machines.  The compiled
-    engine must agree bit-for-bit on every safety metric and be at
-    least 10x faster.
+    machines including the golden lane) that the interpreted oracle of
+    ``tests/campaign_oracle.py`` has to chew through in 22 passes of
+    48 machines.  The compiled engine must agree bit-for-bit on every
+    safety metric and be at least 10x faster.
     """
     dense = env.candidates(FaultListConfig(
         transient_per_zone=16, permanent_per_zone=16,
@@ -157,15 +156,13 @@ def test_campaign_engine_speedup(benchmark, env):
     candidates = randomize(dense, 1023)
 
     def compiled_run():
-        return env.manager(
-            CampaignConfig(engine=ENGINE_COMPILED)).run(candidates)
+        return env.manager().run(candidates)
 
     campaign = benchmark.pedantic(compiled_run, rounds=2, iterations=1)
     compiled_s = min(benchmark.stats.stats.as_dict()["min"],
                      campaign.wall_seconds)
 
-    interpreted = env.manager(
-        CampaignConfig(engine=ENGINE_INTERPRETED)).run(candidates)
+    interpreted = run_interpreted(env.manager(), candidates)
     interpreted_s = interpreted.wall_seconds
 
     # the kernel is only admissible because it is bit-identical
@@ -288,8 +285,7 @@ def test_scaled_banked_campaign(benchmark, banked_small):
     candidates = env.candidates()
 
     def run():
-        return env.manager(
-            CampaignConfig(engine=ENGINE_COMPILED)).run(candidates)
+        return env.manager().run(candidates)
 
     campaign = benchmark.pedantic(run, rounds=2, iterations=1)
     throughput = len(campaign.results) / max(campaign.wall_seconds,

@@ -232,7 +232,7 @@ def cmd_explore(args) -> int:
         variant=args.variant, banks=args.banks,
         target_sff=args.target_sff, hft=args.hft,
         budget=args.budget, probe_width=args.probe_width,
-        full=args.full, engine=args.engine, workers=args.workers,
+        full=args.full, workers=args.workers,
         use_queue=not args.no_queue, project=args.project,
         verify=not args.no_verify)
     progress = None
@@ -770,13 +770,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--machines-per-pass", type=int, default=None,
             help="faults batched per simulation pass (default: "
-                 "engine-specific, 1023 compiled / 48 interpreted)")
-        p.add_argument(
-            "--engine", choices=("compiled", "interpreted"),
-            default="compiled",
-            help="simulation kernel: the compiled numpy engine "
-                 "(falls back per pass when a construct is "
-                 "unsupported) or the big-int interpreter")
+                 "1023)")
         p.add_argument("--full", action="store_true",
                        help="use the full (slow) campaign workload")
         add_store(p)
@@ -853,8 +847,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "iteration (default: 3)")
     p.add_argument("--full", action="store_true",
                    help="use the full (slow) campaign workload")
-    p.add_argument("--engine", choices=("compiled", "interpreted"),
-                   default="compiled")
     p.add_argument("--workers", type=int, default=1,
                    help="campaign worker processes per evaluation")
     p.add_argument("--no-queue", action="store_true",

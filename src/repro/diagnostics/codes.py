@@ -192,8 +192,6 @@ CODES: dict[str, tuple[str, str]] = {
     "E431": ("request-unknown-variant",
              "the design variant is not one of the registered "
              "subsystem variants"),
-    "E432": ("request-unknown-engine",
-             "engine must be `interpreted` or `compiled`"),
 }
 
 

@@ -41,7 +41,9 @@ def zone_sff_deltas(base_point, improved_point,
         du_a = after[zone].lambda_du if zone in after else 0.0
         if abs(du_b - du_a) > 1e-12:
             rows.append((zone, du_b, du_a))
-    rows.sort(key=lambda r: -(r[1] - r[2]))
+    # equal deltas (per-bank twins) tie-break on the zone name, so the
+    # order and the ``top`` cut never follow the set's hash order
+    rows.sort(key=lambda r: (-(r[1] - r[2]), r[0]))
     return rows[:top]
 
 

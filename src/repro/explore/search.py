@@ -56,7 +56,6 @@ class ExploreConfig:
     #: step (they are criticality-ordered, so the tail rarely matters)
     probe_width: int = 3
     full: bool = False
-    engine: str = "compiled"
     workers: int = 1
     #: route evaluations through the durable job queue (the default);
     #: False runs them in-process, for tests
@@ -203,9 +202,7 @@ class ExplorationResult:
 def _run_point(service, point: DesignPoint, config: ExploreConfig,
                progress=None) -> dict:
     """Evaluate one point; returns the campaign's summary dict."""
-    request = point.request(
-        full=config.full, engine=config.engine,
-        workers=config.workers)
+    request = point.request(full=config.full, workers=config.workers)
     if not config.use_queue:
         outcome = service.run_campaign(request)
         summary = outcome.summary_dict()

@@ -25,8 +25,6 @@ from .monitors import CoverageCollection
 from .manager import (
     CampaignConfig,
     CampaignResult,
-    ENGINE_COMPILED,
-    ENGINE_INTERPRETED,
     FaultInjectionManager,
     FaultResult,
     OUTCOME_DD,
@@ -96,8 +94,7 @@ __all__ = [
     "generate_cone_faults", "generate_gate_faults",
     "generate_zone_faults", "randomize",
     "CoverageCollection",
-    "CampaignConfig", "CampaignResult", "ENGINE_COMPILED",
-    "ENGINE_INTERPRETED", "FaultInjectionManager",
+    "CampaignConfig", "CampaignResult", "FaultInjectionManager",
     "FaultResult", "OUTCOME_DD", "OUTCOME_DETECTED_SAFE", "OUTCOME_DU",
     "OUTCOME_SAFE",
     "CampaignSpec", "CampaignStats", "GoldenTrace", "MemoryImageSetup",

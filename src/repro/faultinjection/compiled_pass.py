@@ -1,11 +1,10 @@
 """One campaign pass on the compiled numpy kernel.
 
-:func:`run_pass_compiled` mirrors
-``FaultInjectionManager._run_pass_interpreted`` record for record —
-same ``FaultResult`` fields, same coverage bookkeeping, same toggle
-merge — but evaluates the whole pass on
-:class:`~repro.hdl.compiled.CompiledSimulator` and replaces the
-per-point Python observation loop with vectorized group reductions:
+:func:`run_pass_compiled` is the pass loop of every campaign: it
+evaluates the whole pass on
+:class:`~repro.hdl.compiled.CompiledSimulator` (every fault kind,
+bridges and memory coupling included) and observes it with vectorized
+group reductions instead of a per-point Python loop:
 
 * all observation points and net-shaped SENS probes are concatenated
   into one row gather; a single segmented OR (``reduceat``) yields the
@@ -20,25 +19,20 @@ per-point Python observation loop with vectorized group reductions:
   touches a (point, machine) pair once — after the first divergence is
   recorded the steady-state per-cycle cost is a handful of numpy calls.
 
-The function returns ``False`` — recording **nothing** — whenever the
-pass cannot run compiled (a fault kind without a compiled overlay, or
-a circuit construct the compiler rejects), and the caller re-runs the
-batch interpreted.  Results are bit-identical between the engines;
-``tests/test_compiled_differential.py`` proves it differentially.
+Its records — ``FaultResult`` fields, coverage bookkeeping, toggle
+merge — are bit-identical to a per-point loop over the interpreted
+:class:`~repro.hdl.simulator.Simulator`, the differential oracle that
+``tests/test_compiled_differential.py`` checks it against.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..hdl.compiled import CompiledSimulator, CompiledUnsupported
+from ..hdl.compiled import CompiledSimulator
 from .manager import FaultResult
 
 _U64 = np.uint64
-
-#: fault kinds with no compiled overlay — checked up front so the
-#: common fallback costs no wasted compile/arm work
-UNSUPPORTED_KINDS = frozenset({"bridge", "mem_coupling"})
 
 _FUNC, _STATUS, _PROBE, _DIAG = 0, 1, 2, 3
 
@@ -136,32 +130,23 @@ def _build_groups(manager, sim, batch):
 
 
 def run_pass_compiled(manager, batch, result,
-                      track_golden: bool = True) -> bool:
-    """Run one campaign pass compiled; ``False`` = caller falls back.
+                      track_golden: bool = True) -> None:
+    """Run one campaign pass and record its faults into ``result``.
 
-    Nothing is recorded into ``result`` until the pass is guaranteed
-    to run, so falling back to the interpreted engine is always safe.
-    A :class:`~repro.hdl.simulator.CycleBudgetExceeded` raised mid-pass
-    propagates exactly as it does from the interpreted loop (the
+    A :class:`~repro.hdl.simulator.CycleBudgetExceeded` raised
+    mid-pass propagates before any fault record is added (the
     supervisor's hang quarantine relies on it).
     """
-    if any(f.kind in UNSUPPORTED_KINDS for f in batch):
-        return False
-    cc = manager.compiled_circuit()
-    if cc is None:
-        return False
     cfg = manager.config
-    try:
-        sim = CompiledSimulator(cc, machines=len(batch) + 1,
-                                collect_toggles=cfg.collect_toggles,
-                                toggle_any_machine=True,
-                                cycle_budget=cfg.cycle_budget)
-        if manager.setup is not None:
-            manager.setup(sim)
-        for k, fault in enumerate(batch, start=1):
-            fault.arm(sim, machine=k, t0=0)
-    except CompiledUnsupported:
-        return False
+    sim = CompiledSimulator(manager.compiled_circuit(),
+                            machines=len(batch) + 1,
+                            collect_toggles=cfg.collect_toggles,
+                            toggle_any_machine=True,
+                            cycle_budget=cfg.cycle_budget)
+    if manager.setup is not None:
+        manager.setup(sim)
+    for k, fault in enumerate(batch, start=1):
+        fault.arm(sim, machine=k, t0=0)
 
     results = [FaultResult(fault=f) for f in batch]
     net, diag_lo, nfunc, flopg, memgs = _build_groups(manager, sim,
@@ -270,4 +255,3 @@ def run_pass_compiled(manager, batch, result,
                 result.seen1[net_id] = 1
 
     result.results.extend(results)
-    return True

@@ -7,8 +7,9 @@ standard fault coverage" as the workload-completeness measure.
 
 A fault is *detected* when any functional output or diagnostic alarm of
 the faulty machine deviates from the golden machine at any cycle of the
-workload.  The engine packs up to N faults per simulator pass using the
-bit-parallel machines.
+workload.  The faults run through the campaign pass loop
+(:meth:`~repro.faultinjection.manager.FaultInjectionManager.run_batches`)
+with every observed port as an output observation point.
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ import time
 from dataclasses import dataclass, field
 
 from ..hdl.netlist import Circuit
-from ..hdl.simulator import Simulator
+from ..zones.model import ObservationKind, ObservationPoint
 from .faultlist import CandidateList, generate_gate_faults
+from .manager import CampaignConfig, FaultInjectionManager
 
 
 @dataclass
@@ -45,7 +47,7 @@ class FaultSimReport:
 def simulate_faults(circuit: Circuit, stimuli,
                     candidates: CandidateList | None = None,
                     observe: list[str] | None = None,
-                    setup=None, machines_per_pass: int = 48,
+                    setup=None,
                     max_cycles: int | None = None) -> FaultSimReport:
     """Measure detected fraction of a stuck-at fault list.
 
@@ -57,40 +59,23 @@ def simulate_faults(circuit: Circuit, stimuli,
         candidates = generate_gate_faults(circuit)
     if observe is None:
         observe = list(circuit.outputs)
-    observe_nets: list[int] = []
-    for name in observe:
-        observe_nets.extend(circuit.outputs[name])
-
-    stimuli = list(stimuli)
-    if max_cycles is not None:
-        stimuli = stimuli[:max_cycles]
+    points = [ObservationPoint(name=name, kind=ObservationKind.OUTPUT,
+                               nets=tuple(circuit.outputs[name]))
+              for name in observe]
+    manager = FaultInjectionManager(
+        circuit, stimuli, observation_points=points, setup=setup,
+        config=CampaignConfig(max_cycles=max_cycles))
 
     start = time.time()
+    result = manager.run_batches(list(candidates.faults),
+                                 track_golden=False)
     report = FaultSimReport(total=len(candidates.faults), detected=0,
-                            cycles=len(stimuli))
-    faults = list(candidates.faults)
-    for lo in range(0, len(faults), machines_per_pass):
-        batch = faults[lo:lo + machines_per_pass]
-        sim = Simulator(circuit, machines=len(batch) + 1)
-        if setup is not None:
-            setup(sim)
-        for k, fault in enumerate(batch, start=1):
-            fault.arm(sim, machine=k, t0=0)
-
-        detected_mask = 0
-        all_mask = (1 << (len(batch) + 1)) - 2
-        for inputs in stimuli:
-            sim.step_eval(inputs)
-            detected_mask |= sim.mismatch_mask(observe_nets)
-            sim.step_commit()
-            if detected_mask == all_mask:
-                break
-
-        for k, fault in enumerate(batch, start=1):
-            if detected_mask >> k & 1:
-                report.detected += 1
-            else:
-                report.undetected_names.append(fault.name)
-        report.passes += 1
+                            cycles=len(manager.stimuli[:max_cycles]),
+                            passes=result.passes)
+    for res in result.results:
+        if res.obse_cycle is not None:
+            report.detected += 1
+        else:
+            report.undetected_names.append(res.fault.name)
     report.wall_seconds = time.time() - start
     return report

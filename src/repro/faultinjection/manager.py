@@ -24,7 +24,6 @@ import time
 from dataclasses import dataclass, field
 
 from ..hdl.netlist import Circuit
-from ..hdl.simulator import Simulator
 from ..zones.extractor import ZoneSet
 from ..zones.model import ObservationPoint, SensibleZone, ZoneKind
 from .faultlist import CandidateList
@@ -36,21 +35,15 @@ OUTCOME_DETECTED_SAFE = "detected_safe"
 OUTCOME_DD = "dangerous_detected"
 OUTCOME_DU = "dangerous_undetected"
 
-ENGINE_COMPILED = "compiled"
-ENGINE_INTERPRETED = "interpreted"
-
-#: engine-specific defaults for faulty machines per pass: the
-#: interpreted big-int simulator stops gaining past a few dozen lanes,
-#: while the compiled kernel amortizes its fixed per-cycle cost best
-#: when a full fault shard rides in one pass
-DEFAULT_MACHINES_INTERPRETED = 48
-DEFAULT_MACHINES_COMPILED = 1023
+#: default faulty machines per pass: the compiled kernel amortizes its
+#: fixed per-cycle cost best when a full fault shard rides in one pass
+DEFAULT_MACHINES_PER_PASS = 1023
 
 
 @dataclass
 class CampaignConfig:
-    #: faulty machines per simulator pass; ``None`` picks the engine
-    #: default (48 interpreted, 1023 compiled)
+    #: faulty machines per simulator pass; ``None`` picks
+    #: :data:`DEFAULT_MACHINES_PER_PASS`
     machines_per_pass: int | None = None
     detection_window: int = 12     # cycles an alarm may trail corruption
     max_cycles: int | None = None  # optionally trim the workload
@@ -63,19 +56,12 @@ class CampaignConfig:
     #: observed inside one counts as detected (the test's compare step
     #: flags it) — the detection model of the SW start-up test claims
     test_windows: tuple[tuple[int, int], ...] = ()
-    #: simulation engine: :data:`ENGINE_COMPILED` (numpy kernel with
-    #: automatic per-pass fallback) or :data:`ENGINE_INTERPRETED`
-    #: (the big-int oracle).  Outcomes are bit-identical either way;
-    #: store fingerprints never include this knob.
-    engine: str = ENGINE_COMPILED
 
     def resolved_machines_per_pass(self) -> int:
-        """The effective pass width, applying the engine default."""
+        """The effective pass width, applying the default."""
         if self.machines_per_pass is not None:
             return max(1, self.machines_per_pass)
-        return DEFAULT_MACHINES_COMPILED \
-            if self.engine == ENGINE_COMPILED \
-            else DEFAULT_MACHINES_INTERPRETED
+        return DEFAULT_MACHINES_PER_PASS
 
 
 @dataclass
@@ -210,7 +196,6 @@ class FaultInjectionManager:
         self._flop_index = {f.name: i
                             for i, f in enumerate(circuit.flops)}
         self._compiled = None
-        self._compile_failed = False
 
     # ------------------------------------------------------------------
     def new_result(self) -> CampaignResult:
@@ -247,9 +232,11 @@ class FaultInjectionManager:
         """
         result = into if into is not None else self.new_result()
         per_pass = self.config.resolved_machines_per_pass()
+        from .compiled_pass import run_pass_compiled
         for lo in range(0, len(faults), per_pass):
             batch = faults[lo:lo + per_pass]
-            self._run_pass(batch, result, track_golden=track_golden)
+            run_pass_compiled(self, batch, result,
+                              track_golden=track_golden)
             result.passes += 1
         return result
 
@@ -287,141 +274,14 @@ class FaultInjectionManager:
 
     # ------------------------------------------------------------------
     def compiled_circuit(self):
-        """The compiled program for this circuit, or ``None`` when the
-        circuit has no compiled representation (then every pass runs
-        interpreted).  Compiled once per manager and shared by all
-        passes; a :class:`~repro.hdl.compiled.CompileError` (e.g. a
-        combinational loop) propagates — it would break the
-        interpreted levelizer just the same."""
-        if self._compile_failed:
-            return None
+        """The compiled program for this circuit, compiled once per
+        manager and shared by all passes.  A netlist the compiler
+        rejects (a combinational loop, a multi-driven net) raises its
+        :class:`~repro.hdl.netlist.NetlistError` here."""
         if self._compiled is None:
-            from ..hdl.compiled import CompiledUnsupported, \
-                compile_circuit
-            try:
-                self._compiled = compile_circuit(self.circuit)
-            except CompiledUnsupported:
-                self._compile_failed = True
-                return None
+            from ..hdl.compiled import compile_circuit
+            self._compiled = compile_circuit(self.circuit)
         return self._compiled
-
-    def _run_pass(self, batch: list[Fault], result: CampaignResult,
-                  track_golden: bool = True) -> None:
-        if self.config.engine == ENGINE_COMPILED:
-            from .compiled_pass import run_pass_compiled
-            if run_pass_compiled(self, batch, result,
-                                 track_golden=track_golden):
-                return
-        self._run_pass_interpreted(batch, result,
-                                   track_golden=track_golden)
-
-    def _run_pass_interpreted(self, batch: list[Fault],
-                              result: CampaignResult,
-                              track_golden: bool = True) -> None:
-        machines = len(batch) + 1
-        sim = Simulator(self.circuit, machines=machines,
-                        collect_toggles=self.config.collect_toggles,
-                        toggle_any_machine=True,
-                        cycle_budget=self.config.cycle_budget)
-        if self.setup is not None:
-            self.setup(sim)
-
-        results = [FaultResult(fault=f) for f in batch]
-        for k, fault in enumerate(batch, start=1):
-            fault.arm(sim, machine=k, t0=0)
-
-        # group SENS probes (one state compare per distinct probe/cycle);
-        # memory probes are per-word, register probes per-zone
-        probe_members: dict[tuple, list[int]] = {}
-        for idx, fault in enumerate(batch):
-            zone = self._zones_by_name.get(fault.zone or "")
-            if zone is None:
-                continue
-            probe = self._zone_probe(zone, fault)
-            if probe is None:
-                continue
-            probe_members.setdefault(probe, []).append(idx)
-
-        func_nets = {p.name: list(p.nets) for p in self.functional}
-        status_nets = {p.name: list(p.nets) for p in self.status}
-        diag_nets = {p.name: list(p.nets) for p in self.diagnostic}
-        full = sim.full_mask
-
-        stimuli = self.stimuli
-        if self.config.max_cycles is not None:
-            stimuli = stimuli[:self.config.max_cycles]
-
-        golden_prev: dict[str, int] = {}
-        for cycle, inputs in enumerate(stimuli):
-            sim.step_eval(inputs)
-
-            for name, nets in func_nets.items():
-                mask = sim.mismatch_mask(nets)
-                if mask:
-                    for idx, res in enumerate(results):
-                        if mask >> (idx + 1) & 1:
-                            res.effects.setdefault(name, cycle)
-                            if res.obse_cycle is None:
-                                res.obse_cycle = cycle
-                # golden activity covers the OBSE item by itself
-                if track_golden:
-                    value = sim.value_of(nets)
-                    if name in golden_prev and \
-                            golden_prev[name] != value:
-                        result.coverage.obse[name] = True
-                    golden_prev[name] = value
-
-            for name, nets in status_nets.items():
-                # status points: recorded in the effects table only
-                mask = sim.mismatch_mask(nets)
-                if mask:
-                    for idx, res in enumerate(results):
-                        if mask >> (idx + 1) & 1:
-                            res.effects.setdefault(name, cycle)
-
-            for name, nets in diag_nets.items():
-                raised = 0
-                golden_raised = False
-                for net in nets:
-                    v = sim.peek(net)
-                    golden = full if v & 1 else 0
-                    golden_raised = golden_raised or bool(v & 1)
-                    raised |= v & ~golden
-                if golden_raised and track_golden:
-                    # the workload itself exercises the diagnostic
-                    result.coverage.diag[name] = True
-                if raised:
-                    for idx, res in enumerate(results):
-                        if raised >> (idx + 1) & 1:
-                            res.effects.setdefault(name, cycle)
-                            if res.diag_cycle is None:
-                                res.diag_cycle = cycle
-                                res.first_alarm = name
-
-            # SENS: sample zone state while the injected deviation is
-            # still live (a flipped flop may be overwritten at the edge)
-            for probe, members in probe_members.items():
-                mask = self._probe_mismatch(sim, probe)
-                if mask:
-                    for idx in members:
-                        if mask >> (idx + 1) & 1 and \
-                                results[idx].sens_cycle is None:
-                            results[idx].sens_cycle = cycle
-
-            sim.step_commit()
-            result.cycles_simulated += 1
-
-        if self.config.collect_toggles:
-            if result.seen0 is None:
-                result.seen0 = bytearray(self.circuit.num_nets)
-                result.seen1 = bytearray(self.circuit.num_nets)
-            for net in range(self.circuit.num_nets):
-                if sim._seen0[net]:
-                    result.seen0[net] = 1
-                if sim._seen1[net]:
-                    result.seen1[net] = 1
-
-        result.results.extend(results)
 
     # ------------------------------------------------------------------
     def _zone_probe(self, zone: SensibleZone, fault: Fault):
@@ -435,11 +295,3 @@ class FaultInjectionManager:
                 return None
             return ("mem", zone.memory, word)
         return ("nets", tuple(zone.nets))
-
-    @staticmethod
-    def _probe_mismatch(sim: Simulator, probe) -> int:
-        if probe[0] == "flops":
-            return sim.flop_state_mismatch(probe[1])
-        if probe[0] == "mem":
-            return sim.mem_word_mismatch(probe[1], probe[2])
-        return sim.mismatch_mask(probe[1])

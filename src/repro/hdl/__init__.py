@@ -24,7 +24,6 @@ from .builder import Module, Vec
 from .compiled import (
     CompiledCircuit,
     CompiledSimulator,
-    CompiledUnsupported,
     CompileError,
     compile_circuit,
     decompile,
@@ -51,8 +50,8 @@ from . import library
 __all__ = [
     "Circuit", "Flop", "Gate", "MemoryBlock", "NetlistError",
     "Module", "Vec", "Simulator", "library",
-    "CompiledCircuit", "CompiledSimulator", "CompiledUnsupported",
-    "CompileError", "compile_circuit", "decompile",
+    "CompiledCircuit", "CompiledSimulator", "CompileError",
+    "compile_circuit", "decompile",
     "BRIDGE_AND", "BRIDGE_DOMINANT", "BRIDGE_OR",
     "CycleBudgetExceeded",
     "ToggleReport", "measure_toggle_coverage",

@@ -14,19 +14,24 @@ campaign pass in packed 64-bit words:
 * :func:`decompile` — reconstruct an equivalent :class:`Circuit` from a
   compiled program.  The round-trip preserves ``structural_hash``.
 * :class:`CompiledSimulator` — a drop-in replacement for the interpreted
-  simulator (same public API, same fault overlays, bit-identical
+  simulator (same public API, every fault overlay, bit-identical
   results).  Net values live in a ``(rows, W)`` ``uint64`` array where
   ``W = ceil(machines / 64)``; machine *k* is bit ``k % 64`` of word
   ``k // 64`` and machine 0 stays the golden reference, exactly like the
   interpreted big-int layout.
 
-Constructs with no compiled implementation (bridging faults, memory
-coupling faults) raise :class:`CompiledUnsupported`; the campaign
-engine catches it and falls back to the interpreted oracle for that
-pass, so ``engine='compiled'`` is always safe to request.
+This is the only campaign engine.  Bridging faults re-run the program
+once per cycle with the bridged victims forced, and memory coupling
+faults are flipped after the cycle's writes, both reproducing the
+interpreted simulator bit for bit (that simulator stays as the
+differential oracle and the single-lane profile replay).  A netlist
+the renumbering cannot represent (a multi-driven net) is rejected with
+a :class:`~repro.hdl.netlist.NetlistError`.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,21 +53,18 @@ from .netlist import (
     OP_XNOR,
     OP_XOR,
 )
-from .simulator import CycleBudgetExceeded
+from .simulator import (
+    BRIDGE_AND,
+    BRIDGE_DOMINANT,
+    BRIDGE_OR,
+    SimulatorBase,
+)
 
 _U64 = np.uint64
 _WORD_BITS = 64
 
 #: diagnostic code raised for combinational loops at compile time
 LOOP_CODE = "E120"
-
-
-class CompiledUnsupported(NetlistError):
-    """A construct or fault overlay has no compiled implementation.
-
-    Campaign engines treat this as a *fallback* signal: the batch is
-    re-run on the interpreted simulator, never dropped.
-    """
 
 
 class CompileError(DiagnosticError, NetlistError):
@@ -121,7 +123,7 @@ class CompiledCircuit:
 
         def claim(net: int, desc: tuple[str, int]) -> None:
             if net in drivers:
-                raise CompiledUnsupported(
+                raise NetlistError(
                     f"net {circuit.net_names[net]!r} has multiple "
                     f"drivers; compiled renumbering requires the "
                     f"single-driver rule")
@@ -302,8 +304,8 @@ def compile_circuit(circuit: Circuit) -> CompiledCircuit:
     """Compile a circuit into a straight-line numpy program.
 
     Raises :class:`CompileError` (code ``E120``) on combinational
-    loops and :class:`CompiledUnsupported` on structures the compiled
-    renumbering cannot represent (multi-driven nets).
+    loops and :class:`~repro.hdl.netlist.NetlistError` on structures
+    the compiled renumbering cannot represent (multi-driven nets).
     """
     return CompiledCircuit(circuit)
 
@@ -395,14 +397,68 @@ class _MemGroup:
         self.sel: tuple | None = None
 
 
-class CompiledSimulator:
+class _BridgePlan(NamedTuple):
+    """The bridge re-sweep of one fault set, rebuilt when it changes.
+
+    Bridges are sorted stably by victim row; ``eff`` is each bridge's
+    mask minus the lanes a later bridge on the same victim claims, so
+    one victim's bridged values OR-combine with a segmented
+    ``reduceat`` over ``starts``.  A bridge's value is
+    ``(a & (v | not_and)) | (v & or_sel)``: dominant -> a, AND -> a & v,
+    OR -> a | v.  ``plan`` is the forced-net overlay plan with every
+    victim's bridged lanes added to its clear mask; each ``updates``
+    entry ``(setm, positions, victim index, base)`` writes the cycle's
+    bridged values into one bucket's set masks.
+    """
+
+    agg: np.ndarray
+    vic: np.ndarray
+    not_and: np.ndarray
+    or_sel: np.ndarray
+    eff: np.ndarray
+    starts: np.ndarray
+    plan: list
+    updates: list
+
+
+class _Couplings:
+    """One memory group's coupling faults as stacked arrays.
+
+    Sorted stably by aggressor bit, the order the interpreted write
+    loop visits them in.  ``persist`` marks the couplings whose flip
+    survives the cycle's write (a victim in another word, or at or
+    below the aggressor bit); the others flip a higher bit of the word
+    being written, which the write then overwrites, but the flipped
+    value is what that bit's own transition is measured against:
+    ``feeds`` lists ``(coupling, couplings whose aggressor is its
+    victim cell)``.
+    """
+
+    __slots__ = ("member", "aw", "ab", "vw", "vb", "mask", "persist",
+                 "feeds")
+
+    def __init__(self, entries: list[tuple]):
+        entries.sort(key=lambda e: e[2])
+        cols = list(zip(*entries))
+        self.member, self.aw, self.ab, self.vw, self.vb = (
+            np.asarray(c, dtype=np.intp) for c in cols[:5])
+        self.mask = np.stack(cols[5])
+        over = (self.vw == self.aw) & (self.vb > self.ab)
+        self.persist = np.flatnonzero(~over)
+        self.feeds = []
+        for k in np.flatnonzero(over):
+            fed = np.flatnonzero((self.member == self.member[k])
+                                 & (self.aw == self.aw[k])
+                                 & (self.ab == self.vb[k]))
+            if len(fed):
+                self.feeds.append((k, fed))
+
+
+class CompiledSimulator(SimulatorBase):
     """Drop-in bit-parallel simulator running a compiled program.
 
     API-compatible with :class:`~repro.hdl.simulator.Simulator`; fault
     overlays accept the same arguments and Python-int machine masks.
-    Bridging and memory-coupling overlays raise
-    :class:`CompiledUnsupported` (the campaign engine falls back to
-    the interpreted simulator for those).
     """
 
     def __init__(self, circuit, machines: int = 1,
@@ -489,10 +545,15 @@ class CompiledSimulator:
         self._flop_flips: dict[int, list] = {}
         self._net_glitches: dict[int, dict[int, np.ndarray]] = {}
         self._mem_flips: dict[int, list] = {}
+        #: (aggressor net, victim net, mode, mask words) in arming order
+        self._bridges: list[tuple] = []
+        self._bridge_plan: _BridgePlan | None = None
         self._mem_stuck: dict[int, dict[tuple[int, int], tuple]] = {}
         # per-group stacked (members, words, bits, ~clear, set) arrays,
         # built lazily from _mem_stuck and applied as one gather/scatter
         self._mem_stuck_cache: dict[int, tuple | None] = {}
+        self._mem_coupling: dict[int, list[tuple]] = {}
+        self._coupling_cache: dict[int, _Couplings | None] = {}
 
         self.collect_toggles = collect_toggles
         self.toggle_any_machine = toggle_any_machine
@@ -515,45 +576,8 @@ class CompiledSimulator:
             words.astype("<u8")).tobytes(), "little")
 
     # ------------------------------------------------------------------
-    # name resolution (same contract as the interpreted simulator)
+    # name resolution (shared with the interpreted simulator)
     # ------------------------------------------------------------------
-    def _resolve_net(self, net) -> int:
-        if isinstance(net, (int, np.integer)):
-            return int(net)
-        if self._net_index is None:
-            self._net_index = {name: i for i, name
-                               in enumerate(self.circuit.net_names)}
-        try:
-            return self._net_index[net]
-        except KeyError:
-            raise NetlistError(f"no net named {net!r}") from None
-
-    def _resolve_flop(self, flop) -> int:
-        if isinstance(flop, (int, np.integer)):
-            return int(flop)
-        try:
-            return self._flop_index[flop]
-        except KeyError:
-            raise NetlistError(f"no flop named {flop!r}") from None
-
-    def _resolve_mem(self, mem) -> int:
-        if isinstance(mem, (int, np.integer)):
-            return int(mem)
-        try:
-            return self._mem_index[mem]
-        except KeyError:
-            raise NetlistError(f"no memory named {mem!r}") from None
-
-    def _mask(self, machines) -> int:
-        if machines is None:
-            return self.full_mask
-        if isinstance(machines, int):
-            return machines & self.full_mask
-        mask = 0
-        for k in machines:
-            mask |= 1 << k
-        return mask & self.full_mask
-
     def _row(self, net) -> int:
         return int(self.compiled.perm[self._resolve_net(net)])
 
@@ -570,6 +594,7 @@ class CompiledSimulator:
         setm = (setm & ~mask) | (mask if value else _U64(0))
         self._forced[net] = (clear, setm)
         self._overlay_plan = None
+        self._bridge_plan = None
 
     def schedule_flop_flip(self, flop, cycle: int, machines=None) \
             -> None:
@@ -588,11 +613,17 @@ class CompiledSimulator:
         prev = table.get(net)
         table[net] = mask if prev is None else (prev | mask)
 
-    def add_bridge(self, aggressor, victim, mode=None, machines=None) \
-            -> None:
-        raise CompiledUnsupported(
-            "bridging faults are not supported by the compiled "
-            "kernel; use the interpreted engine")
+    def add_bridge(self, aggressor, victim, mode: str = BRIDGE_DOMINANT,
+                   machines=None) -> None:
+        """Bridging fault: the victim net is corrupted by the aggressor."""
+        victim = self._resolve_net(victim)
+        if victim in self._input_nets:
+            # the bridged value overwrites the input row in place
+            self._input_cache_ok = False
+            self._input_last.clear()
+        self._bridges.append((self._resolve_net(aggressor), victim, mode,
+                              self._pack(self._mask(machines))))
+        self._bridge_plan = None
 
     def set_mem_cell_stuck(self, mem, word: int, bit: int, value: int,
                            machines=None) -> None:
@@ -613,20 +644,27 @@ class CompiledSimulator:
         self._mem_flips.setdefault(cycle, []).append(
             (mem, word, bit, self._pack(self._mask(machines))))
 
-    def add_mem_coupling(self, mem, aggressor, victim, machines=None) \
-            -> None:
-        raise CompiledUnsupported(
-            "memory coupling faults are not supported by the "
-            "compiled kernel; use the interpreted engine")
+    def add_mem_coupling(self, mem, aggressor: tuple[int, int],
+                         victim: tuple[int, int], machines=None) -> None:
+        """Coupling fault: a write transition on aggressor flips victim."""
+        mem = self._resolve_mem(mem)
+        self._mem_coupling.setdefault(mem, []).append(
+            (tuple(aggressor), tuple(victim),
+             self._pack(self._mask(machines))))
+        self._coupling_cache.pop(self._mem_slot[mem][0], None)
 
     def clear_faults(self) -> None:
         self._forced.clear()
         self._flop_flips.clear()
         self._net_glitches.clear()
         self._mem_flips.clear()
+        self._bridges.clear()
         self._mem_stuck.clear()
         self._mem_stuck_cache.clear()
+        self._mem_coupling.clear()
+        self._coupling_cache.clear()
         self._overlay_plan = None
+        self._bridge_plan = None
 
     # ------------------------------------------------------------------
     # state access
@@ -676,9 +714,6 @@ class CompiledSimulator:
         for bit, net in enumerate(nets):
             out |= (int(vals[perm[net], w] >> s) & 1) << bit
         return out
-
-    def output(self, name: str, machine: int = 0) -> int:
-        return self.value_of(self.circuit.outputs[name], machine)
 
     def set_flop(self, flop, value: int, machines=None) -> None:
         idx = self._resolve_flop(flop)
@@ -794,36 +829,78 @@ class CompiledSimulator:
                             buf, micro))
         return program
 
-    def _build_overlay_plan(self) -> list:
-        """Forced nets grouped by overlay bucket (0=sources, L+1 after
-        level L), as a bucket-indexed list of
-        ``(rows, notclear, setm, scratch)`` entries (``None`` where the
-        bucket is empty) so the eval loop applies each with four
-        allocation-free numpy calls."""
-        plan: list = [None] * (len(self.compiled.levels) + 1)
+    def _buckets(self, nets) -> dict[int, list[int]]:
+        """Nets grouped by overlay bucket (0=sources, L+1 after level
+        L), in iteration order."""
+        bucket_of = self.compiled.bucket_of
         buckets: dict[int, list[int]] = {}
-        for net in self._forced:
-            buckets.setdefault(
-                int(self.compiled.bucket_of[net]), []).append(net)
-        for b, nets in buckets.items():
+        for net in nets:
+            buckets.setdefault(int(bucket_of[net]), []).append(net)
+        return buckets
+
+    def _build_overlay_plan(self, entries: dict) -> list:
+        """``entries`` (net -> (clear, set) words) as a bucket-indexed
+        list of ``(rows, notclear, setm, scratch)`` entries (``None``
+        where the bucket is empty) so the eval loop applies each with
+        four allocation-free numpy calls."""
+        plan: list = [None] * (len(self.compiled.levels) + 1)
+        for b, nets in self._buckets(entries).items():
             rows = self.compiled.perm[np.asarray(nets, dtype=np.intp)]
-            notclear = np.stack([~self._forced[n][0] for n in nets])
-            setm = np.stack([self._forced[n][1] for n in nets])
+            notclear = np.stack([~entries[n][0] for n in nets])
+            setm = np.stack([entries[n][1] for n in nets])
             plan[b] = (rows, notclear, setm, np.empty_like(setm))
         return plan
+
+    def _build_bridge_plan(self) -> _BridgePlan:
+        perm = self.compiled.perm
+        ones = ~_U64(0)
+        zeros = np.zeros(self.words, dtype=_U64)
+        bridges = sorted(self._bridges, key=lambda br: br[1])
+        # where bridges on one victim overlap, the later one wins (the
+        # interpreted fold overrides lane by lane): trim each mask by
+        # the masks of the later ones
+        eff: list = []
+        claimed: dict[int, np.ndarray] = {}
+        for _, vic, _, mask in reversed(bridges):
+            prior = claimed.get(vic, zeros)
+            eff.append(mask & ~prior)
+            claimed[vic] = mask | prior
+        eff.reverse()
+        uniq, starts = np.unique([br[1] for br in bridges],
+                                 return_index=True)
+        order = {int(vic): k for k, vic in enumerate(uniq)}
+
+        entries = dict(self._forced)
+        for vic, mask in claimed.items():
+            clear, setm = entries.get(vic, (zeros, zeros))
+            entries[vic] = (clear | mask, setm & ~mask)
+        plan = self._build_overlay_plan(entries)
+        updates = []
+        for b, nets in self._buckets(entries).items():
+            pos = [i for i, n in enumerate(nets) if n in order]
+            if pos:
+                setm = plan[b][2]
+                updates.append((setm, np.asarray(pos, dtype=np.intp),
+                                np.asarray([order[nets[i]] for i in pos],
+                                           dtype=np.intp),
+                                setm[pos]))
+        return _BridgePlan(
+            agg=perm[np.asarray([br[0] for br in bridges], dtype=np.intp)],
+            vic=perm[np.asarray([br[1] for br in bridges], dtype=np.intp)],
+            not_and=np.asarray([0 if br[2] == BRIDGE_AND else ones
+                                for br in bridges], dtype=_U64)[:, None],
+            or_sel=np.asarray([ones if br[2] == BRIDGE_OR else 0
+                               for br in bridges], dtype=_U64)[:, None],
+            eff=np.stack(eff), starts=starts, plan=plan, updates=updates)
 
     def _glitch_buckets(self) -> dict[int, tuple] | None:
         table = self._net_glitches.get(self.cycle)
         if not table:
             return None
-        buckets: dict[int, list[int]] = {}
-        for net in table:
-            buckets.setdefault(
-                int(self.compiled.bucket_of[net]), []).append(net)
         return {b: (self.compiled.perm[np.asarray(nets,
                                                   dtype=np.intp)],
                     np.stack([table[n] for n in nets]))
-                for b, nets in buckets.items()}
+                for b, nets in self._buckets(table).items()}
 
     def eval_comb(self) -> None:
         cc = self.compiled
@@ -841,16 +918,43 @@ class CompiledSimulator:
             vals[cc.const1_rows] = self._full
 
         if self._overlay_plan is None:
-            self._overlay_plan = self._build_overlay_plan()
-        plan = self._overlay_plan
+            self._overlay_plan = self._build_overlay_plan(self._forced)
         glitches = self._glitch_buckets()
-        overlayed = bool(self._forced) or glitches is not None
+        if self._bridges:
+            self._eval_bridged(glitches)
+            return
+        self._run_levels(self._overlay_plan, glitches)
+        if self.collect_toggles:
+            self._collect_toggles()
 
+    def _run_levels(self, plan, glitches) -> None:
+        """One sweep of the program, applying ``plan`` (the bucketed
+        forced nets) and the cycle's glitches after each level."""
+        vals = self._vals
         take = vals.take
         band = np.bitwise_and
         bor = np.bitwise_or
-        if overlayed:
-            entry = plan[0]
+        entry = plan[0]
+        if entry is not None:
+            rows, nc, sm, obuf = entry
+            take(rows, axis=0, out=obuf)
+            band(obuf, nc, out=obuf)
+            bor(obuf, sm, out=obuf)
+            vals[rows] = obuf
+        if glitches is not None:
+            g = glitches.get(0)
+            if g is not None:
+                grows, gmasks = g
+                vals[grows] = vals[grows] ^ gmasks
+        for lvl, (gather, buf, micro) in enumerate(self._program):
+            if gather is not None:
+                take(gather, axis=0, out=buf)
+            for fn, a, b, dst in micro:
+                if b is None:
+                    fn(a, out=dst)
+                else:
+                    fn(a, b, out=dst)
+            entry = plan[lvl + 1]
             if entry is not None:
                 rows, nc, sm, obuf = entry
                 take(rows, axis=0, out=obuf)
@@ -858,49 +962,49 @@ class CompiledSimulator:
                 bor(obuf, sm, out=obuf)
                 vals[rows] = obuf
             if glitches is not None:
-                g = glitches.get(0)
+                g = glitches.get(lvl + 1)
                 if g is not None:
                     grows, gmasks = g
                     vals[grows] = vals[grows] ^ gmasks
-            for lvl, (gather, buf, micro) in enumerate(self._program):
-                if gather is not None:
-                    take(gather, axis=0, out=buf)
-                for fn, a, b, dst in micro:
-                    if b is None:
-                        fn(a, out=dst)
-                    else:
-                        fn(a, b, out=dst)
-                entry = plan[lvl + 1]
-                if entry is not None:
-                    rows, nc, sm, obuf = entry
-                    take(rows, axis=0, out=obuf)
-                    band(obuf, nc, out=obuf)
-                    bor(obuf, sm, out=obuf)
-                    vals[rows] = obuf
-                if glitches is not None:
-                    g = glitches.get(lvl + 1)
-                    if g is not None:
-                        grows, gmasks = g
-                        vals[grows] = vals[grows] ^ gmasks
-        else:
-            for gather, buf, micro in self._program:
-                if gather is not None:
-                    take(gather, axis=0, out=buf)
-                for fn, a, b, dst in micro:
-                    if b is None:
-                        fn(a, out=dst)
-                    else:
-                        fn(a, b, out=dst)
 
+    def _eval_bridged(self, glitches) -> None:
+        """The interpreted bridge semantics: a first sweep, then a
+        re-sweep with every victim forced to its bridged value (read
+        from the first sweep, so bridges never chain)."""
+        vals = self._vals
+        source_glitch = glitches.get(0) if glitches is not None else None
+        raw = vals[source_glitch[0]] if source_glitch is not None \
+            else None
+        self._run_levels(self._overlay_plan, glitches)
         if self.collect_toggles:
-            nets = vals[:cc.num_nets]
-            if self.toggle_any_machine:
-                self._t_seen1 |= nets.any(axis=1)
-                self._t_seen0 |= (nets != self._full).any(axis=1)
-            else:
-                bit0 = (nets[:, 0] & _U64(1)).astype(bool)
-                self._t_seen1 |= bit0
-                self._t_seen0 |= ~bit0
+            self._collect_toggles()
+
+        if self._bridge_plan is None:
+            self._bridge_plan = self._build_bridge_plan()
+        bp = self._bridge_plan
+        a = vals[bp.agg]
+        v = vals[bp.vic]
+        bridged = ((a & (v | bp.not_and)) | (v & bp.or_sel)) & bp.eff
+        per_victim = np.bitwise_or.reduceat(bridged, bp.starts, axis=0)
+        for setm, pos, idx, base in bp.updates:
+            setm[pos] = base | per_victim[idx]
+        # the re-sweep restarts from the unglitched sources, so every
+        # glitch is applied exactly once per evaluation
+        if raw is not None:
+            vals[source_glitch[0]] = raw
+        self._run_levels(bp.plan, glitches)
+        if self.collect_toggles:
+            self._collect_toggles()
+
+    def _collect_toggles(self) -> None:
+        nets = self._vals[:self.compiled.num_nets]
+        if self.toggle_any_machine:
+            self._t_seen1 |= nets.any(axis=1)
+            self._t_seen0 |= (nets != self._full).any(axis=1)
+        else:
+            bit0 = (nets[:, 0] & _U64(1)).astype(bool)
+            self._t_seen1 |= bit0
+            self._t_seen0 |= ~bit0
 
     def clock_edge(self) -> None:
         cc = self.compiled
@@ -937,25 +1041,6 @@ class CompiledSimulator:
             for mi, word, bit, mask in mflips:
                 self._mem_store[mi][word, :, bit] ^= mask
 
-    def step(self, inputs=None) -> None:
-        self.step_eval(inputs)
-        self.step_commit()
-
-    def step_eval(self, inputs=None) -> None:
-        if self.cycle_budget is not None and \
-                self.cycle >= self.cycle_budget:
-            raise CycleBudgetExceeded(
-                f"simulation of {self.circuit.name!r} exceeded its "
-                f"cycle budget of {self.cycle_budget} cycle(s)")
-        if inputs:
-            for name, value in inputs.items():
-                self.set_input(name, value)
-        self._begin_cycle_events()
-        self.eval_comb()
-
-    def step_commit(self) -> None:
-        self.clock_edge()
-
     # ------------------------------------------------------------------
     # memory engine
     # ------------------------------------------------------------------
@@ -987,7 +1072,13 @@ class CompiledSimulator:
         rdata = store[gidx, addr]                   # (G, W, width) copy
         agree = ~mism
         wdata = None
+        writers = None
         divergent = diverged.any()
+        couplings = self._couplings(gi, group) if self._mem_coupling \
+            else None
+        if couplings is not None:                   # pre-write cells
+            aggressed = store[couplings.member, couplings.aw, :,
+                              couplings.ab]         # (C, W) copy
         if divergent:
             gD, wD, bitD, starts, seg = self._divergent_lanes(group,
                                                               mism)
@@ -1039,6 +1130,11 @@ class CompiledSimulator:
                 np.bitwise_and(cell, ~clear, out=cell)
                 np.bitwise_or(cell, setm, out=cell)
                 store[at] = cell
+                writers = (gw, aw, ww, lane)
+
+        if couplings is not None:
+            self._apply_couplings(group, couplings, aggressed, addr, uw,
+                                  writers)
 
         if self._mem_stuck:
             stuck = self._stuck_cells(gi, group)
@@ -1048,7 +1144,7 @@ class CompiledSimulator:
                 np.bitwise_and(cells, nclear, out=cells)
                 np.bitwise_or(cells, sset, out=cells)
                 store[sg, sw, :, sb] = cells
-                # the interpreted engine patches read data only on the
+                # the interpreted simulator patches read data only on the
                 # uniform path — replicated bit-for-bit
                 rsel = np.flatnonzero((sw == addr[sg]) & ~diverged[sg]) \
                     if not diverged.all() else ()
@@ -1082,6 +1178,48 @@ class CompiledSimulator:
         group.sel = (gD, wD, bitD, starts, (gD[starts], wD[starts]))
         return group.sel
 
+    def _couplings(self, gi: int, group: _MemGroup):
+        """The group's coupling faults, or ``None``."""
+        if gi not in self._coupling_cache:
+            entries = [(j, aw, ab, vw, vb, mask)
+                       for j, mi in enumerate(group.members)
+                       for (aw, ab), (vw, vb), mask
+                       in self._mem_coupling.get(mi, ())]
+            self._coupling_cache[gi] = _Couplings(entries) \
+                if entries else None
+        return self._coupling_cache[gi]
+
+    def _apply_couplings(self, group: _MemGroup, cp: _Couplings,
+                         aggressed: np.ndarray, addr: np.ndarray,
+                         uw: np.ndarray, writers) -> None:
+        """Flip the victims of the aggressor cells this cycle wrote.
+
+        Mirrors the interpreted per-bit write loop: a transition is
+        measured against the cell as the loop finds it (so a flip from
+        a lower bit of the same write counts), the flips land after the
+        cycle's read data was captured, and a flip never triggers
+        another coupling by itself.
+        """
+        # lanes of each coupling that wrote its aggressor word
+        hit = np.where((addr[cp.member] == cp.aw)[:, None],
+                       uw[cp.member], _U64(0))      # (C, W)
+        if writers is not None:
+            gw, aw, ww, lane = writers
+            ci, ki = np.nonzero((cp.member[:, None] == gw[None, :])
+                                & (cp.aw[:, None] == aw[None, :]))
+            if len(ci):
+                np.bitwise_or.at(hit, (ci, ww[ki]), lane[ki, 0])
+        hit &= cp.mask
+        if not hit.any():
+            return
+        diff = aggressed ^ self._vals[group.wdata_rows[cp.member, cp.ab]]
+        for k, fed in cp.feeds:
+            diff[fed] ^= diff[k] & hit[k]
+        flips = diff & hit
+        p = cp.persist
+        np.bitwise_xor.at(group.store, (cp.member[p], cp.vw[p],
+                                        slice(None), cp.vb[p]), flips[p])
+
     def _stuck_cells(self, gi: int, group: _MemGroup):
         """The group's stuck-at cells as stacked arrays, or ``None``."""
         if gi not in self._mem_stuck_cache:
@@ -1098,7 +1236,7 @@ class CompiledSimulator:
         return self._mem_stuck_cache[gi]
 
     # ------------------------------------------------------------------
-    # toggle coverage (same views as the interpreted simulator)
+    # toggle maps in the interpreted layout (the base class reports)
     # ------------------------------------------------------------------
     @property
     def _seen0(self) -> bytearray:
@@ -1111,33 +1249,3 @@ class CompiledSimulator:
         return bytearray(
             self._t_seen1[self.compiled.perm[:self.compiled.num_nets]]
             .astype(np.uint8).tobytes())
-
-    def toggle_report(self) -> tuple[int, int]:
-        total = 0
-        both = 0
-        const_nets = {g.out for g in self.circuit.gates
-                      if g.op in (OP_CONST0, OP_CONST1)}
-        seen0, seen1 = self._seen0, self._seen1
-        for net in range(self.circuit.num_nets):
-            if net in const_nets:
-                continue
-            total += 1
-            if seen0[net] and seen1[net]:
-                both += 1
-        return both, total
-
-    def toggle_coverage(self) -> float:
-        both, total = self.toggle_report()
-        return both / total if total else 1.0
-
-    def untoggled_nets(self) -> list[str]:
-        const_nets = {g.out for g in self.circuit.gates
-                      if g.op in (OP_CONST0, OP_CONST1)}
-        seen0, seen1 = self._seen0, self._seen1
-        names = []
-        for net in range(self.circuit.num_nets):
-            if net in const_nets:
-                continue
-            if not (seen0[net] and seen1[net]):
-                names.append(self.circuit.net_names[net])
-        return names

@@ -52,7 +52,125 @@ class CycleBudgetExceeded(RuntimeError):
     """
 
 
-class Simulator:
+class SimulatorBase:
+    """Name resolution, stepping and toggle views shared by
+    :class:`Simulator` and the compiled
+    :class:`~repro.hdl.compiled.CompiledSimulator`.
+
+    A subclass provides ``circuit``, ``full_mask``, ``cycle``,
+    ``cycle_budget``, the ``_flop_index``/``_mem_index``/``_net_index``
+    name tables, ``_seen0``/``_seen1`` byte maps and the
+    ``set_input``/``_begin_cycle_events``/``eval_comb``/``clock_edge``
+    steps.
+    """
+
+    # ------------------------------------------------------------------
+    # name resolution
+    # ------------------------------------------------------------------
+    def _resolve_net(self, net) -> int:
+        if not isinstance(net, str):
+            return int(net)
+        if self._net_index is None:
+            self._net_index = {name: i for i, name
+                               in enumerate(self.circuit.net_names)}
+        try:
+            return self._net_index[net]
+        except KeyError:
+            raise NetlistError(f"no net named {net!r}") from None
+
+    def _resolve_flop(self, flop) -> int:
+        if not isinstance(flop, str):
+            return int(flop)
+        try:
+            return self._flop_index[flop]
+        except KeyError:
+            raise NetlistError(f"no flop named {flop!r}") from None
+
+    def _resolve_mem(self, mem) -> int:
+        if not isinstance(mem, str):
+            return int(mem)
+        try:
+            return self._mem_index[mem]
+        except KeyError:
+            raise NetlistError(f"no memory named {mem!r}") from None
+
+    def _mask(self, machines) -> int:
+        if machines is None:
+            return self.full_mask
+        if isinstance(machines, int):
+            return machines & self.full_mask
+        mask = 0
+        for k in machines:
+            mask |= 1 << k
+        return mask & self.full_mask
+
+    def output(self, name: str, machine: int = 0) -> int:
+        return self.value_of(self.circuit.outputs[name], machine)
+
+    # ------------------------------------------------------------------
+    # stepping
+    # ------------------------------------------------------------------
+    def step(self, inputs: dict[str, int] | None = None) -> None:
+        """One full clock cycle: inputs, events, evaluate, clock edge.
+
+        Peeking at outputs should be done between :meth:`eval_comb` and
+        :meth:`clock_edge`; use :meth:`step_eval` + :meth:`step_commit`
+        when a testbench needs to react to outputs within the cycle.
+        """
+        self.step_eval(inputs)
+        self.step_commit()
+
+    def step_eval(self, inputs: dict[str, int] | None = None) -> None:
+        if self.cycle_budget is not None and \
+                self.cycle >= self.cycle_budget:
+            raise CycleBudgetExceeded(
+                f"simulation of {self.circuit.name!r} exceeded its "
+                f"cycle budget of {self.cycle_budget} cycle(s)")
+        if inputs:
+            for name, value in inputs.items():
+                self.set_input(name, value)
+        self._begin_cycle_events()
+        self.eval_comb()
+
+    def step_commit(self) -> None:
+        self.clock_edge()
+
+    # ------------------------------------------------------------------
+    # toggle coverage
+    # ------------------------------------------------------------------
+    def toggle_report(self) -> tuple[int, int]:
+        """(nets that saw both values, total observable nets)."""
+        total = 0
+        both = 0
+        const_nets = {g.out for g in self.circuit.gates
+                      if g.op in (OP_CONST0, OP_CONST1)}
+        seen0, seen1 = self._seen0, self._seen1
+        for net in range(self.circuit.num_nets):
+            if net in const_nets:
+                continue
+            total += 1
+            if seen0[net] and seen1[net]:
+                both += 1
+        return both, total
+
+    def toggle_coverage(self) -> float:
+        both, total = self.toggle_report()
+        return both / total if total else 1.0
+
+    def untoggled_nets(self) -> list[str]:
+        const_nets = {g.out for g in self.circuit.gates
+                      if g.op in (OP_CONST0, OP_CONST1)}
+        seen0, seen1 = self._seen0, self._seen1
+        names = []
+        for net in range(self.circuit.num_nets):
+            if net in const_nets:
+                continue
+            if not (seen0[net] and seen1[net]):
+                names.append(self.circuit.net_names[net])
+        return names
+
+
+class Simulator(SimulatorBase):
     """Cycle-based simulator for a fixed number of parallel machines."""
 
     def __init__(self, circuit: Circuit, machines: int = 1,
@@ -103,46 +221,6 @@ class Simulator:
         self.toggle_any_machine = toggle_any_machine
         self._seen0 = bytearray(circuit.num_nets)
         self._seen1 = bytearray(circuit.num_nets)
-
-    # ------------------------------------------------------------------
-    # name resolution
-    # ------------------------------------------------------------------
-    def _resolve_net(self, net) -> int:
-        if isinstance(net, int):
-            return net
-        if self._net_index is None:
-            self._net_index = {name: i for i, name
-                               in enumerate(self.circuit.net_names)}
-        try:
-            return self._net_index[net]
-        except KeyError:
-            raise NetlistError(f"no net named {net!r}") from None
-
-    def _resolve_flop(self, flop) -> int:
-        if isinstance(flop, int):
-            return flop
-        try:
-            return self._flop_index[flop]
-        except KeyError:
-            raise NetlistError(f"no flop named {flop!r}") from None
-
-    def _resolve_mem(self, mem) -> int:
-        if isinstance(mem, int):
-            return mem
-        try:
-            return self._mem_index[mem]
-        except KeyError:
-            raise NetlistError(f"no memory named {mem!r}") from None
-
-    def _mask(self, machines) -> int:
-        if machines is None:
-            return self.full_mask
-        if isinstance(machines, int):
-            return machines & self.full_mask
-        mask = 0
-        for k in machines:
-            mask |= 1 << k
-        return mask & self.full_mask
 
     # ------------------------------------------------------------------
     # fault programming
@@ -248,9 +326,6 @@ class Simulator:
             out |= ((vals[net] >> machine) & 1) << bit
         return out
 
-    def output(self, name: str, machine: int = 0) -> int:
-        return self.value_of(self.circuit.outputs[name], machine)
-
     def set_flop(self, flop, value: int, machines=None) -> None:
         idx = self._resolve_flop(flop)
         mask = self._mask(machines)
@@ -332,11 +407,14 @@ class Simulator:
             for net, mask in glitches:
                 glitch_map[net] = glitch_map.get(net, 0) | mask
 
+        bridges = self._bridges
+        if bridges:
+            raw = {net: vals[net] for net in glitch_map}
         self._eval_pass(forced, glitch_map)
 
-        if self._bridges:
+        if bridges:
             extra = dict(forced)
-            for agg, vic, mode, mask in self._bridges:
+            for agg, vic, mode, mask in bridges:
                 a, v = vals[agg], vals[vic]
                 if mode == BRIDGE_AND:
                     bridged = a & v
@@ -348,6 +426,10 @@ class Simulator:
                 clear |= mask
                 setm = (setm & ~mask) | (bridged & mask)
                 extra[vic] = (clear, setm)
+            # the re-pass restarts from the unglitched sources, so every
+            # glitch is applied exactly once per evaluation
+            for net, value in raw.items():
+                vals[net] = value
             self._eval_pass(extra, glitch_map)
 
     def _eval_pass(self, forced, glitch_map) -> None:
@@ -442,31 +524,6 @@ class Simulator:
             for mi, word, bit, mask in mflips:
                 self._mem_store[mi][word][bit] ^= mask
 
-    def step(self, inputs: dict[str, int] | None = None) -> None:
-        """One full clock cycle: inputs, events, evaluate, clock edge.
-
-        Peeking at outputs should be done between :meth:`eval_comb` and
-        :meth:`clock_edge`; use :meth:`step_eval` + :meth:`step_commit`
-        when a testbench needs to react to outputs within the cycle.
-        """
-        self.step_eval(inputs)
-        self.step_commit()
-
-    def step_eval(self, inputs: dict[str, int] | None = None) -> None:
-        if self.cycle_budget is not None and \
-                self.cycle >= self.cycle_budget:
-            raise CycleBudgetExceeded(
-                f"simulation of {self.circuit.name!r} exceeded its "
-                f"cycle budget of {self.cycle_budget} cycle(s)")
-        if inputs:
-            for name, value in inputs.items():
-                self.set_input(name, value)
-        self._begin_cycle_events()
-        self.eval_comb()
-
-    def step_commit(self) -> None:
-        self.clock_edge()
-
     # ------------------------------------------------------------------
     # memory engine
     # ------------------------------------------------------------------
@@ -535,35 +592,3 @@ class Simulator:
         for (aw, ab), (vw, vb), mask in coupling:
             if aw == addr and ab == bit:
                 store[vw][vb] ^= transition_mask & mask
-
-    # ------------------------------------------------------------------
-    # toggle coverage
-    # ------------------------------------------------------------------
-    def toggle_report(self) -> tuple[int, int]:
-        """(nets that saw both values, total observable nets)."""
-        total = 0
-        both = 0
-        const_nets = {g.out for g in self.circuit.gates
-                      if g.op in (OP_CONST0, OP_CONST1)}
-        for net in range(self.circuit.num_nets):
-            if net in const_nets:
-                continue
-            total += 1
-            if self._seen0[net] and self._seen1[net]:
-                both += 1
-        return both, total
-
-    def toggle_coverage(self) -> float:
-        both, total = self.toggle_report()
-        return both / total if total else 1.0
-
-    def untoggled_nets(self) -> list[str]:
-        const_nets = {g.out for g in self.circuit.gates
-                      if g.op in (OP_CONST0, OP_CONST1)}
-        names = []
-        for net in range(self.circuit.num_nets):
-            if net in const_nets:
-                continue
-            if not (self._seen0[net] and self._seen1[net]):
-                names.append(self.circuit.net_names[net])
-        return names

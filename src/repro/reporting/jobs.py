@@ -57,7 +57,7 @@ def job_detail_pairs(job, now: float | None = None
         ("attempts", f"{job.attempts}/{job.max_attempts}"),
         ("submitted", f"{_age(now, job.created_at)} ago"),
     ]
-    for key in ("variant", "engine", "workers", "sample"):
+    for key in ("variant", "workers", "sample"):
         if job.spec.get(key) is not None:
             pairs.append((key, job.spec[key]))
     if job.idempotency_key:

@@ -57,10 +57,6 @@ def resolve_store_root(path: str | None = None) -> str:
 VARIANTS = ("baseline", "improved", "small-baseline",
             "small-improved")
 
-#: simulation engines ``CampaignConfig`` dispatches on
-ENGINES = ("compiled", "interpreted")
-
-
 def make_subsystem(variant: str, banks: int = 1,
                    flags: dict | None = None,
                    bank_flags: list | None = None):
@@ -108,7 +104,6 @@ class CampaignRequest:
     shards: int | None = None
     sample: int | None = None
     machines_per_pass: int | None = None
-    engine: str = "compiled"
     use_cache: bool = True
     shard_timeout: float | None = None
     cycle_budget: int | None = None
@@ -133,8 +128,8 @@ class CampaignRequest:
         Shared by :meth:`CampaignService.run_campaign` (rendered to
         stderr, exit 2) and the HTTP API (rendered as a 400 response
         body), so a bad request reports the same coded diagnostics on
-        both surfaces — E430 for out-of-range values, E431/E432 for
-        unknown variant/engine — and never a traceback.
+        both surfaces — E430 for out-of-range values, E431 for an
+        unknown variant — and never a traceback.
         """
         from ..diagnostics import DiagnosticReport
         report = DiagnosticReport()
@@ -143,11 +138,6 @@ class CampaignRequest:
                 "E431",
                 f"unknown design variant {self.variant!r} (known: "
                 f"{', '.join(VARIANTS)})")
-        if self.engine not in ENGINES:
-            report.error(
-                "E432",
-                f"unknown simulation engine {self.engine!r} (known: "
-                f"{', '.join(ENGINES)})")
         def at_least(name, value, floor):
             if value is not None and value < floor:
                 report.error(
@@ -185,7 +175,6 @@ class CampaignRequest:
             workers=args.workers, shards=args.shards,
             sample=args.sample,
             machines_per_pass=args.machines_per_pass,
-            engine=args.engine,
             use_cache=not getattr(args, "no_cache", False),
             shard_timeout=args.shard_timeout,
             cycle_budget=args.cycle_budget,
@@ -414,8 +403,7 @@ class CampaignService:
             candidates = randomize(candidates, request.sample)
 
         config = CampaignConfig(
-            machines_per_pass=request.machines_per_pass,
-            engine=request.engine)
+            machines_per_pass=request.machines_per_pass)
         spec = CampaignSpec.from_environment(env, config=config)
         runner = CampaignSupervisor(
             spec, workers=request.workers, shards=request.shards,

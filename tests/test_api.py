@@ -205,7 +205,7 @@ def test_health_submit_dedupe_and_coded_rejections(tmp_path):
         codes = {d["code"] for d in
                  exc.value.payload["error"]["diagnostics"]}
         assert "E431" in codes
-        for field in ("bogus_field", "supervise"):
+        for field in ("bogus_field", "supervise", "engine"):
             with pytest.raises(ApiClientError) as exc:
                 client.submit({field: 1})
             assert exc.value.status == 400 and \

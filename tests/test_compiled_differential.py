@@ -10,15 +10,19 @@ inputs, bit for bit:
 * hundreds of fuzzed random netlists (random gate mix, fan-out,
   flop/memory placement) swept cycle-by-cycle under random fault loads,
   comparing every net, every flop, and every memory word;
+* the same sweep under bridges (all three modes) beside SETs in other
+  lanes, and memory coupling faults: same-word victims above and below
+  the aggressor bit, self-coupling, chained aggressor/victim cells,
+  divergent addresses and one bank of a stacked group;
 * fuzzed and real multi-bank designs whose same-shape memories the
   kernel steps as one stacked group, under address-line stuck-ats in
   every bank plus cell flips and stuck cells;
 * full campaigns on the fmem subsystem and the mini CPU, comparing the
-  per-fault records, outcome tallies, DC and SFF between engines;
-* the sharded parallel runner at 1, 2, and 4 workers against the
-  interpreted serial reference;
-* the automatic fallback path (a batch containing a fault kind the
-  kernel does not model) against a pure interpreted run.
+  per-fault records, outcome tallies, DC and SFF with the interpreted
+  pass loop of :mod:`tests.campaign_oracle`;
+* the sharded supervised runner at 1, 2, and 4 workers against that
+  serial oracle;
+* campaigns mixing bridges and coupling faults with every other kind.
 """
 
 import random
@@ -29,8 +33,6 @@ from repro.faultinjection import (
     BridgeFault,
     CampaignConfig,
     CandidateList,
-    ENGINE_COMPILED,
-    ENGINE_INTERPRETED,
     FaultInjectionManager,
     MemFlipFault,
     MemStuckFault,
@@ -39,18 +41,23 @@ from repro.faultinjection import (
     StuckNetFault,
     build_environment,
 )
+from repro.faultinjection.faults import MemCouplingFault
 from repro.faultinjection.parallel import CampaignSpec
 from repro.faultinjection.supervisor import CampaignSupervisor
-from repro.hdl import CompiledSimulator, Module, Simulator, \
-    compile_circuit
+from repro.hdl import BRIDGE_AND, BRIDGE_DOMINANT, BRIDGE_OR, \
+    CompiledSimulator, Module, Simulator, compile_circuit
 from repro.service.core import make_subsystem
 from repro.soc import MemorySubsystem, SubsystemConfig
 from repro.soc.minicpu import CpuConfig, MiniCpu, assemble
 from repro.zones.model import ObservationKind, ObservationPoint
 
+from .campaign_oracle import run_interpreted
+
 # lane-boundary machine counts (single word, exactly full word, word
 # + 1) plus small ones — cycled across fuzz seeds
 MACHINE_SWEEP = (2, 9, 48, 63, 64, 65)
+
+BRIDGE_MODES = (BRIDGE_DOMINANT, BRIDGE_AND, BRIDGE_OR)
 
 
 def fuzz_circuit(seed: int):
@@ -139,18 +146,29 @@ def _arm_random_faults(rng, circuit, sims, machines):
                                      machines=mask)
 
 
-def _sweep_and_compare(circuit, seed, machines, cycles=8):
-    """Run both engines under one fault load; any divergence fails."""
+def _sweep_and_compare(circuit, seed, machines, cycles=8,
+                       arm=_arm_random_faults, fired=None):
+    """Run both simulators under the fault load ``arm`` draws; any
+    divergence of a net, flop, memory cell or toggle map fails.  With
+    ``fired``, the tag of every coupling the oracle flipped is added
+    to it."""
     rng = random.Random(seed * 7919 + machines)
-    isim = Simulator(circuit, machines=machines)
-    csim = CompiledSimulator(compile_circuit(circuit),
-                            machines=machines)
-    _arm_random_faults(rng, circuit, (isim, csim), machines)
+    isim = Simulator(circuit, machines=machines, collect_toggles=True,
+                     toggle_any_machine=True)
+    csim = CompiledSimulator(compile_circuit(circuit), machines=machines,
+                             collect_toggles=True,
+                             toggle_any_machine=True)
+    tags = arm(rng, circuit, (isim, csim), machines)
+    if fired is not None:
+        _record_coupling_flips(isim, tags, fired)
 
     widths = {n: len(bits) for n, bits in circuit.inputs.items()}
     full = (1 << machines) - 1
     for cyc in range(cycles):
-        stim = {n: rng.getrandbits(w) for n, w in widths.items()}
+        # an input left undriven keeps last cycle's (possibly glitched
+        # or bridged) value
+        stim = {n: rng.getrandbits(w) for n, w in widths.items()
+                if rng.random() < 0.9}
         isim.step_eval(stim)
         csim.step_eval(stim)
         for n in range(circuit.num_nets):
@@ -162,12 +180,13 @@ def _sweep_and_compare(circuit, seed, machines, cycles=8):
             assert (isim._flop_state[i] & full) == \
                 csim._unpack(csim._flop_state[i]), \
                 (seed, machines, cyc, i)
-    for mem in circuit.memories:
-        for w in range(mem.depth):
-            for mch in range(machines):
-                assert isim.read_mem_word(mem.name, w, machine=mch) \
-                    == csim.read_mem_word(mem.name, w, machine=mch), \
-                    (seed, machines, mem.name, w, mch)
+        for mi, mem in enumerate(circuit.memories):
+            for w in range(mem.depth):
+                for b in range(mem.width):
+                    assert isim._mem_store[mi][w][b] & full == \
+                        csim._unpack(csim._mem_store[mi][w, :, b]), \
+                        (seed, machines, cyc, mem.name, w, b)
+    assert isim._seen0 == csim._seen0 and isim._seen1 == csim._seen1
 
 
 def test_fuzzed_circuits_bit_identical():
@@ -310,17 +329,125 @@ def test_banked_subsystem_campaign_engines_identical(banks):
     faults = _bank_faults(env.circuit, random.Random(banks))
     stimuli = env.stimuli[:240]
 
-    def run(engine):
-        manager = FaultInjectionManager(
-            env.circuit, stimuli, zone_set=env.zone_set,
-            setup=env.setup, config=CampaignConfig(engine=engine))
-        return manager.run(CandidateList(faults=faults))
-
-    ri = run(ENGINE_INTERPRETED)
-    rc = run(ENGINE_COMPILED)
+    manager = FaultInjectionManager(
+        env.circuit, stimuli, zone_set=env.zone_set, setup=env.setup)
+    candidates = CandidateList(faults=faults)
+    ri = run_interpreted(manager, candidates)
+    rc = manager.run(candidates)
     assert _fault_records(ri) == _fault_records(rc)
     assert ri.outcomes() == rc.outcomes()
     assert ri.coverage.sens == rc.coverage.sens
+
+
+# ----------------------------------------------------------------------
+# bridge and memory-coupling overlays
+# ----------------------------------------------------------------------
+#: coupling shapes the overlay sweep arms; each must fire at least once
+COUPLING_TAGS = ("above", "below", "self", "other-word", "chain",
+                 "divergent")
+
+
+def _arm_bridges_and_couplings(rng, circuit, sims, machines):
+    """Bridges in every mode (victims on source and gate nets, a few on
+    random lane sets) beside SETs and stuck-ats in other lanes, plus
+    one coupling shape per memory lane.  Returns
+    {(memory, aggressor, victim, lane): tag}."""
+    nets = list(range(circuit.num_nets))
+    sources = [n for bits in circuit.inputs.values() for n in bits]
+    sources += [f.q for f in circuit.flops]
+    tags = {}
+
+    def couple(mem, aggressor, victim, k, tag):
+        for s in sims:
+            s.add_mem_coupling(mem.name, aggressor, victim,
+                               machines=1 << k)
+        tags[(mem.name, aggressor, victim, k)] = tag
+
+    for k in range(1, machines):
+        mask = 1 << k
+        kind = rng.randrange(4 if circuit.memories else 3)
+        if kind == 0:
+            victim = rng.choice(sources if rng.random() < 0.4 else nets)
+            agg, mode = rng.choice(nets), rng.choice(BRIDGE_MODES)
+            if rng.random() < 0.2:
+                # random lanes: bridges on one victim overlap, and the
+                # later one wins on the shared lanes
+                mask = rng.getrandbits(machines)
+            for s in sims:
+                s.add_bridge(agg, victim, mode=mode, machines=mask)
+        elif kind == 1:
+            n, cyc = rng.choice(nets), rng.randrange(8)
+            for s in sims:
+                s.schedule_net_glitch(n, cyc, machines=mask)
+        elif kind == 2:
+            n, v = rng.choice(nets), rng.getrandbits(1)
+            for s in sims:
+                s.stick_net(n, v, machines=mask)
+        else:
+            mem = rng.choice(circuit.memories)
+            w, b = rng.randrange(mem.depth), rng.randrange(mem.width - 1)
+            tag = rng.choice(COUPLING_TAGS)
+            if tag == "above":
+                couple(mem, (w, b), (w, rng.randrange(b + 1, mem.width)),
+                       k, tag)
+            elif tag == "below":
+                couple(mem, (w, b + 1), (w, rng.randrange(b + 1)), k,
+                       tag)
+            elif tag == "self":
+                couple(mem, (w, b), (w, b), k, tag)
+            elif tag == "other-word":
+                couple(mem, (w, b), ((w + 1) % mem.depth, b), k, tag)
+            elif tag == "chain":
+                # the victim of the first is the second's aggressor,
+                # one bit up in the same word
+                couple(mem, (w, b), (w, b + 1), k, tag)
+                couple(mem, (w, b + 1), ((w + 3) % mem.depth, b), k,
+                       tag)
+            else:
+                n, v = rng.choice(mem.addr), rng.getrandbits(1)
+                for s in sims:
+                    s.stick_net(n, v, machines=mask)
+                couple(mem, (w, b), (w, b + 1), k, tag)
+    return tags
+
+
+def _record_coupling_flips(isim, tags, fired):
+    """Spy on the oracle: add the tag of every coupling it flips."""
+    names = {id(isim._mem_store[i]): m.name
+             for i, m in enumerate(isim.circuit.memories)}
+    couple = isim._apply_coupling
+
+    def spy(store, coupling, addr, bit, transition):
+        for aggressor, victim, mask in coupling:
+            if aggressor == (addr, bit) and transition & mask:
+                lane = (transition & mask).bit_length() - 1
+                fired.add(tags[(names[id(store)], aggressor, victim,
+                                lane)])
+        couple(store, coupling, addr, bit, transition)
+
+    isim._apply_coupling = spy
+
+
+def test_fuzzed_bridges_and_couplings_bit_identical():
+    fired = set()
+    for seed in range(120):
+        _sweep_and_compare(fuzz_circuit(seed), seed,
+                           MACHINE_SWEEP[seed % len(MACHINE_SWEEP)],
+                           cycles=12, arm=_arm_bridges_and_couplings,
+                           fired=fired)
+    assert fired == set(COUPLING_TAGS)
+
+
+@pytest.mark.parametrize("banks", [2, 4])
+def test_stacked_bank_couplings_bit_identical(banks):
+    """Couplings in single banks of a stacked same-shape group."""
+    fired = set()
+    for seed in range(24):
+        _sweep_and_compare(fuzz_banked_circuit(seed, banks), seed,
+                           MACHINE_SWEEP[seed % len(MACHINE_SWEEP)],
+                           cycles=12, arm=_arm_bridges_and_couplings,
+                           fired=fired)
+    assert fired == set(COUPLING_TAGS)
 
 
 # ----------------------------------------------------------------------
@@ -374,23 +501,24 @@ def _fault_records(result):
              r.first_alarm, r.effects) for r in result.results]
 
 
-def _run_engine(circuit, stimuli, points, faults, engine,
-                machines_per_pass=None):
-    manager = FaultInjectionManager(
+def _manager(circuit, stimuli, points, machines_per_pass=None):
+    return FaultInjectionManager(
         circuit, stimuli, observation_points=points,
-        config=CampaignConfig(engine=engine,
-                              machines_per_pass=machines_per_pass))
-    return manager.run(CandidateList(faults=faults))
+        config=CampaignConfig(machines_per_pass=machines_per_pass))
+
+
+def _run_both(circuit, stimuli, points, faults):
+    """(oracle, compiled) campaigns over one fault list."""
+    manager = _manager(circuit, stimuli, points)
+    candidates = CandidateList(faults=faults)
+    return run_interpreted(manager, candidates), manager.run(candidates)
 
 
 def test_fuzzed_mini_campaigns_engines_identical():
     """Whole campaigns on fuzzed circuits: identical records + rates."""
     for seed in range(40):
         circuit, stimuli, points, faults = _fuzz_campaign_pieces(seed)
-        ri = _run_engine(circuit, stimuli, points, faults,
-                         ENGINE_INTERPRETED)
-        rc = _run_engine(circuit, stimuli, points, faults,
-                         ENGINE_COMPILED)
+        ri, rc = _run_both(circuit, stimuli, points, faults)
         assert _fault_records(ri) == _fault_records(rc), seed
         assert ri.outcomes() == rc.outcomes(), seed
         assert ri.measured_dc() == rc.measured_dc(), seed
@@ -401,26 +529,51 @@ def test_fuzzed_mini_campaigns_engines_identical():
 def test_fuzzed_campaign_pass_boundaries():
     """Identical results when faults split across passes differently."""
     circuit, stimuli, points, faults = _fuzz_campaign_pieces(7)
-    baseline = _run_engine(circuit, stimuli, points, faults,
-                           ENGINE_INTERPRETED)
+    candidates = CandidateList(faults=faults)
+    baseline = run_interpreted(_manager(circuit, stimuli, points),
+                               candidates)
     for per_pass in (1, 3, 63, 64, 65):
-        rc = _run_engine(circuit, stimuli, points, faults,
-                         ENGINE_COMPILED, machines_per_pass=per_pass)
+        rc = _manager(circuit, stimuli, points, per_pass).run(candidates)
         assert _fault_records(rc) == _fault_records(baseline), per_pass
 
 
-def test_unsupported_kind_falls_back_identically():
-    """A bridge fault in the batch reroutes the whole pass to the
-    interpreted engine; the mixed run equals a pure interpreted one."""
+def test_bridge_in_mixed_pass_matches_oracle():
+    """A bridge sharing its pass with random-net SETs and other kinds:
+    the compiled pass equals the interpreted oracle record for record
+    (the SETs' lanes are untouched by the bridge re-pass)."""
     circuit, stimuli, points, faults = _fuzz_campaign_pieces(11)
     a, b = 2, circuit.num_nets - 3
     faults = faults[:6] + [BridgeFault(target=a, victim=b)]
-    ri = _run_engine(circuit, stimuli, points, faults,
-                     ENGINE_INTERPRETED)
-    rc = _run_engine(circuit, stimuli, points, faults,
-                     ENGINE_COMPILED)
+    ri, rc = _run_both(circuit, stimuli, points, faults)
     assert _fault_records(ri) == _fault_records(rc)
     assert ri.outcomes() == rc.outcomes()
+
+
+def test_bridge_and_coupling_campaigns_match_oracle():
+    """Fuzzed campaigns whose fault lists add bridges in every mode and
+    memory coupling faults to the other kinds."""
+    checked = 0
+    for seed in range(24):
+        circuit, stimuli, points, faults = _fuzz_campaign_pieces(seed)
+        rng = random.Random(seed)
+        nets = range(circuit.num_nets)
+        faults = faults + [
+            BridgeFault(target=rng.choice(nets), victim=rng.choice(nets),
+                        mode=mode) for mode in BRIDGE_MODES]
+        for mem in circuit.memories:
+            for _ in range(4):
+                aw = rng.randrange(mem.depth)
+                faults.append(MemCouplingFault(
+                    target=mem.name,
+                    aggressor=(aw, rng.randrange(mem.width)),
+                    victim=(rng.choice((aw, rng.randrange(mem.depth))),
+                            rng.randrange(mem.width))))
+        rng.shuffle(faults)
+        ri, rc = _run_both(circuit, stimuli, points, faults)
+        assert _fault_records(ri) == _fault_records(rc), seed
+        assert ri.outcomes() == rc.outcomes(), seed
+        checked += bool(circuit.memories)
+    assert checked
 
 
 # ----------------------------------------------------------------------
@@ -434,10 +587,8 @@ def fmem_env():
 
 def test_fmem_campaign_engines_identical(fmem_env):
     candidates = fmem_env.candidates()
-    ri = fmem_env.manager(
-        CampaignConfig(engine=ENGINE_INTERPRETED)).run(candidates)
-    rc = fmem_env.manager(
-        CampaignConfig(engine=ENGINE_COMPILED)).run(candidates)
+    ri = run_interpreted(fmem_env.manager(), candidates)
+    rc = fmem_env.manager().run(candidates)
     assert _fault_records(ri) == _fault_records(rc)
     assert ri.outcomes() == rc.outcomes()
     assert ri.measured_dc() == rc.measured_dc()
@@ -479,31 +630,26 @@ def test_minicpu_campaign_engines_identical():
     def setup(sim):
         sim.load_mem("imem/rom", assemble(prog))
 
-    def run(engine):
-        manager = FaultInjectionManager(
-            circuit, stimuli, observation_points=points, setup=setup,
-            config=CampaignConfig(engine=engine))
-        return manager.run(CandidateList(faults=faults))
-
-    ri = run(ENGINE_INTERPRETED)
-    rc = run(ENGINE_COMPILED)
+    manager = FaultInjectionManager(
+        circuit, stimuli, observation_points=points, setup=setup)
+    candidates = CandidateList(faults=faults)
+    ri = run_interpreted(manager, candidates)
+    rc = manager.run(candidates)
     assert _fault_records(ri) == _fault_records(rc)
     assert ri.outcomes() == rc.outcomes()
     assert ri.measured_dc() == rc.measured_dc()
 
 
 # ----------------------------------------------------------------------
-# sharded supervised campaign, both engines
+# sharded supervised campaign against the serial oracle
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("workers", [1, 2, 4])
 def test_sharded_campaign_engines_identical(fmem_env, workers):
-    """DC/SFF and outcome tallies are engine- and worker-invariant."""
+    """DC/SFF and outcome tallies equal the oracle at any worker count."""
     candidates = fmem_env.candidates()
-    reference = fmem_env.manager(
-        CampaignConfig(engine=ENGINE_INTERPRETED)).run(candidates)
+    reference = run_interpreted(fmem_env.manager(), candidates)
 
-    spec = CampaignSpec.from_environment(
-        fmem_env, config=CampaignConfig(engine=ENGINE_COMPILED))
+    spec = CampaignSpec.from_environment(fmem_env)
     sharded = CampaignSupervisor(spec, workers=workers).run(candidates)
 
     assert _fault_records(sharded) == _fault_records(reference)

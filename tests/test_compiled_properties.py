@@ -5,12 +5,13 @@ regression anchors.
 * combinational loops are rejected at compile time with the stable
   coded diagnostic ``E120`` — not a raw traceback;
 * ``decompile(compile_circuit(c))`` preserves ``structural_hash`` (the
-  content address the campaign store keys on), so compiled campaigns
-  hit the same store rows as interpreted ones;
+  content address the campaign store keys on);
 * the compiled engine reproduces the committed golden campaign file
   byte for byte;
-* a store populated by one engine is served entirely from cache by the
-  other — zero faults re-simulated in either direction.
+* a store populated by one campaign is served entirely from cache by
+  an identical rerun — zero faults re-simulated;
+* the store is engine-agnostic: outcomes written by the compiled kernel
+  serve the interpreted oracle and vice versa.
 """
 
 import json
@@ -20,15 +21,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.faultinjection import CampaignConfig, ENGINE_COMPILED, \
-    ENGINE_INTERPRETED, CampaignSupervisor, build_environment
+from repro.faultinjection import (
+    CampaignSupervisor,
+    CandidateList,
+    FaultInjectionManager,
+    StuckNetFault,
+    build_environment,
+)
 from repro.hdl import Simulator, compile_circuit
 from repro.hdl.compiled import CompileError, LOOP_CODE, decompile
-from repro.hdl.netlist import OP_AND, OP_CONST0, OP_CONST1, OP_OR, Circuit
+from repro.hdl.netlist import OP_AND, OP_CONST0, OP_CONST1, OP_OR, \
+    Circuit, NetlistError
 from repro.soc import MemorySubsystem, SubsystemConfig
 from repro.soc.minicpu import CpuConfig, MiniCpu
 from repro.store import CampaignCache
+from repro.zones.model import ObservationKind, ObservationPoint
 
+from .campaign_oracle import run_interpreted
 from .test_compiled_differential import fuzz_circuit
 
 DATA = Path(__file__).parent / "data"
@@ -78,6 +87,24 @@ def test_combinational_loop_rejected_with_coded_diagnostic():
     with pytest.raises(CompileError) as exc:
         compile_circuit(c)
     assert exc.value.code == LOOP_CODE == "E120"
+
+
+def test_multi_driven_netlist_is_rejected_not_simulated():
+    """A campaign over a netlist the compiler cannot renumber raises
+    the ``NetlistError``; no other engine runs it instead."""
+    c = Circuit(name="multi")
+    x = c.new_net("x")
+    y = c.new_net("y")
+    c.inputs["x"] = [x]
+    c.add_gate(OP_AND, (x, x), y)
+    c.add_gate(OP_OR, (x, x), y)
+    c.outputs["y"] = [y]
+    points = [ObservationPoint(name="y", kind=ObservationKind.OUTPUT,
+                               nets=(y,))]
+    manager = FaultInjectionManager(c, [{"x": 1}],
+                                    observation_points=points)
+    with pytest.raises(NetlistError, match="multiple drivers"):
+        manager.run(CandidateList(faults=[StuckNetFault(target=x)]))
 
 
 # ----------------------------------------------------------------------
@@ -139,9 +166,7 @@ def _summary(campaign) -> dict:
 def test_compiled_campaign_matches_golden_file(fmem_env):
     """The compiled engine reproduces the frozen fmem campaign JSON
     byte for byte (canonical serialization of both sides)."""
-    campaign = fmem_env.manager(
-        CampaignConfig(engine=ENGINE_COMPILED)).run(
-            fmem_env.candidates())
+    campaign = fmem_env.manager().run(fmem_env.candidates())
     expected = json.loads(
         (DATA / "fmem_small_campaign.json").read_text())
     canon = dict(sort_keys=True, separators=(",", ":"))
@@ -150,21 +175,78 @@ def test_compiled_campaign_matches_golden_file(fmem_env):
 
 
 # ----------------------------------------------------------------------
+# cache: a cold run fully warms its rerun
+# ----------------------------------------------------------------------
+def test_cache_cold_then_warm(fmem_env, tmp_path):
+    """Outcomes stored by a cold run fully warm an identical rerun:
+    the second run simulates nothing and returns the same records."""
+    candidates = fmem_env.candidates()
+
+    def run(cache):
+        return CampaignSupervisor(fmem_env.spec(),
+                                  cache=cache).run(candidates)
+
+    with CampaignCache(tmp_path / "store") as cache:
+        first = run(cache)
+        assert cache.stats.simulated == len(candidates.faults)
+
+    with CampaignCache(tmp_path / "store") as cache:
+        second = run(cache)
+        assert cache.stats.simulated == 0
+        assert cache.stats.misses == 0
+        assert cache.stats.hits == len(candidates.faults)
+
+    rows = lambda c: [(r.fault.name, r.sens_cycle, r.obse_cycle,
+                       r.diag_cycle, r.first_alarm, r.effects)
+                      for r in c.results]
+    assert rows(first) == rows(second)
+    assert first.outcomes() == second.outcomes()
+
+
+# ----------------------------------------------------------------------
 # cache interop: the store is engine-agnostic
 # ----------------------------------------------------------------------
+def _interpreted_through_store(env, candidates, cache):
+    """The interpreted oracle behind the supervisor's store plan:
+    cached rows are served, misses are simulated by the interpreted
+    pass loop and persisted under the same fingerprints."""
+    from repro.store.cache import _rebuild
+    from repro.store.fingerprint import FingerprintContext
+    manager = env.manager()
+    faults = list(candidates.faults)
+    plan = cache.plan(FingerprintContext.from_spec(env.spec()), faults)
+    served = {i: _rebuild(faults[i], row)
+              for i, row in plan.cached.items()}
+    if plan.misses:
+        oracle = run_interpreted(manager, CandidateList(
+            faults=[faults[i] for i in plan.misses]))
+        fresh = dict(zip(plan.misses, oracle.results))
+        cache._persist([(plan.fingerprints[i], res)
+                        for i, res in fresh.items()])
+        cache.stats.simulated += len(fresh)
+        served.update(fresh)
+    result = manager.new_result()
+    manager._init_coverage(result.coverage, candidates)
+    result.results = [served[i] for i in range(len(faults))]
+    manager.fill_coverage(result)
+    return result
+
+
 @pytest.mark.parametrize("cold,warm", [
-    (ENGINE_COMPILED, ENGINE_INTERPRETED),
-    (ENGINE_INTERPRETED, ENGINE_COMPILED),
+    ("compiled", "interpreted"),
+    ("interpreted", "compiled"),
 ], ids=["compiled-then-interpreted", "interpreted-then-compiled"])
 def test_cache_interop_between_engines(fmem_env, tmp_path, cold, warm):
-    """Outcomes stored by one engine fully warm the other: engine and
-    pass width never enter the fingerprint, so the second run
-    simulates nothing."""
+    """Outcomes stored by one engine fully warm the other: the engine
+    never enters the fingerprint, so the second run simulates
+    nothing."""
     candidates = fmem_env.candidates()
 
     def run(engine, cache):
-        spec = fmem_env.spec(CampaignConfig(engine=engine))
-        return CampaignSupervisor(spec, cache=cache).run(candidates)
+        if engine == "interpreted":
+            return _interpreted_through_store(fmem_env, candidates, cache)
+        return CampaignSupervisor(fmem_env.spec(),
+                                  cache=cache).run(candidates)
 
     with CampaignCache(tmp_path / "store") as cache:
         first = run(cold, cache)

@@ -8,6 +8,11 @@ dossier — and the store-level guarantees the search leans on:
   a cold, cache-free campaign over the same design point.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.explore import (
@@ -297,3 +302,30 @@ def test_dossier_renders_all_sections(small_search):
     assert "recommendation" in text
     assert "incremental-campaign economics" in text
     assert result.recommended.point.name[:40] in text
+
+
+_DELTAS_SCRIPT = """
+from repro.explore import DesignPoint
+from repro.explore.dossier import zone_sff_deltas
+base = DesignPoint(variant="small-baseline", banks=2)
+point = base
+for bank in (0, 1):
+    for key in ("address_in_ecc", "write_buffer_parity",
+                "coder_checker"):
+        point = point.with_transform(bank, key)
+print(zone_sff_deltas(base, point))
+"""
+
+
+def test_zone_sff_deltas_do_not_follow_the_hash_seed():
+    """Bank twins with equal deltas, and the ``top`` cut among them,
+    render byte-identically under any ``PYTHONHASHSEED``."""
+    src = Path(__file__).parent.parent / "src"
+    outputs = [subprocess.run(
+        [sys.executable, "-c", _DELTAS_SCRIPT], capture_output=True,
+        check=True, env={**os.environ, "PYTHONPATH": str(src),
+                         "PYTHONHASHSEED": seed}).stdout
+        for seed in ("1", "2")]
+    assert outputs[0] == outputs[1]
+    assert "bank0/" in outputs[0].decode() and \
+        "bank1/" in outputs[0].decode()

@@ -9,6 +9,7 @@ from repro.faultinjection import (
     CoverageCollection,
     FaultListConfig,
     FaultResult,
+    FaultInjectionManager,
     GlobalStuckFault,
     MemFlipFault,
     MemStuckFault,
@@ -17,6 +18,7 @@ from repro.faultinjection import (
     OUTCOME_DU,
     OUTCOME_SAFE,
     ResultAnalyzer,
+    SetFault,
     SeuFault,
     StuckNetFault,
     build_environment,
@@ -29,12 +31,16 @@ from repro.faultinjection import (
     run_validation,
     simulate_faults,
 )
+from repro.hdl import Module
 from repro.soc import (
     MemorySubsystem,
     SubsystemConfig,
     validation_workload,
 )
 from repro.zones import predict_effects_table
+from repro.zones.model import ObservationKind, ObservationPoint
+
+from .campaign_oracle import run_interpreted
 
 
 @pytest.fixture(scope="module")
@@ -328,25 +334,49 @@ def test_reports_render(env, campaign):
 # ----------------------------------------------------------------------
 # fault simulator
 # ----------------------------------------------------------------------
+def _output_points(circuit):
+    return [ObservationPoint(name=name, kind=ObservationKind.OUTPUT,
+                             nets=tuple(nets))
+            for name, nets in circuit.outputs.items()]
+
+
+def _assert_matches_oracle(report, circuit, stimuli, faults, setup):
+    """Detected = any observed output deviates, on the interpreted
+    oracle too."""
+    oracle = run_interpreted(
+        FaultInjectionManager(circuit, stimuli,
+                              observation_points=_output_points(circuit),
+                              setup=setup), faults)
+    undetected = [r.fault.name for r in oracle.results
+                  if r.obse_cycle is None]
+    assert report.undetected_names == undetected
+    assert report.detected == len(oracle.results) - len(undetected)
+
+
 def test_fault_simulator_coverage(improved):
     workload = validation_workload(improved, quick=True)
     faults = generate_gate_faults(improved.circuit,
                                   paths=("fmem/decoder",))
+    setup = lambda s: improved.preload(s, {})
     report = simulate_faults(improved.circuit, workload,
-                             candidates=faults,
-                             setup=lambda s: improved.preload(s, {}))
+                             candidates=faults, setup=setup)
     assert report.total == len(faults)
     assert 0.3 < report.coverage <= 1.0
     assert report.detected + len(report.undetected_names) == report.total
+    _assert_matches_oracle(report, improved.circuit, workload, faults,
+                           setup)
 
 
 def test_fault_simulator_nothing_detected_without_stimuli(improved):
     faults = generate_gate_faults(improved.circuit,
                                   paths=("fmem/decoder",))
-    report = simulate_faults(improved.circuit, [improved.idle()] * 3,
-                             candidates=faults,
-                             setup=lambda s: improved.preload(s, {}))
+    setup = lambda s: improved.preload(s, {})
+    stimuli = [improved.idle()] * 3
+    report = simulate_faults(improved.circuit, stimuli,
+                             candidates=faults, setup=setup)
     assert report.coverage < 0.5
+    _assert_matches_oracle(report, improved.circuit, stimuli, faults,
+                           setup)
 
 
 # ----------------------------------------------------------------------
@@ -358,6 +388,29 @@ def test_bridge_fault_runs(env):
     fault = BridgeFault(target=net_a, victim=net_b, zone=None)
     campaign = env.manager().run(CandidateList(faults=[fault]))
     assert len(campaign.results) == 1
+
+
+def test_set_fault_unaffected_by_bridge_in_its_pass():
+    """A SET on a primary input is observed at cycle 0 whether or not a
+    bridge in another lane forces the pass to re-evaluate."""
+    m = Module("t")
+    a, b, c, d = (m.input(name) for name in "abcd")
+    m.output("y", a & b)
+    m.output("z", c | d)
+    circuit = m.build()
+    points = [ObservationPoint(name="y", kind=ObservationKind.OUTPUT,
+                               nets=tuple(circuit.outputs["y"]))]
+    stimuli = [{"a": 0, "b": 1, "c": 0, "d": 0}] * 2
+    set_fault = SetFault(target="a", offset=0)
+    bridge = BridgeFault(target="c", victim=circuit.net_names[
+        circuit.outputs["z"][0]])
+    for faults in ([set_fault], [set_fault, bridge]):
+        manager = FaultInjectionManager(circuit, stimuli,
+                                        observation_points=points)
+        candidates = CandidateList(faults=faults)
+        for result in (manager.run(candidates),
+                       run_interpreted(manager, candidates)):
+            assert result.results[0].obse_cycle == 0, faults
 
 
 def test_global_fault_affects_everything(env):

@@ -8,6 +8,7 @@ from repro.hdl import (
     BRIDGE_AND,
     BRIDGE_DOMINANT,
     BRIDGE_OR,
+    CompiledSimulator,
     Module,
     NetlistError,
     Simulator,
@@ -141,6 +142,28 @@ def test_bridge_modes():
         sim.step_eval({"a": 1, "b": 0, "pad1": 0, "pad2": 0})
         assert sim.output("yb", machine=0) == 0
         assert sim.output("yb", machine=1) == expected
+
+
+@pytest.mark.parametrize("sim_class", [Simulator, CompiledSimulator])
+def test_bridge_repass_keeps_source_glitches_lane_isolated(sim_class):
+    """A SET on a primary input reads the same whether or not another
+    lane of the pass carries a bridge: the bridge re-pass must not
+    apply the source glitch a second time (which would cancel it)."""
+    m = Module("t")
+    a, b, c, d = (m.input(name) for name in "abcd")
+    m.output("y", a & b)
+    m.output("z", c | d)
+    circ = m.build()
+    stim = {"a": 0, "b": 1, "c": 0, "d": 0}
+    for bridged in (False, True):
+        sim = sim_class(circ, machines=3)
+        sim.schedule_net_glitch(circ.inputs["a"][0], 0, machines=1 << 1)
+        if bridged:
+            sim.add_bridge(circ.inputs["c"][0], circ.outputs["z"][0],
+                           machines=1 << 2)
+        sim.step_eval(stim)
+        assert sim.output("y", machine=1) == 1, bridged
+        assert sim.output("y", machine=0) == 0
 
 
 def test_clear_faults():

@@ -515,6 +515,28 @@ def test_queued_unsupervised_job_runs_supervised(tmp_path, serial,
         assert cache.db.shard_attempt_count() > 0
 
 
+def test_queued_interpreted_engine_job_runs(tmp_path, serial,
+                                            candidates):
+    """A job row written when requests still carried an ``engine``
+    choice runs to done on the one engine with the same metrics, and
+    ``jobs status`` no longer lists the dropped field."""
+    root = tmp_path / "store"
+    spec = {**CampaignRequest(variant="small-improved").to_dict(),
+            "engine": "interpreted"}
+    with JobQueue(root) as queue:
+        job_id = queue.submit(spec)
+    code = ServiceDaemon(root, DaemonConfig(
+        drain=True, verbose=False)).serve()
+    assert code == 0
+    job = CampaignService(root).status(job_id)
+    assert job.status == JOB_DONE
+    assert job.result["faults"] == len(candidates.faults)
+    assert job.result["measured_dc"] == serial.measured_dc()
+    assert job.result["safe_fraction"] == \
+        serial.measured_safe_fraction()
+    from repro.reporting.jobs import job_detail_pairs
+    assert "engine" not in dict(job_detail_pairs(job))
+
 def test_poison_job_dead_letters_with_diagnostic(tmp_path, env,
                                                  serial, capsys):
     """A job whose spec references a missing stimuli file is
