@@ -51,7 +51,7 @@ def test_wbuf_zone_reaches_data_and_alarms(benchmark, env):
 
 
 def test_measured_effects_subset_of_predicted(benchmark, env):
-    campaign = env.manager().run(env.candidates())
+    campaign = env.supervisor(workers=1).run(env.candidates())
     predicted = predict_effects_table(env.zone_set)
 
     comparison = benchmark(lambda: ResultAnalyzer(

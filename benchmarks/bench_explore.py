@@ -63,8 +63,7 @@ def test_incremental_vs_cold_exploration(benchmark, tmp_path_factory):
         service = CampaignService(
             str(tmp_path_factory.mktemp("explore") / "store"))
         config = ExploreConfig(variant="small-baseline", banks=2,
-                               target_sff=0.97, budget=6,
-                               use_queue=False)
+                               target_sff=0.97, budget=6)
         return explore(service, config)
 
     result = benchmark.pedantic(search, rounds=1, iterations=1)
@@ -128,8 +127,7 @@ def test_warm_restart_of_a_finished_search(benchmark,
     """
     root = str(tmp_path_factory.mktemp("restart") / "store")
     config = ExploreConfig(variant="small-baseline", banks=2,
-                           target_sff=0.97, budget=4,
-                           use_queue=False)
+                           target_sff=0.97, budget=4)
     first = explore(CampaignService(root), config)
 
     def restart():

@@ -25,7 +25,7 @@ def env(improved_small):
 
 @pytest.fixture(scope="module")
 def campaign(env):
-    return env.manager().run(env.candidates())
+    return env.supervisor(workers=1).run(env.candidates())
 
 
 def test_avf_cross_check(benchmark, env, campaign):

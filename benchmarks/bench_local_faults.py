@@ -47,14 +47,15 @@ def test_local_cone_injection(benchmark, env):
                                   per_zone=20)
 
     campaign = benchmark.pedantic(
-        lambda: env.manager().run(faults), rounds=1, iterations=1)
+        lambda: env.supervisor(workers=1).run(faults), rounds=1,
+        iterations=1)
     dc = campaign.measured_dc()
     report(benchmark, critical_zones=zones,
            gate_faults=len(faults),
            local_dc=f"{dc * 100:.1f}%")
     assert len(campaign.results) == len(faults)
     # zone-level campaign on the same areas for consistency
-    zone_campaign = env.manager().run(env.candidates())
+    zone_campaign = env.supervisor(workers=1).run(env.candidates())
     zone_dc = zone_campaign.measured_dc()
     # "results of such injection confirm the results of the exhaustive
     # sensible zone failure fault injection"

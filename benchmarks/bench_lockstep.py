@@ -10,8 +10,9 @@ same injection machinery the memory study uses.
 from conftest import report
 
 from repro.faultinjection import (
+    CampaignSpec,
+    CampaignSupervisor,
     CandidateList,
-    FaultInjectionManager,
     SeuFault,
     StuckNetFault,
 )
@@ -37,11 +38,12 @@ def _campaign(cpu):
                                offset=6 + (i % 9)))
         faults.append(StuckNetFault(target=flop, zone=zone_of[flop],
                                     value=i % 2))
-    manager = FaultInjectionManager(
-        cpu.circuit, stimuli, zone_set=zone_set,
+    spec = CampaignSpec.from_zone_set(
+        cpu.circuit, stimuli, zone_set,
         setup=lambda sim: sim.load_mem("imem/rom",
                                        assemble(PROGRAM)))
-    return manager.run(CandidateList(faults=faults))
+    return CampaignSupervisor(spec, workers=1).run(
+        CandidateList(faults=faults))
 
 
 def test_lockstep_measured_coverage(benchmark):

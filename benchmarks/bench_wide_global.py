@@ -49,7 +49,8 @@ def test_wide_global_injection_consistent(benchmark, env):
     faults = _wide_global_faults(env)
 
     campaign = benchmark.pedantic(
-        lambda: env.manager().run(faults), rounds=1, iterations=1)
+        lambda: env.supervisor(workers=1).run(faults), rounds=1,
+        iterations=1)
 
     predicted = predict_effects_table(env.zone_set)
     classifier = FaultClassifier(env.zone_set)

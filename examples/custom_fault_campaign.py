@@ -14,9 +14,10 @@ Run:  python examples/custom_fault_campaign.py
 
 from repro.faultinjection import (
     BridgeFault,
+    CampaignSpec,
+    CampaignSupervisor,
     CandidateList,
     FaultDictionary,
-    FaultInjectionManager,
     MbuFault,
     MemFlipFault,
     ResultAnalyzer,
@@ -67,12 +68,12 @@ def main():
         + random_traffic(sub, n_ops=10, seed=3)
     zone_set = sub.extract_zones()
 
-    manager = FaultInjectionManager(
-        sub.circuit, list(workload), zone_set=zone_set,
+    spec = CampaignSpec.from_zone_set(
+        sub.circuit, list(workload), zone_set,
         setup=lambda sim: sub.preload(sim, {}))
 
     faults = build_fault_list(sub)
-    campaign = manager.run(faults)
+    campaign = CampaignSupervisor(spec, workers=1).run(faults)
     print(f"campaign: {len(campaign.results)} faults, "
           f"{campaign.passes} pass(es), "
           f"{campaign.cycles_simulated} simulated cycles")
@@ -86,7 +87,7 @@ def main():
     from repro.faultinjection import build_environment
     env = build_environment(sub, quick=True)
     dictionary = FaultDictionary.build(
-        env.manager().run(env.candidates()))
+        env.supervisor(workers=1).run(env.candidates()))
     print(f"\n{dictionary.summary()}")
     field_return = {"alarm_ce": 5, "alarm_synd_data": 5, "hrdata": 5}
     print(f"diagnosing field signature {sorted(field_return)}:")

@@ -20,8 +20,9 @@ Run:  python examples/lockstep_cpu.py
 """
 
 from repro.faultinjection import (
+    CampaignSpec,
+    CampaignSupervisor,
     CandidateList,
-    FaultInjectionManager,
     SeuFault,
     StuckNetFault,
 )
@@ -50,10 +51,11 @@ def campaign(cpu: MiniCpu):
                                offset=6 + (i % 9)))
         faults.append(StuckNetFault(target=flop, zone=zone_of[flop],
                                     value=i % 2))
-    manager = FaultInjectionManager(
-        cpu.circuit, stimuli, zone_set=zone_set,
+    spec = CampaignSpec.from_zone_set(
+        cpu.circuit, stimuli, zone_set,
         setup=lambda sim: sim.load_mem("imem/rom", assemble(PROGRAM)))
-    return manager.run(CandidateList(faults=faults))
+    return CampaignSupervisor(spec, workers=1).run(
+        CandidateList(faults=faults))
 
 
 def fmea_for(cpu: MiniCpu, lockstep: bool):

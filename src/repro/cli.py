@@ -233,7 +233,7 @@ def cmd_explore(args) -> int:
         target_sff=args.target_sff, hft=args.hft,
         budget=args.budget, probe_width=args.probe_width,
         full=args.full, workers=args.workers,
-        use_queue=not args.no_queue, project=args.project,
+        project=args.project,
         verify=not args.no_verify)
     progress = None
     if not args.quiet:
@@ -849,9 +849,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="use the full (slow) campaign workload")
     p.add_argument("--workers", type=int, default=1,
                    help="campaign worker processes per evaluation")
-    p.add_argument("--no-queue", action="store_true",
-                   help="run evaluations in-process instead of "
-                        "through the durable job queue")
     p.add_argument("--no-verify", action="store_true",
                    help="skip the warm verification re-run of the "
                         "recommended configuration")

@@ -57,9 +57,6 @@ class ExploreConfig:
     probe_width: int = 3
     full: bool = False
     workers: int = 1
-    #: route evaluations through the durable job queue (the default);
-    #: False runs them in-process, for tests
-    use_queue: bool = True
     project: str = "default"
     verify: bool = True
 
@@ -202,13 +199,8 @@ class ExplorationResult:
 def _run_point(service, point: DesignPoint, config: ExploreConfig,
                progress=None) -> dict:
     """Evaluate one point; returns the campaign's summary dict."""
-    request = point.request(full=config.full, workers=config.workers)
-    if not config.use_queue:
-        outcome = service.run_campaign(request)
-        summary = outcome.summary_dict()
-        summary["job_id"] = None
-        return summary
     from ..service.daemon import DaemonConfig, ServiceDaemon
+    request = point.request(full=config.full, workers=config.workers)
     job_id = service.submit(request)
     daemon = ServiceDaemon(service.root, DaemonConfig(
         drain=True, verbose=False))

@@ -19,10 +19,13 @@ group reductions instead of a per-point Python loop:
   touches a (point, machine) pair once — after the first divergence is
   recorded the steady-state per-cycle cost is a handful of numpy calls.
 
-Its records — ``FaultResult`` fields, coverage bookkeeping, toggle
-merge — are bit-identical to a per-point loop over the interpreted
+Its records — ``FaultResult`` fields and the toggle merge — are
+bit-identical to a per-point loop over the interpreted
 :class:`~repro.hdl.simulator.Simulator`, the differential oracle that
-``tests/test_compiled_differential.py`` checks it against.
+``tests/test_compiled_differential.py`` checks it against.  A pass
+keeps no golden bookkeeping: the fault-free OBSE/DIAG activity comes
+from the profile replay
+(:func:`~repro.faultinjection.parallel.compute_golden_trace`).
 """
 
 from __future__ import annotations
@@ -54,8 +57,8 @@ class _Group:
 def _build_groups(manager, sim, batch):
     """Partition points + SENS probes into vectorizable groups.
 
-    Returns ``(net_group, diag_seg_lo, func_count, flop_group,
-    mem_groups)``; any group may be ``None``/empty.  ``mem_groups``
+    Returns ``(net_group, diag_seg_lo, flop_group, mem_groups)``;
+    any group may be ``None``/empty.  ``mem_groups``
     holds one ``(stacked store, member per probe, group)`` entry per
     stacked memory group of ``sim``.  Zero-net points are dropped —
     they can never mismatch (and ``reduceat`` cannot represent empty
@@ -77,7 +80,6 @@ def _build_groups(manager, sim, batch):
 
     for p in manager.functional:
         add_point(_FUNC, p.name, list(p.nets))
-    func_count = len(pts)
     for p in manager.status:
         add_point(_STATUS, p.name, list(p.nets))
 
@@ -126,11 +128,10 @@ def _build_groups(manager, sim, batch):
                    np.asarray(mjs, dtype=np.intp),
                    _Group(mwords, list(range(len(mwords))), mpts, words))
                   for gi, (mjs, mwords, mpts) in by_mem.items()]
-    return net_group, diag_seg_lo, func_count, flop_group, mem_groups
+    return net_group, diag_seg_lo, flop_group, mem_groups
 
 
-def run_pass_compiled(manager, batch, result,
-                      track_golden: bool = True) -> None:
+def run_pass_compiled(manager, batch, result) -> None:
     """Run one campaign pass and record its faults into ``result``.
 
     A :class:`~repro.hdl.simulator.CycleBudgetExceeded` raised
@@ -149,8 +150,7 @@ def run_pass_compiled(manager, batch, result,
         fault.arm(sim, machine=k, t0=0)
 
     results = [FaultResult(fault=f) for f in batch]
-    net, diag_lo, nfunc, flopg, memgs = _build_groups(manager, sim,
-                                                      batch)
+    net, diag_lo, flopg, memgs = _build_groups(manager, sim, batch)
     diag_row_lo = int(net.starts[diag_lo]) \
         if net is not None and diag_lo < len(net.pts) \
         else (len(net.index) if net is not None else 0)
@@ -162,7 +162,6 @@ def run_pass_compiled(manager, batch, result,
     one = _U64(1)
     full = sim._full
     vals = sim._vals
-    coverage = result.coverage
 
     def record(point_words, group):
         """Route newly-diverged (point, machine) pairs to results."""
@@ -196,7 +195,6 @@ def run_pass_compiled(manager, batch, result,
                         res.diag_cycle = cycle
                         res.first_alarm = name
 
-    prev_b0 = None
     for cycle, inputs in enumerate(stimuli):
         sim.step_eval(inputs)
 
@@ -211,22 +209,6 @@ def run_pass_compiled(manager, batch, result,
                 np.bitwise_and(tail, ~gw[diag_row_lo:], out=tail)
             record(np.bitwise_or.reduceat(diff, net.starts, axis=0),
                    net)
-            if track_golden:
-                b0b = b0.astype(bool)
-                if prev_b0 is not None and nfunc:
-                    changed = b0b != prev_b0
-                    if changed.any():
-                        cseg = np.logical_or.reduceat(changed,
-                                                      net.starts)
-                        for p in range(nfunc):
-                            if cseg[p]:
-                                coverage.obse[net.pts[p][1]] = True
-                prev_b0 = b0b
-                if diag_lo < len(net.pts):
-                    gseg = np.logical_or.reduceat(b0b, net.starts)
-                    for p in range(diag_lo, len(net.pts)):
-                        if gseg[p]:
-                            coverage.diag[net.pts[p][1]] = True
 
         if flopg is not None:
             subf = sim._flop_state[flopg.index]

@@ -9,7 +9,9 @@ A fault is *detected* when any functional output or diagnostic alarm of
 the faulty machine deviates from the golden machine at any cycle of the
 workload.  The faults run through the campaign pass loop
 (:meth:`~repro.faultinjection.manager.FaultInjectionManager.run_batches`)
-with every observed port as an output observation point.
+with every observed port as an output observation point, in this
+process: detection needs no coverage ledger or golden trace, so the
+campaign supervisor has nothing to add.
 """
 
 from __future__ import annotations
@@ -67,8 +69,7 @@ def simulate_faults(circuit: Circuit, stimuli,
         config=CampaignConfig(max_cycles=max_cycles))
 
     start = time.time()
-    result = manager.run_batches(list(candidates.faults),
-                                 track_golden=False)
+    result = manager.run_batches(list(candidates.faults))
     report = FaultSimReport(total=len(candidates.faults), detected=0,
                             cycles=len(manager.stimuli[:max_cycles]),
                             passes=result.passes)

@@ -16,11 +16,14 @@ and records for every fault:
 Outcomes are then classified into the IEC classes: safe, detected-safe
 (alarm without corruption), dangerous-detected (corruption with a
 timely alarm) and dangerous-undetected.
+
+A whole campaign — shards, golden activity, coverage ledger — runs
+through :class:`~repro.faultinjection.supervisor.CampaignSupervisor`,
+which drives :meth:`FaultInjectionManager.run_batches` in its workers.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 from ..hdl.netlist import Circuit
@@ -152,7 +155,7 @@ class CampaignResult:
         Used by the sharded campaign: every pass also simulates the
         fault-free machine and each fault's machine behaves the same
         whatever pass it lands in, so the union over shards equals
-        what a single in-process run over all the faults collects.
+        what one pass loop over all the faults collects.
         """
         if other.seen0 is None or other.seen1 is None:
             return
@@ -168,7 +171,8 @@ class CampaignResult:
 
 
 class FaultInjectionManager:
-    """Runs campaigns for one circuit + workload + observation set."""
+    """The pass loop and coverage-ledger rules of one circuit +
+    workload + observation set (the supervisor's per-shard core)."""
 
     def __init__(self, circuit: Circuit, stimuli,
                  zone_set: ZoneSet | None = None,
@@ -204,39 +208,23 @@ class FaultInjectionManager:
         return CampaignResult(window=cfg.detection_window,
                               test_windows=tuple(cfg.test_windows))
 
-    def run(self, candidates: CandidateList) -> CampaignResult:
-        """Run the whole campaign in this process, without a store.
-
-        The in-process reference the sharded
-        :class:`~repro.faultinjection.supervisor.CampaignSupervisor`
-        is proved bit-identical against."""
-        start = time.time()
-        result = self.new_result()
-        self._init_coverage(result.coverage, candidates)
-        self.run_batches(list(candidates.faults), into=result)
-        self.fill_coverage(result)
-        result.wall_seconds = time.time() - start
-        return result
-
     def run_batches(self, faults: list[Fault],
-                    into: CampaignResult | None = None,
-                    track_golden: bool = True) -> CampaignResult:
+                    into: CampaignResult | None = None
+                    ) -> CampaignResult:
         """The raw pass loop: simulate ``faults`` in per-pass batches.
 
-        This is the per-shard core shared by :meth:`run` and the
-        worker processes of the campaign supervisor.  It performs no
-        coverage initialisation or post-processing; when
-        ``track_golden`` is false the golden-activity bookkeeping is
-        skipped too (the supervisor computes the fault-free trace once
-        and shares it instead of recomputing it per batch).
+        This is the per-shard core the campaign supervisor's worker
+        processes run.  It performs no coverage initialisation or
+        post-processing: the supervisor derives the fault-free
+        activity once from the profile replay
+        (:func:`~repro.faultinjection.parallel.compute_golden_trace`)
+        and fills the ledger after merging the shards.
         """
         result = into if into is not None else self.new_result()
         per_pass = self.config.resolved_machines_per_pass()
         from .compiled_pass import run_pass_compiled
         for lo in range(0, len(faults), per_pass):
-            batch = faults[lo:lo + per_pass]
-            run_pass_compiled(self, batch, result,
-                              track_golden=track_golden)
+            run_pass_compiled(self, faults[lo:lo + per_pass], result)
             result.passes += 1
         return result
 

@@ -46,17 +46,6 @@ class CoverageCollection:
         self.mismatches += other.mismatches
         self.injections += other.injections
 
-    def mark_golden_activity(self, output_toggles: dict[str, list[int]]
-                             ) -> None:
-        """Count workload-driven toggles as OBSE/DIAG exercise."""
-        for name, cycles in output_toggles.items():
-            if not cycles:
-                continue
-            if name in self.obse:
-                self.obse[name] = True
-            if name in self.diag:
-                self.diag[name] = True
-
     def sens_coverage(self) -> float:
         return _ratio(self.sens)
 

@@ -1,15 +1,17 @@
 """Building blocks of sharded fault-injection campaigns.
 
 The :class:`~repro.faultinjection.manager.FaultInjectionManager`
-already multiplexes up to 63 faulty machines per simulator pass, but the
-passes themselves run one after another in a single Python process.
-:class:`~repro.faultinjection.supervisor.CampaignSupervisor` distributes
-them across worker *processes* using the pieces defined here:
+multiplexes many faulty machines (1023 by default) into each
+simulator pass, but the passes of one shard run one after another in
+a single Python process.
+:class:`~repro.faultinjection.supervisor.CampaignSupervisor`, the one
+campaign executor, distributes them across worker *processes* using
+the pieces defined here:
 
 * the candidate list is **deterministically sharded** into contiguous
   batches (:func:`shard_candidates`) so that concatenating the
   per-shard result lists in shard order reproduces the exact per-fault
-  ordering of the in-process run;
+  ordering of a one-shard run;
 * every worker is created from a **picklable**
   :class:`CampaignSpec` — circuit, stimuli, zones, observation points,
   configuration and a picklable setup (see :class:`MemoryImageSetup`)
@@ -17,8 +19,8 @@ them across worker *processes* using the pieces defined here:
 * the **golden (fault-free) trace** is derived once in the parent
   (:func:`compute_golden_trace`) from the per-net first events the
   operational-profile replay recorded, and its activity bits are
-  merged into the final coverage ledger, instead of every batch
-  re-deriving the golden bookkeeping cycle by cycle;
+  merged into the final coverage ledger; the pass loop keeps no
+  golden bookkeeping of its own;
 * per-shard wall-clock / fault-count statistics
   (:class:`CampaignStats`) and a shielded progress callback
   (:class:`SafeProgress`) give campaign observability.
@@ -27,9 +29,10 @@ Because each fault occupies its own machine-bit and is only ever
 compared against machine 0 of its own pass, per-fault results are
 independent of how faults are grouped into passes; the merged
 :class:`~repro.faultinjection.manager.CampaignResult` is therefore
-bit-identical to the in-process one in outcome counts, ``measured_dc``
-and ``measured_safe_fraction`` regardless of worker count or shard
-order (``tests/test_parallel_campaign.py`` proves this differentially).
+bit-identical in outcome counts, ``measured_dc`` and
+``measured_safe_fraction`` regardless of worker count or shard order
+(``tests/test_parallel_campaign.py`` proves this differentially
+against the interpreted oracle).
 """
 
 from __future__ import annotations
@@ -196,8 +199,8 @@ class GoldenTrace:
     ``obse_active`` are the functional points the workload itself
     toggles (they self-cover their OBSE items); ``diag_active`` are the
     diagnostics the workload exercises without any fault present.
-    Workers run with golden bookkeeping disabled and these bits are
-    merged into the final coverage ledger exactly once.
+    The supervisor merges these bits into the final coverage ledger
+    exactly once.
     """
 
     cycles: int

@@ -15,8 +15,9 @@ generation then places transient injections in cycles where the target
 zone actually holds live data.  The same replay records, per net, the
 first cycle it changes and the first cycle it is 1
 (:class:`NetActivity`): the campaign's golden OBSE/DIAG reference
-(:func:`~repro.faultinjection.parallel.compute_golden_trace`) is
-derived from those, so a campaign replays its workload fault-free only
+(:func:`~repro.faultinjection.parallel.compute_golden_trace`) and the
+validation flow's toggle coverage (a net toggled iff it ever changed)
+are derived from those, so a workload is replayed fault-free only
 once.
 """
 
@@ -60,7 +61,6 @@ class OperationalProfile:
     length: int
     flop_toggles: dict[str, list[int]] = field(default_factory=dict)
     mem_accesses: dict[str, list[MemAccess]] = field(default_factory=dict)
-    output_toggles: dict[str, list[int]] = field(default_factory=dict)
     activity: NetActivity = field(
         default_factory=lambda: NetActivity([], []))
 
@@ -74,7 +74,6 @@ class OperationalProfile:
             "mem_accesses": {
                 name: [[a.cycle, a.addr, a.write] for a in accesses]
                 for name, accesses in self.mem_accesses.items()},
-            "output_toggles": self.output_toggles,
             "first_change": self.activity.first_change,
             "first_one": self.activity.first_one,
         }
@@ -82,7 +81,9 @@ class OperationalProfile:
     @classmethod
     def from_dict(cls, data: dict) -> "OperationalProfile":
         """Inverse of :meth:`to_dict`; raises ``KeyError``,
-        ``TypeError`` or ``ValueError`` on data of another shape."""
+        ``TypeError`` or ``ValueError`` on data of another shape.
+        Keys :meth:`to_dict` does not write, such as those of
+        profiles stored by older versions, are ignored."""
         return cls(
             length=int(data["length"]),
             flop_toggles=dict(data["flop_toggles"]),
@@ -90,7 +91,6 @@ class OperationalProfile:
                 name: [MemAccess(cycle=cycle, addr=addr, write=write)
                        for cycle, addr, write in accesses]
                 for name, accesses in data["mem_accesses"].items()},
-            output_toggles=dict(data["output_toggles"]),
             activity=NetActivity(list(data["first_change"]),
                                  list(data["first_one"])),
         )
@@ -172,7 +172,6 @@ def profile_workload(circuit: Circuit, stimuli, setup=None,
 
     profile = OperationalProfile(length=len(stimuli))
     prev_flops = {f.name: None for f in circuit.flops}
-    prev_outs = {name: None for name in circuit.outputs}
     # per-net first events: each cycle reads only the nets still
     # waiting for theirs, as one C-level gather (values are 0 or 1)
     vals = sim._values
@@ -214,11 +213,6 @@ def profile_workload(circuit: Circuit, stimuli, setup=None,
             if write or reading:
                 profile.mem_accesses.setdefault(mem.name, []).append(
                     MemAccess(cycle=cycle, addr=addr, write=write))
-        for name, nets in circuit.outputs.items():
-            value = sim.value_of(nets)
-            if prev_outs[name] is not None and value != prev_outs[name]:
-                profile.output_toggles.setdefault(name, []).append(cycle)
-            prev_outs[name] = value
         sim.step_commit()
         # flop toggles become visible in the committed state
         for i, flop in enumerate(circuit.flops):

@@ -41,10 +41,11 @@ supervision:
   poison faults from earlier runs are quarantined up front** so a
   resumed campaign never re-executes them.
 
-Surviving per-fault results are bit-identical to a serial run over
-the non-quarantined faults: per-fault records are independent of pass
-grouping (see :mod:`~repro.faultinjection.parallel`), so retries and
-bisection cannot shift the measured DC/SFF of the survivors.
+Surviving per-fault results are bit-identical to a clean one-worker
+run over the non-quarantined faults: per-fault records are independent
+of pass grouping (see :mod:`~repro.faultinjection.parallel`), so
+retries and bisection cannot shift the measured DC/SFF of the
+survivors.
 """
 
 from __future__ import annotations
@@ -112,9 +113,6 @@ class SupervisorConfig:
     #: isolate poison faults and complete the campaign without them;
     #: when off, an inexecutable fault raises :class:`CampaignAborted`
     quarantine: bool = True
-    #: fall back to in-process serial execution when worker processes
-    #: cannot be spawned (last resort; crash/hang containment is lost)
-    degrade_in_process: bool = True
     #: supervisor poll tick: deadline granularity and the latency of
     #: noticing a finished shard
     poll_interval: float = 0.05
@@ -201,8 +199,7 @@ def _supervised_worker(conn, spec: CampaignSpec,
     """
     start = time.time()
     try:
-        result = spec.manager().run_batches(list(faults),
-                                            track_golden=False)
+        result = spec.manager().run_batches(list(faults))
         payload = ("ok", os.getpid(), result, time.time() - start)
     except BaseException as exc:  # noqa: BLE001 — report, then die
         payload = ("error", os.getpid(),
@@ -245,12 +242,15 @@ class _Active:
 class CampaignSupervisor:
     """Runs a campaign spec under failure supervision.
 
-    Every shard runs in a worker process (``workers`` at a time, one
-    shard per worker unless ``shards`` or a store says otherwise) and
-    the merged :class:`CampaignResult` of a clean run is bit-identical
-    to an in-process :meth:`FaultInjectionManager.run` over the same
-    candidates.  ``progress(done, total)`` is invoked as shards land;
-    with ``cache`` (a :class:`~repro.store.CampaignCache`) only cache
+    This is the one code path that turns a :class:`CandidateList`
+    into a :class:`CampaignResult` with its coverage ledger.  Every
+    shard runs in a worker process (``workers`` at a time, one shard
+    per worker unless ``shards`` or a store says otherwise); the merged
+    result of a clean run is independent of the worker count, shard
+    split and store state, and record for record equal to the
+    interpreted differential oracle over the same candidates.
+    ``progress(done, total)`` is invoked as shards land; with
+    ``cache`` (a :class:`~repro.store.CampaignCache`) only cache
     misses are simulated.  ``last_stats`` holds the
     :class:`CampaignStats` of the most recent run, ``anomalies`` the
     faults it quarantined.
@@ -514,7 +514,7 @@ class CampaignSupervisor:
         SIGKILLed campaign resumes from the last flushed shard, not
         from zero) — and since a pass simulates ``machines_per_pass``
         faults at once anyway, slicing at pass boundaries leaves the
-        total pass count (and cost) identical to a serial run.
+        total pass count (and cost) identical to a one-shard run.
         Without a store nothing is flushed, so one shard per worker
         minimizes overhead.
         """
@@ -543,8 +543,6 @@ class CampaignSupervisor:
         try:
             return self._spawn(job)
         except OSError:
-            if not self.config.degrade_in_process:
-                raise
             self._degraded = True
             self._health.degraded = True
             return None
@@ -586,8 +584,7 @@ class CampaignSupervisor:
         start = time.time()
         try:
             part = self.spec.manager().run_batches(
-                [self._faults[i] for i in job.indices],
-                track_golden=False)
+                [self._faults[i] for i in job.indices])
         except Exception as exc:
             if type(exc).__name__ in _HANG_EXCEPTIONS:
                 kind = ANOMALY_HANG

@@ -16,8 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..fmea.ranking import rank_zones
-from ..hdl.coverage import ToggleReport, measure_toggle_coverage
-from ..zones.effects import predict_effects_table
+from ..hdl.coverage import ToggleReport
+from ..hdl.netlist import OP_CONST0, OP_CONST1, Circuit
+from ..soc.workloads import validation_workload
+from ..zones.effects import diagnostic_only_nets, predict_effects_table
 from ..zones.model import ZoneKind
 from .analyzer import ResultAnalyzer
 from .environment import InjectionEnvironment, build_environment
@@ -30,6 +32,8 @@ from .faults import BridgeFault, GlobalStuckFault
 from .faultsim import simulate_faults
 from .manager import CampaignConfig, CampaignResult
 from .monitors import CoverageCollection
+from .profiler import NetActivity, profile_workload
+from .supervisor import CampaignSupervisor, SupervisorConfig
 
 
 @dataclass
@@ -98,17 +102,50 @@ def run_validation(subsystem, env: InjectionEnvironment | None = None,
         env = build_environment(subsystem, quick=config.quick)
     report = ValidationReport()
 
-    # campaigns first (a, c, d + coverage top-up), then the workload-
-    # completeness measurement (b) which credits diagnostic-only nets
-    # with the toggles observed across all faulty machines
+    # campaigns first (a, c, d), then the one fault-free replay of the
+    # full workload: its output activity joins the coverage ledger
+    # before the top-up decision (e), and its per-net activity is the
+    # workload-completeness measurement (b), which also credits
+    # diagnostic-only nets with the toggles of all faulty machines
     config.campaign.collect_toggles = True
     _step_a(env, config, report)
     _step_c(subsystem, env, config, report)
     _step_d(subsystem, env, config, report)
-    _step_coverage(config, report, env)
-    _step_b(subsystem, env, config, report)
+    activity = _replay_full_workload(subsystem)
+    _step_coverage(config, report, env,
+                   toggled_outputs=_toggled_outputs(subsystem.circuit,
+                                                    activity))
+    _step_b(subsystem.circuit, env, config, report, activity)
     report.steps.sort(key=lambda s: s.name)
     return report
+
+
+def _run_campaign(env: InjectionEnvironment, config: ValidationConfig,
+                  candidates: CandidateList) -> CampaignResult:
+    """One validation campaign on the campaign supervisor.
+
+    Quarantine is off: a fault that cannot be executed aborts the
+    validation (:class:`~.supervisor.CampaignAborted`) instead of
+    leaving a hole in the evidence.
+    """
+    return CampaignSupervisor(
+        env.spec(config.campaign), workers=1,
+        config=SupervisorConfig(quarantine=False)).run(candidates)
+
+
+def _replay_full_workload(subsystem) -> NetActivity:
+    """Per-net activity of the full workload's fault-free replay."""
+    return profile_workload(
+        subsystem.circuit, validation_workload(subsystem, quick=False),
+        setup=lambda sim: subsystem.preload(sim, {})).activity
+
+
+def _toggled_outputs(circuit: Circuit, activity: NetActivity
+                     ) -> set[str]:
+    """Output ports whose value changed in the fault-free replay."""
+    change = activity.first_change
+    return {name for name, nets in circuit.outputs.items()
+            if any(change[net] >= 0 for net in nets)}
 
 
 # ----------------------------------------------------------------------
@@ -120,7 +157,7 @@ def _step_a(env: InjectionEnvironment, config: ValidationConfig,
         permanent_per_zone=config.permanent_per_zone,
         seed=config.seed)
     candidates = env.candidates(fl_config)
-    campaign = env.manager(config.campaign).run(candidates)
+    campaign = _run_campaign(env, config, candidates)
     report.campaign = campaign
 
     analyzer = ResultAnalyzer(campaign)
@@ -149,29 +186,19 @@ def _step_a(env: InjectionEnvironment, config: ValidationConfig,
                                    and effects.consistent, detail))
 
 
-def _step_b(subsystem, env: InjectionEnvironment,
-            config: ValidationConfig, report: ValidationReport) -> None:
+def _step_b(circuit: Circuit, env: InjectionEnvironment,
+            config: ValidationConfig, report: ValidationReport,
+            activity: NetActivity) -> None:
     """Workload completeness: toggle coverage of the full workload.
 
-    The requirement is split: *functional* nets must toggle under the
-    fault-free workload; *diagnostic-only* nets (checker-disagreement
-    logic that is structurally silent without a fault — see
+    ``activity`` is the full workload's fault-free replay; a net
+    toggled iff its value ever changed in it.  The requirement is
+    split: *functional* nets must toggle under the fault-free
+    workload; *diagnostic-only* nets (checker-disagreement logic that
+    is structurally silent without a fault — see
     :func:`repro.zones.effects.diagnostic_only_nets`) are credited
-    when they toggled in any faulty machine of the step-a campaign.
+    when they toggled in any faulty machine of the campaigns.
     """
-    from ..hdl.netlist import OP_CONST0, OP_CONST1
-    from ..hdl.simulator import Simulator
-    from ..soc.workloads import validation_workload
-    from ..zones.effects import diagnostic_only_nets
-    from .profiler import profile_workload
-
-    circuit = subsystem.circuit
-    full = validation_workload(subsystem, quick=False)
-    sim = Simulator(circuit, machines=1, collect_toggles=True)
-    subsystem.preload(sim, {})
-    for inputs in full:
-        sim.step(inputs)
-
     diag_only = diagnostic_only_nets(
         circuit, env.zone_set.observation_points)
     const_nets = {g.out for g in circuit.gates
@@ -184,10 +211,10 @@ def _step_b(subsystem, env: InjectionEnvironment,
 
     func_total = func_hit = diag_total = diag_hit = 0
     func_untoggled: list[str] = []
-    for net in range(circuit.num_nets):
+    for net, first in enumerate(activity.first_change):
         if net in const_nets:
             continue
-        golden = sim._seen0[net] and sim._seen1[net]
+        golden = first >= 0
         if net in diag_only:
             diag_total += 1
             if golden or net in campaign_toggled:
@@ -210,16 +237,6 @@ def _step_b(subsystem, env: InjectionEnvironment,
               f"golden + injection credit)")
     report.steps.append(StepResult("b:workload-completeness", passed,
                                    detail))
-
-    # the full workload's golden output activity also counts toward
-    # OBSE/DIAG completeness (the monitors fire on these changes)
-    if report.campaign is not None:
-        profile = profile_workload(
-            circuit, full,
-            setup=lambda s: subsystem.preload(s, {}),
-            read_strobes=subsystem.read_strobes())
-        report.campaign.coverage.mark_golden_activity(
-            profile.output_toggles)
 
 
 def _step_c(subsystem, env: InjectionEnvironment,
@@ -248,7 +265,7 @@ def _step_c(subsystem, env: InjectionEnvironment,
     gate_faults = generate_cone_faults(
         env.zone_set, env.circuit, zones_in_areas,
         per_zone=config.cone_faults_per_zone, seed=config.seed)
-    local = env.manager(config.campaign).run(gate_faults)
+    local = _run_campaign(env, config, gate_faults)
     report.local_campaign = local
 
     # consistency: gate-level DC in the critical areas vs zone-level DC
@@ -325,8 +342,7 @@ def _step_d(subsystem, env: InjectionEnvironment,
             "d:wide-global", True, "no wide/global fault sites found"))
         return
 
-    campaign = env.manager(config.campaign).run(
-        CandidateList(faults=faults))
+    campaign = _run_campaign(env, config, CandidateList(faults=faults))
     report.wide_campaign = campaign
 
     # consistency: every measured effect must be predicted reachable
@@ -397,26 +413,32 @@ def _diag_topup(env: InjectionEnvironment, config: ValidationConfig,
                     zone=None, value=value))
     if not faults:
         return
-    topup = env.manager(config.campaign).run(
-        CandidateList(faults=faults))
+    topup = _run_campaign(env, config, CandidateList(faults=faults))
     report.topup_campaign = topup
     merged.merge(topup.coverage)
 
 
 def _step_coverage(config: ValidationConfig,
                    report: ValidationReport,
-                   env: InjectionEnvironment | None = None) -> None:
+                   env: InjectionEnvironment | None = None,
+                   toggled_outputs=()) -> None:
     """Campaign completeness: all SENS/OBSE/DIAG items covered (§5).
 
     The ledger merges all three campaigns (a, c, d) plus the golden
-    activity of the full workload measured in step b; any DIAG item
-    still uncovered gets a targeted top-up campaign into its cone.
+    activity of the full workload: an output port in
+    ``toggled_outputs`` (changed in the fault-free replay) exercises
+    its OBSE/DIAG item by itself.  Any DIAG item still uncovered gets
+    a targeted top-up campaign into its cone.
     """
     merged = CoverageCollection()
     for campaign in (report.campaign, report.local_campaign,
                      report.wide_campaign):
         if campaign is not None:
             merged.merge(campaign.coverage)
+    for name in toggled_outputs:
+        for table in (merged.obse, merged.diag):
+            if name in table:
+                table[name] = True
     if env is not None:
         _diag_topup(env, config, merged, report)
     report.coverage = merged

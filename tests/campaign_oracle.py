@@ -26,7 +26,9 @@ from repro.hdl.simulator import Simulator
 def run_interpreted(manager: FaultInjectionManager,
                     candidates: CandidateList,
                     machines_per_pass: int = 48) -> CampaignResult:
-    """:meth:`FaultInjectionManager.run` on the interpreted oracle."""
+    """A whole campaign on the interpreted oracle: the records and the
+    coverage ledger the campaign supervisor produces, with the golden
+    OBSE/DIAG activity taken from each pass's own machine 0."""
     start = time.time()
     result = manager.new_result()
     manager._init_coverage(result.coverage, candidates)
@@ -41,8 +43,7 @@ def run_interpreted(manager: FaultInjectionManager,
 
 
 def run_pass_interpreted(manager: FaultInjectionManager, batch: list,
-                         result: CampaignResult,
-                         track_golden: bool = True) -> None:
+                         result: CampaignResult) -> None:
     """One pass on the interpreted simulator, point by point."""
     machines = len(batch) + 1
     sim = Simulator(manager.circuit, machines=machines,
@@ -90,12 +91,10 @@ def run_pass_interpreted(manager: FaultInjectionManager, batch: list,
                         if res.obse_cycle is None:
                             res.obse_cycle = cycle
             # golden activity covers the OBSE item by itself
-            if track_golden:
-                value = sim.value_of(nets)
-                if name in golden_prev and \
-                        golden_prev[name] != value:
-                    result.coverage.obse[name] = True
-                golden_prev[name] = value
+            value = sim.value_of(nets)
+            if name in golden_prev and golden_prev[name] != value:
+                result.coverage.obse[name] = True
+            golden_prev[name] = value
 
         for name, nets in status_nets.items():
             # status points: recorded in the effects table only
@@ -113,7 +112,7 @@ def run_pass_interpreted(manager: FaultInjectionManager, batch: list,
                 golden = full if v & 1 else 0
                 golden_raised = golden_raised or bool(v & 1)
                 raised |= v & ~golden
-            if golden_raised and track_golden:
+            if golden_raised:
                 # the workload itself exercises the diagnostic
                 result.coverage.diag[name] = True
             if raised:

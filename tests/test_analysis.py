@@ -24,7 +24,7 @@ from repro.soc import MemorySubsystem, SubsystemConfig
 def setup():
     sub = MemorySubsystem(SubsystemConfig.small_improved())
     env = build_environment(sub, quick=True)
-    campaign = env.manager().run(env.candidates())
+    campaign = env.supervisor(workers=1).run(env.candidates())
     return sub, env, campaign
 
 

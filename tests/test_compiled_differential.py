@@ -17,9 +17,10 @@ inputs, bit for bit:
 * fuzzed and real multi-bank designs whose same-shape memories the
   kernel steps as one stacked group, under address-line stuck-ats in
   every bank plus cell flips and stuck cells;
-* full campaigns on the fmem subsystem and the mini CPU, comparing the
-  per-fault records, outcome tallies, DC and SFF with the interpreted
-  pass loop of :mod:`tests.campaign_oracle`;
+* full campaigns on the fmem subsystem and the mini CPU, run by the
+  campaign supervisor, comparing the per-fault records, outcome
+  tallies, DC, SFF and coverage with the interpreted pass loop of
+  :mod:`tests.campaign_oracle`;
 * the sharded supervised runner at 1, 2, and 4 workers against that
   serial oracle;
 * campaigns mixing bridges and coupling faults with every other kind.
@@ -42,7 +43,7 @@ from repro.faultinjection import (
     build_environment,
 )
 from repro.faultinjection.faults import MemCouplingFault
-from repro.faultinjection.parallel import CampaignSpec
+from repro.faultinjection.parallel import CampaignSpec, snapshot_setup
 from repro.faultinjection.supervisor import CampaignSupervisor
 from repro.hdl import BRIDGE_AND, BRIDGE_DOMINANT, BRIDGE_OR, \
     CompiledSimulator, Module, Simulator, compile_circuit
@@ -333,7 +334,9 @@ def test_banked_subsystem_campaign_engines_identical(banks):
         env.circuit, stimuli, zone_set=env.zone_set, setup=env.setup)
     candidates = CandidateList(faults=faults)
     ri = run_interpreted(manager, candidates)
-    rc = manager.run(candidates)
+    rc = CampaignSupervisor(CampaignSpec.from_zone_set(
+        env.circuit, stimuli, env.zone_set, setup=env.setup),
+        workers=1).run(candidates)
     assert _fault_records(ri) == _fault_records(rc)
     assert ri.outcomes() == rc.outcomes()
     assert ri.coverage.sens == rc.coverage.sens
@@ -501,17 +504,23 @@ def _fault_records(result):
              r.first_alarm, r.effects) for r in result.results]
 
 
-def _manager(circuit, stimuli, points, machines_per_pass=None):
-    return FaultInjectionManager(
-        circuit, stimuli, observation_points=points,
+def _spec(circuit, stimuli, points, machines_per_pass=None):
+    return CampaignSpec(
+        circuit=circuit, stimuli=stimuli, observation_points=points,
         config=CampaignConfig(machines_per_pass=machines_per_pass))
+
+
+def _run_compiled(spec, candidates):
+    """The production campaign: the supervisor on one worker."""
+    return CampaignSupervisor(spec, workers=1).run(candidates)
 
 
 def _run_both(circuit, stimuli, points, faults):
     """(oracle, compiled) campaigns over one fault list."""
-    manager = _manager(circuit, stimuli, points)
+    spec = _spec(circuit, stimuli, points)
     candidates = CandidateList(faults=faults)
-    return run_interpreted(manager, candidates), manager.run(candidates)
+    return (run_interpreted(spec.manager(), candidates),
+            _run_compiled(spec, candidates))
 
 
 def test_fuzzed_mini_campaigns_engines_identical():
@@ -524,16 +533,18 @@ def test_fuzzed_mini_campaigns_engines_identical():
         assert ri.measured_dc() == rc.measured_dc(), seed
         assert ri.measured_safe_fraction() == \
             rc.measured_safe_fraction(), seed
+        assert ri.coverage == rc.coverage, seed
 
 
 def test_fuzzed_campaign_pass_boundaries():
     """Identical results when faults split across passes differently."""
     circuit, stimuli, points, faults = _fuzz_campaign_pieces(7)
     candidates = CandidateList(faults=faults)
-    baseline = run_interpreted(_manager(circuit, stimuli, points),
+    baseline = run_interpreted(_spec(circuit, stimuli, points).manager(),
                                candidates)
     for per_pass in (1, 3, 63, 64, 65):
-        rc = _manager(circuit, stimuli, points, per_pass).run(candidates)
+        rc = _run_compiled(_spec(circuit, stimuli, points, per_pass),
+                           candidates)
         assert _fault_records(rc) == _fault_records(baseline), per_pass
 
 
@@ -588,7 +599,7 @@ def fmem_env():
 def test_fmem_campaign_engines_identical(fmem_env):
     candidates = fmem_env.candidates()
     ri = run_interpreted(fmem_env.manager(), candidates)
-    rc = fmem_env.manager().run(candidates)
+    rc = fmem_env.supervisor(workers=1).run(candidates)
     assert _fault_records(ri) == _fault_records(rc)
     assert ri.outcomes() == rc.outcomes()
     assert ri.measured_dc() == rc.measured_dc()
@@ -634,10 +645,13 @@ def test_minicpu_campaign_engines_identical():
         circuit, stimuli, observation_points=points, setup=setup)
     candidates = CandidateList(faults=faults)
     ri = run_interpreted(manager, candidates)
-    rc = manager.run(candidates)
+    rc = _run_compiled(CampaignSpec(
+        circuit=circuit, stimuli=stimuli, observation_points=points,
+        setup=snapshot_setup(circuit, setup)), candidates)
     assert _fault_records(ri) == _fault_records(rc)
     assert ri.outcomes() == rc.outcomes()
     assert ri.measured_dc() == rc.measured_dc()
+    assert ri.coverage == rc.coverage
 
 
 # ----------------------------------------------------------------------

@@ -22,16 +22,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.faultinjection import (
+    CampaignAborted,
+    CampaignSpec,
     CampaignSupervisor,
     CandidateList,
-    FaultInjectionManager,
     StuckNetFault,
+    SupervisorConfig,
     build_environment,
 )
 from repro.hdl import Simulator, compile_circuit
 from repro.hdl.compiled import CompileError, LOOP_CODE, decompile
 from repro.hdl.netlist import OP_AND, OP_CONST0, OP_CONST1, OP_OR, \
-    Circuit, NetlistError
+    Circuit
 from repro.soc import MemorySubsystem, SubsystemConfig
 from repro.soc.minicpu import CpuConfig, MiniCpu
 from repro.store import CampaignCache
@@ -90,8 +92,9 @@ def test_combinational_loop_rejected_with_coded_diagnostic():
 
 
 def test_multi_driven_netlist_is_rejected_not_simulated():
-    """A campaign over a netlist the compiler cannot renumber raises
-    the ``NetlistError``; no other engine runs it instead."""
+    """A campaign over a netlist the compiler cannot renumber fails
+    with the ``NetlistError`` (quarantine off: the campaign aborts);
+    no other engine runs it instead."""
     c = Circuit(name="multi")
     x = c.new_net("x")
     y = c.new_net("y")
@@ -101,10 +104,13 @@ def test_multi_driven_netlist_is_rejected_not_simulated():
     c.outputs["y"] = [y]
     points = [ObservationPoint(name="y", kind=ObservationKind.OUTPUT,
                                nets=(y,))]
-    manager = FaultInjectionManager(c, [{"x": 1}],
-                                    observation_points=points)
-    with pytest.raises(NetlistError, match="multiple drivers"):
-        manager.run(CandidateList(faults=[StuckNetFault(target=x)]))
+    supervisor = CampaignSupervisor(
+        CampaignSpec(circuit=c, stimuli=[{"x": 1}],
+                     observation_points=points),
+        workers=1, config=SupervisorConfig(quarantine=False,
+                                           max_retries=0))
+    with pytest.raises(CampaignAborted, match="multiple drivers"):
+        supervisor.run(CandidateList(faults=[StuckNetFault(target=x)]))
 
 
 # ----------------------------------------------------------------------
@@ -166,7 +172,8 @@ def _summary(campaign) -> dict:
 def test_compiled_campaign_matches_golden_file(fmem_env):
     """The compiled engine reproduces the frozen fmem campaign JSON
     byte for byte (canonical serialization of both sides)."""
-    campaign = fmem_env.manager().run(fmem_env.candidates())
+    campaign = fmem_env.supervisor(workers=1).run(
+        fmem_env.candidates())
     expected = json.loads(
         (DATA / "fmem_small_campaign.json").read_text())
     canon = dict(sort_keys=True, separators=(",", ":"))

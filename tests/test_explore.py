@@ -237,15 +237,14 @@ def test_run_diff_names_only_mitigated_bank_zones(bank1_mitigation):
 
 
 # ----------------------------------------------------------------------
-# the search, end to end (in-process evaluations)
+# the search, end to end (evaluations through the job queue)
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def small_search(tmp_path_factory):
     service = CampaignService(
         str(tmp_path_factory.mktemp("search_store")))
     config = ExploreConfig(variant="small-baseline", banks=2,
-                           target_sff=0.92, budget=4, probe_width=2,
-                           use_queue=False)
+                           target_sff=0.92, budget=4, probe_width=2)
     return service, explore(service, config)
 
 

@@ -4,7 +4,9 @@ import pytest
 
 from repro.faultinjection import (
     BridgeFault,
-    CampaignConfig,
+    CampaignResult,
+    CampaignSpec,
+    CampaignSupervisor,
     CandidateList,
     CoverageCollection,
     FaultListConfig,
@@ -31,7 +33,7 @@ from repro.faultinjection import (
     run_validation,
     simulate_faults,
 )
-from repro.hdl import Module
+from repro.hdl import Module, Simulator
 from repro.soc import (
     MemorySubsystem,
     SubsystemConfig,
@@ -60,7 +62,7 @@ def env(improved):
 
 @pytest.fixture(scope="module")
 def campaign(env):
-    return env.manager(CampaignConfig()).run(env.candidates())
+    return env.supervisor(workers=1).run(env.candidates())
 
 
 # ----------------------------------------------------------------------
@@ -239,10 +241,11 @@ def _operational_pipe_campaign(sub):
                 and any(f in z.flops for f in pipe_flops))
     faults = [SeuFault(target=flop, zone=zone, offset=cycle + 2)
               for flop, cycle in zip(pipe_flops, read_cycles)]
-    manager = FaultInjectionManager(
-        sub.circuit, ops, zone_set=zone_set,
+    spec = CampaignSpec.from_zone_set(
+        sub.circuit, ops, zone_set,
         setup=lambda sim: sub.preload(sim, {}))
-    return manager.run(CandidateList(faults=faults))
+    return CampaignSupervisor(spec, workers=1).run(
+        CandidateList(faults=faults))
 
 
 def test_baseline_pipe_zone_has_undetected(baseline):
@@ -386,7 +389,8 @@ def test_bridge_fault_runs(env):
     net_a = env.circuit.net_names[env.circuit.flops[0].q]
     net_b = env.circuit.net_names[env.circuit.flops[1].q]
     fault = BridgeFault(target=net_a, victim=net_b, zone=None)
-    campaign = env.manager().run(CandidateList(faults=[fault]))
+    campaign = env.supervisor(workers=1).run(
+        CandidateList(faults=[fault]))
     assert len(campaign.results) == 1
 
 
@@ -404,12 +408,13 @@ def test_set_fault_unaffected_by_bridge_in_its_pass():
     set_fault = SetFault(target="a", offset=0)
     bridge = BridgeFault(target="c", victim=circuit.net_names[
         circuit.outputs["z"][0]])
+    spec = CampaignSpec(circuit=circuit, stimuli=stimuli,
+                        observation_points=points)
     for faults in ([set_fault], [set_fault, bridge]):
-        manager = FaultInjectionManager(circuit, stimuli,
-                                        observation_points=points)
         candidates = CandidateList(faults=faults)
-        for result in (manager.run(candidates),
-                       run_interpreted(manager, candidates)):
+        for result in (
+                CampaignSupervisor(spec, workers=1).run(candidates),
+                run_interpreted(spec.manager(), candidates)):
             assert result.results[0].obse_cycle == 0, faults
 
 
@@ -417,7 +422,8 @@ def test_global_fault_affects_everything(env):
     rst_nets = tuple(env.circuit.net_names[n]
                      for n in env.circuit.inputs["rst"])
     fault = GlobalStuckFault(target="rst", nets=rst_nets, value=1)
-    campaign = env.manager().run(CandidateList(faults=[fault]))
+    campaign = env.supervisor(workers=1).run(
+        CandidateList(faults=[fault]))
     res = campaign.results[0]
     assert res.obse_cycle is not None or res.effects
 
@@ -463,6 +469,57 @@ def test_validation_report_summary_format(improved):
     text = report.summary()
     assert "FMEA validation flow" in text
     assert "overall: PASS" in text
+
+
+def test_step_coverage_credits_the_replays_output_toggles(improved):
+    """An OBSE item no campaign covered, on an output port the full
+    workload's fault-free replay toggles, counts as covered in the
+    ledger the e-step reports (and the dossier prints)."""
+    from repro.faultinjection.validation import (
+        ValidationConfig,
+        ValidationReport,
+        _replay_full_workload,
+        _step_coverage,
+        _toggled_outputs,
+    )
+    toggled = _toggled_outputs(improved.circuit,
+                               _replay_full_workload(improved))
+    assert "hrdata" in toggled
+    campaign = CampaignResult(coverage=CoverageCollection(
+        sens={"z": True}, obse={"hrdata": False}, diag={"d": True}))
+    report = ValidationReport(campaign=campaign)
+    _step_coverage(ValidationConfig(), report, toggled_outputs=toggled)
+    assert report.coverage.obse == {"hrdata": True}
+    assert report.coverage.diag == {"d": True}
+    (step,) = report.steps
+    assert step.name == "e:coverage-completeness" and step.passed
+    # the campaign's own ledger is evidence of its faults only
+    assert campaign.coverage.obse == {"hrdata": False}
+
+
+def test_validation_replays_the_full_workload_once(improved,
+                                                   monkeypatch):
+    """Step b and the e-step's golden credit share one fault-free
+    replay of the full workload; the campaigns run on the compiled
+    kernel and replay nothing else once the environment's profile
+    exists."""
+    env = build_environment(improved, quick=True)
+    env.profile()
+    stepped = []
+    step_eval = Simulator.step_eval
+
+    def counting_step_eval(self, inputs=None):
+        stepped.append(self)
+        step_eval(self, inputs)
+
+    monkeypatch.setattr(Simulator, "step_eval", counting_step_eval)
+    report = run_validation(improved, env=env)
+    assert report.passed, report.summary()
+    cycles: dict[int, int] = {}
+    for sim in stepped:
+        cycles[id(sim)] = cycles.get(id(sim), 0) + 1
+    full = validation_workload(improved, quick=False)
+    assert list(cycles.values()) == [len(full)]
 
 
 def test_analyzer_csv_export(env, campaign, tmp_path):

@@ -8,6 +8,11 @@ oracle is the per-cycle loop that used to replay the workload a second
 time for those bits, kept here unchanged.  Hypothesis draws the point
 sets (random nets, any kind, empty points included) and the prefix on
 fuzzed netlists, on the fmem subsystem and on the lock-step mini CPU.
+
+The same per-net first events are the validation flow's toggle
+coverage (step b): a net toggled iff ``first_change[net] >= 0``, an
+output port iff any of its nets did.  Their oracle is the
+toggle-collecting replay (``Simulator(collect_toggles=True)``).
 """
 
 import random
@@ -24,7 +29,9 @@ from repro.faultinjection import (
     profile_workload,
 )
 from repro.hdl.simulator import Simulator
-from repro.soc import MemorySubsystem, SubsystemConfig
+from repro.faultinjection.validation import _toggled_outputs
+from repro.soc import MemorySubsystem, SubsystemConfig, \
+    validation_workload
 from repro.soc.minicpu import CpuConfig, MiniCpu, assemble
 from repro.zones.model import ObservationKind, ObservationPoint
 
@@ -183,3 +190,61 @@ def test_profile_records_first_events_per_net(minicpu):
     assert activity.first_one == first_one
     assert any(c > 0 for c in first_change)
     assert any(c < 0 for c in first_one)
+
+
+# ----------------------------------------------------------------------
+# toggle coverage from the same replay
+# ----------------------------------------------------------------------
+def replayed_toggles(circuit, stimuli, setup) -> tuple[set, set]:
+    """The oracle: a toggle-collecting replay.  Returns the nets seen
+    at both values and the output ports whose value changed."""
+    sim = Simulator(circuit, machines=1, collect_toggles=True)
+    if setup is not None:
+        setup(sim)
+    prev: dict[str, int] = {}
+    ports: set[str] = set()
+    for inputs in stimuli:
+        sim.step_eval(inputs)
+        for name, nets in circuit.outputs.items():
+            value = sim.value_of(nets)
+            if name in prev and prev[name] != value:
+                ports.add(name)
+            prev[name] = value
+        sim.step_commit()
+    nets = {net for net in range(circuit.num_nets)
+            if sim._seen0[net] and sim._seen1[net]}
+    return nets, ports
+
+
+def derived_toggles(circuit, activity) -> tuple[set, set]:
+    return ({net for net, first in enumerate(activity.first_change)
+             if first >= 0},
+            _toggled_outputs(circuit, activity))
+
+
+@given(seed=st.integers(0, 100_000))
+@settings(max_examples=200, deadline=None)
+def test_derived_toggles_equal_replay_on_fuzzed_netlists(seed):
+    circuit = fuzz_circuit(seed)
+    rng = random.Random(seed)
+    widths = {n: len(b) for n, b in circuit.inputs.items()}
+    stimuli = [{n: rng.getrandbits(w) for n, w in widths.items()}
+               for _ in range(rng.randrange(1, 16))]
+    activity = profile_workload(circuit, stimuli).activity
+    assert derived_toggles(circuit, activity) == \
+        replayed_toggles(circuit, stimuli, None)
+
+
+def test_derived_toggles_equal_replay_on_fmem():
+    """Step b's own input: the full workload of small fmem."""
+    sub = MemorySubsystem(SubsystemConfig.small_improved())
+    circuit = sub.circuit
+    stimuli = list(validation_workload(sub, quick=False))
+
+    def setup(sim):
+        sub.preload(sim, {})
+
+    activity = profile_workload(circuit, stimuli, setup=setup).activity
+    nets, ports = derived_toggles(circuit, activity)
+    assert (nets, ports) == replayed_toggles(circuit, stimuli, setup)
+    assert ports and len(nets) < circuit.num_nets

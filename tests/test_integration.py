@@ -69,8 +69,8 @@ def test_paper_size_campaign_runs(improved):
         env.candidates(FaultListConfig(transient_per_zone=1,
                                        permanent_per_zone=1)),
         sample=24, seed=3)
-    campaign = env.manager(
-        CampaignConfig(max_cycles=600)).run(candidates)
+    campaign = env.supervisor(
+        workers=1, config=CampaignConfig(max_cycles=600)).run(candidates)
     assert len(campaign.results) == 24
     counts = campaign.outcomes()
     assert sum(counts.values()) == 24

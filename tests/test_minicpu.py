@@ -3,8 +3,9 @@
 import pytest
 
 from repro.faultinjection import (
+    CampaignSpec,
+    CampaignSupervisor,
     CandidateList,
-    FaultInjectionManager,
     SeuFault,
     StuckNetFault,
 )
@@ -169,10 +170,11 @@ def _cpu_campaign(cpu, machines_zone_kind=ZoneKind.REGISTER):
                                offset=6 + (i % 9)))
         faults.append(StuckNetFault(
             target=flop, zone=zone_of[flop], value=i % 2))
-    manager = FaultInjectionManager(
-        cpu.circuit, stimuli, zone_set=zone_set,
+    spec = CampaignSpec.from_zone_set(
+        cpu.circuit, stimuli, zone_set,
         setup=lambda sim: sim.load_mem("imem/rom", assemble(PROG)))
-    return manager.run(CandidateList(faults=faults))
+    return CampaignSupervisor(spec, workers=1).run(
+        CandidateList(faults=faults))
 
 
 def test_lockstep_measured_dc_is_high(cpu, lockstep):

@@ -1,10 +1,11 @@
 """Differential tests: the sharded campaign supervisor must be
-bit-identical to the in-process :class:`FaultInjectionManager` path.
+bit-identical to the interpreted differential oracle
+(``tests/campaign_oracle.py``).
 
 The safety metrics (DC, SFF) extracted from a campaign are only
 trustworthy if distributing the faults over worker processes cannot
 shift them — so every worker count is checked against the serial
-reference fault by fault, not just in aggregate.
+oracle fault by fault, not just in aggregate.
 """
 
 import json
@@ -32,6 +33,8 @@ from repro.soc import MemorySubsystem, SubsystemConfig
 from repro.soc.minicpu import CpuConfig, MiniCpu, assemble
 from repro.zones import ZoneKind, extract_zones
 
+from .campaign_oracle import run_interpreted
+
 DATA = Path(__file__).parent / "data"
 
 
@@ -51,7 +54,7 @@ def candidates(env):
 
 @pytest.fixture(scope="module")
 def serial(env, candidates):
-    return env.manager(CampaignConfig()).run(candidates)
+    return run_interpreted(env.manager(CampaignConfig()), candidates)
 
 
 def _fault_rows(campaign):
@@ -85,8 +88,8 @@ def test_supervisor_toggle_coverage_equals_serial(env, candidates,
                                                   workers):
     # any-machine toggle bitmaps are collected per shard and must be
     # merged, not dropped, when the shards land
-    reference = env.manager(
-        CampaignConfig(collect_toggles=True)).run(candidates)
+    reference = run_interpreted(
+        env.manager(CampaignConfig(collect_toggles=True)), candidates)
     campaign = env.supervisor(
         workers=workers,
         config=CampaignConfig(collect_toggles=True)).run(candidates)
@@ -138,7 +141,7 @@ def cpu_serial(cpu_setup):
     manager = FaultInjectionManager(
         cpu.circuit, stimuli, zone_set=zone_set,
         setup=lambda sim: sim.load_mem("imem/rom", assemble(PROG)))
-    return manager.run(candidates)
+    return run_interpreted(manager, candidates)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
@@ -190,7 +193,7 @@ def test_golden_trace_matches_serial_coverage(env, serial):
     # output toggles in the fault-free run
     assert "hrdata" in trace.obse_active
     # every item the shared trace credits to workload activity is also
-    # credited by the serial campaign's per-pass golden bookkeeping
+    # credited by the oracle's per-pass golden bookkeeping
     assert all(serial.coverage.obse[name]
                for name in trace.obse_active)
     assert all(serial.coverage.diag[name]
@@ -226,7 +229,7 @@ def test_runner_stats_and_progress(env, candidates):
 # empty campaigns (regression: metrics must not divide by zero)
 # ----------------------------------------------------------------------
 def test_empty_campaign_metrics_are_zero(env):
-    campaign = env.manager(CampaignConfig()).run(CandidateList())
+    campaign = env.supervisor(workers=1).run(CandidateList())
     assert campaign.results == []
     assert campaign.measured_dc() == 0.0
     assert campaign.measured_safe_fraction() == 0.0

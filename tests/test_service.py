@@ -40,6 +40,8 @@ from repro.store import CampaignCache, StoreBusyError, fsck_store, \
     gc_store
 from repro.store.db import StoreDB
 
+from .campaign_oracle import run_interpreted
+
 REPO = Path(__file__).parent.parent
 ENV = {**os.environ, "PYTHONPATH": str(REPO / "src")}
 CLI = [sys.executable, "-m", "repro.cli"]
@@ -58,7 +60,7 @@ def candidates(env):
 
 @pytest.fixture(scope="module")
 def serial(env, candidates):
-    return env.manager(CampaignConfig()).run(candidates)
+    return run_interpreted(env.manager(CampaignConfig()), candidates)
 
 
 def _fault_rows(campaign):

@@ -40,6 +40,8 @@ from repro.store import (
 from repro.store.fingerprint import digest, fault_descriptor, \
     profile_key
 
+from .campaign_oracle import run_interpreted
+
 REPO = Path(__file__).parent.parent
 ENV = {**os.environ, "PYTHONPATH": str(REPO / "src")}
 
@@ -57,7 +59,7 @@ def candidates(env):
 
 @pytest.fixture(scope="module")
 def serial(env, candidates):
-    return env.manager(CampaignConfig()).run(candidates)
+    return run_interpreted(env.manager(CampaignConfig()), candidates)
 
 
 def _fault_rows(campaign):
@@ -377,6 +379,22 @@ def test_profile_is_served_from_the_store(env, tmp_path):
                 cache.stats.profile_misses) == (2, 0)
     assert _profile_bytes(cold) == _profile_bytes(warm) \
         == _profile_bytes(snapshotted) == _profile_bytes(env.profile())
+
+
+def test_profile_stored_with_output_toggles_is_a_hit(env, tmp_path):
+    """A profile stored while it still carried per-port
+    ``output_toggles`` is served as is: the key is ignored."""
+    legacy = dict(env.profile().to_dict(),
+                  output_toggles={"hrdata": [3, 7]})
+    with CampaignCache(tmp_path / "store") as cache:
+        cache.db.put_golden(_profile_key(env), cache.blobs.put(
+            json.dumps(legacy).encode()))
+    with CampaignCache(tmp_path / "store") as cache:
+        served = cache.profile(env)
+        assert (cache.stats.profile_hits,
+                cache.stats.profile_misses) == (1, 0)
+        assert cache.stats.corrupt == 0
+    assert _profile_bytes(served) == _profile_bytes(env.profile())
 
 
 def _changed_stimuli(env):

@@ -1,7 +1,8 @@
 """Differential acceptance tests for the campaign store.
 
 A cached, resumed or incremental campaign must be *bit-identical* to a
-cold in-process :class:`FaultInjectionManager` run over the same inputs —
+cold run of the interpreted oracle (``tests/campaign_oracle.py``) over
+the same inputs —
 same per-fault records, same outcome counts, same measured DC and safe
 fraction, same coverage bits — for every worker count.  A warm rerun
 must additionally perform **zero** fault simulations.
@@ -26,6 +27,8 @@ from repro.soc.minicpu import CpuConfig, MiniCpu, assemble
 from repro.store import CampaignCache, FingerprintContext, diff_runs
 from repro.zones import ZoneKind, extract_zones
 
+from .campaign_oracle import run_interpreted
+
 #: the incremental test flips this OR gate to AND — it sits inside the
 #: BIST datapath, so most (but not all) fault cones contain it and a
 #: handful of faults genuinely change outcome class
@@ -48,7 +51,7 @@ def candidates(env):
 
 @pytest.fixture(scope="module")
 def serial(env, candidates):
-    return env.manager(CampaignConfig()).run(candidates)
+    return run_interpreted(env.manager(CampaignConfig()), candidates)
 
 
 def _fault_rows(campaign):
@@ -113,8 +116,8 @@ def test_detection_window_change_is_all_hits(env, candidates, tmp_path):
     derived outcome classes move."""
     with CampaignCache(tmp_path / "store") as cache:
         env.supervisor(workers=1, cache=cache).run(candidates)
-    reference = env.manager(CampaignConfig(detection_window=2)) \
-        .run(candidates)
+    reference = run_interpreted(
+        env.manager(CampaignConfig(detection_window=2)), candidates)
     with CampaignCache(tmp_path / "store") as cache:
         supervisor = env.supervisor(
             workers=1, config=CampaignConfig(detection_window=2),
@@ -130,6 +133,7 @@ def test_detection_window_change_is_all_hits(env, candidates, tmp_path):
 # ----------------------------------------------------------------------
 def _mutated_spec(env):
     spec = copy.deepcopy(env.spec())
+    spec.activity = None    # the golden trace must replay the edit
     for gate in spec.circuit.gates:
         if spec.circuit.net_names[gate.out] == MUTATED_GATE:
             assert gate.op == OP_OR
@@ -150,7 +154,7 @@ def test_incremental_campaign_after_gate_mutation(env, candidates,
     total = len(candidates.faults)
     assert 0 < unchanged < total    # the edit must not flush the store
 
-    reference = spec1.manager().run(candidates)    # cold, mutated
+    reference = run_interpreted(spec1.manager(), candidates)  # mutated
 
     with CampaignCache(tmp_path / "store") as cache:
         CampaignSupervisor(spec0, workers=2,
@@ -214,7 +218,7 @@ def cpu_serial(cpu_setup):
     manager = FaultInjectionManager(
         cpu.circuit, stimuli, zone_set=zone_set,
         setup=lambda sim: sim.load_mem("imem/rom", assemble(PROG)))
-    return manager.run(candidates)
+    return run_interpreted(manager, candidates)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4])

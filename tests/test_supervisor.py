@@ -42,6 +42,8 @@ from repro.soc import MemorySubsystem, SubsystemConfig
 from repro.soc.minicpu import CpuConfig, MiniCpu, assemble
 from repro.zones import ZoneKind, extract_zones
 
+from .campaign_oracle import run_interpreted
+
 
 @dataclass(frozen=True)
 class HostileFault(SeuFault):
@@ -88,7 +90,7 @@ def candidates(env):
 
 @pytest.fixture(scope="module")
 def serial(env, candidates):
-    return env.manager(CampaignConfig()).run(candidates)
+    return run_interpreted(env.manager(CampaignConfig()), candidates)
 
 
 def hostile_candidates(env, candidates, modes):
@@ -139,10 +141,9 @@ def cpu_setup():
         cpu.circuit, stimuli, zone_set,
         setup=MemoryImageSetup(
             mem_images={"imem/rom": assemble(PROG)}))
-    serial = FaultInjectionManager(
+    serial = run_interpreted(FaultInjectionManager(
         cpu.circuit, stimuli, zone_set=zone_set,
-        setup=lambda sim: sim.load_mem("imem/rom",
-                                       assemble(PROG))).run(
+        setup=lambda sim: sim.load_mem("imem/rom", assemble(PROG))),
         CandidateList(faults=faults))
     return spec, CandidateList(faults=spliced), hostiles, serial
 
@@ -298,19 +299,6 @@ def test_degraded_mode_still_quarantines_exceptions(env, candidates,
     assert _fault_rows(campaign) == _fault_rows(serial)
 
 
-def test_spawn_failure_raises_when_degradation_disabled(env,
-                                                        candidates,
-                                                        monkeypatch):
-    def no_spawn(self, job):
-        raise OSError("no processes for you")
-    monkeypatch.setattr(CampaignSupervisor, "_spawn", no_spawn)
-    supervisor = CampaignSupervisor(
-        env.spec(), workers=2,
-        config=SupervisorConfig(degrade_in_process=False))
-    with pytest.raises(OSError):
-        supervisor.run(candidates)
-
-
 # ----------------------------------------------------------------------
 # cycle budget: deterministic runaway containment
 # ----------------------------------------------------------------------
@@ -326,7 +314,7 @@ def test_simulator_cycle_budget_raises(env):
 def test_serial_manager_propagates_cycle_budget(env, candidates):
     manager = env.manager(CampaignConfig(cycle_budget=3))
     with pytest.raises(CycleBudgetExceeded):
-        manager.run(CandidateList(faults=list(candidates.faults[:2])))
+        manager.run_batches(list(candidates.faults[:2]))
 
 
 def test_supervisor_quarantines_cycle_budget_as_hang(env, candidates):

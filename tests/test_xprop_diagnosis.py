@@ -110,7 +110,7 @@ def test_mux_x_select_pessimism():
 def dictionary():
     sub = MemorySubsystem(SubsystemConfig.small_improved())
     env = build_environment(sub, quick=True)
-    campaign = env.manager().run(env.candidates())
+    campaign = env.supervisor(workers=1).run(env.candidates())
     return campaign, FaultDictionary.build(campaign)
 
 
