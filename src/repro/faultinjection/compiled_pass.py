@@ -7,8 +7,9 @@ bridges and memory coupling included) and observes it with vectorized
 group reductions instead of a per-point Python loop:
 
 * all observation points and net-shaped SENS probes are concatenated
-  into one row gather; a single segmented OR (``reduceat``) yields the
-  per-point golden-diff words each cycle;
+  into one row gather; each row's golden words are gathered by its
+  lane-0 bit into a same-shape buffer, and a single segmented OR
+  (``reduceat``) yields the per-point golden-diff words each cycle;
 * diagnostic points occupy the tail of that concatenation so their
   different semantics (``raised = v & ~golden`` instead of
   ``v ^ golden``) are one in-place slice operation;
@@ -16,8 +17,10 @@ group reductions instead of a per-point Python loop:
   flop-state array and the transposed memory store (one gather per
   stacked group of same-shape memories);
 * per-point *seen* masks ensure the Python recording loop only ever
-  touches a (point, machine) pair once — after the first divergence is
-  recorded the steady-state per-cycle cost is a handful of numpy calls.
+  touches a (point, machine) pair once; the diff rows are masked to
+  the lanes their point has not seen, and a cycle with none left
+  skips the reduction and the recording loop, so the steady-state
+  per-cycle cost is a handful of numpy calls.
 
 Its records — ``FaultResult`` fields and the toggle merge — are
 bit-identical to a per-point loop over the interpreted
@@ -41,31 +44,46 @@ _FUNC, _STATUS, _PROBE, _DIAG = 0, 1, 2, 3
 
 
 class _Group:
-    """One concatenated observation family sharing a gather axis."""
+    """One concatenated observation family sharing a gather axis.
 
-    __slots__ = ("index", "starts", "pts", "seen", "buf")
+    A row gathers ``width`` cells per lane word: 1 for nets and flops,
+    a memory word's bits for the memory probes.  ``unseen`` holds, per gathered row, the lanes its point has not
+    recorded yet (``lanes ^ seen`` of the row's point), so a cycle
+    whose masked diff is all zero skips the reduction and the
+    recording loop.
+    """
+
+    __slots__ = ("index", "starts", "pts", "seen", "buf", "golden",
+                 "point", "lanes", "unseen")
 
     def __init__(self, index: list[int], starts: list[int],
-                 pts: list[tuple], words: int):
+                 pts: list[tuple], full: np.ndarray, width: int = 1):
         self.index = np.asarray(index, dtype=np.intp)
         self.starts = np.asarray(starts, dtype=np.intp)
         self.pts = pts                       # (kind, name, members)
-        self.seen = np.zeros((len(pts), words), dtype=_U64)
-        self.buf = np.empty((len(index), words), dtype=_U64)
+        rows = len(self.index)
+        self.seen = np.zeros((len(pts), len(full)), dtype=_U64)
+        self.buf = np.empty((rows, len(full) * width), dtype=_U64)
+        self.golden = np.empty((rows, len(full)), dtype=_U64)
+        self.point = np.repeat(np.arange(len(pts), dtype=np.intp),
+                               np.diff(self.starts, append=rows))
+        self.lanes = np.tile(full, (rows, 1))
+        self.unseen = self.lanes.copy()
 
 
 def _build_groups(manager, sim, batch):
     """Partition points + SENS probes into vectorizable groups.
 
     Returns ``(net_group, diag_seg_lo, flop_group, mem_groups)``;
-    any group may be ``None``/empty.  ``mem_groups``
-    holds one ``(stacked store, member per probe, group)`` entry per
-    stacked memory group of ``sim``.  Zero-net points are dropped —
+    any group may be ``None``/empty.  ``mem_groups`` holds one
+    ``(store as (G * depth, W * width) words, width, group)`` entry
+    per stacked memory group of ``sim``; the group's index is each
+    probe's word in that view.  Zero-net points are dropped —
     they can never mismatch (and ``reduceat`` cannot represent empty
     segments).
     """
     cc = sim.compiled
-    words = sim.words
+    full = sim._full
     rows: list[int] = []
     starts: list[int] = []
     pts: list[tuple] = []
@@ -121,13 +139,16 @@ def _build_groups(manager, sim, batch):
     for p in manager.diagnostic:
         add_point(_DIAG, p.name, list(p.nets))
 
-    net_group = _Group(rows, starts, pts, words) if pts else None
-    flop_group = _Group(flop_idx, flop_starts, flop_pts, words) \
+    net_group = _Group(rows, starts, pts, full) if pts else None
+    flop_group = _Group(flop_idx, flop_starts, flop_pts, full) \
         if flop_pts else None
-    mem_groups = [(sim._mem_groups[gi].store,
-                   np.asarray(mjs, dtype=np.intp),
-                   _Group(mwords, list(range(len(mwords))), mpts, words))
-                  for gi, (mjs, mwords, mpts) in by_mem.items()]
+    mem_groups = []
+    for gi, (mjs, mwords, mpts) in by_mem.items():
+        store = sim._mem_groups[gi].store   # (G, depth, W, width)
+        G, depth, _, width = store.shape
+        rows = np.asarray(mjs, dtype=np.intp) * depth + mwords
+        group = _Group(rows, list(range(len(rows))), mpts, full, width)
+        mem_groups.append((store.reshape(G * depth, -1), width, group))
     return net_group, diag_seg_lo, flop_group, mem_groups
 
 
@@ -160,15 +181,15 @@ def run_pass_compiled(manager, batch, result) -> None:
         stimuli = stimuli[:cfg.max_cycles]
 
     one = _U64(1)
-    full = sim._full
+    golden = sim._golden_words
     vals = sim._vals
 
-    def record(point_words, group):
-        """Route newly-diverged (point, machine) pairs to results."""
-        new = point_words & ~group.seen
-        if not new.any():
-            return
-        group.seen |= point_words
+    def record(new, group):
+        """Route newly-diverged (point, machine) pairs to results;
+        ``new`` holds unseen lanes only."""
+        group.seen |= new
+        group.seen.take(group.point, 0, group.unseen, "clip")
+        np.bitwise_xor(group.unseen, group.lanes, out=group.unseen)
         for p in np.nonzero(new.any(axis=1))[0]:
             kind, name, members = group.pts[p]
             mask = int.from_bytes(
@@ -198,29 +219,44 @@ def run_pass_compiled(manager, batch, result) -> None:
     for cycle, inputs in enumerate(stimuli):
         sim.step_eval(inputs)
 
+        # each gathered row XORs with its golden words, gathered by
+        # its lane-0 bit into a same-shape buffer (no broadcast)
         if net is not None:
-            vals.take(net.index, axis=0, out=net.buf)
-            sub = net.buf
-            b0 = sub[:, 0] & one
-            gw = b0[:, None] * full
-            diff = sub ^ gw
+            diff = vals.take(net.index, 0, net.buf, "clip")
+            gw = golden.take(diff[:, 0] & one, 0, net.golden, "clip")
+            np.bitwise_xor(diff, gw, out=diff)
             if diag_row_lo < diff.shape[0]:
                 tail = diff[diag_row_lo:]
-                np.bitwise_and(tail, ~gw[diag_row_lo:], out=tail)
-            record(np.bitwise_or.reduceat(diff, net.starts, axis=0),
-                   net)
+                quiet = gw[diag_row_lo:]
+                np.bitwise_not(quiet, out=quiet)
+                np.bitwise_and(tail, quiet, out=tail)
+            np.bitwise_and(diff, net.unseen, out=diff)
+            if diff.any():
+                record(np.bitwise_or.reduceat(diff, net.starts, axis=0),
+                       net)
 
         if flopg is not None:
-            subf = sim._flop_state[flopg.index]
-            gwf = (subf[:, 0] & one)[:, None] * full
-            record(np.bitwise_or.reduceat(subf ^ gwf, flopg.starts,
-                                          axis=0), flopg)
+            diff = sim._flop_state.take(flopg.index, 0, flopg.buf,
+                                        "clip")
+            gw = golden.take(diff[:, 0] & one, 0, flopg.golden, "clip")
+            np.bitwise_xor(diff, gw, out=diff)
+            np.bitwise_and(diff, flopg.unseen, out=diff)
+            if diff.any():
+                record(np.bitwise_or.reduceat(diff, flopg.starts,
+                                              axis=0), flopg)
 
-        for store, members, mg in memgs:
-            subm = store[members, mg.index]         # (P, W, width)
-            gm = (subm[:, 0, :] & one)[:, None, :] \
-                * full[None, :, None]
-            record(np.bitwise_or.reduce(subm ^ gm, axis=2), mg)
+        for words_of, width, mg in memgs:
+            # (P, W, width) probed words; a golden 1 bit XORs the
+            # whole cell, padding lanes included, which ``unseen``
+            # masks off with the seen ones
+            cells = words_of.take(mg.index, 0, mg.buf, "clip") \
+                .reshape(len(mg.index), -1, width)
+            flip = np.negative(cells[:, 0, :] & one)[:, None, :]
+            np.bitwise_xor(cells, flip, out=cells)
+            diff = np.bitwise_or.reduce(cells, axis=2)
+            np.bitwise_and(diff, mg.unseen, out=diff)
+            if diff.any():
+                record(diff, mg)
 
         sim.step_commit()
         result.cycles_simulated += 1

@@ -9,29 +9,34 @@ system or the application will be used, and then analyze this
 information to ensure that only faults which will produce an error are
 selected during the fault list generation process."
 
-The profiler replays the workload on a fault-free simulator and records
-per-cycle flip-flop toggles and memory-port traffic; fault-list
-generation then places transient injections in cycles where the target
-zone actually holds live data.  The same replay records, per net, the
-first cycle it changes and the first cycle it is 1
-(:class:`NetActivity`): the campaign's golden OBSE/DIAG reference
-(:func:`~repro.faultinjection.parallel.compute_golden_trace`) and the
-validation flow's toggle coverage (a net toggled iff it ever changed)
-are derived from those, so a workload is replayed fault-free only
-once.
+The profiler replays the workload fault-free on the compiled kernel
+(:class:`~repro.hdl.compiled.CompiledSimulator`) at one lane, the
+interpreted :class:`~repro.hdl.simulator.Simulator` being its test
+oracle, and records per-cycle flip-flop toggles and memory-port
+traffic; fault-list generation then places transient injections in
+cycles where the target zone actually holds live data.  The same
+replay records, per net, the first cycle it changes and the first
+cycle it is 1 (:class:`NetActivity`): the campaign's golden OBSE/DIAG
+reference (:func:`~repro.faultinjection.parallel.compute_golden_trace`)
+and the validation flow's toggle coverage (a net toggled iff it ever
+changed) are derived from those, so a workload is replayed fault-free
+only once.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import NamedTuple
 
+import numpy as np
+
+from ..hdl.compiled import CompiledSimulator
 from ..hdl.netlist import Circuit
-from ..hdl.simulator import Simulator
 from ..zones.extractor import ZoneSet
 from ..zones.model import SensibleZone, ZoneKind
+
+_U64 = np.uint64
 
 
 @dataclass
@@ -161,76 +166,85 @@ def profile_workload(circuit: Circuit, stimuli, setup=None,
     array is actively read this cycle" (e.g. the subsystem's
     ``memctrl/port/read_any``); without it every non-write cycle is
     conservatively treated as a potential read.
+
+    The replay runs on the compiled kernel
+    (:class:`~repro.hdl.compiled.CompiledSimulator`) at one lane, so
+    every value row holds 0 or 1, and reads lane 0 with numpy: the
+    per-net first events are masks over all rows, flop toggles a
+    compare of the committed state against the previous cycle's, and
+    memory traffic a gather of the address, write-enable and strobe
+    rows.  Python touches only the flops that toggled and the memory
+    accesses it records.
     """
-    sim = Simulator(circuit, machines=1)
+    sim = CompiledSimulator(circuit, machines=1)
     if setup is not None:
         setup(sim)
+    cc = sim.compiled
+    rows = sim._vals[:, 0]                  # lane 0 of every row
+    nets = rows[:cc.num_nets]
 
-    strobe_nets = {}
-    for mem_name, net_name in (read_strobes or {}).items():
-        strobe_nets[mem_name] = circuit.find_net(net_name)
+    # per-net first events, in row order until the end of the replay
+    first_change = np.full(cc.num_nets, -1, dtype=np.int64)
+    first_one = np.full(cc.num_nets, -1, dtype=np.int64)
+    waiting_change = np.ones(cc.num_nets, dtype=bool)
+    waiting_one = np.ones(cc.num_nets, dtype=bool)
+    hit = np.empty(cc.num_nets, dtype=bool)
+    last = np.empty_like(nets)
+
+    # memory ports, padded to the widest address with the zero row; a
+    # memory without a read strobe reads whenever it does not write
+    memories = circuit.memories
+    strobes = read_strobes or {}
+    width = max((len(m.addr) for m in memories), default=0)
+    addr_rows = np.full((len(memories), width), cc.zero_row,
+                        dtype=np.intp)
+    for mi, mem_rows in enumerate(cc.mem_addr_rows):
+        addr_rows[mi, :len(mem_rows)] = mem_rows
+    pow2 = np.left_shift(_U64(1), np.arange(width, dtype=_U64))
+    we_rows = np.asarray(cc.mem_we_rows, dtype=np.intp)
+    read_rows = np.asarray(
+        [cc.perm[circuit.find_net(strobes[m.name])] if m.name in strobes
+         else row for m, row in zip(memories, cc.mem_we_rows)],
+        dtype=np.intp)
+    read_flip = np.asarray([m.name not in strobes for m in memories],
+                           dtype=_U64)
+    mem_names = [m.name for m in memories]
+    flop_names = [f.name for f in circuit.flops]
 
     profile = OperationalProfile(length=len(stimuli))
-    prev_flops = {f.name: None for f in circuit.flops}
-    # per-net first events: each cycle reads only the nets still
-    # waiting for theirs, as one C-level gather (values are 0 or 1)
-    vals = sim._values
-    first_change = [-1] * circuit.num_nets
-    first_one = [-1] * circuit.num_nets
-    waiting_change = waiting_one = list(range(circuit.num_nets))
-    pick_change = pick_one = _picker(waiting_change)
-    last = None
-
+    accesses = profile.mem_accesses
+    toggles = profile.flop_toggles
+    prev_flops = None
     for cycle, inputs in enumerate(stimuli):
         sim.step_eval(inputs)
-        now = pick_change(vals)
-        if last is not None and now != last:
-            rest = []
-            for net, value, before in zip(waiting_change, now, last):
-                if value != before:
-                    first_change[net] = cycle
-                else:
-                    rest.append(net)
-            waiting_change, pick_change = rest, _picker(rest)
-            now = pick_change(vals)
-        last = now
-        now = pick_one(vals)
-        if any(now):
-            rest = []
-            for net, value in zip(waiting_one, now):
-                if value:
-                    first_one[net] = cycle
-                else:
-                    rest.append(net)
-            waiting_one, pick_one = rest, _picker(rest)
+        if cycle:
+            np.not_equal(nets, last, out=hit)
+            hit &= waiting_change
+            if hit.any():
+                first_change[hit] = cycle
+                waiting_change &= ~hit
+        np.copyto(last, nets)
+        np.logical_and(nets, waiting_one, out=hit)
+        if hit.any():
+            first_one[hit] = cycle
+            waiting_one &= ~hit
         # memory port traffic (during evaluation, pre-edge)
-        for mem in circuit.memories:
-            addr = sim.value_of(mem.addr)
-            write = bool(sim.peek_bit(mem.we))
-            strobe = strobe_nets.get(mem.name)
-            reading = bool(sim.peek_bit(strobe)) if strobe is not None \
-                else not write
-            if write or reading:
-                profile.mem_accesses.setdefault(mem.name, []).append(
-                    MemAccess(cycle=cycle, addr=addr, write=write))
+        if memories:
+            write = rows[we_rows]
+            active = np.flatnonzero(write | (rows[read_rows] ^ read_flip))
+            if len(active):
+                addrs = rows[addr_rows[active]] @ pow2
+                for mi, addr in zip(active.tolist(), addrs.tolist()):
+                    accesses.setdefault(mem_names[mi], []).append(
+                        MemAccess(cycle=cycle, addr=addr,
+                                  write=bool(write[mi])))
         sim.step_commit()
         # flop toggles become visible in the committed state
-        for i, flop in enumerate(circuit.flops):
-            bit = sim._flop_state[i] & 1
-            if prev_flops[flop.name] is not None and \
-                    bit != prev_flops[flop.name]:
-                profile.flop_toggles.setdefault(flop.name, []).append(
-                    cycle)
-            prev_flops[flop.name] = bit
-    profile.activity = NetActivity(first_change, first_one)
+        state = sim._flop_state[:, 0] & _U64(1)
+        if prev_flops is not None:
+            for i in np.flatnonzero(state != prev_flops).tolist():
+                toggles.setdefault(flop_names[i], []).append(cycle)
+        prev_flops = state
+    profile.activity = NetActivity(first_change[cc.perm].tolist(),
+                                   first_one[cc.perm].tolist())
     return profile
-
-
-def _picker(indices: list[int]):
-    """``seq -> (seq[i] for i in indices)`` as one C-level call."""
-    if len(indices) > 1:
-        return itemgetter(*indices)
-    if indices:
-        index = indices[0]
-        return lambda seq: (seq[index],)
-    return lambda seq: ()

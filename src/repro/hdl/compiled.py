@@ -20,11 +20,12 @@ campaign pass in packed 64-bit words:
   ``k // 64`` and machine 0 stays the golden reference, exactly like the
   interpreted big-int layout.
 
-This is the only campaign engine.  Bridging faults re-run the program
-once per cycle with the bridged victims forced, and memory coupling
-faults are flipped after the cycle's writes, both reproducing the
-interpreted simulator bit for bit (that simulator stays as the
-differential oracle and the single-lane profile replay).  A netlist
+This is the only simulation engine of a campaign: it runs the
+injection passes and, at one lane, the operational-profile replay.
+Bridging faults re-run the program once per cycle with the bridged
+victims forced, and memory coupling faults are flipped after the
+cycle's writes, both reproducing the interpreted simulator bit for bit
+(that simulator stays as the differential oracle of both).  A netlist
 the renumbering cannot represent (a multi-driven net) is rejected with
 a :class:`~repro.hdl.netlist.NetlistError`.
 """
@@ -45,7 +46,6 @@ from .netlist import (
     OP_BUF,
     OP_CONST0,
     OP_CONST1,
-    OP_MUX,
     OP_NAND,
     OP_NOR,
     OP_NOT,
@@ -93,7 +93,12 @@ class _Group:
 
 
 class _Level:
-    """One topological level: a fused gather plus its op groups."""
+    """One topological level: a fused gather plus its op groups.
+
+    ``gather`` lists the value rows every group of the level reads, one
+    block per group from its ``arg_lo``, laid out operand-major: the
+    ``count`` first inputs, then the second inputs, then the third.
+    """
 
     __slots__ = ("gather", "groups", "nargs")
 
@@ -178,7 +183,12 @@ class CompiledCircuit:
                 for gi in gis:
                     perm[circuit.gates[gi].out] = next_row
                     next_row += 1
-                    gather.extend(circuit.gates[gi].inputs)
+                # operand-major: every gate's first input, then every
+                # second, then every third, so each operand of the
+                # group is one contiguous slice of the gather buffer
+                for j in range(arity):
+                    gather.extend(circuit.gates[gi].inputs[j]
+                                  for gi in gis)
                 groups.append(group)
             levels.append(_Level(gather, groups))
         assert next_row == n
@@ -193,9 +203,8 @@ class CompiledCircuit:
         self.perm = perm
         self.max_level_args = max((lv.nargs for lv in levels),
                                   default=0)
-        self.max_mux_count = max(
-            (g.count for lv in levels for g in lv.groups
-             if g.op == OP_MUX), default=0)
+        self.max_group_count = max(
+            (g.count for lv in levels for g in lv.groups), default=0)
 
         # overlay bucket of a row: 0 = applied before level 0 (sources
         # and const outputs), k+1 = applied right after level k
@@ -337,7 +346,7 @@ def decompile(compiled: CompiledCircuit) -> Circuit:
             for k in range(grp.count):
                 o = int(inv[grp.out_lo + k])
                 ins = tuple(
-                    int(inv[gather[base + k * grp.arity + j]])
+                    int(inv[gather[base + j * grp.count + k]])
                     for j in range(grp.arity))
                 out.add_gate(grp.op, ins, o, path=by_path.get(o, ""))
     for f in src.flops:
@@ -481,13 +490,20 @@ class CompiledSimulator(SimulatorBase):
         self._full = self._pack(self.full_mask)
         self._notone = self._full.copy()
         self._notone[0] &= _U64(~np.uint64(1))
+        #: a row's golden words by its lane-0 bit (row 0: none, row 1:
+        #: every machine), gathered per cycle instead of broadcast
+        self._golden_words = np.stack([np.zeros(W, dtype=_U64),
+                                       self._full])
 
         self._vals = np.zeros((cc.num_rows, W), dtype=_U64)
         self._vals[cc.one_row] = self._full
         if len(cc.const1_rows):
             self._vals[cc.const1_rows] = self._full
         self._gbuf = np.empty((cc.max_level_args, W), dtype=_U64)
-        self._mux_tmp = np.empty((cc.max_mux_count, W), dtype=_U64)
+        self._mux_tmp = np.empty((cc.max_group_count, W), dtype=_U64)
+        # the all-machines mask tiled to one row per gate: inverting
+        # ops XOR against a same-shape slice of it, never a broadcast
+        self._full_block = np.tile(self._full, (cc.max_group_count, 1))
         self._program = self._build_program()
 
         F = len(self.circuit.flops)
@@ -785,19 +801,24 @@ class CompiledSimulator(SimulatorBase):
         """Flatten the compiled levels into reusable micro-ops.
 
         Every operand/destination is a *fixed view* into the gather
-        buffer or the value array, created once here; the per-cycle
-        loop is then nothing but ufunc calls with ``out=``.
+        buffer, the value array or the tiled all-machines block,
+        created once here; the per-cycle loop is then nothing but
+        ufunc calls with ``out=``.  The gather is operand-major, so a
+        group's operands are contiguous ``(count, W)`` slices, and the
+        inverting ops and BUF take a slice of the tiled block instead
+        of a broadcast ``(W,)`` mask or a scalar: every ufunc runs on
+        C-contiguous, same-shape arrays.
         """
-        full = self._full
         program = []
         for level in self.compiled.levels:
             buf = self._gbuf[:level.nargs]
             micro: list[tuple] = []
             for g in level.groups:
                 lo, n, ar = g.arg_lo, g.count, g.arity
-                a = buf[lo:lo + n * ar:ar]
-                b = buf[lo + 1:lo + n * ar:ar] if ar >= 2 else None
-                c = buf[lo + 2:lo + n * ar:ar] if ar >= 3 else None
+                a = buf[lo:lo + n]
+                b = buf[lo + n:lo + 2 * n] if ar >= 2 else None
+                c = buf[lo + 2 * n:lo + 3 * n] if ar >= 3 else None
+                full = self._full_block[:n]
                 dst = self._vals[g.out_lo:g.out_hi]
                 op = g.op
                 if op == OP_AND:
@@ -809,7 +830,7 @@ class CompiledSimulator(SimulatorBase):
                 elif op == OP_NOT:
                     micro.append((np.bitwise_xor, a, full, dst))
                 elif op == OP_BUF:
-                    micro.append((np.bitwise_or, a, _U64(0), dst))
+                    micro.append((np.bitwise_and, a, full, dst))
                 elif op == OP_NAND:
                     micro.append((np.bitwise_and, a, b, dst))
                     micro.append((np.bitwise_xor, dst, full, dst))
@@ -929,7 +950,11 @@ class CompiledSimulator(SimulatorBase):
 
     def _run_levels(self, plan, glitches) -> None:
         """One sweep of the program, applying ``plan`` (the bucketed
-        forced nets) and the cycle's glitches after each level."""
+        forced nets) and the cycle's glitches after each level.
+
+        Gathers take ``mode="clip"``: their rows are valid by
+        construction, and numpy stages an ``out=`` take through a
+        temporary in its default ``"raise"`` mode."""
         vals = self._vals
         take = vals.take
         band = np.bitwise_and
@@ -937,7 +962,7 @@ class CompiledSimulator(SimulatorBase):
         entry = plan[0]
         if entry is not None:
             rows, nc, sm, obuf = entry
-            take(rows, axis=0, out=obuf)
+            take(rows, 0, obuf, "clip")
             band(obuf, nc, out=obuf)
             bor(obuf, sm, out=obuf)
             vals[rows] = obuf
@@ -948,7 +973,7 @@ class CompiledSimulator(SimulatorBase):
                 vals[grows] = vals[grows] ^ gmasks
         for lvl, (gather, buf, micro) in enumerate(self._program):
             if gather is not None:
-                take(gather, axis=0, out=buf)
+                take(gather, 0, buf, "clip")
             for fn, a, b, dst in micro:
                 if b is None:
                     fn(a, out=dst)
@@ -957,7 +982,7 @@ class CompiledSimulator(SimulatorBase):
             entry = plan[lvl + 1]
             if entry is not None:
                 rows, nc, sm, obuf = entry
-                take(rows, axis=0, out=obuf)
+                take(rows, 0, obuf, "clip")
                 band(obuf, nc, out=obuf)
                 bor(obuf, sm, out=obuf)
                 vals[rows] = obuf
@@ -1010,16 +1035,15 @@ class CompiledSimulator(SimulatorBase):
         cc = self.compiled
         vals = self._vals
         if len(cc.flop_d_rows):
-            d = vals.take(cc.flop_d_rows, axis=0, out=self._fbuf_a)
-            en = vals.take(cc.flop_en_rows, axis=0, out=self._fbuf_b)
+            d = vals.take(cc.flop_d_rows, 0, self._fbuf_a, "clip")
+            en = vals.take(cc.flop_en_rows, 0, self._fbuf_b, "clip")
             q = self._flop_state
             nxt = self._state_alt
             np.bitwise_and(d, en, out=nxt)      # d & en
             np.bitwise_not(en, out=en)
             np.bitwise_and(q, en, out=en)       # q & ~en
             np.bitwise_or(nxt, en, out=nxt)
-            rst = vals.take(cc.flop_rst_rows, axis=0,
-                            out=self._fbuf_a)
+            rst = vals.take(cc.flop_rst_rows, 0, self._fbuf_a, "clip")
             np.bitwise_and(self._flop_init_words, rst,
                            out=self._fbuf_b)    # init & rst
             np.bitwise_not(rst, out=rst)
@@ -1060,11 +1084,12 @@ class CompiledSimulator(SimulatorBase):
         we = vals[group.we_rows]                    # (G, W)
 
         # golden address + lanes-that-diverge words, in one sweep: a
-        # lane agrees with machine 0 iff every address row matches the
-        # golden bit broadcast
+        # lane agrees with machine 0 iff every address row matches its
+        # golden words
         b0 = addr_rows[:, :, 0] & one               # (G, A)
-        mism = np.bitwise_or.reduce(
-            addr_rows ^ b0[:, :, None] * self._full, axis=1)  # (G, W)
+        diff = self._golden_words.take(b0, 0, None, "clip")
+        np.bitwise_xor(addr_rows, diff, out=diff)   # (G, A, W)
+        mism = np.bitwise_or.reduce(diff, axis=1)   # (G, W)
         addr = (b0.astype(np.int64) @ group.pow2) % group.depth  # (G,)
         diverged = mism.any(axis=1)                 # (G,)
         gidx = group.gidx

@@ -50,10 +50,10 @@ import json
 from dataclasses import fields
 from itertools import compress
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import NamedTuple
 
 from ..faultinjection.faults import Fault
-from ..faultinjection.profiler import _picker
 from ..hdl.netlist import OP_NAMES, Circuit
 from ..zones.model import ObservationPoint, SensibleZone
 
@@ -220,6 +220,16 @@ def _spread(adjacency: list[list[int]], reached: list[int],
             if not mark[nxt]:
                 mark[nxt] = 1
                 reached.append(nxt)
+
+
+def _picker(indices: list[int]):
+    """``seq -> (seq[i] for i in indices)`` as one C-level call."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    if indices:
+        index = indices[0]
+        return lambda seq: (seq[index],)
+    return lambda seq: ()
 
 
 class _Fragments:

@@ -1,13 +1,16 @@
-"""The interpreted campaign pass loop: the differential oracle.
+"""The interpreted campaign pass loop and profile replay: the
+differential oracles.
 
-Campaigns run on the compiled kernel only
-(:func:`repro.faultinjection.compiled_pass.run_pass_compiled`).  This
-module holds the interpreted pass loop as a test-only reference:
-the same pass over the big-int :class:`~repro.hdl.Simulator`, observing
-one point at a time in plain Python.  The differential suites compare
-the production engine against it record for record.
+Campaigns and the operational-profile replay run on the compiled
+kernel only (:func:`repro.faultinjection.compiled_pass.run_pass_compiled`
+and :func:`repro.faultinjection.profiler.profile_workload`).  This
+module holds both loops as test-only references over the big-int
+:class:`~repro.hdl.Simulator`, observing one point (or net, flop,
+memory port) at a time in plain Python.  The differential suites
+compare the production engine against them record for record.
 
     result = run_interpreted(env.manager(), env.candidates())
+    profile = profile_interpreted(circuit, stimuli, setup=setup)
 """
 
 from __future__ import annotations
@@ -20,7 +23,13 @@ from repro.faultinjection.manager import (
     FaultInjectionManager,
     FaultResult,
 )
+from repro.faultinjection.profiler import (
+    MemAccess,
+    NetActivity,
+    OperationalProfile,
+)
 from repro.hdl.simulator import Simulator
+from repro.store.fingerprint import _picker
 
 
 def run_interpreted(manager: FaultInjectionManager,
@@ -155,3 +164,72 @@ def _probe_mismatch(sim: Simulator, probe) -> int:
     if probe[0] == "mem":
         return sim.mem_word_mismatch(probe[1], probe[2])
     return sim.mismatch_mask(probe[1])
+
+
+def profile_interpreted(circuit, stimuli, setup=None,
+                        read_strobes: dict[str, str] | None = None
+                        ) -> OperationalProfile:
+    """The operational profile from an interpreted fault-free replay:
+    the same recording, net by net and flop by flop."""
+    sim = Simulator(circuit, machines=1)
+    if setup is not None:
+        setup(sim)
+
+    strobe_nets = {}
+    for mem_name, net_name in (read_strobes or {}).items():
+        strobe_nets[mem_name] = circuit.find_net(net_name)
+
+    profile = OperationalProfile(length=len(stimuli))
+    prev_flops = {f.name: None for f in circuit.flops}
+    # per-net first events: each cycle reads only the nets still
+    # waiting for theirs, as one C-level gather (values are 0 or 1)
+    vals = sim._values
+    first_change = [-1] * circuit.num_nets
+    first_one = [-1] * circuit.num_nets
+    waiting_change = waiting_one = list(range(circuit.num_nets))
+    pick_change = pick_one = _picker(waiting_change)
+    last = None
+
+    for cycle, inputs in enumerate(stimuli):
+        sim.step_eval(inputs)
+        now = pick_change(vals)
+        if last is not None and now != last:
+            rest = []
+            for net, value, before in zip(waiting_change, now, last):
+                if value != before:
+                    first_change[net] = cycle
+                else:
+                    rest.append(net)
+            waiting_change, pick_change = rest, _picker(rest)
+            now = pick_change(vals)
+        last = now
+        now = pick_one(vals)
+        if any(now):
+            rest = []
+            for net, value in zip(waiting_one, now):
+                if value:
+                    first_one[net] = cycle
+                else:
+                    rest.append(net)
+            waiting_one, pick_one = rest, _picker(rest)
+        # memory port traffic (during evaluation, pre-edge)
+        for mem in circuit.memories:
+            addr = sim.value_of(mem.addr)
+            write = bool(sim.peek_bit(mem.we))
+            strobe = strobe_nets.get(mem.name)
+            reading = bool(sim.peek_bit(strobe)) if strobe is not None \
+                else not write
+            if write or reading:
+                profile.mem_accesses.setdefault(mem.name, []).append(
+                    MemAccess(cycle=cycle, addr=addr, write=write))
+        sim.step_commit()
+        # flop toggles become visible in the committed state
+        for i, flop in enumerate(circuit.flops):
+            bit = sim._flop_state[i] & 1
+            if prev_flops[flop.name] is not None and \
+                    bit != prev_flops[flop.name]:
+                profile.flop_toggles.setdefault(flop.name, []).append(
+                    cycle)
+            prev_flops[flop.name] = bit
+    profile.activity = NetActivity(first_change, first_one)
+    return profile

@@ -33,7 +33,7 @@ from repro.faultinjection import (
     run_validation,
     simulate_faults,
 )
-from repro.hdl import Module, Simulator
+from repro.hdl import CompiledSimulator, Module
 from repro.soc import (
     MemorySubsystem,
     SubsystemConfig,
@@ -500,19 +500,21 @@ def test_step_coverage_credits_the_replays_output_toggles(improved):
 def test_validation_replays_the_full_workload_once(improved,
                                                    monkeypatch):
     """Step b and the e-step's golden credit share one fault-free
-    replay of the full workload; the campaigns run on the compiled
-    kernel and replay nothing else once the environment's profile
-    exists."""
+    replay of the full workload, on the compiled kernel at one lane;
+    the campaigns run in their own processes and nothing else is
+    replayed once the environment's profile exists."""
     env = build_environment(improved, quick=True)
     env.profile()
     stepped = []
-    step_eval = Simulator.step_eval
+    step_eval = CompiledSimulator.step_eval
 
     def counting_step_eval(self, inputs=None):
-        stepped.append(self)
+        if self.machines == 1:
+            stepped.append(self)
         step_eval(self, inputs)
 
-    monkeypatch.setattr(Simulator, "step_eval", counting_step_eval)
+    monkeypatch.setattr(CompiledSimulator, "step_eval",
+                        counting_step_eval)
     report = run_validation(improved, env=env)
     assert report.passed, report.summary()
     cycles: dict[int, int] = {}
