@@ -9,7 +9,7 @@ validation is successful."
 
 from conftest import report
 
-from repro.hdl import measure_toggle_coverage
+from repro.faultinjection import measure_toggle_coverage
 from repro.soc import validation_workload
 from repro.zones.effects import diagnostic_only_nets
 

@@ -24,7 +24,7 @@ from repro.faultinjection import (
     SeuFault,
     StuckNetFault,
 )
-from repro.hdl import Simulator, VcdTracer
+from repro.hdl import VcdTracer
 from repro.soc import (
     MemorySubsystem,
     SubsystemConfig,
@@ -95,8 +95,7 @@ def main():
         print(f"  {candidate}")
 
     # waveform of one faulty run (golden machine view of alarms)
-    sim = Simulator(sub.circuit, machines=1)
-    sub.preload(sim, {})
+    sim = sub.simulator()
     sim.schedule_mem_flip("memarray/array", 2, 3, cycle=24)
     tracer = VcdTracer(sub.circuit,
                        ["haddr", "hrdata", "rvalid", "alarm_ce",

@@ -19,8 +19,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from ..hdl.compiled import CompiledSimulator, compile_circuit
 from ..hdl.netlist import Circuit, OP_BUF, OP_CONST0, OP_CONST1
-from ..hdl.simulator import Simulator
 
 
 @dataclass
@@ -76,10 +76,11 @@ def measure_set_derating(circuit: Circuit, stimuli,
     mem_words = [(m.name, w) for m in circuit.memories
                  for w in range(m.depth)]
 
+    compiled = compile_circuit(circuit)
     result = DeratingResult(injections=0, latched=0, observed=0)
     for lo in range(0, len(pairs), machines_per_pass):
         batch = pairs[lo:lo + machines_per_pass]
-        sim = Simulator(circuit, machines=len(batch) + 1)
+        sim = CompiledSimulator(compiled, machines=len(batch) + 1)
         if setup is not None:
             setup(sim)
         horizon = 0

@@ -23,8 +23,8 @@ group reductions instead of a per-point Python loop:
   per-cycle cost is a handful of numpy calls.
 
 Its records — ``FaultResult`` fields and the toggle merge — are
-bit-identical to a per-point loop over the interpreted
-:class:`~repro.hdl.simulator.Simulator`, the differential oracle that
+bit-identical to a per-point loop over the interpreted simulator, the
+differential oracle (``tests/simulator_oracle.py``) that
 ``tests/test_compiled_differential.py`` checks it against.  A pass
 keeps no golden bookkeeping: the fault-free OBSE/DIAG activity comes
 from the profile replay

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..hdl.simulator import BRIDGE_DOMINANT, Simulator
+from ..hdl.simulator import BRIDGE_DOMINANT, SimulatorBase
 from ..zones.model import FaultPersistence
 
 
@@ -30,7 +30,7 @@ class Fault:
     def name(self) -> str:
         return f"{self.kind}:{self.target}"
 
-    def arm(self, sim: Simulator, machine: int, t0: int) -> None:
+    def arm(self, sim: SimulatorBase, machine: int, t0: int) -> None:
         raise NotImplementedError
 
 

@@ -40,8 +40,9 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 
+from ..hdl.compiled import CompiledSimulator
 from ..hdl.netlist import Circuit
-from ..hdl.simulator import Simulator
+from ..hdl.simulator import SimulatorBase
 from ..zones.extractor import ZoneSet
 from ..zones.model import ObservationPoint, SensibleZone
 from .faults import Fault
@@ -90,7 +91,7 @@ class MemoryImageSetup:
     mem_images: dict[str, list[int]] = field(default_factory=dict)
     flop_values: dict[str, int] = field(default_factory=dict)
 
-    def __call__(self, sim: Simulator) -> None:
+    def __call__(self, sim: SimulatorBase) -> None:
         for name, image in self.mem_images.items():
             sim.load_mem(name, image)
         for name, value in self.flop_values.items():
@@ -109,7 +110,7 @@ def snapshot_setup(circuit: Circuit, setup) -> MemoryImageSetup | None:
         return None
     if isinstance(setup, MemoryImageSetup):
         return setup
-    probe = Simulator(circuit, machines=1)
+    probe = CompiledSimulator(circuit, machines=1)
     setup(probe)
     if probe._forced or probe._flop_flips or probe._net_glitches or \
             probe._mem_flips or probe._bridges or probe._mem_stuck or \

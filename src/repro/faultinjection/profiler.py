@@ -11,7 +11,7 @@ selected during the fault list generation process."
 
 The profiler replays the workload fault-free on the compiled kernel
 (:class:`~repro.hdl.compiled.CompiledSimulator`) at one lane, the
-interpreted :class:`~repro.hdl.simulator.Simulator` being its test
+interpreted simulator of ``tests/simulator_oracle.py`` being its test
 oracle, and records per-cycle flip-flop toggles and memory-port
 traffic; fault-list generation then places transient injections in
 cycles where the target zone actually holds live data.  The same

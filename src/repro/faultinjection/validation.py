@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..fmea.ranking import rank_zones
-from ..hdl.coverage import ToggleReport
 from ..hdl.netlist import OP_CONST0, OP_CONST1, Circuit
 from ..soc.workloads import validation_workload
 from ..zones.effects import diagnostic_only_nets, predict_effects_table
@@ -36,6 +35,10 @@ from .profiler import NetActivity, profile_workload
 from .supervisor import CampaignSupervisor, SupervisorConfig
 
 
+#: the paper's default toggle-coverage acceptance threshold (§5 step b)
+TOGGLE_THRESHOLD = 0.99
+
+
 @dataclass
 class ValidationConfig:
     """Tolerances and effort knobs of the validation flow."""
@@ -43,7 +46,7 @@ class ValidationConfig:
     quick: bool = True
     ddf_tolerance: float = 0.35
     aggregate_dc_tolerance: float = 0.25
-    toggle_threshold: float = 0.99
+    toggle_threshold: float = TOGGLE_THRESHOLD
     critical_areas: int = 3
     cone_faults_per_zone: int = 24
     wide_fault_pairs: int = 4
@@ -63,6 +66,30 @@ class StepResult:
     def __str__(self) -> str:
         return (f"step {self.name}: "
                 f"{'PASS' if self.passed else 'FAIL'} — {self.detail}")
+
+
+@dataclass
+class ToggleReport:
+    """Result of a toggle-coverage measurement (step b)."""
+
+    toggled: int
+    total: int
+    untoggled: list[str] = field(default_factory=list)
+    threshold: float = TOGGLE_THRESHOLD
+
+    @property
+    def coverage(self) -> float:
+        return self.toggled / self.total if self.total else 1.0
+
+    @property
+    def passed(self) -> bool:
+        return self.coverage >= self.threshold
+
+    def summary(self) -> str:
+        return (f"toggle coverage {self.coverage * 100:.2f}% "
+                f"({self.toggled}/{self.total} nets), "
+                f"{'PASS' if self.passed else 'FAIL'} "
+                f"at {self.threshold * 100:.0f}% threshold")
 
 
 @dataclass
@@ -148,6 +175,39 @@ def _toggled_outputs(circuit: Circuit, activity: NetActivity
             if any(change[net] >= 0 for net in nets)}
 
 
+def _toggle_nets(circuit: Circuit) -> list[int]:
+    """The nets that can toggle: all but the constant-driven ones."""
+    const = {g.out for g in circuit.gates
+             if g.op in (OP_CONST0, OP_CONST1)}
+    return [net for net in range(circuit.num_nets) if net not in const]
+
+
+def _toggle_report(circuit: Circuit, first_change: list[int], nets,
+                   threshold: float) -> ToggleReport:
+    """Step b's rule over ``nets``: a net toggled iff its value ever
+    changed in the fault-free replay (``first_change >= 0``)."""
+    untoggled = [circuit.net_names[net] for net in nets
+                 if first_change[net] < 0]
+    return ToggleReport(toggled=len(nets) - len(untoggled),
+                        total=len(nets), untoggled=untoggled,
+                        threshold=threshold)
+
+
+def measure_toggle_coverage(circuit: Circuit, stimuli,
+                            threshold: float = TOGGLE_THRESHOLD,
+                            setup=None) -> ToggleReport:
+    """Toggle coverage of ``stimuli`` (iterable of input dicts) over
+    every net that can toggle, by step b's rule.
+
+    ``setup`` is an optional callable receiving the simulator before the
+    run (memory preload etc.).
+    """
+    activity = profile_workload(circuit, list(stimuli),
+                                setup=setup).activity
+    return _toggle_report(circuit, activity.first_change,
+                          _toggle_nets(circuit), threshold)
+
+
 # ----------------------------------------------------------------------
 def _step_a(env: InjectionEnvironment, config: ValidationConfig,
             report: ValidationReport) -> None:
@@ -201,39 +261,24 @@ def _step_b(circuit: Circuit, env: InjectionEnvironment,
     """
     diag_only = diagnostic_only_nets(
         circuit, env.zone_set.observation_points)
-    const_nets = {g.out for g in circuit.gates
-                  if g.op in (OP_CONST0, OP_CONST1)}
     campaign_toggled: set[int] = set()
     for campaign in (report.campaign, report.local_campaign,
                      report.wide_campaign, report.topup_campaign):
         if campaign is not None:
             campaign_toggled |= campaign.toggled_nets()
 
-    func_total = func_hit = diag_total = diag_hit = 0
-    func_untoggled: list[str] = []
-    for net, first in enumerate(activity.first_change):
-        if net in const_nets:
-            continue
-        golden = first >= 0
-        if net in diag_only:
-            diag_total += 1
-            if golden or net in campaign_toggled:
-                diag_hit += 1
-        else:
-            func_total += 1
-            if golden:
-                func_hit += 1
-            else:
-                func_untoggled.append(circuit.net_names[net])
-
-    toggle = ToggleReport(toggled=func_hit, total=func_total,
-                          untoggled=func_untoggled,
-                          threshold=config.toggle_threshold)
+    nets = _toggle_nets(circuit)
+    toggle = _toggle_report(circuit, activity.first_change,
+                            [n for n in nets if n not in diag_only],
+                            config.toggle_threshold)
     report.toggle = toggle
-    diag_cov = diag_hit / diag_total if diag_total else 1.0
+    diag = [n for n in nets if n in diag_only]
+    diag_hit = sum(1 for n in diag if activity.first_change[n] >= 0
+                   or n in campaign_toggled)
+    diag_cov = diag_hit / len(diag) if diag else 1.0
     passed = toggle.passed and diag_cov >= config.toggle_threshold
     detail = (f"functional {toggle.summary()}; diagnostic-only nets "
-              f"{diag_cov * 100:.2f}% ({diag_hit}/{diag_total}, "
+              f"{diag_cov * 100:.2f}% ({diag_hit}/{len(diag)}, "
               f"golden + injection credit)")
     report.steps.append(StepResult("b:workload-completeness", passed,
                                    detail))

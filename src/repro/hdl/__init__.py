@@ -33,9 +33,7 @@ from .simulator import (
     BRIDGE_DOMINANT,
     BRIDGE_OR,
     CycleBudgetExceeded,
-    Simulator,
 )
-from .coverage import ToggleReport, measure_toggle_coverage
 from .verilog import (
     VerilogParseError,
     parse_verilog,
@@ -49,12 +47,11 @@ from . import library
 
 __all__ = [
     "Circuit", "Flop", "Gate", "MemoryBlock", "NetlistError",
-    "Module", "Vec", "Simulator", "library",
+    "Module", "Vec", "library",
     "CompiledCircuit", "CompiledSimulator", "CompileError",
     "compile_circuit", "decompile",
     "BRIDGE_AND", "BRIDGE_DOMINANT", "BRIDGE_OR",
     "CycleBudgetExceeded",
-    "ToggleReport", "measure_toggle_coverage",
     "VerilogParseError", "parse_verilog", "parse_verilog_file",
     "roundtrip", "write_verilog",
     "VcdTracer", "trace_workload",

@@ -1,7 +1,8 @@
 """Compiled bit-parallel simulation kernel (numpy ``uint64`` lanes).
 
-The interpreted :class:`~repro.hdl.simulator.Simulator` walks the gate
-list in Python, one big-int per net.  This module compiles a
+The interpreted simulator (the test oracle,
+``tests/simulator_oracle.py``) walks the gate list in Python, one
+big-int per net.  This module compiles a
 :class:`~repro.hdl.netlist.Circuit` once into a straight-line program of
 vectorized numpy bitwise operations and evaluates *all* machines of a
 campaign pass in packed 64-bit words:
@@ -20,8 +21,9 @@ campaign pass in packed 64-bit words:
   ``k // 64`` and machine 0 stays the golden reference, exactly like the
   interpreted big-int layout.
 
-This is the only simulation engine of a campaign: it runs the
-injection passes and, at one lane, the operational-profile replay.
+This is the only simulator of the production code: it runs the
+injection passes, the operational-profile replay at one lane, SET
+derating, VCD traces and the subsystems' ``simulator()`` helpers.
 Bridging faults re-run the program once per cycle with the bridged
 victims forced, and memory coupling faults are flipped after the
 cycle's writes, both reproducing the interpreted simulator bit for bit
@@ -466,8 +468,8 @@ class _Couplings:
 class CompiledSimulator(SimulatorBase):
     """Drop-in bit-parallel simulator running a compiled program.
 
-    API-compatible with :class:`~repro.hdl.simulator.Simulator`; fault
-    overlays accept the same arguments and Python-int machine masks.
+    API-compatible with the interpreted test oracle; fault overlays
+    accept the same arguments and Python-int machine masks.
     """
 
     def __init__(self, circuit, machines: int = 1,
@@ -1261,7 +1263,7 @@ class CompiledSimulator(SimulatorBase):
         return self._mem_stuck_cache[gi]
 
     # ------------------------------------------------------------------
-    # toggle maps in the interpreted layout (the base class reports)
+    # toggle maps in net order (the campaign's toggle merge)
     # ------------------------------------------------------------------
     @property
     def _seen0(self) -> bytearray:

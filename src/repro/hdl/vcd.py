@@ -7,7 +7,7 @@ and friends.
 
 Usage::
 
-    sim = Simulator(circuit)
+    sim = CompiledSimulator(circuit)
     tracer = VcdTracer(circuit, ["haddr", "hrdata", "alarm_ce"])
     for op in workload:
         sim.step_eval(op)
@@ -18,8 +18,9 @@ Usage::
 
 from __future__ import annotations
 
+from .compiled import CompiledSimulator
 from .netlist import Circuit
-from .simulator import Simulator
+from .simulator import SimulatorBase
 
 _ID_CHARS = "!\"#$%&'()*+,-./0123456789:;<=>?@ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
@@ -60,7 +61,7 @@ class VcdTracer:
         return [self.circuit.find_net(name)]
 
     # ------------------------------------------------------------------
-    def sample(self, sim: Simulator) -> None:
+    def sample(self, sim: SimulatorBase) -> None:
         """Record the current (post-evaluation) values."""
         t = self._cycles
         for name, nets, ident in self._signals:
@@ -101,7 +102,7 @@ class VcdTracer:
 def trace_workload(circuit: Circuit, stimuli, signals=None,
                    setup=None) -> str:
     """Convenience: run a workload and return the VCD text."""
-    sim = Simulator(circuit)
+    sim = CompiledSimulator(circuit)
     if setup is not None:
         setup(sim)
     tracer = VcdTracer(circuit, signals)

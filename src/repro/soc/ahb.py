@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..hdl.simulator import Simulator
+from ..hdl.simulator import SimulatorBase
 from .subsystem import MemorySubsystem
 
 WRITE_GAP = 2      # idle cycles after a write before the next access
@@ -40,7 +40,7 @@ class AhbMaster:
     """Drives reads/writes and samples responses on the right cycle."""
 
     def __init__(self, subsystem: MemorySubsystem,
-                 sim: Simulator | None = None, scrub_en: int = 0,
+                 sim: SimulatorBase | None = None, scrub_en: int = 0,
                  mpu: int | None = None):
         self.sub = subsystem
         self.sim = sim if sim is not None else subsystem.simulator()

@@ -28,8 +28,9 @@ from ..fmea.builder import DiagnosticPlan, build_worksheet
 from ..fmea.fit import DEFAULT_FIT_MODEL, FitModel
 from ..fmea.worksheet import FmeaWorksheet
 from ..hdl.builder import Module
+from ..hdl.compiled import CompiledSimulator
 from ..hdl.netlist import Circuit
-from ..hdl.simulator import Simulator
+from ..hdl.simulator import SimulatorBase
 from ..zones.extractor import ExtractionConfig, ZoneSet, extract_zones
 from .config import BankedConfig, SubsystemConfig
 from .subsystem import (
@@ -143,7 +144,7 @@ class BankedMemorySubsystem:
             check = cfg.code.encode(data)
         return (check << cfg.data_bits) | data
 
-    def preload(self, sim: Simulator, words: dict[int, int]) -> None:
+    def preload(self, sim: SimulatorBase, words: dict[int, int]) -> None:
         """Load encoded words into the banks (bus address -> data)."""
         bank_depth = 1 << self.cfg.bank_addr_bits
         images = {}
@@ -157,10 +158,8 @@ class BankedMemorySubsystem:
         for k, image in images.items():
             sim.load_mem(f"{bank_scope(k)}/memarray/array", image)
 
-    def simulator(self, machines: int = 1,
-                  collect_toggles: bool = False) -> Simulator:
-        sim = Simulator(self.circuit, machines=machines,
-                        collect_toggles=collect_toggles)
+    def simulator(self, machines: int = 1) -> CompiledSimulator:
+        sim = CompiledSimulator(self.circuit, machines=machines)
         self.preload(sim, {})
         return sim
 

@@ -20,8 +20,9 @@ from ..fmea.builder import DiagnosticPlan, build_worksheet
 from ..fmea.fit import DEFAULT_FIT_MODEL, FitModel
 from ..fmea.worksheet import FmeaWorksheet
 from ..hdl.builder import Module
+from ..hdl.compiled import CompiledSimulator
 from ..hdl.netlist import Circuit
-from ..hdl.simulator import Simulator
+from ..hdl.simulator import SimulatorBase
 from ..zones.extractor import ExtractionConfig, ZoneSet, extract_zones
 from .config import SubsystemConfig
 from .subsystem import (
@@ -107,17 +108,15 @@ class DualChannelSubsystem:
     def encode_word(self, data: int, addr: int = 0) -> int:
         return self._single.encode_word(data, addr)
 
-    def preload(self, sim: Simulator, words: dict[int, int]) -> None:
+    def preload(self, sim: SimulatorBase, words: dict[int, int]) -> None:
         image = [self.encode_word(0, a) for a in range(self.cfg.depth)]
         for addr, data in words.items():
             image[addr] = self.encode_word(data, addr)
         for channel in CHANNELS:
             sim.load_mem(f"{channel}/memarray/array", image)
 
-    def simulator(self, machines: int = 1,
-                  collect_toggles: bool = False) -> Simulator:
-        sim = Simulator(self.circuit, machines=machines,
-                        collect_toggles=collect_toggles)
+    def simulator(self, machines: int = 1) -> CompiledSimulator:
+        sim = CompiledSimulator(self.circuit, machines=machines)
         self.preload(sim, {})
         return sim
 

@@ -38,9 +38,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..hdl.builder import Module, Vec
+from ..hdl.compiled import CompiledSimulator
 from ..hdl.library import equals_const, increment, ripple_add
 from ..hdl.netlist import Circuit
-from ..hdl.simulator import Simulator
+from ..hdl.simulator import SimulatorBase
 
 OP_NOP, OP_LDI, OP_LD, OP_ST, OP_ADD, OP_XOR, OP_JNZ, OP_OUT = range(8)
 
@@ -237,15 +238,15 @@ class MiniCpu:
                 "imem_we": 0}
 
     def simulator(self, program=None, data=None,
-                  machines: int = 1) -> Simulator:
-        sim = Simulator(self.circuit, machines=machines)
+                  machines: int = 1) -> CompiledSimulator:
+        sim = CompiledSimulator(self.circuit, machines=machines)
         if program is not None:
             sim.load_mem("imem/rom", assemble(program))
         if data is not None:
             sim.load_mem("dmem/ram", list(data))
         return sim
 
-    def run(self, sim: Simulator, cycles: int) -> list[int]:
+    def run(self, sim: SimulatorBase, cycles: int) -> list[int]:
         """Reset then run; returns the OUT-port values in order."""
         outputs: list[int] = []
         sim.step(self.idle(rst=1))

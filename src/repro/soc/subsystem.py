@@ -15,8 +15,9 @@ from ..fmea.factors import FrequencyClass, SDFactors
 from ..fmea.fit import DEFAULT_FIT_MODEL, FitModel
 from ..fmea.worksheet import FmeaWorksheet
 from ..hdl.builder import Module
+from ..hdl.compiled import CompiledSimulator
 from ..hdl.netlist import Circuit
-from ..hdl.simulator import Simulator
+from ..hdl.simulator import SimulatorBase
 from ..zones.extractor import ExtractionConfig, ZoneSet, extract_zones
 from .config import SubsystemConfig
 from .fmem import (
@@ -229,17 +230,15 @@ class MemorySubsystem:
             check = self.code.encode(data)
         return (check << self.cfg.data_bits) | data
 
-    def preload(self, sim: Simulator, words: dict[int, int]) -> None:
+    def preload(self, sim: SimulatorBase, words: dict[int, int]) -> None:
         """Load encoded words into the array (address -> data)."""
         image = [self.encode_word(0, a) for a in range(self.cfg.depth)]
         for addr, data in words.items():
             image[addr] = self.encode_word(data, addr)
         sim.load_mem("memarray/array", image)
 
-    def simulator(self, machines: int = 1,
-                  collect_toggles: bool = False) -> Simulator:
-        sim = Simulator(self.circuit, machines=machines,
-                        collect_toggles=collect_toggles)
+    def simulator(self, machines: int = 1) -> CompiledSimulator:
+        sim = CompiledSimulator(self.circuit, machines=machines)
         # background-friendly default: array holds valid codewords
         self.preload(sim, {})
         return sim

@@ -30,8 +30,8 @@ from .io import (
 )
 from .classify import FaultClassifier, FaultExtent
 from .graph import (
+    ZoneGraph,
     build_zone_graph,
-    checker_placement_candidates,
     diagnostic_reach_ratio,
     export_graphml,
     undiagnosed_zones,
@@ -54,7 +54,6 @@ __all__ = [
     "resolve_zone_config", "save_zones", "zone_config_to_dict",
     "FaultClassifier", "FaultExtent",
     "EffectPredictor", "PredictedEffects", "predict_effects_table",
-    "build_zone_graph", "checker_placement_candidates",
-    "diagnostic_reach_ratio", "export_graphml", "undiagnosed_zones",
-    "zone_reach",
+    "ZoneGraph", "build_zone_graph", "diagnostic_reach_ratio",
+    "export_graphml", "undiagnosed_zones", "zone_reach",
 ]

@@ -1,30 +1,61 @@
-"""Zone-connectivity graph analyses (built on networkx).
+"""Zone-connectivity graph analyses (standard library only).
 
 Turns the extraction results into a directed graph whose nodes are
 sensible zones and observation points and whose edges are the
 structural "failure can migrate from A to B" relations of §3 — the
-graph behind Figures 1-3.  Useful for:
+graph behind Figures 1-3.  Every edge runs from a zone to an
+observation point, as :meth:`EffectPredictor.predict
+<repro.zones.effects.EffectPredictor.predict>` reports it.  Useful for:
 
 * ranking zones by *reach* (how many observation points a failure can
-  touch) and by *betweenness* (zones every failure path funnels
-  through — natural checker locations);
+  touch);
 * finding zones with no path to any diagnostic alarm (structurally
   undetectable failures: λDU by construction);
-* exporting the graph for visualization.
+* exporting the graph as GraphML for visualization.
 """
 
 from __future__ import annotations
 
-import networkx as nx
+import xml.etree.ElementTree as ET
+from dataclasses import dataclass, field
 
 from .effects import EffectPredictor
 from .extractor import ZoneSet
 from .model import ObservationKind, ZoneKind
 
+_GRAPH_KINDS = (ZoneKind.REGISTER, ZoneKind.MEMORY, ZoneKind.PRIMARY_INPUT)
+_STORAGE_KINDS = (ZoneKind.REGISTER, ZoneKind.MEMORY)
+
+#: GraphML ``attr.type`` per Python type (bool before its superclass)
+_GRAPHML_TYPES = ((bool, "boolean"), (int, "long"), (str, "string"))
+_GRAPHML_ROOT = {
+    "xmlns": "http://graphml.graphdrawing.org/xmlns",
+    "xmlns:xsi": "http://www.w3.org/2001/XMLSchema-instance",
+    "xsi:schemaLocation": "http://graphml.graphdrawing.org/xmlns "
+                          "http://graphml.graphdrawing.org/xmlns/1.0/"
+                          "graphml.xsd",
+}
+
+
+@dataclass
+class ZoneGraph:
+    """Node attributes by name; ``succ[zone][point]`` holds the
+    attributes of the edge zone -> point (every zone has an entry)."""
+
+    node_attrs: dict[str, dict] = field(default_factory=dict)
+    succ: dict[str, dict[str, dict]] = field(default_factory=dict)
+
+    def nodes(self, data: bool = False) -> list:
+        return list(self.node_attrs.items() if data else self.node_attrs)
+
+    def edges(self, data: bool = False) -> list:
+        return [(u, v, attrs) if data else (u, v)
+                for u, out in self.succ.items()
+                for v, attrs in out.items()]
+
 
 def build_zone_graph(zone_set: ZoneSet,
-                     kinds=(ZoneKind.REGISTER, ZoneKind.MEMORY,
-                            ZoneKind.PRIMARY_INPUT)) -> nx.DiGraph:
+                     kinds=_GRAPH_KINDS) -> ZoneGraph:
     """Zones/observation-points digraph with sequential-distance
     weights.
 
@@ -32,87 +63,83 @@ def build_zone_graph(zone_set: ZoneSet,
     reaches the observation point; the ``distance`` attribute is the
     minimum number of register crossings.
     """
-    graph = nx.DiGraph()
+    graph = ZoneGraph()
     predictor = EffectPredictor(zone_set.circuit,
                                 zone_set.observation_points)
     for point in zone_set.observation_points:
-        graph.add_node(point.name, kind="observation",
-                       observation_kind=point.kind.value)
+        graph.node_attrs.setdefault(point.name, {}).update(
+            kind="observation", observation_kind=point.kind.value)
     for zone in zone_set.zones:
         if zone.kind not in kinds:
             continue
-        graph.add_node(zone.name, kind="zone",
-                       zone_kind=zone.kind.value,
-                       bits=zone.size_bits)
+        graph.node_attrs.setdefault(zone.name, {}).update(
+            kind="zone", zone_kind=zone.kind.value, bits=zone.size_bits)
+        out = graph.succ.setdefault(zone.name, {})
         for effect in predictor.predict(zone).effects:
-            graph.add_edge(zone.name, effect.observation,
-                           distance=effect.distance,
-                           main=effect.is_main)
+            out.setdefault(effect.observation, {}).update(
+                distance=effect.distance, main=effect.is_main)
     return graph
 
 
 def undiagnosed_zones(zone_set: ZoneSet,
-                      kinds=(ZoneKind.REGISTER,
-                             ZoneKind.MEMORY)) -> list[str]:
+                      kinds=_STORAGE_KINDS) -> list[str]:
     """Zones that reach a functional output but no diagnostic alarm.
 
     These are structurally dangerous-undetected: no diagnostic can ever
     flag their failures — the graph-theoretic face of the baseline's
     decoder-pipeline blind spot.
     """
-    graph = build_zone_graph(zone_set, kinds=kinds)
     alarms = {p.name for p in zone_set.diagnostic_points()}
     functional = {p.name for p in zone_set.observation_points
                   if p.kind is ObservationKind.OUTPUT}
-    out = []
-    for node, data in graph.nodes(data=True):
-        if data.get("kind") != "zone":
-            continue
-        succ = set(graph.successors(node))
-        if succ & functional and not succ & alarms:
-            out.append(node)
-    return sorted(out)
+    return sorted(zone for zone, out
+                  in build_zone_graph(zone_set, kinds).succ.items()
+                  if out.keys() & functional and not out.keys() & alarms)
 
 
 def zone_reach(zone_set: ZoneSet) -> dict[str, int]:
     """Number of observation points each zone's failure can touch."""
-    graph = build_zone_graph(zone_set)
-    return {node: graph.out_degree(node)
-            for node, data in graph.nodes(data=True)
-            if data.get("kind") == "zone"}
+    return {zone: len(out)
+            for zone, out in build_zone_graph(zone_set).succ.items()}
 
 
 def diagnostic_reach_ratio(zone_set: ZoneSet) -> float:
     """Fraction of storage zones with a structural path to an alarm."""
-    graph = build_zone_graph(zone_set,
-                             kinds=(ZoneKind.REGISTER, ZoneKind.MEMORY))
-    alarms = {p.name for p in zone_set.diagnostic_points()}
-    zones = [n for n, d in graph.nodes(data=True)
-             if d.get("kind") == "zone"]
-    if not zones:
+    succ = build_zone_graph(zone_set, _STORAGE_KINDS).succ
+    if not succ:
         return 1.0
-    reached = sum(1 for z in zones
-                  if set(graph.successors(z)) & alarms)
-    return reached / len(zones)
-
-
-def checker_placement_candidates(zone_set: ZoneSet,
-                                 top: int = 5) -> list[tuple[str, float]]:
-    """Zones with the highest betweenness in the zone/cone graph.
-
-    High-betweenness zones funnel many failure-propagation paths — the
-    natural places to add checkers (the §6 redesign put them exactly at
-    such funnels: after the coder, after the decoder pipeline).
-    Computed on the net-level graph projected to zones.
-    """
-    graph = build_zone_graph(zone_set)
-    centrality = nx.betweenness_centrality(graph)
-    zones = [(node, score) for node, score in centrality.items()
-             if graph.nodes[node].get("kind") == "zone"]
-    zones.sort(key=lambda kv: -kv[1])
-    return zones[:top]
+    alarms = {p.name for p in zone_set.diagnostic_points()}
+    return sum(1 for out in succ.values() if out.keys() & alarms) \
+        / len(succ)
 
 
 def export_graphml(zone_set: ZoneSet, path) -> None:
-    """Write the zone graph for external visualization tools."""
-    nx.write_graphml(build_zone_graph(zone_set), path)
+    """Write the zone graph as GraphML for external visualization
+    tools (GraphML keys and types as networkx's writer declares them)."""
+    graph = build_zone_graph(zone_set)
+    root = ET.Element("graphml", _GRAPHML_ROOT)
+    keys: dict[tuple[str, str], str] = {}
+
+    def add_data(element, scope: str, attrs: dict) -> None:
+        for name, value in attrs.items():
+            key = keys.get((scope, name))
+            if key is None:
+                key = keys[scope, name] = f"d{len(keys)}"
+                attr_type = next(t for py, t in _GRAPHML_TYPES
+                                 if isinstance(value, py))
+                root.insert(0, ET.Element("key", {
+                    "id": key, "for": scope, "attr.name": name,
+                    "attr.type": attr_type}))
+            ET.SubElement(element, "data", key=key).text = str(value)
+
+    body = ET.SubElement(root, "graph", edgedefault="directed")
+    for name, attrs in graph.nodes(data=True):
+        add_data(ET.SubElement(body, "node", id=name), "node", attrs)
+    for source, target, attrs in graph.edges(data=True):
+        add_data(ET.SubElement(body, "edge", source=source,
+                               target=target), "edge", attrs)
+    ET.indent(root)
+    with open(path, "wb") as handle:
+        ET.ElementTree(root).write(handle, encoding="utf-8",
+                                   xml_declaration=True)
+        handle.write(b"\n")

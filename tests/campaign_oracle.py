@@ -5,8 +5,8 @@ Campaigns and the operational-profile replay run on the compiled
 kernel only (:func:`repro.faultinjection.compiled_pass.run_pass_compiled`
 and :func:`repro.faultinjection.profiler.profile_workload`).  This
 module holds both loops as test-only references over the big-int
-:class:`~repro.hdl.Simulator`, observing one point (or net, flop,
-memory port) at a time in plain Python.  The differential suites
+:class:`~tests.simulator_oracle.Simulator`, observing one point (or
+net, flop, memory port) at a time in plain Python.  The differential suites
 compare the production engine against them record for record.
 
     result = run_interpreted(env.manager(), env.candidates())
@@ -28,8 +28,9 @@ from repro.faultinjection.profiler import (
     NetActivity,
     OperationalProfile,
 )
-from repro.hdl.simulator import Simulator
 from repro.store.fingerprint import _picker
+
+from .simulator_oracle import Simulator
 
 
 def run_interpreted(manager: FaultInjectionManager,

@@ -46,13 +46,14 @@ from repro.faultinjection.faults import MemCouplingFault
 from repro.faultinjection.parallel import CampaignSpec, snapshot_setup
 from repro.faultinjection.supervisor import CampaignSupervisor
 from repro.hdl import BRIDGE_AND, BRIDGE_DOMINANT, BRIDGE_OR, \
-    CompiledSimulator, Module, Simulator, compile_circuit
+    CompiledSimulator, Module, compile_circuit
 from repro.service.core import make_subsystem
 from repro.soc import MemorySubsystem, SubsystemConfig
 from repro.soc.minicpu import CpuConfig, MiniCpu, assemble
 from repro.zones.model import ObservationKind, ObservationPoint
 
 from .campaign_oracle import run_interpreted
+from .simulator_oracle import Simulator
 
 # lane-boundary machine counts (single word, exactly full word, word
 # + 1) plus small ones — cycled across fuzz seeds

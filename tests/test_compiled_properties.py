@@ -30,7 +30,7 @@ from repro.faultinjection import (
     SupervisorConfig,
     build_environment,
 )
-from repro.hdl import Simulator, compile_circuit
+from repro.hdl import compile_circuit
 from repro.hdl.compiled import CompileError, LOOP_CODE, decompile
 from repro.hdl.netlist import OP_AND, OP_CONST0, OP_CONST1, OP_OR, \
     Circuit
@@ -40,6 +40,7 @@ from repro.store import CampaignCache
 from repro.zones.model import ObservationKind, ObservationPoint
 
 from .campaign_oracle import run_interpreted
+from .simulator_oracle import Simulator
 from .test_compiled_differential import fuzz_circuit
 
 DATA = Path(__file__).parent / "data"

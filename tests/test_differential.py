@@ -11,7 +11,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hdl import Module, Simulator
+from repro.hdl import Module
 from repro.hdl.netlist import (
     OP_AND,
     OP_BUF,
@@ -25,6 +25,8 @@ from repro.hdl.netlist import (
     OP_XNOR,
     OP_XOR,
 )
+
+from .simulator_oracle import Simulator
 
 
 def reference_eval(circuit, input_values, flop_state):

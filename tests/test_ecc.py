@@ -20,7 +20,9 @@ from repro.ecc import (
     parity_of,
     suggest_check_bits,
 )
-from repro.hdl import Module, Simulator
+from repro.hdl import Module
+
+from .simulator_oracle import Simulator
 
 
 # ----------------------------------------------------------------------

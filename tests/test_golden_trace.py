@@ -28,13 +28,13 @@ from repro.faultinjection import (
     compute_golden_trace,
     profile_workload,
 )
-from repro.hdl.simulator import Simulator
 from repro.faultinjection.validation import _toggled_outputs
 from repro.soc import MemorySubsystem, SubsystemConfig, \
     validation_workload
 from repro.soc.minicpu import CpuConfig, MiniCpu, assemble
 from repro.zones.model import ObservationKind, ObservationPoint
 
+from .simulator_oracle import Simulator
 from .test_compiled_differential import fuzz_circuit
 
 MINICPU_PROGRAM = [("ldi", 5), ("st", 0), ("ldi", 3), ("add", 0),

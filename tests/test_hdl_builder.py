@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hdl import Module, NetlistError, Simulator
+from repro.hdl import Module, NetlistError
+
+from .simulator_oracle import Simulator
 
 
 def eval_comb(build, inputs):

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hdl import Module, NetlistError, Simulator, library
+from repro.hdl import Module, NetlistError, library
+
+from .simulator_oracle import Simulator
 
 
 def build_and_sim(build):

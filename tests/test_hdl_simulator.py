@@ -11,9 +11,10 @@ from repro.hdl import (
     CompiledSimulator,
     Module,
     NetlistError,
-    Simulator,
     library,
 )
+
+from .simulator_oracle import Simulator
 
 
 def xor_reg_circuit(width=4):

@@ -1,7 +1,9 @@
 """Smoke tests for the HDL substrate (expanded per-module tests live in
 test_hdl_netlist / test_hdl_builder / test_hdl_simulator)."""
 
-from repro.hdl import Module, Simulator, library, roundtrip
+from repro.hdl import Module, library, roundtrip
+
+from .simulator_oracle import Simulator
 
 
 def build_toy():

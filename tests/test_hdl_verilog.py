@@ -5,13 +5,14 @@ import pytest
 from repro.hdl import (
     Module,
     NetlistError,
-    Simulator,
     library,
     parse_verilog,
     roundtrip,
     write_verilog,
 )
 from repro.soc import MemorySubsystem, SubsystemConfig
+
+from .simulator_oracle import Simulator
 
 
 def sample_circuit():

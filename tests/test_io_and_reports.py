@@ -10,17 +10,22 @@ from repro.fmea import (
     worksheet_from_dict,
     worksheet_to_dict,
 )
-from repro.hdl import Module, Simulator, VcdTracer, trace_workload
+from repro.hdl import Module, VcdTracer, trace_workload
 from repro.iec61508 import SIL
 from repro.reporting import build_dossier
 from repro.soc import MemorySubsystem, SubsystemConfig, random_traffic
 from repro.zones import (
+    EffectPredictor,
+    ObservationKind,
+    ZoneKind,
     build_zone_graph,
-    checker_placement_candidates,
     diagnostic_reach_ratio,
+    export_graphml,
     undiagnosed_zones,
     zone_reach,
 )
+
+from .simulator_oracle import Simulator
 
 
 @pytest.fixture(scope="module")
@@ -74,7 +79,7 @@ def test_worksheet_schema_check():
 
 
 # ----------------------------------------------------------------------
-# zone graph (networkx)
+# zone graph (pinned against networkx)
 # ----------------------------------------------------------------------
 def test_zone_graph_structure(improved):
     zone_set = improved.extract_zones()
@@ -111,19 +116,68 @@ def test_zone_reach_counts(improved):
     assert wbuf and max(wbuf) >= 3
 
 
-def test_checker_placement_candidates(improved):
-    zone_set = improved.extract_zones()
-    candidates = checker_placement_candidates(zone_set, top=5)
-    assert len(candidates) <= 5
-    scores = [s for _, s in candidates]
-    assert scores == sorted(scores, reverse=True)
-
-
 def test_graphml_export(improved, tmp_path):
     from repro.zones import export_graphml
     path = tmp_path / "zones.graphml"
     export_graphml(improved.extract_zones(), path)
     assert path.read_text().startswith("<?xml")
+
+
+def networkx_zone_graph(nx, zone_set,
+                        kinds=(ZoneKind.REGISTER, ZoneKind.MEMORY,
+                               ZoneKind.PRIMARY_INPUT)):
+    """The zone graph as the networkx implementation built it."""
+    graph = nx.DiGraph()
+    predictor = EffectPredictor(zone_set.circuit,
+                                zone_set.observation_points)
+    for point in zone_set.observation_points:
+        graph.add_node(point.name, kind="observation",
+                       observation_kind=point.kind.value)
+    for zone in zone_set.zones:
+        if zone.kind not in kinds:
+            continue
+        graph.add_node(zone.name, kind="zone",
+                       zone_kind=zone.kind.value, bits=zone.size_bits)
+        for effect in predictor.predict(zone).effects:
+            graph.add_edge(zone.name, effect.observation,
+                           distance=effect.distance, main=effect.is_main)
+    return graph
+
+
+@pytest.mark.parametrize("variant", ["baseline", "improved"])
+def test_zone_graph_matches_networkx(variant, baseline, improved,
+                                     tmp_path):
+    nx = pytest.importorskip("networkx")
+    sub = baseline if variant == "baseline" else improved
+    zone_set = sub.extract_zones()
+    reference = networkx_zone_graph(nx, zone_set)
+
+    # GraphML: both files read back to the same nodes, edges, attributes
+    export_graphml(zone_set, tmp_path / "stdlib.graphml")
+    nx.write_graphml(reference, tmp_path / "networkx.graphml")
+    ours = nx.read_graphml(tmp_path / "stdlib.graphml")
+    theirs = nx.read_graphml(tmp_path / "networkx.graphml")
+    assert list(ours.nodes(data=True)) == list(theirs.nodes(data=True))
+    assert list(ours.edges(data=True)) == list(theirs.edges(data=True))
+
+    # the analyses read the same zone -> observation-point adjacency
+    assert zone_reach(zone_set) == {
+        node: reference.out_degree(node)
+        for node, data in reference.nodes(data=True)
+        if data["kind"] == "zone"}
+    storage = networkx_zone_graph(
+        nx, zone_set, kinds=(ZoneKind.REGISTER, ZoneKind.MEMORY))
+    reach = {node: set(storage.successors(node))
+             for node, data in storage.nodes(data=True)
+             if data["kind"] == "zone"}
+    alarms = {p.name for p in zone_set.diagnostic_points()}
+    functional = {p.name for p in zone_set.observation_points
+                  if p.kind is ObservationKind.OUTPUT}
+    assert diagnostic_reach_ratio(zone_set) == \
+        sum(1 for points in reach.values() if points & alarms) / len(reach)
+    assert undiagnosed_zones(zone_set) == sorted(
+        zone for zone, points in reach.items()
+        if points & functional and not points & alarms)
 
 
 # ----------------------------------------------------------------------

@@ -13,8 +13,7 @@ from repro.fmea import (
     build_worksheet,
     combine_coverage,
 )
-from repro.hdl import CompiledSimulator, Module, Simulator, \
-    compile_circuit
+from repro.hdl import CompiledSimulator, Module, compile_circuit
 from repro.iec61508 import FailureRates
 from repro.soc import MemorySubsystem, SubsystemConfig
 from repro.zones import ZoneKind, extract_zones, predict_effects_table
@@ -24,6 +23,8 @@ from repro.faultinjection import (
     collapse,
     shard_candidates,
 )
+
+from .simulator_oracle import Simulator
 
 
 # ----------------------------------------------------------------------

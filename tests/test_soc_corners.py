@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.hdl import Simulator
 from repro.soc import AhbMaster, MemorySubsystem, SubsystemConfig
 
 

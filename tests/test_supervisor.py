@@ -33,7 +33,7 @@ from repro.faultinjection import (
     validate_stimuli,
 )
 from repro.faultinjection.supervisor import FaultAnomaly
-from repro.hdl import CycleBudgetExceeded, Simulator
+from repro.hdl import CycleBudgetExceeded
 from repro.reporting.health import (
     quarantine_bounds,
     render_campaign_health,
@@ -43,6 +43,7 @@ from repro.soc.minicpu import CpuConfig, MiniCpu, assemble
 from repro.zones import ZoneKind, extract_zones
 
 from .campaign_oracle import run_interpreted
+from .simulator_oracle import Simulator
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.hdl import Simulator
 from repro.soc import (
     AhbMaster,
     MemorySubsystem,
@@ -20,6 +19,8 @@ from repro.soc import (
     validation_workload,
 )
 from repro.soc.workloads import Phase, bist_selftest
+
+from .simulator_oracle import Simulator
 
 
 @pytest.fixture(scope="module")
