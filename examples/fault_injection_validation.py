@@ -24,7 +24,6 @@ import time
 
 from repro.faultinjection import (
     ResultAnalyzer,
-    ValidationConfig,
     build_environment,
     run_validation,
 )
@@ -43,7 +42,7 @@ def main():
     print(f"injection environment: {env.as_config_dict()}")
 
     started = time.time()
-    report = run_validation(sub, env=env, config=ValidationConfig())
+    report = run_validation(sub, env=env, quick=True)
     print(f"\n{report.summary()}")
     print(f"\n(validation wall time: {time.time() - started:.1f}s)")
 

@@ -6,10 +6,11 @@ E2xx parsers): every read is bounded in **bytes** and **time**, so a
 slow-loris client or an over-long header/body is shed with a coded
 diagnostic instead of parking a task or ballooning memory:
 
-* request line + headers are capped at ``max_header_bytes``;
+* request line + headers are capped at ``MAX_HEADER_BYTES``;
 * bodies require ``Content-Length`` (no request chunking) and are
-  capped at ``max_body_bytes`` → ``E424`` / 413 beyond it;
-* every read runs under ``timeout`` → ``E425`` / 408 on expiry;
+  capped at ``MAX_BODY_BYTES`` → ``E424`` / 413 beyond it;
+* every read runs under ``REQUEST_TIMEOUT`` → ``E425`` / 408 on
+  expiry;
 * anything malformed → ``E420`` / 400.
 
 Responses are plain (``Content-Length``) or chunked — the progress
@@ -64,11 +65,10 @@ class Request:
     body: bytes = b""
 
 
-async def _readline(reader: asyncio.StreamReader, budget: int,
-                    timeout: float) -> bytes:
+async def _readline(reader: asyncio.StreamReader, budget: int) -> bytes:
     try:
         line = await asyncio.wait_for(
-            reader.readuntil(b"\n"), timeout=timeout)
+            reader.readuntil(b"\n"), timeout=REQUEST_TIMEOUT)
     except asyncio.TimeoutError:
         raise ProtocolError(
             408, "E425", "timed out waiting for the request") \
@@ -89,19 +89,15 @@ async def _readline(reader: asyncio.StreamReader, budget: int,
     return line
 
 
-async def read_request(reader: asyncio.StreamReader,
-                       max_header_bytes: int = MAX_HEADER_BYTES,
-                       max_body_bytes: int = MAX_BODY_BYTES,
-                       timeout: float = REQUEST_TIMEOUT
-                       ) -> Request | None:
+async def read_request(reader: asyncio.StreamReader) -> Request | None:
     """Parse one bounded request; ``None`` on a clean pre-request EOF.
 
     Raises :class:`ProtocolError` for anything the server should
     answer with a coded 4xx.
     """
-    budget = max_header_bytes
+    budget = MAX_HEADER_BYTES
     try:
-        line = await _readline(reader, budget, timeout)
+        line = await _readline(reader, budget)
     except EOFError:
         return None
     budget -= len(line)
@@ -117,8 +113,8 @@ async def read_request(reader: asyncio.StreamReader,
         if budget <= 0:
             raise ProtocolError(
                 413, "E424",
-                f"request headers exceed {max_header_bytes} bytes")
-        line = await _readline(reader, budget, timeout)
+                f"request headers exceed {MAX_HEADER_BYTES} bytes")
+        line = await _readline(reader, budget)
         budget -= len(line)
         text = line.decode("latin-1").strip()
         if not text:
@@ -146,15 +142,15 @@ async def read_request(reader: asyncio.StreamReader,
         if length < 0:
             raise ProtocolError(
                 400, "E420", f"bad Content-Length: {length}")
-        if length > max_body_bytes:
+        if length > MAX_BODY_BYTES:
             raise ProtocolError(
                 413, "E424",
                 f"request body of {length} bytes exceeds the "
-                f"{max_body_bytes}-byte bound")
+                f"{MAX_BODY_BYTES}-byte bound")
         if length:
             try:
                 body = await asyncio.wait_for(
-                    reader.readexactly(length), timeout=timeout)
+                    reader.readexactly(length), timeout=REQUEST_TIMEOUT)
             except asyncio.TimeoutError:
                 raise ProtocolError(
                     408, "E425",

@@ -62,8 +62,6 @@ from ..store.errors import StoreIOError
 from .auth import AuthConfig, estimate_faults
 from .events import TERMINAL_STATES, event_key, job_event
 from .protocol import (
-    MAX_BODY_BYTES,
-    MAX_HEADER_BYTES,
     REQUEST_TIMEOUT,
     ProtocolError,
     Request,
@@ -80,6 +78,12 @@ _SUBMIT_META_FIELDS = ("project", "max_attempts", "idempotency_key")
 #: rolling window of the faults-per-day quota
 _QUOTA_WINDOW_SECONDS = 86400.0
 
+#: Retry-After for overload (429) and lock-contention responses
+OVERLOAD_RETRY_AFTER = 2.0
+#: Retry-After for store-fault (503) responses — matches the daemon's
+#: io-pause
+IO_RETRY_AFTER = 5.0
+
 
 @dataclass
 class ApiConfig:
@@ -92,16 +96,8 @@ class ApiConfig:
     #: global admission watermark: active jobs beyond this shed
     #: submits with E427 / 429 + Retry-After
     max_queue_depth: int = 64
-    max_header_bytes: int = MAX_HEADER_BYTES
-    max_body_bytes: int = MAX_BODY_BYTES
-    request_timeout: float = REQUEST_TIMEOUT
     #: poll period of the progress stream (state-snapshot events)
     stream_poll_interval: float = 0.2
-    #: Retry-After for overload (429) responses
-    retry_after: float = 2.0
-    #: Retry-After for store-fault (503) responses — matches the
-    #: daemon's io-pause
-    io_retry_after: float = 5.0
     verbose: bool = True
 
 
@@ -220,7 +216,7 @@ class ApiServer:
         if self._inflight:
             await asyncio.wait(
                 set(self._inflight),
-                timeout=max(cfg.request_timeout, 10.0))
+                timeout=REQUEST_TIMEOUT)
         self._stop_workers()
         self._log("drained — exiting")
         return 0
@@ -261,13 +257,9 @@ class ApiServer:
                 pass
 
     async def _client_inner(self, reader, writer) -> None:
-        cfg = self.config
         try:
             fail_at("api.accept")
-            request = await read_request(
-                reader, max_header_bytes=cfg.max_header_bytes,
-                max_body_bytes=cfg.max_body_bytes,
-                timeout=cfg.request_timeout)
+            request = await read_request(reader)
             if request is None:
                 return
             await self._dispatch(request, writer)
@@ -285,14 +277,14 @@ class ApiServer:
             await self._respond_error(writer, ApiError(
                 503, _store_code(err, "E409"),
                 "store write lock is contended; retry",
-                retry_after=cfg.retry_after))
+                retry_after=OVERLOAD_RETRY_AFTER))
         except OSError as err:
             # an injected (or real) disk fault outside the store
             # wrappers still degrades coded, never a traceback
             await self._respond_error(writer, ApiError(
                 503, "E428", f"i/o failure while serving the "
                              f"request: {err}",
-                retry_after=cfg.io_retry_after))
+                retry_after=IO_RETRY_AFTER))
         except DiagnosticError as err:
             report = getattr(err, "report", None)
             await self._respond_error(writer, ApiError(
@@ -312,7 +304,7 @@ class ApiServer:
             f"store unavailable "
             f"({_store_code(err, 'io-pause')}): "
             f"{_first_line(err)}",
-            retry_after=self.config.io_retry_after,
+            retry_after=IO_RETRY_AFTER,
             diagnostics=_report_payload(
                 getattr(err, "report", None)))
 
@@ -415,7 +407,7 @@ class ApiServer:
                 503, "E427",
                 f"queue depth {active} is at the watermark "
                 f"({cfg.max_queue_depth})",
-                retry_after=cfg.retry_after)
+                retry_after=OVERLOAD_RETRY_AFTER)
         await self._respond(writer, 200, {
             "ready": True,
             "jobs": counts,
@@ -423,7 +415,6 @@ class ApiServer:
         })
 
     async def _submit(self, request: Request, writer) -> None:
-        cfg = self.config
         principal = self._authenticate(request)
         data = _parse_json_object(request)
         unknown = [k for k in data
@@ -509,7 +500,7 @@ class ApiServer:
                     429, "E427",
                     f"queue depth {active_total} is at the "
                     f"watermark ({cfg.max_queue_depth}); load shed",
-                    retry_after=cfg.retry_after)
+                    retry_after=OVERLOAD_RETRY_AFTER)
             mine = queue.jobs(project=project)
             active_mine = [j for j in mine if j.status in
                            ("queued", "leased", "running")]
@@ -519,7 +510,7 @@ class ApiServer:
                     f"project {project!r} holds "
                     f"{len(active_mine)} active job(s), at its "
                     f"max_queued quota ({quota.max_queued})",
-                    retry_after=cfg.retry_after)
+                    retry_after=OVERLOAD_RETRY_AFTER)
             if quota.max_faults_per_day is not None:
                 horizon = _time.time() - _QUOTA_WINDOW_SECONDS
                 charged = sum(

@@ -96,11 +96,9 @@ def cmd_fmea(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    from .faultinjection.validation import ValidationConfig, \
-        run_validation
+    from .faultinjection.validation import run_validation
     sub = _make_subsystem(args)
-    report = run_validation(sub, config=ValidationConfig(
-        quick=not args.full))
+    report = run_validation(sub, quick=not args.full)
     print(report.summary())
     if report.coverage is not None:
         print(report.coverage.report())
@@ -164,15 +162,14 @@ def cmd_derating(args) -> int:
 
 def cmd_dossier(args) -> int:
     """Full certification dossier: FMEA + validation + sensitivity."""
-    from .faultinjection.validation import ValidationConfig, \
-        run_validation
+    from .faultinjection.validation import run_validation
     from .reporting.dossier import build_dossier
     sub = _make_subsystem(args)
     zone_set = sub.extract_zones()
     sheet = sub.worksheet(zone_set)
     validation = None
     if not args.no_validation:
-        validation = run_validation(sub, config=ValidationConfig())
+        validation = run_validation(sub)
     text = build_dossier(sub.cfg.name, sub, zone_set, sheet,
                          validation=validation,
                          target_sil=SIL(args.target_sil),
@@ -233,7 +230,6 @@ def cmd_explore(args) -> int:
         target_sff=args.target_sff, hft=args.hft,
         budget=args.budget, probe_width=args.probe_width,
         full=args.full, workers=args.workers,
-        project=args.project,
         verify=not args.no_verify)
     progress = None
     if not args.quiet:

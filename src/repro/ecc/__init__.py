@@ -1,7 +1,6 @@
 """Error-correcting-code substrate: parity and SEC-DED Hsiao codes."""
 
 from .parity import (
-    build_interleaved_parity,
     build_parity,
     build_parity_checker,
     check_parity,
@@ -27,7 +26,6 @@ from .address import (
 __all__ = [
     "parity_of", "encode_parity", "check_parity", "build_parity",
     "build_parity_checker", "interleaved_parity",
-    "build_interleaved_parity",
     "DecodeResult", "SecDedCode", "hsiao_columns", "suggest_check_bits",
     "build_encoder", "build_syndrome", "build_corrector",
     "AddressedSecDed", "build_address_signature",

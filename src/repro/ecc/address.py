@@ -15,8 +15,6 @@ does not alias to a correctable data-bit error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..hdl.builder import Module, Vec
 from .hamming import DecodeResult, SecDedCode, hsiao_columns
 
@@ -66,15 +64,6 @@ class AddressedSecDed:
 
 def _is_unit(value: int) -> bool:
     return value != 0 and value & (value - 1) == 0
-
-
-@dataclass
-class AddressedWord:
-    """A stored (data, check) pair produced for a given address."""
-
-    data: int
-    check: int
-    addr: int
 
 
 def build_address_signature(m: Module, addr: Vec,

@@ -49,12 +49,3 @@ def interleaved_parity(value: int, width: int, lanes: int) -> int:
             bits ^= (value >> i) & 1
         out |= bits << lane
     return out
-
-
-def build_interleaved_parity(m: Module, data: Vec, lanes: int) -> Vec:
-    """Gate-level per-lane parity generator."""
-    outs = []
-    for lane in range(lanes):
-        nets = data.nets[lane::lanes]
-        outs.append(Vec(m, nets).reduce_xor())
-    return m.cat(*outs)

@@ -57,7 +57,6 @@ class ExploreConfig:
     probe_width: int = 3
     full: bool = False
     workers: int = 1
-    project: str = "default"
     verify: bool = True
 
 

@@ -64,7 +64,6 @@ from .environment import (
 from .faultsim import simulate_faults
 from .validation import (
     ToggleReport,
-    ValidationConfig,
     ValidationReport,
     measure_toggle_coverage,
     run_validation,
@@ -110,7 +109,7 @@ __all__ = [
     "StimuliValidationError", "build_environment", "load_stimuli",
     "save_stimuli", "validate_stimuli", "validate_stimuli_report",
     "simulate_faults",
-    "ToggleReport", "ValidationConfig", "ValidationReport",
+    "ToggleReport", "ValidationReport",
     "measure_toggle_coverage", "run_validation",
     *_STORE_EXPORTS,
 ]

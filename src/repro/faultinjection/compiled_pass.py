@@ -163,7 +163,6 @@ def run_pass_compiled(manager, batch, result) -> None:
     sim = CompiledSimulator(manager.compiled_circuit(),
                             machines=len(batch) + 1,
                             collect_toggles=cfg.collect_toggles,
-                            toggle_any_machine=True,
                             cycle_budget=cfg.cycle_budget)
     if manager.setup is not None:
         manager.setup(sim)

@@ -10,7 +10,7 @@ cell coupling, bridging between nets, and multi-net global faults
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..hdl.simulator import BRIDGE_DOMINANT, SimulatorBase
 from ..zones.model import FaultPersistence
@@ -199,13 +199,3 @@ class GlobalStuckFault(Fault):
     def arm(self, sim, machine, t0):
         for net in self.nets:
             sim.stick_net(net, self.value, machines=1 << machine)
-
-
-@dataclass
-class ArmedFault:
-    """A fault bound to a machine inside a campaign pass."""
-
-    fault: Fault
-    machine: int
-    inject_cycle: int = 0
-    meta: dict = field(default_factory=dict)

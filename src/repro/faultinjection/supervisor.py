@@ -80,6 +80,16 @@ ANOMALY_EXCEPTION = "exception"
 #: cycle runaways caught by the in-simulator watchdog
 _HANG_EXCEPTIONS = ("CycleBudgetExceeded",)
 
+#: retry backoff growth: attempt ``k`` waits a decorrelated-jitter
+#: delay in ``[base, base * RETRY_BACKOFF_FACTOR**k]``, capped at
+#: ``RETRY_BACKOFF_CAP`` seconds, so parallel supervisors recovering
+#: from one fault don't retry in lockstep
+RETRY_BACKOFF_FACTOR = 2.0
+RETRY_BACKOFF_CAP = 30.0
+#: supervisor poll tick (seconds): deadline granularity and the
+#: latency of noticing a finished shard
+POLL_INTERVAL = 0.05
+
 
 class CampaignAborted(RuntimeError):
     """A poison fault could not be executed and quarantine is off."""
@@ -101,21 +111,11 @@ class SupervisorConfig:
     cycle_budget: int | None = None
     #: failed-shard retries before the shard is bisected
     max_retries: int = 2
-    #: retry backoff: attempt ``k`` waits a decorrelated-jitter delay
-    #: in ``[base, base * factor**k]`` (capped) so parallel
-    #: supervisors recovering from one fault don't retry in lockstep
+    #: minimum retry backoff (see :data:`RETRY_BACKOFF_FACTOR`)
     backoff_base: float = 0.25
-    backoff_factor: float = 2.0
-    backoff_cap: float = 30.0
-    #: seeds the jitter per shard — set for reproducible retry
-    #: schedules (chaos tests); ``None`` keeps it randomized
-    backoff_seed: int | None = None
     #: isolate poison faults and complete the campaign without them;
     #: when off, an inexecutable fault raises :class:`CampaignAborted`
     quarantine: bool = True
-    #: supervisor poll tick: deadline granularity and the latency of
-    #: noticing a finished shard
-    poll_interval: float = 0.05
     #: optional liveness callback (e.g. a job-queue lease renewal)
     #: invoked from the supervision loop at most every
     #: ``heartbeat_interval`` seconds; an exception it raises aborts
@@ -444,12 +444,12 @@ class CampaignSupervisor:
                     # everything pending is backing off
                     wake = min(job.not_before for job in pending)
                     time.sleep(max(0.0, min(wake - time.time(),
-                                            cfg.poll_interval)))
+                                            POLL_INTERVAL)))
                     continue
 
                 ready = _connection_wait(
                     [handle.conn for handle in active],
-                    timeout=cfg.poll_interval)
+                    timeout=POLL_INTERVAL)
                 now = time.time()
                 by_conn = {handle.conn: handle for handle in active}
                 for conn in ready:
@@ -630,9 +630,8 @@ class CampaignSupervisor:
         if job.attempts <= cfg.max_retries:
             self._health.retries += 1
             job.not_before = time.time() + decorrelated_delay(
-                job.attempts, cfg.backoff_base, cfg.backoff_factor,
-                cap=cfg.backoff_cap, seed=cfg.backoff_seed,
-                token=job.indices[0] if job.indices else 0)
+                job.attempts, cfg.backoff_base, RETRY_BACKOFF_FACTOR,
+                cap=RETRY_BACKOFF_CAP)
             pending.append(job)
             return
         if not cfg.quarantine:

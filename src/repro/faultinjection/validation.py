@@ -3,12 +3,15 @@
 a) exhaustive fault injection of sensible-zone failures, cross-checked
    against the FMEA (measured S/DDF and the effects table) with
    SENS/OBSE/DIAG coverage collection;
-b) workload-completeness measurement (toggle coverage >= 99 % by
-   default, or a standard fault coverage);
+b) workload-completeness measurement (toggle coverage >= 99 %, or a
+   standard fault coverage);
 c) selective local HW fault injection in the critical areas, plus
    fault simulation of permanent faults against the claimed DDF;
 d) selective wide/global HW fault injection, checked for consistency
    with the zone-level analysis (no unexplained new effects).
+
+The acceptance tolerances and fault-list sizes are the module
+constants below; ``docs/methodology.md`` tabulates them.
 """
 
 from __future__ import annotations
@@ -35,26 +38,32 @@ from .profiler import NetActivity, profile_workload
 from .supervisor import CampaignSupervisor, SupervisorConfig
 
 
-#: the paper's default toggle-coverage acceptance threshold (§5 step b)
+#: step a: a zone's measured DDF may fall this far below its claim
+DDF_TOLERANCE = 0.35
+#: step a: the measured DC may fall this far below the worksheet's
+#: aggregate claimed DC
+AGGREGATE_DC_TOLERANCE = 0.25
+#: step c: the gate-level DC of the critical areas may differ from
+#: their zone-level DC by ``AGGREGATE_DC_TOLERANCE + LOCAL_DC_MARGIN``
+LOCAL_DC_MARGIN = 0.15
+#: step c: the comparison needs this many dangerous zone-level samples
+LOCAL_DC_MIN_SAMPLES = 8
+#: step b: the paper's toggle-coverage acceptance threshold
 TOGGLE_THRESHOLD = 0.99
-
-
-@dataclass
-class ValidationConfig:
-    """Tolerances and effort knobs of the validation flow."""
-
-    quick: bool = True
-    ddf_tolerance: float = 0.35
-    aggregate_dc_tolerance: float = 0.25
-    toggle_threshold: float = TOGGLE_THRESHOLD
-    critical_areas: int = 3
-    cone_faults_per_zone: int = 24
-    wide_fault_pairs: int = 4
-    global_faults: int = 2
-    transient_per_zone: int = 2
-    permanent_per_zone: int = 2
-    campaign: CampaignConfig = field(default_factory=CampaignConfig)
-    seed: int = 2007
+#: step c: register areas inspected, in criticality order
+CRITICAL_AREAS = 3
+#: step c and the e-step top-up: at most this many gate outputs of a
+#: cone get stuck-at faults
+CONE_FAULTS_PER_ZONE = 24
+#: step d: correlated zone pairs bridged
+WIDE_FAULT_PAIRS = 4
+#: step d: highest-fanout critical nets stuck globally
+GLOBAL_FAULTS = 2
+#: step a: transient and permanent faults generated per zone
+TRANSIENT_PER_ZONE = 2
+PERMANENT_PER_ZONE = 2
+#: seeds every sampled fault list of the flow
+VALIDATION_SEED = 2007
 
 
 @dataclass
@@ -121,12 +130,14 @@ class ValidationReport:
 
 
 def run_validation(subsystem, env: InjectionEnvironment | None = None,
-                   config: ValidationConfig | None = None
-                   ) -> ValidationReport:
-    """Run steps a) - d) on a memory subsystem."""
-    config = config or ValidationConfig()
+                   quick: bool = True) -> ValidationReport:
+    """Run steps a) - d) on a memory subsystem.
+
+    ``quick`` picks the workload of the environment built when
+    ``env`` is not given.
+    """
     if env is None:
-        env = build_environment(subsystem, quick=config.quick)
+        env = build_environment(subsystem, quick=quick)
     report = ValidationReport()
 
     # campaigns first (a, c, d), then the one fault-free replay of the
@@ -134,29 +145,29 @@ def run_validation(subsystem, env: InjectionEnvironment | None = None,
     # before the top-up decision (e), and its per-net activity is the
     # workload-completeness measurement (b), which also credits
     # diagnostic-only nets with the toggles of all faulty machines
-    config.campaign.collect_toggles = True
-    _step_a(env, config, report)
-    _step_c(subsystem, env, config, report)
-    _step_d(subsystem, env, config, report)
+    _step_a(env, report)
+    _step_c(env, report)
+    _step_d(env, report)
     activity = _replay_full_workload(subsystem)
-    _step_coverage(config, report, env,
+    _step_coverage(report, env,
                    toggled_outputs=_toggled_outputs(subsystem.circuit,
                                                     activity))
-    _step_b(subsystem.circuit, env, config, report, activity)
+    _step_b(subsystem.circuit, env, report, activity)
     report.steps.sort(key=lambda s: s.name)
     return report
 
 
-def _run_campaign(env: InjectionEnvironment, config: ValidationConfig,
+def _run_campaign(env: InjectionEnvironment,
                   candidates: CandidateList) -> CampaignResult:
     """One validation campaign on the campaign supervisor.
 
     Quarantine is off: a fault that cannot be executed aborts the
     validation (:class:`~.supervisor.CampaignAborted`) instead of
-    leaving a hole in the evidence.
+    leaving a hole in the evidence.  Toggles are collected over every
+    machine: step b credits diagnostic-only nets with them.
     """
     return CampaignSupervisor(
-        env.spec(config.campaign), workers=1,
+        env.spec(CampaignConfig(collect_toggles=True)), workers=1,
         config=SupervisorConfig(quarantine=False)).run(candidates)
 
 
@@ -209,15 +220,14 @@ def measure_toggle_coverage(circuit: Circuit, stimuli,
 
 
 # ----------------------------------------------------------------------
-def _step_a(env: InjectionEnvironment, config: ValidationConfig,
-            report: ValidationReport) -> None:
+def _step_a(env: InjectionEnvironment, report: ValidationReport) -> None:
     """Exhaustive sensible-zone injection + FMEA cross-check."""
     fl_config = FaultListConfig(
-        transient_per_zone=config.transient_per_zone,
-        permanent_per_zone=config.permanent_per_zone,
-        seed=config.seed)
+        transient_per_zone=TRANSIENT_PER_ZONE,
+        permanent_per_zone=PERMANENT_PER_ZONE,
+        seed=VALIDATION_SEED)
     candidates = env.candidates(fl_config)
-    campaign = _run_campaign(env, config, candidates)
+    campaign = _run_campaign(env, candidates)
     report.campaign = campaign
 
     analyzer = ResultAnalyzer(campaign)
@@ -226,10 +236,10 @@ def _step_a(env: InjectionEnvironment, config: ValidationConfig,
     # aggregate agreement: campaign DC vs worksheet claimed DC
     claimed_dc = env.worksheet.totals().dc
     measured_dc = campaign.measured_dc()
-    dc_ok = measured_dc >= claimed_dc - config.aggregate_dc_tolerance
+    dc_ok = measured_dc >= claimed_dc - AGGREGATE_DC_TOLERANCE
 
     # per-zone agreement (overclaims beyond tolerance fail)
-    rows = analyzer.agreement_rows(env.worksheet, config.ddf_tolerance)
+    rows = analyzer.agreement_rows(env.worksheet, DDF_TOLERANCE)
     bad = [r for r in rows if not r["agrees"]]
     zone_ok = not bad
 
@@ -247,8 +257,7 @@ def _step_a(env: InjectionEnvironment, config: ValidationConfig,
 
 
 def _step_b(circuit: Circuit, env: InjectionEnvironment,
-            config: ValidationConfig, report: ValidationReport,
-            activity: NetActivity) -> None:
+            report: ValidationReport, activity: NetActivity) -> None:
     """Workload completeness: toggle coverage of the full workload.
 
     ``activity`` is the full workload's fault-free replay; a net
@@ -270,13 +279,13 @@ def _step_b(circuit: Circuit, env: InjectionEnvironment,
     nets = _toggle_nets(circuit)
     toggle = _toggle_report(circuit, activity.first_change,
                             [n for n in nets if n not in diag_only],
-                            config.toggle_threshold)
+                            TOGGLE_THRESHOLD)
     report.toggle = toggle
     diag = [n for n in nets if n in diag_only]
     diag_hit = sum(1 for n in diag if activity.first_change[n] >= 0
                    or n in campaign_toggled)
     diag_cov = diag_hit / len(diag) if diag else 1.0
-    passed = toggle.passed and diag_cov >= config.toggle_threshold
+    passed = toggle.passed and diag_cov >= TOGGLE_THRESHOLD
     detail = (f"functional {toggle.summary()}; diagnostic-only nets "
               f"{diag_cov * 100:.2f}% ({diag_hit}/{len(diag)}, "
               f"golden + injection credit)")
@@ -284,8 +293,7 @@ def _step_b(circuit: Circuit, env: InjectionEnvironment,
                                    detail))
 
 
-def _step_c(subsystem, env: InjectionEnvironment,
-            config: ValidationConfig, report: ValidationReport) -> None:
+def _step_c(env: InjectionEnvironment, report: ValidationReport) -> None:
     """Selective local gate-level injection in the critical areas."""
     ranking = rank_zones(env.worksheet)
     paths: list[str] = []
@@ -300,7 +308,7 @@ def _step_c(subsystem, env: InjectionEnvironment,
         if zone.path not in paths:
             paths.append(zone.path)
         zones_in_areas.append(zone.name)
-        if len(paths) >= config.critical_areas:
+        if len(paths) >= CRITICAL_AREAS:
             break
     if not paths:
         report.steps.append(StepResult(
@@ -309,8 +317,8 @@ def _step_c(subsystem, env: InjectionEnvironment,
 
     gate_faults = generate_cone_faults(
         env.zone_set, env.circuit, zones_in_areas,
-        per_zone=config.cone_faults_per_zone, seed=config.seed)
-    local = _run_campaign(env, config, gate_faults)
+        per_zone=CONE_FAULTS_PER_ZONE, seed=VALIDATION_SEED)
+    local = _run_campaign(env, gate_faults)
     report.local_campaign = local
 
     # consistency: gate-level DC in the critical areas vs zone-level DC
@@ -318,9 +326,10 @@ def _step_c(subsystem, env: InjectionEnvironment,
     zone_dc, zone_samples = _zone_level_dc(report.campaign,
                                            zones_in_areas)
     local_dc = local.measured_dc()
-    consistent = (zone_dc is None or zone_samples < 8
+    consistent = (zone_dc is None
+                  or zone_samples < LOCAL_DC_MIN_SAMPLES
                   or abs(local_dc - zone_dc)
-                  <= config.aggregate_dc_tolerance + 0.15)
+                  <= AGGREGATE_DC_TOLERANCE + LOCAL_DC_MARGIN)
 
     # fault simulator: permanent fault coverage of the areas
     fcov = simulate_faults(env.circuit, env.stimuli,
@@ -351,8 +360,7 @@ def _zone_level_dc(campaign: CampaignResult | None,
     return dd / (dd + du), dd + du
 
 
-def _step_d(subsystem, env: InjectionEnvironment,
-            config: ValidationConfig, report: ValidationReport) -> None:
+def _step_d(env: InjectionEnvironment, report: ValidationReport) -> None:
     """Wide/global faults: no unexplained new effects."""
     zone_set = env.zone_set
     circuit = env.circuit
@@ -361,7 +369,7 @@ def _step_d(subsystem, env: InjectionEnvironment,
     # wide: bridges between nets of structurally correlated zone pairs
     pairs = zone_set.correlation.correlated_pairs() \
         if zone_set.correlation else []
-    for (za, zb), _shared in pairs[:config.wide_fault_pairs]:
+    for (za, zb), _shared in pairs[:WIDE_FAULT_PAIRS]:
         try:
             a = zone_set.by_name(za)
             b = zone_set.by_name(zb)
@@ -376,7 +384,7 @@ def _step_d(subsystem, env: InjectionEnvironment,
     # global: stuck on the highest-fanout critical nets
     critical = zone_set.of_kind(ZoneKind.CRITICAL_NET)
     critical.sort(key=lambda z: -z.attrs.get("fanout", 0))
-    for zone in critical[:config.global_faults]:
+    for zone in critical[:GLOBAL_FAULTS]:
         faults.append(GlobalStuckFault(
             target=zone.name, zone=zone.name,
             nets=tuple(circuit.net_names[n] for n in zone.nets),
@@ -387,7 +395,7 @@ def _step_d(subsystem, env: InjectionEnvironment,
             "d:wide-global", True, "no wide/global fault sites found"))
         return
 
-    campaign = _run_campaign(env, config, CandidateList(faults=faults))
+    campaign = _run_campaign(env, CandidateList(faults=faults))
     report.wide_campaign = campaign
 
     # consistency: every measured effect must be predicted reachable
@@ -423,8 +431,7 @@ def _step_d(subsystem, env: InjectionEnvironment,
     report.steps.append(StepResult("d:wide-global", passed, detail))
 
 
-def _diag_topup(env: InjectionEnvironment, config: ValidationConfig,
-                merged: CoverageCollection,
+def _diag_topup(env: InjectionEnvironment, merged: CoverageCollection,
                 report: ValidationReport) -> None:
     """Coverage-driven top-up: uncovered DIAG items get targeted local
     faults injected into the alarm's own input cone."""
@@ -437,7 +444,7 @@ def _diag_topup(env: InjectionEnvironment, config: ValidationConfig,
     if not uncovered:
         return
     analyzer = ConeAnalyzer(env.circuit)
-    rng = random.Random(config.seed)
+    rng = random.Random(VALIDATION_SEED)
     faults = []
     point_by_name = {p.name: p for p in env.zone_set.observation_points}
     skip_ops = ("buf", "const0", "const1")
@@ -448,8 +455,8 @@ def _diag_topup(env: InjectionEnvironment, config: ValidationConfig,
         cone = analyzer.cone_of_nets(point.nets)
         gates = [gi for gi in sorted(cone.gates)
                  if env.circuit.gates[gi].op_name not in skip_ops]
-        if len(gates) > config.cone_faults_per_zone:
-            gates = rng.sample(gates, config.cone_faults_per_zone)
+        if len(gates) > CONE_FAULTS_PER_ZONE:
+            gates = rng.sample(gates, CONE_FAULTS_PER_ZONE)
         for gi in gates:
             for value in (0, 1):
                 faults.append(StuckNetFault(
@@ -458,13 +465,12 @@ def _diag_topup(env: InjectionEnvironment, config: ValidationConfig,
                     zone=None, value=value))
     if not faults:
         return
-    topup = _run_campaign(env, config, CandidateList(faults=faults))
+    topup = _run_campaign(env, CandidateList(faults=faults))
     report.topup_campaign = topup
     merged.merge(topup.coverage)
 
 
-def _step_coverage(config: ValidationConfig,
-                   report: ValidationReport,
+def _step_coverage(report: ValidationReport,
                    env: InjectionEnvironment | None = None,
                    toggled_outputs=()) -> None:
     """Campaign completeness: all SENS/OBSE/DIAG items covered (§5).
@@ -485,7 +491,7 @@ def _step_coverage(config: ValidationConfig,
             if name in table:
                 table[name] = True
     if env is not None:
-        _diag_topup(env, config, merged, report)
+        _diag_topup(env, merged, report)
     report.coverage = merged
     detail = (f"SENS {merged.sens_coverage() * 100:.0f}% "
               f"OBSE {merged.obse_coverage() * 100:.0f}% "

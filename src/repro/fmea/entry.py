@@ -3,7 +3,7 @@ diagnostic claims and resulting failure rates (paper §3-4)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from ..iec61508.metrics import FailureRates
 from ..iec61508.techniques import clamp_claim, technique
@@ -100,12 +100,6 @@ class FmeaEntry:
                                   self.ddf)
 
     # ------------------------------------------------------------------
-    def with_claim(self, technique_key: str, ddf: float,
-                   software: bool | None = None) -> "FmeaEntry":
-        claims = list(self.claims)
-        claims.append(DiagnosticClaim(technique_key, ddf, software))
-        return replace(self, claims=claims)
-
     def key(self) -> tuple[str, str]:
         return (self.zone, self.failure_mode.name)
 

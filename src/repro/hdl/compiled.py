@@ -41,7 +41,6 @@ import numpy as np
 from ..diagnostics.core import Diagnostic, DiagnosticError
 from .netlist import (
     Circuit,
-    Gate,
     NetlistError,
     OP_AND,
     OP_ARITY,
@@ -469,12 +468,13 @@ class CompiledSimulator(SimulatorBase):
     """Drop-in bit-parallel simulator running a compiled program.
 
     API-compatible with the interpreted test oracle; fault overlays
-    accept the same arguments and Python-int machine masks.
+    accept the same arguments and Python-int machine masks.  With
+    ``collect_toggles``, a net counts as toggled once any machine has
+    seen it at 0 and at 1 (the oracle's ``toggle_any_machine`` mode).
     """
 
     def __init__(self, circuit, machines: int = 1,
                  collect_toggles: bool = False,
-                 toggle_any_machine: bool = False,
                  cycle_budget: int | None = None):
         if machines < 1:
             raise ValueError("need at least one machine")
@@ -574,7 +574,6 @@ class CompiledSimulator(SimulatorBase):
         self._coupling_cache: dict[int, _Couplings | None] = {}
 
         self.collect_toggles = collect_toggles
-        self.toggle_any_machine = toggle_any_machine
         n = cc.num_nets
         self._t_seen0 = np.zeros(n, dtype=bool)
         self._t_seen1 = np.zeros(n, dtype=bool)
@@ -1025,13 +1024,8 @@ class CompiledSimulator(SimulatorBase):
 
     def _collect_toggles(self) -> None:
         nets = self._vals[:self.compiled.num_nets]
-        if self.toggle_any_machine:
-            self._t_seen1 |= nets.any(axis=1)
-            self._t_seen0 |= (nets != self._full).any(axis=1)
-        else:
-            bit0 = (nets[:, 0] & _U64(1)).astype(bool)
-            self._t_seen1 |= bit0
-            self._t_seen0 |= ~bit0
+        self._t_seen1 |= nets.any(axis=1)
+        self._t_seen0 |= (nets != self._full).any(axis=1)
 
     def clock_edge(self) -> None:
         cc = self.compiled

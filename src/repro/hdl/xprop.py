@@ -26,7 +26,6 @@ from .netlist import (
     OP_AND,
     OP_BUF,
     OP_CONST0,
-    OP_CONST1,
     OP_MUX,
     OP_NAND,
     OP_NOR,
@@ -68,16 +67,13 @@ def _xor3(a, b):
 class XSimulator:
     """Levelized 3-valued simulator (one machine, X-pessimistic)."""
 
-    def __init__(self, circuit: Circuit, x_memories: bool = True):
+    def __init__(self, circuit: Circuit):
         self.circuit = circuit
         self._order = circuit.levelize()
         self.values: list = [X] * circuit.num_nets
         self.flop_state: list = [X] * len(circuit.flops)
-        self._mem: list = [
-            [X] * (m.depth * 0 + m.depth) for m in circuit.memories]
         # each word modelled as a single symbol: X or an int
-        if not x_memories:
-            self._mem = [[0] * m.depth for m in circuit.memories]
+        self._mem: list = [[X] * m.depth for m in circuit.memories]
         self._mem_rdata: list = [X] * len(circuit.memories)
         self.cycle = 0
 

@@ -21,7 +21,6 @@ from .techniques import (
     DcLevel,
     Target,
     Technique,
-    all_techniques,
     clamp_claim,
     max_dc_claim,
     technique,
@@ -55,7 +54,7 @@ __all__ = [
     "max_sil", "pfh_meets", "required_sff", "sff_band",
     "FIT_PER_HOUR", "FailureRates", "diagnostic_coverage",
     "safe_failure_fraction",
-    "DcLevel", "Target", "Technique", "all_techniques", "clamp_claim",
+    "DcLevel", "Target", "Technique", "clamp_claim",
     "max_dc_claim", "technique", "techniques_for",
     "BUS_MODES", "CLOCK_MODES", "IO_MODES", "PROCESSING_UNIT_MODES",
     "VARIABLE_MEMORY_MODES", "VM_ADDRESSING", "VM_CROSSOVER",

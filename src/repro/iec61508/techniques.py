@@ -170,10 +170,6 @@ def techniques_for(target: Target) -> list[Technique]:
     return [t for t in _CATALOG.values() if t.target is target]
 
 
-def all_techniques() -> list[Technique]:
-    return list(_CATALOG.values())
-
-
 def max_dc_claim(key: str) -> float:
     """Maximum DC value claimable for a technique (0.60/0.90/0.99)."""
     return technique(key).max_dc_value

@@ -4,11 +4,12 @@ A quarantined fault is *missing evidence*, not a benign omission: the
 campaign cannot claim anything about how the safety mechanisms would
 have handled it.  IEC 61508 arguments must therefore bound the
 claimed metrics pessimistically — every quarantined fault might have
-been dangerous-undetected — while the optimistic bound (all
-quarantined faults behave like the measured population's best case)
-shows how much the quarantine actually costs.  This module computes
-those bounds and renders the per-zone quarantine table that goes in
-the campaign report.
+been dangerous-undetected — while the optimistic bound (every
+quarantined fault falls in the metric's best outcome class) shows how
+much the quarantine actually costs.  Whatever the quarantined faults
+would have done, the full-evidence metric lies inside the bounds.
+This module computes those bounds and renders the per-zone quarantine
+table that goes in the campaign report.
 """
 
 from __future__ import annotations
@@ -30,9 +31,9 @@ OUTCOME_DU = "dangerous_undetected"
 class QuarantineBounds:
     """Best/worst-case DC and safe-fraction under missing evidence.
 
-    *Best* assumes every quarantined fault would have been safe (the
-    measured metrics stand, and quarantined faults add to the safe
-    population); *worst* assumes every quarantined fault would have
+    *Best* assumes every quarantined fault would have landed in the
+    metric's best class: dangerous-detected for the DC, safe for the
+    safe fraction; *worst* assumes every quarantined fault would have
     been dangerous-undetected.
     """
 
@@ -60,8 +61,9 @@ def quarantine_bounds(result, quarantined: int) -> QuarantineBounds:
     total = measured + quarantined
     dc_measured = result.measured_dc()
     dangerous = dd + du
-    # best case: no quarantined fault was dangerous — measured DC holds
-    dc_best = dc_measured
+    # best case: every quarantined fault was dangerous-detected
+    dc_best = (dd + quarantined) / (dangerous + quarantined) \
+        if dangerous + quarantined else dc_measured
     # worst case: every quarantined fault was dangerous-undetected
     dc_worst = dd / (dangerous + quarantined) \
         if dangerous + quarantined else dc_measured

@@ -278,10 +278,6 @@ class CampaignService:
         with self.open_queue() as queue:
             return queue.job(job_id)
 
-    def result(self, job_id: int) -> dict | None:
-        job = self.status(job_id)
-        return job.result if job is not None else None
-
     def cancel(self, job_id: int) -> bool:
         with self.open_queue() as queue:
             return queue.cancel(job_id)

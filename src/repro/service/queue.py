@@ -62,6 +62,10 @@ JOB_CANCELLED = "cancelled"
 #: states a worker may still act on (mirrors the store's constant)
 ACTIVE_STATES = ACTIVE_JOB_STATES
 
+#: growth and ceiling (seconds) of the failed-attempt backoff
+RETRY_BACKOFF_FACTOR = 2.0
+RETRY_BACKOFF_CAP = 60.0
+
 
 class JobLeaseLost(RuntimeError):
     """The worker's lease was cancelled or re-claimed mid-run."""
@@ -77,11 +81,11 @@ class QueuePolicy:
     #: claim attempts before a job is dead-lettered
     max_attempts: int = 3
     #: backoff between failed attempts: attempt ``k`` re-queues after
-    #: a decorrelated-jitter delay in ``[base, base * factor**k]``
-    #: (capped) so N recovering daemons don't retry in lockstep
+    #: a decorrelated-jitter delay in
+    #: ``[base, base * RETRY_BACKOFF_FACTOR**k]`` (capped at
+    #: ``RETRY_BACKOFF_CAP``) so N recovering daemons don't retry in
+    #: lockstep
     backoff_base: float = 0.5
-    backoff_factor: float = 2.0
-    backoff_cap: float = 60.0
     #: seeds the jitter per ``(seed, job_id, attempt)`` — set it to
     #: make backoff schedules reproducible across processes (chaos
     #: tests); ``None`` keeps production randomized
@@ -420,8 +424,7 @@ class JobQueue:
                 status = JOB_QUEUED
                 not_before = now + decorrelated_delay(
                     attempts, self.policy.backoff_base,
-                    self.policy.backoff_factor,
-                    cap=self.policy.backoff_cap,
+                    RETRY_BACKOFF_FACTOR, cap=RETRY_BACKOFF_CAP,
                     seed=self.policy.backoff_seed, token=job_id)
             conn.execute(
                 "UPDATE jobs SET status=?, not_before=?, error=?,"

@@ -32,7 +32,7 @@ from ..hdl.compiled import CompiledSimulator
 from ..hdl.netlist import Circuit
 from ..hdl.simulator import SimulatorBase
 from ..zones.extractor import ExtractionConfig, ZoneSet, extract_zones
-from .config import BankedConfig, SubsystemConfig
+from .config import BankedConfig
 from .subsystem import (
     MemorySubsystem,
     SubsystemPorts,
@@ -171,15 +171,6 @@ class BankedMemorySubsystem:
     def alarm_outputs(self) -> list[str]:
         return [name for name in self.circuit.outputs
                 if "alarm_" in name]
-
-    def functional_outputs(self) -> list[str]:
-        skip = ("scrub_busy", "scrub_fix", "bist_done")
-        out = []
-        for name in self.circuit.outputs:
-            tail = name.split("_", 1)[1] if "_" in name else name
-            if "alarm_" not in name and tail not in skip:
-                out.append(name)
-        return out
 
     # ------------------------------------------------------------------
     # analysis defaults

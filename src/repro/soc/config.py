@@ -220,19 +220,6 @@ class BankedConfig:
                    banks=tuple(replace(cfg, name=f"{cfg.name}_b{i}")
                                for i in range(banks)))
 
-    @classmethod
-    def scaled_baseline(cls, banks: int = 2, **overrides
-                        ) -> "BankedConfig":
-        """The scaled benchmark design: paper-geometry baseline banks
-        (two full-size banks ≈ 280 sensible zones, the paper's ~170
-        scale and beyond)."""
-        return cls.uniform(SubsystemConfig.baseline(**overrides), banks)
-
-    @classmethod
-    def scaled_improved(cls, banks: int = 2, **overrides
-                        ) -> "BankedConfig":
-        return cls.uniform(SubsystemConfig.improved(**overrides), banks)
-
     def with_bank_flags(self, bank: int, **flags) -> "BankedConfig":
         """A copy with one bank's feature flags changed."""
         banks = list(self.banks)

@@ -251,11 +251,6 @@ class MemorySubsystem:
         return [name for name in self.circuit.outputs
                 if name.startswith("alarm_")]
 
-    def functional_outputs(self) -> list[str]:
-        return [name for name in self.circuit.outputs
-                if not name.startswith("alarm_")
-                and name not in ("scrub_busy", "scrub_fix", "bist_done")]
-
     # ------------------------------------------------------------------
     # analysis defaults
     # ------------------------------------------------------------------

@@ -118,12 +118,6 @@ def startup_bist(sub: MemorySubsystem) -> Workload:
                   is_test=True))
 
 
-def march_elements(depth: int) -> list[tuple[str, int]]:
-    """March C- elements as (op, value) with op in w0/w1/r0/r1."""
-    return [("w", 0), ("rw", 1), ("rw", 0), ("rw_down", 1),
-            ("rw_down", 0), ("r", 0)]
-
-
 def march_test(sub: MemorySubsystem, addresses=None,
                scrub_en: int = 0) -> Workload:
     """A March C- style software RAM test over the bus.

@@ -75,10 +75,6 @@ class SensibleZone:
     cone_depth: int = 0
     attrs: dict = field(default_factory=dict)
 
-    @property
-    def is_storage(self) -> bool:
-        return self.kind in (ZoneKind.REGISTER, ZoneKind.MEMORY)
-
     def __repr__(self) -> str:  # compact, used in reports
         return (f"SensibleZone({self.name!r}, {self.kind.value}, "
                 f"bits={self.size_bits}, cone={self.cone_gates})")

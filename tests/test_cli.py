@@ -1,5 +1,7 @@
 """Tests for the soc-fmea command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -59,6 +61,24 @@ def test_validate_command(capsys):
                         "small-improved")
     assert code == 0
     assert "overall: PASS" in out
+
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+
+@pytest.mark.parametrize("argv,golden,exit_code", [
+    (("validate", "--variant", "small-improved"),
+     "validate_small-improved.txt", 0),
+    (("validate", "--variant", "small-baseline"),
+     "validate_small-baseline.txt", 0),
+    (("derating", "--variant", "small-improved", "--seed", "3"),
+     "derating_small-improved_seed3.txt", 0),
+])
+def test_cli_output_matches_golden(capsys, argv, golden, exit_code):
+    """The verdict text and numbers are pinned byte for byte."""
+    code, out = run_cli(capsys, *argv)
+    assert code == exit_code
+    assert out == (GOLDEN / golden).read_text()
 
 
 def test_compare_command(capsys):

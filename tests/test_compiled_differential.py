@@ -158,8 +158,7 @@ def _sweep_and_compare(circuit, seed, machines, cycles=8,
     isim = Simulator(circuit, machines=machines, collect_toggles=True,
                      toggle_any_machine=True)
     csim = CompiledSimulator(compile_circuit(circuit), machines=machines,
-                             collect_toggles=True,
-                             toggle_any_machine=True)
+                             collect_toggles=True)
     tags = arm(rng, circuit, (isim, csim), machines)
     if fired is not None:
         _record_coupling_flips(isim, tags, fired)

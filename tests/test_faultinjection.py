@@ -476,7 +476,6 @@ def test_step_coverage_credits_the_replays_output_toggles(improved):
     workload's fault-free replay toggles, counts as covered in the
     ledger the e-step reports (and the dossier prints)."""
     from repro.faultinjection.validation import (
-        ValidationConfig,
         ValidationReport,
         _replay_full_workload,
         _step_coverage,
@@ -488,7 +487,7 @@ def test_step_coverage_credits_the_replays_output_toggles(improved):
     campaign = CampaignResult(coverage=CoverageCollection(
         sens={"z": True}, obse={"hrdata": False}, diag={"d": True}))
     report = ValidationReport(campaign=campaign)
-    _step_coverage(ValidationConfig(), report, toggled_outputs=toggled)
+    _step_coverage(report, toggled_outputs=toggled)
     assert report.coverage.obse == {"hrdata": True}
     assert report.coverage.diag == {"d": True}
     (step,) = report.steps

@@ -149,7 +149,7 @@ def test_exhausted_expired_lease_dead_letters_at_claim(tmp_path):
 
 
 def test_fail_backoff_then_dead_letter(tmp_path):
-    policy = QueuePolicy(backoff_base=10.0, backoff_factor=2.0)
+    policy = QueuePolicy(backoff_base=10.0)
     with JobQueue(tmp_path / "store", policy=policy) as queue:
         job_id = queue.submit({}, max_attempts=2)
         queue.claim("w1")

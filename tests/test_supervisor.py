@@ -15,14 +15,22 @@ import time
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.faultinjection import (
+    OUTCOME_DD,
+    OUTCOME_DETECTED_SAFE,
+    OUTCOME_DU,
+    OUTCOME_SAFE,
     CampaignAborted,
     CampaignConfig,
+    CampaignResult,
     CampaignSpec,
     CampaignSupervisor,
     CandidateList,
     FaultInjectionManager,
+    FaultResult,
     MemoryImageSetup,
     SafeProgress,
     SeuFault,
@@ -35,6 +43,7 @@ from repro.faultinjection import (
 from repro.faultinjection.supervisor import FaultAnomaly
 from repro.hdl import CycleBudgetExceeded
 from repro.reporting.health import (
+    degraded_bounds,
     quarantine_bounds,
     render_campaign_health,
 )
@@ -300,6 +309,62 @@ def test_degraded_mode_still_quarantines_exceptions(env, candidates,
     assert _fault_rows(campaign) == _fault_rows(serial)
 
 
+def _no_spawn(self, job):
+    raise OSError("Resource temporarily unavailable")
+
+
+def test_degraded_two_worker_run_matches_a_clean_run(env, candidates,
+                                                     monkeypatch):
+    clean = CampaignSupervisor(env.spec(), workers=2).run(candidates)
+    monkeypatch.setattr(CampaignSupervisor, "_spawn", _no_spawn)
+    supervisor = CampaignSupervisor(env.spec(), workers=2)
+    campaign = supervisor.run(candidates)
+    assert _fault_rows(campaign) == _fault_rows(clean)
+    assert supervisor.last_stats.health.degraded
+    assert supervisor.anomalies == []
+
+
+def test_degraded_cli_campaign_prints_the_degraded_line(capsys,
+                                                        monkeypatch):
+    argv = ("campaign", "--variant", "small-improved", "--workers", "2",
+            "--no-cache")
+    code, clean, _ = _run_cli(capsys, *argv)
+    assert code == 0 and "DEGRADED" not in clean
+    monkeypatch.setattr(CampaignSupervisor, "_spawn", _no_spawn)
+    code, out, _ = _run_cli(capsys, *argv)
+    assert code == 0
+    assert "DEGRADED: worker processes unavailable — ran in-process " \
+        "without crash/hang containment" in out.splitlines()
+
+    def metrics(text):
+        return [ln for ln in text.splitlines()
+                if ln.startswith(("|", "measured"))]
+    assert metrics(out) == metrics(clean)
+
+
+def test_degraded_mode_retries_bisects_and_quarantines_hangs(
+        env, candidates, monkeypatch):
+    """In-process, a cycle-budget runaway takes the same retry →
+    bisect → quarantine path as in a worker process."""
+    monkeypatch.setattr(CampaignSupervisor, "_spawn", _no_spawn)
+    subset = CandidateList(faults=list(candidates.faults[:4]))
+    supervisor = CampaignSupervisor(
+        env.spec(), workers=2,
+        config=SupervisorConfig(cycle_budget=3, max_retries=1,
+                                backoff_base=0.001))
+    campaign = supervisor.run(subset)
+    health = supervisor.last_stats.health
+    assert health.degraded
+    assert campaign.results == []
+    assert sorted(a.fault_name for a in supervisor.anomalies) == \
+        sorted(f.name for f in subset.faults)
+    assert {a.kind for a in supervisor.anomalies} == {"hang"}
+    assert health.retries >= 1
+    assert health.bisections >= 1
+    assert health.quarantined == 4
+    assert all(a.attempts == 2 for a in supervisor.anomalies)
+
+
 # ----------------------------------------------------------------------
 # cycle budget: deterministic runaway containment
 # ----------------------------------------------------------------------
@@ -497,12 +562,49 @@ def test_quarantine_bounds_math(serial):
     bounds = quarantine_bounds(serial, q)
     assert bounds.measured == n and bounds.quarantined == q
     assert bounds.dc_measured == serial.measured_dc()
-    assert bounds.dc_best == bounds.dc_measured
+    assert bounds.dc_best == pytest.approx((dd + q) / (dd + du + q))
     assert bounds.dc_worst == pytest.approx(dd / (dd + du + q))
     assert bounds.safe_best == pytest.approx((safe + q) / (n + q))
     assert bounds.safe_worst == pytest.approx(safe / (n + q))
-    assert bounds.dc_worst <= bounds.dc_measured
+    assert bounds.dc_worst <= bounds.dc_measured <= bounds.dc_best
     assert bounds.safe_worst <= bounds.safe_best
+
+
+#: the outcome classes in ``_campaign_of``'s argument order
+OUTCOME_CLASSES = (OUTCOME_SAFE, OUTCOME_DETECTED_SAFE, OUTCOME_DD,
+                   OUTCOME_DU)
+
+
+def _campaign_of(safe=0, detected_safe=0, dd=0, du=0):
+    """A campaign result with the given outcome counts."""
+    cycles = ([(None, None)] * safe + [(None, 0)] * detected_safe
+              + [(0, 0)] * dd + [(0, None)] * du)
+    return CampaignResult(results=[
+        FaultResult(fault=SeuFault(target=f"f{i}", zone="z"),
+                    obse_cycle=obse, diag_cycle=diag)
+        for i, (obse, diag) in enumerate(cycles)])
+
+
+_COUNTS = st.integers(min_value=0, max_value=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(measured=st.tuples(_COUNTS, _COUNTS, _COUNTS, _COUNTS),
+       missing=st.tuples(_COUNTS, _COUNTS, _COUNTS, _COUNTS))
+def test_bounds_bracket_the_full_evidence_metrics(measured, missing):
+    """However the quarantined (or lost) faults would have come out,
+    the DC and safe fraction of the full evidence lie inside the
+    bounds computed without them."""
+    partial = _campaign_of(*measured)
+    full = _campaign_of(*(m + k for m, k in zip(measured, missing)))
+    assert [full.outcomes()[c] - partial.outcomes()[c]
+            for c in OUTCOME_CLASSES] == list(missing)
+    lost = sum(missing)
+    for bounds in (quarantine_bounds(partial, lost),
+                   degraded_bounds(partial, ["lost"], lost).bounds):
+        assert bounds.dc_worst <= full.measured_dc() <= bounds.dc_best
+        assert (bounds.safe_worst <= full.measured_safe_fraction()
+                <= bounds.safe_best)
 
 
 def test_quarantine_bounds_clean_campaign(serial):
