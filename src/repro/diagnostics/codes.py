@@ -56,6 +56,11 @@ CODES: dict[str, tuple[str, str]] = {
              "the netlist cannot be levelized into a feed-forward "
              "program; break the cycle (e.g. insert a flop) or fix "
              "the extraction"),
+    "E121": ("kernel-build-failed",
+             "the compiled kernel needs a C compiler reachable as `cc` "
+             "on PATH (gcc or clang, e.g. `apt install gcc`) and a "
+             "writable ${XDG_CACHE_HOME:-~/.cache}/repro; the message "
+             "names the failing step"),
     # ------------------------------------------------------------ E2xx
     "E200": ("unknown-zone",
              "the zone name does not match any extracted sensible "

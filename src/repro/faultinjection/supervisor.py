@@ -434,11 +434,12 @@ class CampaignSupervisor:
 
                 if self._degraded and not active:
                     # one shard per tick so the heartbeat keeps firing
-                    # between in-process shard runs
-                    if pending:
-                        self._run_in_process(pending,
-                                             pending.popleft())
-                    continue
+                    # between in-process shard runs; a retry still
+                    # waits out its backoff below
+                    job = self._next_ready(pending, now)
+                    if job is not None:
+                        self._run_in_process(pending, job)
+                        continue
 
                 if not active:
                     # everything pending is backing off

@@ -1,17 +1,17 @@
-"""Compiled bit-parallel simulation kernel (numpy ``uint64`` lanes).
+"""Compiled bit-parallel simulation kernel (packed ``uint64`` lanes).
 
 The interpreted simulator (the test oracle,
 ``tests/simulator_oracle.py``) walks the gate list in Python, one
 big-int per net.  This module compiles a
-:class:`~repro.hdl.netlist.Circuit` once into a straight-line program of
-vectorized numpy bitwise operations and evaluates *all* machines of a
-campaign pass in packed 64-bit words:
+:class:`~repro.hdl.netlist.Circuit` once into flat program tables and
+evaluates *all* machines of a campaign pass in packed 64-bit words:
 
 * :func:`compile_circuit` — levelize the netlist (ASAP levels), renumber
   the nets so that the outputs of every ``(level, opcode)`` group are a
-  contiguous row range, and precompute one fused gather index per level.
-  Combinational loops are rejected with :class:`CompileError` carrying
-  the stable diagnostic code ``E120`` instead of a raw traceback.
+  contiguous row range, and lay the program out as three flat ``int64``
+  tables (levels, groups, operand-major gather rows).  Combinational
+  loops are rejected with :class:`CompileError` carrying the stable
+  diagnostic code ``E120`` instead of a raw traceback.
 * :func:`decompile` — reconstruct an equivalent :class:`Circuit` from a
   compiled program.  The round-trip preserves ``structural_hash``.
 * :class:`CompiledSimulator` — a drop-in replacement for the interpreted
@@ -20,6 +20,17 @@ campaign pass in packed 64-bit words:
   ``W = ceil(machines / 64)``; machine *k* is bit ``k % 64`` of word
   ``k // 64`` and machine 0 stays the golden reference, exactly like the
   interpreted big-int layout.
+
+Each cycle's combinational evaluation is one call into a small C loop
+(``_SWEEP_C``, bound with :mod:`ctypes`): every level's gate groups,
+each followed by that level's forced-net overlay and glitch XORs.  The
+loop is compiled with the host's ``cc`` on the first
+:class:`CompiledSimulator` of a process and cached under
+``${XDG_CACHE_HOME:-~/.cache}/repro``, keyed on the SHA-256 of the
+source, the compiler's version and the flags; without a working
+compiler that first simulator raises :class:`CompileError` ``E121``.
+The eval preamble, the memory step, toggle collection and the bridge
+arithmetic stay vectorized numpy.
 
 This is the only simulator of the production code: it runs the
 injection passes, the operational-profile replay at one lane, SET
@@ -34,6 +45,14 @@ a :class:`~repro.hdl.netlist.NetlistError`.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import hashlib
+import os
+import shutil
+import subprocess
+import tempfile
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -42,17 +61,9 @@ from ..diagnostics.core import Diagnostic, DiagnosticError
 from .netlist import (
     Circuit,
     NetlistError,
-    OP_AND,
     OP_ARITY,
-    OP_BUF,
     OP_CONST0,
     OP_CONST1,
-    OP_NAND,
-    OP_NOR,
-    OP_NOT,
-    OP_OR,
-    OP_XNOR,
-    OP_XOR,
 )
 from .simulator import (
     BRIDGE_AND,
@@ -66,6 +77,8 @@ _WORD_BITS = 64
 
 #: diagnostic code raised for combinational loops at compile time
 LOOP_CODE = "E120"
+#: diagnostic code raised when the C level sweep cannot be built
+KERNEL_CODE = "E121"
 
 
 class CompileError(DiagnosticError, NetlistError):
@@ -77,36 +90,167 @@ class CompileError(DiagnosticError, NetlistError):
 
 
 # ----------------------------------------------------------------------
-# compiled program representation
+# the C level sweep
 # ----------------------------------------------------------------------
-class _Group:
-    """One ``(opcode, arity)`` run of gates inside a level."""
+#: One sweep of the program over the (rows, W) value array ``v``:
+#: every level's gate groups, each level followed by its bucket of the
+#: forced-net overlay ``(v & ~clear) | set`` and of the cycle's glitch
+#: XORs (``goff`` is NULL on a cycle without glitches).  Bucket 0 runs
+#: before level 0.  The inverting ops and BUF combine with the
+#: all-machines words ``f`` (``NOT a = a ^ f``, ``BUF a = a & f``), so
+#: padding lanes past the last machine keep the numpy sweep's bits.
+#: Op numbers are ``netlist.OP_*``.
+_SWEEP_C = r"""
+#include <stdint.h>
+typedef uint64_t u64;
+typedef int64_t i64;
 
-    __slots__ = ("op", "arity", "arg_lo", "count", "out_lo", "out_hi")
+#define UNARY(E) for (k = 0; k < n; k++, d += W) { \
+        const u64 *a = v + in[k] * W; \
+        for (w = 0; w < W; w++) d[w] = (E); } break;
+#define BINARY(E) for (k = 0; k < n; k++, d += W) { \
+        const u64 *a = v + in[k] * W, *b = v + in[n + k] * W; \
+        for (w = 0; w < W; w++) d[w] = (E); } break;
 
-    def __init__(self, op, arity, arg_lo, count, out_lo):
-        self.op = op
-        self.arity = arity
-        self.arg_lo = arg_lo
-        self.count = count
-        self.out_lo = out_lo
-        self.out_hi = out_lo + count
+static void overlay(u64 *v, i64 W, i64 lo, i64 hi, const i64 *rows,
+                    const u64 *nc, const u64 *set)
+{
+    for (i64 e = lo; e < hi; e++) {
+        u64 *d = v + rows[e] * W;
+        for (i64 w = 0; w < W; w++)
+            d[w] = (d[w] & nc[e * W + w]) | set[e * W + w];
+    }
+}
+
+void sweep(u64 *v, i64 W, const u64 *f, i64 depth, const i64 *levels,
+           const i64 *groups, const i64 *gather,
+           const i64 *ooff, const i64 *orows, const u64 *onc,
+           const u64 *oset,
+           const i64 *goff, const i64 *grows, const u64 *gmask)
+{
+    i64 k, w;
+    for (i64 lv = 0;; lv++) {
+        overlay(v, W, ooff[lv], ooff[lv + 1], orows, onc, oset);
+        if (goff)
+            for (i64 e = goff[lv]; e < goff[lv + 1]; e++)
+                for (w = 0; w < W; w++)
+                    v[grows[e] * W + w] ^= gmask[e * W + w];
+        if (lv == depth)
+            return;
+        for (i64 g = levels[lv]; g < levels[lv + 1]; g++) {
+            const i64 *grp = groups + 4 * g, n = grp[1];
+            const i64 *in = gather + grp[3];
+            u64 *d = v + grp[2] * W;
+            switch (grp[0]) {
+            case 2: UNARY(a[w] & f[w])                      /* BUF */
+            case 3: UNARY(a[w] ^ f[w])                      /* NOT */
+            case 4: BINARY(a[w] & b[w])                     /* AND */
+            case 5: BINARY(a[w] | b[w])                     /* OR */
+            case 6: BINARY(a[w] ^ b[w])                     /* XOR */
+            case 7: BINARY((a[w] & b[w]) ^ f[w])            /* NAND */
+            case 8: BINARY((a[w] | b[w]) ^ f[w])            /* NOR */
+            case 9: BINARY((a[w] ^ b[w]) ^ f[w])            /* XNOR */
+            case 10:                                        /* MUX */
+                for (k = 0; k < n; k++, d += W) {
+                    const u64 *a = v + in[k] * W, *b = v + in[n + k] * W,
+                              *c = v + in[2 * n + k] * W;
+                    for (w = 0; w < W; w++)
+                        d[w] = (a[w] & b[w]) | (~a[w] & c[w]);
+                }
+                break;
+            }
+        }
+    }
+}
+"""
+
+_CC_FLAGS = ("-O2", "-shared", "-fPIC")
+_PTR = ctypes.c_void_p
+_I64 = ctypes.c_int64
+_SWEEP_ARGTYPES = (_PTR, _I64, _PTR, _I64, _PTR, _PTR, _PTR,
+                   _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR)
+#: the glitch arguments of a sweep on a cycle without glitches
+_NO_GLITCHES = (None, None, None)
 
 
-class _Level:
-    """One topological level: a fused gather plus its op groups.
+def _kernel_error(reason: str) -> CompileError:
+    return CompileError(Diagnostic(
+        code=KERNEL_CODE,
+        message=f"the compiled kernel's C level sweep could not be "
+                f"built: {reason}"))
 
-    ``gather`` lists the value rows every group of the level reads, one
-    block per group from its ``arg_lo``, laid out operand-major: the
-    ``count`` first inputs, then the second inputs, then the third.
-    """
 
-    __slots__ = ("gather", "groups", "nargs")
+def _kernel_cache_dir() -> Path:
+    """``${XDG_CACHE_HOME:-~/.cache}/repro``, private to this user."""
+    base = os.environ.get("XDG_CACHE_HOME") or \
+        os.path.join(os.path.expanduser("~"), ".cache")
+    path = Path(base) / "repro"
+    try:
+        path.mkdir(mode=0o700, parents=True, exist_ok=True)
+        info = path.stat()
+        if info.st_uid != os.getuid():
+            raise _kernel_error(f"the cache directory {path} belongs to "
+                                f"another user")
+        if info.st_mode & 0o077:
+            path.chmod(0o700)
+    except OSError as err:
+        raise _kernel_error(f"the cache directory {path} is not "
+                            f"usable: {err}") from err
+    return path
 
-    def __init__(self, gather, groups):
-        self.gather = gather
-        self.groups = groups
-        self.nargs = len(gather)
+
+def _run_cc(args: list[str]) -> subprocess.CompletedProcess:
+    try:
+        return subprocess.run(args, capture_output=True, text=True,
+                              timeout=300)
+    except (OSError, subprocess.SubprocessError) as err:
+        raise _kernel_error(f"running {args[0]} failed: {err}") from err
+
+
+@functools.cache
+def _sweep_library() -> ctypes.CDLL:
+    """The C sweep, built into the user's cache on first use.
+
+    The library's file name is keyed on the SHA-256 of the C source,
+    the compiler's ``--version`` and the flags; a build writes a temp
+    file in the cache directory and renames it into place, so
+    concurrent builders each load a complete library."""
+    cc = shutil.which("cc")
+    if cc is None:
+        raise _kernel_error("no C compiler named `cc` on PATH")
+    version = _run_cc([cc, "--version"])
+    if version.returncode:
+        raise _kernel_error(f"`{cc} --version` exited with "
+                            f"{version.returncode}")
+    key = hashlib.sha256("\0".join(
+        (_SWEEP_C, version.stdout, *_CC_FLAGS)).encode()).hexdigest()
+    cache = _kernel_cache_dir()
+    path = cache / f"sweep-{key}.so"
+    if not path.exists():
+        fd, source = tempfile.mkstemp(dir=cache, prefix=".sweep-",
+                                      suffix=".c")
+        built = source[:-2] + ".so"
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(_SWEEP_C)
+            result = _run_cc([cc, *_CC_FLAGS, "-o", built, source])
+            if result.returncode:
+                raise _kernel_error(
+                    f"`cc` exited with {result.returncode}: "
+                    f"{result.stderr.strip()[-2000:]}")
+            os.replace(built, path)
+        finally:
+            for leftover in (source, built):
+                if os.path.exists(leftover):
+                    os.unlink(leftover)
+    try:
+        lib = ctypes.CDLL(str(path))
+    except OSError as err:
+        raise _kernel_error(f"loading {path} failed: {err}; delete it "
+                            f"to rebuild") from err
+    lib.sweep.argtypes = _SWEEP_ARGTYPES
+    lib.sweep.restype = None
+    return lib
 
 
 class CompiledCircuit:
@@ -171,41 +315,34 @@ class CompiledCircuit:
             by_level_op.setdefault((gate_level[gi], gate.op),
                                    []).append(gi)
 
-        levels: list[_Level] = []
+        # the flat program tables the C sweep reads: level k runs
+        # groups level_groups[k]:level_groups[k+1] of the (G, 4) group
+        # table (op, count, first output row, gather offset); a
+        # group's gather block is operand-major, every gate's first
+        # input row, then every second, then every third
+        level_groups = [0]
+        groups: list[tuple[int, int, int, int]] = []
+        gather: list[int] = []
         for lvl in range(self.depth):
-            gather: list[int] = []
-            groups: list[_Group] = []
             for op in sorted(op for (lv, op) in by_level_op
                              if lv == lvl):
                 gis = by_level_op[(lvl, op)]
-                arity = OP_ARITY[op]
-                group = _Group(op, arity, len(gather), len(gis),
-                               next_row)
+                groups.append((op, len(gis), next_row, len(gather)))
                 for gi in gis:
                     perm[circuit.gates[gi].out] = next_row
                     next_row += 1
-                # operand-major: every gate's first input, then every
-                # second, then every third, so each operand of the
-                # group is one contiguous slice of the gather buffer
-                for j in range(arity):
+                for j in range(OP_ARITY[op]):
                     gather.extend(circuit.gates[gi].inputs[j]
                                   for gi in gis)
-                groups.append(group)
-            levels.append(_Level(gather, groups))
+            level_groups.append(len(groups))
         assert next_row == n
-
+        self.perm = perm
+        self.level_groups = np.asarray(level_groups, dtype=np.int64)
+        self.groups = np.asarray(groups, dtype=np.int64).reshape(-1, 4)
         # gather indices reference *rows*, so translate through perm
         # once the whole permutation is known
-        for level in levels:
-            level.gather = perm[np.asarray(level.gather,
-                                           dtype=np.intp)] \
-                if level.gather else np.empty(0, dtype=np.intp)
-        self.levels = levels
-        self.perm = perm
-        self.max_level_args = max((lv.nargs for lv in levels),
-                                  default=0)
-        self.max_group_count = max(
-            (g.count for lv in levels for g in lv.groups), default=0)
+        self.gather = perm[np.asarray(gather, dtype=np.intp)].astype(
+            np.int64)
 
         # overlay bucket of a row: 0 = applied before level 0 (sources
         # and const outputs), k+1 = applied right after level k
@@ -311,7 +448,7 @@ class CompiledCircuit:
 
 
 def compile_circuit(circuit: Circuit) -> CompiledCircuit:
-    """Compile a circuit into a straight-line numpy program.
+    """Compile a circuit into the flat program the C sweep runs.
 
     Raises :class:`CompileError` (code ``E120``) on combinational
     loops and :class:`~repro.hdl.netlist.NetlistError` on structures
@@ -340,16 +477,13 @@ def decompile(compiled: CompiledCircuit) -> Circuit:
     for gate in src.gates:               # consts stay source-level
         if gate.op in (OP_CONST0, OP_CONST1):
             out.add_gate(gate.op, (), gate.out, path=gate.path)
-    for level in compiled.levels:
-        gather = level.gather
-        for grp in level.groups:
-            base = grp.arg_lo
-            for k in range(grp.count):
-                o = int(inv[grp.out_lo + k])
-                ins = tuple(
-                    int(inv[gather[base + j * grp.count + k]])
-                    for j in range(grp.arity))
-                out.add_gate(grp.op, ins, o, path=by_path.get(o, ""))
+    gather = compiled.gather
+    for op, count, out_lo, base in compiled.groups.tolist():
+        for k in range(count):
+            o = int(inv[out_lo + k])
+            ins = tuple(int(inv[gather[base + j * count + k]])
+                        for j in range(OP_ARITY[op]))
+            out.add_gate(op, ins, o, path=by_path.get(o, ""))
     for f in src.flops:
         out.flops.append(type(f)(name=f.name, d=f.d, q=f.q,
                                  path=f.path, en=f.en, rst=f.rst,
@@ -407,6 +541,25 @@ class _MemGroup:
         self.sel: tuple | None = None
 
 
+class _Overlay(NamedTuple):
+    """Rows per overlay bucket in one flat table.
+
+    Bucket ``b`` (0 = before level 0, ``k + 1`` = right after level
+    ``k``) owns entries ``offsets[b]:offsets[b + 1]`` of ``rows`` and
+    of every ``(n, W)`` array of ``masks``: ``(~clear, set)`` for
+    forced nets, applied as
+    ``(v & ~clear) | set``, or ``(xor,)`` for a cycle's glitches.
+    ``args`` holds the C sweep's arguments bound to these arrays; a
+    forced-net plan's start with the simulator's leading arguments, so
+    a sweep is ``sweep(*plan.args, *glitches.args)``.
+    """
+
+    offsets: np.ndarray
+    rows: np.ndarray
+    masks: tuple
+    args: tuple
+
+
 class _BridgePlan(NamedTuple):
     """The bridge re-sweep of one fault set, rebuilt when it changes.
 
@@ -415,10 +568,10 @@ class _BridgePlan(NamedTuple):
     one victim's bridged values OR-combine with a segmented
     ``reduceat`` over ``starts``.  A bridge's value is
     ``(a & (v | not_and)) | (v & or_sel)``: dominant -> a, AND -> a & v,
-    OR -> a | v.  ``plan`` is the forced-net overlay plan with every
-    victim's bridged lanes added to its clear mask; each ``updates``
-    entry ``(setm, positions, victim index, base)`` writes the cycle's
-    bridged values into one bucket's set masks.
+    OR -> a | v.  ``plan`` is the forced-net overlay with every
+    victim's bridged lanes added to its clear mask; each cycle writes
+    ``set_base | bridged[set_victim]`` into the ``set_pos`` entries of
+    its set array, in place.
     """
 
     agg: np.ndarray
@@ -427,8 +580,10 @@ class _BridgePlan(NamedTuple):
     or_sel: np.ndarray
     eff: np.ndarray
     starts: np.ndarray
-    plan: list
-    updates: list
+    plan: _Overlay
+    set_pos: np.ndarray
+    set_victim: np.ndarray
+    set_base: np.ndarray
 
 
 class _Couplings:
@@ -501,12 +656,13 @@ class CompiledSimulator(SimulatorBase):
         self._vals[cc.one_row] = self._full
         if len(cc.const1_rows):
             self._vals[cc.const1_rows] = self._full
-        self._gbuf = np.empty((cc.max_level_args, W), dtype=_U64)
-        self._mux_tmp = np.empty((cc.max_group_count, W), dtype=_U64)
-        # the all-machines mask tiled to one row per gate: inverting
-        # ops XOR against a same-shape slice of it, never a broadcast
-        self._full_block = np.tile(self._full, (cc.max_group_count, 1))
-        self._program = self._build_program()
+        self._sweep = _sweep_library().sweep
+        #: the sweep's leading arguments, fixed for this simulator: the
+        #: value array, the all-machines words and the program tables
+        self._sweep_head = (
+            self._vals.ctypes.data, W, self._full.ctypes.data, cc.depth,
+            cc.level_groups.ctypes.data, cc.groups.ctypes.data,
+            cc.gather.ctypes.data)
 
         F = len(self.circuit.flops)
         self._flop_state = np.where(cc.flop_init[:, None],
@@ -559,7 +715,7 @@ class CompiledSimulator(SimulatorBase):
 
         # fault state: original net id -> (clear, set) word vectors
         self._forced: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._overlay_plan: list | None = None
+        self._overlay_plan: _Overlay | None = None
         self._flop_flips: dict[int, list] = {}
         self._net_glitches: dict[int, dict[int, np.ndarray]] = {}
         self._mem_flips: dict[int, list] = {}
@@ -798,80 +954,29 @@ class CompiledSimulator(SimulatorBase):
     # ------------------------------------------------------------------
     # simulation
     # ------------------------------------------------------------------
-    def _build_program(self) -> list[tuple]:
-        """Flatten the compiled levels into reusable micro-ops.
+    def _overlay(self, nets: list, *columns: list) -> _Overlay:
+        """``nets`` and one word vector per net in each of ``columns``
+        as a flat table ordered by overlay bucket."""
+        cc = self.compiled
+        nets_arr = np.asarray(nets, dtype=np.intp)
+        bucket = cc.bucket_of[nets_arr]
+        order = np.argsort(bucket, kind="stable")
+        offsets = np.searchsorted(bucket[order],
+                                  np.arange(cc.depth + 2)).astype(np.int64)
+        rows = cc.perm[nets_arr[order]].astype(np.int64)
+        masks = tuple(np.asarray(col, dtype=_U64).reshape(
+            -1, self.words)[order] for col in columns)
+        return _Overlay(offsets, rows, masks,
+                        (offsets.ctypes.data, rows.ctypes.data,
+                         *(m.ctypes.data for m in masks)))
 
-        Every operand/destination is a *fixed view* into the gather
-        buffer, the value array or the tiled all-machines block,
-        created once here; the per-cycle loop is then nothing but
-        ufunc calls with ``out=``.  The gather is operand-major, so a
-        group's operands are contiguous ``(count, W)`` slices, and the
-        inverting ops and BUF take a slice of the tiled block instead
-        of a broadcast ``(W,)`` mask or a scalar: every ufunc runs on
-        C-contiguous, same-shape arrays.
-        """
-        program = []
-        for level in self.compiled.levels:
-            buf = self._gbuf[:level.nargs]
-            micro: list[tuple] = []
-            for g in level.groups:
-                lo, n, ar = g.arg_lo, g.count, g.arity
-                a = buf[lo:lo + n]
-                b = buf[lo + n:lo + 2 * n] if ar >= 2 else None
-                c = buf[lo + 2 * n:lo + 3 * n] if ar >= 3 else None
-                full = self._full_block[:n]
-                dst = self._vals[g.out_lo:g.out_hi]
-                op = g.op
-                if op == OP_AND:
-                    micro.append((np.bitwise_and, a, b, dst))
-                elif op == OP_OR:
-                    micro.append((np.bitwise_or, a, b, dst))
-                elif op == OP_XOR:
-                    micro.append((np.bitwise_xor, a, b, dst))
-                elif op == OP_NOT:
-                    micro.append((np.bitwise_xor, a, full, dst))
-                elif op == OP_BUF:
-                    micro.append((np.bitwise_and, a, full, dst))
-                elif op == OP_NAND:
-                    micro.append((np.bitwise_and, a, b, dst))
-                    micro.append((np.bitwise_xor, dst, full, dst))
-                elif op == OP_NOR:
-                    micro.append((np.bitwise_or, a, b, dst))
-                    micro.append((np.bitwise_xor, dst, full, dst))
-                elif op == OP_XNOR:
-                    micro.append((np.bitwise_xor, a, b, dst))
-                    micro.append((np.bitwise_xor, dst, full, dst))
-                else:  # OP_MUX: dst = (b & sel) | (c & ~sel)
-                    tmp = self._mux_tmp[:n]
-                    micro.append((np.bitwise_not, a, None, tmp))
-                    micro.append((np.bitwise_and, tmp, c, tmp))
-                    micro.append((np.bitwise_and, a, b, dst))
-                    micro.append((np.bitwise_or, dst, tmp, dst))
-            program.append((level.gather if level.nargs else None,
-                            buf, micro))
-        return program
-
-    def _buckets(self, nets) -> dict[int, list[int]]:
-        """Nets grouped by overlay bucket (0=sources, L+1 after level
-        L), in iteration order."""
-        bucket_of = self.compiled.bucket_of
-        buckets: dict[int, list[int]] = {}
-        for net in nets:
-            buckets.setdefault(int(bucket_of[net]), []).append(net)
-        return buckets
-
-    def _build_overlay_plan(self, entries: dict) -> list:
-        """``entries`` (net -> (clear, set) words) as a bucket-indexed
-        list of ``(rows, notclear, setm, scratch)`` entries (``None``
-        where the bucket is empty) so the eval loop applies each with
-        four allocation-free numpy calls."""
-        plan: list = [None] * (len(self.compiled.levels) + 1)
-        for b, nets in self._buckets(entries).items():
-            rows = self.compiled.perm[np.asarray(nets, dtype=np.intp)]
-            notclear = np.stack([~entries[n][0] for n in nets])
-            setm = np.stack([entries[n][1] for n in nets])
-            plan[b] = (rows, notclear, setm, np.empty_like(setm))
-        return plan
+    def _build_overlay_plan(self, entries: dict) -> _Overlay:
+        """``entries`` (net -> (clear, set) words) as the flat
+        ``(~clear, set)`` overlay, its sweep arguments bound."""
+        nets = list(entries)
+        plan = self._overlay(nets, [~entries[n][0] for n in nets],
+                             [entries[n][1] for n in nets])
+        return plan._replace(args=self._sweep_head + plan.args)
 
     def _build_bridge_plan(self) -> _BridgePlan:
         perm = self.compiled.perm
@@ -890,22 +995,14 @@ class CompiledSimulator(SimulatorBase):
         eff.reverse()
         uniq, starts = np.unique([br[1] for br in bridges],
                                  return_index=True)
-        order = {int(vic): k for k, vic in enumerate(uniq)}
+        order = {int(perm[vic]): k for k, vic in enumerate(uniq)}
 
         entries = dict(self._forced)
         for vic, mask in claimed.items():
             clear, setm = entries.get(vic, (zeros, zeros))
             entries[vic] = (clear | mask, setm & ~mask)
         plan = self._build_overlay_plan(entries)
-        updates = []
-        for b, nets in self._buckets(entries).items():
-            pos = [i for i, n in enumerate(nets) if n in order]
-            if pos:
-                setm = plan[b][2]
-                updates.append((setm, np.asarray(pos, dtype=np.intp),
-                                np.asarray([order[nets[i]] for i in pos],
-                                           dtype=np.intp),
-                                setm[pos]))
+        pos = np.flatnonzero(np.isin(plan.rows, list(order)))
         return _BridgePlan(
             agg=perm[np.asarray([br[0] for br in bridges], dtype=np.intp)],
             vic=perm[np.asarray([br[1] for br in bridges], dtype=np.intp)],
@@ -913,16 +1010,19 @@ class CompiledSimulator(SimulatorBase):
                                 for br in bridges], dtype=_U64)[:, None],
             or_sel=np.asarray([ones if br[2] == BRIDGE_OR else 0
                                for br in bridges], dtype=_U64)[:, None],
-            eff=np.stack(eff), starts=starts, plan=plan, updates=updates)
+            eff=np.stack(eff), starts=starts, plan=plan, set_pos=pos,
+            set_victim=np.asarray([order[row] for row
+                                   in plan.rows[pos].tolist()],
+                                  dtype=np.intp),
+            set_base=plan.masks[1][pos])
 
-    def _glitch_buckets(self) -> dict[int, tuple] | None:
+    def _glitch_buckets(self) -> _Overlay | None:
+        """The cycle's net glitches as a flat ``(xor,)`` table."""
         table = self._net_glitches.get(self.cycle)
         if not table:
             return None
-        return {b: (self.compiled.perm[np.asarray(nets,
-                                                  dtype=np.intp)],
-                    np.stack([table[n] for n in nets]))
-                for b, nets in self._buckets(table).items()}
+        nets = list(table)
+        return self._overlay(nets, [table[n] for n in nets])
 
     def eval_comb(self) -> None:
         cc = self.compiled
@@ -949,58 +1049,22 @@ class CompiledSimulator(SimulatorBase):
         if self.collect_toggles:
             self._collect_toggles()
 
-    def _run_levels(self, plan, glitches) -> None:
+    def _run_levels(self, plan: _Overlay,
+                    glitches: _Overlay | None) -> None:
         """One sweep of the program, applying ``plan`` (the bucketed
-        forced nets) and the cycle's glitches after each level.
+        forced nets) and the cycle's glitches after each level: one
+        call into the C sweep."""
+        self._sweep(*plan.args, *(_NO_GLITCHES if glitches is None
+                                  else glitches.args))
 
-        Gathers take ``mode="clip"``: their rows are valid by
-        construction, and numpy stages an ``out=`` take through a
-        temporary in its default ``"raise"`` mode."""
-        vals = self._vals
-        take = vals.take
-        band = np.bitwise_and
-        bor = np.bitwise_or
-        entry = plan[0]
-        if entry is not None:
-            rows, nc, sm, obuf = entry
-            take(rows, 0, obuf, "clip")
-            band(obuf, nc, out=obuf)
-            bor(obuf, sm, out=obuf)
-            vals[rows] = obuf
-        if glitches is not None:
-            g = glitches.get(0)
-            if g is not None:
-                grows, gmasks = g
-                vals[grows] = vals[grows] ^ gmasks
-        for lvl, (gather, buf, micro) in enumerate(self._program):
-            if gather is not None:
-                take(gather, 0, buf, "clip")
-            for fn, a, b, dst in micro:
-                if b is None:
-                    fn(a, out=dst)
-                else:
-                    fn(a, b, out=dst)
-            entry = plan[lvl + 1]
-            if entry is not None:
-                rows, nc, sm, obuf = entry
-                take(rows, 0, obuf, "clip")
-                band(obuf, nc, out=obuf)
-                bor(obuf, sm, out=obuf)
-                vals[rows] = obuf
-            if glitches is not None:
-                g = glitches.get(lvl + 1)
-                if g is not None:
-                    grows, gmasks = g
-                    vals[grows] = vals[grows] ^ gmasks
-
-    def _eval_bridged(self, glitches) -> None:
+    def _eval_bridged(self, glitches: _Overlay | None) -> None:
         """The interpreted bridge semantics: a first sweep, then a
         re-sweep with every victim forced to its bridged value (read
         from the first sweep, so bridges never chain)."""
         vals = self._vals
-        source_glitch = glitches.get(0) if glitches is not None else None
-        raw = vals[source_glitch[0]] if source_glitch is not None \
-            else None
+        source_rows = glitches.rows[:glitches.offsets[1]] \
+            if glitches is not None else None
+        raw = vals[source_rows] if source_rows is not None else None
         self._run_levels(self._overlay_plan, glitches)
         if self.collect_toggles:
             self._collect_toggles()
@@ -1012,12 +1076,13 @@ class CompiledSimulator(SimulatorBase):
         v = vals[bp.vic]
         bridged = ((a & (v | bp.not_and)) | (v & bp.or_sel)) & bp.eff
         per_victim = np.bitwise_or.reduceat(bridged, bp.starts, axis=0)
-        for setm, pos, idx, base in bp.updates:
-            setm[pos] = base | per_victim[idx]
+        # in place: the re-sweep's bound arguments point at this array
+        bp.plan.masks[1][bp.set_pos] = bp.set_base \
+            | per_victim[bp.set_victim]
         # the re-sweep restarts from the unglitched sources, so every
         # glitch is applied exactly once per evaluation
         if raw is not None:
-            vals[source_glitch[0]] = raw
+            vals[source_rows] = raw
         self._run_levels(bp.plan, glitches)
         if self.collect_toggles:
             self._collect_toggles()

@@ -224,9 +224,17 @@ class StoreDB:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._conn = sqlite3.connect(self.path, timeout=30.0)
-        self._conn.execute("PRAGMA journal_mode=WAL")
         self._conn.execute("PRAGMA synchronous=NORMAL")
         self._conn.execute("PRAGMA busy_timeout=30000")
+        # switching a fresh file to WAL needs the exclusive lock, and
+        # SQLite fails it at once, without waiting, while a sibling
+        # opener holds the reserved lock: so it takes the busy retry
+        # like every other write (outside the failpoints, which count
+        # the index's write transactions)
+        self._retry_busy(self._open_schema)
+
+    def _open_schema(self) -> None:
+        self._conn.execute("PRAGMA journal_mode=WAL")
         with self._conn:
             self._migrate()
             self._conn.executescript(_SCHEMA)
@@ -271,13 +279,20 @@ class StoreDB:
         write transaction of the index, so the chaos harness can
         crash a campaign between any two committed shards.
         """
+        def bracketed():
+            fail_at("store.db.pre-commit")
+            result = txn()
+            fail_at("store.db.post-commit")
+            return result
+        return self._retry_busy(bracketed)
+
+    def _retry_busy(self, txn):
+        """``txn()`` under the busy retry and the coded errors of
+        :meth:`_write`, without its failpoints."""
         delay = BUSY_BACKOFF_BASE
         for attempt in range(1, BUSY_RETRIES + 1):
             try:
-                fail_at("store.db.pre-commit")
-                result = txn()
-                fail_at("store.db.post-commit")
-                return result
+                return txn()
             except OSError as err:
                 raise_for_io(err, str(self.path))   # E413/E414 coded
             except sqlite3.OperationalError as err:
@@ -501,10 +516,12 @@ class StoreDB:
 
     def clear_anomaly(self, fault_fp: str) -> int:
         """Forget a poison fault so the next campaign retries it."""
-        with self._conn:
-            return self._conn.execute(
-                "DELETE FROM anomalies WHERE fault_fp=?",
-                (fault_fp,)).rowcount
+        def txn():
+            with self._conn:
+                return self._conn.execute(
+                    "DELETE FROM anomalies WHERE fault_fp=?",
+                    (fault_fp,)).rowcount
+        return self._write(txn)
 
     def put_shard_attempts(self, run_id: int,
                            attempts: list[tuple]) -> None:
@@ -702,16 +719,19 @@ class StoreDB:
     def delete_outcomes(self, fps: list[str]) -> int:
         """Drop outcome rows (they become cache misses and are
         re-simulated on the next campaign)."""
-        removed = 0
         fps = list(fps)
-        with self._conn:
-            for lo in range(0, len(fps), 500):
-                chunk = fps[lo:lo + 500]
-                marks = ",".join("?" * len(chunk))
-                removed += self._conn.execute(
-                    f"DELETE FROM outcomes WHERE fault_fp IN"
-                    f" ({marks})", chunk).rowcount
-        return removed
+
+        def txn():
+            removed = 0
+            with self._conn:
+                for lo in range(0, len(fps), 500):
+                    chunk = fps[lo:lo + 500]
+                    marks = ",".join("?" * len(chunk))
+                    removed += self._conn.execute(
+                        f"DELETE FROM outcomes WHERE fault_fp IN"
+                        f" ({marks})", chunk).rowcount
+            return removed
+        return self._write(txn)
 
     def golden_rows(self) -> list[tuple[str, str]]:
         """All ``(key, digest)`` pairs of the content-key map."""
@@ -719,12 +739,15 @@ class StoreDB:
             "SELECT key, digest FROM golden").fetchall()
 
     def delete_golden_keys(self, keys: list[str]) -> int:
-        removed = 0
-        with self._conn:
-            for key in keys:
-                removed += self._conn.execute(
-                    "DELETE FROM golden WHERE key=?", (key,)).rowcount
-        return removed
+        def txn():
+            removed = 0
+            with self._conn:
+                for key in keys:
+                    removed += self._conn.execute(
+                        "DELETE FROM golden WHERE key=?",
+                        (key,)).rowcount
+            return removed
+        return self._write(txn)
 
     def run_blob_refs(self) -> list[tuple[int, str, str]]:
         """Every ``(run_id, column, digest)`` blob reference of a run
@@ -738,13 +761,15 @@ class StoreDB:
     def clear_run_blob_refs(self, refs: list[tuple[int, str]]) -> int:
         """Null the ``(run_id, column)`` blob references that
         :meth:`run_blob_refs` returned."""
-        cleared = 0
-        with self._conn:
-            for run_id, column in refs:
-                cleared += self._conn.execute(
-                    f"UPDATE runs SET {column}=NULL WHERE run_id=?",
-                    (run_id,)).rowcount
-        return cleared
+        def txn():
+            cleared = 0
+            with self._conn:
+                for run_id, column in refs:
+                    cleared += self._conn.execute(
+                        f"UPDATE runs SET {column}=NULL WHERE run_id=?",
+                        (run_id,)).rowcount
+            return cleared
+        return self._write(txn)
 
     def dangling_membership(self) -> dict[str, list[int]]:
         """Run ids referenced by child tables but absent from
@@ -760,14 +785,16 @@ class StoreDB:
         return out
 
     def delete_dangling_membership(self) -> int:
-        with self._conn:
-            removed = self._conn.execute(
-                "DELETE FROM run_faults WHERE run_id NOT IN"
-                " (SELECT run_id FROM runs)").rowcount
-            removed += self._conn.execute(
-                "DELETE FROM shard_attempts WHERE run_id NOT IN"
-                " (SELECT run_id FROM runs)").rowcount
-        return removed
+        def txn():
+            with self._conn:
+                removed = self._conn.execute(
+                    "DELETE FROM run_faults WHERE run_id NOT IN"
+                    " (SELECT run_id FROM runs)").rowcount
+                removed += self._conn.execute(
+                    "DELETE FROM shard_attempts WHERE run_id NOT IN"
+                    " (SELECT run_id FROM runs)").rowcount
+            return removed
+        return self._write(txn)
 
     def dangling_anomalies(self) -> list[tuple[str, str, int]]:
         """Anomaly rows whose ``run_id`` names a vanished run."""
@@ -778,13 +805,15 @@ class StoreDB:
         ).fetchall()
 
     def delete_anomalies(self, fps: list[str]) -> int:
-        removed = 0
-        with self._conn:
-            for fp in fps:
-                removed += self._conn.execute(
-                    "DELETE FROM anomalies WHERE fault_fp=?",
-                    (fp,)).rowcount
-        return removed
+        def txn():
+            removed = 0
+            with self._conn:
+                for fp in fps:
+                    removed += self._conn.execute(
+                        "DELETE FROM anomalies WHERE fault_fp=?",
+                        (fp,)).rowcount
+            return removed
+        return self._write(txn)
 
     def integrity_check(self) -> str:
         """SQLite's own b-tree check; ``'ok'`` when healthy."""
@@ -802,40 +831,43 @@ class StoreDB:
         re-claimed job resumes from.  Returns ``(runs_removed,
         outcomes_removed)``; blob sweeping is the caller's job (it
         owns the filesystem side)."""
-        with self._conn:
-            keep = [row[0] for row in self._conn.execute(
-                "SELECT run_id FROM runs ORDER BY run_id DESC"
-                " LIMIT ?", (keep_runs,))]
-            keep += [run_id for run_id in self.active_job_run_ids()
-                     if run_id not in keep]
-            if keep:
-                marks = ",".join("?" * len(keep))
-                removed_runs = self._conn.execute(
-                    f"DELETE FROM runs WHERE run_id NOT IN ({marks})",
-                    keep).rowcount
+        def txn():
+            with self._conn:
+                keep = [row[0] for row in self._conn.execute(
+                    "SELECT run_id FROM runs ORDER BY run_id DESC"
+                    " LIMIT ?", (keep_runs,))]
+                keep += [run_id for run_id in self.active_job_run_ids()
+                         if run_id not in keep]
+                if keep:
+                    marks = ",".join("?" * len(keep))
+                    removed_runs = self._conn.execute(
+                        f"DELETE FROM runs WHERE run_id NOT IN ({marks})",
+                        keep).rowcount
+                    self._conn.execute(
+                        f"DELETE FROM run_faults WHERE run_id NOT IN"
+                        f" ({marks})", keep)
+                else:
+                    # NOT IN () is never true in SQL — wipe explicitly
+                    removed_runs = self._conn.execute(
+                        "DELETE FROM runs").rowcount
+                    self._conn.execute("DELETE FROM run_faults")
+                removed_outcomes = self._conn.execute(
+                    "DELETE FROM outcomes WHERE fault_fp NOT IN"
+                    " (SELECT fault_fp FROM run_faults)").rowcount
                 self._conn.execute(
-                    f"DELETE FROM run_faults WHERE run_id NOT IN"
-                    f" ({marks})", keep)
-            else:
-                # NOT IN () is never true in SQL — wipe explicitly
-                removed_runs = self._conn.execute(
-                    "DELETE FROM runs").rowcount
-                self._conn.execute("DELETE FROM run_faults")
-            removed_outcomes = self._conn.execute(
-                "DELETE FROM outcomes WHERE fault_fp NOT IN"
-                " (SELECT fault_fp FROM run_faults)").rowcount
-            self._conn.execute(
-                "DELETE FROM anomalies WHERE fault_fp NOT IN"
-                " (SELECT fault_fp FROM run_faults)")
-            self._conn.execute(
-                "DELETE FROM shard_attempts WHERE run_id NOT IN"
-                " (SELECT run_id FROM runs)")
-            self._conn.execute(
-                "DELETE FROM golden WHERE digest NOT IN"
-                " (SELECT golden_blob FROM runs"
-                "  WHERE golden_blob IS NOT NULL)"
-                " AND digest NOT IN"
-                " (SELECT profile_blob FROM runs"
-                "  WHERE profile_blob IS NOT NULL)")
-        self._conn.execute("VACUUM")
-        return removed_runs, removed_outcomes
+                    "DELETE FROM anomalies WHERE fault_fp NOT IN"
+                    " (SELECT fault_fp FROM run_faults)")
+                self._conn.execute(
+                    "DELETE FROM shard_attempts WHERE run_id NOT IN"
+                    " (SELECT run_id FROM runs)")
+                self._conn.execute(
+                    "DELETE FROM golden WHERE digest NOT IN"
+                    " (SELECT golden_blob FROM runs"
+                    "  WHERE golden_blob IS NOT NULL)"
+                    " AND digest NOT IN"
+                    " (SELECT profile_blob FROM runs"
+                    "  WHERE profile_blob IS NOT NULL)")
+            return removed_runs, removed_outcomes
+        removed = self._write(txn)
+        self._write(lambda: self._conn.execute("VACUUM"))
+        return removed

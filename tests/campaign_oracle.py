@@ -1,5 +1,5 @@
-"""The interpreted campaign pass loop and profile replay: the
-differential oracles.
+"""The interpreted campaign pass loop and profile replay, and the
+numpy level sweep: the differential oracles.
 
 Campaigns and the operational-profile replay run on the compiled
 kernel only (:func:`repro.faultinjection.compiled_pass.run_pass_compiled`
@@ -9,13 +9,20 @@ module holds both loops as test-only references over the big-int
 net, flop, memory port) at a time in plain Python.  The differential suites
 compare the production engine against them record for record.
 
+:class:`NumpySweepSimulator` is the compiled kernel with its level
+sweep run as numpy micro-ops instead of the C sweep, word for word,
+padding lanes included: the word-level oracle of the C sweep.
+
     result = run_interpreted(env.manager(), env.candidates())
     profile = profile_interpreted(circuit, stimuli, setup=setup)
+    sim = NumpySweepSimulator(circuit, machines=342)
 """
 
 from __future__ import annotations
 
 import time
+
+import numpy as np
 
 from repro.faultinjection.faultlist import CandidateList
 from repro.faultinjection.manager import (
@@ -27,6 +34,18 @@ from repro.faultinjection.profiler import (
     MemAccess,
     NetActivity,
     OperationalProfile,
+)
+from repro.hdl.compiled import CompiledSimulator
+from repro.hdl.netlist import (
+    OP_AND,
+    OP_ARITY,
+    OP_BUF,
+    OP_NAND,
+    OP_NOR,
+    OP_NOT,
+    OP_OR,
+    OP_XNOR,
+    OP_XOR,
 )
 from repro.store.fingerprint import _picker
 
@@ -234,3 +253,95 @@ def profile_interpreted(circuit, stimuli, setup=None,
             prev_flops[flop.name] = bit
     profile.activity = NetActivity(first_change, first_one)
     return profile
+
+
+class NumpySweepSimulator(CompiledSimulator):
+    """:class:`CompiledSimulator` with the numpy level sweep.
+
+    Every level gathers its operand rows into one buffer and runs each
+    ``(level, op)`` group as ufunc calls on contiguous slices; the
+    forced-net overlay and the glitches of each bucket follow the
+    level, read from the same flat tables the C sweep reads.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._program = self._build_program()
+
+    def _build_program(self) -> list[tuple]:
+        """Per level: ``(gather rows, gather buffer, micro-ops)``; each
+        micro-op is ``(ufunc, a, b, out)`` over fixed views."""
+        cc = self.compiled
+        W = self.words
+        count_max = int(cc.groups[:, 1].max()) if len(cc.groups) else 0
+        mux_tmp = np.empty((count_max, W), dtype=np.uint64)
+        # inverting ops XOR against a same-shape slice of the tiled
+        # all-machines words, and BUF ANDs with it
+        full_block = np.tile(self._full, (count_max, 1))
+        program = []
+        for lv in range(cc.depth):
+            groups = cc.groups[cc.level_groups[lv]:cc.level_groups[lv + 1]]
+            start = int(groups[0, 3])
+            last = groups[-1]
+            end = int(last[3] + OP_ARITY[int(last[0])] * last[1])
+            gather = cc.gather[start:end].astype(np.intp)
+            buf = np.empty((end - start, W), dtype=np.uint64)
+            micro: list[tuple] = []
+            for op, n, out_lo, off in groups.tolist():
+                lo = off - start
+                a = buf[lo:lo + n]
+                b = buf[lo + n:lo + 2 * n]
+                c = buf[lo + 2 * n:lo + 3 * n]
+                full = full_block[:n]
+                dst = self._vals[out_lo:out_lo + n]
+                if op == OP_AND:
+                    micro.append((np.bitwise_and, a, b, dst))
+                elif op == OP_OR:
+                    micro.append((np.bitwise_or, a, b, dst))
+                elif op == OP_XOR:
+                    micro.append((np.bitwise_xor, a, b, dst))
+                elif op == OP_NOT:
+                    micro.append((np.bitwise_xor, a, full, dst))
+                elif op == OP_BUF:
+                    micro.append((np.bitwise_and, a, full, dst))
+                elif op == OP_NAND:
+                    micro.append((np.bitwise_and, a, b, dst))
+                    micro.append((np.bitwise_xor, dst, full, dst))
+                elif op == OP_NOR:
+                    micro.append((np.bitwise_or, a, b, dst))
+                    micro.append((np.bitwise_xor, dst, full, dst))
+                elif op == OP_XNOR:
+                    micro.append((np.bitwise_xor, a, b, dst))
+                    micro.append((np.bitwise_xor, dst, full, dst))
+                else:  # OP_MUX: dst = (b & sel) | (c & ~sel)
+                    tmp = mux_tmp[:n]
+                    micro.append((np.bitwise_not, a, None, tmp))
+                    micro.append((np.bitwise_and, tmp, c, tmp))
+                    micro.append((np.bitwise_and, a, b, dst))
+                    micro.append((np.bitwise_or, dst, tmp, dst))
+            program.append((gather, buf, micro))
+        return program
+
+    def _apply_bucket(self, bucket: int, plan, glitches) -> None:
+        vals = self._vals
+        lo, hi = plan.offsets[bucket], plan.offsets[bucket + 1]
+        if hi > lo:
+            rows = plan.rows[lo:hi]
+            notclear, setm = plan.masks
+            vals[rows] = (vals[rows] & notclear[lo:hi]) | setm[lo:hi]
+        if glitches is not None:
+            lo, hi = glitches.offsets[bucket], glitches.offsets[bucket + 1]
+            if hi > lo:
+                rows = glitches.rows[lo:hi]
+                vals[rows] = vals[rows] ^ glitches.masks[0][lo:hi]
+
+    def _run_levels(self, plan, glitches) -> None:
+        self._apply_bucket(0, plan, glitches)
+        for lv, (gather, buf, micro) in enumerate(self._program):
+            self._vals.take(gather, 0, buf, "clip")
+            for fn, a, b, dst in micro:
+                if b is None:
+                    fn(a, out=dst)
+                else:
+                    fn(a, b, out=dst)
+            self._apply_bucket(lv + 1, plan, glitches)

@@ -6,9 +6,8 @@ interpreted simulator, net by net.  Their ``to_dict()`` JSON must be
 identical, dict order included, because stored profiles are keyed and
 compared as JSON blobs.
 
-The layout guard pins what makes the compiled kernel fast: every
-micro-op of the level program runs on C-contiguous operands of the
-destination's shape.
+The table guard pins what the C level sweep relies on: it reads the
+compiled program's flat tables without bounds checks.
 """
 
 from __future__ import annotations
@@ -22,7 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.faultinjection.profiler import profile_workload
-from repro.hdl.compiled import CompiledSimulator, compile_circuit
+from repro.hdl.compiled import compile_circuit
+from repro.hdl.netlist import OP_ARITY, OP_BUF, OP_MUX
 from repro.service.core import make_subsystem
 from repro.soc.minicpu import CpuConfig, MiniCpu, assemble
 from repro.soc.workloads import validation_workload
@@ -91,22 +91,37 @@ def test_profile_equals_interpreted_on_minicpu():
     assert profile.flop_toggles
 
 
-@pytest.mark.parametrize("machines", [1, 342])
-def test_level_program_operands_are_contiguous(machines):
-    """Every operand and destination of every micro-op is a
-    C-contiguous array of the destination's shape: no strided gather
-    views, no broadcast masks, no scalars."""
-    circuit = make_subsystem("small-baseline", banks=2).circuit
-    sim = CompiledSimulator(compile_circuit(circuit), machines=machines)
-    ops = 0
-    for _, _, micro in sim._program:
-        for _, a, b, dst in micro:
-            assert dst.flags.c_contiguous
-            for operand in (a, b):
-                if operand is None:
-                    continue
-                assert isinstance(operand, np.ndarray)
-                assert operand.flags.c_contiguous
-                assert operand.shape == dst.shape
-            ops += 1
-    assert ops
+@pytest.mark.parametrize("design", ["small-baseline", "minicpu",
+                                    *range(20)])
+def test_level_tables_are_in_range(design):
+    """The flat tables the C sweep reads without bounds checks: gate
+    ops only, every group's outputs one contiguous row range right
+    after the previous group's, gather blocks back to back, and every
+    gather index a row already final when its level runs."""
+    if design == "small-baseline":
+        circuit = make_subsystem(design, banks=2).circuit
+    elif design == "minicpu":
+        circuit = MiniCpu(CpuConfig.lockstep_pair()).circuit
+    else:
+        circuit = fuzz_circuit(design)
+    cc = compile_circuit(circuit)
+    for table in (cc.level_groups, cc.groups, cc.gather):
+        assert table.dtype == np.int64 and table.flags.c_contiguous
+    assert cc.level_groups[0] == 0
+    assert cc.level_groups[-1] == len(cc.groups)
+    assert np.all(np.diff(cc.level_groups) > 0)
+    assert len(cc.level_groups) == cc.depth + 1
+    row, offset = cc.num_source_rows, 0
+    for lv in range(cc.depth):
+        level_lo = row
+        for op, count, out_lo, base in cc.groups[
+                cc.level_groups[lv]:cc.level_groups[lv + 1]].tolist():
+            assert OP_BUF <= op <= OP_MUX
+            assert count > 0
+            assert (out_lo, base) == (row, offset)
+            row += count
+            offset += OP_ARITY[op] * count
+            rows = cc.gather[base:offset]
+            assert np.all((rows >= 0) & (rows < level_lo))
+    assert row == cc.num_nets < cc.num_rows
+    assert offset == len(cc.gather)

@@ -37,6 +37,8 @@ from repro.store import (
     gc_store,
     store_stats,
 )
+from repro.store import db as db_module
+from repro.store.db import StoreDB
 from repro.store.fingerprint import digest, fault_descriptor, \
     profile_key
 
@@ -231,6 +233,32 @@ def test_two_concurrent_campaigns_share_one_store(tmp_path, serial,
         assert cache.stats.hits == len(candidates.faults)
         assert cache.stats.simulated == 0
         assert _fault_rows(campaign) == _fault_rows(serial)
+
+
+def test_opening_a_fresh_store_waits_out_a_held_write_lock(tmp_path,
+                                                           monkeypatch):
+    """A sibling holding the write lock makes SQLite fail the WAL
+    switch of a fresh store at once; the open retries and completes
+    once the lock is released (here: during the first backoff)."""
+    path = tmp_path / "store.db"
+    holder = sqlite3.connect(path, isolation_level=None)
+    holder.execute("BEGIN IMMEDIATE")
+    sleeps = []
+
+    def release_then_sleep(seconds):
+        sleeps.append(seconds)
+        if holder.in_transaction:
+            holder.rollback()
+    monkeypatch.setattr(db_module.time, "sleep", release_then_sleep)
+    db = StoreDB(path)
+    try:
+        assert sleeps
+        assert db._conn.execute("PRAGMA journal_mode").fetchone() == \
+            ("wal",)
+        assert db.outcome_count() == 0
+    finally:
+        db.close()
+        holder.close()
 
 
 # ----------------------------------------------------------------------

@@ -365,6 +365,35 @@ def test_degraded_mode_retries_bisects_and_quarantines_hangs(
     assert all(a.attempts == 2 for a in supervisor.anomalies)
 
 
+def test_degraded_retries_wait_out_their_backoff(env, candidates,
+                                                 monkeypatch):
+    """An in-process retry starts no earlier than its ``not_before``,
+    as a retry in a worker process does."""
+    monkeypatch.setattr(CampaignSupervisor, "_spawn", _no_spawn)
+    starts = []
+    run_in_process = CampaignSupervisor._run_in_process
+
+    def timed(self, pending, job):
+        starts.append((time.time(), job.not_before))
+        run_in_process(self, pending, job)
+    monkeypatch.setattr(CampaignSupervisor, "_run_in_process", timed)
+    fault = candidates.faults[0]
+    supervisor = CampaignSupervisor(
+        env.spec(), workers=1,
+        config=SupervisorConfig(cycle_budget=3, max_retries=2,
+                                backoff_base=0.2))
+    campaign = supervisor.run(CandidateList(faults=[fault]))
+    assert len(starts) == 3
+    assert all(started >= due for started, due in starts)
+    assert all(later - earlier >= 0.2 for (earlier, _), (later, _)
+               in zip(starts, starts[1:]))
+    assert campaign.results == []
+    [anomaly] = supervisor.anomalies
+    assert (anomaly.fault_name, anomaly.kind, anomaly.attempts) == \
+        (fault.name, "hang", 3)
+    assert supervisor.last_stats.health.retries == 2
+
+
 # ----------------------------------------------------------------------
 # cycle budget: deterministic runaway containment
 # ----------------------------------------------------------------------
