@@ -21,26 +21,28 @@ evaluates *all* machines of a campaign pass in packed 64-bit words:
   ``k // 64`` and machine 0 stays the golden reference, exactly like the
   interpreted big-int layout.
 
-Each cycle's combinational evaluation is one call into a small C loop
-(``_SWEEP_C``, bound with :mod:`ctypes`): every level's gate groups,
+A cycle is two calls into one small C library (``_SWEEP_C``, bound
+with :mod:`ctypes`).  The level sweep runs every level's gate groups,
 each followed by that level's forced-net overlay and glitch XORs.  The
-loop is compiled with the host's ``cc`` on the first
-:class:`CompiledSimulator` of a process and cached under
-``${XDG_CACHE_HOME:-~/.cache}/repro``, keyed on the SHA-256 of the
-source, the compiler's version and the flags; without a working
-compiler that first simulator raises :class:`CompileError` ``E121``.
-The eval preamble, the memory step, toggle collection and the bridge
-arithmetic stay vectorized numpy.
+clock edge commits the flops and steps every memory: reads, writes,
+coupling flips and stuck cells, in the interpreted simulator's own
+per-lane order for lanes whose address diverges.  The library is
+compiled with the host's ``cc`` on the first :class:`CompiledSimulator`
+of a process and cached under ``${XDG_CACHE_HOME:-~/.cache}/repro``,
+keyed on the SHA-256 of the source, the compiler's version and the
+flags; without a working compiler that first simulator raises
+:class:`CompileError` ``E121``.  The eval preamble, cycle-start flips,
+toggle collection and the bridge arithmetic stay vectorized numpy.
 
 This is the only simulator of the production code: it runs the
 injection passes, the operational-profile replay at one lane, SET
 derating, VCD traces and the subsystems' ``simulator()`` helpers.
 Bridging faults re-run the program once per cycle with the bridged
-victims forced, and memory coupling faults are flipped after the
-cycle's writes, both reproducing the interpreted simulator bit for bit
-(that simulator stays as the differential oracle of both).  A netlist
-the renumbering cannot represent (a multi-driven net) is rejected with
-a :class:`~repro.hdl.netlist.NetlistError`.
+victims forced, and memory coupling faults flip their victims as each
+aggressor bit is written, both reproducing the interpreted simulator
+bit for bit (that simulator stays as the differential oracle of
+both).  A netlist the renumbering cannot represent (a multi-driven
+net) is rejected with a :class:`~repro.hdl.netlist.NetlistError`.
 """
 
 from __future__ import annotations
@@ -90,16 +92,26 @@ class CompileError(DiagnosticError, NetlistError):
 
 
 # ----------------------------------------------------------------------
-# the C level sweep
+# the C kernel: level sweep and clock edge
 # ----------------------------------------------------------------------
-#: One sweep of the program over the (rows, W) value array ``v``:
-#: every level's gate groups, each level followed by its bucket of the
-#: forced-net overlay ``(v & ~clear) | set`` and of the cycle's glitch
-#: XORs (``goff`` is NULL on a cycle without glitches).  Bucket 0 runs
-#: before level 0.  The inverting ops and BUF combine with the
+#: ``sweep``: one sweep of the program over the (rows, W) value array
+#: ``v``: every level's gate groups, each level followed by its bucket
+#: of the forced-net overlay ``(v & ~clear) | set`` and of the cycle's
+#: glitch XORs (``goff`` is NULL on a cycle without glitches).  Bucket
+#: 0 runs before level 0.  The inverting ops and BUF combine with the
 #: all-machines words ``f`` (``NOT a = a ^ f``, ``BUF a = a & f``), so
 #: padding lanes past the last machine keep the numpy sweep's bits.
 #: Op numbers are ``netlist.OP_*``.
+#:
+#: ``clock_edge``: the flop commit in place, then every stacked memory
+#: group in the interpreted simulator's order.  Per member, the lanes
+#: whose address agrees with machine 0's read and write the golden word
+#: word-parallel; every other lane runs the per-lane loop.  A write
+#: goes bit by bit, each bit followed by the couplings whose aggressor
+#: is that cell; stuck cells land after the writes, and patch the read
+#: data only on a member where no lane diverged.  An address is the sum
+#: of its set bits' weights ``2**a % depth``, reduced as it goes, so any
+#: address width is exact.
 _SWEEP_C = r"""
 #include <stdint.h>
 typedef uint64_t u64;
@@ -162,6 +174,139 @@ void sweep(u64 *v, i64 W, const u64 *f, i64 depth, const i64 *levels,
         }
     }
 }
+
+/* One stacked memory group (_MemGroup, bound as _MemTable). */
+typedef struct {
+    i64 members, depth, width, abits;
+    const i64 *addr_rows;           /* (G, A) */
+    const i64 *weight;              /* (A,): 2**a % depth */
+    const i64 *we_rows;             /* (G,) */
+    const i64 *wdata_rows;          /* (G, width) */
+    u64 *store;                     /* (G, depth, W, width) */
+    u64 *rdata;                     /* (G, width, W) */
+    i64 nstuck;
+    const i64 *stuck;               /* (S, 3): member, word, bit */
+    const u64 *stuck_nc, *stuck_set; /* (S, W): ~clear, set */
+    const i64 *coff;                /* (G * depth + 1) or NULL */
+    const i64 *cpl;                 /* (C, 3): agg bit, vic word, vic bit */
+    const u64 *cmask;               /* (C, W) */
+} memgroup;
+
+/* Write word a of member m in the lanes of mask[0:w1-w0] (words w0 to
+   w1), bit by bit; a bit's transition flips the victims of the
+   couplings whose aggressor is that cell, before the next bit. */
+static void mem_write(const memgroup *g, const u64 *v, i64 W, i64 m,
+                      i64 a, i64 w0, i64 w1, const u64 *mask)
+{
+    const i64 width = g->width, stride = W * width;
+    u64 *member = g->store + m * g->depth * stride;
+    u64 *word = member + a * stride;
+    const i64 *wd = g->wdata_rows + m * width;
+    i64 e = 0, end = 0;
+    if (g->coff) {
+        e = g->coff[m * g->depth + a];
+        end = g->coff[m * g->depth + a + 1];
+    }
+    for (i64 b = 0; b < width; b++) {
+        const u64 *src = v + wd[b] * W;
+        i64 e1 = e;
+        while (e1 < end && g->cpl[3 * e1] == b)
+            e1++;
+        for (i64 w = w0; w < w1; w++) {
+            u64 *cell = word + w * width + b;
+            u64 t = (*cell ^ src[w]) & mask[w - w0];
+            *cell ^= t;
+            if (t)
+                for (i64 c = e; c < e1; c++) {
+                    const i64 *cp = g->cpl + 3 * c;
+                    member[cp[1] * stride + w * width + cp[2]] ^=
+                        t & g->cmask[c * W + w];
+                }
+        }
+        e = e1;
+    }
+}
+
+static i64 lane_address(const memgroup *g, const u64 *v, i64 W,
+                        const i64 *rows, i64 w, int s)
+{
+    i64 a = 0;
+    for (i64 i = 0; i < g->abits; i++)
+        if ((v[rows[i] * W + w] >> s) & 1) {
+            a += g->weight[i];
+            if (a >= g->depth)
+                a -= g->depth;
+        }
+    return a;
+}
+
+void clock_edge(const u64 *v, i64 W, const u64 *f, i64 nflops,
+                const i64 *flop_rows, const u64 *init, u64 *state,
+                i64 ngroups, const memgroup *groups, u64 *scratch)
+{
+    const i64 *d = flop_rows, *en = d + nflops, *rst = en + nflops;
+    for (i64 i = 0; i < nflops; i++) {
+        const u64 *dv = v + d[i] * W, *ev = v + en[i] * W,
+                  *rv = v + rst[i] * W, *iv = init + i * W;
+        u64 *q = state + i * W;
+        for (i64 w = 0; w < W; w++) {
+            u64 nxt = (dv[w] & ev[w]) | (q[w] & ~ev[w]);
+            q[w] = (iv[w] & rv[w]) | (nxt & ~rv[w]);
+        }
+    }
+    u64 *mism = scratch, *uw = scratch + W;
+    for (const memgroup *g = groups; g < groups + ngroups; g++) {
+        const i64 width = g->width, stride = W * width;
+        i64 s = 0;
+        for (i64 m = 0; m < g->members; m++) {
+            const i64 *rows = g->addr_rows + m * g->abits;
+            const u64 *we = v + g->we_rows[m] * W;
+            u64 *rd = g->rdata + m * width * W, any = 0, writes = 0;
+            i64 a0 = lane_address(g, v, W, rows, 0, 0);
+            const u64 *word = g->store + (m * g->depth + a0) * stride;
+            for (i64 w = 0; w < W; w++) {
+                u64 x = 0;              /* lanes off machine 0's address */
+                for (i64 i = 0; i < g->abits; i++) {
+                    const u64 *row = v + rows[i] * W;
+                    x |= row[w] ^ (-(row[0] & 1) & f[w]);
+                }
+                mism[w] = x;
+                any |= x;
+                uw[w] = we[w] & ~x;
+                writes |= uw[w];
+                for (i64 b = 0; b < width; b++)
+                    rd[b * W + w] = word[w * width + b] & ~x;
+            }
+            if (writes)
+                mem_write(g, v, W, m, a0, 0, W, uw);
+            for (i64 w = 0; w < W; w++)
+                for (u64 lanes = mism[w]; lanes; lanes &= lanes - 1) {
+                    int k = __builtin_ctzll(lanes);
+                    u64 lane = (u64)1 << k;
+                    i64 a = lane_address(g, v, W, rows, w, k);
+                    const u64 *cells = g->store
+                        + (m * g->depth + a) * stride + w * width;
+                    for (i64 b = 0; b < width; b++)
+                        rd[b * W + w] |= cells[b] & lane;
+                    if (we[w] & lane)
+                        mem_write(g, v, W, m, a, w, w + 1, &lane);
+                }
+            for (; s < g->nstuck && g->stuck[3 * s] == m; s++) {
+                const i64 *st = g->stuck + 3 * s;
+                const u64 *nc = g->stuck_nc + s * W,
+                          *set = g->stuck_set + s * W;
+                u64 *cell = g->store + (m * g->depth + st[1]) * stride
+                    + st[2];
+                for (i64 w = 0; w < W; w++)
+                    cell[w * width] = (cell[w * width] & nc[w]) | set[w];
+                if (!any && st[1] == a0)
+                    for (i64 w = 0; w < W; w++)
+                        rd[st[2] * W + w] =
+                            (rd[st[2] * W + w] & nc[w]) | set[w];
+            }
+        }
+    }
+}
 """
 
 _CC_FLAGS = ("-O2", "-shared", "-fPIC")
@@ -169,6 +314,8 @@ _PTR = ctypes.c_void_p
 _I64 = ctypes.c_int64
 _SWEEP_ARGTYPES = (_PTR, _I64, _PTR, _I64, _PTR, _PTR, _PTR,
                    _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR)
+_EDGE_ARGTYPES = (_PTR, _I64, _PTR, _I64, _PTR, _PTR, _PTR, _I64, _PTR,
+                  _PTR)
 #: the glitch arguments of a sweep on a cycle without glitches
 _NO_GLITCHES = (None, None, None)
 
@@ -176,7 +323,7 @@ _NO_GLITCHES = (None, None, None)
 def _kernel_error(reason: str) -> CompileError:
     return CompileError(Diagnostic(
         code=KERNEL_CODE,
-        message=f"the compiled kernel's C level sweep could not be "
+        message=f"the compiled kernel's C library could not be "
                 f"built: {reason}"))
 
 
@@ -209,7 +356,7 @@ def _run_cc(args: list[str]) -> subprocess.CompletedProcess:
 
 @functools.cache
 def _sweep_library() -> ctypes.CDLL:
-    """The C sweep, built into the user's cache on first use.
+    """The C kernel, built into the user's cache on first use.
 
     The library's file name is keyed on the SHA-256 of the C source,
     the compiler's ``--version`` and the flags; a build writes a temp
@@ -250,6 +397,8 @@ def _sweep_library() -> ctypes.CDLL:
                             f"to rebuild") from err
     lib.sweep.argtypes = _SWEEP_ARGTYPES
     lib.sweep.restype = None
+    lib.clock_edge.argtypes = _EDGE_ARGTYPES
+    lib.clock_edge.restype = None
     return lib
 
 
@@ -362,14 +511,15 @@ class CompiledCircuit:
         flops = circuit.flops
         self.flop_q_rows = perm[np.array([f.q for f in flops],
                                          dtype=np.intp)]
-        self.flop_d_rows = perm[np.array([f.d for f in flops],
-                                         dtype=np.intp)]
-        self.flop_en_rows = np.array(
-            [self.one_row if f.en is None else perm[f.en]
-             for f in flops], dtype=np.intp)
-        self.flop_rst_rows = np.array(
-            [self.zero_row if f.rst is None else perm[f.rst]
-             for f in flops], dtype=np.intp)
+        # the clock edge's (3, F) table: every flop's d row, then its
+        # en row (the one row without en), then its rst row (the zero
+        # row without rst)
+        self.flop_rows = np.array(
+            [[perm[f.d] for f in flops],
+             [self.one_row if f.en is None else perm[f.en]
+              for f in flops],
+             [self.zero_row if f.rst is None else perm[f.rst]
+              for f in flops]], dtype=np.int64).reshape(3, -1)
         self.flop_init = np.array([bool(f.init) for f in flops],
                                   dtype=bool)
 
@@ -499,46 +649,57 @@ def decompile(compiled: CompiledCircuit) -> Circuit:
 # ----------------------------------------------------------------------
 # the simulator
 # ----------------------------------------------------------------------
+class _MemTable(ctypes.Structure):
+    """One stacked memory group as the C clock edge reads it
+    (``memgroup`` in ``_SWEEP_C``)."""
+
+    _fields_ = [*((name, _I64) for name in
+                  ("members", "depth", "width", "abits")),
+                *((name, _PTR) for name in
+                  ("addr_rows", "weight", "we_rows", "wdata_rows",
+                   "store", "rdata")),
+                ("nstuck", _I64),
+                *((name, _PTR) for name in
+                  ("stuck", "stuck_nc", "stuck_set", "coff", "cpl",
+                   "cmask"))]
+
+
 class _MemGroup:
     """Memories of one (depth, width, address bits) shape, stacked.
 
     One ``(G, depth, W, width)`` store holds the G members (a banked
-    design has one per bank), so the memory step runs once per group
-    and cycle instead of once per memory.  The divergent-lane
-    selection of the last cycle is kept and reused while the
-    address-mismatch words repeat.
+    design has one per bank), so the clock edge steps them in one loop.
+    Read data is one ``(G * width, W)`` array in ``rdata_rows`` order.
+    ``table`` is the C view of the group; its stuck-cell and coupling
+    fields are bound by :meth:`CompiledSimulator._bind_edge`.
     """
 
-    __slots__ = ("members", "depth", "store", "rdata", "addr_rows",
-                 "we_rows", "wdata_rows", "rdata_rows", "pow2", "gidx",
-                 "sel_mism", "sel")
+    __slots__ = ("members", "store", "rdata", "rdata_rows", "table",
+                 "_tables")
 
     def __init__(self, cc: CompiledCircuit, members: list[int],
                  depth: int, width: int, words: int):
         G = len(members)
         self.members = members
-        self.depth = depth
-        # transposed store layout (depth, W, width) per member: one
-        # fancy-index per divergent-address access touches all bits of
-        # a word
         self.store = np.zeros((G, depth, words, width), dtype=_U64)
-        self.rdata = np.zeros((G, words, width), dtype=_U64)
-        self.addr_rows = np.stack([cc.mem_addr_rows[mi]
-                                   for mi in members])      # (G, A)
-        self.we_rows = np.asarray([cc.mem_we_rows[mi]
-                                   for mi in members], dtype=np.intp)
-        self.wdata_rows = np.stack([cc.mem_wdata_rows[mi]
-                                    for mi in members])     # (G, width)
+        self.rdata = np.zeros((G * width, words), dtype=_U64)
         self.rdata_rows = np.concatenate([cc.mem_rdata_rows[mi]
                                           for mi in members])
-        # address-bit weights: golden/per-lane addresses assemble as a
-        # dot product instead of a Python loop over address bits
-        self.pow2 = np.left_shift(
-            np.int64(1), np.arange(self.addr_rows.shape[1],
-                                   dtype=np.int64))
-        self.gidx = np.arange(G, dtype=np.intp)
-        self.sel_mism: np.ndarray | None = None
-        self.sel: tuple | None = None
+        abits = len(cc.mem_addr_rows[members[0]])
+        self._tables = (
+            np.array([cc.mem_addr_rows[mi] for mi in members],
+                     dtype=np.int64).reshape(G, abits),
+            # address bit a weighs 2**a % depth: exact at any width
+            np.array([pow(2, a, depth) for a in range(abits)],
+                     dtype=np.int64),
+            np.array([cc.mem_we_rows[mi] for mi in members],
+                     dtype=np.int64),
+            np.array([cc.mem_wdata_rows[mi] for mi in members],
+                     dtype=np.int64).reshape(G, width))
+        self.table = _MemTable(
+            G, depth, width, abits,
+            *(t.ctypes.data for t in self._tables),
+            self.store.ctypes.data, self.rdata.ctypes.data)
 
 
 class _Overlay(NamedTuple):
@@ -586,37 +747,21 @@ class _BridgePlan(NamedTuple):
     set_base: np.ndarray
 
 
-class _Couplings:
-    """One memory group's coupling faults as stacked arrays.
+class _EdgePlan(NamedTuple):
+    """The C clock edge's arguments for one memory-fault set.
 
-    Sorted stably by aggressor bit, the order the interpreted write
-    loop visits them in.  ``persist`` marks the couplings whose flip
-    survives the cycle's write (a victim in another word, or at or
-    below the aggressor bit); the others flip a higher bit of the word
-    being written, which the write then overwrites, but the flipped
-    value is what that bit's own transition is measured against:
-    ``feeds`` lists ``(coupling, couplings whose aggressor is its
-    victim cell)``.
+    ``tables`` holds one ``memgroup`` per stacked group; ``arrays`` are
+    the stuck-cell and coupling tables its pointers reach into.  A
+    stuck table is ``(member, word, bit)`` rows in member order with
+    ``(~clear, set)`` words.  Couplings are sorted stably by member,
+    aggressor word and aggressor bit, ``(aggressor bit, victim word,
+    victim bit)`` rows with mask words, indexed by ``(member,
+    aggressor word)`` offsets.
     """
 
-    __slots__ = ("member", "aw", "ab", "vw", "vb", "mask", "persist",
-                 "feeds")
-
-    def __init__(self, entries: list[tuple]):
-        entries.sort(key=lambda e: e[2])
-        cols = list(zip(*entries))
-        self.member, self.aw, self.ab, self.vw, self.vb = (
-            np.asarray(c, dtype=np.intp) for c in cols[:5])
-        self.mask = np.stack(cols[5])
-        over = (self.vw == self.aw) & (self.vb > self.ab)
-        self.persist = np.flatnonzero(~over)
-        self.feeds = []
-        for k in np.flatnonzero(over):
-            fed = np.flatnonzero((self.member == self.member[k])
-                                 & (self.aw == self.aw[k])
-                                 & (self.ab == self.vb[k]))
-            if len(fed):
-                self.feeds.append((k, fed))
+    args: tuple
+    tables: ctypes.Array
+    arrays: list
 
 
 class CompiledSimulator(SimulatorBase):
@@ -656,7 +801,9 @@ class CompiledSimulator(SimulatorBase):
         self._vals[cc.one_row] = self._full
         if len(cc.const1_rows):
             self._vals[cc.const1_rows] = self._full
-        self._sweep = _sweep_library().sweep
+        lib = _sweep_library()
+        self._sweep = lib.sweep
+        self._edge = lib.clock_edge
         #: the sweep's leading arguments, fixed for this simulator: the
         #: value array, the all-machines words and the program tables
         self._sweep_head = (
@@ -670,8 +817,9 @@ class CompiledSimulator(SimulatorBase):
             if F else np.zeros((0, W), dtype=_U64)
         self._flop_init_words = self._flop_state.copy()
 
-        # same-shape memories share one stacked store and one memory
-        # step; _mem_store[mi] is memory mi's (depth, W, width) view
+        # same-shape memories share one stacked store and one loop of
+        # the clock edge; _mem_store[mi] is memory mi's (depth, W,
+        # width) view
         shapes: dict[tuple[int, int, int], list[int]] = {}
         for mi, m in enumerate(self.circuit.memories):
             shapes.setdefault((m.depth, m.width,
@@ -686,8 +834,10 @@ class CompiledSimulator(SimulatorBase):
         self._mem_store = [self._mem_groups[gi].store[j]
                            for gi, j in self._mem_slot]
 
+        #: per port: its rows, its byte count and its value mask
         self._input_rows = {
-            name: cc.perm[np.asarray(nets, dtype=np.intp)]
+            name: (cc.perm[np.asarray(nets, dtype=np.intp)],
+                   (len(nets) + 7) // 8, (1 << len(nets)) - 1)
             for name, nets in self.circuit.inputs.items()}
         # last-driven value per port: rows of an unchanged port are
         # only rewritten by eval-start overlays, which are idempotent,
@@ -697,21 +847,11 @@ class CompiledSimulator(SimulatorBase):
         self._input_nets = {net for nets in self.circuit.inputs.values()
                             for net in nets}
         self._input_cache_ok = True
-        # double-buffered flop state + scratch for zero-alloc commits
-        self._state_alt = np.zeros_like(self._flop_state)
-        self._fbuf_a = np.empty_like(self._flop_state)
-        self._fbuf_b = np.empty_like(self._flop_state)
         self._flop_index = {f.name: i
                             for i, f in enumerate(self.circuit.flops)}
         self._mem_index = {m.name: i for i, m
                            in enumerate(self.circuit.memories)}
         self._net_index: dict[str, int] | None = None
-
-        # per-machine word/bit coordinates for the divergent-address
-        # memory path
-        lanes = np.arange(machines, dtype=np.intp)
-        self._lane_word = lanes >> 6
-        self._lane_shift = (lanes & 63).astype(_U64)
 
         # fault state: original net id -> (clear, set) word vectors
         self._forced: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -723,11 +863,10 @@ class CompiledSimulator(SimulatorBase):
         self._bridges: list[tuple] = []
         self._bridge_plan: _BridgePlan | None = None
         self._mem_stuck: dict[int, dict[tuple[int, int], tuple]] = {}
-        # per-group stacked (members, words, bits, ~clear, set) arrays,
-        # built lazily from _mem_stuck and applied as one gather/scatter
-        self._mem_stuck_cache: dict[int, tuple | None] = {}
         self._mem_coupling: dict[int, list[tuple]] = {}
-        self._coupling_cache: dict[int, _Couplings | None] = {}
+        #: the clock edge's arguments, rebound when memory faults change
+        self._edge_plan: _EdgePlan | None = None
+        self._edge_scratch = np.zeros(2 * W, dtype=_U64)
 
         self.collect_toggles = collect_toggles
         n = cc.num_nets
@@ -798,9 +937,17 @@ class CompiledSimulator(SimulatorBase):
                               self._pack(self._mask(machines))))
         self._bridge_plan = None
 
+    def _check_cell(self, mem: int, word: int, bit: int) -> None:
+        block = self.circuit.memories[mem]
+        if not (0 <= word < block.depth and 0 <= bit < block.width):
+            raise IndexError(f"cell ({word}, {bit}) is outside memory "
+                             f"{block.name!r} ({block.depth} words of "
+                             f"{block.width} bits)")
+
     def set_mem_cell_stuck(self, mem, word: int, bit: int, value: int,
                            machines=None) -> None:
         mem = self._resolve_mem(mem)
+        self._check_cell(mem, word, bit)
         mask = self._pack(self._mask(machines))
         table = self._mem_stuck.setdefault(mem, {})
         clear, setm = table.get(
@@ -809,7 +956,7 @@ class CompiledSimulator(SimulatorBase):
         clear = clear | mask
         setm = (setm & ~mask) | (mask if value else _U64(0))
         table[(word, bit)] = (clear, setm)
-        self._mem_stuck_cache.pop(self._mem_slot[mem][0], None)
+        self._edge_plan = None
 
     def schedule_mem_flip(self, mem, word: int, bit: int, cycle: int,
                           machines=None) -> None:
@@ -821,10 +968,12 @@ class CompiledSimulator(SimulatorBase):
                          victim: tuple[int, int], machines=None) -> None:
         """Coupling fault: a write transition on aggressor flips victim."""
         mem = self._resolve_mem(mem)
+        self._check_cell(mem, *aggressor)
+        self._check_cell(mem, *victim)
         self._mem_coupling.setdefault(mem, []).append(
             (tuple(aggressor), tuple(victim),
              self._pack(self._mask(machines))))
-        self._coupling_cache.pop(self._mem_slot[mem][0], None)
+        self._edge_plan = None
 
     def clear_faults(self) -> None:
         self._forced.clear()
@@ -833,28 +982,28 @@ class CompiledSimulator(SimulatorBase):
         self._mem_flips.clear()
         self._bridges.clear()
         self._mem_stuck.clear()
-        self._mem_stuck_cache.clear()
         self._mem_coupling.clear()
-        self._coupling_cache.clear()
         self._overlay_plan = None
         self._bridge_plan = None
+        self._edge_plan = None
 
     # ------------------------------------------------------------------
     # state access
     # ------------------------------------------------------------------
     def set_input(self, name: str, value: int) -> None:
         try:
-            rows = self._input_rows[name]
+            rows, nbytes, mask = self._input_rows[name]
         except KeyError:
             raise NetlistError(f"no input named {name!r}") from None
         if self._input_cache_ok:
             if self._input_last.get(name) == value:
                 return
             self._input_last[name] = value
-        bits = np.asarray(
-            [(value >> b) & 1 for b in range(len(rows))], dtype=bool)
-        self._vals[rows] = np.where(bits[:, None], self._full,
-                                    _U64(0))
+        bits = np.unpackbits(
+            np.frombuffer((int(value) & mask).to_bytes(nbytes, "little"),
+                          dtype=np.uint8),
+            count=len(rows), bitorder="little")
+        self._vals[rows] = self._golden_words.take(bits, 0)
 
     def set_input_lane(self, name: str, machine: int, value: int) \
             -> None:
@@ -1030,9 +1179,7 @@ class CompiledSimulator(SimulatorBase):
         if len(cc.flop_q_rows):
             vals[cc.flop_q_rows] = self._flop_state
         for group in self._mem_groups:
-            if len(group.rdata_rows):
-                vals[group.rdata_rows] = group.rdata.transpose(
-                    0, 2, 1).reshape(-1, self.words)
+            vals[group.rdata_rows] = group.rdata
         # overlays may have clobbered constant rows last cycle
         if len(cc.const0_rows):
             vals[cc.const0_rows] = _U64(0)
@@ -1093,28 +1240,59 @@ class CompiledSimulator(SimulatorBase):
         self._t_seen0 |= (nets != self._full).any(axis=1)
 
     def clock_edge(self) -> None:
-        cc = self.compiled
-        vals = self._vals
-        if len(cc.flop_d_rows):
-            d = vals.take(cc.flop_d_rows, 0, self._fbuf_a, "clip")
-            en = vals.take(cc.flop_en_rows, 0, self._fbuf_b, "clip")
-            q = self._flop_state
-            nxt = self._state_alt
-            np.bitwise_and(d, en, out=nxt)      # d & en
-            np.bitwise_not(en, out=en)
-            np.bitwise_and(q, en, out=en)       # q & ~en
-            np.bitwise_or(nxt, en, out=nxt)
-            rst = vals.take(cc.flop_rst_rows, 0, self._fbuf_a, "clip")
-            np.bitwise_and(self._flop_init_words, rst,
-                           out=self._fbuf_b)    # init & rst
-            np.bitwise_not(rst, out=rst)
-            np.bitwise_and(nxt, rst, out=nxt)
-            np.bitwise_or(nxt, self._fbuf_b, out=nxt)
-            self._state_alt = q
-            self._flop_state = nxt
-        for gi, group in enumerate(self._mem_groups):
-            self._mem_cycle(gi, group)
+        """The flop commit and every memory's step: one C call."""
+        if self._edge_plan is None:
+            self._edge_plan = self._bind_edge()
+        self._edge(*self._edge_plan.args)
         self.cycle += 1
+
+    def _bind_edge(self) -> _EdgePlan:
+        """The clock edge's arguments, with every group's stuck-cell
+        and coupling tables built from the armed memory faults."""
+        cc = self.compiled
+        W = self.words
+        groups = self._mem_groups
+        tables = (_MemTable * len(groups))(*(g.table for g in groups))
+        arrays: list = []
+        for table, group in zip(tables, groups):
+            stuck = [(j, word, bit, ~clear, setm)
+                     for j, mi in enumerate(group.members)
+                     for (word, bit), (clear, setm)
+                     in self._mem_stuck.get(mi, {}).items()]
+            if stuck:
+                cells, nc, setm = (
+                    np.array([e[:3] for e in stuck], dtype=np.int64),
+                    np.stack([e[3] for e in stuck]),
+                    np.stack([e[4] for e in stuck]))
+                arrays += (cells, nc, setm)
+                table.nstuck = len(stuck)
+                table.stuck, table.stuck_nc, table.stuck_set = (
+                    cells.ctypes.data, nc.ctypes.data, setm.ctypes.data)
+            couplings = sorted(
+                ((j * table.depth + aw, ab, vw, vb, mask)
+                 for j, mi in enumerate(group.members)
+                 for (aw, ab), (vw, vb), mask
+                 in self._mem_coupling.get(mi, ())),
+                key=lambda e: e[:2])
+            if couplings:
+                offsets = np.zeros(table.members * table.depth + 1,
+                                   dtype=np.int64)
+                np.cumsum(np.bincount([e[0] for e in couplings],
+                                      minlength=len(offsets) - 1),
+                          out=offsets[1:])
+                cells = np.array([e[1:4] for e in couplings],
+                                 dtype=np.int64)
+                masks = np.stack([e[4] for e in couplings])
+                arrays += (offsets, cells, masks)
+                table.coff, table.cpl, table.cmask = (
+                    offsets.ctypes.data, cells.ctypes.data,
+                    masks.ctypes.data)
+        args = (self._vals.ctypes.data, W, self._full.ctypes.data,
+                len(self._flop_state), cc.flop_rows.ctypes.data,
+                self._flop_init_words.ctypes.data,
+                self._flop_state.ctypes.data, len(tables),
+                ctypes.addressof(tables), self._edge_scratch.ctypes.data)
+        return _EdgePlan(args, tables, arrays)
 
     def _begin_cycle_events(self) -> None:
         flips = self._flop_flips.get(self.cycle)
@@ -1125,201 +1303,6 @@ class CompiledSimulator(SimulatorBase):
         if mflips:
             for mi, word, bit, mask in mflips:
                 self._mem_store[mi][word, :, bit] ^= mask
-
-    # ------------------------------------------------------------------
-    # memory engine
-    # ------------------------------------------------------------------
-    def _mem_cycle(self, gi: int, group: _MemGroup) -> None:
-        """One clock edge of every memory in ``group``.
-
-        Per member: a golden-address base read/write, plus a scatter
-        patch restricted to the (usually few) lanes whose address
-        diverges from machine 0's.  All reads are gathered before any
-        write lands; lane isolation makes the interpreted per-machine
-        loop order-independent, so this is bit-equivalent.
-        """
-        vals = self._vals
-        store = group.store                         # (G, depth, W, width)
-        one = _U64(1)
-        addr_rows = vals[group.addr_rows]           # (G, A, W)
-        we = vals[group.we_rows]                    # (G, W)
-
-        # golden address + lanes-that-diverge words, in one sweep: a
-        # lane agrees with machine 0 iff every address row matches its
-        # golden words
-        b0 = addr_rows[:, :, 0] & one               # (G, A)
-        diff = self._golden_words.take(b0, 0, None, "clip")
-        np.bitwise_xor(addr_rows, diff, out=diff)   # (G, A, W)
-        mism = np.bitwise_or.reduce(diff, axis=1)   # (G, W)
-        addr = (b0.astype(np.int64) @ group.pow2) % group.depth  # (G,)
-        diverged = mism.any(axis=1)                 # (G,)
-        gidx = group.gidx
-
-        rdata = store[gidx, addr]                   # (G, W, width) copy
-        agree = ~mism
-        wdata = None
-        writers = None
-        divergent = diverged.any()
-        couplings = self._couplings(gi, group) if self._mem_coupling \
-            else None
-        if couplings is not None:                   # pre-write cells
-            aggressed = store[couplings.member, couplings.aw, :,
-                              couplings.ab]         # (C, W) copy
-        if divergent:
-            gD, wD, bitD, starts, seg = self._divergent_lanes(group,
-                                                              mism)
-            lane_bits = addr_rows[gD, :, wD] & bitD  # (D, A)
-            addrs = ((lane_bits != 0) @ group.pow2) % group.depth
-            contrib = store[gD, addrs, wD] & bitD   # (D, width)
-            np.bitwise_and(rdata, agree[:, :, None], out=rdata)
-            rdata[seg] |= np.bitwise_or.reduceat(contrib, starts,
-                                                 axis=0)
-
-        uw = we & agree                             # uniform writers
-        if uw.any():
-            # wdata rows are (G, width, W); the store is transposed
-            wdata = vals[group.wdata_rows].transpose(0, 2, 1)
-            word = store[gidx, addr]
-            word &= ~uw[:, :, None]
-            word |= wdata & uw[:, :, None]
-            store[gidx, addr] = word
-
-        if divergent:
-            webits = (we[gD, wD] & bitD[:, 0]) != 0
-            if webits.any():
-                if wdata is None:
-                    wdata = vals[group.wdata_rows].transpose(0, 2, 1)
-                sel = np.nonzero(webits)[0]
-                aw = addrs[sel]
-                gw = gD[sel]
-                ww = wD[sel]
-                lane = bitD[sel]                    # (K, 1)
-                wd = wdata[gw, ww] & lane
-                # group writers hitting the same (memory, word,
-                # lane-word) cell so the read-modify-write can use
-                # unique fancy indices
-                key = (gw * np.int64(self.words) + ww) \
-                    * np.int64(group.depth) + aw
-                order = np.argsort(key, kind="stable")
-                sorted_key = key[order]
-                kmask = np.empty(sorted_key.shape[0], dtype=bool)
-                kmask[0] = True
-                np.not_equal(sorted_key[1:], sorted_key[:-1],
-                             out=kmask[1:])
-                kstarts = np.flatnonzero(kmask)
-                clear = np.bitwise_or.reduceat(lane[order], kstarts,
-                                               axis=0)
-                setm = np.bitwise_or.reduceat(wd[order], kstarts, axis=0)
-                first = order[kstarts]
-                at = (gw[first], aw[first], ww[first])
-                cell = store[at]
-                np.bitwise_and(cell, ~clear, out=cell)
-                np.bitwise_or(cell, setm, out=cell)
-                store[at] = cell
-                writers = (gw, aw, ww, lane)
-
-        if couplings is not None:
-            self._apply_couplings(group, couplings, aggressed, addr, uw,
-                                  writers)
-
-        if self._mem_stuck:
-            stuck = self._stuck_cells(gi, group)
-            if stuck is not None:
-                sg, sw, sb, nclear, sset = stuck
-                cells = store[sg, sw, :, sb]        # (S, W) copy
-                np.bitwise_and(cells, nclear, out=cells)
-                np.bitwise_or(cells, sset, out=cells)
-                store[sg, sw, :, sb] = cells
-                # the interpreted simulator patches read data only on the
-                # uniform path — replicated bit-for-bit
-                rsel = np.flatnonzero((sw == addr[sg]) & ~diverged[sg]) \
-                    if not diverged.all() else ()
-                if len(rsel):
-                    rg = sg[rsel]
-                    cols = sb[rsel]
-                    rdata[rg, :, cols] = (rdata[rg, :, cols]
-                                          & nclear[rsel]) | sset[rsel]
-
-        group.rdata = rdata
-
-    def _divergent_lanes(self, group: _MemGroup, mism: np.ndarray):
-        """The lanes whose address diverges, reused while ``mism``
-        repeats: ``(members, lane words, (D, 1) lane bit masks,
-        segment starts, (member, word) index of each segment)``."""
-        if group.sel is not None and \
-                np.array_equal(mism, group.sel_mism):
-            return group.sel
-        gD, dsel = np.nonzero(
-            (mism[:, self._lane_word] >> self._lane_shift) & _U64(1))
-        wD = self._lane_word[dsel]
-        bitD = (_U64(1) << self._lane_shift[dsel])[:, None]
-        # nonzero ascends row-major, so (member, word) pairs are
-        # sorted: the per-word OR-pack is segmented
-        key = gD * self.words + wD
-        smask = np.empty(key.shape[0], dtype=bool)
-        smask[0] = True
-        np.not_equal(key[1:], key[:-1], out=smask[1:])
-        starts = np.flatnonzero(smask)
-        group.sel_mism = mism
-        group.sel = (gD, wD, bitD, starts, (gD[starts], wD[starts]))
-        return group.sel
-
-    def _couplings(self, gi: int, group: _MemGroup):
-        """The group's coupling faults, or ``None``."""
-        if gi not in self._coupling_cache:
-            entries = [(j, aw, ab, vw, vb, mask)
-                       for j, mi in enumerate(group.members)
-                       for (aw, ab), (vw, vb), mask
-                       in self._mem_coupling.get(mi, ())]
-            self._coupling_cache[gi] = _Couplings(entries) \
-                if entries else None
-        return self._coupling_cache[gi]
-
-    def _apply_couplings(self, group: _MemGroup, cp: _Couplings,
-                         aggressed: np.ndarray, addr: np.ndarray,
-                         uw: np.ndarray, writers) -> None:
-        """Flip the victims of the aggressor cells this cycle wrote.
-
-        Mirrors the interpreted per-bit write loop: a transition is
-        measured against the cell as the loop finds it (so a flip from
-        a lower bit of the same write counts), the flips land after the
-        cycle's read data was captured, and a flip never triggers
-        another coupling by itself.
-        """
-        # lanes of each coupling that wrote its aggressor word
-        hit = np.where((addr[cp.member] == cp.aw)[:, None],
-                       uw[cp.member], _U64(0))      # (C, W)
-        if writers is not None:
-            gw, aw, ww, lane = writers
-            ci, ki = np.nonzero((cp.member[:, None] == gw[None, :])
-                                & (cp.aw[:, None] == aw[None, :]))
-            if len(ci):
-                np.bitwise_or.at(hit, (ci, ww[ki]), lane[ki, 0])
-        hit &= cp.mask
-        if not hit.any():
-            return
-        diff = aggressed ^ self._vals[group.wdata_rows[cp.member, cp.ab]]
-        for k, fed in cp.feeds:
-            diff[fed] ^= diff[k] & hit[k]
-        flips = diff & hit
-        p = cp.persist
-        np.bitwise_xor.at(group.store, (cp.member[p], cp.vw[p],
-                                        slice(None), cp.vb[p]), flips[p])
-
-    def _stuck_cells(self, gi: int, group: _MemGroup):
-        """The group's stuck-at cells as stacked arrays, or ``None``."""
-        if gi not in self._mem_stuck_cache:
-            entries = [(j, word, bit, clear, setm)
-                       for j, mi in enumerate(group.members)
-                       for (word, bit), (clear, setm)
-                       in self._mem_stuck.get(mi, {}).items()]
-            self._mem_stuck_cache[gi] = (
-                np.asarray([e[0] for e in entries], dtype=np.intp),
-                np.asarray([e[1] for e in entries], dtype=np.intp),
-                np.asarray([e[2] for e in entries], dtype=np.intp),
-                np.stack([~e[3] for e in entries]),
-                np.stack([e[4] for e in entries])) if entries else None
-        return self._mem_stuck_cache[gi]
 
     # ------------------------------------------------------------------
     # toggle maps in net order (the campaign's toggle merge)

@@ -28,6 +28,7 @@ inputs, bit for bit:
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.faultinjection import (
@@ -153,7 +154,7 @@ def _sweep_and_compare(circuit, seed, machines, cycles=8,
     """Run both simulators under the fault load ``arm`` draws; any
     divergence of a net, flop, memory cell or toggle map fails.  With
     ``fired``, the tag of every coupling the oracle flipped is added
-    to it."""
+    to it.  Returns the compiled simulator."""
     rng = random.Random(seed * 7919 + machines)
     isim = Simulator(circuit, machines=machines, collect_toggles=True,
                      toggle_any_machine=True)
@@ -188,6 +189,7 @@ def _sweep_and_compare(circuit, seed, machines, cycles=8,
                         csim._unpack(csim._mem_store[mi][w, :, b]), \
                         (seed, machines, cyc, mem.name, w, b)
     assert isim._seen0 == csim._seen0 and isim._seen1 == csim._seen1
+    return csim
 
 
 def test_fuzzed_circuits_bit_identical():
@@ -239,22 +241,23 @@ def _sweep_banked(circuit, seed, machines, cycles=16):
     """Address-line stuck-ats in every bank plus cell flips and stuck
     cells, compared every cycle against the interpreted oracle.
 
-    Returns, per memory-step call that had diverging lanes, whether
-    the kernel could reuse the last cycle's lane selection.
+    Returns how many oracle memory steps took the uniform path (every
+    lane on one address) and how many the per-lane path.
     """
     rng = random.Random(seed)
     isim = Simulator(circuit, machines=machines)
     csim = CompiledSimulator(compile_circuit(circuit),
                              machines=machines)
-    reused = []
-    select = csim._divergent_lanes
+    paths = {"uniform": 0, "per-lane": 0}
+    step = isim._mem_cycle
 
-    def spy(group, mism):
-        reused.append(group.sel is not None
-                      and (mism == group.sel_mism).all())
-        return select(group, mism)
+    def spy(mi, mem):
+        uniform = all(isim._values[n] in (0, isim.full_mask)
+                      for n in mem.addr)
+        paths["uniform" if uniform else "per-lane"] += 1
+        step(mi, mem)
 
-    csim._divergent_lanes = spy
+    isim._mem_cycle = spy
     for k in range(1, machines):
         mem = rng.choice(circuit.memories)
         kind = rng.randrange(3)
@@ -290,18 +293,20 @@ def _sweep_banked(circuit, seed, machines, cycles=16):
                 assert isim.read_mem_word(mem.name, w, machine=mch) \
                     == csim.read_mem_word(mem.name, w, machine=mch), \
                     (seed, machines, mem.name, w, mch)
-    return reused
+    return paths
 
 
 @pytest.mark.parametrize("banks", [2, 4])
 def test_stacked_memory_banks_bit_identical(banks):
-    reused = []
+    paths = {"uniform": 0, "per-lane": 0}
     for seed in range(24):
         circuit = fuzz_banked_circuit(seed, banks)
-        reused += _sweep_banked(circuit, seed,
-                                MACHINE_SWEEP[seed % len(MACHINE_SWEEP)])
-    # both the reused and the recomputed lane selection were exercised
-    assert any(reused) and not all(reused)
+        for path, count in _sweep_banked(
+                circuit, seed,
+                MACHINE_SWEEP[seed % len(MACHINE_SWEEP)]).items():
+            paths[path] += count
+    # both of the oracle's memory paths ran
+    assert paths["uniform"] and paths["per-lane"], paths
 
 
 def _bank_faults(circuit, rng):
@@ -451,6 +456,115 @@ def test_stacked_bank_couplings_bit_identical(banks):
                            cycles=12, arm=_arm_bridges_and_couplings,
                            fired=fired)
     assert fired == set(COUPLING_TAGS)
+
+
+# ----------------------------------------------------------------------
+# edge shapes, padding lanes and wide addresses
+# ----------------------------------------------------------------------
+def edge_shape_circuit(seed: int, flops: int = 3, en_rst: bool = True,
+                       mem: tuple[int, int] | None = (8, 3)):
+    """A random design of one shape: ``flops`` registers (with random
+    en/rst only when ``en_rst``), and with ``mem`` a ``(depth, address
+    bits)`` memory of 4-bit words."""
+    rng = random.Random(seed)
+    m = Module(f"shape{seed}")
+    pool = []
+    for i in range(3):
+        pool.extend(m.input(f"in{i}", 3))
+    rst = m.input("rst")
+    for _ in range(rng.randrange(10, 24)):
+        a, b = rng.choice(pool), rng.choice(pool)
+        pool.append(rng.choice((a & b, a | b, a ^ b, ~a, a.nand(b),
+                                m.mux(rng.choice(pool), a, b))))
+    for r in range(flops):
+        en = rng.choice(pool) if en_rst and rng.random() < 0.7 else None
+        use_rst = rst if en_rst and rng.random() < 0.7 else None
+        pool.append(m.reg(f"r{r}", rng.choice(pool), en=en, rst=use_rst,
+                          init=rng.getrandbits(1)))
+    if mem is not None:
+        depth, abits = mem
+        pool.extend(m.memory(
+            "fmem", depth, 4,
+            m.cat(*(rng.choice(pool) for _ in range(abits))),
+            m.cat(*(rng.choice(pool) for _ in range(4))),
+            rng.choice(pool)))
+    m.output("y", m.cat(*pool[-6:]))
+    return m.build()
+
+
+EDGE_SHAPES = {
+    "no-flops": lambda seed: edge_shape_circuit(seed, flops=0),
+    "no-memories": lambda seed: edge_shape_circuit(seed, mem=None),
+    "flops-without-en-rst":
+        lambda seed: edge_shape_circuit(seed, en_rst=False),
+    "depth-5-on-3-address-bits":
+        lambda seed: edge_shape_circuit(seed, mem=(5, 3)),
+    "address-wider-than-depth":
+        lambda seed: edge_shape_circuit(seed, mem=(6, 7)),
+    "fuzzed": fuzz_circuit,
+    "banked": lambda seed: fuzz_banked_circuit(seed, 3),
+}
+
+
+def _assert_padding_clear(csim):
+    """Every bit past the last machine is 0 in the value array, the
+    flop state, every stacked store and every read-data buffer."""
+    pad = ~csim._full
+    words = [csim._vals, csim._flop_state]
+    for group in csim._mem_groups:
+        words += [np.moveaxis(group.store, 2, -1), group.rdata]
+    for block in words:
+        assert not (block & pad).any()
+
+
+@pytest.mark.parametrize("machines", [1, 63, 65, 130])
+@pytest.mark.parametrize("shape", sorted(EDGE_SHAPES))
+def test_edge_shapes_match_the_oracle_with_padding_clear(shape, machines):
+    for seed in range(4):
+        circuit = EDGE_SHAPES[shape](seed)
+        for arm in (_arm_random_faults, _arm_bridges_and_couplings):
+            _assert_padding_clear(_sweep_and_compare(
+                circuit, seed, machines, cycles=10, arm=arm))
+
+
+def test_wide_addresses_match_the_oracle():
+    """A 66-bit address on a depth-5 memory: address bit ``a`` weighs
+    ``2**a % 5``, the bits at 63 and above included, on the uniform
+    and on the per-lane memory path."""
+    m = Module("wideaddr")
+    addr = m.input("addr", 66)
+    m.output("rdata", m.memory("mem", 5, 4, addr, m.input("wdata", 4),
+                               m.input("we")))
+    circuit = m.build()
+    machines = 3
+    isim = Simulator(circuit, machines=machines)
+    csim = CompiledSimulator(compile_circuit(circuit), machines=machines)
+    addresses = (2**63, 2**64, 2**65 | 3, 7)
+    steps = [({"addr": a, "wdata": 9 + k, "we": 1}, None)
+             for k, a in enumerate(addresses)]
+    steps += [({"addr": a, "we": 0}, None) for a in addresses]
+    # machine 2 on another wide address: the per-lane path
+    steps += [({"addr": 2**63, "wdata": 5, "we": 1}, 2**64),
+              ({"addr": 2**65 | 3, "we": 0}, 2**64 | 2**63)]
+    for cyc, (inputs, lane_addr) in enumerate(steps):
+        for sim in (isim, csim):
+            for name, value in inputs.items():
+                sim.set_input(name, value)
+            if lane_addr is not None:
+                sim.set_input_lane("addr", 2, lane_addr)
+            sim.step_eval()
+        for n in range(circuit.num_nets):
+            assert isim.peek(n) == csim.peek(n), (cyc, n)
+        isim.step_commit()
+        csim.step_commit()
+        for w in range(5):
+            for mch in range(machines):
+                assert isim.read_mem_word("mem", w, machine=mch) == \
+                    csim.read_mem_word("mem", w, machine=mch), \
+                    (cyc, w, mch)
+    assert [isim.read_mem_word("mem", w) for w in range(5)] == \
+        [11, 10, 12, 5, 0]
+    assert isim.read_mem_word("mem", 1, machine=2) == 5
 
 
 # ----------------------------------------------------------------------

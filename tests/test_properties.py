@@ -1,6 +1,8 @@
 """Cross-module property-based and exhaustive invariant tests."""
 
+import functools
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from repro.fmea import (
 )
 from repro.hdl import CompiledSimulator, Module, compile_circuit
 from repro.iec61508 import FailureRates
+from repro.iec61508.techniques import Target, techniques_for
 from repro.soc import MemorySubsystem, SubsystemConfig
 from repro.zones import ZoneKind, extract_zones, predict_effects_table
 from repro.faultinjection import (
@@ -204,6 +207,35 @@ def test_worksheet_fit_conservation(gate_fit, flop_fit, mem_fit):
             t, p = fit.zone_fit(zone)
             expected += t + p
     assert sheet.totals().total == pytest.approx(expected, rel=1e-9)
+
+
+@functools.cache
+def _improved_zones():
+    sub = MemorySubsystem(SubsystemConfig.small_improved())
+    return sub, sub.extract_zones()
+
+
+TECHNIQUE_KEYS = sorted(t.key for target in Target
+                        for t in techniques_for(target))
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_raising_one_entry_ddf_never_lowers_dc_or_sff(data):
+    """A further diagnostic claim on any one row raises (or keeps) its
+    DDF, and the worksheet's DC and SFF never fall, up to two ulps of
+    float rounding in the sums."""
+    sub, zone_set = _improved_zones()
+    sheet = sub.worksheet(zone_set)
+    entry = data.draw(st.sampled_from(sheet.entries))
+    claim = DiagnosticClaim(data.draw(st.sampled_from(TECHNIQUE_KEYS)),
+                            data.draw(st.floats(0.0, 1.0)))
+    dc, sff, ddf = sheet.dc, sheet.sff, entry.ddf
+    entry.claims.append(claim)
+    assert entry.ddf >= ddf
+    slack = 2 * math.ulp(1.0)
+    assert sheet.dc >= dc - slack
+    assert sheet.sff >= sff - slack
 
 
 # ----------------------------------------------------------------------
