@@ -1,26 +1,27 @@
-"""One campaign pass on the compiled numpy kernel.
+"""One campaign pass on the compiled kernel.
 
 :func:`run_pass_compiled` is the pass loop of every campaign: it
 evaluates the whole pass on
 :class:`~repro.hdl.compiled.CompiledSimulator` (every fault kind,
-bridges and memory coupling included) and observes it with vectorized
-group reductions instead of a per-point Python loop:
+bridges and memory coupling included) and observes it through one
+probe table, read each cycle by one call into the kernel's C library
+(``observe`` in ``_SWEEP_C``):
 
-* all observation points and net-shaped SENS probes are concatenated
-  into one row gather; each row's golden words are gathered by its
-  lane-0 bit into a same-shape buffer, and a single segmented OR
-  (``reduceat``) yields the per-point golden-diff words each cycle;
-* diagnostic points occupy the tail of that concatenation so their
-  different semantics (``raised = v & ~golden`` instead of
-  ``v ^ golden``) are one in-place slice operation;
-* flop- and memory-word SENS probes get the same treatment over the
-  flop-state array and the transposed memory store (one gather per
-  stacked group of same-shape memories);
-* per-point *seen* masks ensure the Python recording loop only ever
-  touches a (point, machine) pair once; the diff rows are masked to
-  the lanes their point has not seen, and a cycle with none left
-  skips the reduction and the recording loop, so the steady-state
-  per-cycle cost is a handful of numpy calls.
+* a *point* is an observation point or a SENS probe and owns a
+  contiguous range of *cells*; a cell is ``(address, lane stride,
+  bits)``: one value row, one flop's state or one memory word;
+* per lane word, a point's new lanes are the OR over its cells' bits
+  of ``x ^ g``, where ``g`` is the bit's golden (lane-0) value spread
+  over every lane; a diagnostic point raises on ``x & ~g`` instead
+  (an alarm the golden machine did not raise);
+* per-point *seen* masks mean a (point, machine) pair is reported
+  once, and a SENS probe watches only the lanes of the faults in its
+  zone, so a probe whose faults have all been seen costs nothing;
+  Python's recording loop runs only on the points with new lanes.
+
+Points keep the order FUNC, STATUS, net probes, DIAG, flop probes,
+memory probes: it fixes the insertion order of ``effects`` and which
+alarm is a fault's ``first_alarm`` when two rise in one cycle.
 
 Its records — ``FaultResult`` fields and the toggle merge — are
 bit-identical to a per-point loop over the interpreted simulator, the
@@ -33,123 +34,95 @@ from the profile replay
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from ..hdl.compiled import CompiledSimulator
+from ..hdl.compiled import CompiledSimulator, _sweep_library
 from .manager import FaultResult
-
-_U64 = np.uint64
 
 _FUNC, _STATUS, _PROBE, _DIAG = 0, 1, 2, 3
 
 
-class _Group:
-    """One concatenated observation family sharing a gather axis.
+def _cells(array: np.ndarray, *index) -> np.ndarray:
+    """The ``(address, lane stride, bits)`` cell rows of
+    ``array[index]``, one per index entry.
 
-    A row gathers ``width`` cells per lane word: 1 for nets and flops,
-    a memory word's bits for the memory probes.  ``unseen`` holds, per gathered row, the lanes its point has not
-    recorded yet (``lanes ^ seen`` of the row's point), so a cycle
-    whose masked diff is all zero skips the reduction and the
-    recording loop.
+    ``index`` spans the leading axes of the C-ordered ``array``; the
+    next axis is the lane word and any after it a cell's bits.
+    :func:`numpy.ravel_multi_index` raises on an entry outside the
+    array, so the C loop only reads inside it.
     """
-
-    __slots__ = ("index", "starts", "pts", "seen", "buf", "golden",
-                 "point", "lanes", "unseen")
-
-    def __init__(self, index: list[int], starts: list[int],
-                 pts: list[tuple], full: np.ndarray, width: int = 1):
-        self.index = np.asarray(index, dtype=np.intp)
-        self.starts = np.asarray(starts, dtype=np.intp)
-        self.pts = pts                       # (kind, name, members)
-        rows = len(self.index)
-        self.seen = np.zeros((len(pts), len(full)), dtype=_U64)
-        self.buf = np.empty((rows, len(full) * width), dtype=_U64)
-        self.golden = np.empty((rows, len(full)), dtype=_U64)
-        self.point = np.repeat(np.arange(len(pts), dtype=np.intp),
-                               np.diff(self.starts, append=rows))
-        self.lanes = np.tile(full, (rows, 1))
-        self.unseen = self.lanes.copy()
+    k = len(index)
+    flat = np.ravel_multi_index(index, array.shape[:k])
+    rows = np.empty((len(flat), 3), dtype=np.int64)
+    rows[:, 0] = array.ctypes.data + flat * array.strides[k - 1]
+    rows[:, 1] = array.strides[k] // array.itemsize
+    rows[:, 2] = math.prod(array.shape[k + 1:])
+    return rows
 
 
-def _build_groups(manager, sim, batch):
-    """Partition points + SENS probes into vectorizable groups.
+def _probe_table(manager, sim, batch):
+    """The pass's points in observation order, their cells and their
+    initial *seen* masks.
 
-    Returns ``(net_group, diag_seg_lo, flop_group, mem_groups)``;
-    any group may be ``None``/empty.  ``mem_groups`` holds one
-    ``(store as (G * depth, W * width) words, width, group)`` entry
-    per stacked memory group of ``sim``; the group's index is each
-    probe's word in that view.  Zero-net points are dropped —
-    they can never mismatch (and ``reduceat`` cannot represent empty
-    segments).
+    Returns ``(points, offsets, cells, diag, seen)``: point ``p`` is
+    ``(kind, name)`` and owns rows ``offsets[p]:offsets[p + 1]`` of
+    the ``(C, 3)`` cell table, and the DIAG points are
+    ``range(*diag)``.  A SENS probe starts with every lane seen but
+    those of the faults in its zone, the only ones it records.
+    Zero-net points are dropped: they can never mismatch.
     """
-    cc = sim.compiled
-    full = sim._full
-    rows: list[int] = []
-    starts: list[int] = []
-    pts: list[tuple] = []
-    perm = cc.perm
+    perm = sim.compiled.perm
+    points: list[tuple] = []
+    blocks: list[np.ndarray] = []
+    seen: list[np.ndarray] = []
 
-    def add_point(kind, name, nets, members=None):
-        if not nets:
-            return
-        starts.append(len(rows))
-        rows.extend(int(perm[n]) for n in nets)
-        pts.append((kind, name, members))
+    def add(kind, name, cells, lanes=None):
+        if len(cells):
+            points.append((kind, name))
+            blocks.append(cells)
+            seen.append(sim._pack(0 if lanes is None
+                                  else sim.full_mask & ~lanes))
 
-    for p in manager.functional:
-        add_point(_FUNC, p.name, list(p.nets))
-    for p in manager.status:
-        add_point(_STATUS, p.name, list(p.nets))
+    def net_cells(nets):
+        return _cells(sim._vals, perm[np.asarray(nets, dtype=np.intp)])
 
-    probe_members: dict[tuple, list[int]] = {}
+    probes: dict[tuple, int] = {}
     for idx, fault in enumerate(batch):
         zone = manager._zones_by_name.get(fault.zone or "")
         if zone is None:
             continue
         probe = manager._zone_probe(zone, fault)
-        if probe is None:
-            continue
-        probe_members.setdefault(probe, []).append(idx)
+        if probe is not None:
+            probes[probe] = probes.get(probe, 0) | 1 << (idx + 1)
+    by_kind: dict[str, list] = {"nets": [], "flops": [], "mem": []}
+    for probe, lanes in probes.items():
+        by_kind[probe[0]].append((probe, lanes))
 
-    flop_idx: list[int] = []
-    flop_starts: list[int] = []
-    flop_pts: list[tuple] = []
-    mem_index = {m.name: i
-                 for i, m in enumerate(manager.circuit.memories)}
-    by_mem: dict[int, tuple[list[int], list[int], list[tuple]]] = {}
-    for probe, members in probe_members.items():
-        if probe[0] == "nets":
-            add_point(_PROBE, None, list(probe[1]), members)
-        elif probe[0] == "flops":
-            if not probe[1]:
-                continue
-            flop_starts.append(len(flop_idx))
-            flop_idx.extend(probe[1])
-            flop_pts.append((_PROBE, None, members))
-        else:                                # ("mem", name, word)
-            gi, j = sim._mem_slot[mem_index[probe[1]]]
-            mjs, mwords, mpts = by_mem.setdefault(gi, ([], [], []))
-            mjs.append(j)
-            mwords.append(probe[2])
-            mpts.append((_PROBE, None, members))
-
-    # diagnostic points go LAST: their raised-while-golden-quiet
-    # semantics become one in-place masking of the tail slice
-    diag_seg_lo = len(pts)
+    for p in manager.functional:
+        add(_FUNC, p.name, net_cells(p.nets))
+    for p in manager.status:
+        add(_STATUS, p.name, net_cells(p.nets))
+    for (_, nets), lanes in by_kind["nets"]:
+        add(_PROBE, None, net_cells(nets), lanes)
+    diag_lo = len(points)
     for p in manager.diagnostic:
-        add_point(_DIAG, p.name, list(p.nets))
+        add(_DIAG, p.name, net_cells(p.nets))
+    diag = (diag_lo, len(points))
+    for (_, flops), lanes in by_kind["flops"]:
+        add(_PROBE, None,
+            _cells(sim._flop_state, np.asarray(flops, dtype=np.intp)),
+            lanes)
+    for (_, mem, word), lanes in by_kind["mem"]:
+        store = sim._mem_store[sim._resolve_mem(mem)]
+        add(_PROBE, None, _cells(store, [word]), lanes)
 
-    net_group = _Group(rows, starts, pts, full) if pts else None
-    flop_group = _Group(flop_idx, flop_starts, flop_pts, full) \
-        if flop_pts else None
-    mem_groups = []
-    for gi, (mjs, mwords, mpts) in by_mem.items():
-        store = sim._mem_groups[gi].store   # (G, depth, W, width)
-        G, depth, _, width = store.shape
-        rows = np.asarray(mjs, dtype=np.intp) * depth + mwords
-        group = _Group(rows, list(range(len(rows))), mpts, full, width)
-        mem_groups.append((store.reshape(G * depth, -1), width, group))
-    return net_group, diag_seg_lo, flop_group, mem_groups
+    offsets = np.zeros(len(points) + 1, dtype=np.int64)
+    np.cumsum([len(b) for b in blocks], out=offsets[1:])
+    cells = np.concatenate([np.zeros((0, 3), dtype=np.int64), *blocks])
+    return points, offsets, cells, diag, \
+        np.array(seen, dtype=np.uint64).reshape(len(points), sim.words)
 
 
 def run_pass_compiled(manager, batch, result) -> None:
@@ -170,93 +143,37 @@ def run_pass_compiled(manager, batch, result) -> None:
         fault.arm(sim, machine=k, t0=0)
 
     results = [FaultResult(fault=f) for f in batch]
-    net, diag_lo, flopg, memgs = _build_groups(manager, sim, batch)
-    diag_row_lo = int(net.starts[diag_lo]) \
-        if net is not None and diag_lo < len(net.pts) \
-        else (len(net.index) if net is not None else 0)
+    points, offsets, cells, diag, seen = _probe_table(manager, sim, batch)
+    fresh = np.empty_like(seen)
+    hit = np.empty(len(points), dtype=np.int64)
+    observe = _sweep_library().observe
+    args = (sim.words, sim._full.ctypes.data, len(points),
+            offsets.ctypes.data, cells.ctypes.data, *diag,
+            seen.ctypes.data, fresh.ctypes.data, hit.ctypes.data)
 
     stimuli = manager.stimuli
     if cfg.max_cycles is not None:
         stimuli = stimuli[:cfg.max_cycles]
 
-    one = _U64(1)
-    golden = sim._golden_words
-    vals = sim._vals
-
-    def record(new, group):
-        """Route newly-diverged (point, machine) pairs to results;
-        ``new`` holds unseen lanes only."""
-        group.seen |= new
-        group.seen.take(group.point, 0, group.unseen, "clip")
-        np.bitwise_xor(group.unseen, group.lanes, out=group.unseen)
-        for p in np.nonzero(new.any(axis=1))[0]:
-            kind, name, members = group.pts[p]
-            mask = int.from_bytes(
-                new[p].astype("<u8").tobytes(), "little")
-            if kind == _PROBE:
-                for idx in members:
-                    if (mask >> (idx + 1)) & 1 and \
-                            results[idx].sens_cycle is None:
-                        results[idx].sens_cycle = cycle
-                continue
+    for cycle, inputs in enumerate(stimuli):
+        sim.step_eval(inputs)
+        for p in hit[:observe(*args)].tolist():
+            kind, name = points[p]
+            mask = sim._unpack(fresh[p])
             while mask:
                 low = mask & -mask
                 mask ^= low
                 res = results[low.bit_length() - 2]
+                if kind == _PROBE:
+                    res.sens_cycle = cycle
+                    continue
+                res.effects.setdefault(name, cycle)
                 if kind == _FUNC:
-                    res.effects.setdefault(name, cycle)
                     if res.obse_cycle is None:
                         res.obse_cycle = cycle
-                elif kind == _STATUS:
-                    res.effects.setdefault(name, cycle)
-                else:
-                    res.effects.setdefault(name, cycle)
-                    if res.diag_cycle is None:
-                        res.diag_cycle = cycle
-                        res.first_alarm = name
-
-    for cycle, inputs in enumerate(stimuli):
-        sim.step_eval(inputs)
-
-        # each gathered row XORs with its golden words, gathered by
-        # its lane-0 bit into a same-shape buffer (no broadcast)
-        if net is not None:
-            diff = vals.take(net.index, 0, net.buf, "clip")
-            gw = golden.take(diff[:, 0] & one, 0, net.golden, "clip")
-            np.bitwise_xor(diff, gw, out=diff)
-            if diag_row_lo < diff.shape[0]:
-                tail = diff[diag_row_lo:]
-                quiet = gw[diag_row_lo:]
-                np.bitwise_not(quiet, out=quiet)
-                np.bitwise_and(tail, quiet, out=tail)
-            np.bitwise_and(diff, net.unseen, out=diff)
-            if diff.any():
-                record(np.bitwise_or.reduceat(diff, net.starts, axis=0),
-                       net)
-
-        if flopg is not None:
-            diff = sim._flop_state.take(flopg.index, 0, flopg.buf,
-                                        "clip")
-            gw = golden.take(diff[:, 0] & one, 0, flopg.golden, "clip")
-            np.bitwise_xor(diff, gw, out=diff)
-            np.bitwise_and(diff, flopg.unseen, out=diff)
-            if diff.any():
-                record(np.bitwise_or.reduceat(diff, flopg.starts,
-                                              axis=0), flopg)
-
-        for words_of, width, mg in memgs:
-            # (P, W, width) probed words; a golden 1 bit XORs the
-            # whole cell, padding lanes included, which ``unseen``
-            # masks off with the seen ones
-            cells = words_of.take(mg.index, 0, mg.buf, "clip") \
-                .reshape(len(mg.index), -1, width)
-            flip = np.negative(cells[:, 0, :] & one)[:, None, :]
-            np.bitwise_xor(cells, flip, out=cells)
-            diff = np.bitwise_or.reduce(cells, axis=2)
-            np.bitwise_and(diff, mg.unseen, out=diff)
-            if diff.any():
-                record(diff, mg)
-
+                elif kind == _DIAG and res.diag_cycle is None:
+                    res.diag_cycle = cycle
+                    res.first_alarm = name
         sim.step_commit()
         result.cycles_simulated += 1
 

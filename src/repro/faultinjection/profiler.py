@@ -200,7 +200,6 @@ def profile_workload(circuit: Circuit, stimuli, setup=None,
                         dtype=np.intp)
     for mi, mem_rows in enumerate(cc.mem_addr_rows):
         addr_rows[mi, :len(mem_rows)] = mem_rows
-    pow2 = np.left_shift(_U64(1), np.arange(width, dtype=_U64))
     we_rows = np.asarray(cc.mem_we_rows, dtype=np.intp)
     read_rows = np.asarray(
         [cc.perm[circuit.find_net(strobes[m.name])] if m.name in strobes
@@ -233,10 +232,14 @@ def profile_workload(circuit: Circuit, stimuli, setup=None,
             write = rows[we_rows]
             active = np.flatnonzero(write | (rows[read_rows] ^ read_flip))
             if len(active):
-                addrs = rows[addr_rows[active]] @ pow2
-                for mi, addr in zip(active.tolist(), addrs.tolist()):
+                # exact at any address width: little-endian bytes
+                addrs = np.packbits(rows[addr_rows[active]].astype(np.uint8),
+                                    axis=1, bitorder="little")
+                for mi, addr in zip(active.tolist(), addrs):
                     accesses.setdefault(mem_names[mi], []).append(
-                        MemAccess(cycle=cycle, addr=addr,
+                        MemAccess(cycle=cycle,
+                                  addr=int.from_bytes(addr.tobytes(),
+                                                      "little"),
                                   write=bool(write[mi])))
         sim.step_commit()
         # flop toggles become visible in the committed state

@@ -22,17 +22,21 @@ evaluates *all* machines of a campaign pass in packed 64-bit words:
   interpreted big-int layout.
 
 A cycle is two calls into one small C library (``_SWEEP_C``, bound
-with :mod:`ctypes`).  The level sweep runs every level's gate groups,
-each followed by that level's forced-net overlay and glitch XORs.  The
-clock edge commits the flops and steps every memory: reads, writes,
-coupling flips and stuck cells, in the interpreted simulator's own
-per-lane order for lanes whose address diverges.  The library is
-compiled with the host's ``cc`` on the first :class:`CompiledSimulator`
-of a process and cached under ``${XDG_CACHE_HOME:-~/.cache}/repro``,
-keyed on the SHA-256 of the source, the compiler's version and the
-flags; without a working compiler that first simulator raises
-:class:`CompileError` ``E121``.  The eval preamble, cycle-start flips,
-toggle collection and the bridge arithmetic stay vectorized numpy.
+with :mod:`ctypes`), three in a campaign pass.  The level sweep runs
+every level's gate groups, each followed by that level's forced-net
+overlay and glitch XORs.  The clock edge commits the flops and steps
+every memory: reads, writes, coupling flips and stuck cells, in the
+interpreted simulator's own per-lane order for lanes whose address
+diverges.  Between the two, a campaign pass
+(:mod:`repro.faultinjection.compiled_pass`) calls ``observe``, which
+compares every SENS/OBSE/DIAG probe with the golden lane.  The library
+is compiled with the host's ``cc`` on the first
+:class:`CompiledSimulator` of a process and cached under
+``${XDG_CACHE_HOME:-~/.cache}/repro``, keyed on the SHA-256 of the
+source, the compiler's version and the flags; without a working
+compiler that first simulator raises :class:`CompileError` ``E121``.
+The eval preamble, cycle-start flips, toggle collection and the bridge
+arithmetic stay vectorized numpy.
 
 This is the only simulator of the production code: it runs the
 injection passes, the operational-profile replay at one lane, SET
@@ -92,7 +96,7 @@ class CompileError(DiagnosticError, NetlistError):
 
 
 # ----------------------------------------------------------------------
-# the C kernel: level sweep and clock edge
+# the C kernel: level sweep, clock edge and a pass's observation
 # ----------------------------------------------------------------------
 #: ``sweep``: one sweep of the program over the (rows, W) value array
 #: ``v``: every level's gate groups, each level followed by its bucket
@@ -112,6 +116,12 @@ class CompileError(DiagnosticError, NetlistError):
 #: data only on a member where no lane diverged.  An address is the sum
 #: of its set bits' weights ``2**a % depth``, reduced as it goes, so any
 #: address width is exact.
+#:
+#: ``observe``: a campaign pass's monitors for one cycle over a table of
+#: probe points, each a list of cells ``(address, lane stride, bits)``
+#: into the value array, the flop state or a memory store; it returns
+#: the points with lanes newly diverged from machine 0 (see
+#: :mod:`repro.faultinjection.compiled_pass`).
 _SWEEP_C = r"""
 #include <stdint.h>
 typedef uint64_t u64;
@@ -307,6 +317,50 @@ void clock_edge(const u64 *v, i64 W, const u64 *f, i64 nflops,
         }
     }
 }
+
+/* One cycle of a campaign pass's monitors.  Point p owns the cells
+   off[p] to off[p + 1], rows (address, lane stride, bits): bit b of
+   lane word w is the u64 at address + (w * stride + b) * 8.  Per lane
+   word, the point's diff is the OR over its cells' bits of x ^ g,
+   where g = -(the bit's lane-0 value), or of x & ~g on a DIAG point
+   (diag_lo <= p < diag_hi).  Its lanes in f & ~seen[p] are ORed into
+   seen[p] and written to fresh[p]; a point with none left is
+   skipped.  Returns how many points got new lanes, listed in hit. */
+i64 observe(i64 W, const u64 *f, i64 npoints, const i64 *off,
+            const i64 *cells, i64 diag_lo, i64 diag_hi, u64 *seen,
+            u64 *fresh, i64 *hit)
+{
+    i64 nhit = 0;
+    for (i64 p = 0; p < npoints; p++) {
+        u64 *sp = seen + p * W, *x = fresh + p * W, open = 0, any = 0;
+        for (i64 w = 0; w < W; w++)
+            open |= f[w] & ~sp[w];
+        if (!open)
+            continue;
+        const int diag = p >= diag_lo && p < diag_hi;
+        for (i64 w = 0; w < W; w++)
+            x[w] = 0;
+        for (const i64 *c = cells + 3 * off[p]; c < cells + 3 * off[p + 1];
+             c += 3) {
+            const u64 *v = (const u64 *)(uintptr_t)c[0];
+            for (i64 b = 0; b < c[2]; b++) {
+                const u64 g = -(v[b] & 1);
+                if (diag && g)
+                    continue;           /* x & ~g is 0 on every lane */
+                for (i64 w = 0; w < W; w++)
+                    x[w] |= v[w * c[1] + b] ^ g;
+            }
+        }
+        for (i64 w = 0; w < W; w++) {
+            x[w] &= f[w] & ~sp[w];
+            sp[w] |= x[w];
+            any |= x[w];
+        }
+        if (any)
+            hit[nhit++] = p;
+    }
+    return nhit;
+}
 """
 
 _CC_FLAGS = ("-O2", "-shared", "-fPIC")
@@ -316,6 +370,8 @@ _SWEEP_ARGTYPES = (_PTR, _I64, _PTR, _I64, _PTR, _PTR, _PTR,
                    _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR)
 _EDGE_ARGTYPES = (_PTR, _I64, _PTR, _I64, _PTR, _PTR, _PTR, _I64, _PTR,
                   _PTR)
+_OBSERVE_ARGTYPES = (_I64, _PTR, _I64, _PTR, _PTR, _I64, _I64, _PTR, _PTR,
+                     _PTR)
 #: the glitch arguments of a sweep on a cycle without glitches
 _NO_GLITCHES = (None, None, None)
 
@@ -399,6 +455,8 @@ def _sweep_library() -> ctypes.CDLL:
     lib.sweep.restype = None
     lib.clock_edge.argtypes = _EDGE_ARGTYPES
     lib.clock_edge.restype = None
+    lib.observe.argtypes = _OBSERVE_ARGTYPES
+    lib.observe.restype = _I64
     return lib
 
 
@@ -827,12 +885,9 @@ class CompiledSimulator(SimulatorBase):
         self._mem_groups = [_MemGroup(cc, members, depth, width, W)
                             for (depth, width, _), members
                             in shapes.items()]
-        slots = {mi: (gi, j) for gi, group in enumerate(self._mem_groups)
-                 for j, mi in enumerate(group.members)}
-        #: memory index -> (group index, position in the group)
-        self._mem_slot = [slots[mi] for mi in range(len(slots))]
-        self._mem_store = [self._mem_groups[gi].store[j]
-                           for gi, j in self._mem_slot]
+        stores = {mi: group.store[j] for group in self._mem_groups
+                  for j, mi in enumerate(group.members)}
+        self._mem_store = [stores[mi] for mi in range(len(stores))]
 
         #: per port: its rows, its byte count and its value mask
         self._input_rows = {
@@ -961,6 +1016,7 @@ class CompiledSimulator(SimulatorBase):
     def schedule_mem_flip(self, mem, word: int, bit: int, cycle: int,
                           machines=None) -> None:
         mem = self._resolve_mem(mem)
+        self._check_cell(mem, word, bit)
         self._mem_flips.setdefault(cycle, []).append(
             (mem, word, bit, self._pack(self._mask(machines))))
 

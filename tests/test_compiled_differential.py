@@ -51,7 +51,12 @@ from repro.hdl import BRIDGE_AND, BRIDGE_DOMINANT, BRIDGE_OR, \
 from repro.service.core import make_subsystem
 from repro.soc import MemorySubsystem, SubsystemConfig
 from repro.soc.minicpu import CpuConfig, MiniCpu, assemble
-from repro.zones.model import ObservationKind, ObservationPoint
+from repro.zones.model import (
+    ObservationKind,
+    ObservationPoint,
+    SensibleZone,
+    ZoneKind,
+)
 
 from .campaign_oracle import run_interpreted
 from .simulator_oracle import Simulator
@@ -615,7 +620,8 @@ def _fuzz_campaign_pieces(seed):
 
 def _fault_records(result):
     return [(r.fault.name, r.sens_cycle, r.obse_cycle, r.diag_cycle,
-             r.first_alarm, r.effects) for r in result.results]
+             r.first_alarm, list(r.effects.items()))
+            for r in result.results]
 
 
 def _spec(circuit, stimuli, points, machines_per_pass=None):
@@ -660,6 +666,110 @@ def test_fuzzed_campaign_pass_boundaries():
         rc = _run_compiled(_spec(circuit, stimuli, points, per_pass),
                            candidates)
         assert _fault_records(rc) == _fault_records(baseline), per_pass
+
+
+def _golden_trace(circuit, stimuli):
+    """Each net's fault-free value per cycle, read between eval and
+    edge as the pass observes it."""
+    sim = CompiledSimulator(compile_circuit(circuit))
+    trace = []
+    for inputs in stimuli:
+        sim.step_eval(inputs)
+        trace.append([sim.peek(n) for n in range(circuit.num_nets)])
+        sim.step_commit()
+    return trace
+
+
+def _multiword_campaign_pieces(seed):
+    """A fuzzed campaign of 150 zoned faults (151 machines: three lane
+    words, the last holding 23), with register, memory and net SENS
+    probes and two alarms that the golden machine raises on some
+    cycles and not on others."""
+    rng = random.Random(seed)
+    circuit = fuzz_circuit(seed)
+    widths = {n: len(b) for n, b in circuit.inputs.items()}
+    stimuli = [{n: rng.getrandbits(w) for n, w in widths.items()}
+               for _ in range(24)]
+    trace = _golden_trace(circuit, stimuli)
+    # alarms the golden machine raises on some cycles, not on all
+    toggling = [n for n in range(circuit.num_nets)
+                if 0 < sum(cycle[n] for cycle in trace) < len(trace)]
+    alarms = rng.sample(toggling, 2)
+    points = [
+        ObservationPoint(name="y", kind=ObservationKind.OUTPUT,
+                         nets=tuple(circuit.outputs["y"])),
+        ObservationPoint(name="z", kind=ObservationKind.FUNCTION,
+                         nets=tuple(circuit.outputs["z"])),
+        *(ObservationPoint(name=f"alarm{k}", kind=ObservationKind.ALARM,
+                           nets=(net,)) for k, net in enumerate(alarms)),
+    ]
+    flops = [f.name for f in circuit.flops]
+    mem = circuit.memories[0]
+    logic = tuple(rng.sample(range(circuit.num_nets), 3))
+    zones = [
+        SensibleZone(name="regs", kind=ZoneKind.REGISTER,
+                     flops=tuple(flops[:-1])),
+        SensibleZone(name="last", kind=ZoneKind.REGISTER,
+                     flops=(flops[-1],)),
+        SensibleZone(name="ram", kind=ZoneKind.MEMORY, memory=mem.name),
+        SensibleZone(name="logic", kind=ZoneKind.LOGICAL, nets=logic),
+    ]
+    faults = []
+    for _ in range(150):
+        kind = rng.randrange(5)
+        if kind == 0:
+            flop = rng.choice(flops)
+            faults.append(SeuFault(
+                target=flop, offset=rng.randrange(20),
+                zone="last" if flop == flops[-1] else "regs"))
+        elif kind == 1:
+            faults.append(MemFlipFault(
+                target=mem.name, zone="ram", word=rng.randrange(mem.depth),
+                bit=rng.randrange(mem.width), offset=rng.randrange(20)))
+        elif kind == 2:
+            faults.append(MemStuckFault(
+                target=mem.name, zone="ram", word=rng.randrange(mem.depth),
+                bit=rng.randrange(mem.width), value=rng.getrandbits(1)))
+        elif kind == 3:
+            faults.append(StuckNetFault(target=rng.choice(logic),
+                                        value=rng.getrandbits(1),
+                                        zone="logic"))
+        else:
+            faults.append(SetFault(target=rng.randrange(circuit.num_nets),
+                                   offset=rng.randrange(20)))
+    # each alarm stuck high in a lane of the first and of the last word:
+    # raised while the golden alarm is quiet, masked while it is high
+    for net, k in zip(alarms * 2, (5, 40, 130, 149)):
+        faults[k] = StuckNetFault(target=net, value=1)
+    return circuit, stimuli, zones, points, faults
+
+
+@pytest.mark.parametrize("seed", [1, 3, 4])
+def test_multiword_campaign_matches_oracle(seed):
+    """One pass of 150 faults over three lane words, the last one
+    partly filled: every SENS probe family and both alarms fire, and
+    the records equal the interpreted oracle's, effects order
+    included."""
+    circuit, stimuli, zones, points, faults = \
+        _multiword_campaign_pieces(seed)
+    spec = CampaignSpec(circuit=circuit, stimuli=stimuli, zones=zones,
+                        observation_points=points)
+    candidates = CandidateList(faults=faults)
+    ri = run_interpreted(spec.manager(), candidates)
+    rc = _run_compiled(spec, candidates)
+    assert rc.passes == 1
+    assert _fault_records(ri) == _fault_records(rc)
+    assert ri.outcomes() == rc.outcomes()
+
+    for zone in ("regs", "last", "ram", "logic"):
+        assert any(r.sens_cycle is not None for r in rc.results
+                   if r.fault.zone == zone), zone
+    for name in ("alarm0", "alarm1"):
+        assert any(name in r.effects for r in rc.results), name
+    assert any(r.first_alarm for r in rc.results)
+    last_word = rc.results[127:]
+    assert any(r.sens_cycle is not None for r in last_word)
+    assert any(r.obse_cycle is not None for r in last_word)
 
 
 def test_bridge_in_mixed_pass_matches_oracle():

@@ -291,6 +291,25 @@ def test_toggle_any_machine_mode():
 
 # ----------------------------------------------------------------------
 # misc
+@pytest.mark.parametrize("word", [-1, 8])
+def test_memory_faults_outside_the_array_raise_at_arming(word):
+    """The clock edge and the campaign's SENS probes index memory cells
+    without bounds checks, so every memory fault checks its cell when
+    it is armed: a negative word must not wrap to the last one."""
+    sim = CompiledSimulator(mem_circuit(), machines=2)
+    with pytest.raises(IndexError):
+        sim.schedule_mem_flip("ram", word, 0, cycle=1)
+    with pytest.raises(IndexError):
+        sim.set_mem_cell_stuck("ram", word, 0, value=1)
+    with pytest.raises(IndexError):
+        sim.add_mem_coupling("ram", aggressor=(word, 0), victim=(1, 0))
+    with pytest.raises(IndexError):
+        sim.add_mem_coupling("ram", aggressor=(1, 0), victim=(word, 0))
+    with pytest.raises(IndexError):
+        sim.schedule_mem_flip("ram", 0, 4, cycle=1)
+    assert not sim._mem_flips
+
+
 # ----------------------------------------------------------------------
 def test_unknown_names_raise():
     circ = xor_reg_circuit()

@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.faultinjection.profiler import profile_workload
+from repro.hdl import Module
 from repro.hdl.compiled import compile_circuit
 from repro.hdl.netlist import OP_ARITY, OP_BUF, OP_MUX
 from repro.service.core import make_subsystem
@@ -89,6 +90,21 @@ def test_profile_equals_interpreted_on_minicpu():
     stimuli = [cpu.idle(rst=1)] * 2 + [cpu.idle()] * 80
     profile = assert_same_profile(cpu.circuit, stimuli, setup)
     assert profile.flop_toggles
+
+
+def test_profile_records_wide_addresses_exactly():
+    """A 66-bit address port on a depth-5 memory: every recorded
+    access carries the whole driven integer, bits 64 and 65 included."""
+    m = Module("wideaddr")
+    addr = m.input("addr", 66)
+    m.output("rdata", m.memory("mem", 5, 4, addr, m.input("wdata", 4),
+                               m.input("we")))
+    addresses = (2**63, 2**64, 2**65 | 3, 7)
+    stimuli = [{"addr": a, "wdata": k, "we": k % 2}
+               for k, a in enumerate(addresses)]
+    profile = assert_same_profile(m.build(), stimuli)
+    assert [a.addr for a in profile.mem_accesses["mem"]] == \
+        list(addresses)
 
 
 @pytest.mark.parametrize("design", ["small-baseline", "minicpu",

@@ -1,8 +1,10 @@
 """Cross-module property-based and exhaustive invariant tests."""
 
+import dataclasses
 import functools
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -207,6 +209,56 @@ def test_worksheet_fit_conservation(gate_fit, flop_fit, mem_fit):
             t, p = fit.zone_fit(zone)
             expected += t + p
     assert sheet.totals().total == pytest.approx(expected, rel=1e-9)
+
+
+@functools.cache
+def _baseline_zone_set():
+    sub = MemorySubsystem(SubsystemConfig.small_baseline())
+    return extract_zones(sub.circuit, sub.extraction_config())
+
+
+FIT_FIELDS = [f.name for f in dataclasses.fields(FitModel)]
+
+
+def _near(value: float, reference, ulps: int = 4) -> bool:
+    return abs(value - float(reference)) <= ulps * math.ulp(
+        max(abs(float(reference)), 1.0))
+
+
+@given(st.data())
+@settings(max_examples=25, deadline=None)
+def test_worksheet_rates_conserve_and_match_exact_metrics(data):
+    """Under random FIT models and random claims on every row: each
+    row's λS + λDD + λDU is its λ; the per-zone and per-persistence
+    totals each sum to the sheet total; DC and SFF equal an exact
+    ``Fraction`` evaluation over the rows within a few ulps."""
+    fit = FitModel(**{name: data.draw(st.floats(0.0, 1.0), label=name)
+                      for name in FIT_FIELDS})
+    sheet = build_worksheet(_baseline_zone_set(), fit_model=fit)
+    claims = st.lists(st.builds(DiagnosticClaim,
+                                st.sampled_from(TECHNIQUE_KEYS),
+                                st.floats(0.0, 1.0)), max_size=3)
+    for entry in sheet.entries:
+        entry.claims = data.draw(claims)
+
+    rows = [entry.rates() for entry in sheet.entries]
+    for entry, r in zip(sheet.entries, rows):
+        assert _near(r.lambda_s + r.lambda_dd + r.lambda_du,
+                     entry.raw_fit, ulps=2)
+
+    total = sheet.totals()
+    for parts in (sheet.totals_by_zone(), sheet.totals_by_persistence()):
+        regrouped = sum(parts.values(), FailureRates())
+        for name in ("lambda_s", "lambda_dd", "lambda_du"):
+            assert getattr(regrouped, name) == pytest.approx(
+                getattr(total, name), rel=1e-12, abs=0.0)
+
+    s, dd, du = (sum(Fraction(getattr(r, name)) for r in rows)
+                 for name in ("lambda_s", "lambda_dd", "lambda_du"))
+    dc = dd / (dd + du) if dd + du else Fraction(1)
+    sff = (s + dd) / (s + dd + du) if s + dd + du else Fraction(1)
+    assert _near(sheet.dc, dc)
+    assert _near(sheet.sff, sff)
 
 
 @functools.cache
