@@ -18,8 +18,7 @@ def _functional_coverage(sub):
     full = validation_workload(sub, quick=False)
     toggle = measure_toggle_coverage(
         sub.circuit, full, setup=lambda s: sub.preload(s, {}))
-    diag_only = diagnostic_only_nets(
-        sub.circuit, sub.extract_zones().observation_points)
+    diag_only = diagnostic_only_nets(sub.extract_zones())
     names = {sub.circuit.net_names[n] for n in diag_only}
     functional_misses = [n for n in toggle.untoggled
                          if n not in names]

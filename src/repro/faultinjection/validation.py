@@ -21,7 +21,11 @@ from dataclasses import dataclass, field
 from ..fmea.ranking import rank_zones
 from ..hdl.netlist import OP_CONST0, OP_CONST1, Circuit
 from ..soc.workloads import validation_workload
-from ..zones.effects import diagnostic_only_nets, predict_effects_table
+from ..zones.effects import (
+    PredictedEffects,
+    diagnostic_only_nets,
+    predict_effects_table,
+)
 from ..zones.model import ZoneKind
 from .analyzer import ResultAnalyzer
 from .environment import InjectionEnvironment, build_environment
@@ -145,9 +149,10 @@ def run_validation(subsystem, env: InjectionEnvironment | None = None,
     # before the top-up decision (e), and its per-net activity is the
     # workload-completeness measurement (b), which also credits
     # diagnostic-only nets with the toggles of all faulty machines
-    _step_a(env, report)
+    predicted = predict_effects_table(env.zone_set)
+    _step_a(env, report, predicted)
     _step_c(env, report)
-    _step_d(env, report)
+    _step_d(env, report, predicted)
     activity = _replay_full_workload(subsystem)
     _step_coverage(report, env,
                    toggled_outputs=_toggled_outputs(subsystem.circuit,
@@ -220,7 +225,8 @@ def measure_toggle_coverage(circuit: Circuit, stimuli,
 
 
 # ----------------------------------------------------------------------
-def _step_a(env: InjectionEnvironment, report: ValidationReport) -> None:
+def _step_a(env: InjectionEnvironment, report: ValidationReport,
+            predicted: dict[str, PredictedEffects]) -> None:
     """Exhaustive sensible-zone injection + FMEA cross-check."""
     fl_config = FaultListConfig(
         transient_per_zone=TRANSIENT_PER_ZONE,
@@ -244,7 +250,6 @@ def _step_a(env: InjectionEnvironment, report: ValidationReport) -> None:
     zone_ok = not bad
 
     # effects-table consistency with the structural prediction
-    predicted = predict_effects_table(env.zone_set)
     effects = analyzer.compare_effects(predicted)
 
     detail = (f"{len(campaign.results)} injections, "
@@ -268,8 +273,7 @@ def _step_b(circuit: Circuit, env: InjectionEnvironment,
     :func:`repro.zones.effects.diagnostic_only_nets`) are credited
     when they toggled in any faulty machine of the campaigns.
     """
-    diag_only = diagnostic_only_nets(
-        circuit, env.zone_set.observation_points)
+    diag_only = diagnostic_only_nets(env.zone_set)
     campaign_toggled: set[int] = set()
     for campaign in (report.campaign, report.local_campaign,
                      report.wide_campaign, report.topup_campaign):
@@ -360,7 +364,8 @@ def _zone_level_dc(campaign: CampaignResult | None,
     return dd / (dd + du), dd + du
 
 
-def _step_d(env: InjectionEnvironment, report: ValidationReport) -> None:
+def _step_d(env: InjectionEnvironment, report: ValidationReport,
+            predicted: dict[str, PredictedEffects]) -> None:
     """Wide/global faults: no unexplained new effects."""
     zone_set = env.zone_set
     circuit = env.circuit
@@ -400,7 +405,6 @@ def _step_d(env: InjectionEnvironment, report: ValidationReport) -> None:
 
     # consistency: every measured effect must be predicted reachable
     # from at least one zone the fault touches
-    predicted = predict_effects_table(zone_set)
     from ..zones.classify import FaultClassifier
     classifier = FaultClassifier(zone_set)
     unexplained: list[tuple[str, str]] = []
@@ -437,13 +441,12 @@ def _diag_topup(env: InjectionEnvironment, merged: CoverageCollection,
     faults injected into the alarm's own input cone."""
     import random
 
-    from ..zones.cones import ConeAnalyzer
     from .faults import StuckNetFault
 
     uncovered = [name for name, hit in merged.diag.items() if not hit]
     if not uncovered:
         return
-    analyzer = ConeAnalyzer(env.circuit)
+    graph = env.zone_set.graph
     rng = random.Random(VALIDATION_SEED)
     faults = []
     point_by_name = {p.name: p for p in env.zone_set.observation_points}
@@ -452,8 +455,8 @@ def _diag_topup(env: InjectionEnvironment, merged: CoverageCollection,
         point = point_by_name.get(name)
         if point is None:
             continue
-        cone = analyzer.cone_of_nets(point.nets)
-        gates = [gi for gi in sorted(cone.gates)
+        cone_gates, _, _ = graph.fanin_cone(point.nets)
+        gates = [gi for gi in sorted(cone_gates)
                  if env.circuit.gates[gi].op_name not in skip_ops]
         if len(gates) > CONE_FAULTS_PER_ZONE:
             gates = rng.sample(gates, CONE_FAULTS_PER_ZONE)

@@ -21,6 +21,7 @@ from .netlist import (
     split_bit_suffix,
 )
 from .builder import Module, Vec
+from .netgraph import NetGraph
 from .compiled import (
     CompiledCircuit,
     CompiledSimulator,
@@ -47,7 +48,7 @@ from . import library
 
 __all__ = [
     "Circuit", "Flop", "Gate", "MemoryBlock", "NetlistError",
-    "Module", "Vec", "library",
+    "Module", "Vec", "NetGraph", "library",
     "CompiledCircuit", "CompiledSimulator", "CompileError",
     "compile_circuit", "decompile",
     "BRIDGE_AND", "BRIDGE_DOMINANT", "BRIDGE_OR",

@@ -476,41 +476,23 @@ class CompiledCircuit:
         self.one_row = n + 1
         self.num_rows = n + 2
 
-        drivers: dict[int, tuple[str, int]] = {}
-
-        def claim(net: int, desc: tuple[str, int]) -> None:
-            if net in drivers:
-                raise NetlistError(
-                    f"net {circuit.net_names[net]!r} has multiple "
-                    f"drivers; compiled renumbering requires the "
-                    f"single-driver rule")
-            drivers[net] = desc
-
-        for name, nets in circuit.inputs.items():
-            for net in nets:
-                claim(net, ("input", -1))
-        for i, flop in enumerate(circuit.flops):
-            claim(flop.q, ("flop", i))
-        for i, mem in enumerate(circuit.memories):
-            for net in mem.rdata:
-                claim(net, ("mem", i))
-        for i, gate in enumerate(circuit.gates):
-            kind = "const" if gate.op in (OP_CONST0, OP_CONST1) \
-                else "gate"
-            claim(gate.out, (kind, i))
-
-        gate_level = self._levelize(circuit, drivers)
+        # the single-driver rule the renumbering relies on
+        circuit.driver_map()
+        gate_level = self._levelize(circuit)
         self.depth = (max(gate_level) + 1) if gate_level else 0
 
         # renumber: sources (inputs, flop q, rdata, consts, undriven
         # nets) first in original order, then gate outputs grouped by
         # (level, opcode) so every group's outputs are one contiguous
         # row range and per-group scatter is a plain slice store.
+        logic = bytearray(n)
+        for gate in circuit.gates:
+            if gate.op not in (OP_CONST0, OP_CONST1):
+                logic[gate.out] = 1
         perm = np.full(n, -1, dtype=np.intp)
         next_row = 0
         for net in range(n):
-            kind = drivers.get(net, ("undriven", -1))[0]
-            if kind != "gate":
+            if not logic[net]:
                 perm[net] = next_row
                 next_row += 1
         self.num_source_rows = next_row
@@ -590,68 +572,28 @@ class CompiledCircuit:
                                for m in circuit.memories]
 
     @staticmethod
-    def _levelize(circuit: Circuit, drivers) -> list[int]:
-        """ASAP level per gate index; CompileError (E120) on a loop."""
-        n = circuit.num_nets
-        net_level = [0] * n
-        gate_level = [0] * len(circuit.gates)
-        ready = [False] * n
-        for net, (kind, _) in drivers.items():
-            if kind != "gate":
-                ready[net] = True
-        for net in range(n):
-            if net not in drivers:
-                ready[net] = True
-
-        remaining: dict[int, int] = {}
-        waiters: dict[int, list[int]] = {}
-        queue: list[int] = []
-        for gi, gate in enumerate(circuit.gates):
-            if gate.op in (OP_CONST0, OP_CONST1):
-                ready[gate.out] = True
-        for gi, gate in enumerate(circuit.gates):
-            if gate.op in (OP_CONST0, OP_CONST1):
-                continue
-            missing = sum(1 for net in gate.inputs if not ready[net])
-            if missing == 0:
-                queue.append(gi)
-            else:
-                remaining[gi] = missing
-                for net in gate.inputs:
-                    if not ready[net]:
-                        waiters.setdefault(net, []).append(gi)
-
-        placed = 0
-        while queue:
-            gi = queue.pop()
-            gate = circuit.gates[gi]
-            lvl = 0
-            for net in gate.inputs:
-                nl = net_level[net]
-                if nl > lvl:
-                    lvl = nl
-            gate_level[gi] = lvl
-            placed += 1
-            out = gate.out
-            if not ready[out]:
-                ready[out] = True
-                net_level[out] = lvl + 1
-                for gj in waiters.get(out, ()):
-                    remaining[gj] -= 1
-                    if remaining[gj] == 0:
-                        queue.append(gj)
-
-        total = sum(1 for g in circuit.gates
-                    if g.op not in (OP_CONST0, OP_CONST1))
-        if placed != total:
-            stuck = [gi for gi, left in remaining.items() if left > 0]
-            names = [circuit.net_names[circuit.gates[gi].out]
-                     for gi in stuck[:5]]
+    def _levelize(circuit: Circuit) -> list[int]:
+        """ASAP level per gate index over :meth:`Circuit.levelize`'s
+        order (constants level 0); CompileError (E120) on a loop."""
+        try:
+            order = circuit.levelize()
+        except NetlistError as exc:
             raise CompileError(Diagnostic(
                 code=LOOP_CODE,
-                message=(f"circuit {circuit.name!r} has a "
-                         f"combinational cycle involving nets "
-                         f"{names} ({len(stuck)} gates unplaced)")))
+                message=f"circuit {circuit.name!r} has a {exc}")) from None
+        gates = circuit.gates
+        net_level = [0] * circuit.num_nets
+        gate_level = [0] * len(gates)
+        for gi in order:
+            gate = gates[gi]
+            if gate.op in (OP_CONST0, OP_CONST1):
+                continue
+            level = 0
+            for net in gate.inputs:
+                if net_level[net] > level:
+                    level = net_level[net]
+            gate_level[gi] = level
+            net_level[gate.out] = level + 1
         return gate_level
 
 

@@ -258,15 +258,21 @@ class Circuit:
     def levelize(self) -> list[int]:
         """Topologically order gate indices for single-pass evaluation.
 
-        Sources are primary inputs, flop ``q`` outputs, memory ``rdata``
-        and constant gates.  Raises :class:`NetlistError` if the
-        combinational logic contains a cycle.
+        Sources are primary inputs, flop ``q`` outputs, memory
+        ``rdata``, nets nobody drives and constant gates.  Raises
+        :class:`NetlistError` if the combinational logic contains a
+        cycle.
         """
-        ready: set[int] = set(self.input_nets())
+        ready = bytearray(b"\x01") * self.num_nets
+        for gate in self.gates:
+            ready[gate.out] = 0
+        for net in self.input_nets():
+            ready[net] = 1
         for flop in self.flops:
-            ready.add(flop.q)
+            ready[flop.q] = 1
         for mem in self.memories:
-            ready.update(mem.rdata)
+            for net in mem.rdata:
+                ready[net] = 1
 
         remaining: dict[int, int] = {}
         waiters: dict[int, list[int]] = {}
@@ -274,22 +280,22 @@ class Circuit:
         queue: list[int] = []
 
         for i, gate in enumerate(self.gates):
-            missing = sum(1 for n in gate.inputs if n not in ready)
+            missing = sum(1 for n in gate.inputs if not ready[n])
             if missing == 0:
                 queue.append(i)
             else:
                 remaining[i] = missing
                 for n in gate.inputs:
-                    if n not in ready:
+                    if not ready[n]:
                         waiters.setdefault(n, []).append(i)
 
         while queue:
             i = queue.pop()
             order.append(i)
             out = self.gates[i].out
-            if out in ready:
+            if ready[out]:
                 continue
-            ready.add(out)
+            ready[out] = 1
             for j in waiters.get(out, ()):  # wake consumers
                 remaining[j] -= 1
                 if remaining[j] == 0:
@@ -304,7 +310,8 @@ class Circuit:
         return order
 
     def validate(self) -> None:
-        """Check single-driver rule, net ranges and levelizability."""
+        """Check net ranges, the single-driver rule, that every gate
+        input is driven, and levelizability."""
         nnets = self.num_nets
         for gate in self.gates:
             for net in (*gate.inputs, gate.out):
@@ -320,7 +327,13 @@ class Circuit:
                 if not 0 <= net < nnets:
                     raise NetlistError(
                         f"flop {flop.name!r} references unknown net {net}")
-        self.driver_map()
+        drivers = self.driver_map()
+        for gate in self.gates:
+            for net in gate.inputs:
+                if net not in drivers:
+                    raise NetlistError(
+                        f"gate {self.net_names[gate.out]!r} reads net "
+                        f"{self.net_names[net]!r}, which nothing drives")
         self.levelize()
 
     def stats(self) -> dict[str, int]:

@@ -54,6 +54,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from ..faultinjection.faults import Fault
+from ..hdl.netgraph import NetGraph
 from ..hdl.netlist import OP_NAMES, Circuit
 from ..zones.model import ObservationPoint, SensibleZone
 
@@ -126,9 +127,9 @@ class SupportIndex:
     fan-in of the region (including golden write streams into any
     memory the fault can touch).
 
-    The index's nodes are the nets ``0 .. num_nets - 1`` followed by
-    one node per memory macro, with integer successor and predecessor
-    lists, so a closure is one walk that marks a ``bytearray``.  Each
+    Both closures are walks of the circuit's
+    :class:`~repro.hdl.netgraph.NetGraph`, whose nodes are the nets
+    ``0 .. num_nets - 1`` followed by one node per memory macro.  Each
     gate, flop, memory and input bit carries its canonical JSON
     fragment in one global sorted order; the canonical document of a
     cone is therefore a filter-and-join over those fragments, byte for
@@ -137,29 +138,8 @@ class SupportIndex:
 
     def __init__(self, circuit: Circuit):
         self.circuit = circuit
-        self.num_nets = n = circuit.num_nets
-        size = n + len(circuit.memories)
-        succ: list[list[int]] = [[] for _ in range(size)]
-        pred: list[list[int]] = [[] for _ in range(size)]
-        for gate in circuit.gates:
-            for net in gate.inputs:
-                succ[net].append(gate.out)
-            pred[gate.out].extend(gate.inputs)
-        for flop in circuit.flops:
-            for net in (flop.d, flop.en, flop.rst):
-                if net is not None:
-                    succ[net].append(flop.q)
-                    pred[flop.q].append(net)
-        for mi, mem in enumerate(circuit.memories):
-            node = n + mi
-            for net in (*mem.addr, *mem.wdata, mem.we):
-                succ[net].append(node)
-                pred[node].append(net)
-            for net in mem.rdata:
-                succ[node].append(net)
-                pred[net].append(node)
-        self._succ = succ
-        self._pred = pred
+        self.graph = NetGraph(circuit)
+        self.num_nets = circuit.num_nets
         self._mem_index = {m.name: i
                            for i, m in enumerate(circuit.memories)}
         self._flop_q = {f.name: f.q for f in circuit.flops}
@@ -187,21 +167,13 @@ class SupportIndex:
     def cone(self, nets, mems) -> Cone:
         """Walk the closures of a resolved seed set and fingerprint its
         support cone."""
-        reached, forward = self._seeded(nets, mems)
-        _spread(self._succ, reached, forward)
+        graph = self.graph
+        forward, reached = graph.closure(
+            (*nets, *(self.num_nets + mi for mi in mems)))
         support = bytearray(forward)
-        _spread(self._pred, reached, support)
+        graph.spread(reached, support, backward=True)
         return Cone(forward, support, hashlib.sha256(
             self._fragments.document(support)).hexdigest())
-
-    def _seeded(self, nets, mems) -> tuple[list[int], bytearray]:
-        mark = bytearray(len(self._succ))
-        reached = []
-        for node in (*nets, *(self.num_nets + mi for mi in mems)):
-            if not mark[node]:
-                mark[node] = 1
-                reached.append(node)
-        return reached, mark
 
     def full_fingerprint(self) -> str:
         """Whole-circuit fallback (unresolvable or zone-less faults)."""
@@ -209,17 +181,6 @@ class SupportIndex:
             self._full_fp = hashlib.sha256(
                 self.circuit.canonical_bytes()).hexdigest()
         return self._full_fp
-
-
-def _spread(adjacency: list[list[int]], reached: list[int],
-            mark: bytearray) -> None:
-    """Extend ``reached`` (already marked) to its closure over
-    ``adjacency``, marking every node it adds."""
-    for node in reached:            # visits what the loop appends
-        for nxt in adjacency[node]:
-            if not mark[nxt]:
-                mark[nxt] = 1
-                reached.append(nxt)
 
 
 def _picker(indices: list[int]):

@@ -10,7 +10,7 @@ from .model import (
     SensibleZone,
     ZoneKind,
 )
-from .cones import Cone, ConeAnalyzer, CorrelationReport, correlate_zones
+from .cones import Cone, CorrelationReport, correlate_zones
 from .extractor import (
     ExtractionConfig,
     ZoneExtractor,
@@ -38,22 +38,22 @@ from .graph import (
     zone_reach,
 )
 from .effects import (
-    EffectPredictor,
     PredictedEffects,
+    diagnostic_only_nets,
     predict_effects_table,
 )
 
 __all__ = [
     "Effect", "FailureMode", "FaultClass", "FaultPersistence",
     "ObservationKind", "ObservationPoint", "SensibleZone", "ZoneKind",
-    "Cone", "ConeAnalyzer", "CorrelationReport", "correlate_zones",
+    "Cone", "CorrelationReport", "correlate_zones",
     "ExtractionConfig", "ZoneExtractor", "ZoneLookupError", "ZoneSet",
     "extract_zones",
     "ZONES_SCHEMA_VERSION", "ZoneConfigError", "ZoneResolution",
     "extraction_config_from_dict", "load_zone_config",
     "resolve_zone_config", "save_zones", "zone_config_to_dict",
     "FaultClassifier", "FaultExtent",
-    "EffectPredictor", "PredictedEffects", "predict_effects_table",
+    "PredictedEffects", "diagnostic_only_nets", "predict_effects_table",
     "ZoneGraph", "build_zone_graph", "diagnostic_reach_ratio",
     "export_graphml", "undiagnosed_zones", "zone_reach",
 ]

@@ -40,13 +40,27 @@ class FaultClassifier:
         self.zone_set = zone_set
         self.global_fraction = global_fraction
         self.global_nets = set(global_nets)
-        self._gate_zones: dict[int, list[str]] = {}
-        for name, cone in zone_set.cones.items():
-            for gate in cone.gates:
-                self._gate_zones.setdefault(gate, []).append(name)
+        self._gate_zones = zone_set.correlation.gate_zones \
+            if zone_set.correlation is not None else {}
         self._injectable_zones = [
             z.name for z in zone_set.zones
             if z.name in zone_set.cones and zone_set.cones[z.name].gates]
+        # zones by the nets that define them, and by the graph nodes
+        # (flop q nets, memory nodes) of the state they hold
+        circuit = zone_set.circuit
+        q_of = {f.name: f.q for f in circuit.flops}
+        mem_node = {m.name: circuit.num_nets + i
+                    for i, m in enumerate(circuit.memories)}
+        self._net_zones: dict[int, set[str]] = {}
+        self._state_zones: dict[int, set[str]] = {}
+        for zone in zone_set.zones:
+            for net in zone.nets:
+                self._net_zones.setdefault(net, set()).add(zone.name)
+            nodes = [q_of[name] for name in zone.flops if name in q_of]
+            if zone.memory in mem_node:
+                nodes.append(mem_node[zone.memory])
+            for node in nodes:
+                self._state_zones.setdefault(node, set()).add(zone.name)
 
     # ------------------------------------------------------------------
     def classify_gate(self, gate_idx: int) -> FaultExtent:
@@ -57,7 +71,12 @@ class FaultClassifier:
         return self._extent(site, zones)
 
     def classify_net(self, net) -> FaultExtent:
-        """Classify a fault on a net (stuck-at, bridge, SET)."""
+        """Classify a fault on a net (stuck-at, bridge, SET).
+
+        The net belongs to the zones it defines, to every zone whose
+        input cone holds a gate it feeds, and to the zones of the flops
+        and memories it feeds.
+        """
         circuit = self.zone_set.circuit
         if isinstance(net, str):
             net_name = net
@@ -65,22 +84,13 @@ class FaultClassifier:
         else:
             net_name = circuit.net_names[net]
 
-        zones: set[str] = set()
-        # zones whose defining nets include the net
-        for zone in self.zone_set.zones:
-            if net in zone.nets:
-                zones.add(zone.name)
-        # zones whose input cone consumes the net
-        fanout = circuit.fanout_map().get(net, ())
-        gate_consumers = [d[1] for d in fanout if d[0] == "gate"]
-        for gi in gate_consumers:
-            zones.update(self._gate_zones.get(gi, ()))
-        for desc in fanout:
-            if desc[0] == "flop":
-                flop = circuit.flops[desc[1]]
-                for zone in self.zone_set.zones:
-                    if flop.name in zone.flops:
-                        zones.add(zone.name)
+        graph = self.zone_set.graph
+        zones = set(self._net_zones.get(net, ()))
+        for node in graph.succ[net]:
+            if node < graph.num_nets and graph.comb[node]:
+                zones.update(self._gate_zones.get(graph.driver[node], ()))
+            else:
+                zones.update(self._state_zones.get(node, ()))
 
         site = f"net:{net_name}"
         if net_name in self.global_nets:

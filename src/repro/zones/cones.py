@@ -1,19 +1,20 @@
-"""Logic-cone analysis (paper §3).
+"""Logic cones and zone correlation (paper §3).
 
 For every sensible zone the extraction tool collects "the composition of
 the logic cone in front of each sensible zone (i.e. gate-count,
 interconnections and so forth) and the correlation between each sensible
-zone in terms of shared gates and nets".  This module computes exactly
-those statistics from the netlist, by backward traversal bounded at
-sequential elements (flop outputs, memory read data) and primary inputs.
+zone in terms of shared gates and nets".  The cones are fan-in walks of
+the netlist graph (:meth:`~repro.hdl.netgraph.NetGraph.fanin_cone`),
+bounded at sequential elements (flop outputs, memory read data) and
+primary inputs; this module holds their record and the correlation
+computed from them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
-
-from ..hdl.netlist import Circuit, OP_BUF, OP_CONST0, OP_CONST1
 
 
 @dataclass
@@ -30,168 +31,43 @@ class Cone:
         return len(self.gates)
 
 
-class ConeAnalyzer:
-    """Backward-cone computation with memoized per-net traversal."""
-
-    def __init__(self, circuit: Circuit):
-        self.circuit = circuit
-        self._driver = circuit.driver_map()
-        self._sources = self._source_nets()
-        self._cache: dict[int, tuple[frozenset[int], frozenset[int], int]] \
-            = {}
-
-    def _source_nets(self) -> set[int]:
-        sources = set(self.circuit.input_nets())
-        for flop in self.circuit.flops:
-            sources.add(flop.q)
-        for mem in self.circuit.memories:
-            sources.update(mem.rdata)
-        return sources
-
-    def _net_cone(self, net: int) -> tuple[frozenset[int], frozenset[int],
-                                           int]:
-        """(gates, boundary nets, depth) of the cone driving ``net``.
-
-        Iterative DFS with memoization; the netlist is acyclic in its
-        combinational part (guaranteed by Circuit.validate).
-        """
-        cached = self._cache.get(net)
-        if cached is not None:
-            return cached
-
-        stack = [net]
-        postorder: list[int] = []
-        visiting: set[int] = set()
-        while stack:
-            n = stack.pop()
-            if n in self._cache or n in visiting:
-                continue
-            if n in self._sources or n not in self._driver:
-                self._cache[n] = (frozenset(), frozenset({n}), 0)
-                continue
-            desc = self._driver[n]
-            if desc[0] != "gate":
-                self._cache[n] = (frozenset(), frozenset({n}), 0)
-                continue
-            visiting.add(n)
-            postorder.append(n)
-            gate = self.circuit.gates[desc[1]]
-            for src in gate.inputs:
-                if src not in self._cache:
-                    stack.append(src)
-
-        # resolve in reverse discovery order until fixpoint
-        pending = postorder
-        while pending:
-            still: list[int] = []
-            for n in pending:
-                desc = self._driver[n]
-                gate_idx = desc[1]
-                gate = self.circuit.gates[gate_idx]
-                parts = []
-                ok = True
-                for src in gate.inputs:
-                    got = self._cache.get(src)
-                    if got is None:
-                        ok = False
-                        break
-                    parts.append(got)
-                if not ok:
-                    still.append(n)
-                    continue
-                gates = frozenset({gate_idx}).union(
-                    *(p[0] for p in parts)) if parts \
-                    else frozenset({gate_idx})
-                boundary = frozenset().union(*(p[1] for p in parts)) \
-                    if parts else frozenset()
-                depth = 1 + max((p[2] for p in parts), default=0)
-                self._cache[n] = (gates, boundary, depth)
-            if len(still) == len(pending):
-                raise RuntimeError("cone resolution stalled "
-                                   "(combinational cycle?)")
-            pending = still
-        return self._cache[net]
-
-    # ------------------------------------------------------------------
-    def cone_of_nets(self, nets) -> Cone:
-        """Combined input cone of several nets (e.g. a register's d pins)."""
-        gates: set[int] = set()
-        boundary: set[int] = set()
-        depth = 0
-        roots = tuple(nets)
-        for net in roots:
-            g, b, d = self._net_cone(net)
-            gates |= g
-            boundary |= b
-            depth = max(depth, d)
-        return Cone(roots=roots, gates=frozenset(gates),
-                    boundary_nets=frozenset(boundary), depth=depth)
-
-    def cone_of_zone_inputs(self, zone) -> Cone:
-        """Cone feeding a zone: the logic in front of its state/nets.
-
-        For register zones this is the cone of the flop d (and enable /
-        reset) pins; for other zones, the cone of the zone nets
-        themselves.
-        """
-        from .model import ZoneKind
-        nets: list[int] = []
-        if zone.kind is ZoneKind.REGISTER:
-            by_name = {f.name: f for f in self.circuit.flops}
-            for fname in zone.flops:
-                flop = by_name[fname]
-                nets.append(flop.d)
-                if flop.en is not None:
-                    nets.append(flop.en)
-                if flop.rst is not None:
-                    nets.append(flop.rst)
-        elif zone.kind is ZoneKind.MEMORY and zone.memory is not None:
-            mem = next(m for m in self.circuit.memories
-                       if m.name == zone.memory)
-            nets.extend(mem.addr)
-            nets.extend(mem.wdata)
-            nets.append(mem.we)
-        else:
-            nets.extend(zone.nets)
-        return self.cone_of_nets(nets)
-
-    def effective_gate_count(self, cone: Cone) -> int:
-        """Gate count excluding zero-area cells (buffers, ties)."""
-        skip = (OP_BUF, OP_CONST0, OP_CONST1)
-        return sum(1 for gi in cone.gates
-                   if self.circuit.gates[gi].op not in skip)
-
-
-@dataclass
 class CorrelationReport:
-    """Shared-logic correlation between zone cones (§3 'wide' faults)."""
+    """Shared-logic correlation between zone cones (§3 'wide' faults).
 
-    shared_gates: dict[tuple[str, str], int] = field(default_factory=dict)
-    gate_zone_count: dict[int, int] = field(default_factory=dict)
+    ``gate_zones`` maps every gate to the zones whose cone contains
+    it, in zone order.
+    """
+
+    def __init__(self, gate_zones: dict[int, list[str]]):
+        self.gate_zones = gate_zones
+
+    @cached_property
+    def shared_gates(self) -> dict[tuple[str, str], int]:
+        """Gates shared per zone pair, counted on first use."""
+        shared: dict[tuple[str, str], int] = {}
+        for names in self.gate_zones.values():
+            if len(names) > 1:
+                for pair in combinations(sorted(names), 2):
+                    shared[pair] = shared.get(pair, 0) + 1
+        return shared
 
     def correlated_pairs(self, min_shared: int = 1):
+        """``(pair, shared gates)`` by descending count, then pair."""
         return sorted(((pair, n) for pair, n in self.shared_gates.items()
                        if n >= min_shared),
-                      key=lambda item: -item[1])
+                      key=lambda item: (-item[1], item[0]))
 
     @property
     def wide_gate_count(self) -> int:
         """Gates contributing to more than one zone cone."""
-        return sum(1 for n in self.gate_zone_count.values() if n > 1)
+        return sum(1 for names in self.gate_zones.values()
+                   if len(names) > 1)
 
 
 def correlate_zones(zone_cones: dict[str, Cone]) -> CorrelationReport:
-    """Pairwise shared-gate counts between zone cones."""
-    gate_to_zones: dict[int, list[str]] = {}
+    """The gate -> zones map of the zone cones."""
+    gate_zones: dict[int, list[str]] = {}
     for name, cone in zone_cones.items():
         for gate in cone.gates:
-            gate_to_zones.setdefault(gate, []).append(name)
-
-    report = CorrelationReport()
-    for gate, names in gate_to_zones.items():
-        report.gate_zone_count[gate] = len(names)
-        if len(names) > 1:
-            for a, b in combinations(sorted(names), 2):
-                key = (a, b)
-                report.shared_gates[key] = report.shared_gates.get(key, 0) + 1
-    return report
+            gate_zones.setdefault(gate, []).append(name)
+    return CorrelationReport(gate_zones)

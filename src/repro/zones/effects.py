@@ -15,12 +15,10 @@ effects table against this structural prediction (§5 step a).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
-from ..hdl.netlist import Circuit
 from .extractor import ZoneSet
-from .model import Effect, ObservationPoint, SensibleZone
+from .model import Effect, ObservationKind
 
 
 @dataclass
@@ -42,89 +40,35 @@ class PredictedEffects:
         return any(e.observation == observation for e in self.effects)
 
 
-class EffectPredictor:
-    """Forward 0-1 BFS through the netlist to observation points."""
+def predict_effects_table(zone_set: ZoneSet, zones=None
+                          ) -> dict[str, PredictedEffects]:
+    """Predicted effects for every zone of ``zone_set`` (or for
+    ``zones``): the structural effects table.
 
-    def __init__(self, circuit: Circuit,
-                 observation_points: list[ObservationPoint]):
-        self.circuit = circuit
-        self.points = observation_points
-        self._adjacency = self._build_adjacency()
-        self._net_points: dict[int, list[str]] = {}
-        for point in observation_points:
-            for net in point.nets:
-                self._net_points.setdefault(net, []).append(point.name)
-
-    def _build_adjacency(self) -> dict[int, list[tuple[int, int]]]:
-        """net -> [(successor_net, weight)] with weight 1 across state."""
-        adj: dict[int, list[tuple[int, int]]] = {}
-
-        def link(src: int, dst: int, weight: int) -> None:
-            adj.setdefault(src, []).append((dst, weight))
-
-        for gate in self.circuit.gates:
-            for net in gate.inputs:
-                link(net, gate.out, 0)
-        for flop in self.circuit.flops:
-            link(flop.d, flop.q, 1)
-            if flop.en is not None:
-                link(flop.en, flop.q, 1)
-            if flop.rst is not None:
-                link(flop.rst, flop.q, 1)
-        for mem in self.circuit.memories:
-            feeders = list(mem.addr) + list(mem.wdata) + [mem.we]
-            for src in feeders:
-                for dst in mem.rdata:
-                    link(src, dst, 1)
-        return adj
-
-    def distances_from(self, nets) -> dict[int, int]:
-        """Minimum sequential distance from any of ``nets`` to all nets."""
-        dist: dict[int, int] = {}
-        queue: deque[int] = deque()
-        for net in nets:
-            dist[net] = 0
-            queue.appendleft(net)
-        while queue:
-            net = queue.popleft()
-            d = dist[net]
-            for nxt, weight in self._adjacency.get(net, ()):
-                nd = d + weight
-                if nxt not in dist or nd < dist[nxt]:
-                    dist[nxt] = nd
-                    if weight == 0:
-                        queue.appendleft(nxt)
-                    else:
-                        queue.append(nxt)
-        return dist
-
-    def predict_for_nets(self, zone_name: str, nets) -> PredictedEffects:
-        dist = self.distances_from(nets)
+    One 0-1 BFS of the extraction's netlist graph per zone, from the
+    zone nets; an observation point's distance is that of its nearest
+    net, and the effects are ordered by distance, then point name.
+    """
+    graph = zone_set.graph
+    net_points: dict[int, list[str]] = {}
+    for point in zone_set.observation_points:
+        for net in point.nets:
+            net_points.setdefault(net, []).append(point.name)
+    table: dict[str, PredictedEffects] = {}
+    for zone in zone_set.zones if zones is None else zones:
         reached: dict[str, int] = {}
-        for net, d in dist.items():
-            for pname in self._net_points.get(net, ()):
-                if pname not in reached or d < reached[pname]:
-                    reached[pname] = d
+        for net, d in graph.distances(zone.nets).items():
+            for name in net_points.get(net, ()):
+                if name not in reached or d < reached[name]:
+                    reached[name] = d
         ordered = sorted(reached.items(), key=lambda kv: (kv[1], kv[0]))
-        effects = [Effect(zone=zone_name, observation=name, order=i,
-                          distance=d)
-                   for i, (name, d) in enumerate(ordered)]
-        return PredictedEffects(zone=zone_name, effects=effects)
-
-    def predict(self, zone: SensibleZone) -> PredictedEffects:
-        return self.predict_for_nets(zone.name, zone.nets)
+        table[zone.name] = PredictedEffects(zone=zone.name, effects=[
+            Effect(zone=zone.name, observation=name, order=i, distance=d)
+            for i, (name, d) in enumerate(ordered)])
+    return table
 
 
-def predict_effects_table(zone_set: ZoneSet) -> dict[str, PredictedEffects]:
-    """Predicted effects for every zone (the structural effects table)."""
-    predictor = EffectPredictor(zone_set.circuit,
-                                zone_set.observation_points)
-    return {zone.name: predictor.predict(zone) for zone in zone_set.zones}
-
-
-def diagnostic_only_nets(circuit: Circuit,
-                         observation_points: list[ObservationPoint]
-                         ) -> set[int]:
+def diagnostic_only_nets(zone_set: ZoneSet) -> set[int]:
     """Nets whose *only* observable effect is on diagnostic alarms.
 
     These are the checker-disagreement and alarm-path nets: in a
@@ -137,46 +81,15 @@ def diagnostic_only_nets(circuit: Circuit,
     Computed by reverse reachability: a net is diagnostic-only when it
     reaches at least one alarm point and no functional/status point.
     """
-    # reverse adjacency: net <- nets it is driven by... we need the
-    # forward direction inverted: successor -> predecessors
-    reverse: dict[int, list[int]] = {}
-
-    def link(src: int, dst: int) -> None:
-        reverse.setdefault(dst, []).append(src)
-
-    for gate in circuit.gates:
-        for net in gate.inputs:
-            link(net, gate.out)
-    for flop in circuit.flops:
-        link(flop.d, flop.q)
-        if flop.en is not None:
-            link(flop.en, flop.q)
-        if flop.rst is not None:
-            link(flop.rst, flop.q)
-    for mem in circuit.memories:
-        for src in (*mem.addr, *mem.wdata, mem.we):
-            for dst in mem.rdata:
-                link(src, dst)
-
-    def reach_back(roots) -> set[int]:
-        seen = set(roots)
-        stack = list(roots)
-        while stack:
-            net = stack.pop()
-            for pred in reverse.get(net, ()):
-                if pred not in seen:
-                    seen.add(pred)
-                    stack.append(pred)
-        return seen
-
-    from .model import ObservationKind
+    graph = zone_set.graph
     alarm_roots: list[int] = []
     func_roots: list[int] = []
-    for point in observation_points:
+    for point in zone_set.observation_points:
         if point.kind is ObservationKind.ALARM:
             alarm_roots.extend(point.nets)
         else:
             func_roots.extend(point.nets)
-    reaches_alarm = reach_back(alarm_roots)
-    reaches_func = reach_back(func_roots)
-    return reaches_alarm - reaches_func
+    reaches_alarm, _ = graph.closure(alarm_roots, backward=True)
+    reaches_func, _ = graph.closure(func_roots, backward=True)
+    return {net for net in range(graph.num_nets)
+            if reaches_alarm[net] and not reaches_func[net]}

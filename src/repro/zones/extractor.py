@@ -18,8 +18,9 @@ import difflib
 from dataclasses import dataclass, field
 
 from ..diagnostics import DiagnosticError, DiagnosticReport
+from ..hdl.netgraph import NetGraph
 from ..hdl.netlist import Circuit, OP_BUF, OP_CONST0, OP_CONST1
-from .cones import Cone, ConeAnalyzer, CorrelationReport, correlate_zones
+from .cones import Cone, CorrelationReport, correlate_zones
 from .model import (
     ObservationKind,
     ObservationPoint,
@@ -90,6 +91,16 @@ class ZoneSet:
     #: in the zone-config file so a later re-extraction (``doctor``)
     #: reproduces the same zone names
     config: ExtractionConfig | None = None
+    _graph: NetGraph | None = field(default=None, repr=False)
+
+    @property
+    def graph(self) -> NetGraph:
+        """The netlist graph the extraction walked, kept for the
+        effects, diagnostic-only and classification walks over the same
+        circuit (built on first use for a set assembled from parts)."""
+        if self._graph is None:
+            self._graph = NetGraph(self.circuit)
+        return self._graph
 
     def __len__(self) -> int:
         return len(self.zones)
@@ -142,15 +153,43 @@ class ZoneExtractor:
                            config=self.config)
 
         if analyze_cones:
-            analyzer = ConeAnalyzer(self.circuit)
+            graph = zone_set.graph
+            # zero-area cells (buffers, ties) do not count as cone gates
+            circuit_gates = self.circuit.gates
+            skip = (OP_BUF, OP_CONST0, OP_CONST1)
+            flops = {f.name: f for f in self.circuit.flops}
             for zone in zones:
-                cone = analyzer.cone_of_zone_inputs(zone)
-                zone.cone_gates = analyzer.effective_gate_count(cone)
-                zone.cone_inputs = len(cone.boundary_nets)
-                zone.cone_depth = cone.depth
-                zone_set.cones[zone.name] = cone
+                roots = self._cone_roots(zone, flops)
+                gates, boundary, depth = graph.fanin_cone(roots)
+                zone.cone_gates = sum(1 for gi in gates
+                                      if circuit_gates[gi].op not in skip)
+                zone.cone_inputs = len(boundary)
+                zone.cone_depth = depth
+                zone_set.cones[zone.name] = Cone(
+                    roots, frozenset(gates), frozenset(boundary), depth)
             zone_set.correlation = correlate_zones(zone_set.cones)
         return zone_set
+
+    def _cone_roots(self, zone: SensibleZone, flops: dict
+                    ) -> tuple[int, ...]:
+        """The nets in front of a zone: a register's flop d (and
+        enable / reset) pins, a memory's address, write data and write
+        enable, otherwise the zone nets themselves."""
+        if zone.kind is ZoneKind.REGISTER:
+            nets: list[int] = []
+            for name in zone.flops:
+                flop = flops[name]
+                nets.append(flop.d)
+                if flop.en is not None:
+                    nets.append(flop.en)
+                if flop.rst is not None:
+                    nets.append(flop.rst)
+            return tuple(nets)
+        if zone.kind is ZoneKind.MEMORY and zone.memory is not None:
+            mem = next(m for m in self.circuit.memories
+                       if m.name == zone.memory)
+            return (*mem.addr, *mem.wdata, mem.we)
+        return tuple(zone.nets)
 
     # ------------------------------------------------------------------
     def _register_zones(self) -> list[SensibleZone]:

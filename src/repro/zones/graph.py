@@ -4,8 +4,8 @@ Turns the extraction results into a directed graph whose nodes are
 sensible zones and observation points and whose edges are the
 structural "failure can migrate from A to B" relations of §3 — the
 graph behind Figures 1-3.  Every edge runs from a zone to an
-observation point, as :meth:`EffectPredictor.predict
-<repro.zones.effects.EffectPredictor.predict>` reports it.  Useful for:
+observation point, as :func:`~repro.zones.effects.predict_effects_table`
+reports it.  Useful for:
 
 * ranking zones by *reach* (how many observation points a failure can
   touch);
@@ -19,7 +19,7 @@ from __future__ import annotations
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 
-from .effects import EffectPredictor
+from .effects import predict_effects_table
 from .extractor import ZoneSet
 from .model import ObservationKind, ZoneKind
 
@@ -64,18 +64,16 @@ def build_zone_graph(zone_set: ZoneSet,
     minimum number of register crossings.
     """
     graph = ZoneGraph()
-    predictor = EffectPredictor(zone_set.circuit,
-                                zone_set.observation_points)
+    zones = [zone for zone in zone_set.zones if zone.kind in kinds]
+    table = predict_effects_table(zone_set, zones)
     for point in zone_set.observation_points:
         graph.node_attrs.setdefault(point.name, {}).update(
             kind="observation", observation_kind=point.kind.value)
-    for zone in zone_set.zones:
-        if zone.kind not in kinds:
-            continue
+    for zone in zones:
         graph.node_attrs.setdefault(zone.name, {}).update(
             kind="zone", zone_kind=zone.kind.value, bits=zone.size_bits)
         out = graph.succ.setdefault(zone.name, {})
-        for effect in predictor.predict(zone).effects:
+        for effect in table[zone.name].effects:
             out.setdefault(effect.observation, {}).update(
                 distance=effect.distance, main=effect.is_main)
     return graph

@@ -56,6 +56,21 @@ def test_combinational_cycle_detection():
         c.levelize()
 
 
+def test_undriven_gate_input_is_named_by_validate():
+    c = Circuit("t")
+    a = c.new_net("a")
+    u = c.new_net("u")
+    y = c.new_net("y")
+    c.inputs["a"] = [a]
+    c.add_gate(OP_AND, (a, u), y)
+    c.outputs["y"] = [y]
+    with pytest.raises(NetlistError,
+                       match="gate 'y' reads net 'u', which nothing "
+                             "drives"):
+        c.validate()
+    assert c.levelize() == [0]   # the undriven net is a source
+
+
 def test_cycle_through_flop_is_legal():
     c = Circuit("t")
     a = c.new_net("a")

@@ -15,7 +15,6 @@ from repro.iec61508 import SIL
 from repro.reporting import build_dossier
 from repro.soc import MemorySubsystem, SubsystemConfig, random_traffic
 from repro.zones import (
-    EffectPredictor,
     ObservationKind,
     ZoneKind,
     build_zone_graph,
@@ -25,6 +24,7 @@ from repro.zones import (
     zone_reach,
 )
 
+from .graph_oracle import EffectPredictor
 from .simulator_oracle import Simulator
 
 

@@ -1,0 +1,184 @@
+"""Differential properties of the netlist graph index.
+
+:class:`~repro.hdl.netgraph.NetGraph` replaced the private adjacency
+builds and walkers of the cone analysis, the effect prediction, the
+diagnostic-only net split, the support-cone index and the compiler's
+levelizer.  Those walkers live on in ``tests/graph_oracle.py``; on the
+random netlists of the compiled-kernel differential fuzzer every walk
+of the shared graph must give their results exactly.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.hdl import CompileError, NetGraph, compile_circuit
+from repro.hdl.netlist import (
+    OP_AND,
+    OP_CONST0,
+    OP_CONST1,
+    OP_OR,
+    Circuit,
+)
+from repro.store.fingerprint import SupportIndex
+from repro.zones import (
+    ObservationKind,
+    ObservationPoint,
+    ZoneSet,
+    diagnostic_only_nets,
+    extract_zones,
+    predict_effects_table,
+)
+
+from .graph_oracle import (
+    ConeAnalyzer,
+    EffectPredictor,
+    compiled_drivers,
+    compiled_levels,
+    diagnostic_only_nets as oracle_diagnostic_only_nets,
+    support_closures,
+)
+from .test_compiled_differential import fuzz_circuit
+
+
+@st.composite
+def circuits_with_nets(draw):
+    """A fuzzed circuit and a few random net sets over it."""
+    circuit = fuzz_circuit(draw(st.integers(0, 10_000)))
+    nets = st.lists(st.integers(0, circuit.num_nets - 1), max_size=5)
+    return circuit, [draw(nets) for _ in range(4)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(circuits_with_nets())
+def test_fanin_cones_match_oracle(case):
+    circuit, root_sets = case
+    graph = NetGraph(circuit)
+    analyzer = ConeAnalyzer(circuit)
+    for roots in root_sets:
+        cone = analyzer.cone_of_nets(roots)
+        assert graph.fanin_cone(roots) == (
+            cone.gates, cone.boundary_nets, cone.depth)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000))
+def test_zone_cones_match_oracle(seed):
+    circuit = fuzz_circuit(seed)
+    zone_set = extract_zones(circuit)
+    analyzer = ConeAnalyzer(circuit)
+    for zone in zone_set.zones:
+        expected = analyzer.cone_of_zone_inputs(zone)
+        assert zone_set.cones[zone.name] == expected
+        assert zone.cone_gates == analyzer.effective_gate_count(expected)
+        assert zone.cone_inputs == len(expected.boundary_nets)
+        assert zone.cone_depth == expected.depth
+
+
+@settings(max_examples=60, deadline=None)
+@given(circuits_with_nets())
+def test_distances_match_oracle(case):
+    circuit, seed_sets = case
+    graph = NetGraph(circuit)
+    predictor = EffectPredictor(circuit, [])
+    for seeds in seed_sets:
+        got = {node: d for node, d in graph.distances(seeds).items()
+               if node < circuit.num_nets}
+        assert got == predictor.distances_from(seeds)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000))
+def test_effects_table_matches_oracle(seed):
+    circuit = fuzz_circuit(seed)
+    zone_set = extract_zones(circuit)
+    predictor = EffectPredictor(circuit, zone_set.observation_points)
+    table = predict_effects_table(zone_set)
+    assert list(table) == [zone.name for zone in zone_set.zones]
+    for zone in zone_set.zones:
+        assert table[zone.name] == predictor.predict(zone)
+
+
+@st.composite
+def circuits_with_points(draw):
+    """A fuzzed circuit observed at random nets, some as alarms."""
+    circuit = fuzz_circuit(draw(st.integers(0, 10_000)))
+    nets = st.lists(st.integers(0, circuit.num_nets - 1), min_size=1,
+                    max_size=3)
+    kinds = st.sampled_from(list(ObservationKind))
+    points = [ObservationPoint(name=f"p{i}", kind=draw(kinds),
+                               nets=tuple(draw(nets)))
+              for i in range(draw(st.integers(0, 5)))]
+    return circuit, points
+
+
+@settings(max_examples=80, deadline=None)
+@given(circuits_with_points())
+def test_diagnostic_only_nets_match_oracle(case):
+    circuit, points = case
+    zone_set = ZoneSet(circuit, [], points)
+    assert diagnostic_only_nets(zone_set) == \
+        oracle_diagnostic_only_nets(circuit, points)
+
+
+@st.composite
+def seeded_circuits(draw):
+    circuit = fuzz_circuit(draw(st.integers(0, 10_000)))
+    nets = draw(st.sets(st.integers(0, circuit.num_nets - 1),
+                        max_size=4))
+    mems = draw(st.sets(st.integers(0, len(circuit.memories) - 1),
+                        max_size=1)) if circuit.memories else set()
+    return circuit, nets, mems
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeded_circuits())
+def test_support_closures_match_oracle(case):
+    circuit, nets, mems = case
+    cone = SupportIndex(circuit).cone(nets, mems)
+    assert (cone.forward, cone.support) == \
+        support_closures(circuit, nets, mems)
+
+
+def assert_levels_match(circuit):
+    levels = compiled_levels(circuit, compiled_drivers(circuit))
+    compiled = compile_circuit(circuit)
+    assert compiled.depth == (max(levels) + 1 if levels else 0)
+    for gi, gate in enumerate(circuit.gates):
+        if gate.op not in (OP_CONST0, OP_CONST1):
+            assert compiled.bucket_of[gate.out] == levels[gi] + 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000))
+def test_compiled_levels_match_oracle(seed):
+    assert_levels_match(fuzz_circuit(seed))
+
+
+def test_constants_and_undriven_nets_are_level_zero_sources():
+    c = Circuit(name="srcs")
+    x, u, k, a, y = (c.new_net(name) for name in "xukay")
+    c.inputs["x"] = [x]
+    c.add_gate(OP_CONST1, (), k)
+    c.add_gate(OP_AND, (u, k), a)       # u: driven by nothing
+    c.add_gate(OP_OR, (a, x), y)
+    c.outputs["y"] = [y]
+    assert_levels_match(c)
+    assert NetGraph(c).depth[a] == 2    # a constant is depth 1
+
+
+def test_loop_diagnostic_matches_oracle():
+    """A combinational loop raises the oracle's E120 diagnostic."""
+    c = Circuit(name="loop")
+    x, a, b, y = (c.new_net(name) for name in "xaby")
+    c.inputs["x"] = [x]
+    c.add_gate(OP_AND, (x, b), a)
+    c.add_gate(OP_OR, (a, x), b)
+    c.add_gate(OP_AND, (b, x), y)
+    c.outputs["y"] = [y]
+    with pytest.raises(CompileError) as expected:
+        compiled_levels(c, compiled_drivers(c))
+    with pytest.raises(CompileError) as got:
+        compile_circuit(c)
+    assert str(got.value) == str(expected.value)
+    assert got.value.code == expected.value.code == "E120"

@@ -2,18 +2,21 @@
 
 import pytest
 
+from repro.faultinjection.validation import WIDE_FAULT_PAIRS
 from repro.hdl import Module, library
+from repro.soc import MemorySubsystem, SubsystemConfig
 from repro.zones import (
-    ConeAnalyzer,
-    EffectPredictor,
     ExtractionConfig,
     FaultClass,
     FaultClassifier,
     ObservationKind,
     ZoneKind,
     extract_zones,
+    correlate_zones,
     predict_effects_table,
 )
+
+from .graph_oracle import ConeAnalyzer, EffectPredictor
 
 
 def build_pipeline_circuit():
@@ -144,6 +147,18 @@ def test_zone_correlation_shared_logic():
     assert zs.correlation.wide_gate_count >= 4  # the four AND gates
 
 
+def test_correlated_pairs_do_not_depend_on_zone_order():
+    """Pairs sharing as many gates sort by name, so the pairs step d
+    bridges do not depend on how the cones were collected."""
+    zs = MemorySubsystem(SubsystemConfig.small_baseline()).extract_zones()
+    pairs = zs.correlation.correlated_pairs()
+    # step d's cut falls inside a tie on this design
+    counts = [n for _, n in pairs]
+    assert counts[WIDE_FAULT_PAIRS - 1] == counts[WIDE_FAULT_PAIRS]
+    zs.cones = dict(reversed(zs.cones.items()))
+    assert correlate_zones(zs.cones).correlated_pairs() == pairs
+
+
 # ----------------------------------------------------------------------
 # local / wide / global classification
 # ----------------------------------------------------------------------
@@ -183,6 +198,21 @@ def test_global_net_designation():
     classifier = FaultClassifier(zs, global_nets=("a[0]",))
     extent = classifier.classify_net("a[0]")
     assert extent.fault_class is FaultClass.GLOBAL
+
+
+def test_net_feeding_a_memory_port_belongs_to_the_memory_zone():
+    m = Module("ram")
+    addr = m.input("addr", 2)
+    wdata = m.input("wdata", 4)
+    we = m.input("we")
+    rdata = m.memory("ram", 4, 4, addr, wdata, we)
+    m.output("y", m.reg("r", rdata))
+    circ = m.build()
+    zs = extract_zones(circ)
+    (ram,) = zs.of_kind(ZoneKind.MEMORY)
+    extent = FaultClassifier(zs).classify_net(circ.inputs["wdata"][0])
+    assert extent.zones == ("pi:wdata", ram.name)
+    assert extent.fault_class is FaultClass.WIDE
 
 
 # ----------------------------------------------------------------------
