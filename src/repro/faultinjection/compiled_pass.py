@@ -1,11 +1,13 @@
 """One campaign pass on the compiled kernel.
 
-:func:`run_pass_compiled` is the pass loop of every campaign: it
-evaluates the whole pass on
-:class:`~repro.hdl.compiled.CompiledSimulator` (every fault kind,
-bridges and memory coupling included) and observes it through one
-probe table, read each cycle by one call into the kernel's C library
-(``observe`` in ``_SWEEP_C``):
+:func:`run_pass_compiled` is the pass loop of every campaign: it arms
+the pass's faults on :class:`~repro.hdl.compiled.CompiledSimulator`
+(every fault kind, bridges and memory coupling included), builds one
+probe table, and hands both with the manager's packed stimulus table
+to the kernel's C cycle loop
+(:meth:`~repro.hdl.compiled.CompiledSimulator.run`), which calls
+``observe`` in ``_SWEEP_C`` after every evaluation and returns to
+Python only after a cycle in which some point got new lanes:
 
 * a *point* is an observation point or a SENS probe and owns a
   contiguous range of *cells*; a cell is ``(address, lane stride,
@@ -38,8 +40,8 @@ import math
 
 import numpy as np
 
-from ..hdl.compiled import CompiledSimulator, _sweep_library
-from .manager import FaultResult
+from ..hdl.compiled import CompiledSimulator
+from .manager import CampaignResult, FaultResult
 
 _FUNC, _STATUS, _PROBE, _DIAG = 0, 1, 2, 3
 
@@ -146,18 +148,9 @@ def run_pass_compiled(manager, batch, result) -> None:
     points, offsets, cells, diag, seen = _probe_table(manager, sim, batch)
     fresh = np.empty_like(seen)
     hit = np.empty(len(points), dtype=np.int64)
-    observe = _sweep_library().observe
-    args = (sim.words, sim._full.ctypes.data, len(points),
-            offsets.ctypes.data, cells.ctypes.data, *diag,
-            seen.ctypes.data, fresh.ctypes.data, hit.ctypes.data)
 
-    stimuli = manager.stimuli
-    if cfg.max_cycles is not None:
-        stimuli = stimuli[:cfg.max_cycles]
-
-    for cycle, inputs in enumerate(stimuli):
-        sim.step_eval(inputs)
-        for p in hit[:observe(*args)].tolist():
+    def record(cycle: int, count: int) -> None:
+        for p in hit[:count].tolist():
             kind, name = points[p]
             mask = sim._unpack(fresh[p])
             while mask:
@@ -174,18 +167,14 @@ def run_pass_compiled(manager, batch, result) -> None:
                 elif kind == _DIAG and res.diag_cycle is None:
                     res.diag_cycle = cycle
                     res.first_alarm = name
-        sim.step_commit()
-        result.cycles_simulated += 1
+
+    table = manager.stimulus_table()
+    sim.run(table, len(table), (offsets, cells, diag, seen, fresh, hit),
+            record)
+    result.cycles_simulated += len(table)
 
     if cfg.collect_toggles:
-        if result.seen0 is None:
-            result.seen0 = bytearray(manager.circuit.num_nets)
-            result.seen1 = bytearray(manager.circuit.num_nets)
-        seen0, seen1 = sim._seen0, sim._seen1
-        for net_id in range(manager.circuit.num_nets):
-            if seen0[net_id]:
-                result.seen0[net_id] = 1
-            if seen1[net_id]:
-                result.seen1[net_id] = 1
+        result.merge_toggles(CampaignResult(seen0=sim._seen0,
+                                            seen1=sim._seen1))
 
     result.results.extend(results)

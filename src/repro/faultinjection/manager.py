@@ -200,6 +200,7 @@ class FaultInjectionManager:
         self._flop_index = {f.name: i
                             for i, f in enumerate(circuit.flops)}
         self._compiled = None
+        self._stimulus_table = None
 
     # ------------------------------------------------------------------
     def new_result(self) -> CampaignResult:
@@ -270,6 +271,14 @@ class FaultInjectionManager:
             from ..hdl.compiled import compile_circuit
             self._compiled = compile_circuit(self.circuit)
         return self._compiled
+
+    def stimulus_table(self):
+        """The first ``max_cycles`` cycles of the workload packed once for
+        all passes (:meth:`~repro.hdl.CompiledCircuit.pack_inputs`)."""
+        if self._stimulus_table is None:
+            self._stimulus_table = self.compiled_circuit().pack_inputs(
+                self.stimuli[:self.config.max_cycles])
+        return self._stimulus_table
 
     # ------------------------------------------------------------------
     def _zone_probe(self, zone: SensibleZone, fault: Fault):

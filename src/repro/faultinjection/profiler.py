@@ -9,18 +9,19 @@ system or the application will be used, and then analyze this
 information to ensure that only faults which will produce an error are
 selected during the fault list generation process."
 
-The profiler replays the workload fault-free on the compiled kernel
-(:class:`~repro.hdl.compiled.CompiledSimulator`) at one lane, the
-interpreted simulator of ``tests/simulator_oracle.py`` being its test
-oracle, and records per-cycle flip-flop toggles and memory-port
-traffic; fault-list generation then places transient injections in
-cycles where the target zone actually holds live data.  The same
-replay records, per net, the first cycle it changes and the first
-cycle it is 1 (:class:`NetActivity`): the campaign's golden OBSE/DIAG
-reference (:func:`~repro.faultinjection.parallel.compute_golden_trace`)
-and the validation flow's toggle coverage (a net toggled iff it ever
-changed) are derived from those, so a workload is replayed fault-free
-only once.
+The profiler replays the workload fault-free in the compiled kernel's
+C cycle loop (:class:`~repro.hdl.compiled.CompiledSimulator`) at one
+lane, the interpreted simulator of ``tests/simulator_oracle.py`` being
+its test oracle, and records per-cycle flip-flop toggles and
+memory-port traffic; fault-list generation then places transient
+injections in cycles where the target zone actually holds live data.
+The same replay records, per net, the first cycle it changes and the
+first cycle it is 1 (:class:`NetActivity`): the campaign's golden
+OBSE/DIAG reference
+(:func:`~repro.faultinjection.parallel.compute_golden_trace`) and the
+validation flow's toggle coverage (a net toggled iff it ever changed)
+are derived from those, so a workload is replayed fault-free only
+once.
 """
 
 from __future__ import annotations
@@ -29,14 +30,10 @@ import random
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-import numpy as np
-
-from ..hdl.compiled import CompiledSimulator
+from ..hdl.compiled import Activity, CompiledSimulator
 from ..hdl.netlist import Circuit
 from ..zones.extractor import ZoneSet
 from ..zones.model import SensibleZone, ZoneKind
-
-_U64 = np.uint64
 
 
 @dataclass
@@ -167,87 +164,34 @@ def profile_workload(circuit: Circuit, stimuli, setup=None,
     ``memctrl/port/read_any``); without it every non-write cycle is
     conservatively treated as a potential read.
 
-    The replay runs on the compiled kernel
-    (:class:`~repro.hdl.compiled.CompiledSimulator`) at one lane, so
-    every value row holds 0 or 1, and reads lane 0 with numpy: the
-    per-net first events are masks over all rows, flop toggles a
-    compare of the committed state against the previous cycle's, and
-    memory traffic a gather of the address, write-enable and strobe
-    rows.  Python touches only the flops that toggled and the memory
-    accesses it records.
+    The replay runs on the compiled kernel's C cycle loop
+    (:meth:`~repro.hdl.compiled.CompiledSimulator.run`) at one lane,
+    with an :class:`~repro.hdl.compiled.Activity` record: C writes each
+    net's first events, compares the committed flops against the
+    previous cycle's and gathers the memory port traffic, addresses as
+    little-endian bytes so any port width stays exact.  Python touches
+    only the flop toggles and memory accesses it records.
     """
+    workload = list(stimuli)
     sim = CompiledSimulator(circuit, machines=1)
     if setup is not None:
         setup(sim)
-    cc = sim.compiled
-    rows = sim._vals[:, 0]                  # lane 0 of every row
-    nets = rows[:cc.num_nets]
-
-    # per-net first events, in row order until the end of the replay
-    first_change = np.full(cc.num_nets, -1, dtype=np.int64)
-    first_one = np.full(cc.num_nets, -1, dtype=np.int64)
-    waiting_change = np.ones(cc.num_nets, dtype=bool)
-    waiting_one = np.ones(cc.num_nets, dtype=bool)
-    hit = np.empty(cc.num_nets, dtype=bool)
-    last = np.empty_like(nets)
-
-    # memory ports, padded to the widest address with the zero row; a
-    # memory without a read strobe reads whenever it does not write
-    memories = circuit.memories
     strobes = read_strobes or {}
-    width = max((len(m.addr) for m in memories), default=0)
-    addr_rows = np.full((len(memories), width), cc.zero_row,
-                        dtype=np.intp)
-    for mi, mem_rows in enumerate(cc.mem_addr_rows):
-        addr_rows[mi, :len(mem_rows)] = mem_rows
-    we_rows = np.asarray(cc.mem_we_rows, dtype=np.intp)
-    read_rows = np.asarray(
-        [cc.perm[circuit.find_net(strobes[m.name])] if m.name in strobes
-         else row for m, row in zip(memories, cc.mem_we_rows)],
-        dtype=np.intp)
-    read_flip = np.asarray([m.name not in strobes for m in memories],
-                           dtype=_U64)
-    mem_names = [m.name for m in memories]
-    flop_names = [f.name for f in circuit.flops]
+    activity = Activity(sim, {
+        mi: circuit.find_net(strobes[m.name])
+        for mi, m in enumerate(circuit.memories) if m.name in strobes})
+    sim.run(sim.compiled.pack_inputs(workload), len(workload),
+            activity=activity)
 
-    profile = OperationalProfile(length=len(stimuli))
-    accesses = profile.mem_accesses
-    toggles = profile.flop_toggles
-    prev_flops = None
-    for cycle, inputs in enumerate(stimuli):
-        sim.step_eval(inputs)
-        if cycle:
-            np.not_equal(nets, last, out=hit)
-            hit &= waiting_change
-            if hit.any():
-                first_change[hit] = cycle
-                waiting_change &= ~hit
-        np.copyto(last, nets)
-        np.logical_and(nets, waiting_one, out=hit)
-        if hit.any():
-            first_one[hit] = cycle
-            waiting_one &= ~hit
-        # memory port traffic (during evaluation, pre-edge)
-        if memories:
-            write = rows[we_rows]
-            active = np.flatnonzero(write | (rows[read_rows] ^ read_flip))
-            if len(active):
-                # exact at any address width: little-endian bytes
-                addrs = np.packbits(rows[addr_rows[active]].astype(np.uint8),
-                                    axis=1, bitorder="little")
-                for mi, addr in zip(active.tolist(), addrs):
-                    accesses.setdefault(mem_names[mi], []).append(
-                        MemAccess(cycle=cycle,
-                                  addr=int.from_bytes(addr.tobytes(),
-                                                      "little"),
-                                  write=bool(write[mi])))
-        sim.step_commit()
-        # flop toggles become visible in the committed state
-        state = sim._flop_state[:, 0] & _U64(1)
-        if prev_flops is not None:
-            for i in np.flatnonzero(state != prev_flops).tolist():
-                toggles.setdefault(flop_names[i], []).append(cycle)
-        prev_flops = state
-    profile.activity = NetActivity(first_change[cc.perm].tolist(),
-                                   first_one[cc.perm].tolist())
+    perm = sim.compiled.perm
+    profile = OperationalProfile(
+        length=len(workload),
+        flop_toggles={circuit.flops[flop].name: cycles for flop, cycles
+                      in activity.toggles().items()},
+        activity=NetActivity(activity.first_change[perm].tolist(),
+                             activity.first_one[perm].tolist()))
+    for cycle, mem, write, addr in activity.accesses():
+        profile.mem_accesses.setdefault(
+            circuit.memories[mem].name, []).append(
+            MemAccess(cycle=cycle, addr=addr, write=write))
     return profile

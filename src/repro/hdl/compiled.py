@@ -21,22 +21,19 @@ evaluates *all* machines of a campaign pass in packed 64-bit words:
   ``k // 64`` and machine 0 stays the golden reference, exactly like the
   interpreted big-int layout.
 
-A cycle is two calls into one small C library (``_SWEEP_C``, bound
-with :mod:`ctypes`), three in a campaign pass.  The level sweep runs
-every level's gate groups, each followed by that level's forced-net
-overlay and glitch XORs.  The clock edge commits the flops and steps
-every memory: reads, writes, coupling flips and stuck cells, in the
-interpreted simulator's own per-lane order for lanes whose address
-diverges.  Between the two, a campaign pass
-(:mod:`repro.faultinjection.compiled_pass`) calls ``observe``, which
-compares every SENS/OBSE/DIAG probe with the golden lane.  The library
-is compiled with the host's ``cc`` on the first
-:class:`CompiledSimulator` of a process and cached under
+Every per-cycle step runs in one small C library (``_SWEEP_C``, bound
+with :mod:`ctypes`): the inputs, the eval preamble, the level sweep with
+its forced-net overlay and glitches, the bridge re-sweep, toggle maps,
+a pass's observation and the clock edge.  :meth:`CompiledSimulator.run`
+runs whole stretches of a packed stimulus table in one C call and
+returns to Python only to record a cycle with new lanes, to drain a
+replay's :class:`Activity` buffers or to arm a cycle's scheduled flips
+and glitches; ``step_eval``/``step_commit`` run the same C code one
+cycle at a time.  The library is compiled with the host's ``cc`` on
+the first :class:`CompiledSimulator` of a process and cached under
 ``${XDG_CACHE_HOME:-~/.cache}/repro``, keyed on the SHA-256 of the
 source, the compiler's version and the flags; without a working
 compiler that first simulator raises :class:`CompileError` ``E121``.
-The eval preamble, cycle-start flips, toggle collection and the bridge
-arithmetic stay vectorized numpy.
 
 This is the only simulator of the production code: it runs the
 injection passes, the operational-profile replay at one lane, SET
@@ -86,6 +83,13 @@ LOOP_CODE = "E120"
 #: diagnostic code raised when the C level sweep cannot be built
 KERNEL_CODE = "E121"
 
+#: a stimulus table's code for a row its port leaves alone this cycle
+_KEEP = 2
+#: entries per activity buffer on top of one cycle's most
+_ACTIVITY_ROWS = 4096
+#: the C kernel's bridge modes, by index
+_BRIDGE_MODES = (BRIDGE_DOMINANT, BRIDGE_AND, BRIDGE_OR)
+
 
 class CompileError(DiagnosticError, NetlistError):
     """The circuit cannot be compiled (coded diagnostic, e.g. E120)."""
@@ -96,36 +100,14 @@ class CompileError(DiagnosticError, NetlistError):
 
 
 # ----------------------------------------------------------------------
-# the C kernel: level sweep, clock edge and a pass's observation
+# the C kernel: the comment above each entry point says what it does
 # ----------------------------------------------------------------------
-#: ``sweep``: one sweep of the program over the (rows, W) value array
-#: ``v``: every level's gate groups, each level followed by its bucket
-#: of the forced-net overlay ``(v & ~clear) | set`` and of the cycle's
-#: glitch XORs (``goff`` is NULL on a cycle without glitches).  Bucket
-#: 0 runs before level 0.  The inverting ops and BUF combine with the
-#: all-machines words ``f`` (``NOT a = a ^ f``, ``BUF a = a & f``), so
-#: padding lanes past the last machine keep the numpy sweep's bits.
-#: Op numbers are ``netlist.OP_*``.
-#:
-#: ``clock_edge``: the flop commit in place, then every stacked memory
-#: group in the interpreted simulator's order.  Per member, the lanes
-#: whose address agrees with machine 0's read and write the golden word
-#: word-parallel; every other lane runs the per-lane loop.  A write
-#: goes bit by bit, each bit followed by the couplings whose aggressor
-#: is that cell; stuck cells land after the writes, and patch the read
-#: data only on a member where no lane diverged.  An address is the sum
-#: of its set bits' weights ``2**a % depth``, reduced as it goes, so any
-#: address width is exact.
-#:
-#: ``observe``: a campaign pass's monitors for one cycle over a table of
-#: probe points, each a list of cells ``(address, lane stride, bits)``
-#: into the value array, the flop state or a memory store; it returns
-#: the points with lanes newly diverged from machine 0 (see
-#: :mod:`repro.faultinjection.compiled_pass`).
 _SWEEP_C = r"""
 #include <stdint.h>
+#include <string.h>
 typedef uint64_t u64;
 typedef int64_t i64;
+typedef uint8_t u8;
 
 #define UNARY(E) for (k = 0; k < n; k++, d += W) { \
         const u64 *a = v + in[k] * W; \
@@ -133,6 +115,62 @@ typedef int64_t i64;
 #define BINARY(E) for (k = 0; k < n; k++, d += W) { \
         const u64 *a = v + in[k] * W, *b = v + in[n + k] * W; \
         for (w = 0; w < W; w++) d[w] = (E); } break;
+
+/* One stacked memory group (_MemGroup, bound as _MemTable). */
+typedef struct {
+    i64 members, depth, width, abits;
+    const i64 *addr_rows;           /* (G, A) */
+    const i64 *weight;              /* (A,): 2**a % depth */
+    const i64 *we_rows;             /* (G,) */
+    const i64 *wdata_rows;          /* (G, width) */
+    const i64 *rdata_rows;          /* (G, width) */
+    u64 *store;                     /* (G, depth, W, width) */
+    u64 *rdata;                     /* (G, width, W) */
+    i64 nstuck;
+    const i64 *stuck;               /* (S, 3): member, word, bit */
+    const u64 *stuck_nc, *stuck_set; /* (S, W): ~clear, set */
+    const i64 *coff;                /* (G * depth + 1) or NULL */
+    const i64 *cpl;                 /* (C, 3): agg bit, vic word, vic bit */
+    const u64 *cmask;               /* (C, W) */
+} memgroup;
+
+/* A fault-free replay's lane-0 record (Activity, bound as
+   _ActivityTable). */
+typedef struct {
+    i64 *first_change, *first_one;  /* per net row, -1 until it happens */
+    i64 *wait, nwait;               /* the rows waiting for either */
+    u8 *last;                       /* per net row: last cycle's bit */
+    u8 *prev_q;                     /* per flop: its bit after last edge */
+    i64 nmem, abits, abytes;
+    const i64 *ports;               /* (M, 3 + abits): we row, read row,
+                                       read flip, address rows */
+    i64 cap, ntog, nacc;
+    i64 *tog;                       /* (cap, 2): cycle, flop */
+    i64 *acc;                       /* (cap, 3): cycle, memory, write */
+    u8 *addr;                       /* (cap, abytes), little-endian */
+} activity;
+
+/* One simulator (CompiledSimulator, bound as _SimTable): the (rows, W)
+   value array v, the all-machines words f and pointers to every table;
+   a pointer is NULL, or a count 0, where a feature is unused. */
+typedef struct {
+    u64 *v; i64 W; const u64 *f; i64 nnets;
+    i64 depth; const i64 *levels, *groups, *gather;
+    const i64 *ooff, *orows; const u64 *onc, *oset;  /* forced nets */
+    const i64 *goff, *grows; const u64 *gmask; u64 *graw; /* glitches */
+    i64 nflops; const i64 *flop_rows;   /* (4, F): d, en, rst, q */
+    const u64 *init; u64 *state;
+    i64 nconst0, nconst1; const i64 *const0, *const1;
+    i64 ngroups; const memgroup *mem; u64 *scratch;
+    i64 nbridges; const i64 *bridges;   /* (B, 4): agg, vic, mode, entry */
+    const u64 *bmask;
+    const i64 *boff, *brows; const u64 *bnc; u64 *bset; const u64 *bbase;
+    u8 *seen0, *seen1;
+    i64 ninputs; const i64 *input_rows; const u8 *stim;
+    i64 npoints, diag_lo, diag_hi; const i64 *off, *cells;
+    u64 *seen, *fresh; i64 *hit, nhit;
+    activity *act;
+} sim;
 
 static void overlay(u64 *v, i64 W, i64 lo, i64 hi, const i64 *rows,
                     const u64 *nc, const u64 *set)
@@ -144,24 +182,30 @@ static void overlay(u64 *v, i64 W, i64 lo, i64 hi, const i64 *rows,
     }
 }
 
-void sweep(u64 *v, i64 W, const u64 *f, i64 depth, const i64 *levels,
-           const i64 *groups, const i64 *gather,
-           const i64 *ooff, const i64 *orows, const u64 *onc,
-           const u64 *oset,
-           const i64 *goff, const i64 *grows, const u64 *gmask)
+/* One sweep of the program: every level's gate groups, each level
+   followed by its bucket of the overlay (v & ~clear) | set and of the
+   cycle's glitch XORs; bucket 0 runs before level 0.  The inverting
+   ops and BUF combine with f (NOT a = a ^ f, BUF a = a & f), so padding
+   lanes past the last machine keep the numpy sweep's bits.  Op numbers
+   are netlist.OP_*. */
+static void sweep(const sim *s, const i64 *ooff, const i64 *orows,
+                  const u64 *onc, const u64 *oset)
 {
+    u64 *v = s->v;
+    const u64 *f = s->f;
+    const i64 W = s->W;
     i64 k, w;
     for (i64 lv = 0;; lv++) {
         overlay(v, W, ooff[lv], ooff[lv + 1], orows, onc, oset);
-        if (goff)
-            for (i64 e = goff[lv]; e < goff[lv + 1]; e++)
+        if (s->goff)
+            for (i64 e = s->goff[lv]; e < s->goff[lv + 1]; e++)
                 for (w = 0; w < W; w++)
-                    v[grows[e] * W + w] ^= gmask[e * W + w];
-        if (lv == depth)
+                    v[s->grows[e] * W + w] ^= s->gmask[e * W + w];
+        if (lv == s->depth)
             return;
-        for (i64 g = levels[lv]; g < levels[lv + 1]; g++) {
-            const i64 *grp = groups + 4 * g, n = grp[1];
-            const i64 *in = gather + grp[3];
+        for (i64 g = s->levels[lv]; g < s->levels[lv + 1]; g++) {
+            const i64 *grp = s->groups + 4 * g, n = grp[1];
+            const i64 *in = s->gather + grp[3];
             u64 *d = v + grp[2] * W;
             switch (grp[0]) {
             case 2: UNARY(a[w] & f[w])                      /* BUF */
@@ -185,22 +229,83 @@ void sweep(u64 *v, i64 W, const u64 *f, i64 depth, const i64 *levels,
     }
 }
 
-/* One stacked memory group (_MemGroup, bound as _MemTable). */
-typedef struct {
-    i64 members, depth, width, abits;
-    const i64 *addr_rows;           /* (G, A) */
-    const i64 *weight;              /* (A,): 2**a % depth */
-    const i64 *we_rows;             /* (G,) */
-    const i64 *wdata_rows;          /* (G, width) */
-    u64 *store;                     /* (G, depth, W, width) */
-    u64 *rdata;                     /* (G, width, W) */
-    i64 nstuck;
-    const i64 *stuck;               /* (S, 3): member, word, bit */
-    const u64 *stuck_nc, *stuck_set; /* (S, W): ~clear, set */
-    const i64 *coff;                /* (G * depth + 1) or NULL */
-    const i64 *cpl;                 /* (C, 3): agg bit, vic word, vic bit */
-    const u64 *cmask;               /* (C, W) */
-} memgroup;
+/* Write the input rows from one row of codes: 0 or 1 drives the row to
+   that value in every machine, 2 leaves it alone (its port is not
+   driven this cycle). */
+void drive(const sim *s, const u8 *code)
+{
+    for (i64 i = 0; i < s->ninputs; i++)
+        if (code[i] < 2) {
+            u64 *d = s->v + s->input_rows[i] * s->W;
+            for (i64 w = 0; w < s->W; w++)
+                d[w] = code[i] ? s->f[w] : 0;
+        }
+}
+
+/* Toggle maps: a net row seen 1 in any lane, seen 0 in any lane. */
+static void toggles(const sim *s)
+{
+    if (!s->seen0)
+        return;
+    for (i64 r = 0; r < s->nnets; r++) {
+        const u64 *d = s->v + r * s->W;
+        u64 one = 0, zero = 0;
+        for (i64 w = 0; w < s->W; w++) {
+            one |= d[w];
+            zero |= d[w] ^ s->f[w];
+        }
+        s->seen1[r] |= one != 0;
+        s->seen0[r] |= zero != 0;
+    }
+}
+
+/* The preamble (flop q rows, read-data rows, the constant rows an
+   overlay may have clobbered), a sweep with the forced-net overlay and,
+   with bridges, a second sweep: each bridge's value (dominant a, AND
+   a & v, OR a | v, read from the first sweep so bridges never chain)
+   folds into its victim's overlay entry in arming order, and the
+   program re-runs from the unglitched sources. */
+void eval_comb(const sim *s)
+{
+    u64 *v = s->v;
+    const i64 W = s->W, F = s->nflops, row = W * sizeof(u64);
+    const i64 *q = s->flop_rows + 3 * F;
+    for (i64 i = 0; i < F; i++)
+        memcpy(v + q[i] * W, s->state + i * W, row);
+    for (const memgroup *g = s->mem; g < s->mem + s->ngroups; g++)
+        for (i64 j = 0; j < g->members * g->width; j++)
+            memcpy(v + g->rdata_rows[j] * W, g->rdata + j * W, row);
+    for (i64 i = 0; i < s->nconst0; i++)
+        memset(v + s->const0[i] * W, 0, row);
+    for (i64 i = 0; i < s->nconst1; i++)
+        memcpy(v + s->const1[i] * W, s->f, row);
+    const i64 nraw = s->nbridges && s->goff ? s->goff[1] : 0;
+    for (i64 e = 0; e < nraw; e++)
+        memcpy(s->graw + e * W, v + s->grows[e] * W, row);
+    sweep(s, s->ooff, s->orows, s->onc, s->oset);
+    toggles(s);
+    if (!s->nbridges)
+        return;
+    for (i64 k = 0; k < s->nbridges; k++) {
+        const i64 at = s->bridges[4 * k + 3] * W;
+        memcpy(s->bset + at, s->bbase + at, row);
+    }
+    for (i64 k = 0; k < s->nbridges; k++) {
+        const i64 *b = s->bridges + 4 * k;
+        const u64 *a = v + b[0] * W, *x = v + b[1] * W,
+                  *m = s->bmask + k * W;
+        u64 *d = s->bset + b[3] * W;
+        for (i64 w = 0; w < W; w++) {
+            const u64 val = b[2] == 1 ? a[w] & x[w]
+                          : b[2] == 2 ? a[w] | x[w] : a[w];
+            d[w] = (d[w] & ~m[w]) | (val & m[w]);
+        }
+    }
+    for (i64 e = 0; e < nraw; e++)
+        memcpy(v + s->grows[e] * W, s->graw + e * W, row);
+    sweep(s, s->boff, s->brows, s->bnc, s->bset);
+    toggles(s);
+}
 
 /* Write word a of member m in the lanes of mask[0:w1-w0] (words w0 to
    w1), bit by bit; a bit's transition flips the victims of the
@@ -250,24 +355,33 @@ static i64 lane_address(const memgroup *g, const u64 *v, i64 W,
     return a;
 }
 
-void clock_edge(const u64 *v, i64 W, const u64 *f, i64 nflops,
-                const i64 *flop_rows, const u64 *init, u64 *state,
-                i64 ngroups, const memgroup *groups, u64 *scratch)
+/* The flop commit in place, then every stacked memory group in the
+   interpreted simulator's order.  Per member, the lanes whose address
+   agrees with machine 0's read and write the golden word word-parallel;
+   every other lane runs the per-lane loop.  A write goes bit by bit,
+   each bit followed by the couplings whose aggressor is that cell;
+   stuck cells land after the writes, and patch the read data only on a
+   member where no lane diverged.  An address is the sum of its set
+   bits' weights 2**a % depth, reduced as it goes, so any address width
+   is exact. */
+void clock_edge(const sim *s)
 {
-    const i64 *d = flop_rows, *en = d + nflops, *rst = en + nflops;
-    for (i64 i = 0; i < nflops; i++) {
+    const u64 *v = s->v, *f = s->f;
+    const i64 W = s->W, F = s->nflops;
+    const i64 *d = s->flop_rows, *en = d + F, *rst = en + F;
+    for (i64 i = 0; i < F; i++) {
         const u64 *dv = v + d[i] * W, *ev = v + en[i] * W,
-                  *rv = v + rst[i] * W, *iv = init + i * W;
-        u64 *q = state + i * W;
+                  *rv = v + rst[i] * W, *iv = s->init + i * W;
+        u64 *q = s->state + i * W;
         for (i64 w = 0; w < W; w++) {
             u64 nxt = (dv[w] & ev[w]) | (q[w] & ~ev[w]);
             q[w] = (iv[w] & rv[w]) | (nxt & ~rv[w]);
         }
     }
-    u64 *mism = scratch, *uw = scratch + W;
-    for (const memgroup *g = groups; g < groups + ngroups; g++) {
+    u64 *mism = s->scratch, *uw = s->scratch + W;
+    for (const memgroup *g = s->mem; g < s->mem + s->ngroups; g++) {
         const i64 width = g->width, stride = W * width;
-        i64 s = 0;
+        i64 st = 0;
         for (i64 m = 0; m < g->members; m++) {
             const i64 *rows = g->addr_rows + m * g->abits;
             const u64 *we = v + g->we_rows[m] * W;
@@ -301,24 +415,26 @@ void clock_edge(const u64 *v, i64 W, const u64 *f, i64 nflops,
                     if (we[w] & lane)
                         mem_write(g, v, W, m, a, w, w + 1, &lane);
                 }
-            for (; s < g->nstuck && g->stuck[3 * s] == m; s++) {
-                const i64 *st = g->stuck + 3 * s;
-                const u64 *nc = g->stuck_nc + s * W,
-                          *set = g->stuck_set + s * W;
-                u64 *cell = g->store + (m * g->depth + st[1]) * stride
-                    + st[2];
+            for (; st < g->nstuck && g->stuck[3 * st] == m; st++) {
+                const i64 *sc = g->stuck + 3 * st;
+                const u64 *nc = g->stuck_nc + st * W,
+                          *set = g->stuck_set + st * W;
+                u64 *cell = g->store + (m * g->depth + sc[1]) * stride
+                    + sc[2];
                 for (i64 w = 0; w < W; w++)
                     cell[w * width] = (cell[w * width] & nc[w]) | set[w];
-                if (!any && st[1] == a0)
+                if (!any && sc[1] == a0)
                     for (i64 w = 0; w < W; w++)
-                        rd[st[2] * W + w] =
-                            (rd[st[2] * W + w] & nc[w]) | set[w];
+                        rd[sc[2] * W + w] =
+                            (rd[sc[2] * W + w] & nc[w]) | set[w];
             }
         }
     }
 }
 
-/* One cycle of a campaign pass's monitors.  Point p owns the cells
+/* One cycle of a campaign pass's monitors (see compiled_pass.py): a
+   table of probe points, each a list of cells into the value array,
+   the flop state or a memory store.  Point p owns the cells
    off[p] to off[p + 1], rows (address, lane stride, bits): bit b of
    lane word w is the u64 at address + (w * stride + b) * 8.  Per lane
    word, the point's diff is the OR over its cells' bits of x ^ g,
@@ -326,22 +442,23 @@ void clock_edge(const u64 *v, i64 W, const u64 *f, i64 nflops,
    (diag_lo <= p < diag_hi).  Its lanes in f & ~seen[p] are ORed into
    seen[p] and written to fresh[p]; a point with none left is
    skipped.  Returns how many points got new lanes, listed in hit. */
-i64 observe(i64 W, const u64 *f, i64 npoints, const i64 *off,
-            const i64 *cells, i64 diag_lo, i64 diag_hi, u64 *seen,
-            u64 *fresh, i64 *hit)
+static i64 observe(const sim *s)
 {
+    const i64 W = s->W;
+    const u64 *f = s->f;
     i64 nhit = 0;
-    for (i64 p = 0; p < npoints; p++) {
-        u64 *sp = seen + p * W, *x = fresh + p * W, open = 0, any = 0;
+    for (i64 p = 0; p < s->npoints; p++) {
+        u64 *sp = s->seen + p * W, *x = s->fresh + p * W, open = 0,
+            any = 0;
         for (i64 w = 0; w < W; w++)
             open |= f[w] & ~sp[w];
         if (!open)
             continue;
-        const int diag = p >= diag_lo && p < diag_hi;
+        const int diag = p >= s->diag_lo && p < s->diag_hi;
         for (i64 w = 0; w < W; w++)
             x[w] = 0;
-        for (const i64 *c = cells + 3 * off[p]; c < cells + 3 * off[p + 1];
-             c += 3) {
+        for (const i64 *c = s->cells + 3 * s->off[p];
+             c < s->cells + 3 * s->off[p + 1]; c += 3) {
             const u64 *v = (const u64 *)(uintptr_t)c[0];
             for (i64 b = 0; b < c[2]; b++) {
                 const u64 g = -(v[b] & 1);
@@ -357,23 +474,113 @@ i64 observe(i64 W, const u64 *f, i64 npoints, const i64 *off,
             any |= x[w];
         }
         if (any)
-            hit[nhit++] = p;
+            s->hit[nhit++] = p;
     }
     return nhit;
+}
+
+/* Cycle c's evaluated lane 0: first events per net row (a change
+   counts from cycle 1), then the memories' port traffic: a write, or
+   a read (the strobe row, or not writing when flip is 1). */
+static void record(activity *a, const sim *s, i64 c)
+{
+    const u64 *v = s->v;
+    const i64 W = s->W;
+    i64 kept = 0;
+    for (i64 k = 0; k < a->nwait; k++) {
+        const i64 r = a->wait[k];
+        const u8 bit = v[r * W] & 1;
+        if (c && bit != a->last[r] && a->first_change[r] < 0)
+            a->first_change[r] = c;
+        if (bit && a->first_one[r] < 0)
+            a->first_one[r] = c;
+        a->last[r] = bit;
+        if (a->first_change[r] < 0 || a->first_one[r] < 0)
+            a->wait[kept++] = r;
+    }
+    a->nwait = kept;
+    for (i64 m = 0; m < a->nmem; m++) {
+        const i64 *p = a->ports + (3 + a->abits) * m, *rows = p + 3;
+        const u64 write = v[p[0] * W] & 1;
+        if (!write && !((v[p[1] * W] & 1) ^ p[2]))
+            continue;
+        i64 *e = a->acc + 3 * a->nacc;
+        u8 *addr = a->addr + a->abytes * a->nacc++;
+        e[0] = c;
+        e[1] = m;
+        e[2] = write;
+        memset(addr, 0, a->abytes);
+        for (i64 b = 0; b < a->abits; b++)
+            addr[b >> 3] |= (u8)((v[rows[b] * W] & 1) << (b & 7));
+    }
+}
+
+/* Cycle c's committed flops: a toggle against the previous cycle's. */
+static void record_flops(activity *a, const sim *s, i64 c)
+{
+    for (i64 i = 0; i < s->nflops; i++) {
+        const u8 q = s->state[i * s->W] & 1;
+        if (c && q != a->prev_q[i]) {
+            a->tog[2 * a->ntog] = c;
+            a->tog[2 * a->ntog++ + 1] = i;
+        }
+        a->prev_q[i] = q;
+    }
+}
+
+/* Cycles [lo, hi) of the stimulus table: drive, eval_comb, the
+   activity record, observe, clock_edge.  Returns the next cycle to run:
+   hi, or earlier right after a cycle whose observation found new lanes
+   (nhit) or after which the activity buffers may not hold another. */
+i64 run(sim *s, i64 lo, i64 hi)
+{
+    activity *a = s->act;
+    s->nhit = 0;
+    for (i64 c = lo; c < hi; c++) {
+        drive(s, s->stim + c * s->ninputs);
+        eval_comb(s);
+        if (a)
+            record(a, s, c);
+        if (s->npoints)
+            s->nhit = observe(s);
+        clock_edge(s);
+        if (a) {
+            record_flops(a, s, c);
+            if (a->ntog + s->nflops > a->cap || a->nacc + a->nmem > a->cap)
+                return c + 1;
+        }
+        if (s->nhit)
+            return c + 1;
+    }
+    return hi;
 }
 """
 
 _CC_FLAGS = ("-O2", "-shared", "-fPIC")
 _PTR = ctypes.c_void_p
 _I64 = ctypes.c_int64
-_SWEEP_ARGTYPES = (_PTR, _I64, _PTR, _I64, _PTR, _PTR, _PTR,
-                   _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR)
-_EDGE_ARGTYPES = (_PTR, _I64, _PTR, _I64, _PTR, _PTR, _PTR, _I64, _PTR,
-                  _PTR)
-_OBSERVE_ARGTYPES = (_I64, _PTR, _I64, _PTR, _PTR, _I64, _I64, _PTR, _PTR,
-                     _PTR)
-#: the glitch arguments of a sweep on a cycle without glitches
-_NO_GLITCHES = (None, None, None)
+
+
+def _table(fields: str) -> type[ctypes.Structure]:
+    """A ctypes view of one of ``_SWEEP_C``'s structs, whose fields are
+    all 8 bytes: a pointer is bound as its address (0 for NULL)."""
+    return type("_Table", (ctypes.Structure,),
+                {"_fields_": [(name, _I64) for name in fields.split()]})
+
+
+#: ``memgroup``: one stacked memory group
+_MemTable = _table("""members depth width abits addr_rows weight we_rows
+    wdata_rows rdata_rows store rdata nstuck stuck stuck_nc stuck_set
+    coff cpl cmask""")
+#: ``activity``: a fault-free replay's lane-0 record
+_ActivityTable = _table("""first_change first_one wait nwait last prev_q
+    nmem abits abytes ports cap ntog nacc tog acc addr""")
+#: ``sim``: one simulator
+_SimTable = _table("""v W f nnets depth levels groups gather ooff orows
+    onc oset goff grows gmask graw nflops flop_rows init state nconst0
+    nconst1 const0 const1 ngroups mem scratch nbridges bridges bmask boff
+    brows bnc bset bbase seen0 seen1 ninputs input_rows stim npoints
+    diag_lo diag_hi off cells seen fresh hit nhit act""")
 
 
 def _kernel_error(reason: str) -> CompileError:
@@ -451,12 +658,12 @@ def _sweep_library() -> ctypes.CDLL:
     except OSError as err:
         raise _kernel_error(f"loading {path} failed: {err}; delete it "
                             f"to rebuild") from err
-    lib.sweep.argtypes = _SWEEP_ARGTYPES
-    lib.sweep.restype = None
-    lib.clock_edge.argtypes = _EDGE_ARGTYPES
-    lib.clock_edge.restype = None
-    lib.observe.argtypes = _OBSERVE_ARGTYPES
-    lib.observe.restype = _I64
+    for name in ("drive", "eval_comb", "clock_edge"):
+        getattr(lib, name).restype = None
+    lib.drive.argtypes = (_PTR, _PTR)
+    lib.eval_comb.argtypes = lib.clock_edge.argtypes = (_PTR,)
+    lib.run.argtypes = (_PTR, _I64, _I64)
+    lib.run.restype = _I64
     return lib
 
 
@@ -543,23 +750,22 @@ class CompiledCircuit:
 
         self.const0_rows = perm[np.array(
             [g.out for g in circuit.gates if g.op == OP_CONST0],
-            dtype=np.intp)]
+            dtype=np.intp)].astype(np.int64)
         self.const1_rows = perm[np.array(
             [g.out for g in circuit.gates if g.op == OP_CONST1],
-            dtype=np.intp)]
+            dtype=np.intp)].astype(np.int64)
 
         flops = circuit.flops
-        self.flop_q_rows = perm[np.array([f.q for f in flops],
-                                         dtype=np.intp)]
-        # the clock edge's (3, F) table: every flop's d row, then its
-        # en row (the one row without en), then its rst row (the zero
-        # row without rst)
+        # the (4, F) flop table: every flop's d row, then its en row
+        # (the one row without en), then its rst row (the zero row
+        # without rst), then its q row
         self.flop_rows = np.array(
             [[perm[f.d] for f in flops],
              [self.one_row if f.en is None else perm[f.en]
               for f in flops],
              [self.zero_row if f.rst is None else perm[f.rst]
-              for f in flops]], dtype=np.int64).reshape(3, -1)
+              for f in flops],
+             [perm[f.q] for f in flops]], dtype=np.int64).reshape(4, -1)
         self.flop_init = np.array([bool(f.init) for f in flops],
                                   dtype=bool)
 
@@ -570,6 +776,44 @@ class CompiledCircuit:
         self.mem_we_rows = [int(perm[m.we]) for m in circuit.memories]
         self.mem_rdata_rows = [perm[np.array(m.rdata, dtype=np.intp)]
                                for m in circuit.memories]
+
+        #: every input port's rows back to back, in port order, and
+        #: each port's first column of a stimulus table and value mask
+        self.input_rows = perm[np.asarray(circuit.input_nets(),
+                                          dtype=np.intp)].astype(np.int64)
+        self.input_ports: dict[str, tuple[int, int]] = {}
+        first = 0
+        for name, nets in circuit.inputs.items():
+            self.input_ports[name] = (first, (1 << len(nets)) - 1)
+            first += len(nets)
+
+    def pack_inputs(self, stimuli) -> np.ndarray:
+        """``stimuli`` (one ``{port: value}`` dict per cycle) as the C
+        loop's ``(cycles, input rows)`` ``uint8`` table: per row the
+        bit its port is driven to, or :data:`_KEEP` where the cycle
+        does not drive the port (its rows keep their values).
+
+        Raises :class:`~repro.hdl.netlist.NetlistError` on a name that
+        is not an input port.  Any port width is exact.
+        """
+        stimuli = list(stimuli)
+        rows = len(self.input_rows)
+        size = (rows + 7) // 8
+        raw = bytearray()
+        for cycle in stimuli:
+            value = driven = 0
+            for name, v in cycle.items():
+                if name not in self.input_ports:
+                    raise NetlistError(f"no input named {name!r}")
+                first, mask = self.input_ports[name]
+                value |= (int(v) & mask) << first
+                driven |= mask << first
+            raw += value.to_bytes(size, "little")
+            raw += driven.to_bytes(size, "little")
+        bits = np.unpackbits(
+            np.frombuffer(raw, dtype=np.uint8).reshape(len(stimuli), 2, size),
+            axis=2, count=rows, bitorder="little")
+        return np.where(bits[:, 1], bits[:, 0], np.uint8(_KEEP))
 
     @staticmethod
     def _levelize(circuit: Circuit) -> list[int]:
@@ -646,24 +890,11 @@ def decompile(compiled: CompiledCircuit) -> Circuit:
     return out
 
 
+
+
 # ----------------------------------------------------------------------
 # the simulator
 # ----------------------------------------------------------------------
-class _MemTable(ctypes.Structure):
-    """One stacked memory group as the C clock edge reads it
-    (``memgroup`` in ``_SWEEP_C``)."""
-
-    _fields_ = [*((name, _I64) for name in
-                  ("members", "depth", "width", "abits")),
-                *((name, _PTR) for name in
-                  ("addr_rows", "weight", "we_rows", "wdata_rows",
-                   "store", "rdata")),
-                ("nstuck", _I64),
-                *((name, _PTR) for name in
-                  ("stuck", "stuck_nc", "stuck_set", "coff", "cpl",
-                   "cmask"))]
-
-
 class _MemGroup:
     """Memories of one (depth, width, address bits) shape, stacked.
 
@@ -683,8 +914,8 @@ class _MemGroup:
         self.members = members
         self.store = np.zeros((G, depth, words, width), dtype=_U64)
         self.rdata = np.zeros((G * width, words), dtype=_U64)
-        self.rdata_rows = np.concatenate([cc.mem_rdata_rows[mi]
-                                          for mi in members])
+        self.rdata_rows = np.concatenate(
+            [cc.mem_rdata_rows[mi] for mi in members]).astype(np.int64)
         abits = len(cc.mem_addr_rows[members[0]])
         self._tables = (
             np.array([cc.mem_addr_rows[mi] for mi in members],
@@ -695,7 +926,8 @@ class _MemGroup:
             np.array([cc.mem_we_rows[mi] for mi in members],
                      dtype=np.int64),
             np.array([cc.mem_wdata_rows[mi] for mi in members],
-                     dtype=np.int64).reshape(G, width))
+                     dtype=np.int64).reshape(G, width),
+            self.rdata_rows)
         self.table = _MemTable(
             G, depth, width, abits,
             *(t.ctypes.data for t in self._tables),
@@ -708,60 +940,88 @@ class _Overlay(NamedTuple):
     Bucket ``b`` (0 = before level 0, ``k + 1`` = right after level
     ``k``) owns entries ``offsets[b]:offsets[b + 1]`` of ``rows`` and
     of every ``(n, W)`` array of ``masks``: ``(~clear, set)`` for
-    forced nets, applied as
-    ``(v & ~clear) | set``, or ``(xor,)`` for a cycle's glitches.
-    ``args`` holds the C sweep's arguments bound to these arrays; a
-    forced-net plan's start with the simulator's leading arguments, so
-    a sweep is ``sweep(*plan.args, *glitches.args)``.
+    forced nets, applied as ``(v & ~clear) | set``, or ``(xor,
+    scratch)`` for a cycle's glitches.
     """
 
     offsets: np.ndarray
     rows: np.ndarray
     masks: tuple
-    args: tuple
+
+    @property
+    def pointers(self) -> tuple[int, ...]:
+        return (self.offsets.ctypes.data, self.rows.ctypes.data,
+                *(m.ctypes.data for m in self.masks))
 
 
-class _BridgePlan(NamedTuple):
-    """The bridge re-sweep of one fault set, rebuilt when it changes.
+class Activity:
+    """A fault-free replay's lane-0 record, written by the C loop of
+    :meth:`CompiledSimulator.run`: per net row the first cycle >= 1 it
+    differs from the cycle before (``first_change``) and the first
+    cycle it is 1 (``first_one``), -1 for never, and the flop toggles
+    and memory accesses in the order they happen, which C appends to
+    bounded buffers that :meth:`drain` empties.
 
-    Bridges are sorted stably by victim row; ``eff`` is each bridge's
-    mask minus the lanes a later bridge on the same victim claims, so
-    one victim's bridged values OR-combine with a segmented
-    ``reduceat`` over ``starts``.  A bridge's value is
-    ``(a & (v | not_and)) | (v & or_sel)``: dominant -> a, AND -> a & v,
-    OR -> a | v.  ``plan`` is the forced-net overlay with every
-    victim's bridged lanes added to its clear mask; each cycle writes
-    ``set_base | bridged[set_victim]`` into the ``set_pos`` entries of
-    its set array, in place.
+    ``strobes`` maps a memory index to its read-strobe net; a memory
+    without one reads in every cycle it does not write.
     """
 
-    agg: np.ndarray
-    vic: np.ndarray
-    not_and: np.ndarray
-    or_sel: np.ndarray
-    eff: np.ndarray
-    starts: np.ndarray
-    plan: _Overlay
-    set_pos: np.ndarray
-    set_victim: np.ndarray
-    set_base: np.ndarray
+    def __init__(self, sim: "CompiledSimulator", strobes: dict[int, int]):
+        cc = sim.compiled
+        n, F, M = cc.num_nets, len(cc.circuit.flops), len(cc.mem_we_rows)
+        abits = max(map(len, cc.mem_addr_rows), default=0)
+        self._abytes = (abits + 7) // 8
+        # per memory: we row, read row, read flip, then the address
+        # rows padded with the zero row
+        ports = np.full((M, 3 + abits), cc.zero_row, dtype=np.int64)
+        for mi, we in enumerate(cc.mem_we_rows):
+            rows = cc.mem_addr_rows[mi]
+            ports[mi, :3 + len(rows)] = (
+                we, cc.perm[strobes[mi]] if mi in strobes else we,
+                mi not in strobes, *rows)
+        cap = _ACTIVITY_ROWS + F + M
+        self.first_change = np.full(n, -1, dtype=np.int64)
+        self.first_one = np.full(n, -1, dtype=np.int64)
+        self._arrays = (np.arange(n, dtype=np.int64),     # waiting rows
+                        np.zeros(n, dtype=np.uint8), np.zeros(F, np.uint8),
+                        ports, np.empty((cap, 2), dtype=np.int64),
+                        np.empty((cap, 3), dtype=np.int64),
+                        np.empty((cap, self._abytes), dtype=np.uint8))
+        wait, last, prev_q, _, self._tog, self._acc, self._addr = \
+            self._arrays
+        self.table = _ActivityTable(
+            self.first_change.ctypes.data, self.first_one.ctypes.data,
+            wait.ctypes.data, n, last.ctypes.data, prev_q.ctypes.data,
+            M, abits, self._abytes, ports.ctypes.data, cap, 0, 0,
+            self._tog.ctypes.data, self._acc.ctypes.data,
+            self._addr.ctypes.data)
+        self._chunks: list[tuple[np.ndarray, np.ndarray, bytes]] = []
 
+    def drain(self) -> None:
+        t = self.table
+        self._chunks.append((self._tog[:t.ntog].copy(),
+                             self._acc[:t.nacc].copy(),
+                             self._addr[:t.nacc].tobytes()))
+        t.ntog = t.nacc = 0
 
-class _EdgePlan(NamedTuple):
-    """The C clock edge's arguments for one memory-fault set.
+    def toggles(self) -> dict[int, list[int]]:
+        """Per flop index, in the order of their first toggle, the
+        cycles whose committed value differs from the cycle before's."""
+        tog = np.concatenate([chunk[0] for chunk in self._chunks])
+        by_flop = tog[np.argsort(tog[:, 1], kind="stable")]
+        flops, starts = np.unique(by_flop[:, 1], return_index=True)
+        cycles = np.split(by_flop[:, 0], starts[1:])
+        first = np.lexsort((flops, by_flop[starts, 0]))
+        return {flops[k].item(): cycles[k].tolist() for k in first}
 
-    ``tables`` holds one ``memgroup`` per stacked group; ``arrays`` are
-    the stuck-cell and coupling tables its pointers reach into.  A
-    stuck table is ``(member, word, bit)`` rows in member order with
-    ``(~clear, set)`` words.  Couplings are sorted stably by member,
-    aggressor word and aggressor bit, ``(aggressor bit, victim word,
-    victim bit)`` rows with mask words, indexed by ``(member,
-    aggressor word)`` offsets.
-    """
-
-    args: tuple
-    tables: ctypes.Array
-    arrays: list
+    def accesses(self) -> list[tuple[int, int, bool, int]]:
+        """``(cycle, memory index, write, address)`` per access; the
+        address is the whole driven integer at any port width."""
+        size = self._abytes
+        return [(cycle, mem, bool(write), int.from_bytes(
+                    raw[k * size:(k + 1) * size], "little"))
+                for _, acc, raw in self._chunks
+                for k, (cycle, mem, write) in enumerate(acc.tolist())]
 
 
 class CompiledSimulator(SimulatorBase):
@@ -792,24 +1052,12 @@ class CompiledSimulator(SimulatorBase):
         self._full = self._pack(self.full_mask)
         self._notone = self._full.copy()
         self._notone[0] &= _U64(~np.uint64(1))
-        #: a row's golden words by its lane-0 bit (row 0: none, row 1:
-        #: every machine), gathered per cycle instead of broadcast
-        self._golden_words = np.stack([np.zeros(W, dtype=_U64),
-                                       self._full])
 
         self._vals = np.zeros((cc.num_rows, W), dtype=_U64)
         self._vals[cc.one_row] = self._full
         if len(cc.const1_rows):
             self._vals[cc.const1_rows] = self._full
-        lib = _sweep_library()
-        self._sweep = lib.sweep
-        self._edge = lib.clock_edge
-        #: the sweep's leading arguments, fixed for this simulator: the
-        #: value array, the all-machines words and the program tables
-        self._sweep_head = (
-            self._vals.ctypes.data, W, self._full.ctypes.data, cc.depth,
-            cc.level_groups.ctypes.data, cc.groups.ctypes.data,
-            cc.gather.ctypes.data)
+        self._lib = _sweep_library()
 
         F = len(self.circuit.flops)
         self._flop_state = np.where(cc.flop_init[:, None],
@@ -831,19 +1079,6 @@ class CompiledSimulator(SimulatorBase):
                   for j, mi in enumerate(group.members)}
         self._mem_store = [stores[mi] for mi in range(len(stores))]
 
-        #: per port: its rows, its byte count and its value mask
-        self._input_rows = {
-            name: (cc.perm[np.asarray(nets, dtype=np.intp)],
-                   (len(nets) + 7) // 8, (1 << len(nets)) - 1)
-            for name, nets in self.circuit.inputs.items()}
-        # last-driven value per port: rows of an unchanged port are
-        # only rewritten by eval-start overlays, which are idempotent,
-        # so re-driving the same value can be skipped.  Glitches on
-        # primary inputs XOR the rows in place and void that reasoning.
-        self._input_last: dict[str, int] = {}
-        self._input_nets = {net for nets in self.circuit.inputs.values()
-                            for net in nets}
-        self._input_cache_ok = True
         self._flop_index = {f.name: i
                             for i, f in enumerate(self.circuit.flops)}
         self._mem_index = {m.name: i for i, m
@@ -852,23 +1087,44 @@ class CompiledSimulator(SimulatorBase):
 
         # fault state: original net id -> (clear, set) word vectors
         self._forced: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._overlay_plan: _Overlay | None = None
         self._flop_flips: dict[int, list] = {}
         self._net_glitches: dict[int, dict[int, np.ndarray]] = {}
         self._mem_flips: dict[int, list] = {}
         #: (aggressor net, victim net, mode, mask words) in arming order
         self._bridges: list[tuple] = []
-        self._bridge_plan: _BridgePlan | None = None
         self._mem_stuck: dict[int, dict[tuple[int, int], tuple]] = {}
         self._mem_coupling: dict[int, list[tuple]] = {}
-        #: the clock edge's arguments, rebound when memory faults change
-        self._edge_plan: _EdgePlan | None = None
+        # the plans the C struct points into, rebuilt (None) when the
+        # faults they come from change
+        self._overlay_plan: _Overlay | None = None
+        self._bridge_plan: tuple | None = None
+        self._edge_plan: tuple | None = None
+        self._glitch_plan: _Overlay | None = None
         self._edge_scratch = np.zeros(2 * W, dtype=_U64)
 
         self.collect_toggles = collect_toggles
         n = cc.num_nets
         self._t_seen0 = np.zeros(n, dtype=bool)
         self._t_seen1 = np.zeros(n, dtype=bool)
+
+        self._c = _SimTable(
+            v=self._vals.ctypes.data, W=W, f=self._full.ctypes.data,
+            nnets=n, depth=cc.depth, levels=cc.level_groups.ctypes.data,
+            groups=cc.groups.ctypes.data, gather=cc.gather.ctypes.data,
+            nflops=F, flop_rows=cc.flop_rows.ctypes.data,
+            init=self._flop_init_words.ctypes.data,
+            state=self._flop_state.ctypes.data,
+            nconst0=len(cc.const0_rows), nconst1=len(cc.const1_rows),
+            const0=cc.const0_rows.ctypes.data,
+            const1=cc.const1_rows.ctypes.data,
+            ngroups=len(self._mem_groups),
+            scratch=self._edge_scratch.ctypes.data,
+            ninputs=len(cc.input_rows),
+            input_rows=cc.input_rows.ctypes.data)
+        if collect_toggles:
+            self._c.seen0 = self._t_seen0.ctypes.data
+            self._c.seen1 = self._t_seen1.ctypes.data
+        self._ref = ctypes.addressof(self._c)
 
     # ------------------------------------------------------------------
     # packing helpers
@@ -914,9 +1170,6 @@ class CompiledSimulator(SimulatorBase):
     def schedule_net_glitch(self, net, cycle: int, machines=None) \
             -> None:
         net = self._resolve_net(net)
-        if net in self._input_nets:
-            self._input_cache_ok = False
-            self._input_last.clear()
         mask = self._pack(self._mask(machines))
         table = self._net_glitches.setdefault(cycle, {})
         prev = table.get(net)
@@ -925,12 +1178,8 @@ class CompiledSimulator(SimulatorBase):
     def add_bridge(self, aggressor, victim, mode: str = BRIDGE_DOMINANT,
                    machines=None) -> None:
         """Bridging fault: the victim net is corrupted by the aggressor."""
-        victim = self._resolve_net(victim)
-        if victim in self._input_nets:
-            # the bridged value overwrites the input row in place
-            self._input_cache_ok = False
-            self._input_last.clear()
-        self._bridges.append((self._resolve_net(aggressor), victim, mode,
+        self._bridges.append((self._resolve_net(aggressor),
+                              self._resolve_net(victim), mode,
                               self._pack(self._mask(machines))))
         self._bridge_plan = None
 
@@ -989,23 +1238,15 @@ class CompiledSimulator(SimulatorBase):
     # state access
     # ------------------------------------------------------------------
     def set_input(self, name: str, value: int) -> None:
-        try:
-            rows, nbytes, mask = self._input_rows[name]
-        except KeyError:
-            raise NetlistError(f"no input named {name!r}") from None
-        if self._input_cache_ok:
-            if self._input_last.get(name) == value:
-                return
-            self._input_last[name] = value
-        bits = np.unpackbits(
-            np.frombuffer((int(value) & mask).to_bytes(nbytes, "little"),
-                          dtype=np.uint8),
-            count=len(rows), bitorder="little")
-        self._vals[rows] = self._golden_words.take(bits, 0)
+        self.set_inputs({name: value})
+
+    def set_inputs(self, inputs: dict[str, int]) -> None:
+        """Drive several ports at once: one call into the C kernel."""
+        self._lib.drive(self._ref,
+                        self.compiled.pack_inputs([inputs]).ctypes.data)
 
     def set_input_lane(self, name: str, machine: int, value: int) \
             -> None:
-        self._input_last.pop(name, None)
         nets = self.circuit.inputs[name]
         w = machine >> 6
         lane = _U64(1) << _U64(machine & 63)
@@ -1101,6 +1342,81 @@ class CompiledSimulator(SimulatorBase):
     # ------------------------------------------------------------------
     # simulation
     # ------------------------------------------------------------------
+    def eval_comb(self) -> None:
+        """The preamble, the sweep, the bridge re-sweep and the toggle
+        maps: one C call."""
+        self._bind()
+        self._lib.eval_comb(self._ref)
+
+    def clock_edge(self) -> None:
+        """The flop commit and every memory's step: one C call."""
+        self._bind_edge()
+        self._lib.clock_edge(self._ref)
+        self.cycle += 1
+
+    def run(self, table: np.ndarray, cycles: int, probes=None,
+            record=None, activity: Activity | None = None) -> None:
+        """Run stimulus cycles ``0 .. cycles - 1`` of ``table`` (rows of
+        :meth:`CompiledCircuit.pack_inputs`) as :meth:`step_eval` and
+        :meth:`step_commit` would, raising at the same cycle past
+        ``cycle_budget``, in the C loop; cycles with a scheduled flip or
+        glitch run one at a time.  ``probes`` is a campaign pass's probe
+        table ``(offsets, cells, (diag_lo, diag_hi), seen, fresh, hit)``
+        (see :mod:`repro.faultinjection.compiled_pass`); after a cycle
+        whose probes found new lanes, ``record(cycle, n)`` reads them
+        from ``hit[:n]``."""
+        if cycles > len(table):
+            raise ValueError(f"{cycles} cycles of a {len(table)}-cycle "
+                             f"stimulus table")
+        base = self.cycle
+        stop = cycles
+        if self.cycle_budget is not None:
+            stop = max(0, min(cycles, self.cycle_budget - base))
+        events = sorted({cycle - base for cycle in (
+            *self._flop_flips, *self._mem_flips, *self._net_glitches)
+            if base <= cycle < base + stop})
+        self._bind()
+        c = self._c
+        c.stim = table.ctypes.data
+        if probes is not None:
+            offsets, cells, (c.diag_lo, c.diag_hi), *arrays = probes
+            c.npoints = len(offsets) - 1
+            c.off, c.cells, c.seen, c.fresh, c.hit = (
+                a.ctypes.data for a in (offsets, cells, *arrays))
+        if activity is not None:
+            c.act = ctypes.addressof(activity.table)
+        try:
+            i = 0
+            for event in (*events, stop):
+                while i < event:
+                    i = self._run(base, i, event, record, activity)
+                if i < stop:
+                    self._begin_cycle_events()
+                    self._bind_glitches()
+                    i = self._run(base, i, i + 1, record, activity)
+                    self._bind_glitches()
+        finally:
+            c.stim = c.npoints = c.act = 0
+        if activity is not None:
+            activity.drain()
+        if stop < cycles:
+            self._check_budget()
+
+    def _run(self, base: int, lo: int, hi: int, record,
+             activity: Activity | None) -> int:
+        """One call into the C loop from cycle ``lo`` towards ``hi``;
+        returns the next cycle to run."""
+        i = self._lib.run(self._ref, lo, hi)
+        self.cycle = base + i
+        if activity is not None and i < hi:
+            activity.drain()
+        if self._c.nhit:
+            record(i - 1, self._c.nhit)
+        return i
+
+    # ------------------------------------------------------------------
+    # the plans the C struct points into
+    # ------------------------------------------------------------------
     def _overlay(self, nets: list, *columns: list) -> _Overlay:
         """``nets`` and one word vector per net in each of ``columns``
         as a flat table ordered by overlay bucket."""
@@ -1113,142 +1429,81 @@ class CompiledSimulator(SimulatorBase):
         rows = cc.perm[nets_arr[order]].astype(np.int64)
         masks = tuple(np.asarray(col, dtype=_U64).reshape(
             -1, self.words)[order] for col in columns)
-        return _Overlay(offsets, rows, masks,
-                        (offsets.ctypes.data, rows.ctypes.data,
-                         *(m.ctypes.data for m in masks)))
+        return _Overlay(offsets, rows, masks)
 
     def _build_overlay_plan(self, entries: dict) -> _Overlay:
         """``entries`` (net -> (clear, set) words) as the flat
-        ``(~clear, set)`` overlay, its sweep arguments bound."""
+        ``(~clear, set)`` overlay."""
         nets = list(entries)
-        plan = self._overlay(nets, [~entries[n][0] for n in nets],
+        return self._overlay(nets, [~entries[n][0] for n in nets],
                              [entries[n][1] for n in nets])
-        return plan._replace(args=self._sweep_head + plan.args)
 
-    def _build_bridge_plan(self) -> _BridgePlan:
+    def _bind(self) -> None:
+        """Point the struct at the forced-net overlay and the bridge
+        re-sweep, rebuilt after the faults they come from changed, at
+        the memory tables and at the cycle's glitches."""
+        self._bind_edge()
+        self._bind_glitches()
+        c = self._c
+        if self._overlay_plan is None:
+            self._overlay_plan = self._build_overlay_plan(self._forced)
+            c.ooff, c.orows, c.onc, c.oset = self._overlay_plan.pointers
+        if self._bridge_plan is None:
+            c.nbridges = len(self._bridges)
+            self._bridge_plan = self._build_bridge_plan() \
+                if self._bridges else ()
+            if self._bridges:
+                table, masks, plan, setm = self._bridge_plan
+                c.bridges, c.bmask, c.bset = (
+                    a.ctypes.data for a in (table, masks, setm))
+                c.boff, c.brows, c.bnc, c.bbase = plan.pointers
+
+    def _build_bridge_plan(self) -> tuple:
+        """The re-sweep's overlay: the forced nets plus every victim's
+        bridged lanes cleared; one ``(aggressor row, victim row, mode,
+        overlay entry)`` row and one lane mask per bridge in arming
+        order (mode: the index in :data:`_BRIDGE_MODES`); and the copy
+        of the overlay's set masks each evaluation folds into."""
         perm = self.compiled.perm
-        ones = ~_U64(0)
         zeros = np.zeros(self.words, dtype=_U64)
-        bridges = sorted(self._bridges, key=lambda br: br[1])
-        # where bridges on one victim overlap, the later one wins (the
-        # interpreted fold overrides lane by lane): trim each mask by
-        # the masks of the later ones
-        eff: list = []
         claimed: dict[int, np.ndarray] = {}
-        for _, vic, _, mask in reversed(bridges):
-            prior = claimed.get(vic, zeros)
-            eff.append(mask & ~prior)
-            claimed[vic] = mask | prior
-        eff.reverse()
-        uniq, starts = np.unique([br[1] for br in bridges],
-                                 return_index=True)
-        order = {int(perm[vic]): k for k, vic in enumerate(uniq)}
-
+        for _, vic, _, mask in self._bridges:
+            claimed[vic] = claimed.get(vic, zeros) | mask
         entries = dict(self._forced)
         for vic, mask in claimed.items():
             clear, setm = entries.get(vic, (zeros, zeros))
             entries[vic] = (clear | mask, setm & ~mask)
         plan = self._build_overlay_plan(entries)
-        pos = np.flatnonzero(np.isin(plan.rows, list(order)))
-        return _BridgePlan(
-            agg=perm[np.asarray([br[0] for br in bridges], dtype=np.intp)],
-            vic=perm[np.asarray([br[1] for br in bridges], dtype=np.intp)],
-            not_and=np.asarray([0 if br[2] == BRIDGE_AND else ones
-                                for br in bridges], dtype=_U64)[:, None],
-            or_sel=np.asarray([ones if br[2] == BRIDGE_OR else 0
-                               for br in bridges], dtype=_U64)[:, None],
-            eff=np.stack(eff), starts=starts, plan=plan, set_pos=pos,
-            set_victim=np.asarray([order[row] for row
-                                   in plan.rows[pos].tolist()],
-                                  dtype=np.intp),
-            set_base=plan.masks[1][pos])
+        entry = {row: e for e, row in enumerate(plan.rows.tolist())}
+        table = np.array([(perm[agg], perm[vic], _BRIDGE_MODES.index(mode),
+                           entry[perm[vic]])
+                          for agg, vic, mode, _ in self._bridges],
+                         dtype=np.int64)
+        return (table, np.stack([br[3] for br in self._bridges]), plan,
+                plan.masks[1].copy())
 
-    def _glitch_buckets(self) -> _Overlay | None:
-        """The cycle's net glitches as a flat ``(xor,)`` table."""
+    def _bind_glitches(self) -> _Overlay | None:
+        """Point the struct at the cycle's glitches (NULL: none), a flat
+        ``(xor, scratch)`` table: the scratch keeps the unglitched source
+        rows across a bridge re-sweep."""
         table = self._net_glitches.get(self.cycle)
-        if not table:
-            return None
-        nets = list(table)
-        return self._overlay(nets, [table[n] for n in nets])
+        plan = self._glitch_plan = self._overlay(
+            list(table), *[list(table.values())] * 2) if table else None
+        c = self._c
+        c.goff, c.grows, c.gmask, c.graw = (0, 0, 0, 0) if plan is None \
+            else plan.pointers
+        return plan
 
-    def eval_comb(self) -> None:
-        cc = self.compiled
-        vals = self._vals
-        if len(cc.flop_q_rows):
-            vals[cc.flop_q_rows] = self._flop_state
-        for group in self._mem_groups:
-            vals[group.rdata_rows] = group.rdata
-        # overlays may have clobbered constant rows last cycle
-        if len(cc.const0_rows):
-            vals[cc.const0_rows] = _U64(0)
-        if len(cc.const1_rows):
-            vals[cc.const1_rows] = self._full
-
-        if self._overlay_plan is None:
-            self._overlay_plan = self._build_overlay_plan(self._forced)
-        glitches = self._glitch_buckets()
-        if self._bridges:
-            self._eval_bridged(glitches)
+    def _bind_edge(self) -> None:
+        """Point the struct at one ``memgroup`` table per stacked group,
+        rebuilt after the memory faults changed.  A stuck table is
+        ``(member, word, bit)`` rows in member order with ``(~clear,
+        set)`` words.  Couplings are sorted stably by member, aggressor
+        word and aggressor bit, ``(aggressor bit, victim word, victim
+        bit)`` rows with mask words, indexed by ``(member, aggressor
+        word)`` offsets."""
+        if self._edge_plan is not None:
             return
-        self._run_levels(self._overlay_plan, glitches)
-        if self.collect_toggles:
-            self._collect_toggles()
-
-    def _run_levels(self, plan: _Overlay,
-                    glitches: _Overlay | None) -> None:
-        """One sweep of the program, applying ``plan`` (the bucketed
-        forced nets) and the cycle's glitches after each level: one
-        call into the C sweep."""
-        self._sweep(*plan.args, *(_NO_GLITCHES if glitches is None
-                                  else glitches.args))
-
-    def _eval_bridged(self, glitches: _Overlay | None) -> None:
-        """The interpreted bridge semantics: a first sweep, then a
-        re-sweep with every victim forced to its bridged value (read
-        from the first sweep, so bridges never chain)."""
-        vals = self._vals
-        source_rows = glitches.rows[:glitches.offsets[1]] \
-            if glitches is not None else None
-        raw = vals[source_rows] if source_rows is not None else None
-        self._run_levels(self._overlay_plan, glitches)
-        if self.collect_toggles:
-            self._collect_toggles()
-
-        if self._bridge_plan is None:
-            self._bridge_plan = self._build_bridge_plan()
-        bp = self._bridge_plan
-        a = vals[bp.agg]
-        v = vals[bp.vic]
-        bridged = ((a & (v | bp.not_and)) | (v & bp.or_sel)) & bp.eff
-        per_victim = np.bitwise_or.reduceat(bridged, bp.starts, axis=0)
-        # in place: the re-sweep's bound arguments point at this array
-        bp.plan.masks[1][bp.set_pos] = bp.set_base \
-            | per_victim[bp.set_victim]
-        # the re-sweep restarts from the unglitched sources, so every
-        # glitch is applied exactly once per evaluation
-        if raw is not None:
-            vals[source_rows] = raw
-        self._run_levels(bp.plan, glitches)
-        if self.collect_toggles:
-            self._collect_toggles()
-
-    def _collect_toggles(self) -> None:
-        nets = self._vals[:self.compiled.num_nets]
-        self._t_seen1 |= nets.any(axis=1)
-        self._t_seen0 |= (nets != self._full).any(axis=1)
-
-    def clock_edge(self) -> None:
-        """The flop commit and every memory's step: one C call."""
-        if self._edge_plan is None:
-            self._edge_plan = self._bind_edge()
-        self._edge(*self._edge_plan.args)
-        self.cycle += 1
-
-    def _bind_edge(self) -> _EdgePlan:
-        """The clock edge's arguments, with every group's stuck-cell
-        and coupling tables built from the armed memory faults."""
-        cc = self.compiled
-        W = self.words
         groups = self._mem_groups
         tables = (_MemTable * len(groups))(*(g.table for g in groups))
         arrays: list = []
@@ -1285,12 +1540,8 @@ class CompiledSimulator(SimulatorBase):
                 table.coff, table.cpl, table.cmask = (
                     offsets.ctypes.data, cells.ctypes.data,
                     masks.ctypes.data)
-        args = (self._vals.ctypes.data, W, self._full.ctypes.data,
-                len(self._flop_state), cc.flop_rows.ctypes.data,
-                self._flop_init_words.ctypes.data,
-                self._flop_state.ctypes.data, len(tables),
-                ctypes.addressof(tables), self._edge_scratch.ctypes.data)
-        return _EdgePlan(args, tables, arrays)
+        self._edge_plan = (tables, arrays)
+        self._c.mem = ctypes.addressof(tables)
 
     def _begin_cycle_events(self) -> None:
         flips = self._flop_flips.get(self.cycle)
@@ -1307,12 +1558,8 @@ class CompiledSimulator(SimulatorBase):
     # ------------------------------------------------------------------
     @property
     def _seen0(self) -> bytearray:
-        return bytearray(
-            self._t_seen0[self.compiled.perm[:self.compiled.num_nets]]
-            .astype(np.uint8).tobytes())
+        return bytearray(self._t_seen0[self.compiled.perm].tobytes())
 
     @property
     def _seen1(self) -> bytearray:
-        return bytearray(
-            self._t_seen1[self.compiled.perm[:self.compiled.num_nets]]
-            .astype(np.uint8).tobytes())
+        return bytearray(self._t_seen1[self.compiled.perm].tobytes())

@@ -222,39 +222,6 @@ class Circuit:
                 claim(net, ("mem", i, bit))
         return drivers
 
-    def fanout_map(self) -> dict[int, list[tuple]]:
-        """Map net -> list of consumer descriptors.
-
-        Consumers are ``('gate', gate_index, port)``,
-        ``('flop', flop_index, role)`` with role in ``d``/``en``/``rst``,
-        ``('mem', mem_index, role, bit)`` with role in
-        ``addr``/``wdata``/``we``, or ``('output', port_name, bit)``.
-        """
-        fanout: dict[int, list[tuple]] = {}
-
-        def use(net: int, desc: tuple) -> None:
-            fanout.setdefault(net, []).append(desc)
-
-        for i, gate in enumerate(self.gates):
-            for port, net in enumerate(gate.inputs):
-                use(net, ("gate", i, port))
-        for i, flop in enumerate(self.flops):
-            use(flop.d, ("flop", i, "d"))
-            if flop.en is not None:
-                use(flop.en, ("flop", i, "en"))
-            if flop.rst is not None:
-                use(flop.rst, ("flop", i, "rst"))
-        for i, mem in enumerate(self.memories):
-            for bit, net in enumerate(mem.addr):
-                use(net, ("mem", i, "addr", bit))
-            for bit, net in enumerate(mem.wdata):
-                use(net, ("mem", i, "wdata", bit))
-            use(mem.we, ("mem", i, "we", 0))
-        for name, nets in self.outputs.items():
-            for bit, net in enumerate(nets):
-                use(net, ("output", name, bit))
-        return fanout
-
     def levelize(self) -> list[int]:
         """Topologically order gate indices for single-pass evaluation.
 

@@ -22,12 +22,18 @@ BRIDGE_DOMINANT = "dominant"
 class CycleBudgetExceeded(RuntimeError):
     """The simulation ran past its cycle budget (runaway watchdog).
 
-    Raised from :meth:`SimulatorBase.step_eval` once the simulator has
+    Raised from :meth:`SimulatorBase.step_eval` (and at the same cycle
+    from the compiled kernel's cycle loop) once the simulator has
     already evaluated ``cycle_budget`` cycles.  Campaign engines treat
     it as a structured *hang* anomaly rather than a crash: the budget
     is the deterministic, in-process counterpart of the supervisor's
     wall-clock shard timeout.
     """
+
+
+def _out_of_range(index, count: int, kind: str) -> NetlistError:
+    return NetlistError(f"{kind} id {index} is out of range: the "
+                        f"circuit has {count} {kind} id(s)")
 
 
 class SimulatorBase:
@@ -36,10 +42,11 @@ class SimulatorBase:
     test oracle (``tests/simulator_oracle.py``).
 
     A subclass provides ``circuit``, ``full_mask``, ``cycle``,
-    ``cycle_budget``, the ``_flop_index``/``_mem_index``/``_net_index``
-    name tables and the
+    ``cycle_budget``, ``_flop_state`` (one entry per flop), the
+    ``_flop_index``/``_mem_index``/``_net_index`` name tables and the
     ``set_input``/``_begin_cycle_events``/``eval_comb``/``clock_edge``
-    steps.
+    steps.  Integer ids are range-checked: the compiled kernel's C loop
+    reads the fault tables built from them unchecked.
     """
 
     # ------------------------------------------------------------------
@@ -47,7 +54,9 @@ class SimulatorBase:
     # ------------------------------------------------------------------
     def _resolve_net(self, net) -> int:
         if not isinstance(net, str):
-            return int(net)
+            if 0 <= net < self.circuit.num_nets:
+                return int(net)
+            raise _out_of_range(net, self.circuit.num_nets, "net")
         if self._net_index is None:
             self._net_index = {name: i for i, name
                                in enumerate(self.circuit.net_names)}
@@ -58,7 +67,9 @@ class SimulatorBase:
 
     def _resolve_flop(self, flop) -> int:
         if not isinstance(flop, str):
-            return int(flop)
+            if 0 <= flop < len(self._flop_state):
+                return int(flop)
+            raise _out_of_range(flop, len(self._flop_state), "flop")
         try:
             return self._flop_index[flop]
         except KeyError:
@@ -66,7 +77,9 @@ class SimulatorBase:
 
     def _resolve_mem(self, mem) -> int:
         if not isinstance(mem, str):
-            return int(mem)
+            if 0 <= mem < len(self.circuit.memories):
+                return int(mem)
+            raise _out_of_range(mem, len(self.circuit.memories), "memory")
         try:
             return self._mem_index[mem]
         except KeyError:
@@ -99,16 +112,23 @@ class SimulatorBase:
         self.step_commit()
 
     def step_eval(self, inputs: dict[str, int] | None = None) -> None:
-        if self.cycle_budget is not None and \
-                self.cycle >= self.cycle_budget:
-            raise CycleBudgetExceeded(
-                f"simulation of {self.circuit.name!r} exceeded its "
-                f"cycle budget of {self.cycle_budget} cycle(s)")
+        self._check_budget()
         if inputs:
-            for name, value in inputs.items():
-                self.set_input(name, value)
+            self.set_inputs(inputs)
         self._begin_cycle_events()
         self.eval_comb()
 
     def step_commit(self) -> None:
         self.clock_edge()
+
+    def set_inputs(self, inputs: dict[str, int]) -> None:
+        """Drive every port of ``inputs`` (name -> value)."""
+        for name, value in inputs.items():
+            self.set_input(name, value)
+
+    def _check_budget(self) -> None:
+        if self.cycle_budget is not None and \
+                self.cycle >= self.cycle_budget:
+            raise CycleBudgetExceeded(
+                f"simulation of {self.circuit.name!r} exceeded its "
+                f"cycle budget of {self.cycle_budget} cycle(s)")

@@ -15,6 +15,7 @@ those matching the configured alarm patterns classified as diagnostic
 from __future__ import annotations
 
 import difflib
+import functools
 from dataclasses import dataclass, field
 
 from ..diagnostics import DiagnosticError, DiagnosticReport
@@ -138,22 +139,22 @@ class ZoneExtractor:
 
     # ------------------------------------------------------------------
     def extract(self, analyze_cones: bool = True) -> ZoneSet:
+        graph = NetGraph(self.circuit)
         zones: list[SensibleZone] = []
         zones.extend(self._register_zones())
         zones.extend(self._memory_zones())
         if self.config.include_ports:
             zones.extend(self._port_zones())
         if self.config.include_critical_nets:
-            zones.extend(self._critical_net_zones())
+            zones.extend(self._critical_net_zones(graph))
         if self.config.include_subblocks:
-            zones.extend(self._subblock_zones())
+            zones.extend(self._subblock_zones(graph))
 
         points = self.observation_points()
         zone_set = ZoneSet(self.circuit, zones, points,
-                           config=self.config)
+                           config=self.config, _graph=graph)
 
         if analyze_cones:
-            graph = zone_set.graph
             # zero-area cells (buffers, ties) do not count as cone gates
             circuit_gates = self.circuit.gates
             skip = (OP_BUF, OP_CONST0, OP_CONST1)
@@ -241,72 +242,105 @@ class ZoneExtractor:
                 nets=tuple(nets), size_bits=len(nets)))
         return zones
 
-    def _critical_net_zones(self) -> list[SensibleZone]:
-        fanout = self.circuit.fanout_map()
-        driver = self.circuit.driver_map()
-        const_nets = {g.out for g in self.circuit.gates
+    def _critical_net_zones(self, graph: NetGraph) -> list[SensibleZone]:
+        """Nets with at least ``critical_fanout`` loads (gate, flop and
+        memory input pins and output-port pins), in the order of their
+        first load in the netlist: gates, flops, memories, ports."""
+        circuit = self.circuit
+        n, succ, driver = graph.num_nets, graph.succ, graph.driver
+        loads = [len(nodes) for nodes in succ[:n]]
+        port_pin: dict[int, int] = {}
+        for pin, net in enumerate(circuit.output_nets()):
+            loads[net] += 1
+            port_pin.setdefault(net, pin)
+        flop_of = {f.q: i for i, f in enumerate(circuit.flops)}
+        inputs = set(circuit.input_nets())
+
+        def first_load(net: int) -> tuple[int, int, int]:
+            # the graph lists a net's loads in netlist order
+            if not succ[net]:
+                return (3, port_pin[net], 0)
+            node = succ[net][0]
+            if node >= n:
+                mem = circuit.memories[node - n]
+                return (2, node - n,
+                        (*mem.addr, *mem.wdata, mem.we).index(net))
+            if driver[node] >= 0:
+                return (0, driver[node],
+                        circuit.gates[driver[node]].inputs.index(net))
+            flop = circuit.flops[flop_of[node]]
+            return (1, flop_of[node],
+                    (flop.d, flop.en, flop.rst).index(net))
+
+        const_nets = {g.out for g in circuit.gates
                       if g.op in (OP_CONST0, OP_CONST1)}
+        critical = [net for net in range(n)
+                    if loads[net] >= self.config.critical_fanout
+                    and net not in const_nets]
         zones = []
-        for net, loads in fanout.items():
-            if net in const_nets:
-                continue
-            if len(loads) >= self.config.critical_fanout:
-                desc = driver.get(net, ("?",))
-                zones.append(SensibleZone(
-                    name=f"critical:{self.circuit.net_names[net]}",
-                    kind=ZoneKind.CRITICAL_NET,
-                    nets=(net,),
-                    size_bits=1,
-                    attrs={"fanout": len(loads),
-                           "driver": desc[0]}))
+        for net in sorted(critical, key=first_load):
+            # Circuit.driver_map's names; read data hangs off a memory
+            kind = ("gate" if driver[net] >= 0 else
+                    "flop" if net in flop_of else
+                    "mem" if graph.pred[net] else
+                    "input" if net in inputs else "?")
+            zones.append(SensibleZone(
+                name=f"critical:{circuit.net_names[net]}",
+                kind=ZoneKind.CRITICAL_NET,
+                nets=(net,),
+                size_bits=1,
+                attrs={"fanout": loads[net], "driver": kind}))
         return zones
 
-    def _subblock_zones(self) -> list[SensibleZone]:
+    def _subblock_zones(self, graph: NetGraph) -> list[SensibleZone]:
         depth = self.config.subblock_depth
-        blocks: dict[str, dict] = {}
-        for gi, gate in enumerate(self.circuit.gates):
-            if not gate.path or gate.op in (OP_CONST0, OP_CONST1, OP_BUF):
-                continue
-            top = "/".join(gate.path.split("/")[:depth])
-            info = blocks.setdefault(top, {"gates": 0, "flops": 0,
-                                           "out_nets": set(),
-                                           "gate_nets": set()})
-            info["gates"] += 1
-            info["gate_nets"].add(gate.out)
-        for flop in self.circuit.flops:
-            if not flop.path:
-                continue
-            top = "/".join(flop.path.split("/")[:depth])
-            info = blocks.setdefault(top, {"gates": 0, "flops": 0,
-                                           "out_nets": set(),
-                                           "gate_nets": set()})
-            info["flops"] += 1
-            info["gate_nets"].add(flop.q)
+
+        @functools.cache
+        def top_of(path: str) -> str:
+            return "/".join(path.split("/")[:depth]) if path else ""
+
+        circuit = self.circuit
+        blocks: dict[str, list] = {}    # top -> [gates, flops, nets]
+        for gate in circuit.gates:
+            if gate.path and gate.op not in (OP_CONST0, OP_CONST1, OP_BUF):
+                block = blocks.setdefault(top_of(gate.path), [0, 0, []])
+                block[0] += 1
+                block[2].append(gate.out)
+        for flop in circuit.flops:
+            if flop.path:
+                block = blocks.setdefault(top_of(flop.path), [0, 0, []])
+                block[1] += 1
+                block[2].append(flop.q)
 
         # block outputs: nets driven inside the block, consumed outside
-        consumer_path: dict[int, set[str]] = {}
-        for gate in self.circuit.gates:
-            top = "/".join(gate.path.split("/")[:depth]) if gate.path else ""
-            for net in gate.inputs:
-                consumer_path.setdefault(net, set()).add(top)
-        for flop in self.circuit.flops:
-            top = "/".join(flop.path.split("/")[:depth]) if flop.path else ""
-            consumer_path.setdefault(flop.d, set()).add(top)
-        for name, nets in self.circuit.outputs.items():
-            for net in nets:
-                consumer_path.setdefault(net, set()).add("<po>")
+        # (by a gate, a flop's d pin or an output port)
+        n, driver = graph.num_nets, graph.driver
+        flop_of = {f.q: f for f in circuit.flops}
+        port_nets = set(circuit.output_nets())
 
-        zones = []
-        for top, info in sorted(blocks.items()):
-            out_nets = {net for net in info["gate_nets"]
-                        if consumer_path.get(net, set()) - {top}}
-            zones.append(SensibleZone(
-                name=f"block:{top}", kind=ZoneKind.SUBBLOCK,
-                nets=tuple(sorted(out_nets)),
-                path=top,
-                size_bits=info["flops"],
-                attrs={"gates": info["gates"], "flops": info["flops"]}))
-        return zones
+        def used_outside(net: int, top: str) -> bool:
+            if net in port_nets:
+                return True
+            for node in graph.succ[net]:
+                if node >= n:
+                    continue                # a memory pin
+                if driver[node] >= 0:
+                    path = circuit.gates[driver[node]].path
+                elif flop_of[node].d == net:
+                    path = flop_of[node].path
+                else:
+                    continue                # a flop's en or rst pin
+                if top_of(path) != top:
+                    return True
+            return False
+
+        return [SensibleZone(
+            name=f"block:{top}", kind=ZoneKind.SUBBLOCK,
+            nets=tuple(sorted(net for net in nets
+                              if used_outside(net, top))),
+            path=top, size_bits=flops,
+            attrs={"gates": gates, "flops": flops})
+            for top, (gates, flops, nets) in sorted(blocks.items())]
 
     # ------------------------------------------------------------------
     def observation_points(self) -> list[ObservationPoint]:

@@ -1,5 +1,5 @@
 """The interpreted campaign pass loop and profile replay, and the
-numpy level sweep: the differential oracles.
+numpy eval step: the differential oracles.
 
 Campaigns and the operational-profile replay run on the compiled
 kernel only (:func:`repro.faultinjection.compiled_pass.run_pass_compiled`
@@ -9,9 +9,10 @@ module holds both loops as test-only references over the big-int
 net, flop, memory port) at a time in plain Python.  The differential suites
 compare the production engine against them record for record.
 
-:class:`NumpySweepSimulator` is the compiled kernel with its level
-sweep run as numpy micro-ops instead of the C sweep, word for word,
-padding lanes included: the word-level oracle of the C sweep.
+:class:`NumpySweepSimulator` is the compiled kernel with its eval step
+(preamble, level sweep, bridge re-sweep) run as numpy operations
+instead of C, word for word, padding lanes included: the word-level
+oracle of the C eval step.
 
     result = run_interpreted(env.manager(), env.candidates())
     profile = profile_interpreted(circuit, stimuli, setup=setup)
@@ -21,6 +22,7 @@ padding lanes included: the word-level oracle of the C sweep.
 from __future__ import annotations
 
 import time
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,6 +49,7 @@ from repro.hdl.netlist import (
     OP_XNOR,
     OP_XOR,
 )
+from repro.hdl.simulator import BRIDGE_AND, BRIDGE_OR
 from repro.store.fingerprint import _picker
 
 from .simulator_oracle import Simulator
@@ -255,18 +258,136 @@ def profile_interpreted(circuit, stimuli, setup=None,
     return profile
 
 
-class NumpySweepSimulator(CompiledSimulator):
-    """:class:`CompiledSimulator` with the numpy level sweep.
+class _BridgePlan(NamedTuple):
+    """The numpy bridge re-sweep of one fault set.
 
-    Every level gathers its operand rows into one buffer and runs each
-    ``(level, op)`` group as ufunc calls on contiguous slices; the
-    forced-net overlay and the glitches of each bucket follow the
-    level, read from the same flat tables the C sweep reads.
+    Bridges are sorted stably by victim row; ``eff`` is each bridge's
+    mask minus the lanes a later bridge on the same victim claims, so
+    one victim's bridged values OR-combine with a segmented
+    ``reduceat`` over ``starts``.  A bridge's value is
+    ``(a & (v | not_and)) | (v & or_sel)``: dominant -> a, AND -> a & v,
+    OR -> a | v.  ``plan`` is the forced-net overlay with every
+    victim's bridged lanes added to its clear mask; each cycle writes
+    ``set_base | bridged[set_victim]`` into the ``set_pos`` entries of
+    its set array, in place.
+    """
+
+    agg: np.ndarray
+    vic: np.ndarray
+    not_and: np.ndarray
+    or_sel: np.ndarray
+    eff: np.ndarray
+    starts: np.ndarray
+    plan: object
+    set_pos: np.ndarray
+    set_victim: np.ndarray
+    set_base: np.ndarray
+
+
+class NumpySweepSimulator(CompiledSimulator):
+    """:class:`CompiledSimulator` with the eval step in numpy.
+
+    The preamble copies the flop, read-data and constant rows with
+    fancy indexing.  Every level gathers its operand rows into one
+    buffer and runs each ``(level, op)`` group as ufunc calls on
+    contiguous slices; the forced-net overlay and the glitches of each
+    bucket follow the level, read from the same flat tables the C
+    sweep reads.  Bridges re-sweep with victim values combined by a
+    segmented ``reduceat``.  Inputs and the clock edge run the C
+    kernel's code.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._program = self._build_program()
+
+    def eval_comb(self) -> None:
+        cc = self.compiled
+        vals = self._vals
+        q_rows = cc.flop_rows[3]
+        if len(q_rows):
+            vals[q_rows] = self._flop_state
+        for group in self._mem_groups:
+            vals[group.rdata_rows] = group.rdata
+        # overlays may have clobbered constant rows last cycle
+        if len(cc.const0_rows):
+            vals[cc.const0_rows] = np.uint64(0)
+        if len(cc.const1_rows):
+            vals[cc.const1_rows] = self._full
+
+        if self._overlay_plan is None:
+            self._overlay_plan = self._build_overlay_plan(self._forced)
+        glitches = self._bind_glitches()
+        if self._bridges:
+            self._eval_bridged(glitches)
+            return
+        self._run_levels(self._overlay_plan, glitches)
+
+    def _build_numpy_bridges(self) -> _BridgePlan:
+        perm = self.compiled.perm
+        ones = ~np.uint64(0)
+        zeros = np.zeros(self.words, dtype=np.uint64)
+        bridges = sorted(self._bridges, key=lambda br: br[1])
+        # where bridges on one victim overlap, the later one wins (the
+        # interpreted fold overrides lane by lane): trim each mask by
+        # the masks of the later ones
+        eff: list = []
+        claimed: dict[int, np.ndarray] = {}
+        for _, vic, _, mask in reversed(bridges):
+            prior = claimed.get(vic, zeros)
+            eff.append(mask & ~prior)
+            claimed[vic] = mask | prior
+        eff.reverse()
+        uniq, starts = np.unique([br[1] for br in bridges],
+                                 return_index=True)
+        order = {int(perm[vic]): k for k, vic in enumerate(uniq)}
+
+        entries = dict(self._forced)
+        for vic, mask in claimed.items():
+            clear, setm = entries.get(vic, (zeros, zeros))
+            entries[vic] = (clear | mask, setm & ~mask)
+        plan = self._build_overlay_plan(entries)
+        pos = np.flatnonzero(np.isin(plan.rows, list(order)))
+        return _BridgePlan(
+            agg=perm[np.asarray([br[0] for br in bridges], dtype=np.intp)],
+            vic=perm[np.asarray([br[1] for br in bridges], dtype=np.intp)],
+            not_and=np.asarray([0 if br[2] == BRIDGE_AND else ones
+                                for br in bridges],
+                               dtype=np.uint64)[:, None],
+            or_sel=np.asarray([ones if br[2] == BRIDGE_OR else 0
+                               for br in bridges], dtype=np.uint64)[:, None],
+            eff=np.stack(eff), starts=starts, plan=plan, set_pos=pos,
+            set_victim=np.asarray([order[row] for row
+                                   in plan.rows[pos].tolist()],
+                                  dtype=np.intp),
+            set_base=plan.masks[1][pos])
+
+    def _eval_bridged(self, glitches) -> None:
+        """The interpreted bridge semantics: a first sweep, then a
+        re-sweep with every victim forced to its bridged value (read
+        from the first sweep, so bridges never chain)."""
+        vals = self._vals
+        source_rows = glitches.rows[:glitches.offsets[1]] \
+            if glitches is not None else None
+        raw = vals[source_rows] if source_rows is not None else None
+        self._run_levels(self._overlay_plan, glitches)
+
+        # the numpy plan takes the C plan's slot: this simulator never
+        # binds the C eval step, and arming a fault resets the slot
+        if self._bridge_plan is None:
+            self._bridge_plan = self._build_numpy_bridges()
+        bp = self._bridge_plan
+        a = vals[bp.agg]
+        v = vals[bp.vic]
+        bridged = ((a & (v | bp.not_and)) | (v & bp.or_sel)) & bp.eff
+        per_victim = np.bitwise_or.reduceat(bridged, bp.starts, axis=0)
+        bp.plan.masks[1][bp.set_pos] = bp.set_base \
+            | per_victim[bp.set_victim]
+        # the re-sweep restarts from the unglitched sources, so every
+        # glitch is applied exactly once per evaluation
+        if raw is not None:
+            vals[source_rows] = raw
+        self._run_levels(bp.plan, glitches)
 
     def _build_program(self) -> list[tuple]:
         """Per level: ``(gather rows, gather buffer, micro-ops)``; each

@@ -12,7 +12,10 @@ shared graph:
 * :func:`support_closures` — the support-cone index's successor and
   predecessor lists and its marking walk;
 * :func:`compiled_drivers` and :func:`compiled_levels` — the
-  compiler's driver claims and its Kahn pass with ASAP levels.
+  compiler's driver claims and its Kahn pass with ASAP levels;
+* :func:`fanout_map`, :func:`critical_net_zones` and
+  :func:`subblock_zones` — the per-net consumer listing and the zone
+  extractor's critical-net and sub-block walks over it.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from repro.hdl.netlist import (
 )
 from repro.zones.cones import Cone
 from repro.zones.effects import PredictedEffects
+from repro.zones.extractor import ExtractionConfig
 from repro.zones.model import (
     Effect,
     ObservationKind,
@@ -440,3 +444,111 @@ def compiled_levels(circuit: Circuit, drivers) -> list[int]:
                      f"combinational cycle involving nets "
                      f"{names} ({len(stuck)} gates unplaced)")))
     return gate_level
+
+
+# ----------------------------------------------------------------------
+# the per-net consumer listing and the zone walks over it
+# ----------------------------------------------------------------------
+def fanout_map(circuit: Circuit) -> dict[int, list[tuple]]:
+    """Map net -> list of consumer descriptors.
+
+    Consumers are ``('gate', gate_index, port)``,
+    ``('flop', flop_index, role)`` with role in ``d``/``en``/``rst``,
+    ``('mem', mem_index, role, bit)`` with role in
+    ``addr``/``wdata``/``we``, or ``('output', port_name, bit)``.
+    """
+    fanout: dict[int, list[tuple]] = {}
+
+    def use(net: int, desc: tuple) -> None:
+        fanout.setdefault(net, []).append(desc)
+
+    for i, gate in enumerate(circuit.gates):
+        for port, net in enumerate(gate.inputs):
+            use(net, ("gate", i, port))
+    for i, flop in enumerate(circuit.flops):
+        use(flop.d, ("flop", i, "d"))
+        if flop.en is not None:
+            use(flop.en, ("flop", i, "en"))
+        if flop.rst is not None:
+            use(flop.rst, ("flop", i, "rst"))
+    for i, mem in enumerate(circuit.memories):
+        for bit, net in enumerate(mem.addr):
+            use(net, ("mem", i, "addr", bit))
+        for bit, net in enumerate(mem.wdata):
+            use(net, ("mem", i, "wdata", bit))
+        use(mem.we, ("mem", i, "we", 0))
+    for name, nets in circuit.outputs.items():
+        for bit, net in enumerate(nets):
+            use(net, ("output", name, bit))
+    return fanout
+
+
+def critical_net_zones(circuit: Circuit, config: ExtractionConfig
+                       ) -> list[SensibleZone]:
+    fanout = fanout_map(circuit)
+    driver = circuit.driver_map()
+    const_nets = {g.out for g in circuit.gates
+                  if g.op in (OP_CONST0, OP_CONST1)}
+    zones = []
+    for net, loads in fanout.items():
+        if net in const_nets:
+            continue
+        if len(loads) >= config.critical_fanout:
+            desc = driver.get(net, ("?",))
+            zones.append(SensibleZone(
+                name=f"critical:{circuit.net_names[net]}",
+                kind=ZoneKind.CRITICAL_NET,
+                nets=(net,),
+                size_bits=1,
+                attrs={"fanout": len(loads),
+                       "driver": desc[0]}))
+    return zones
+
+
+def subblock_zones(circuit: Circuit, config: ExtractionConfig
+                   ) -> list[SensibleZone]:
+    depth = config.subblock_depth
+    blocks: dict[str, dict] = {}
+    for gi, gate in enumerate(circuit.gates):
+        if not gate.path or gate.op in (OP_CONST0, OP_CONST1, OP_BUF):
+            continue
+        top = "/".join(gate.path.split("/")[:depth])
+        info = blocks.setdefault(top, {"gates": 0, "flops": 0,
+                                       "out_nets": set(),
+                                       "gate_nets": set()})
+        info["gates"] += 1
+        info["gate_nets"].add(gate.out)
+    for flop in circuit.flops:
+        if not flop.path:
+            continue
+        top = "/".join(flop.path.split("/")[:depth])
+        info = blocks.setdefault(top, {"gates": 0, "flops": 0,
+                                       "out_nets": set(),
+                                       "gate_nets": set()})
+        info["flops"] += 1
+        info["gate_nets"].add(flop.q)
+
+    # block outputs: nets driven inside the block, consumed outside
+    consumer_path: dict[int, set[str]] = {}
+    for gate in circuit.gates:
+        top = "/".join(gate.path.split("/")[:depth]) if gate.path else ""
+        for net in gate.inputs:
+            consumer_path.setdefault(net, set()).add(top)
+    for flop in circuit.flops:
+        top = "/".join(flop.path.split("/")[:depth]) if flop.path else ""
+        consumer_path.setdefault(flop.d, set()).add(top)
+    for name, nets in circuit.outputs.items():
+        for net in nets:
+            consumer_path.setdefault(net, set()).add("<po>")
+
+    zones = []
+    for top, info in sorted(blocks.items()):
+        out_nets = {net for net in info["gate_nets"]
+                    if consumer_path.get(net, set()) - {top}}
+        zones.append(SensibleZone(
+            name=f"block:{top}", kind=ZoneKind.SUBBLOCK,
+            nets=tuple(sorted(out_nets)),
+            path=top,
+            size_bits=info["flops"],
+            attrs={"gates": info["gates"], "flops": info["flops"]}))
+    return zones

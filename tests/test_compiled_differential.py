@@ -23,7 +23,10 @@ inputs, bit for bit:
   :mod:`tests.campaign_oracle`;
 * the sharded supervised runner at 1, 2, and 4 workers against that
   serial oracle;
-* campaigns mixing bridges and coupling faults with every other kind.
+* campaigns mixing bridges and coupling faults with every other kind;
+* the C cycle loop (``CompiledSimulator.run``) against a ``step`` loop,
+  a three-lane-word campaign's toggle maps against the oracle's, and a
+  cycle budget ending inside a stretch of cycles run in one C call.
 """
 
 import random
@@ -47,7 +50,7 @@ from repro.faultinjection.faults import MemCouplingFault
 from repro.faultinjection.parallel import CampaignSpec, snapshot_setup
 from repro.faultinjection.supervisor import CampaignSupervisor
 from repro.hdl import BRIDGE_AND, BRIDGE_DOMINANT, BRIDGE_OR, \
-    CompiledSimulator, Module, compile_circuit
+    CompiledSimulator, CycleBudgetExceeded, Module, compile_circuit
 from repro.service.core import make_subsystem
 from repro.soc import MemorySubsystem, SubsystemConfig
 from repro.soc.minicpu import CpuConfig, MiniCpu, assemble
@@ -809,6 +812,120 @@ def test_bridge_and_coupling_campaigns_match_oracle():
         assert ri.outcomes() == rc.outcomes(), seed
         checked += bool(circuit.memories)
     assert checked
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_run_equals_a_step_loop(seed):
+    """``CompiledSimulator.run`` over a packed stimulus table leaves the
+    state a ``step`` loop leaves: every value word, flop, memory cell
+    and toggle map, under random faults with flips and glitches in
+    mid-run cycles and bridges, after a first ``step`` that had a
+    glitch of its own, and with some ports left undriven."""
+    circuit = fuzz_circuit(seed)
+    machines = (2, 65, 130)[seed % 3]
+    rng = random.Random(seed)
+    cc = compile_circuit(circuit)
+    sims = [CompiledSimulator(cc, machines=machines, collect_toggles=True)
+            for _ in range(2)]
+    _arm_random_faults(rng, circuit, sims, machines)
+    glitched, aggressor, victim = rng.sample(range(circuit.num_nets), 3)
+    widths = {n: len(bits) for n, bits in circuit.inputs.items()}
+    stimuli = [{n: rng.getrandbits(w) for n, w in widths.items()
+                if rng.random() < 0.8} for _ in range(12)]
+    for sim in sims:
+        sim.add_bridge(aggressor, victim, BRIDGE_MODES[seed % 3],
+                       machines=1 << (machines - 1))
+        sim.schedule_net_glitch(glitched, cycle=0, machines=1)
+        sim.step(stimuli[0])
+    sims[0].run(cc.pack_inputs(stimuli[1:]), len(stimuli) - 1)
+    for inputs in stimuli[1:]:
+        sims[1].step(inputs)
+    ran, stepped = sims
+    assert ran.cycle == stepped.cycle == len(stimuli)
+    for name in ("_vals", "_flop_state", "_t_seen0", "_t_seen1"):
+        assert np.array_equal(getattr(ran, name), getattr(stepped, name))
+    for a, b in zip(ran._mem_store, stepped._mem_store):
+        assert np.array_equal(a, b)
+
+
+def _toggle_campaign_pieces(seed):
+    """A bridge of every mode and a glitch on a primary-input net, each
+    repeated over 150 lanes (three lane words), on the circuit of
+    :func:`_multiword_campaign_pieces` under a quiet workload in which
+    only ``in0`` moves, so the golden run leaves nets for the faults to
+    toggle; toggle maps are collected."""
+    circuit, stimuli, zones, points, _ = _multiword_campaign_pieces(seed)
+    stimuli = [{port: value if port == "in0" else 0
+                for port, value in cycle.items()} for cycle in stimuli]
+    rng = random.Random(seed)
+    nets = range(circuit.num_nets)
+    faults = [BridgeFault(target=rng.choice(nets), victim=rng.choice(nets),
+                          mode=mode) for mode in BRIDGE_MODES]
+    inputs = [net for port in circuit.inputs.values() for net in port]
+    faults.append(SetFault(target=rng.choice(inputs), offset=6))
+    spec = CampaignSpec(circuit=circuit, stimuli=stimuli, zones=zones,
+                        observation_points=points,
+                        config=CampaignConfig(collect_toggles=True))
+    return spec, CandidateList(faults=(faults * 38)[:150])
+
+
+@pytest.mark.parametrize("seed", [1, 3, 4])
+def test_toggle_campaign_matches_oracle(seed):
+    """Any-machine toggle maps of a one-pass, three-lane-word campaign
+    with bridges in all three modes and a primary-input glitch: the
+    compiled pass's ``seen0``/``seen1`` equal the interpreted oracle's,
+    net for net."""
+    spec, candidates = _toggle_campaign_pieces(seed)
+    ri = run_interpreted(spec.manager(), candidates,
+                         machines_per_pass=len(candidates.faults))
+    rc = _run_compiled(spec, candidates)
+    assert rc.passes == 1
+    assert _fault_records(ri) == _fault_records(rc)
+    assert (rc.seen0, rc.seen1) == (ri.seen0, ri.seen1)
+    assert rc.toggled_nets() == ri.toggled_nets()
+    assert 0 < len(rc.toggled_nets()) < spec.circuit.num_nets
+
+
+def test_cycle_budget_inside_a_quiet_run_raises_at_the_budget(
+        monkeypatch):
+    """A budget that ends inside a stretch of cycles the C loop runs
+    in one call: the pass raises when the budget's cycle would start,
+    as the per-cycle ``step_eval`` does, and adds no fault record."""
+    spec, candidates = _toggle_campaign_pieces(1)
+    spec.stimuli = spec.stimuli * 4     # a long tail after cycle 6's SET
+    faults = list(candidates.faults)
+    stops: list[int] = []
+    sims: list[CompiledSimulator] = []
+    run = CompiledSimulator.run
+
+    def spying_run(sim, table, cycles, probes=None, record=None,
+                   activity=None):
+        def logged(cycle, count):
+            stops.append(cycle)
+            record(cycle, count)
+        sims.append(sim)
+        run(sim, table, cycles, probes, logged, activity)
+
+    monkeypatch.setattr(CompiledSimulator, "run", spying_run)
+    spec.manager().run_batches(faults)
+    events = {f.offset for f in faults if hasattr(f, "offset")}
+    # the first cycle b that neither ends a recorded cycle's call nor
+    # starts an event cycle, with cycle b - 2 not returning either
+    budget = next(b for b in range(3, len(spec.stimuli))
+                  if not {b - 2, b - 1} & set(stops)
+                  and not {b - 1, b} & events)
+    assert budget < len(spec.stimuli) - 1
+
+    spec.config.cycle_budget = budget
+    result = spec.manager().new_result()
+    with pytest.raises(CycleBudgetExceeded,
+                       match=f"budget of {budget} cycle"):
+        spec.manager().run_batches(faults, into=result)
+    assert result.results == []
+    with pytest.raises(CycleBudgetExceeded,
+                       match=f"budget of {budget} cycle"):
+        run_interpreted(spec.manager(), candidates)
+    assert sims[-1].cycle == budget
 
 
 # ----------------------------------------------------------------------

@@ -505,15 +505,21 @@ def test_validation_replays_the_full_workload_once(improved,
     env = build_environment(improved, quick=True)
     env.profile()
     stepped = []
-    step_eval = CompiledSimulator.step_eval
+    step_eval, run = CompiledSimulator.step_eval, CompiledSimulator.run
 
     def counting_step_eval(self, inputs=None):
         if self.machines == 1:
             stepped.append(self)
         step_eval(self, inputs)
 
+    def counting_run(self, table, cycles, *args, **kwargs):
+        if self.machines == 1:
+            stepped.extend([self] * cycles)
+        run(self, table, cycles, *args, **kwargs)
+
     monkeypatch.setattr(CompiledSimulator, "step_eval",
                         counting_step_eval)
+    monkeypatch.setattr(CompiledSimulator, "run", counting_run)
     report = run_validation(improved, env=env)
     assert report.passed, report.summary()
     cycles: dict[int, int] = {}

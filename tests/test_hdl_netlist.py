@@ -14,6 +14,8 @@ from repro.hdl import (
 )
 from repro.hdl.netlist import Flop, OP_CONST0, OP_MUX
 
+from .graph_oracle import fanout_map
+
 
 def test_split_bit_suffix():
     assert split_bit_suffix("foo[7]") == ("foo", 7)
@@ -151,7 +153,7 @@ def test_fanout_map_consumers():
     m.output("y", y)
     m.output("z", b)
     c = m.build()
-    fan = c.fanout_map()
+    fan = fanout_map(c)
     a_net = c.inputs["a"][0]
     kinds = {d[0] for d in fan[a_net]}
     assert "gate" in kinds or "output" in kinds

@@ -310,6 +310,52 @@ def test_memory_faults_outside_the_array_raise_at_arming(word):
     assert not sim._mem_flips
 
 
+def _reg_and_ram():
+    """One register and one memory, so every id kind has items."""
+    m = Module("t")
+    addr = m.input("addr", 3)
+    m.output("q", m.reg("r", addr))
+    m.output("rd", m.memory("ram", 8, 4, addr, m.input("wd", 4),
+                            m.input("we", 1)))
+    return m.build()
+
+
+#: one fault per id kind, armed on the id under test
+ARM_BY_ID = {
+    "net": [lambda sim, i: sim.stick_net(i, 1, machines=[1]),
+            lambda sim, i: sim.schedule_net_glitch(i, cycle=0),
+            lambda sim, i: sim.add_bridge(i, 0),
+            lambda sim, i: sim.add_bridge(0, i)],
+    "flop": [lambda sim, i: sim.schedule_flop_flip(i, cycle=0),
+             lambda sim, i: sim.set_flop(i, 1)],
+    "memory": [lambda sim, i: sim.schedule_mem_flip(i, 0, 0, cycle=0),
+               lambda sim, i: sim.set_mem_cell_stuck(i, 0, 0, value=1),
+               lambda sim, i: sim.add_mem_coupling(i, (0, 0), (1, 0))],
+}
+
+
+@pytest.mark.parametrize("engine", [CompiledSimulator, Simulator])
+@pytest.mark.parametrize("kind", sorted(ARM_BY_ID))
+def test_integer_ids_outside_the_circuit_raise_at_arming(engine, kind):
+    """An integer id is checked when a fault is armed: -1 must not wrap
+    to the last net, flop or memory, and one past the end must not
+    wait for the first evaluation to fail.  The compiled kernel's C
+    loop reads the fault tables built from these ids unchecked."""
+    circ = _reg_and_ram()
+    count = {"net": circ.num_nets, "flop": len(circ.flops),
+             "memory": len(circ.memories)}[kind]
+    for arm in ARM_BY_ID[kind]:
+        for bad in (-1, count):
+            sim = engine(circ, machines=2)
+            with pytest.raises(NetlistError,
+                               match=rf"{kind} id {bad} .* {count} "):
+                arm(sim, bad)
+            sim.step({"addr": 1, "wd": 2, "we": 1})
+            # nothing was armed: machine 1 still equals machine 0
+            assert sim.mismatch_mask(range(circ.num_nets)) == 0
+        arm(engine(circ, machines=2), count - 1)
+
+
 # ----------------------------------------------------------------------
 def test_unknown_names_raise():
     circ = xor_reg_circuit()

@@ -3,9 +3,11 @@
 :class:`~repro.hdl.netgraph.NetGraph` replaced the private adjacency
 builds and walkers of the cone analysis, the effect prediction, the
 diagnostic-only net split, the support-cone index and the compiler's
-levelizer.  Those walkers live on in ``tests/graph_oracle.py``; on the
-random netlists of the compiled-kernel differential fuzzer every walk
-of the shared graph must give their results exactly.
+levelizer, and the zone extractor's critical-net and sub-block walks
+over a per-net consumer map.  Those walkers live on in
+``tests/graph_oracle.py``; on the random netlists of the compiled-kernel
+differential fuzzer every walk of the shared graph must give their
+results exactly.
 """
 
 import pytest
@@ -21,7 +23,9 @@ from repro.hdl.netlist import (
     Circuit,
 )
 from repro.store.fingerprint import SupportIndex
+from repro.zones.extractor import ZoneExtractor
 from repro.zones import (
+    ExtractionConfig,
     ObservationKind,
     ObservationPoint,
     ZoneSet,
@@ -35,7 +39,9 @@ from .graph_oracle import (
     EffectPredictor,
     compiled_drivers,
     compiled_levels,
+    critical_net_zones,
     diagnostic_only_nets as oracle_diagnostic_only_nets,
+    subblock_zones,
     support_closures,
 )
 from .test_compiled_differential import fuzz_circuit
@@ -182,3 +188,37 @@ def test_loop_diagnostic_matches_oracle():
         compile_circuit(c)
     assert str(got.value) == str(expected.value)
     assert got.value.code == expected.value.code == "E120"
+
+
+@st.composite
+def circuits_with_paths(draw):
+    """A fuzzed circuit whose gates and flops sit in random scopes of
+    a small hierarchy (some outside any scope), plus a few extra
+    output ports, so blocks both feed and use each other."""
+    circuit = fuzz_circuit(draw(st.integers(0, 10_000)))
+    scopes = ["", "a", "a/x", "a/x/p", "a/y", "b", "b/x"]
+    for item in (*circuit.gates, *circuit.flops):
+        item.path = draw(st.sampled_from(scopes))
+    nets = st.integers(0, circuit.num_nets - 1)
+    for k in range(draw(st.integers(0, 3))):
+        circuit.outputs[f"po{k}"] = draw(st.lists(nets, min_size=1,
+                                                  max_size=3))
+    return circuit
+
+
+@settings(max_examples=80, deadline=None)
+@given(circuits_with_paths(), st.integers(1, 6), st.integers(1, 3))
+def test_critical_net_and_subblock_zones_match_oracle(circuit, fanout,
+                                                      depth):
+    """Both zone kinds from the graph equal the consumer-map walks:
+    the critical nets (output pins counted as loads) in the map's
+    insertion order with their fan-out and driver kind, and every
+    block's outputs, at each fan-out threshold and scope depth."""
+    config = ExtractionConfig(critical_fanout=fanout,
+                              subblock_depth=depth)
+    extractor = ZoneExtractor(circuit, config)
+    graph = NetGraph(circuit)
+    assert extractor._critical_net_zones(graph) == \
+        critical_net_zones(circuit, config)
+    assert extractor._subblock_zones(graph) == \
+        subblock_zones(circuit, config)

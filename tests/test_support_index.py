@@ -5,7 +5,7 @@ lists over a ``bytearray`` mark and assembles each cone's canonical
 document from precomputed JSON fragments.  Both are checked here on
 the random netlists of the compiled-kernel differential fuzzer against
 a naive reference kept in this file: a breadth-first search over
-``Circuit.fanout_map`` / ``Circuit.driver_map``, and ``json.dumps`` of
+``graph_oracle.fanout_map`` / ``Circuit.driver_map``, and ``json.dumps`` of
 the sorted cone records.
 """
 
@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from repro.hdl.netlist import OP_NAMES
 from repro.store.fingerprint import SupportIndex, digest
 
+from .graph_oracle import fanout_map
 from .test_compiled_differential import fuzz_circuit
 
 
@@ -24,7 +25,7 @@ from .test_compiled_differential import fuzz_circuit
 # the naive reference
 # ----------------------------------------------------------------------
 def reference_forward(circuit, nets, mems):
-    fanout = circuit.fanout_map()
+    fanout = fanout_map(circuit)
     out_nets, out_mems = set(nets), set(mems)
     queue = list(nets)
     for mi in mems:
