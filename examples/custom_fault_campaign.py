@@ -70,7 +70,7 @@ def main():
 
     spec = CampaignSpec.from_zone_set(
         sub.circuit, list(workload), zone_set,
-        setup=lambda sim: sub.preload(sim, {}))
+        setup=sub.preload_image())
 
     faults = build_fault_list(sub)
     campaign = CampaignSupervisor(spec, workers=1).run(faults)

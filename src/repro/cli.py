@@ -153,7 +153,7 @@ def cmd_derating(args) -> int:
     workload = validation_workload(sub, quick=True)
     result = measure_set_derating(
         sub.circuit, list(workload), samples=args.samples,
-        seed=args.seed, setup=lambda s: sub.preload(s, {}))
+        seed=args.seed, setup=sub.preload_image())
     print(result.summary())
     print(f"apply to FitModel.gate_transient_fit: multiply the raw "
           f"SET rate by {result.latch_fraction:.3f}")

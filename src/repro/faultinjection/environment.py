@@ -12,6 +12,7 @@ setup — and hands out configured profilers, fault lists and managers.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 from ..diagnostics import DiagnosticError, DiagnosticReport
 from ..fmea.worksheet import FmeaWorksheet
@@ -23,6 +24,7 @@ from .faultlist import (
     generate_zone_faults,
 )
 from .manager import CampaignConfig, FaultInjectionManager
+from .parallel import CampaignSpec, snapshot_setup
 from .profiler import OperationalProfile, profile_workload
 
 STIMULI_SCHEMA_VERSION = 1
@@ -183,7 +185,7 @@ class InjectionEnvironment:
         self.worksheet = worksheet
         self.stimuli = list(stimuli)
         self.workload_name = workload_name
-        self.setup = setup
+        self.setup = snapshot_setup(circuit, setup)
         self.read_strobes = read_strobes or {}
         self.test_windows = tuple(test_windows)
         self._profile = None
@@ -209,18 +211,23 @@ class InjectionEnvironment:
                                     profile=self.profile(),
                                     config=config)
 
+    def campaign_config(self, config: CampaignConfig | None = None
+                        ) -> CampaignConfig:
+        """A copy of ``config`` whose test windows default to the
+        workload's; the caller's config is never modified."""
+        config = config or CampaignConfig()
+        return replace(config, test_windows=config.test_windows
+                       or self.test_windows)
+
     def manager(self, config: CampaignConfig | None = None
                 ) -> FaultInjectionManager:
-        config = config or CampaignConfig()
-        if not config.test_windows:
-            config.test_windows = self.test_windows
         return FaultInjectionManager(
             self.circuit, self.stimuli, zone_set=self.zone_set,
-            setup=self.setup, config=config)
+            setup=self.setup, config=self.campaign_config(config))
 
-    def spec(self, config: CampaignConfig | None = None):
+    def spec(self, config: CampaignConfig | None = None
+             ) -> CampaignSpec:
         """A picklable campaign spec for multi-process runs."""
-        from .parallel import CampaignSpec
         return CampaignSpec.from_environment(self, config=config)
 
     def supervisor(self, workers: int | None = None,
@@ -270,6 +277,6 @@ def build_environment(subsystem, workload=None,
         worksheet=worksheet,
         stimuli=list(workload),
         workload_name=workload.name,
-        setup=lambda sim: subsystem.preload(sim, {}),
+        setup=subsystem.preload_image(),
         read_strobes=subsystem.read_strobes(),
         test_windows=workload.test_windows())

@@ -12,10 +12,11 @@ the pieces defined here:
   batches (:func:`shard_candidates`) so that concatenating the
   per-shard result lists in shard order reproduces the exact per-fault
   ordering of a one-shard run;
-* every worker is created from a **picklable**
-  :class:`CampaignSpec` — circuit, stimuli, zones, observation points,
-  configuration and a picklable setup (see :class:`MemoryImageSetup`)
-  — and rebuilds its own manager;
+* a campaign is described by a **picklable** :class:`CampaignSpec`
+  — circuit, stimuli, zones, observation points, configuration and
+  the setup as data (see :class:`MemoryImageSetup`); the supervisor
+  builds one manager from it, compiles the circuit and packs the
+  stimuli once, and hands that manager to every shard's worker;
 * the **golden (fault-free) trace** is derived once in the parent
   (:func:`compute_golden_trace`) from the per-net first events the
   operational-profile replay recorded, and its activity bits are
@@ -42,7 +43,7 @@ from dataclasses import dataclass, field
 
 from ..hdl.compiled import CompiledSimulator
 from ..hdl.netlist import Circuit
-from ..hdl.simulator import SimulatorBase
+from ..hdl.simulator import MemoryImageSetup
 from ..zones.extractor import ZoneSet
 from ..zones.model import ObservationPoint, SensibleZone
 from .faults import Fault
@@ -79,32 +80,16 @@ def shard_candidates(faults: list[Fault],
 # ----------------------------------------------------------------------
 # picklable campaign description
 # ----------------------------------------------------------------------
-@dataclass
-class MemoryImageSetup:
-    """Picklable stand-in for an arbitrary simulator ``setup`` callable.
-
-    Campaign setups in this repo load memory images (code preloads,
-    program ROMs) and occasionally force flop state; both are captured
-    here as plain data so worker processes can replay them.
-    """
-
-    mem_images: dict[str, list[int]] = field(default_factory=dict)
-    flop_values: dict[str, int] = field(default_factory=dict)
-
-    def __call__(self, sim: SimulatorBase) -> None:
-        for name, image in self.mem_images.items():
-            sim.load_mem(name, image)
-        for name, value in self.flop_values.items():
-            sim.set_flop(name, value)
-
-
 def snapshot_setup(circuit: Circuit, setup) -> MemoryImageSetup | None:
-    """Run ``setup`` on a scratch simulator and capture its effect.
+    """``setup`` as data: a :class:`MemoryImageSetup` (or ``None``) is
+    returned unchanged; a callable runs on a scratch simulator and its
+    effect on memory contents and flop state is captured.
 
-    Only memory contents and flop state are captured; a setup that
-    programs fault overlays or drives inputs cannot be snapshotted and
-    must be given to :class:`CampaignSpec` as a picklable callable
-    directly.
+    Campaign descriptions call this once, when they are built
+    (:class:`CampaignSpec`,
+    :class:`~repro.faultinjection.environment.InjectionEnvironment`).
+    A setup that programs fault overlays has no data form and raises
+    ``ValueError``.
     """
     if setup is None:
         return None
@@ -116,8 +101,8 @@ def snapshot_setup(circuit: Circuit, setup) -> MemoryImageSetup | None:
             probe._mem_flips or probe._bridges or probe._mem_stuck or \
             probe._mem_coupling:
         raise ValueError(
-            "setup programs fault overlays; pass a picklable setup "
-            "callable to CampaignSpec instead of snapshotting")
+            "setup programs fault overlays; a campaign setup may only "
+            "load memories and set flops")
     images = {}
     for mi, mem in enumerate(circuit.memories):
         images[mem.name] = [probe.read_mem_word(mi, w)
@@ -130,12 +115,13 @@ def snapshot_setup(circuit: Circuit, setup) -> MemoryImageSetup | None:
 
 @dataclass
 class CampaignSpec:
-    """Everything a worker process needs to rebuild a campaign manager.
+    """Everything that defines one campaign, as plain data.
 
-    All fields are plain data (or picklable callables for ``setup``),
-    so the spec can cross a process boundary under any multiprocessing
-    start method.  ``activity`` is the fault-free replay's per-net
-    first events (:attr:`OperationalProfile.activity
+    A callable ``setup`` is snapshotted into a
+    :class:`MemoryImageSetup` once, here (:func:`snapshot_setup`), so
+    the spec is picklable and content-addressable.  ``activity`` is
+    the fault-free replay's per-net first events
+    (:attr:`OperationalProfile.activity
     <repro.faultinjection.profiler.OperationalProfile.activity>`); the
     golden trace is derived from it, or from one replay when absent.
     """
@@ -149,6 +135,9 @@ class CampaignSpec:
     setup: MemoryImageSetup | None = None
     activity: NetActivity | None = None
 
+    def __post_init__(self):
+        self.setup = snapshot_setup(self.circuit, self.setup)
+
     @classmethod
     def from_environment(cls, env, config: CampaignConfig | None = None
                          ) -> "CampaignSpec":
@@ -157,16 +146,13 @@ class CampaignSpec:
         The environment's (memoized) operational profile supplies the
         golden activity, so the workload is replayed at most once.
         """
-        config = config or CampaignConfig()
-        if not config.test_windows:
-            config.test_windows = env.test_windows
         return cls(circuit=env.circuit,
                    stimuli=list(env.stimuli),
                    zones=list(env.zone_set.zones),
                    observation_points=list(
                        env.zone_set.observation_points),
-                   config=config,
-                   setup=snapshot_setup(env.circuit, env.setup),
+                   config=env.campaign_config(config),
+                   setup=env.setup,
                    activity=env.profile().activity)
 
     @classmethod
@@ -176,8 +162,7 @@ class CampaignSpec:
         return cls(circuit=circuit, stimuli=list(stimuli),
                    zones=list(zone_set.zones),
                    observation_points=list(zone_set.observation_points),
-                   config=config or CampaignConfig(),
-                   setup=snapshot_setup(circuit, setup))
+                   config=config or CampaignConfig(), setup=setup)
 
     def manager(self) -> FaultInjectionManager:
         zone_set = ZoneSet(circuit=self.circuit,

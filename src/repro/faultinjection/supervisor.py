@@ -61,7 +61,7 @@ from multiprocessing.connection import wait as _connection_wait
 from ..backoff import decorrelated_delay
 from .faultlist import CandidateList
 from .faults import Fault
-from .manager import CampaignResult, FaultResult
+from .manager import CampaignResult, FaultInjectionManager, FaultResult
 from .parallel import (
     CampaignSpec,
     CampaignStats,
@@ -188,9 +188,10 @@ class CampaignHealth:
 # ----------------------------------------------------------------------
 # worker side
 # ----------------------------------------------------------------------
-def _supervised_worker(conn, spec: CampaignSpec,
+def _supervised_worker(conn, manager: FaultInjectionManager,
                        faults: list[Fault]) -> None:
-    """One shard attempt: build a manager, run, report through a pipe.
+    """One shard attempt: run the campaign's (already compiled)
+    manager over ``faults`` and report through a pipe.
 
     Always sends exactly one message — ``("ok", pid, result,
     seconds)`` or ``("error", pid, (exc_type, traceback), seconds)``;
@@ -199,7 +200,7 @@ def _supervised_worker(conn, spec: CampaignSpec,
     """
     start = time.time()
     try:
-        result = spec.manager().run_batches(list(faults))
+        result = manager.run_batches(list(faults))
         payload = ("ok", os.getpid(), result, time.time() - start)
     except BaseException as exc:  # noqa: BLE001 — report, then die
         payload = ("error", os.getpid(),
@@ -284,6 +285,7 @@ class CampaignSupervisor:
         manager = self.spec.manager()
         health = CampaignHealth()
         self.anomalies = []
+        self._manager = manager
         self._faults = faults
         self._health = health
         self._merged: dict[int, FaultResult] = {}
@@ -310,6 +312,8 @@ class CampaignSupervisor:
             self.progress(self._done_count(), self._total)
 
         if miss_indices:
+            # compile and pack once; every shard runs this manager
+            manager.stimulus_table()
             self._execute(miss_indices)
 
         if faults:
@@ -381,15 +385,10 @@ class CampaignSupervisor:
         return ctx, run_id, miss_indices
 
     def _context(self):
-        if self.cache is None:
-            return None
-        if self.spec.config.collect_toggles:
+        if self.cache is None or self.spec.config.collect_toggles:
             return None
         from ..store.fingerprint import FingerprintContext
-        try:
-            return FingerprintContext.from_spec(self.spec)
-        except ValueError:
-            return None
+        return FingerprintContext.from_spec(self.spec)
 
     def _done_count(self) -> int:
         return len(self._merged) + len(self._quarantined)
@@ -553,7 +552,7 @@ class CampaignSupervisor:
         recv_conn, send_conn = mp.Pipe(duplex=False)
         process = mp.Process(
             target=_supervised_worker,
-            args=(send_conn, self.spec,
+            args=(send_conn, self._manager,
                   [self._faults[i] for i in job.indices]),
             daemon=True)
         process.start()
@@ -584,7 +583,7 @@ class CampaignSupervisor:
         """
         start = time.time()
         try:
-            part = self.spec.manager().run_batches(
+            part = self._manager.run_batches(
                 [self._faults[i] for i in job.indices])
         except Exception as exc:
             if type(exc).__name__ in _HANG_EXCEPTIONS:

@@ -180,7 +180,7 @@ def _replay_full_workload(subsystem) -> NetActivity:
     """Per-net activity of the full workload's fault-free replay."""
     return profile_workload(
         subsystem.circuit, validation_workload(subsystem, quick=False),
-        setup=lambda sim: subsystem.preload(sim, {})).activity
+        setup=subsystem.preload_image()).activity
 
 
 def _toggled_outputs(circuit: Circuit, activity: NetActivity

@@ -1,4 +1,5 @@
-"""The simulator base class: name resolution, stepping, the watchdog.
+"""The simulator base class (name resolution, stepping, the watchdog)
+and :class:`MemoryImageSetup`, a simulator setup as data.
 
 A simulator evaluates a :class:`~repro.hdl.netlist.Circuit` cycle by
 cycle for a fixed number of parallel *machines*: machine 0 is the
@@ -11,6 +12,8 @@ and the bridging modes below.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass, field
 
 from .netlist import NetlistError
 
@@ -132,3 +135,23 @@ class SimulatorBase:
             raise CycleBudgetExceeded(
                 f"simulation of {self.circuit.name!r} exceeded its "
                 f"cycle budget of {self.cycle_budget} cycle(s)")
+
+
+@dataclass
+class MemoryImageSetup:
+    """A simulator ``setup`` as plain data.
+
+    Campaign setups in this repo load memory images (code preloads,
+    program ROMs) and occasionally force flop state; both are held
+    here as data, so a setup is picklable and content-addressable.
+    The built-in designs build theirs with ``preload_image()``.
+    """
+
+    mem_images: dict[str, list[int]] = field(default_factory=dict)
+    flop_values: dict[str, int] = field(default_factory=dict)
+
+    def __call__(self, sim: SimulatorBase) -> None:
+        for name, image in self.mem_images.items():
+            sim.load_mem(name, image)
+        for name, value in self.flop_values.items():
+            sim.set_flop(name, value)

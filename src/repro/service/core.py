@@ -354,12 +354,13 @@ class CampaignService:
                 err.append(sreport.render(title="stimuli"))
                 return outcome(EXIT_DIAGNOSTIC)
             env.stimuli = cycles
-        try:
-            validate_stimuli(env.circuit, env.stimuli)
-        except StimuliValidationError as exc:
-            err.append(f"error: invalid stimuli for "
-                       f"{sub.cfg.name}:\n{exc}")
-            return outcome(EXIT_DIAGNOSTIC)
+        else:
+            try:
+                validate_stimuli(env.circuit, env.stimuli)
+            except StimuliValidationError as exc:
+                err.append(f"error: invalid stimuli for "
+                           f"{sub.cfg.name}:\n{exc}")
+                return outcome(EXIT_DIAGNOSTIC)
 
         skipped_zones: list[str] = []
         if request.zones:

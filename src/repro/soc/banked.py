@@ -28,9 +28,8 @@ from ..fmea.builder import DiagnosticPlan, build_worksheet
 from ..fmea.fit import DEFAULT_FIT_MODEL, FitModel
 from ..fmea.worksheet import FmeaWorksheet
 from ..hdl.builder import Module
-from ..hdl.compiled import CompiledSimulator
 from ..hdl.netlist import Circuit
-from ..hdl.simulator import SimulatorBase
+from ..hdl.simulator import MemoryImageSetup
 from ..zones.extractor import ExtractionConfig, ZoneSet, extract_zones
 from .config import BankedConfig
 from .subsystem import (
@@ -127,6 +126,9 @@ class BankedMemorySubsystem:
     write = MemorySubsystem.write
     read = MemorySubsystem.read
     reset_op = MemorySubsystem.reset_op
+    # the shared helpers load this design's preload_image()
+    preload = MemorySubsystem.preload
+    simulator = MemorySubsystem.simulator
 
     # ------------------------------------------------------------------
     def split_addr(self, addr: int) -> tuple[int, int]:
@@ -144,24 +146,22 @@ class BankedMemorySubsystem:
             check = cfg.code.encode(data)
         return (check << cfg.data_bits) | data
 
-    def preload(self, sim: SimulatorBase, words: dict[int, int]) -> None:
-        """Load encoded words into the banks (bus address -> data)."""
+    def preload_image(self, words: dict[int, int] | None = None
+                      ) -> MemoryImageSetup:
+        """Every bank's array holding encoded words (bus address ->
+        data), valid codewords of 0 elsewhere, as a simulator setup."""
         bank_depth = 1 << self.cfg.bank_addr_bits
         images = {}
         for k in range(self.cfg.n_banks):
             base = k << self.cfg.bank_addr_bits
             images[k] = [self.encode_word(0, base + a)
                          for a in range(bank_depth)]
-        for addr, data in words.items():
+        for addr, data in (words or {}).items():
             bank, local = self.split_addr(addr)
             images[bank][local] = self.encode_word(data, addr)
-        for k, image in images.items():
-            sim.load_mem(f"{bank_scope(k)}/memarray/array", image)
-
-    def simulator(self, machines: int = 1) -> CompiledSimulator:
-        sim = CompiledSimulator(self.circuit, machines=machines)
-        self.preload(sim, {})
-        return sim
+        return MemoryImageSetup(mem_images={
+            f"{bank_scope(k)}/memarray/array": image
+            for k, image in images.items()})
 
     def read_strobes(self) -> dict[str, str]:
         return {f"{bank_scope(k)}/memarray/array":

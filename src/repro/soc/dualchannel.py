@@ -20,9 +20,8 @@ from ..fmea.builder import DiagnosticPlan, build_worksheet
 from ..fmea.fit import DEFAULT_FIT_MODEL, FitModel
 from ..fmea.worksheet import FmeaWorksheet
 from ..hdl.builder import Module
-from ..hdl.compiled import CompiledSimulator
 from ..hdl.netlist import Circuit
-from ..hdl.simulator import SimulatorBase
+from ..hdl.simulator import MemoryImageSetup
 from ..zones.extractor import ExtractionConfig, ZoneSet, extract_zones
 from .config import SubsystemConfig
 from .subsystem import (
@@ -108,17 +107,17 @@ class DualChannelSubsystem:
     def encode_word(self, data: int, addr: int = 0) -> int:
         return self._single.encode_word(data, addr)
 
-    def preload(self, sim: SimulatorBase, words: dict[int, int]) -> None:
-        image = [self.encode_word(0, a) for a in range(self.cfg.depth)]
-        for addr, data in words.items():
-            image[addr] = self.encode_word(data, addr)
-        for channel in CHANNELS:
-            sim.load_mem(f"{channel}/memarray/array", image)
+    def preload_image(self, words: dict[int, int] | None = None
+                      ) -> MemoryImageSetup:
+        """Both channels' arrays holding the same encoded words."""
+        image = self._single.preload_image(words).mem_images[
+            "memarray/array"]
+        return MemoryImageSetup(mem_images={
+            f"{channel}/memarray/array": list(image)
+            for channel in CHANNELS})
 
-    def simulator(self, machines: int = 1) -> CompiledSimulator:
-        sim = CompiledSimulator(self.circuit, machines=machines)
-        self.preload(sim, {})
-        return sim
+    preload = MemorySubsystem.preload
+    simulator = MemorySubsystem.simulator
 
     def alarm_outputs(self) -> list[str]:
         return [name for name in self.circuit.outputs

@@ -17,7 +17,7 @@ from ..fmea.worksheet import FmeaWorksheet
 from ..hdl.builder import Module
 from ..hdl.compiled import CompiledSimulator
 from ..hdl.netlist import Circuit
-from ..hdl.simulator import SimulatorBase
+from ..hdl.simulator import MemoryImageSetup, SimulatorBase
 from ..zones.extractor import ExtractionConfig, ZoneSet, extract_zones
 from .config import SubsystemConfig
 from .fmem import (
@@ -230,17 +230,23 @@ class MemorySubsystem:
             check = self.code.encode(data)
         return (check << self.cfg.data_bits) | data
 
+    def preload_image(self, words: dict[int, int] | None = None
+                      ) -> MemoryImageSetup:
+        """The array holding encoded words (address -> data), valid
+        codewords of 0 elsewhere, as a simulator setup."""
+        image = [self.encode_word(0, a) for a in range(self.cfg.depth)]
+        for addr, data in (words or {}).items():
+            image[addr] = self.encode_word(data, addr)
+        return MemoryImageSetup(mem_images={"memarray/array": image})
+
     def preload(self, sim: SimulatorBase, words: dict[int, int]) -> None:
         """Load encoded words into the array (address -> data)."""
-        image = [self.encode_word(0, a) for a in range(self.cfg.depth)]
-        for addr, data in words.items():
-            image[addr] = self.encode_word(data, addr)
-        sim.load_mem("memarray/array", image)
+        self.preload_image(words)(sim)
 
     def simulator(self, machines: int = 1) -> CompiledSimulator:
         sim = CompiledSimulator(self.circuit, machines=machines)
         # background-friendly default: array holds valid codewords
-        self.preload(sim, {})
+        self.preload_image()(sim)
         return sim
 
     def read_strobes(self) -> dict[str, str]:

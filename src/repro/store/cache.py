@@ -13,10 +13,9 @@ uncached cold run over the same candidates.
 Fresh outcomes are persisted incrementally (after every simulated
 shard), so a killed campaign resumes exactly where it stopped:
 re-running the same command turns the completed work into cache hits
-and simulates only the remainder.  Campaigns whose inputs cannot be
-content-addressed (toggle collection, un-snapshottable setups)
-transparently bypass the store and are counted in
-``stats.uncacheable``.
+and simulates only the remainder.  Campaigns that collect toggles
+(any-machine activity is not part of a fault's record) bypass the
+store and are counted in ``stats.uncacheable``.
 """
 
 from __future__ import annotations
@@ -113,19 +112,13 @@ class CampaignCache:
         so it is content-addressed (see
         :func:`~repro.store.fingerprint.profile_key`) and indexed in
         the ``golden`` table.  A missing, corrupt or unparsable entry
-        is replayed and rewritten; a setup that cannot be snapshotted
-        is replayed without touching the store.
+        is replayed and rewritten.  The environment holds its setup
+        as data already, so it enters the key as is.
         """
-        from ..faultinjection.parallel import snapshot_setup
         start = time.perf_counter()
-        try:
-            setup = snapshot_setup(env.circuit, env.setup)
-        except ValueError:      # programs fault overlays
-            key = digest = data = None
-        else:
-            key = profile_key(env.circuit, env.stimuli, setup,
-                              env.read_strobes)
-            digest, data = self._get_json(key)
+        key = profile_key(env.circuit, env.stimuli, env.setup,
+                          env.read_strobes)
+        digest, data = self._get_json(key)
         profile = None
         if data is not None:
             try:
@@ -138,9 +131,8 @@ class CampaignCache:
             profile = profiler.profile_workload(
                 env.circuit, env.stimuli, setup=env.setup,
                 read_strobes=env.read_strobes)
-            if key is not None:
-                digest = self._put_blob(key, json.dumps(
-                    profile.to_dict(), separators=(",", ":")).encode())
+            digest = self._put_blob(key, json.dumps(
+                profile.to_dict(), separators=(",", ":")).encode())
             self.stats.profile_misses += 1
         self._profile_blob = digest
         self.stats.profile_s += time.perf_counter() - start

@@ -56,6 +56,7 @@ from typing import NamedTuple
 from ..faultinjection.faults import Fault
 from ..hdl.netgraph import NetGraph
 from ..hdl.netlist import OP_NAMES, Circuit
+from ..hdl.simulator import MemoryImageSetup
 from ..zones.model import ObservationPoint, SensibleZone
 
 #: Bump when the fingerprint semantics change — every digest embeds it,
@@ -340,23 +341,6 @@ class FingerprintContext:
                    list(spec.observation_points), setup=spec.setup,
                    max_cycles=spec.config.max_cycles)
 
-    @classmethod
-    def from_manager(cls, manager) -> "FingerprintContext":
-        """Context for an in-process ``FaultInjectionManager``.
-
-        Raises ``ValueError`` when the manager's setup callable cannot
-        be snapshotted (it programs fault overlays) — such a campaign
-        is not content-addressable and must bypass the cache.
-        """
-        from ..faultinjection.parallel import snapshot_setup
-        zones = list(manager.zone_set.zones) \
-            if manager.zone_set is not None else []
-        points = (manager.functional + manager.status
-                  + manager.diagnostic)
-        return cls(manager.circuit, manager.stimuli, zones, points,
-                   setup=snapshot_setup(manager.circuit, manager.setup),
-                   max_cycles=manager.config.max_cycles)
-
     # ------------------------------------------------------------------
     def environment_fingerprint(self) -> str:
         """One digest for the whole environment (run bookkeeping)."""
@@ -529,7 +513,6 @@ def _setup_canonical(setup) -> str | None:
     """Canonical digest of a (snapshotted) simulator setup."""
     if setup is None:
         return None
-    from ..faultinjection.parallel import MemoryImageSetup
     if isinstance(setup, MemoryImageSetup):
         return digest({
             "mem_images": {name: list(image) for name, image
@@ -537,5 +520,5 @@ def _setup_canonical(setup) -> str | None:
             "flop_values": dict(sorted(setup.flop_values.items())),
         })
     raise ValueError(
-        f"cannot fingerprint setup {setup!r}: snapshot it with "
-        f"snapshot_setup() first")
+        f"cannot fingerprint setup {setup!r}: only a MemoryImageSetup "
+        f"has a content address")

@@ -22,18 +22,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.faultinjection import (
-    CampaignAborted,
     CampaignSpec,
     CampaignSupervisor,
     CandidateList,
     StuckNetFault,
-    SupervisorConfig,
     build_environment,
 )
 from repro.hdl import compile_circuit
 from repro.hdl.compiled import CompileError, LOOP_CODE, decompile
 from repro.hdl.netlist import OP_AND, OP_CONST0, OP_CONST1, OP_OR, \
-    Circuit
+    Circuit, NetlistError
 from repro.soc import MemorySubsystem, SubsystemConfig
 from repro.soc.minicpu import CpuConfig, MiniCpu
 from repro.store import CampaignCache
@@ -92,10 +90,23 @@ def test_combinational_loop_rejected_with_coded_diagnostic():
     assert exc.value.code == LOOP_CODE == "E120"
 
 
-def test_multi_driven_netlist_is_rejected_not_simulated():
-    """A campaign over a netlist the compiler cannot renumber fails
-    with the ``NetlistError`` (quarantine off: the campaign aborts);
-    no other engine runs it instead."""
+def _campaign_over(circuit, net, monkeypatch):
+    """Run a one-fault campaign over ``circuit``; starting a worker
+    fails the test."""
+    monkeypatch.setattr(CampaignSupervisor, "_spawn",
+                        lambda self, job: pytest.fail("a worker started"))
+    points = [ObservationPoint(name="y", kind=ObservationKind.OUTPUT,
+                               nets=tuple(circuit.outputs["y"]))]
+    CampaignSupervisor(
+        CampaignSpec(circuit=circuit, stimuli=[{"x": 1}],
+                     observation_points=points),
+        workers=1).run(CandidateList(faults=[StuckNetFault(target=net)]))
+
+
+def test_multi_driven_netlist_is_rejected_not_simulated(monkeypatch):
+    """A campaign over a netlist the compiler cannot renumber raises
+    the ``NetlistError`` in the supervisor, before any worker starts
+    (nothing is quarantined); no other engine runs it instead."""
     c = Circuit(name="multi")
     x = c.new_net("x")
     y = c.new_net("y")
@@ -103,15 +114,22 @@ def test_multi_driven_netlist_is_rejected_not_simulated():
     c.add_gate(OP_AND, (x, x), y)
     c.add_gate(OP_OR, (x, x), y)
     c.outputs["y"] = [y]
-    points = [ObservationPoint(name="y", kind=ObservationKind.OUTPUT,
-                               nets=(y,))]
-    supervisor = CampaignSupervisor(
-        CampaignSpec(circuit=c, stimuli=[{"x": 1}],
-                     observation_points=points),
-        workers=1, config=SupervisorConfig(quarantine=False,
-                                           max_retries=0))
-    with pytest.raises(CampaignAborted, match="multiple drivers"):
-        supervisor.run(CandidateList(faults=[StuckNetFault(target=x)]))
+    with pytest.raises(NetlistError, match="multiple drivers"):
+        _campaign_over(c, x, monkeypatch)
+
+
+def test_combinational_loop_campaign_raises_e120(monkeypatch):
+    c = Circuit(name="loop")
+    x = c.new_net("x")
+    a = c.new_net("a")
+    b = c.new_net("b")
+    c.inputs["x"] = [x]
+    c.add_gate(OP_AND, (x, b), a)
+    c.add_gate(OP_OR, (a, x), b)
+    c.outputs["y"] = [b]
+    with pytest.raises(CompileError) as exc:
+        _campaign_over(c, x, monkeypatch)
+    assert exc.value.code == LOOP_CODE
 
 
 # ----------------------------------------------------------------------

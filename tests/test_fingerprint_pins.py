@@ -24,8 +24,8 @@ from pathlib import Path
 import pytest
 
 from repro.faultinjection import (
+    CampaignSpec,
     CandidateList,
-    FaultInjectionManager,
     MemFlipFault,
     SeuFault,
     StuckNetFault,
@@ -75,12 +75,11 @@ def _minicpu_case():
                             bit=rng.randrange(ram.width),
                             offset=rng.randrange(30))
                for _ in range(8)]
-    manager = FaultInjectionManager(
-        circuit, [cpu.idle(rst=1)] * 2 + [cpu.idle()] * 80,
-        zone_set=zone_set,
+    spec = CampaignSpec.from_zone_set(
+        circuit, [cpu.idle(rst=1)] * 2 + [cpu.idle()] * 80, zone_set,
         setup=lambda sim: sim.load_mem("imem/rom",
                                        assemble(MINICPU_PROGRAM)))
-    return FingerprintContext.from_manager(manager), \
+    return FingerprintContext.from_spec(spec), \
         CandidateList(faults=faults).faults
 
 

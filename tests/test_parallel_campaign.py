@@ -9,6 +9,7 @@ oracle fault by fault, not just in aggregate.
 """
 
 import json
+import os
 import pickle
 from pathlib import Path
 
@@ -31,6 +32,7 @@ from repro.faultinjection import (
 )
 from repro.soc import MemorySubsystem, SubsystemConfig
 from repro.soc.minicpu import CpuConfig, MiniCpu, assemble
+from repro.store import CampaignCache
 from repro.zones import ZoneKind, extract_zones
 
 from .campaign_oracle import run_interpreted
@@ -169,6 +171,19 @@ def test_campaign_spec_round_trips_through_pickle(env, candidates,
     assert _fault_rows(out) == _fault_rows(serial)[:12]
 
 
+def test_spec_and_manager_leave_the_callers_config_alone(env):
+    full = build_environment(
+        MemorySubsystem(SubsystemConfig.small_improved()), quick=False,
+        zone_set=env.zone_set, worksheet=env.worksheet)
+    assert env.test_windows != full.test_windows
+    config = CampaignConfig()
+    assert env.spec(config).config.test_windows == env.test_windows
+    assert full.spec(config).config.test_windows == full.test_windows
+    assert full.manager(config).config.test_windows == \
+        full.test_windows
+    assert config == CampaignConfig()
+
+
 def test_snapshot_setup_captures_preload(env):
     snap = snapshot_setup(env.circuit, env.setup)
     assert isinstance(snap, MemoryImageSetup)
@@ -242,6 +257,64 @@ def test_empty_campaign_through_runner(env):
     assert campaign.results == []
     assert campaign.measured_dc() == 0.0
     assert campaign.measured_safe_fraction() == 0.0
+
+
+# ----------------------------------------------------------------------
+# one compile and one stimulus table per campaign
+# ----------------------------------------------------------------------
+def _log_compiles_and_packs(monkeypatch, log: Path) -> None:
+    """Append ``<pid> compile`` / ``<pid> pack`` to ``log`` on every
+    call; a file, so forked workers' calls are counted too."""
+    from repro.hdl import compiled
+    real_compile = compiled.compile_circuit
+    real_pack = compiled.CompiledCircuit.pack_inputs
+
+    def note(name):
+        with open(log, "a") as handle:
+            handle.write(f"{os.getpid()} {name}\n")
+
+    def compile_circuit(circuit):
+        note("compile")
+        return real_compile(circuit)
+
+    def pack_inputs(self, stimuli):
+        note("pack")
+        return real_pack(self, stimuli)
+
+    monkeypatch.setattr(compiled, "compile_circuit", compile_circuit)
+    monkeypatch.setattr(compiled.CompiledCircuit, "pack_inputs",
+                        pack_inputs)
+
+
+def test_campaign_compiles_and_packs_once_in_the_parent(
+        env, candidates, serial, tmp_path, monkeypatch):
+    spec = env.spec()        # the profile replay is not the campaign's
+    log = tmp_path / "calls.log"
+    _log_compiles_and_packs(monkeypatch, log)
+    with CampaignCache(tmp_path / "store") as cache:
+        supervisor = CampaignSupervisor(spec, workers=2, shards=3,
+                                        cache=cache, start_method="fork")
+        campaign = supervisor.run(candidates)
+        assert cache.stats.simulated == len(candidates.faults)
+    workers = {s.worker for s in supervisor.last_stats.shards}
+    assert len(supervisor.last_stats.shards) == 3
+    assert os.getpid() not in workers
+    calls = [line.split() for line in log.read_text().splitlines()]
+    assert sorted(name for _, name in calls) == ["compile", "pack"]
+    assert {int(pid) for pid, _ in calls} == {os.getpid()}
+    assert _fault_rows(campaign) == _fault_rows(serial)
+
+
+def test_spawned_workers_equal_forked_workers(env, candidates):
+    fork, spawn = (CampaignSupervisor(env.spec(), workers=2, shards=3,
+                                      start_method=method).run(candidates)
+                   for method in ("fork", "spawn"))
+    assert _fault_rows(spawn) == _fault_rows(fork)
+    assert spawn.outcomes() == fork.outcomes()
+    assert (spawn.passes, spawn.cycles_simulated) == \
+        (fork.passes, fork.cycles_simulated)
+    assert spawn.coverage.obse == fork.coverage.obse
+    assert spawn.coverage.diag == fork.coverage.diag
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Tests for the §6 memory sub-system (both variants)."""
 
+from functools import partial
+
 import pytest
 
 from repro.soc import (
@@ -69,6 +71,32 @@ def test_preload_encodes_valid_codewords(improved):
     r = m.read(5)
     assert r.data == 0x42
     assert not r.any_alarm
+
+
+def _preload_designs():
+    """Every built-in design, by test id, as a zero-argument factory."""
+    from repro.service.core import VARIANTS, make_subsystem
+    from repro.soc import DualChannelSubsystem
+    designs = {f"{variant}-x{banks}":
+               partial(make_subsystem, variant, banks=banks)
+               for variant in VARIANTS for banks in (1, 2)}
+    designs["small-baseline-bank-flags"] = partial(
+        make_subsystem, "small-baseline",
+        bank_flags=[{}, {"address_in_ecc": True}])
+    designs["dual-channel"] = DualChannelSubsystem
+    return designs
+
+
+PRELOAD_DESIGNS = _preload_designs()
+
+
+@pytest.mark.parametrize("design", sorted(PRELOAD_DESIGNS))
+def test_preload_image_equals_snapshot_of_preload(design):
+    from repro.faultinjection import snapshot_setup
+    sub = PRELOAD_DESIGNS[design]()
+    for words in ({}, {1: 0x5A, sub.cfg.depth - 1: 0x21}):
+        assert sub.preload_image(words) == snapshot_setup(
+            sub.circuit, lambda sim: sub.preload(sim, words))
 
 
 # ----------------------------------------------------------------------

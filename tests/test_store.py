@@ -22,6 +22,7 @@ from repro.faultinjection import (
     CampaignConfig,
     CampaignSpec,
     CampaignSupervisor,
+    InjectionEnvironment,
     MemoryImageSetup,
     build_environment,
     snapshot_setup,
@@ -354,20 +355,32 @@ def test_toggle_collection_bypasses_store(env, candidates, tmp_path):
         assert campaign.results           # the campaign itself still ran
 
 
-def test_unsnapshottable_setup_bypasses_store(env, candidates,
-                                              tmp_path):
-    # a setup that programs a fault overlay has no content address;
-    # under fork the lambda still reaches the worker unpickled
-    spec = CampaignSpec(
-        circuit=env.circuit, stimuli=list(env.stimuli),
-        zones=list(env.zone_set.zones),
-        observation_points=list(env.zone_set.observation_points),
-        setup=lambda sim: sim.stick_net(0, 1))
-    with CampaignCache(tmp_path / "store") as cache:
-        CampaignSupervisor(spec, workers=1, cache=cache,
-                           start_method="fork").run(candidates)
-        assert cache.stats.uncacheable == len(candidates.faults)
-        assert cache.db.outcome_count() == 0
+def _overlay(env):
+    """A setup that programs a fault overlay on top of ``env``'s preload."""
+    def overlay(sim):
+        env.setup(sim)
+        sim.stick_net(0, 1)
+    return overlay
+
+
+def test_overlay_spec_is_rejected_at_construction(env):
+    # a setup that programs a fault overlay has no data form and so no
+    # content address: a campaign spec refuses it when built, so no
+    # campaign can run outside the store with one
+    with pytest.raises(ValueError, match="fault overlays"):
+        CampaignSpec(circuit=env.circuit, stimuli=list(env.stimuli),
+                     zones=list(env.zone_set.zones),
+                     observation_points=list(
+                         env.zone_set.observation_points),
+                     setup=_overlay(env))
+
+
+def test_overlay_environment_is_rejected_at_construction(env):
+    # the environment refuses it too, so no operational profile is ever
+    # replayed without a store key
+    with pytest.raises(ValueError, match="fault overlays"):
+        InjectionEnvironment(env.circuit, env.zone_set, env.worksheet,
+                             env.stimuli, setup=_overlay(env))
 
 
 # ----------------------------------------------------------------------
@@ -541,17 +554,3 @@ def test_profile_written_without_net_activity_is_a_clean_miss(
     assert _fault_rows(campaign) == _fault_rows(serial)
     assert campaign.coverage.obse == serial.coverage.obse
     assert campaign.coverage.diag == serial.coverage.diag
-
-
-def test_unsnapshottable_setup_profiles_without_the_store(env,
-                                                          tmp_path):
-    def overlay(sim):
-        env.setup(sim)
-        sim.stick_net(0, 1)
-
-    changed = _with(env, setup=overlay)
-    with CampaignCache(tmp_path / "store") as cache:
-        profile = cache.profile(changed)
-        assert cache.stats.profile_misses == 1
-        assert cache.db.golden_rows() == []
-    assert _profile_bytes(profile) == _profile_bytes(changed.profile())
