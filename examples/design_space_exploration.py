@@ -19,6 +19,7 @@ from repro.explore import (
     TRANSFORM_LIBRARY,
     DesignPoint,
     ExploreConfig,
+    elaborate,
     explore,
     render_explore_dossier,
     structural_cost,
@@ -35,20 +36,20 @@ def ablation_table(variant: str = "small-baseline",
     The claimed-SFF/cost ablation behind the search: no simulation,
     just the worksheet of each single-mechanism design point.
     """
-    base = DesignPoint(variant=variant, banks=banks)
-    base_sub = base.build()
-    base_sff = base_sub.worksheet().totals().sff
-    rows = [["base", pct(base_sff), "-", 0, _sil(base_sff)]]
+    base_point = DesignPoint(variant=variant, banks=banks)
+    base = elaborate(base_point)
+    rows = [["base", pct(base.claimed_sff), "-", 0,
+             _sil(base.claimed_sff)]]
     for key, transform in TRANSFORM_LIBRARY.items():
-        point = base
+        point = base_point
         for bank in range(banks):
             point = point.with_transform(bank, key)
-        totals = point.build().worksheet().totals()
-        cost = structural_cost(point, base=base,
-                               base_subsystem=base_sub)
-        rows.append([f"+ {transform.title}", pct(totals.sff),
-                     f"{(totals.sff - base_sff) * 100:+.2f} pt",
-                     cost.scalar, _sil(totals.sff)])
+        record = elaborate(point)
+        sff = record.claimed_sff
+        cost = structural_cost(record.tally, base.tally)
+        rows.append([f"+ {transform.title}", pct(sff),
+                     f"{(sff - base.claimed_sff) * 100:+.2f} pt",
+                     cost.scalar, _sil(sff)])
     return render_table(
         ["design point", "SFF", "ΔSFF", "cost", "SIL@HFT0"], rows,
         title="=== one mechanism at a time (analytic, all banks) ===")

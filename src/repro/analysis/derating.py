@@ -19,6 +19,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..hdl.compiled import CompiledSimulator, compile_circuit
 from ..hdl.netlist import Circuit, OP_BUF, OP_CONST0, OP_CONST1
 
@@ -71,8 +73,10 @@ def measure_set_derating(circuit: Circuit, stimuli,
     pairs = [(rng.choice(sites), rng.randrange(len(stimuli)))
              for _ in range(samples)]
 
-    out_nets = [n for nets in circuit.outputs.values() for n in nets]
-    flop_idxs = tuple(range(len(circuit.flops)))
+    # id arrays: the simulator range-checks each in one step per call
+    out_nets = np.asarray([n for nets in circuit.outputs.values()
+                           for n in nets], dtype=np.intp)
+    flop_idxs = np.arange(len(circuit.flops), dtype=np.intp)
     mem_words = [(m.name, w) for m in circuit.memories
                  for w in range(m.depth)]
 

@@ -15,7 +15,8 @@ fault cones that bank touches; every other cone is a warm hit.
 * :mod:`~repro.explore.transforms` — the mitigation library and
   composable design points with structural costs;
 * :mod:`~repro.explore.search` — the Pareto-front driver over
-  :class:`~repro.service.core.CampaignService` campaigns;
+  :class:`~repro.service.core.CampaignService` campaigns, which
+  elaborates each design point once into a :class:`PointRecord`;
 * :mod:`~repro.explore.dossier` — the exploration dossier with the
   recommendation and its per-zone evidence.
 """
@@ -26,6 +27,8 @@ from .search import (
     ExplorationResult,
     ExploreConfig,
     ParetoFront,
+    PointRecord,
+    elaborate,
     explore,
 )
 from .transforms import (
@@ -41,7 +44,7 @@ from .transforms import (
 __all__ = [
     "TRANSFORM_LIBRARY", "DesignPoint", "EvaluatedPoint",
     "ExplorationResult", "ExploreConfig", "MitigationTransform",
-    "ParetoFront", "StructuralCost", "explore",
-    "render_explore_dossier", "structural_cost", "touched_zones",
-    "transforms_for_zone",
+    "ParetoFront", "PointRecord", "StructuralCost", "elaborate",
+    "explore", "render_explore_dossier", "structural_cost",
+    "touched_zones", "transforms_for_zone",
 ]

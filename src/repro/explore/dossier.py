@@ -23,9 +23,15 @@ def _point_label(evaluated) -> str:
     return name if len(name) <= 44 else name[:41] + "..."
 
 
-def zone_sff_deltas(base_point, improved_point,
+def _sil(evaluated, hft: int) -> str:
+    granted = evaluated.sil_at(hft)
+    return granted.name if granted else "none"
+
+
+def zone_sff_deltas(before: dict[str, float], after: dict[str, float],
                     top: int = 10) -> list[tuple[str, float, float]]:
-    """Per-zone (λDU before, λDU after) movements, biggest first.
+    """Per-zone (λDU before, λDU after) movements, biggest first, of
+    two zone → λDU (FIT) maps (:attr:`PointRecord.lambda_du`).
 
     λDU is the quantity that erodes the SFF, so "this zone's
     dangerous-undetected rate fell from X to Y FIT" is the per-zone
@@ -33,12 +39,10 @@ def zone_sff_deltas(base_point, improved_point,
     whose protection changed its shape (e.g. parity registers added)
     contributes its full before/after rate.
     """
-    before = base_point.build().worksheet().totals_by_zone()
-    after = improved_point.build().worksheet().totals_by_zone()
     rows = []
     for zone in set(before) | set(after):
-        du_b = before[zone].lambda_du if zone in before else 0.0
-        du_a = after[zone].lambda_du if zone in after else 0.0
+        du_b = before.get(zone, 0.0)
+        du_a = after.get(zone, 0.0)
         if abs(du_b - du_a) > 1e-12:
             rows.append((zone, du_b, du_a))
     # equal deltas (per-bank twins) tie-break on the zone name, so the
@@ -47,8 +51,7 @@ def zone_sff_deltas(base_point, improved_point,
     return rows[:top]
 
 
-def render_explore_dossier(result: ExplorationResult,
-                           zone_evidence: bool = True) -> str:
+def render_explore_dossier(result: ExplorationResult) -> str:
     """The full exploration dossier text."""
     config = result.config
     parts: list[str] = [RULE,
@@ -76,8 +79,7 @@ def render_explore_dossier(result: ExplorationResult,
             pct(ev.measured_dc) if ev.measured_dc is not None
             else "n/a",
             f"{ev.hits}/{ev.hits + ev.misses}",
-            (ev.sil_at(config.hft).name
-             if ev.sil_at(config.hft) else "none"),
+            _sil(ev, config.hft),
         ])
     parts.append(render_table(
         ["#", "design point", "cost", "claimed SFF", "measured DC",
@@ -92,9 +94,7 @@ def render_explore_dossier(result: ExplorationResult,
                 ev.point == result.recommended.point:
             marker = " <= recommended"
         rows.append([_point_label(ev), ev.cost.scalar,
-                     pct(ev.claimed_sff),
-                     (ev.sil_at(config.hft).name
-                      if ev.sil_at(config.hft) else "none") + marker])
+                     pct(ev.claimed_sff), _sil(ev, config.hft) + marker])
     parts.append(render_table(
         ["design point", "cost", "claimed SFF", "SIL"],
         rows, title="\n3. Pareto front (cost vs SFF, non-dominated)"))
@@ -114,9 +114,7 @@ def render_explore_dossier(result: ExplorationResult,
             ("recommended", rec.point.name),
             ("verdict", verdict),
             ("claimed SFF", pct(rec.claimed_sff)),
-            ("SIL @ HFT=%d" % config.hft,
-             rec.sil_at(config.hft).name
-             if rec.sil_at(config.hft) else "none"),
+            ("SIL @ HFT=%d" % config.hft, _sil(rec, config.hft)),
             ("structural cost",
              f"{rec.cost.gate_delta:+d} gates, "
              f"{rec.cost.flop_delta:+d} flops "
@@ -129,8 +127,10 @@ def render_explore_dossier(result: ExplorationResult,
         parts.append("   mechanisms:")
         parts.extend(f"     - {line}" for line in applied)
 
-        if zone_evidence and rec.point.applied:
-            deltas = zone_sff_deltas(result.base.point, rec.point)
+        if rec.point.applied:
+            deltas = zone_sff_deltas(
+                result.records[()].lambda_du,
+                result.records[rec.point.applied].lambda_du)
             rows = [[zone, f"{du_b:.4f}", f"{du_a:.4f}",
                      f"{du_b - du_a:+.4f}"]
                     for zone, du_b, du_a in deltas]

@@ -8,8 +8,7 @@ The walk is greedy and criticality-seeded:
    candidate step on that zone's bank;
 3. score the open candidate steps *analytically* — elaborate the
    candidate, read the worksheet's claimed SFF and the measured
-   gate/flop delta, no simulation — and take the best claimed-ΔSFF
-   per unit cost;
+   gate/flop delta, no simulation — and take the best claimed-ΔSFF;
 4. evaluate the chosen point with a campaign routed through
    :class:`~repro.service.core.CampaignService` — queued as a durable
    job, lease-recovered if a worker dies, and deduped by the
@@ -81,11 +80,6 @@ class EvaluatedPoint:
     def sil_at(self, hft: int) -> SIL | None:
         return max_sil(self.claimed_sff, hft)
 
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
 
 def dominates(a: EvaluatedPoint, b: EvaluatedPoint) -> bool:
     """Pareto dominance on (structural cost ↓, claimed SFF ↑)."""
@@ -143,27 +137,26 @@ class ExplorationResult:
     target_met: bool = False
     steps_considered: int = 0
     log: list[str] = field(default_factory=list)
+    #: one :class:`PointRecord` per elaborated point, keyed on
+    #: ``DesignPoint.applied`` (the base point is ``()``)
+    records: dict[tuple, PointRecord] = field(default_factory=dict)
+
+    def _campaigns(self) -> list[EvaluatedPoint]:
+        """Every campaign of the walk, the verification re-run too."""
+        return self.evaluations + (
+            [self.verification] if self.verification is not None else [])
 
     @property
     def total_simulated(self) -> int:
-        sims = sum(e.simulated for e in self.evaluations)
-        if self.verification is not None:
-            sims += self.verification.simulated
-        return sims
+        return sum(e.simulated for e in self._campaigns())
 
     @property
     def total_hits(self) -> int:
-        hits = sum(e.hits for e in self.evaluations)
-        if self.verification is not None:
-            hits += self.verification.hits
-        return hits
+        return sum(e.hits for e in self._campaigns())
 
     @property
     def total_misses(self) -> int:
-        misses = sum(e.misses for e in self.evaluations)
-        if self.verification is not None:
-            misses += self.verification.misses
-        return misses
+        return sum(e.misses for e in self._campaigns())
 
     @property
     def hit_rate(self) -> float:
@@ -186,24 +179,20 @@ class ExplorationResult:
     @property
     def cold_faults(self) -> int:
         """What cold per-variant campaigns would have simulated."""
-        cold = sum(e.faults for e in self.evaluations)
-        if self.verification is not None:
-            cold += self.verification.faults
-        return cold
+        return sum(e.faults for e in self._campaigns())
 
 
 # ----------------------------------------------------------------------
 # evaluation: one campaign through the service
 # ----------------------------------------------------------------------
-def _run_point(service, point: DesignPoint, config: ExploreConfig,
-               progress=None) -> dict:
-    """Evaluate one point; returns the campaign's summary dict."""
+def _evaluate(service, point: DesignPoint, config: ExploreConfig,
+              cost: StructuralCost) -> EvaluatedPoint:
+    """Evaluate one point: a queued campaign job, drained in process."""
     from ..service.daemon import DaemonConfig, ServiceDaemon
-    request = point.request(full=config.full, workers=config.workers)
-    job_id = service.submit(request)
-    daemon = ServiceDaemon(service.root, DaemonConfig(
-        drain=True, verbose=False))
-    daemon.worker_loop(0)
+    job_id = service.submit(
+        point.request(full=config.full, workers=config.workers))
+    ServiceDaemon(service.root, DaemonConfig(
+        drain=True, verbose=False)).worker_loop(0)
     job = service.status(job_id)
     if job is None or job.result is None:
         error = getattr(job, "error", None)
@@ -211,17 +200,7 @@ def _run_point(service, point: DesignPoint, config: ExploreConfig,
         raise RuntimeError(
             f"exploration job {job_id} for {point.name!r} did not "
             f"complete{detail}")
-    summary = dict(job.result)
-    summary["job_id"] = job_id
-    return summary
-
-
-def _evaluate(service, point: DesignPoint, config: ExploreConfig,
-              base_sub=None, progress=None) -> EvaluatedPoint:
-    sub = point.build()
-    cost = structural_cost(point, subsystem=sub,
-                           base_subsystem=base_sub)
-    summary = _run_point(service, point, config, progress=progress)
+    summary = job.result
     return EvaluatedPoint(
         point=point, cost=cost,
         claimed_sff=summary.get("claimed_sff") or 0.0,
@@ -233,7 +212,7 @@ def _evaluate(service, point: DesignPoint, config: ExploreConfig,
         misses=summary.get("misses") or 0,
         simulated=summary.get("simulated") or 0,
         run_id=summary.get("run_id"),
-        job_id=summary.get("job_id"),
+        job_id=job_id,
         exit_code=summary.get("exit_code") or 0)
 
 
@@ -271,12 +250,30 @@ def candidate_steps(worksheet, banks: int) -> list[tuple[int, str]]:
     return ordered
 
 
-def _claimed_sff(point: DesignPoint, cache: dict) -> float:
-    """Analytic score of a point: worksheet SFF, no simulation."""
-    if point.applied not in cache:
-        sub = point.build()
-        cache[point.applied] = sub.worksheet().totals().sff
-    return cache[point.applied]
+@dataclass
+class PointRecord:
+    """What the walk keeps of one elaborated design point, numbers
+    only: the netlist's (gates, flops) tally, the worksheet's claimed
+    SFF (the analytic score), its per-zone λDU in FIT (the dossier's
+    evidence) and, for the base point, the candidate steps."""
+
+    tally: tuple[int, int]
+    claimed_sff: float
+    lambda_du: dict[str, float]
+    steps: tuple[tuple[int, str], ...] = ()
+
+
+def elaborate(point: DesignPoint) -> PointRecord:
+    """Build a design point and its worksheet once; keep the numbers."""
+    sub = point.build()
+    worksheet = sub.worksheet()
+    return PointRecord(
+        tally=(len(sub.circuit.gates), len(sub.circuit.flops)),
+        claimed_sff=worksheet.totals().sff,
+        lambda_du={zone: rates.lambda_du for zone, rates
+                   in worksheet.totals_by_zone().items()},
+        steps=() if point.applied
+        else tuple(candidate_steps(worksheet, point.banks)))
 
 
 # ----------------------------------------------------------------------
@@ -295,12 +292,22 @@ def explore(service, config: ExploreConfig | None = None,
 
     base_point = DesignPoint(variant=config.variant,
                              banks=config.banks)
-    base_sub = base_point.build()
+    records = {base_point.applied: elaborate(base_point)}
+
+    def record(point: DesignPoint) -> PointRecord:
+        if point.applied not in records:
+            records[point.applied] = elaborate(point)
+        return records[point.applied]
+
+    def cost(point: DesignPoint) -> StructuralCost:
+        return structural_cost(records[point.applied].tally,
+                               records[base_point.applied].tally)
+
     say(f"evaluating base point {base_point.name!r} "
         f"({config.banks} banks)")
-    base = _evaluate(service, base_point, config, base_sub=base_sub,
-                     progress=progress)
-    result = ExplorationResult(config=config, base=base)
+    base = _evaluate(service, base_point, config, cost(base_point))
+    result = ExplorationResult(config=config, base=base,
+                               records=records)
     result.evaluations.append(base)
     result.front.add(base)
     result.log.append(
@@ -308,9 +315,8 @@ def explore(service, config: ExploreConfig | None = None,
         f"cost 0, measured DC "
         f"{(base.measured_dc or 0.0):.4%}")
 
-    steps = candidate_steps(base_sub.worksheet(), config.banks)
+    steps = list(records[base_point.applied].steps)
     result.steps_considered = len(steps)
-    score_cache: dict = {base_point.applied: base.claimed_sff}
 
     current = base
     budget = max(1, config.budget) - 1   # base consumed one
@@ -324,8 +330,7 @@ def explore(service, config: ExploreConfig | None = None,
         best = None
         for step in open_steps[:config.probe_width]:
             candidate = current.point.with_transform(*step)
-            sff = _claimed_sff(candidate, score_cache)
-            gain = sff - current.claimed_sff
+            gain = record(candidate).claimed_sff - current.claimed_sff
             if best is None or gain > best[1]:
                 best = (candidate, gain, step)
         candidate, gain, step = best
@@ -338,9 +343,9 @@ def explore(service, config: ExploreConfig | None = None,
                 f"SFF gain at this point")
             continue
         say(f"step: {step[1]} on bank {step[0]} "
-            f"(claimed SFF -> {_claimed_sff(candidate, score_cache):.4%})")
+            f"(claimed SFF -> {record(candidate).claimed_sff:.4%})")
         evaluated = _evaluate(service, candidate, config,
-                              base_sub=base_sub, progress=progress)
+                              cost(candidate))
         budget -= 1
         result.evaluations.append(evaluated)
         on_front = result.front.add(evaluated)
@@ -359,11 +364,9 @@ def explore(service, config: ExploreConfig | None = None,
         if len(result.front) else None)
 
     if config.verify and result.recommended is not None:
-        say(f"verification re-run of "
-            f"{result.recommended.point.name!r}")
-        verification = _evaluate(service, result.recommended.point,
-                                 config, base_sub=base_sub,
-                                 progress=progress)
+        point = result.recommended.point
+        say(f"verification re-run of {point.name!r}")
+        verification = _evaluate(service, point, config, cost(point))
         result.verification = verification
         result.log.append(
             f"verification {verification.point.name}: warm "

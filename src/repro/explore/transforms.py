@@ -205,28 +205,14 @@ class StructuralCost:
         return self.gate_delta + 4 * self.flop_delta
 
 
-def _tally(subsystem) -> tuple[int, int]:
-    circuit = subsystem.circuit
-    return len(circuit.gates), len(circuit.flops)
-
-
-def structural_cost(point: DesignPoint,
-                    base: "DesignPoint | None" = None,
-                    subsystem=None, base_subsystem=None
-                    ) -> StructuralCost:
-    """Measured on the elaborated netlists, not estimated.
-
-    Pre-built subsystems can be passed to avoid re-elaboration.
-    """
-    base = base or DesignPoint(variant=point.variant,
-                               banks=point.banks)
-    gates, flops = _tally(subsystem or point.build())
-    if base == point:
-        return StructuralCost(gates=gates, flops=flops)
-    bgates, bflops = _tally(base_subsystem or base.build())
+def structural_cost(tally: tuple[int, int],
+                    base_tally: tuple[int, int]) -> StructuralCost:
+    """A point's cost from its and its base's (gates, flops) tallies,
+    measured on the elaborated netlists, not estimated."""
+    gates, flops = tally
     return StructuralCost(gates=gates, flops=flops,
-                          gate_delta=gates - bgates,
-                          flop_delta=flops - bflops)
+                          gate_delta=gates - base_tally[0],
+                          flop_delta=flops - base_tally[1])
 
 
 def touched_zones(env_a, env_b) -> tuple[set[str], set[str], int]:

@@ -26,8 +26,8 @@ supervision:
   (kind, worker pid, traceback, timing, attempt count) instead of
   failing — unless quarantine is disabled, in which case the
   supervisor raises :class:`CampaignAborted`;
-* a per-fault **cycle budget**
-  (:class:`~repro.hdl.simulator.CycleBudgetExceeded`) catches cycle
+* a per-fault **cycle budget** (``CampaignConfig.cycle_budget``,
+  :class:`~repro.hdl.simulator.CycleBudgetExceeded`) catches cycle
   runaways deterministically inside the worker, complementing the
   wall-clock timeout;
 * when worker processes cannot be spawned at all the supervisor
@@ -54,7 +54,7 @@ import os
 import time
 import traceback
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from multiprocessing import get_context
 from multiprocessing.connection import wait as _connection_wait
 
@@ -105,10 +105,6 @@ class SupervisorConfig:
     #: wall-clock seconds one shard attempt may run before its worker
     #: is killed and the shard counts as hung (``None`` disables)
     shard_timeout: float | None = None
-    #: simulator cycles one pass may evaluate before the in-worker
-    #: watchdog raises (``None`` disables); copied into the campaign
-    #: config so every worker enforces it
-    cycle_budget: int | None = None
     #: failed-shard retries before the shard is bisected
     max_retries: int = 2
     #: minimum retry backoff (see :data:`RETRY_BACKOFF_FACTOR`)
@@ -264,9 +260,6 @@ class CampaignSupervisor:
         if workers is not None and workers < 1:
             raise ValueError("need at least one worker")
         self.config = config or SupervisorConfig()
-        if self.config.cycle_budget is not None:
-            spec = replace(spec, config=replace(
-                spec.config, cycle_budget=self.config.cycle_budget))
         self.spec = spec
         self.workers = workers if workers is not None \
             else (os.cpu_count() or 1)

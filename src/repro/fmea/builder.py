@@ -54,9 +54,9 @@ class CoverageRule:
     modes: tuple[str, ...] | None = None
     software: bool | None = None
 
-    def applies(self, zone_name: str, failure_mode) -> bool:
-        if not fnmatch(zone_name, self.pattern):
-            return False
+    def covers(self, failure_mode) -> bool:
+        """Whether the rule claims a failure mode of a zone its
+        pattern matched."""
         if self.persistence is not None and \
                 failure_mode.persistence.value != self.persistence:
             return False
@@ -115,36 +115,32 @@ class DiagnosticPlan:
         return self
 
     # ------------------------------------------------------------------
-    def claims_for(self, zone_name: str, failure_mode
-                   ) -> list[DiagnosticClaim]:
-        return [DiagnosticClaim(r.technique, r.ddf, r.software)
-                for r in self.coverage
-                if r.applies(zone_name, failure_mode)]
-
-    def factors_for(self, zone: SensibleZone,
-                    persistence: FaultPersistence | None = None
-                    ) -> tuple[SDFactors, FrequencyClass, float, bool]:
-        factors = default_factors(zone.kind)
+    def factors_for(self, zone: SensibleZone
+                    ) -> tuple[SDFactors, SDFactors, FrequencyClass,
+                               float, bool]:
+        """One pass over the factor rules: the transient and permanent
+        S factors, the frequency class, the lifetime and whether the
+        frequency is an architectural derivation."""
+        transient = permanent = default_factors(zone.kind)
         frequency = default_frequency(zone.kind)
         lifetime = 0.0
         freq_architectural = False
         for rule in self.factors:
             if fnmatch(zone.name, rule.pattern):
                 if rule.factors is not None:
-                    factors = rule.factors
-                if persistence is FaultPersistence.TRANSIENT and \
-                        rule.transient_factors is not None:
-                    factors = rule.transient_factors
-                if persistence is FaultPersistence.PERMANENT and \
-                        rule.permanent_factors is not None:
-                    factors = rule.permanent_factors
+                    transient = permanent = rule.factors
+                if rule.transient_factors is not None:
+                    transient = rule.transient_factors
+                if rule.permanent_factors is not None:
+                    permanent = rule.permanent_factors
                 if rule.frequency is not None:
                     frequency = rule.frequency
                     # plan rules encode architectural derivations
                     freq_architectural = True
                 if rule.lifetime_cycles is not None:
                     lifetime = rule.lifetime_cycles
-        return factors, frequency, lifetime, freq_architectural
+        return (transient, permanent, frequency, lifetime,
+                freq_architectural)
 
 
 def build_worksheet(zone_set: ZoneSet,
@@ -178,25 +174,20 @@ def build_worksheet(zone_set: ZoneSet,
                 f"cannot absorb the FIT of zone {zone.name!r} "
                 f"(transient={t_fit:g}, permanent={p_fit:g}) — rates "
                 f"would be silently dropped")
-        t_factors, frequency, lifetime, freq_arch = plan.factors_for(
-            zone, FaultPersistence.TRANSIENT)
-        p_factors, _, _, _ = plan.factors_for(
-            zone, FaultPersistence.PERMANENT)
-
-        for fm in t_modes:
-            sheet.add(FmeaEntry(
-                zone=zone.name, zone_kind=zone.kind, failure_mode=fm,
-                raw_fit=t_fit / len(t_modes),
-                factors=t_factors, frequency=frequency,
-                frequency_architectural=freq_arch,
-                lifetime_cycles=lifetime,
-                claims=plan.claims_for(zone.name, fm)))
-        for fm in p_modes:
-            sheet.add(FmeaEntry(
-                zone=zone.name, zone_kind=zone.kind, failure_mode=fm,
-                raw_fit=p_fit / len(p_modes),
-                factors=p_factors, frequency=frequency,
-                frequency_architectural=freq_arch,
-                lifetime_cycles=lifetime,
-                claims=plan.claims_for(zone.name, fm)))
+        t_factors, p_factors, frequency, lifetime, freq_arch = \
+            plan.factors_for(zone)
+        rules = [r for r in plan.coverage
+                 if fnmatch(zone.name, r.pattern)]
+        for fms, fit, factors in ((t_modes, t_fit, t_factors),
+                                  (p_modes, p_fit, p_factors)):
+            for fm in fms:
+                sheet.add(FmeaEntry(
+                    zone=zone.name, zone_kind=zone.kind,
+                    failure_mode=fm, raw_fit=fit / len(fms),
+                    factors=factors, frequency=frequency,
+                    frequency_architectural=freq_arch,
+                    lifetime_cycles=lifetime,
+                    claims=[DiagnosticClaim(r.technique, r.ddf,
+                                            r.software)
+                            for r in rules if r.covers(fm)]))
     return sheet

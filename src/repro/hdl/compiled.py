@@ -73,6 +73,7 @@ from .simulator import (
     BRIDGE_DOMINANT,
     BRIDGE_OR,
     SimulatorBase,
+    _out_of_range,
 )
 
 _U64 = np.uint64
@@ -1321,9 +1322,20 @@ class CompiledSimulator(SimulatorBase):
         return np.bitwise_or.reduce(sub ^ golden, axis=0) \
             & self._notone
 
+    @staticmethod
+    def _resolve_all(ids, resolve, count: int, kind: str) -> np.ndarray:
+        """Indices of a sequence of ids: an integer array is
+        range-checked in one step, anything else id by id."""
+        if isinstance(ids, np.ndarray) and ids.dtype.kind in "iu":
+            bad = (ids < 0) | (ids >= count)
+            if bad.any():
+                raise _out_of_range(ids[bad][0], count, kind)
+            return ids
+        return np.asarray([resolve(i) for i in ids], dtype=np.intp)
+
     def flop_state_mismatch(self, flops) -> int:
-        idxs = np.asarray([self._resolve_flop(f) for f in flops],
-                          dtype=np.intp)
+        idxs = self._resolve_all(flops, self._resolve_flop,
+                                 len(self._flop_state), "flop")
         return self._unpack(self._diff_words(self._flop_state[idxs]))
 
     def mem_word_mismatch(self, mem, word: int) -> int:
@@ -1335,8 +1347,8 @@ class CompiledSimulator(SimulatorBase):
         return self._unpack(diff)
 
     def mismatch_mask(self, nets) -> int:
-        rows = self.compiled.perm[np.asarray(
-            [self._resolve_net(n) for n in nets], dtype=np.intp)]
+        rows = self.compiled.perm[self._resolve_all(
+            nets, self._resolve_net, self.circuit.num_nets, "net")]
         return self._unpack(self._diff_words(self._vals[rows]))
 
     # ------------------------------------------------------------------

@@ -23,8 +23,8 @@ __all__ = ["pct", "render_kv", "render_table", "build_dossier",
            "render_job_table"]
 
 
-def render_explore_dossier(result, zone_evidence: bool = True) -> str:
+def render_explore_dossier(result) -> str:
     """The exploration dossier (lazy import: reporting must not pull
     the whole explore/service stack in at import time)."""
     from ..explore.dossier import render_explore_dossier as render
-    return render(result, zone_evidence=zone_evidence)
+    return render(result)

@@ -400,14 +400,14 @@ class CampaignService:
             candidates = randomize(candidates, request.sample)
 
         config = CampaignConfig(
-            machines_per_pass=request.machines_per_pass)
+            machines_per_pass=request.machines_per_pass,
+            cycle_budget=request.cycle_budget)
         spec = CampaignSpec.from_environment(env, config=config)
         runner = CampaignSupervisor(
             spec, workers=request.workers, shards=request.shards,
             progress=progress, cache=cache,
             config=SupervisorConfig(
                 shard_timeout=request.shard_timeout,
-                cycle_budget=request.cycle_budget,
                 max_retries=request.max_retries,
                 quarantine=request.quarantine,
                 heartbeat=heartbeat,
@@ -455,6 +455,7 @@ class CampaignService:
             hits, misses = cache.stats.hits, cache.stats.misses
             simulated = cache.stats.simulated
             cache.close()
+        claimed = env.worksheet.totals()
         return outcome(
             EXIT_QUARANTINE if anomalies or skipped_zones
             else EXIT_OK,
@@ -464,5 +465,4 @@ class CampaignService:
             quarantined=len(anomalies),
             skipped_zones=skipped_zones, run_id=run_id, hits=hits,
             misses=misses, simulated=simulated,
-            claimed_sff=env.worksheet.totals().sff,
-            claimed_dc=env.worksheet.totals().dc)
+            claimed_sff=claimed.sff, claimed_dc=claimed.dc)

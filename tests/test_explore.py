@@ -20,6 +20,7 @@ from repro.explore import (
     DesignPoint,
     ExploreConfig,
     ParetoFront,
+    elaborate,
     explore,
     render_explore_dossier,
     structural_cost,
@@ -97,12 +98,15 @@ def test_design_point_dict_round_trip():
 
 
 def test_structural_cost_of_circuit_vs_plan_only_transform():
-    base = DesignPoint(variant="small-baseline", banks=2)
-    parity = base.with_transform(0, "write_buffer_parity")
-    software = base.with_transform(0, "sw_startup_tests")
-    assert structural_cost(parity, base=base).scalar > 0
-    assert structural_cost(software, base=base).scalar == 0
-    assert structural_cost(base).scalar == 0
+    point = DesignPoint(variant="small-baseline", banks=2)
+    base = elaborate(point).tally
+    parity = elaborate(point.with_transform(
+        0, "write_buffer_parity")).tally
+    software = elaborate(point.with_transform(
+        0, "sw_startup_tests")).tally
+    assert structural_cost(parity, base).scalar > 0
+    assert structural_cost(software, base).scalar == 0
+    assert structural_cost(base, base).scalar == 0
 
 
 # ----------------------------------------------------------------------
@@ -304,7 +308,7 @@ def test_dossier_renders_all_sections(small_search):
 
 
 _DELTAS_SCRIPT = """
-from repro.explore import DesignPoint
+from repro.explore import DesignPoint, elaborate
 from repro.explore.dossier import zone_sff_deltas
 base = DesignPoint(variant="small-baseline", banks=2)
 point = base
@@ -312,7 +316,8 @@ for bank in (0, 1):
     for key in ("address_in_ecc", "write_buffer_parity",
                 "coder_checker"):
         point = point.with_transform(bank, key)
-print(zone_sff_deltas(base, point))
+print(zone_sff_deltas(elaborate(base).lambda_du,
+                      elaborate(point).lambda_du))
 """
 
 
@@ -328,3 +333,33 @@ def test_zone_sff_deltas_do_not_follow_the_hash_seed():
     assert outputs[0] == outputs[1]
     assert "bank0/" in outputs[0].decode() and \
         "bank1/" in outputs[0].decode()
+
+
+def test_exploration_elaborates_each_point_once(tmp_path, monkeypatch):
+    """A budget-3 walk builds each probed point and each campaign job's
+    design once (base + 6 probes + 4 jobs), and the dossier reads the
+    walk's records instead of building anything."""
+    import repro.service.core as core
+    from repro.soc.banked import BankedMemorySubsystem
+    from repro.soc.subsystem import MemorySubsystem
+    counts = {"builds": 0, "worksheets": 0}
+
+    def counted(key, call):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return call(*args, **kwargs)
+        return wrapper
+    monkeypatch.setattr(core, "make_subsystem",
+                        counted("builds", core.make_subsystem))
+    for cls in (MemorySubsystem, BankedMemorySubsystem):
+        monkeypatch.setattr(cls, "worksheet",
+                            counted("worksheets", cls.worksheet))
+    config = ExploreConfig(variant="small-baseline", banks=2,
+                           target_sff=0.97, budget=3)
+    result = explore(CampaignService(str(tmp_path / "store")), config)
+    assert len(result.evaluations) == 3
+    assert result.verification is not None
+    assert counts["builds"] <= 11 and counts["worksheets"] <= 11
+    counts.update(builds=0, worksheets=0)
+    assert "per-zone evidence" in render_explore_dossier(result)
+    assert counts == {"builds": 0, "worksheets": 0}

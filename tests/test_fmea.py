@@ -193,6 +193,45 @@ def test_plan_factor_rules():
         FrequencyClass.F4
 
 
+def test_plan_persistence_factor_rules_apply_in_rule_order():
+    zs = _toy_zone_set()
+    transient = SDFactors(architectural=0.9)
+    permanent = SDFactors(architectural=0.2)
+    later = SDFactors(architectural=0.5)
+    plan = DiagnosticPlan()
+    plan.set_factors("ctrl/*", transient_factors=transient,
+                     permanent_factors=permanent)
+    sheet = build_worksheet(zs, plan=plan)
+    assert sheet.row("ctrl/state", "bit_flip").factors == transient
+    assert sheet.row("ctrl/state", "dc_fault").factors == permanent
+    plan.set_factors("ctrl/state", factors=later)
+    sheet = build_worksheet(zs, plan=plan)
+    assert sheet.row("ctrl/state", "bit_flip").factors == later
+    assert sheet.row("ctrl/state", "dc_fault").factors == later
+
+
+def test_worksheet_matches_each_rule_once_per_zone(monkeypatch):
+    """Every zone name meets each coverage and each factor rule once,
+    however many failure modes and persistences the zone has."""
+    import repro.fmea.builder as builder
+    from repro.service.core import make_subsystem
+    sub = make_subsystem("small-baseline", banks=2)
+    zone_set = sub.extract_zones()
+    plan = sub.diagnostic_plan()
+    match = builder.fnmatch
+    calls = []
+
+    def counted(name, pattern):
+        calls.append(name)
+        return match(name, pattern)
+    monkeypatch.setattr(builder, "fnmatch", counted)
+    builder.build_worksheet(zone_set, plan=plan)
+    zones = [z for z in zone_set.zones
+             if z.kind in builder.DEFAULT_WORKSHEET_KINDS]
+    rules = len(plan.coverage) + len(plan.factors)
+    assert len(calls) == len(zones) * rules
+
+
 def test_coverage_improves_sff():
     zs = _toy_zone_set()
     bare = build_worksheet(zs)

@@ -1,5 +1,6 @@
 """Unit tests for the bit-parallel simulator and its fault overlays."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -354,6 +355,28 @@ def test_integer_ids_outside_the_circuit_raise_at_arming(engine, kind):
             # nothing was armed: machine 1 still equals machine 0
             assert sim.mismatch_mask(range(circ.num_nets)) == 0
         arm(engine(circ, machines=2), count - 1)
+
+
+def test_mismatch_helpers_reject_ids_outside_the_circuit():
+    """``mismatch_mask`` and ``flop_state_mismatch`` range-check an
+    integer array in one step and resolve any other sequence id by
+    id; both refuse an id outside the circuit."""
+    circ = _reg_and_ram()
+    sim = CompiledSimulator(circ, machines=2)
+    sim.step({"addr": 1, "wd": 2, "we": 1})
+    helpers = {"net": (sim.mismatch_mask, circ.num_nets),
+               "flop": (sim.flop_state_mismatch, len(circ.flops))}
+    for kind, (helper, count) in helpers.items():
+        for ids, bad in (([0, count], count), ([-1], -1),
+                         (np.array([0, count]), count),
+                         (np.array([-1, 0]), -1)):
+            with pytest.raises(NetlistError,
+                               match=rf"{kind} id {bad} .* {count} "):
+                helper(ids)
+        assert helper(np.arange(count)) == helper(list(range(count))) \
+            == 0
+    with pytest.raises(NetlistError):
+        sim.flop_state_mismatch(["missing_flop"])
 
 
 # ----------------------------------------------------------------------

@@ -349,9 +349,8 @@ def test_degraded_mode_retries_bisects_and_quarantines_hangs(
     monkeypatch.setattr(CampaignSupervisor, "_spawn", _no_spawn)
     subset = CandidateList(faults=list(candidates.faults[:4]))
     supervisor = CampaignSupervisor(
-        env.spec(), workers=2,
-        config=SupervisorConfig(cycle_budget=3, max_retries=1,
-                                backoff_base=0.001))
+        env.spec(CampaignConfig(cycle_budget=3)), workers=2,
+        config=SupervisorConfig(max_retries=1, backoff_base=0.001))
     campaign = supervisor.run(subset)
     health = supervisor.last_stats.health
     assert health.degraded
@@ -379,9 +378,8 @@ def test_degraded_retries_wait_out_their_backoff(env, candidates,
     monkeypatch.setattr(CampaignSupervisor, "_run_in_process", timed)
     fault = candidates.faults[0]
     supervisor = CampaignSupervisor(
-        env.spec(), workers=1,
-        config=SupervisorConfig(cycle_budget=3, max_retries=2,
-                                backoff_base=0.2))
+        env.spec(CampaignConfig(cycle_budget=3)), workers=1,
+        config=SupervisorConfig(max_retries=2, backoff_base=0.2))
     campaign = supervisor.run(CandidateList(faults=[fault]))
     assert len(starts) == 3
     assert all(started >= due for started, due in starts)
@@ -415,8 +413,8 @@ def test_serial_manager_propagates_cycle_budget(env, candidates):
 def test_supervisor_quarantines_cycle_budget_as_hang(env, candidates):
     subset = CandidateList(faults=list(candidates.faults[:4]))
     supervisor = CampaignSupervisor(
-        env.spec(), workers=2,
-        config=SupervisorConfig(cycle_budget=3, **FAST))
+        env.spec(CampaignConfig(cycle_budget=3)), workers=2,
+        config=SupervisorConfig(**FAST))
     campaign = supervisor.run(subset)
     assert campaign.results == []
     assert len(supervisor.anomalies) == 4
@@ -427,8 +425,8 @@ def test_supervisor_quarantines_cycle_budget_as_hang(env, candidates):
 def test_ample_cycle_budget_changes_nothing(env, candidates, serial):
     subset = CandidateList(faults=list(candidates.faults[:6]))
     supervisor = CampaignSupervisor(
-        env.spec(), workers=2,
-        config=SupervisorConfig(cycle_budget=len(env.stimuli) + 1))
+        env.spec(CampaignConfig(cycle_budget=len(env.stimuli) + 1)),
+        workers=2)
     campaign = supervisor.run(subset)
     assert supervisor.anomalies == []
     assert _fault_rows(campaign) == _fault_rows(serial)[:6]
