@@ -10,7 +10,11 @@ from conftest import report
 
 import pytest
 
-from repro.faultinjection import ResultAnalyzer, build_environment
+from repro.faultinjection import (
+    CampaignSupervisor,
+    ResultAnalyzer,
+    build_environment,
+)
 from repro.zones import ZoneKind, predict_effects_table
 
 
@@ -51,7 +55,7 @@ def test_wbuf_zone_reaches_data_and_alarms(benchmark, env):
 
 
 def test_measured_effects_subset_of_predicted(benchmark, env):
-    campaign = env.supervisor(workers=1).run(env.candidates())
+    campaign = CampaignSupervisor(env.spec(), workers=1).run(env.candidates())
     predicted = predict_effects_table(env.zone_set)
 
     comparison = benchmark(lambda: ResultAnalyzer(

@@ -14,7 +14,11 @@ from conftest import report
 import pytest
 
 from repro.analysis import avf_report, measure_set_derating
-from repro.faultinjection import FaultDictionary, build_environment
+from repro.faultinjection import (
+    CampaignSupervisor,
+    FaultDictionary,
+    build_environment,
+)
 from repro.hdl import reset_coverage
 
 
@@ -25,7 +29,7 @@ def env(improved_small):
 
 @pytest.fixture(scope="module")
 def campaign(env):
-    return env.supervisor(workers=1).run(env.candidates())
+    return CampaignSupervisor(env.spec(), workers=1).run(env.candidates())
 
 
 def test_avf_cross_check(benchmark, env, campaign):
@@ -47,7 +51,7 @@ def test_set_derating(benchmark, improved_small, env):
     result = benchmark.pedantic(
         lambda: measure_set_derating(
             improved_small.circuit, env.stimuli, samples=150, seed=3,
-            setup=lambda s: improved_small.preload(s, {})),
+            setup=improved_small.preload_image()),
         rounds=1, iterations=1)
     report(benchmark, summary=result.summary())
     # most SET glitches are masked — the §3 argument for derating the

@@ -28,7 +28,6 @@ from conftest import report
 from repro.faultinjection import (
     CampaignCache,
     CampaignConfig,
-    CampaignSpec,
     CampaignSupervisor,
     FaultListConfig,
     ResultAnalyzer,
@@ -80,7 +79,7 @@ def test_exhaustive_zone_campaign(benchmark, env):
     candidates = env.candidates()
 
     def run():
-        return env.supervisor(workers=1).run(candidates)
+        return CampaignSupervisor(env.spec(), workers=1).run(candidates)
 
     campaign = benchmark.pedantic(run, rounds=2, iterations=1)
 
@@ -105,7 +104,7 @@ def test_exhaustive_zone_campaign(benchmark, env):
 
 
 def test_effects_table_consistency(benchmark, env):
-    campaign = env.supervisor(workers=1).run(env.candidates())
+    campaign = CampaignSupervisor(env.spec(), workers=1).run(env.candidates())
     predicted = predict_effects_table(env.zone_set)
 
     def run():
@@ -126,13 +125,13 @@ def test_campaign_parallel_speedup(benchmark, env):
     candidates = env.candidates()
 
     def wide():
-        return env.supervisor(
-            workers=1,
-            config=CampaignConfig(machines_per_pass=48)).run(candidates)
+        return CampaignSupervisor(
+            env.spec(CampaignConfig(machines_per_pass=48)),
+            workers=1).run(candidates)
 
     campaign = benchmark(wide)
-    serial = env.supervisor(
-        workers=1, config=CampaignConfig(machines_per_pass=1)).run(
+    serial = CampaignSupervisor(
+        env.spec(CampaignConfig(machines_per_pass=1)), workers=1).run(
         type(candidates)(faults=candidates.faults[:8]))
     per_fault_wide = campaign.wall_seconds / len(campaign.results)
     per_fault_serial = serial.wall_seconds / len(serial.results)
@@ -157,15 +156,15 @@ def test_campaign_engine_speedup(benchmark, env):
     candidates = randomize(dense, 1023)
 
     def compiled_kernel():
-        return env.manager().run_batches(list(candidates.faults))
+        return env.spec().manager().run_batches(list(candidates.faults))
 
     # time the engine alone (the supervisor's per-shard core, in this
     # process); the metrics below come from the supervised campaign
     benchmark.pedantic(compiled_kernel, rounds=2, iterations=1)
     compiled_s = benchmark.stats.stats.as_dict()["min"]
-    campaign = env.supervisor(workers=1).run(candidates)
+    campaign = CampaignSupervisor(env.spec(), workers=1).run(candidates)
 
-    interpreted = run_interpreted(env.manager(), candidates)
+    interpreted = run_interpreted(env.spec().manager(), candidates)
     interpreted_s = interpreted.wall_seconds
 
     # the kernel is only admissible because it is bit-identical
@@ -198,7 +197,7 @@ def test_campaign_sharded_worker_speedup(benchmark, env):
     candidates = env.candidates(FaultListConfig(
         transient_per_zone=8, permanent_per_zone=8,
         mem_words_sampled=8))
-    spec = CampaignSpec.from_environment(env)
+    spec = env.spec()
     workers = 4
 
     serial = CampaignSupervisor(spec, workers=1).run(candidates)
@@ -288,7 +287,7 @@ def test_scaled_banked_campaign(benchmark, banked_small):
     candidates = env.candidates()
 
     def run():
-        return env.supervisor(workers=1).run(candidates)
+        return CampaignSupervisor(env.spec(), workers=1).run(candidates)
 
     campaign = benchmark.pedantic(run, rounds=2, iterations=1)
     throughput = len(campaign.results) / max(campaign.wall_seconds,

@@ -13,6 +13,7 @@ from conftest import report
 import pytest
 
 from repro.faultinjection import (
+    CampaignSupervisor,
     build_environment,
     generate_cone_faults,
     generate_gate_faults,
@@ -47,7 +48,8 @@ def test_local_cone_injection(benchmark, env):
                                   per_zone=20)
 
     campaign = benchmark.pedantic(
-        lambda: env.supervisor(workers=1).run(faults), rounds=1,
+        lambda: CampaignSupervisor(
+            env.spec(), workers=1).run(faults), rounds=1,
         iterations=1)
     dc = campaign.measured_dc()
     report(benchmark, critical_zones=zones,
@@ -55,7 +57,8 @@ def test_local_cone_injection(benchmark, env):
            local_dc=f"{dc * 100:.1f}%")
     assert len(campaign.results) == len(faults)
     # zone-level campaign on the same areas for consistency
-    zone_campaign = env.supervisor(workers=1).run(env.candidates())
+    zone_campaign = CampaignSupervisor(
+        env.spec(), workers=1).run(env.candidates())
     zone_dc = zone_campaign.measured_dc()
     # "results of such injection confirm the results of the exhaustive
     # sensible zone failure fault injection"

@@ -17,7 +17,7 @@ from repro.zones.effects import diagnostic_only_nets
 def _functional_coverage(sub):
     full = validation_workload(sub, quick=False)
     toggle = measure_toggle_coverage(
-        sub.circuit, full, setup=lambda s: sub.preload(s, {}))
+        sub.circuit, full, setup=sub.preload_image())
     diag_only = diagnostic_only_nets(sub.extract_zones())
     names = {sub.circuit.net_names[n] for n in diag_only}
     functional_misses = [n for n in toggle.untoggled
@@ -52,6 +52,6 @@ def test_incomplete_workload_fails_threshold(benchmark, improved_small):
     stimuli = [sub.idle() for _ in range(10)]
 
     toggle = benchmark(lambda: measure_toggle_coverage(
-        sub.circuit, stimuli, setup=lambda s: sub.preload(s, {})))
+        sub.circuit, stimuli, setup=sub.preload_image()))
     report(benchmark, coverage=f"{toggle.coverage * 100:.2f}%")
     assert not toggle.passed

@@ -13,6 +13,7 @@ import pytest
 
 from repro.faultinjection import (
     BridgeFault,
+    CampaignSupervisor,
     CandidateList,
     GlobalStuckFault,
     build_environment,
@@ -49,7 +50,8 @@ def test_wide_global_injection_consistent(benchmark, env):
     faults = _wide_global_faults(env)
 
     campaign = benchmark.pedantic(
-        lambda: env.supervisor(workers=1).run(faults), rounds=1,
+        lambda: CampaignSupervisor(
+            env.spec(), workers=1).run(faults), rounds=1,
         iterations=1)
 
     predicted = predict_effects_table(env.zone_set)

@@ -87,7 +87,7 @@ def main():
     from repro.faultinjection import build_environment
     env = build_environment(sub, quick=True)
     dictionary = FaultDictionary.build(
-        env.supervisor(workers=1).run(env.candidates()))
+        CampaignSupervisor(env.spec(), workers=1).run(env.candidates()))
     print(f"\n{dictionary.summary()}")
     field_return = {"alarm_ce": 5, "alarm_synd_data": 5, "hrdata": 5}
     print(f"diagnosing field signature {sorted(field_return)}:")

@@ -23,6 +23,7 @@ from repro.faultinjection import (
     CampaignSpec,
     CampaignSupervisor,
     CandidateList,
+    MemoryImageSetup,
     SeuFault,
     StuckNetFault,
 )
@@ -53,7 +54,8 @@ def campaign(cpu: MiniCpu):
                                     value=i % 2))
     spec = CampaignSpec.from_zone_set(
         cpu.circuit, stimuli, zone_set,
-        setup=lambda sim: sim.load_mem("imem/rom", assemble(PROGRAM)))
+        setup=MemoryImageSetup(
+            mem_images={"imem/rom": assemble(PROGRAM)}))
     return CampaignSupervisor(spec, workers=1).run(
         CandidateList(faults=faults))
 

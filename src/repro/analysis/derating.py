@@ -23,6 +23,7 @@ import numpy as np
 
 from ..hdl.compiled import CompiledSimulator, compile_circuit
 from ..hdl.netlist import Circuit, OP_BUF, OP_CONST0, OP_CONST1
+from ..hdl.simulator import MemoryImageSetup
 
 
 @dataclass
@@ -51,7 +52,8 @@ class DeratingResult:
 
 def measure_set_derating(circuit: Circuit, stimuli,
                          samples: int = 200, seed: int = 20,
-                         setup=None, settle_cycles: int = 8,
+                         setup: MemoryImageSetup | None = None,
+                         settle_cycles: int = 8,
                          machines_per_pass: int = 48
                          ) -> DeratingResult:
     """Monte-Carlo SET campaign over (gate, cycle) pairs.

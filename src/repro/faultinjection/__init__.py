@@ -41,7 +41,6 @@ from .parallel import (
     ShardStats,
     compute_golden_trace,
     shard_candidates,
-    snapshot_setup,
 )
 from .supervisor import (
     CampaignAborted,
@@ -100,7 +99,7 @@ __all__ = [
     "OUTCOME_SAFE",
     "CampaignSpec", "CampaignStats", "GoldenTrace", "MemoryImageSetup",
     "SafeProgress", "ShardStats", "compute_golden_trace",
-    "shard_candidates", "snapshot_setup",
+    "shard_candidates",
     "CampaignAborted", "CampaignHealth", "CampaignSupervisor",
     "FaultAnomaly", "SupervisorConfig",
     "ResultAnalyzer",

@@ -6,7 +6,9 @@ environment configuration files."
 
 :class:`InjectionEnvironment` bundles everything a campaign needs —
 circuit, zones, FMEA worksheet, workload, observation points, simulator
-setup — and hands out configured profilers, fault lists and managers.
+setup — and hands out its operational profile, fault lists and the
+:class:`~repro.faultinjection.parallel.CampaignSpec` that managers and
+supervisors are built from.
 """
 
 from __future__ import annotations
@@ -17,14 +19,15 @@ from dataclasses import replace
 from ..diagnostics import DiagnosticError, DiagnosticReport
 from ..fmea.worksheet import FmeaWorksheet
 from ..hdl.netlist import Circuit
+from ..hdl.simulator import MemoryImageSetup
 from ..zones.extractor import ZoneSet
 from .faultlist import (
     CandidateList,
     FaultListConfig,
     generate_zone_faults,
 )
-from .manager import CampaignConfig, FaultInjectionManager
-from .parallel import CampaignSpec, snapshot_setup
+from .manager import CampaignConfig
+from .parallel import CampaignSpec, require_setup_data
 from .profiler import OperationalProfile, profile_workload
 
 STIMULI_SCHEMA_VERSION = 1
@@ -178,14 +181,15 @@ class InjectionEnvironment:
 
     def __init__(self, circuit: Circuit, zone_set: ZoneSet,
                  worksheet: FmeaWorksheet, stimuli,
-                 workload_name="workload", setup=None,
+                 workload_name="workload",
+                 setup: MemoryImageSetup | None = None,
                  read_strobes=None, test_windows=()):
         self.circuit = circuit
         self.zone_set = zone_set
         self.worksheet = worksheet
         self.stimuli = list(stimuli)
         self.workload_name = workload_name
-        self.setup = snapshot_setup(circuit, setup)
+        self.setup = require_setup_data(setup)
         self.read_strobes = read_strobes or {}
         self.test_windows = tuple(test_windows)
         self._profile = None
@@ -211,36 +215,28 @@ class InjectionEnvironment:
                                     profile=self.profile(),
                                     config=config)
 
-    def campaign_config(self, config: CampaignConfig | None = None
-                        ) -> CampaignConfig:
-        """A copy of ``config`` whose test windows default to the
-        workload's; the caller's config is never modified."""
-        config = config or CampaignConfig()
-        return replace(config, test_windows=config.test_windows
-                       or self.test_windows)
-
-    def manager(self, config: CampaignConfig | None = None
-                ) -> FaultInjectionManager:
-        return FaultInjectionManager(
-            self.circuit, self.stimuli, zone_set=self.zone_set,
-            setup=self.setup, config=self.campaign_config(config))
-
     def spec(self, config: CampaignConfig | None = None
              ) -> CampaignSpec:
-        """A picklable campaign spec for multi-process runs."""
-        return CampaignSpec.from_environment(self, config=config)
+        """The picklable campaign description of this environment:
+        ``spec.manager()`` runs it in this process,
+        ``CampaignSupervisor(spec)`` supervises it.
 
-    def supervisor(self, workers: int | None = None,
-                   config: CampaignConfig | None = None, **kw):
-        """A fault-tolerant :class:`CampaignSupervisor` over this
-        environment (see :mod:`~repro.faultinjection.supervisor`)."""
-        from .supervisor import CampaignSupervisor
-        return CampaignSupervisor(self.spec(config), workers=workers,
-                                  **kw)
-
-    def validate_stimuli(self) -> None:
-        """Raise :class:`StimuliValidationError` on bad stimuli."""
-        validate_stimuli(self.circuit, self.stimuli)
+        The config's test windows default to the workload's (the
+        caller's config is never modified), and the (memoized)
+        operational profile supplies the golden activity, so the
+        workload is replayed at most once.
+        """
+        config = config or CampaignConfig()
+        config = replace(config, test_windows=config.test_windows
+                         or self.test_windows)
+        return CampaignSpec(circuit=self.circuit,
+                            stimuli=list(self.stimuli),
+                            zones=list(self.zone_set.zones),
+                            observation_points=list(
+                                self.zone_set.observation_points),
+                            config=config,
+                            setup=self.setup,
+                            activity=self.profile().activity)
 
     # ------------------------------------------------------------------
     def as_config_dict(self) -> dict:

@@ -20,9 +20,10 @@ import time
 from dataclasses import dataclass, field
 
 from ..hdl.netlist import Circuit
+from ..hdl.simulator import MemoryImageSetup
 from ..zones.model import ObservationKind, ObservationPoint
 from .faultlist import CandidateList, generate_gate_faults
-from .manager import CampaignConfig, FaultInjectionManager
+from .manager import FaultInjectionManager
 
 
 @dataclass
@@ -49,8 +50,8 @@ class FaultSimReport:
 def simulate_faults(circuit: Circuit, stimuli,
                     candidates: CandidateList | None = None,
                     observe: list[str] | None = None,
-                    setup=None,
-                    max_cycles: int | None = None) -> FaultSimReport:
+                    setup: MemoryImageSetup | None = None
+                    ) -> FaultSimReport:
     """Measure detected fraction of a stuck-at fault list.
 
     ``observe`` lists output port names to compare (default: all
@@ -65,13 +66,12 @@ def simulate_faults(circuit: Circuit, stimuli,
                                nets=tuple(circuit.outputs[name]))
               for name in observe]
     manager = FaultInjectionManager(
-        circuit, stimuli, observation_points=points, setup=setup,
-        config=CampaignConfig(max_cycles=max_cycles))
+        circuit, stimuli, observation_points=points, setup=setup)
 
     start = time.time()
     result = manager.run_batches(list(candidates.faults))
     report = FaultSimReport(total=len(candidates.faults), detected=0,
-                            cycles=len(manager.stimuli[:max_cycles]),
+                            cycles=len(manager.stimuli),
                             passes=result.passes)
     for res in result.results:
         if res.obse_cycle is not None:

@@ -27,8 +27,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..hdl.netlist import Circuit
-from ..zones.extractor import ZoneSet
-from ..zones.model import ObservationPoint, SensibleZone, ZoneKind
+from ..hdl.simulator import MemoryImageSetup
+from ..zones.model import (
+    ObservationKind,
+    ObservationPoint,
+    SensibleZone,
+    ZoneKind,
+)
 from .faultlist import CandidateList
 from .faults import Fault
 from .monitors import CoverageCollection
@@ -49,7 +54,6 @@ class CampaignConfig:
     #: :data:`DEFAULT_MACHINES_PER_PASS`
     machines_per_pass: int | None = None
     detection_window: int = 12     # cycles an alarm may trail corruption
-    max_cycles: int | None = None  # optionally trim the workload
     collect_toggles: bool = False  # any-machine toggles (step b credit)
     #: runaway watchdog: a pass simulating more than this many cycles
     #: raises :class:`~repro.hdl.simulator.CycleBudgetExceeded` (the
@@ -175,28 +179,21 @@ class FaultInjectionManager:
     workload + observation set (the supervisor's per-shard core)."""
 
     def __init__(self, circuit: Circuit, stimuli,
-                 zone_set: ZoneSet | None = None,
-                 observation_points: list[ObservationPoint] | None = None,
-                 setup=None, config: CampaignConfig | None = None):
+                 zones: list[SensibleZone] = (),
+                 observation_points: list[ObservationPoint] = (),
+                 setup: MemoryImageSetup | None = None,
+                 config: CampaignConfig | None = None):
         self.circuit = circuit
         self.stimuli = list(stimuli)
         self.setup = setup
         self.config = config or CampaignConfig()
-        if observation_points is None:
-            if zone_set is None:
-                raise ValueError("need zone_set or observation_points")
-            observation_points = zone_set.observation_points
-        from ..zones.model import ObservationKind
         self.functional = [p for p in observation_points
                            if p.kind is ObservationKind.OUTPUT]
         self.status = [p for p in observation_points
                        if p.kind is ObservationKind.FUNCTION]
         self.diagnostic = [p for p in observation_points
                            if p.is_diagnostic]
-        self.zone_set = zone_set
-        self._zones_by_name: dict[str, SensibleZone] = {}
-        if zone_set is not None:
-            self._zones_by_name = {z.name: z for z in zone_set.zones}
+        self._zones_by_name = {z.name: z for z in zones}
         self._flop_index = {f.name: i
                             for i, f in enumerate(circuit.flops)}
         self._compiled = None
@@ -273,11 +270,11 @@ class FaultInjectionManager:
         return self._compiled
 
     def stimulus_table(self):
-        """The first ``max_cycles`` cycles of the workload packed once for
-        all passes (:meth:`~repro.hdl.CompiledCircuit.pack_inputs`)."""
+        """The workload packed once for all passes
+        (:meth:`~repro.hdl.CompiledCircuit.pack_inputs`)."""
         if self._stimulus_table is None:
             self._stimulus_table = self.compiled_circuit().pack_inputs(
-                self.stimuli[:self.config.max_cycles])
+                self.stimuli)
         return self._stimulus_table
 
     # ------------------------------------------------------------------

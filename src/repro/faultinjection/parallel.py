@@ -41,7 +41,6 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 
-from ..hdl.compiled import CompiledSimulator
 from ..hdl.netlist import Circuit
 from ..hdl.simulator import MemoryImageSetup
 from ..zones.extractor import ZoneSet
@@ -80,46 +79,27 @@ def shard_candidates(faults: list[Fault],
 # ----------------------------------------------------------------------
 # picklable campaign description
 # ----------------------------------------------------------------------
-def snapshot_setup(circuit: Circuit, setup) -> MemoryImageSetup | None:
-    """``setup`` as data: a :class:`MemoryImageSetup` (or ``None``) is
-    returned unchanged; a callable runs on a scratch simulator and its
-    effect on memory contents and flop state is captured.
+def require_setup_data(setup) -> MemoryImageSetup | None:
+    """``setup`` unchanged if it is ``None`` or a
+    :class:`MemoryImageSetup`; any other value raises ``TypeError``.
 
-    Campaign descriptions call this once, when they are built
-    (:class:`CampaignSpec`,
-    :class:`~repro.faultinjection.environment.InjectionEnvironment`).
-    A setup that programs fault overlays has no data form and raises
-    ``ValueError``.
+    A campaign description holds its setup as data, so it pickles and
+    has a content address; the built-in designs build theirs with
+    ``preload_image()``.
     """
-    if setup is None:
-        return None
-    if isinstance(setup, MemoryImageSetup):
+    if setup is None or isinstance(setup, MemoryImageSetup):
         return setup
-    probe = CompiledSimulator(circuit, machines=1)
-    setup(probe)
-    if probe._forced or probe._flop_flips or probe._net_glitches or \
-            probe._mem_flips or probe._bridges or probe._mem_stuck or \
-            probe._mem_coupling:
-        raise ValueError(
-            "setup programs fault overlays; a campaign setup may only "
-            "load memories and set flops")
-    images = {}
-    for mi, mem in enumerate(circuit.memories):
-        images[mem.name] = [probe.read_mem_word(mi, w)
-                            for w in range(mem.depth)]
-    flops = {flop.name: probe.flop_value(fi)
-             for fi, flop in enumerate(circuit.flops)
-             if probe.flop_value(fi) != flop.init}
-    return MemoryImageSetup(mem_images=images, flop_values=flops)
+    raise TypeError(
+        f"a campaign setup must be a MemoryImageSetup (build one with "
+        f"preload_image()), got {type(setup).__name__}")
 
 
 @dataclass
 class CampaignSpec:
     """Everything that defines one campaign, as plain data.
 
-    A callable ``setup`` is snapshotted into a
-    :class:`MemoryImageSetup` once, here (:func:`snapshot_setup`), so
-    the spec is picklable and content-addressable.  ``activity`` is
+    The ``setup`` is a :class:`MemoryImageSetup` (or ``None``), so the
+    spec is picklable and content-addressable.  ``activity`` is
     the fault-free replay's per-net first events
     (:attr:`OperationalProfile.activity
     <repro.faultinjection.profiler.OperationalProfile.activity>`); the
@@ -136,24 +116,7 @@ class CampaignSpec:
     activity: NetActivity | None = None
 
     def __post_init__(self):
-        self.setup = snapshot_setup(self.circuit, self.setup)
-
-    @classmethod
-    def from_environment(cls, env, config: CampaignConfig | None = None
-                         ) -> "CampaignSpec":
-        """Derive a spec from an :class:`InjectionEnvironment`.
-
-        The environment's (memoized) operational profile supplies the
-        golden activity, so the workload is replayed at most once.
-        """
-        return cls(circuit=env.circuit,
-                   stimuli=list(env.stimuli),
-                   zones=list(env.zone_set.zones),
-                   observation_points=list(
-                       env.zone_set.observation_points),
-                   config=env.campaign_config(config),
-                   setup=env.setup,
-                   activity=env.profile().activity)
+        require_setup_data(self.setup)
 
     @classmethod
     def from_zone_set(cls, circuit: Circuit, stimuli, zone_set: ZoneSet,
@@ -165,14 +128,10 @@ class CampaignSpec:
                    config=config or CampaignConfig(), setup=setup)
 
     def manager(self) -> FaultInjectionManager:
-        zone_set = ZoneSet(circuit=self.circuit,
-                           zones=list(self.zones),
-                           observation_points=list(
-                               self.observation_points))
-        return FaultInjectionManager(self.circuit, self.stimuli,
-                                     zone_set=zone_set,
-                                     setup=self.setup,
-                                     config=self.config)
+        return FaultInjectionManager(
+            self.circuit, self.stimuli, zones=self.zones,
+            observation_points=self.observation_points,
+            setup=self.setup, config=self.config)
 
 
 # ----------------------------------------------------------------------
@@ -200,18 +159,14 @@ def compute_golden_trace(manager: FaultInjectionManager,
     """The golden activity bits of ``manager``'s observation points.
 
     A pure derivation from the fault-free replay's per-net first
-    events, for the run's first ``max_cycles`` cycles: a functional
-    point is OBSE-active iff one of its nets changes value within
-    them, a diagnostic point is DIAG-active iff one of its nets is 1
-    within them.  Without ``activity`` the workload is replayed once
-    to record it.
+    events: a functional point is OBSE-active iff one of its nets
+    changes value within the manager's workload, a diagnostic point is
+    DIAG-active iff one of its nets is 1 within it.  Without
+    ``activity`` the workload is replayed once to record it.
     """
-    stimuli = manager.stimuli
-    if manager.config.max_cycles is not None:
-        stimuli = stimuli[:manager.config.max_cycles]
-    cycles = len(stimuli)
+    cycles = len(manager.stimuli)
     if activity is None:
-        activity = profile_workload(manager.circuit, stimuli,
+        activity = profile_workload(manager.circuit, manager.stimuli,
                                     setup=manager.setup).activity
     change, one = activity
     obse = {p.name for p in manager.functional

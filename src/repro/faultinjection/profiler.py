@@ -32,6 +32,7 @@ from typing import NamedTuple
 
 from ..hdl.compiled import Activity, CompiledSimulator
 from ..hdl.netlist import Circuit
+from ..hdl.simulator import MemoryImageSetup
 from ..zones.extractor import ZoneSet
 from ..zones.model import SensibleZone, ZoneKind
 
@@ -154,7 +155,8 @@ class OperationalProfile:
         return triggered, len(injectable)
 
 
-def profile_workload(circuit: Circuit, stimuli, setup=None,
+def profile_workload(circuit: Circuit, stimuli,
+                     setup: MemoryImageSetup | None = None,
                      read_strobes: dict[str, str] | None = None
                      ) -> OperationalProfile:
     """Replay ``stimuli`` fault-free and record the OP.

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 from ..fmea.ranking import rank_zones
 from ..hdl.netlist import OP_CONST0, OP_CONST1, Circuit
+from ..hdl.simulator import MemoryImageSetup
 from ..soc.workloads import validation_workload
 from ..zones.effects import (
     PredictedEffects,
@@ -211,12 +212,13 @@ def _toggle_report(circuit: Circuit, first_change: list[int], nets,
 
 def measure_toggle_coverage(circuit: Circuit, stimuli,
                             threshold: float = TOGGLE_THRESHOLD,
-                            setup=None) -> ToggleReport:
+                            setup: MemoryImageSetup | None = None
+                            ) -> ToggleReport:
     """Toggle coverage of ``stimuli`` (iterable of input dicts) over
     every net that can toggle, by step b's rule.
 
-    ``setup`` is an optional callable receiving the simulator before the
-    run (memory preload etc.).
+    ``setup`` optionally preloads memories and flops before the run
+    (a design's ``preload_image()``).
     """
     activity = profile_workload(circuit, list(stimuli),
                                 setup=setup).activity

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from .compiled import CompiledSimulator
 from .netlist import Circuit
-from .simulator import SimulatorBase
+from .simulator import MemoryImageSetup, SimulatorBase
 
 _ID_CHARS = "!\"#$%&'()*+,-./0123456789:;<=>?@ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
@@ -100,7 +100,7 @@ class VcdTracer:
 
 
 def trace_workload(circuit: Circuit, stimuli, signals=None,
-                   setup=None) -> str:
+                   setup: MemoryImageSetup | None = None) -> str:
     """Convenience: run a workload and return the VCD text."""
     sim = CompiledSimulator(circuit)
     if setup is not None:

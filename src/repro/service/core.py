@@ -128,41 +128,75 @@ class CampaignRequest:
         Shared by :meth:`CampaignService.run_campaign` (rendered to
         stderr, exit 2) and the HTTP API (rendered as a 400 response
         body), so a bad request reports the same coded diagnostics on
-        both surfaces — E430 for out-of-range values, E431 for an
-        unknown variant — and never a traceback.
+        both surfaces — E430 for an ill-typed or out-of-range value,
+        E431 for an unknown variant — and never a traceback.
         """
         from ..diagnostics import DiagnosticReport
+        from ..soc.config import PROTECTION_FLAGS
         report = DiagnosticReport()
         if self.variant not in VARIANTS:
             report.error(
                 "E431",
                 f"unknown design variant {self.variant!r} (known: "
                 f"{', '.join(VARIANTS)})")
-        def at_least(name, value, floor):
-            if value is not None and value < floor:
-                report.error(
-                    "E430",
-                    f"{name} must be at least {floor}, got {value}")
-        at_least("workers", self.workers, 1)
-        at_least("banks", self.banks, 1)
-        at_least("shards", self.shards, 1)
-        at_least("sample", self.sample, 1)
-        at_least("machines-per-pass", self.machines_per_pass, 1)
-        at_least("max-retries", self.max_retries, 0)
-        if self.shard_timeout is not None and self.shard_timeout <= 0:
-            report.error(
-                "E430",
-                f"shard-timeout must be positive, got "
-                f"{self.shard_timeout}")
-        at_least("cycle-budget", self.cycle_budget, 1)
-        if self.flags is not None and not isinstance(self.flags,
-                                                     dict):
-            report.error("E430", "flags must be a JSON object of "
-                                 "protection-flag overrides")
-        if self.bank_flags is not None \
-                and not isinstance(self.bank_flags, list):
-            report.error("E430", "bank-flags must be a JSON list of "
-                                 "per-bank override objects")
+
+        def bad(message):
+            report.error("E430", message)
+
+        def is_int(value):
+            return isinstance(value, int) and not isinstance(value, bool)
+        for name, floor, required in (
+                ("workers", 1, True), ("banks", 1, True),
+                ("shards", 1, False), ("sample", 1, False),
+                ("machines_per_pass", 1, False),
+                ("max_retries", 0, True), ("cycle_budget", 1, False)):
+            value, label = getattr(self, name), name.replace("_", "-")
+            if value is None and not required:
+                continue
+            if not is_int(value):
+                bad(f"{label} must be an integer, got {value!r}")
+            elif value < floor:
+                bad(f"{label} must be at least {floor}, got {value}")
+        timeout = self.shard_timeout
+        if timeout is not None and not (
+                (is_int(timeout) or isinstance(timeout, float))
+                and timeout > 0):
+            bad(f"shard-timeout must be a positive number, got "
+                f"{timeout!r}")
+        for name in ("full", "use_cache", "quarantine", "degraded"):
+            if not isinstance(getattr(self, name), bool):
+                bad(f"{name} must be true or false, got "
+                    f"{getattr(self, name)!r}")
+        for name in ("zones", "stimuli"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, str):
+                bad(f"{name} must be a path string, got {value!r}")
+
+        def check_flags(label, overrides):
+            if not isinstance(overrides, dict):
+                bad(f"{label} must be a JSON object of protection-flag "
+                    f"overrides, got {overrides!r}")
+                return
+            for key, value in overrides.items():
+                if key not in PROTECTION_FLAGS:
+                    bad(f"{label}: {key!r} is not a protection flag "
+                        f"(known: {', '.join(PROTECTION_FLAGS)})")
+                elif not isinstance(value, bool):
+                    bad(f"{label}: {key} must be true or false, got "
+                        f"{value!r}")
+        if self.flags is not None:
+            check_flags("flags", self.flags)
+        if self.bank_flags is not None:
+            if not isinstance(self.bank_flags, list):
+                bad("bank-flags must be a JSON list of per-bank "
+                    "override objects")
+            else:
+                for i, overrides in enumerate(self.bank_flags):
+                    check_flags(f"bank-flags[{i}]", overrides)
+                if is_int(self.banks) and \
+                        len(self.bank_flags) > self.banks:
+                    bad(f"bank-flags lists {len(self.bank_flags)} "
+                        f"banks, more than banks = {self.banks}")
         return report
 
     @classmethod
@@ -314,7 +348,6 @@ class CampaignService:
             validate_stimuli,
         )
         from ..faultinjection.manager import CampaignConfig
-        from ..faultinjection.parallel import CampaignSpec
         from ..faultinjection.supervisor import (
             CampaignAborted,
             CampaignSupervisor,
@@ -402,9 +435,8 @@ class CampaignService:
         config = CampaignConfig(
             machines_per_pass=request.machines_per_pass,
             cycle_budget=request.cycle_budget)
-        spec = CampaignSpec.from_environment(env, config=config)
         runner = CampaignSupervisor(
-            spec, workers=request.workers, shards=request.shards,
+            env.spec(config), workers=request.workers, shards=request.shards,
             progress=progress, cache=cache,
             config=SupervisorConfig(
                 shard_timeout=request.shard_timeout,

@@ -127,7 +127,6 @@ class BankedMemorySubsystem:
     read = MemorySubsystem.read
     reset_op = MemorySubsystem.reset_op
     # the shared helpers load this design's preload_image()
-    preload = MemorySubsystem.preload
     simulator = MemorySubsystem.simulator
 
     # ------------------------------------------------------------------

@@ -130,6 +130,10 @@ IMPROVEMENT_FLAGS = (
     "scrub_parity",
 )
 
+#: every boolean protection flag of :class:`SubsystemConfig`: the §6
+#: improvements and the scrubber / BIST both variants carry
+PROTECTION_FLAGS = IMPROVEMENT_FLAGS + ("with_scrubber", "with_bist")
+
 
 @dataclass(frozen=True)
 class BankedConfig:

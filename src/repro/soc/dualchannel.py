@@ -116,7 +116,6 @@ class DualChannelSubsystem:
             f"{channel}/memarray/array": list(image)
             for channel in CHANNELS})
 
-    preload = MemorySubsystem.preload
     simulator = MemorySubsystem.simulator
 
     def alarm_outputs(self) -> list[str]:

@@ -17,7 +17,7 @@ from ..fmea.worksheet import FmeaWorksheet
 from ..hdl.builder import Module
 from ..hdl.compiled import CompiledSimulator
 from ..hdl.netlist import Circuit
-from ..hdl.simulator import MemoryImageSetup, SimulatorBase
+from ..hdl.simulator import MemoryImageSetup
 from ..zones.extractor import ExtractionConfig, ZoneSet, extract_zones
 from .config import SubsystemConfig
 from .fmem import (
@@ -238,10 +238,6 @@ class MemorySubsystem:
         for addr, data in (words or {}).items():
             image[addr] = self.encode_word(data, addr)
         return MemoryImageSetup(mem_images={"memarray/array": image})
-
-    def preload(self, sim: SimulatorBase, words: dict[int, int]) -> None:
-        """Load encoded words into the array (address -> data)."""
-        self.preload_image(words)(sim)
 
     def simulator(self, machines: int = 1) -> CompiledSimulator:
         sim = CompiledSimulator(self.circuit, machines=machines)

@@ -77,8 +77,8 @@ def profile_key(circuit: Circuit, stimuli, setup,
     """Content address of a workload's operational profile.
 
     The profile is a fault-free replay, so it depends on the circuit,
-    the full stimuli, the simulator setup (already snapshotted, see
-    :func:`~repro.faultinjection.parallel.snapshot_setup`) and the read
+    the full stimuli, the simulator setup (a
+    :class:`~repro.hdl.simulator.MemoryImageSetup`) and the read
     strobes — never on zones, observation points or faults.
     """
     # "kind" names the blob layout; a new layout takes a new kind, so
@@ -273,16 +273,14 @@ class FingerprintContext:
     def __init__(self, circuit: Circuit, stimuli,
                  zones: list[SensibleZone],
                  observation_points: list[ObservationPoint],
-                 setup=None, max_cycles: int | None = None):
+                 setup: MemoryImageSetup | None = None):
         self.circuit = circuit
-        effective = list(stimuli)
-        if max_cycles is not None:
-            effective = effective[:max_cycles]
-        self.stimuli_fp = _stimuli_digest(effective)
-        self.cycles = len(effective)
+        stimuli = list(stimuli)
+        self.stimuli_fp = _stimuli_digest(stimuli)
+        self.cycles = len(stimuli)
         self.setup_fp = _setup_canonical(setup)
         # only reachable after _setup_canonical accepted it: None or a
-        # MemoryImageSetup snapshot (restricted per fault below)
+        # MemoryImageSetup (restricted per fault below)
         self._setup = setup
         # The manager partitions points into functional / status /
         # diagnostic groups; only the order *within* each group is
@@ -338,8 +336,7 @@ class FingerprintContext:
     def from_spec(cls, spec) -> "FingerprintContext":
         """Context for a picklable :class:`CampaignSpec`."""
         return cls(spec.circuit, spec.stimuli, list(spec.zones),
-                   list(spec.observation_points), setup=spec.setup,
-                   max_cycles=spec.config.max_cycles)
+                   list(spec.observation_points), setup=spec.setup)
 
     # ------------------------------------------------------------------
     def environment_fingerprint(self) -> str:
@@ -510,7 +507,7 @@ def _stimuli_digest(stimuli) -> str:
 
 
 def _setup_canonical(setup) -> str | None:
-    """Canonical digest of a (snapshotted) simulator setup."""
+    """Canonical digest of a simulator setup held as data."""
     if setup is None:
         return None
     if isinstance(setup, MemoryImageSetup):

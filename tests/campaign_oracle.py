@@ -14,7 +14,7 @@ compare the production engine against them record for record.
 instead of C, word for word, padding lanes included: the word-level
 oracle of the C eval step.
 
-    result = run_interpreted(env.manager(), env.candidates())
+    result = run_interpreted(env.spec().manager(), env.candidates())
     profile = profile_interpreted(circuit, stimuli, setup=setup)
     sim = NumpySweepSimulator(circuit, machines=342)
 """
@@ -106,12 +106,8 @@ def run_pass_interpreted(manager: FaultInjectionManager, batch: list,
     diag_nets = {p.name: list(p.nets) for p in manager.diagnostic}
     full = sim.full_mask
 
-    stimuli = manager.stimuli
-    if manager.config.max_cycles is not None:
-        stimuli = stimuli[:manager.config.max_cycles]
-
     golden_prev: dict[str, int] = {}
-    for cycle, inputs in enumerate(stimuli):
+    for cycle, inputs in enumerate(manager.stimuli):
         sim.step_eval(inputs)
 
         for name, nets in func_nets.items():

@@ -16,7 +16,7 @@ from repro.analysis import (
     simulate_accumulation,
     structural_exposure,
 )
-from repro.faultinjection import build_environment
+from repro.faultinjection import CampaignSupervisor, build_environment
 from repro.soc import MemorySubsystem, SubsystemConfig
 
 
@@ -24,7 +24,7 @@ from repro.soc import MemorySubsystem, SubsystemConfig
 def setup():
     sub = MemorySubsystem(SubsystemConfig.small_improved())
     env = build_environment(sub, quick=True)
-    campaign = env.supervisor(workers=1).run(env.candidates())
+    campaign = CampaignSupervisor(env.spec(), workers=1).run(env.candidates())
     return sub, env, campaign
 
 
@@ -171,7 +171,7 @@ def test_set_derating_measurement(setup):
     sub, env, _ = setup
     result = measure_set_derating(
         sub.circuit, env.stimuli, samples=80, seed=5,
-        setup=lambda s: sub.preload(s, {}))
+        setup=sub.preload_image())
     assert result.injections == 80
     # most glitches are masked (logical + latch-window masking), but
     # a meaningful fraction becomes soft errors
@@ -193,7 +193,7 @@ def test_derating_deterministic(setup):
     from repro.analysis import measure_set_derating
     sub, env, _ = setup
     kw = dict(samples=40, seed=9,
-              setup=lambda s: sub.preload(s, {}))
+              setup=sub.preload_image())
     a = measure_set_derating(sub.circuit, env.stimuli, **kw)
     b = measure_set_derating(sub.circuit, env.stimuli, **kw)
     assert a.latched == b.latched and a.observed == b.observed

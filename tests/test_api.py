@@ -219,6 +219,21 @@ def test_health_submit_dedupe_and_coded_rejections(tmp_path):
         assert client.retry(1) is True
 
 
+def test_ill_typed_campaign_fields_are_rejected_with_e430(tmp_path):
+    with _RunningServer(tmp_path / "store") as srv:
+        client = _client(srv)
+        for body in ({"banks": "2"}, {"flags": {"addr_bits": 30}},
+                     {"bank_flags": [5]}):
+            with pytest.raises(ApiClientError) as exc:
+                client.submit({"variant": "small-improved", **body})
+            assert exc.value.status == 400 and \
+                exc.value.code == "E420", body
+            codes = {d["code"] for d in
+                     exc.value.payload["error"]["diagnostics"]}
+            assert codes == {"E430"}, body
+        assert client.jobs() == []
+
+
 def test_oversized_and_malformed_bodies_are_coded(tmp_path):
     with _RunningServer(tmp_path / "store") as srv:
         client = _client(srv)

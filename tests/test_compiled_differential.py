@@ -38,8 +38,8 @@ from repro.faultinjection import (
     BridgeFault,
     CampaignConfig,
     CandidateList,
-    FaultInjectionManager,
     MemFlipFault,
+    MemoryImageSetup,
     MemStuckFault,
     SetFault,
     SeuFault,
@@ -47,7 +47,7 @@ from repro.faultinjection import (
     build_environment,
 )
 from repro.faultinjection.faults import MemCouplingFault
-from repro.faultinjection.parallel import CampaignSpec, snapshot_setup
+from repro.faultinjection.parallel import CampaignSpec
 from repro.faultinjection.supervisor import CampaignSupervisor
 from repro.hdl import BRIDGE_AND, BRIDGE_DOMINANT, BRIDGE_OR, \
     CompiledSimulator, CycleBudgetExceeded, Module, compile_circuit
@@ -343,13 +343,11 @@ def test_banked_subsystem_campaign_engines_identical(banks):
     faults = _bank_faults(env.circuit, random.Random(banks))
     stimuli = env.stimuli[:240]
 
-    manager = FaultInjectionManager(
-        env.circuit, stimuli, zone_set=env.zone_set, setup=env.setup)
+    spec = CampaignSpec.from_zone_set(env.circuit, stimuli, env.zone_set,
+                                      setup=env.setup)
     candidates = CandidateList(faults=faults)
-    ri = run_interpreted(manager, candidates)
-    rc = CampaignSupervisor(CampaignSpec.from_zone_set(
-        env.circuit, stimuli, env.zone_set, setup=env.setup),
-        workers=1).run(candidates)
+    ri = run_interpreted(spec.manager(), candidates)
+    rc = CampaignSupervisor(spec, workers=1).run(candidates)
     assert _fault_records(ri) == _fault_records(rc)
     assert ri.outcomes() == rc.outcomes()
     assert ri.coverage.sens == rc.coverage.sens
@@ -939,8 +937,8 @@ def fmem_env():
 
 def test_fmem_campaign_engines_identical(fmem_env):
     candidates = fmem_env.candidates()
-    ri = run_interpreted(fmem_env.manager(), candidates)
-    rc = fmem_env.supervisor(workers=1).run(candidates)
+    ri = run_interpreted(fmem_env.spec().manager(), candidates)
+    rc = CampaignSupervisor(fmem_env.spec(), workers=1).run(candidates)
     assert _fault_records(ri) == _fault_records(rc)
     assert ri.outcomes() == rc.outcomes()
     assert ri.measured_dc() == rc.measured_dc()
@@ -979,16 +977,12 @@ def test_minicpu_campaign_engines_identical():
                             offset=rng.randrange(30))
                for _ in range(10)]
 
-    def setup(sim):
-        sim.load_mem("imem/rom", assemble(prog))
-
-    manager = FaultInjectionManager(
-        circuit, stimuli, observation_points=points, setup=setup)
-    candidates = CandidateList(faults=faults)
-    ri = run_interpreted(manager, candidates)
-    rc = _run_compiled(CampaignSpec(
+    spec = CampaignSpec(
         circuit=circuit, stimuli=stimuli, observation_points=points,
-        setup=snapshot_setup(circuit, setup)), candidates)
+        setup=MemoryImageSetup(mem_images={"imem/rom": assemble(prog)}))
+    candidates = CandidateList(faults=faults)
+    ri = run_interpreted(spec.manager(), candidates)
+    rc = _run_compiled(spec, candidates)
     assert _fault_records(ri) == _fault_records(rc)
     assert ri.outcomes() == rc.outcomes()
     assert ri.measured_dc() == rc.measured_dc()
@@ -1002,9 +996,8 @@ def test_minicpu_campaign_engines_identical():
 def test_sharded_campaign_engines_identical(fmem_env, workers):
     """DC/SFF and outcome tallies equal the oracle at any worker count."""
     candidates = fmem_env.candidates()
-    reference = run_interpreted(fmem_env.manager(), candidates)
-
-    spec = CampaignSpec.from_environment(fmem_env)
+    spec = fmem_env.spec()
+    reference = run_interpreted(spec.manager(), candidates)
     sharded = CampaignSupervisor(spec, workers=workers).run(candidates)
 
     assert _fault_records(sharded) == _fault_records(reference)

@@ -191,7 +191,7 @@ def _summary(campaign) -> dict:
 def test_compiled_campaign_matches_golden_file(fmem_env):
     """The compiled engine reproduces the frozen fmem campaign JSON
     byte for byte (canonical serialization of both sides)."""
-    campaign = fmem_env.supervisor(workers=1).run(
+    campaign = CampaignSupervisor(fmem_env.spec(), workers=1).run(
         fmem_env.candidates())
     expected = json.loads(
         (DATA / "fmem_small_campaign.json").read_text())
@@ -238,7 +238,7 @@ def _interpreted_through_store(env, candidates, cache):
     pass loop and persisted under the same fingerprints."""
     from repro.store.cache import _rebuild
     from repro.store.fingerprint import FingerprintContext
-    manager = env.manager()
+    manager = env.spec().manager()
     faults = list(candidates.faults)
     plan = cache.plan(FingerprintContext.from_spec(env.spec()), faults)
     served = {i: _rebuild(faults[i], row)

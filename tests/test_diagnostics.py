@@ -26,6 +26,7 @@ import repro.cli as cli
 from repro.cli import main
 from repro.diagnostics import DiagnosticReport
 from repro.faultinjection import (
+    CampaignSupervisor,
     CandidateList,
     build_environment,
 )
@@ -245,7 +246,7 @@ def test_fsck_detects_and_repairs_corruption(env, tmp_path):
     store = tmp_path / "store"
     with CampaignCache(store) as cache:
         cache.profile(env)          # the store's one blob
-        cold = env.supervisor(cache=cache).run(subset)
+        cold = CampaignSupervisor(env.spec(), cache=cache).run(subset)
     cold_rows = _fault_rows(cold)
 
     # corrupt one blob, one outcome row, and plant dangling rows
@@ -271,7 +272,7 @@ def test_fsck_detects_and_repairs_corruption(env, tmp_path):
         after = fsck_store(cache)
         assert not after.report.errors
 
-        warm = env.supervisor(cache=cache).run(subset)
+        warm = CampaignSupervisor(env.spec(), cache=cache).run(subset)
     assert _fault_rows(warm) == cold_rows
 
 

@@ -62,7 +62,7 @@ def env(improved):
 
 @pytest.fixture(scope="module")
 def campaign(env):
-    return env.supervisor(workers=1).run(env.candidates())
+    return CampaignSupervisor(env.spec(), workers=1).run(env.candidates())
 
 
 # ----------------------------------------------------------------------
@@ -243,7 +243,7 @@ def _operational_pipe_campaign(sub):
               for flop, cycle in zip(pipe_flops, read_cycles)]
     spec = CampaignSpec.from_zone_set(
         sub.circuit, ops, zone_set,
-        setup=lambda sim: sub.preload(sim, {}))
+        setup=sub.preload_image())
     return CampaignSupervisor(spec, workers=1).run(
         CandidateList(faults=faults))
 
@@ -360,7 +360,7 @@ def test_fault_simulator_coverage(improved):
     workload = validation_workload(improved, quick=True)
     faults = generate_gate_faults(improved.circuit,
                                   paths=("fmem/decoder",))
-    setup = lambda s: improved.preload(s, {})
+    setup = improved.preload_image()
     report = simulate_faults(improved.circuit, workload,
                              candidates=faults, setup=setup)
     assert report.total == len(faults)
@@ -373,7 +373,7 @@ def test_fault_simulator_coverage(improved):
 def test_fault_simulator_nothing_detected_without_stimuli(improved):
     faults = generate_gate_faults(improved.circuit,
                                   paths=("fmem/decoder",))
-    setup = lambda s: improved.preload(s, {})
+    setup = improved.preload_image()
     stimuli = [improved.idle()] * 3
     report = simulate_faults(improved.circuit, stimuli,
                              candidates=faults, setup=setup)
@@ -389,7 +389,7 @@ def test_bridge_fault_runs(env):
     net_a = env.circuit.net_names[env.circuit.flops[0].q]
     net_b = env.circuit.net_names[env.circuit.flops[1].q]
     fault = BridgeFault(target=net_a, victim=net_b, zone=None)
-    campaign = env.supervisor(workers=1).run(
+    campaign = CampaignSupervisor(env.spec(), workers=1).run(
         CandidateList(faults=[fault]))
     assert len(campaign.results) == 1
 
@@ -422,7 +422,7 @@ def test_global_fault_affects_everything(env):
     rst_nets = tuple(env.circuit.net_names[n]
                      for n in env.circuit.inputs["rst"])
     fault = GlobalStuckFault(target="rst", nets=rst_nets, value=1)
-    campaign = env.supervisor(workers=1).run(
+    campaign = CampaignSupervisor(env.spec(), workers=1).run(
         CandidateList(faults=[fault]))
     res = campaign.results[0]
     assert res.obse_cycle is not None or res.effects

@@ -27,6 +27,7 @@ from repro.faultinjection import (
     CampaignSpec,
     CandidateList,
     MemFlipFault,
+    MemoryImageSetup,
     SeuFault,
     StuckNetFault,
     build_environment,
@@ -52,7 +53,9 @@ def _subsystem_case(variant: str, banks: int = 1):
 def _minicpu_case():
     """Zone-attributed register faults, unresolvable net-index targets
     and zone-less memory flips on the lock-step CPU with a preloaded
-    program ROM."""
+    program ROM.  The setup names every memory at full depth (the
+    program padded with zeros, an all-zero RAM), the form the pinned
+    digests were taken with."""
     cpu = MiniCpu(CpuConfig.lockstep_pair())
     circuit = cpu.circuit
     zone_set = extract_zones(circuit)
@@ -75,10 +78,13 @@ def _minicpu_case():
                             bit=rng.randrange(ram.width),
                             offset=rng.randrange(30))
                for _ in range(8)]
+    program = assemble(MINICPU_PROGRAM)
+    setup = MemoryImageSetup(mem_images={
+        "imem/rom": program + [0] * (32 - len(program)),
+        "dmem/ram": [0] * 32})
     spec = CampaignSpec.from_zone_set(
         circuit, [cpu.idle(rst=1)] * 2 + [cpu.idle()] * 80, zone_set,
-        setup=lambda sim: sim.load_mem("imem/rom",
-                                       assemble(MINICPU_PROGRAM)))
+        setup=setup)
     return FingerprintContext.from_spec(spec), \
         CandidateList(faults=faults).faults
 

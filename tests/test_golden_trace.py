@@ -3,11 +3,13 @@
 :func:`~repro.faultinjection.parallel.compute_golden_trace` derives the
 golden OBSE/DIAG bits from the per-net first events that the
 operational-profile replay records (``OperationalProfile.activity``),
-for any observation-point set and any ``max_cycles`` prefix.  The
-oracle is the per-cycle loop that used to replay the workload a second
-time for those bits, kept here unchanged.  Hypothesis draws the point
-sets (random nets, any kind, empty points included) and the prefix on
-fuzzed netlists, on the fmem subsystem and on the lock-step mini CPU.
+for any observation-point set, and for any prefix of the workload
+given the first events of the whole of it.  The oracle is the
+per-cycle loop that used to replay the workload a second time for
+those bits, kept here unchanged.  Hypothesis draws the point sets
+(random nets, any kind, empty points included) and the prefix length
+on fuzzed netlists, on the fmem subsystem and on the lock-step mini
+CPU.
 
 The same per-net first events are the validation flow's toggle
 coverage (step b): a net toggled iff ``first_change[net] >= 0``, an
@@ -22,8 +24,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.faultinjection import (
-    CampaignConfig,
     FaultInjectionManager,
+    MemoryImageSetup,
     build_environment,
     compute_golden_trace,
     profile_workload,
@@ -47,8 +49,6 @@ def replayed_golden(manager) -> tuple[int, tuple, tuple]:
     if manager.setup is not None:
         manager.setup(sim)
     stimuli = manager.stimuli
-    if manager.config.max_cycles is not None:
-        stimuli = stimuli[:manager.config.max_cycles]
     func_nets = {p.name: list(p.nets) for p in manager.functional}
     diag_nets = {p.name: list(p.nets) for p in manager.diagnostic}
     prev: dict[str, int] = {}
@@ -90,8 +90,9 @@ def _draw_points(data, circuit, fixed=()) -> list[ObservationPoint]:
 
 
 def _draw_prefix(data, stimuli, activity):
-    """``max_cycles``: none, any length, or one landing on (or just
-    after) a recorded first event, where an off-by-one would show."""
+    """A prefix length of the workload: the whole (``None``), any
+    length, or one landing on (or just after) a recorded first event,
+    where an off-by-one would show."""
     edges = sorted({c + d for c in (*activity.first_change,
                                     *activity.first_one)
                     for d in (0, 1) if c >= 0})
@@ -99,10 +100,12 @@ def _draw_prefix(data, stimuli, activity):
                      | st.sampled_from(edges))
 
 
-def _check(circuit, stimuli, setup, activity, points, max_cycles):
+def _check(circuit, stimuli, setup, activity, points, length):
+    """The first ``length`` cycles as the workload, ``activity``
+    recorded over all of ``stimuli``."""
     manager = FaultInjectionManager(
-        circuit, stimuli, observation_points=points, setup=setup,
-        config=CampaignConfig(max_cycles=max_cycles))
+        circuit, stimuli[:length], observation_points=points,
+        setup=setup)
     derived = compute_golden_trace(manager, activity)
     assert (derived.cycles, derived.obse_active, derived.diag_active) \
         == replayed_golden(manager)
@@ -135,10 +138,8 @@ def fmem():
 def minicpu():
     cpu = MiniCpu(CpuConfig.lockstep_pair())
     circuit = cpu.circuit
-
-    def setup(sim):
-        sim.load_mem("imem/rom", assemble(MINICPU_PROGRAM))
-
+    setup = MemoryImageSetup(
+        mem_images={"imem/rom": assemble(MINICPU_PROGRAM)})
     stimuli = [cpu.idle(rst=1)] * 2 + [cpu.idle()] * 80
     points = (
         ObservationPoint(name="out", kind=ObservationKind.OUTPUT,
@@ -240,9 +241,7 @@ def test_derived_toggles_equal_replay_on_fmem():
     sub = MemorySubsystem(SubsystemConfig.small_improved())
     circuit = sub.circuit
     stimuli = list(validation_workload(sub, quick=False))
-
-    def setup(sim):
-        sub.preload(sim, {})
+    setup = sub.preload_image()
 
     activity = profile_workload(circuit, stimuli, setup=setup).activity
     nets, ports = derived_toggles(circuit, activity)

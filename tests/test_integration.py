@@ -9,7 +9,7 @@ runtime).
 import pytest
 
 from repro.faultinjection import (
-    CampaignConfig,
+    CampaignSupervisor,
     FaultListConfig,
     ResultAnalyzer,
     build_environment,
@@ -63,14 +63,16 @@ def test_paper_ranking_names_the_culprits(baseline):
 
 
 def test_paper_size_campaign_runs(improved):
-    """A trimmed injection campaign at full design size."""
+    """An injection campaign at full design size over the first 600
+    cycles of the workload."""
     env = build_environment(improved, quick=True)
+    assert len(env.stimuli) > 600
+    env.stimuli = env.stimuli[:600]
     candidates = randomize(
         env.candidates(FaultListConfig(transient_per_zone=1,
                                        permanent_per_zone=1)),
         sample=24, seed=3)
-    campaign = env.supervisor(
-        workers=1, config=CampaignConfig(max_cycles=600)).run(candidates)
+    campaign = CampaignSupervisor(env.spec(), workers=1).run(candidates)
     assert len(campaign.results) == 24
     counts = campaign.outcomes()
     assert sum(counts.values()) == 24

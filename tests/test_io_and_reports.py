@@ -225,7 +225,7 @@ def test_trace_workload_helper(improved):
     wl = random_traffic(improved, n_ops=4, seed=2)
     text = trace_workload(improved.circuit, list(wl),
                           signals=["hrdata", "rvalid", "alarm_ce"],
-                          setup=lambda s: improved.preload(s, {}))
+                          setup=improved.preload_image())
     assert "$var" in text and "rvalid" in text
 
 

@@ -6,6 +6,7 @@ from repro.faultinjection import (
     CampaignSpec,
     CampaignSupervisor,
     CandidateList,
+    MemoryImageSetup,
     SeuFault,
     StuckNetFault,
 )
@@ -172,7 +173,8 @@ def _cpu_campaign(cpu, machines_zone_kind=ZoneKind.REGISTER):
             target=flop, zone=zone_of[flop], value=i % 2))
     spec = CampaignSpec.from_zone_set(
         cpu.circuit, stimuli, zone_set,
-        setup=lambda sim: sim.load_mem("imem/rom", assemble(PROG)))
+        setup=MemoryImageSetup(
+            mem_images={"imem/rom": assemble(PROG)}))
     return CampaignSupervisor(spec, workers=1).run(
         CandidateList(faults=faults))
 

@@ -33,7 +33,7 @@ FUZZ_SEEDS = range(6)
 def fmem():
     sub = MemorySubsystem(SubsystemConfig.small_improved())
     return (sub.circuit, list(validation_workload(sub, quick=True)),
-            lambda sim: sub.preload(sim, {}))
+            sub.preload_image())
 
 
 def fuzz_design(seed: int):
@@ -91,9 +91,7 @@ def oracle_vcd(circuit, stimuli, signals=None, setup=None) -> str:
 def test_trace_workload_equals_oracle_on_fmem():
     sub = MemorySubsystem(SubsystemConfig.small_improved())
     stimuli = list(random_traffic(sub, n_ops=12, seed=5))
-
-    def setup(sim):
-        sub.preload(sim, {})
+    setup = sub.preload_image()
 
     inner = sub.circuit.net_names[sub.circuit.flops[0].q]
     for signals in (None, ["haddr", "hrdata", "alarm_ce", inner]):

@@ -21,14 +21,12 @@ from repro.faultinjection import (
     CampaignSpec,
     CampaignSupervisor,
     CandidateList,
-    FaultInjectionManager,
     MemoryImageSetup,
     SeuFault,
     StuckNetFault,
     build_environment,
     compute_golden_trace,
     shard_candidates,
-    snapshot_setup,
 )
 from repro.soc import MemorySubsystem, SubsystemConfig
 from repro.soc.minicpu import CpuConfig, MiniCpu, assemble
@@ -56,7 +54,7 @@ def candidates(env):
 
 @pytest.fixture(scope="module")
 def serial(env, candidates):
-    return run_interpreted(env.manager(CampaignConfig()), candidates)
+    return run_interpreted(env.spec(CampaignConfig()).manager(), candidates)
 
 
 def _fault_rows(campaign):
@@ -68,7 +66,7 @@ def _fault_rows(campaign):
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
 def test_fmem_parallel_equals_serial(env, candidates, serial, workers):
-    campaign = env.supervisor(workers=workers).run(candidates)
+    campaign = CampaignSupervisor(env.spec(), workers=workers).run(candidates)
     assert campaign.outcomes() == serial.outcomes()
     assert campaign.measured_dc() == serial.measured_dc()
     assert campaign.measured_safe_fraction() == \
@@ -77,7 +75,7 @@ def test_fmem_parallel_equals_serial(env, candidates, serial, workers):
 
 
 def test_fmem_parallel_coverage_equals_serial(env, candidates, serial):
-    campaign = env.supervisor(workers=2).run(candidates)
+    campaign = CampaignSupervisor(env.spec(), workers=2).run(candidates)
     assert campaign.coverage.sens == serial.coverage.sens
     assert campaign.coverage.obse == serial.coverage.obse
     assert campaign.coverage.diag == serial.coverage.diag
@@ -91,10 +89,10 @@ def test_supervisor_toggle_coverage_equals_serial(env, candidates,
     # any-machine toggle bitmaps are collected per shard and must be
     # merged, not dropped, when the shards land
     reference = run_interpreted(
-        env.manager(CampaignConfig(collect_toggles=True)), candidates)
-    campaign = env.supervisor(
-        workers=workers,
-        config=CampaignConfig(collect_toggles=True)).run(candidates)
+        env.spec(CampaignConfig(collect_toggles=True)).manager(), candidates)
+    campaign = CampaignSupervisor(
+        env.spec(CampaignConfig(collect_toggles=True)),
+        workers=workers).run(candidates)
     assert reference.toggled_nets()
     assert campaign.toggled_nets() == reference.toggled_nets()
 
@@ -102,7 +100,8 @@ def test_supervisor_toggle_coverage_equals_serial(env, candidates,
 def test_shard_count_does_not_change_results(env, candidates, serial):
     # more shards than workers: shard order, not completion order,
     # must drive the merge
-    campaign = env.supervisor(workers=2, shards=7).run(candidates)
+    campaign = CampaignSupervisor(
+        env.spec(), workers=2, shards=7).run(candidates)
     assert _fault_rows(campaign) == _fault_rows(serial)
 
 
@@ -134,21 +133,18 @@ def cpu_setup():
         cpu.circuit, stimuli, zone_set,
         setup=MemoryImageSetup(
             mem_images={"imem/rom": assemble(PROG)}))
-    return cpu, zone_set, stimuli, CandidateList(faults=faults), spec
+    return CandidateList(faults=faults), spec
 
 
 @pytest.fixture(scope="module")
 def cpu_serial(cpu_setup):
-    cpu, zone_set, stimuli, candidates, _ = cpu_setup
-    manager = FaultInjectionManager(
-        cpu.circuit, stimuli, zone_set=zone_set,
-        setup=lambda sim: sim.load_mem("imem/rom", assemble(PROG)))
-    return run_interpreted(manager, candidates)
+    candidates, spec = cpu_setup
+    return run_interpreted(spec.manager(), candidates)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
 def test_minicpu_parallel_equals_serial(cpu_setup, cpu_serial, workers):
-    *_, candidates, spec = cpu_setup
+    candidates, spec = cpu_setup
     campaign = CampaignSupervisor(spec, workers=workers) \
         .run(candidates)
     assert campaign.outcomes() == cpu_serial.outcomes()
@@ -178,31 +174,17 @@ def test_spec_and_manager_leave_the_callers_config_alone(env):
     assert env.test_windows != full.test_windows
     config = CampaignConfig()
     assert env.spec(config).config.test_windows == env.test_windows
-    assert full.spec(config).config.test_windows == full.test_windows
-    assert full.manager(config).config.test_windows == \
-        full.test_windows
+    spec = full.spec(config)
+    assert spec.config.test_windows == full.test_windows
+    assert spec.manager().config.test_windows == full.test_windows
     assert config == CampaignConfig()
-
-
-def test_snapshot_setup_captures_preload(env):
-    snap = snapshot_setup(env.circuit, env.setup)
-    assert isinstance(snap, MemoryImageSetup)
-    assert "memarray/array" in snap.mem_images
-    # the preload writes valid codewords, not an all-zero image
-    assert any(snap.mem_images["memarray/array"])
-
-
-def test_snapshot_setup_refuses_fault_overlays(env):
-    with pytest.raises(ValueError):
-        snapshot_setup(env.circuit,
-                       lambda sim: sim.stick_net(0, 1))
 
 
 # ----------------------------------------------------------------------
 # golden-run cache
 # ----------------------------------------------------------------------
 def test_golden_trace_matches_serial_coverage(env, serial):
-    trace = compute_golden_trace(env.manager(CampaignConfig()))
+    trace = compute_golden_trace(env.spec(CampaignConfig()).manager())
     assert trace.cycles == len(env.stimuli)
     # the validation workload reads data back, so the functional bus
     # output toggles in the fault-free run
@@ -214,7 +196,7 @@ def test_golden_trace_matches_serial_coverage(env, serial):
     assert all(serial.coverage.diag[name]
                for name in trace.diag_active)
     # and it is deterministic: recomputing yields the same bits
-    again = compute_golden_trace(env.manager(CampaignConfig()))
+    again = compute_golden_trace(env.spec(CampaignConfig()).manager())
     assert again.obse_active == trace.obse_active
     assert again.diag_active == trace.diag_active
 
@@ -224,8 +206,8 @@ def test_golden_trace_matches_serial_coverage(env, serial):
 # ----------------------------------------------------------------------
 def test_runner_stats_and_progress(env, candidates):
     seen = []
-    runner = env.supervisor(
-        workers=2,
+    runner = CampaignSupervisor(
+        env.spec(), workers=2,
         progress=lambda done, total: seen.append((done, total)))
     campaign = runner.run(candidates)
     total = len(candidates.faults)
@@ -244,7 +226,7 @@ def test_runner_stats_and_progress(env, candidates):
 # empty campaigns (regression: metrics must not divide by zero)
 # ----------------------------------------------------------------------
 def test_empty_campaign_metrics_are_zero(env):
-    campaign = env.supervisor(workers=1).run(CandidateList())
+    campaign = CampaignSupervisor(env.spec(), workers=1).run(CandidateList())
     assert campaign.results == []
     assert campaign.measured_dc() == 0.0
     assert campaign.measured_safe_fraction() == 0.0
@@ -253,7 +235,7 @@ def test_empty_campaign_metrics_are_zero(env):
 
 
 def test_empty_campaign_through_runner(env):
-    campaign = env.supervisor(workers=4).run(CandidateList())
+    campaign = CampaignSupervisor(env.spec(), workers=4).run(CandidateList())
     assert campaign.results == []
     assert campaign.measured_dc() == 0.0
     assert campaign.measured_safe_fraction() == 0.0

@@ -24,6 +24,7 @@ from repro.faultinjection.profiler import profile_workload
 from repro.hdl import Module
 from repro.hdl.compiled import compile_circuit
 from repro.hdl.netlist import OP_ARITY, OP_BUF, OP_MUX
+from repro.hdl.simulator import MemoryImageSetup
 from repro.service.core import make_subsystem
 from repro.soc.minicpu import CpuConfig, MiniCpu, assemble
 from repro.soc.workloads import validation_workload
@@ -60,13 +61,9 @@ def test_profile_equals_interpreted_on_fuzzed_netlists(seed):
                    rng.choice(circuit.net_names)}
     image = [rng.getrandbits(4) for _ in range(8)]
     flops = [f.name for f in circuit.flops if rng.random() < 0.3]
-
-    def setup(sim):
-        for mem in circuit.memories:
-            sim.load_mem(mem.name, image)
-        for name in flops:
-            sim.set_flop(name, 1)
-
+    setup = MemoryImageSetup(
+        mem_images={mem.name: image for mem in circuit.memories},
+        flop_values={name: 1 for name in flops})
     assert_same_profile(circuit, stimuli, setup, strobes)
 
 
@@ -76,17 +73,15 @@ def test_profile_equals_interpreted_on_full_workloads(variant, banks):
     sub = make_subsystem(variant, banks=banks)
     stimuli = list(validation_workload(sub, quick=False))
     profile = assert_same_profile(
-        sub.circuit, stimuli, lambda sim: sub.preload(sim, {}),
+        sub.circuit, stimuli, sub.preload_image(),
         sub.read_strobes())
     assert profile.flop_toggles and profile.mem_accesses
 
 
 def test_profile_equals_interpreted_on_minicpu():
     cpu = MiniCpu(CpuConfig.lockstep_pair())
-
-    def setup(sim):
-        sim.load_mem("imem/rom", assemble(MINICPU_PROGRAM))
-
+    setup = MemoryImageSetup(
+        mem_images={"imem/rom": assemble(MINICPU_PROGRAM)})
     stimuli = [cpu.idle(rst=1)] * 2 + [cpu.idle()] * 80
     profile = assert_same_profile(cpu.circuit, stimuli, setup)
     assert profile.flop_toggles

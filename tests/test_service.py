@@ -24,7 +24,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.faultinjection import CampaignConfig, build_environment
+from repro.faultinjection import (
+    CampaignConfig,
+    CampaignSupervisor,
+    build_environment,
+)
 from repro.service import (
     CampaignRequest,
     CampaignService,
@@ -60,7 +64,7 @@ def candidates(env):
 
 @pytest.fixture(scope="module")
 def serial(env, candidates):
-    return run_interpreted(env.manager(CampaignConfig()), candidates)
+    return run_interpreted(env.spec(CampaignConfig()).manager(), candidates)
 
 
 def _fault_rows(campaign):
@@ -360,6 +364,35 @@ def test_busy_write_succeeds_after_lock_clears(tmp_path, monkeypatch):
     finally:
         blocker.close()
         db.close()
+
+
+# ----------------------------------------------------------------------
+# request validation
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("fields", [
+    {"banks": "2"}, {"shard_timeout": "x"}, {"shard_timeout": True},
+    {"workers": 1.5}, {"max_retries": None}, {"sample": False},
+    {"full": "yes"}, {"use_cache": 1}, {"zones": 5}, {"stimuli": []},
+    {"flags": {"nope": True}}, {"flags": {"addr_bits": 12}},
+    {"flags": {"address_in_ecc": 1}}, {"flags": []},
+    {"bank_flags": [5]}, {"bank_flags": [{"data_bits": 8}]},
+    {"banks": 2, "bank_flags": [{}, {}, {}]},
+])
+def test_request_validation_reports_ill_typed_fields(fields):
+    """Each bad field is one E430 diagnostic from ``validate()``,
+    never a ``TypeError`` there or a job that dies later."""
+    report = CampaignRequest.from_dict(
+        {"variant": "small-improved", **fields}).validate()
+    assert report.codes() == {"E430"}
+    assert len(report.diagnostics) == 1
+
+
+def test_request_validation_accepts_flag_overrides():
+    request = CampaignRequest(
+        variant="small-baseline", banks=2, shard_timeout=1,
+        flags={"with_bist": False},
+        bank_flags=[{}, {"address_in_ecc": True, "scrub_parity": True}])
+    assert request.validate().ok
 
 
 # ----------------------------------------------------------------------
@@ -720,10 +753,10 @@ def test_fsck_detects_and_repairs_queue_faults(tmp_path):
 def test_gc_keeps_runs_of_active_jobs(tmp_path, env, candidates):
     root = tmp_path / "store"
     with CampaignCache(root) as cache:
-        env.supervisor(workers=1, cache=cache).run(candidates)
+        CampaignSupervisor(env.spec(), workers=1, cache=cache).run(candidates)
         first_run = cache.db.runs()[-1]["run_id"]
     with CampaignCache(root) as cache:
-        env.supervisor(workers=1, cache=cache).run(candidates)
+        CampaignSupervisor(env.spec(), workers=1, cache=cache).run(candidates)
 
     with JobQueue(root) as queue:
         job_id = queue.submit({})

@@ -65,7 +65,7 @@ def test_overwrite(baseline):
 
 def test_preload_encodes_valid_codewords(improved):
     sim = improved.simulator()
-    improved.preload(sim, {5: 0x42})
+    improved.preload_image({5: 0x42})(sim)
     m = AhbMaster(improved, sim=sim)
     m.reset()
     r = m.read(5)
@@ -92,11 +92,22 @@ PRELOAD_DESIGNS = _preload_designs()
 
 @pytest.mark.parametrize("design", sorted(PRELOAD_DESIGNS))
 def test_preload_image_equals_snapshot_of_preload(design):
-    from repro.faultinjection import snapshot_setup
+    """A preload image holds what a snapshot of the loaded simulator
+    would: every memory of the circuit at full depth, no flop values,
+    and each requested word as ``encode_word(data, addr)``."""
     sub = PRELOAD_DESIGNS[design]()
-    for words in ({}, {1: 0x5A, sub.cfg.depth - 1: 0x21}):
-        assert sub.preload_image(words) == snapshot_setup(
-            sub.circuit, lambda sim: sub.preload(sim, words))
+    base = sub.preload_image()
+    assert base.flop_values == {}
+    assert {name: len(image) for name, image in base.mem_images.items()} \
+        == {mem.name: mem.depth for mem in sub.circuit.memories}
+    for addr, data in ((1, 0x5A), (sub.cfg.depth - 1, 0x21)):
+        loaded = sub.preload_image({addr: data})
+        assert loaded.flop_values == {}
+        assert loaded.mem_images.keys() == base.mem_images.keys()
+        changed = [word for name, image in loaded.mem_images.items()
+                   for old, word in zip(base.mem_images[name], image)
+                   if word != old]
+        assert changed and set(changed) == {sub.encode_word(data, addr)}
 
 
 # ----------------------------------------------------------------------

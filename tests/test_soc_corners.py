@@ -79,7 +79,7 @@ def test_rvalid_pulses_exactly_once_per_read(improved):
 
 def test_hrdata_zero_when_not_valid(improved):
     sim = improved.simulator()
-    improved.preload(sim, {3: 0xAB})
+    improved.preload_image({3: 0xAB})(sim)
     for op in [improved.reset_op()] * 2 + [improved.idle()] * 5:
         sim.step_eval(op)
         if not sim.output("rvalid"):

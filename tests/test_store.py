@@ -25,7 +25,6 @@ from repro.faultinjection import (
     InjectionEnvironment,
     MemoryImageSetup,
     build_environment,
-    snapshot_setup,
 )
 from repro.hdl.netlist import OP_OR, OP_XOR
 from repro.soc import MemorySubsystem, SubsystemConfig
@@ -62,7 +61,7 @@ def candidates(env):
 
 @pytest.fixture(scope="module")
 def serial(env, candidates):
-    return run_interpreted(env.manager(CampaignConfig()), candidates)
+    return run_interpreted(env.spec(CampaignConfig()).manager(), candidates)
 
 
 def _fault_rows(campaign):
@@ -72,7 +71,7 @@ def _fault_rows(campaign):
 
 
 def _cached_run(env, candidates, cache, **kw):
-    return env.supervisor(cache=cache, **kw).run(candidates)
+    return CampaignSupervisor(env.spec(), cache=cache, **kw).run(candidates)
 
 
 # ----------------------------------------------------------------------
@@ -364,10 +363,10 @@ def _overlay(env):
 
 
 def test_overlay_spec_is_rejected_at_construction(env):
-    # a setup that programs a fault overlay has no data form and so no
-    # content address: a campaign spec refuses it when built, so no
-    # campaign can run outside the store with one
-    with pytest.raises(ValueError, match="fault overlays"):
+    # a callable setup, such as one that programs a fault overlay, has no
+    # content address: a campaign spec refuses it by type when built, so
+    # no campaign can run outside the store with one
+    with pytest.raises(TypeError, match="MemoryImageSetup"):
         CampaignSpec(circuit=env.circuit, stimuli=list(env.stimuli),
                      zones=list(env.zone_set.zones),
                      observation_points=list(
@@ -378,7 +377,7 @@ def test_overlay_spec_is_rejected_at_construction(env):
 def test_overlay_environment_is_rejected_at_construction(env):
     # the environment refuses it too, so no operational profile is ever
     # replayed without a store key
-    with pytest.raises(ValueError, match="fault overlays"):
+    with pytest.raises(TypeError, match="MemoryImageSetup"):
         InjectionEnvironment(env.circuit, env.zone_set, env.worksheet,
                              env.stimuli, setup=_overlay(env))
 
@@ -401,8 +400,7 @@ def _profile_bytes(profile) -> str:
 
 
 def _profile_key(env) -> str:
-    return profile_key(env.circuit, env.stimuli,
-                       snapshot_setup(env.circuit, env.setup),
+    return profile_key(env.circuit, env.stimuli, env.setup,
                        env.read_strobes)
 
 
@@ -413,13 +411,12 @@ def test_profile_is_served_from_the_store(env, tmp_path):
                 cache.stats.profile_misses) == (0, 1)
     with CampaignCache(tmp_path / "store") as cache:
         warm = cache.profile(env)
-        # the snapshot of the setup is the same workload
-        snapshotted = cache.profile(_with(
-            env, setup=snapshot_setup(env.circuit, env.setup)))
+        # an equal setup built anew is the same workload
+        rebuilt = cache.profile(_with(env, setup=copy.deepcopy(env.setup)))
         assert (cache.stats.profile_hits,
                 cache.stats.profile_misses) == (2, 0)
     assert _profile_bytes(cold) == _profile_bytes(warm) \
-        == _profile_bytes(snapshotted) == _profile_bytes(env.profile())
+        == _profile_bytes(rebuilt) == _profile_bytes(env.profile())
 
 
 def test_profile_stored_with_output_toggles_is_a_hit(env, tmp_path):
@@ -449,12 +446,11 @@ def _changed_read_strobe(env):
 
 
 def _changed_preload(env):
-    snap = snapshot_setup(env.circuit, env.setup)
     images = {name: list(image) for name, image
-              in snap.mem_images.items()}
+              in env.setup.mem_images.items()}
     images["memarray/array"][0] ^= 1
     return _with(env, setup=MemoryImageSetup(
-        mem_images=images, flop_values=dict(snap.flop_values)))
+        mem_images=images, flop_values=dict(env.setup.flop_values)))
 
 
 def _changed_gate(env):
@@ -524,8 +520,7 @@ def test_profile_written_without_net_activity_is_a_clean_miss(
         "v": FP_VERSION, "kind": "operational_profile",
         "circuit": env.circuit.structural_hash(),
         "stimuli": _stimuli_digest(env.stimuli),
-        "setup": _setup_canonical(snapshot_setup(env.circuit,
-                                                 env.setup)),
+        "setup": _setup_canonical(env.setup),
         "read_strobes": sorted(env.read_strobes.items())})
     store = tmp_path / "store"
     with CampaignCache(store) as cache:

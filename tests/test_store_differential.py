@@ -16,7 +16,6 @@ from repro.faultinjection import (
     CampaignConfig,
     CampaignSupervisor,
     CandidateList,
-    FaultInjectionManager,
     SeuFault,
     StuckNetFault,
     build_environment,
@@ -51,7 +50,7 @@ def candidates(env):
 
 @pytest.fixture(scope="module")
 def serial(env, candidates):
-    return run_interpreted(env.manager(CampaignConfig()), candidates)
+    return run_interpreted(env.spec(CampaignConfig()).manager(), candidates)
 
 
 def _fault_rows(campaign):
@@ -75,7 +74,8 @@ def _assert_identical(campaign, reference):
 def test_fmem_cached_equals_cold_serial(env, candidates, serial,
                                         workers, tmp_path):
     with CampaignCache(tmp_path / "store") as cache:
-        supervisor = env.supervisor(workers=workers, cache=cache)
+        supervisor = CampaignSupervisor(
+            env.spec(), workers=workers, cache=cache)
         _assert_identical(supervisor.run(candidates), serial)
         assert cache.stats.misses == len(candidates.faults)
 
@@ -84,11 +84,12 @@ def test_fmem_cached_equals_cold_serial(env, candidates, serial,
 def test_fmem_warm_rerun_simulates_nothing(env, candidates, serial,
                                            workers, tmp_path):
     with CampaignCache(tmp_path / "store") as cache:
-        env.supervisor(workers=workers, cache=cache).run(candidates)
+        CampaignSupervisor(
+            env.spec(), workers=workers, cache=cache).run(candidates)
 
     with CampaignCache(tmp_path / "store") as cache:
-        campaign = env.supervisor(workers=workers,
-                                  cache=cache).run(candidates)
+        campaign = CampaignSupervisor(
+            env.spec(), workers=workers, cache=cache).run(candidates)
         assert cache.stats.simulated == 0
         assert cache.stats.misses == 0
         assert cache.stats.hits == len(candidates.faults)
@@ -102,10 +103,10 @@ def test_store_is_portable_across_entry_points(env, candidates, serial,
     one-worker campaign: the content address does not depend on how
     the shards that produced the record were laid out."""
     with CampaignCache(tmp_path / "store") as cache:
-        env.supervisor(workers=2, cache=cache).run(candidates)
+        CampaignSupervisor(env.spec(), workers=2, cache=cache).run(candidates)
     with CampaignCache(tmp_path / "store") as cache:
-        campaign = env.supervisor(workers=1,
-                                  cache=cache).run(candidates)
+        campaign = CampaignSupervisor(
+            env.spec(), workers=1, cache=cache).run(candidates)
         assert cache.stats.simulated == 0
         _assert_identical(campaign, serial)
 
@@ -115,12 +116,12 @@ def test_detection_window_change_is_all_hits(env, candidates, tmp_path):
     with another detection window reuses every raw record and only the
     derived outcome classes move."""
     with CampaignCache(tmp_path / "store") as cache:
-        env.supervisor(workers=1, cache=cache).run(candidates)
+        CampaignSupervisor(env.spec(), workers=1, cache=cache).run(candidates)
     reference = run_interpreted(
-        env.manager(CampaignConfig(detection_window=2)), candidates)
+        env.spec(CampaignConfig(detection_window=2)).manager(), candidates)
     with CampaignCache(tmp_path / "store") as cache:
-        supervisor = env.supervisor(
-            workers=1, config=CampaignConfig(detection_window=2),
+        supervisor = CampaignSupervisor(
+            env.spec(CampaignConfig(detection_window=2)), workers=1,
             cache=cache)
         campaign = supervisor.run(candidates)
         assert cache.stats.simulated == 0
@@ -209,22 +210,19 @@ def cpu_setup():
         cpu.circuit, stimuli, zone_set,
         setup=MemoryImageSetup(
             mem_images={"imem/rom": assemble(PROG)}))
-    return cpu, zone_set, stimuli, CandidateList(faults=faults), spec
+    return CandidateList(faults=faults), spec
 
 
 @pytest.fixture(scope="module")
 def cpu_serial(cpu_setup):
-    cpu, zone_set, stimuli, candidates, _ = cpu_setup
-    manager = FaultInjectionManager(
-        cpu.circuit, stimuli, zone_set=zone_set,
-        setup=lambda sim: sim.load_mem("imem/rom", assemble(PROG)))
-    return run_interpreted(manager, candidates)
+    candidates, spec = cpu_setup
+    return run_interpreted(spec.manager(), candidates)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
 def test_minicpu_cached_equals_cold_serial(cpu_setup, cpu_serial,
                                            workers, tmp_path):
-    *_, candidates, spec = cpu_setup
+    candidates, spec = cpu_setup
     with CampaignCache(tmp_path / "store") as cache:
         campaign = CampaignSupervisor(spec, workers=workers,
                                       cache=cache).run(candidates)

@@ -29,7 +29,6 @@ from repro.faultinjection import (
     CampaignSpec,
     CampaignSupervisor,
     CandidateList,
-    FaultInjectionManager,
     FaultResult,
     MemoryImageSetup,
     SafeProgress,
@@ -100,7 +99,7 @@ def candidates(env):
 
 @pytest.fixture(scope="module")
 def serial(env, candidates):
-    return run_interpreted(env.manager(CampaignConfig()), candidates)
+    return run_interpreted(env.spec(CampaignConfig()).manager(), candidates)
 
 
 def hostile_candidates(env, candidates, modes):
@@ -151,10 +150,8 @@ def cpu_setup():
         cpu.circuit, stimuli, zone_set,
         setup=MemoryImageSetup(
             mem_images={"imem/rom": assemble(PROG)}))
-    serial = run_interpreted(FaultInjectionManager(
-        cpu.circuit, stimuli, zone_set=zone_set,
-        setup=lambda sim: sim.load_mem("imem/rom", assemble(PROG))),
-        CandidateList(faults=faults))
+    serial = run_interpreted(spec.manager(),
+                             CandidateList(faults=faults))
     return spec, CandidateList(faults=spliced), hostiles, serial
 
 
@@ -405,7 +402,7 @@ def test_simulator_cycle_budget_raises(env):
 
 
 def test_serial_manager_propagates_cycle_budget(env, candidates):
-    manager = env.manager(CampaignConfig(cycle_budget=3))
+    manager = env.spec(CampaignConfig(cycle_budget=3)).manager()
     with pytest.raises(CycleBudgetExceeded):
         manager.run_batches(list(candidates.faults[:2]))
 
@@ -550,7 +547,6 @@ def test_safe_progress_wrap_is_idempotent():
 # ----------------------------------------------------------------------
 def test_validate_stimuli_accepts_real_workload(env):
     validate_stimuli(env.circuit, env.stimuli)
-    env.validate_stimuli()
 
 
 def test_validate_stimuli_rejects_unknown_signal(env):

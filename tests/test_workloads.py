@@ -189,7 +189,7 @@ def test_address_decoder_test_catches_stuck_line(sub):
     wl = address_decoder_test(sub)
     # golden vs faulty comparison through the parallel machines
     sim = Simulator(sub.circuit, machines=2)
-    sub.preload(sim, {})
+    sub.preload_image()(sim)
     mem = sub.circuit.memories[0]
     sim.stick_net(mem.addr[1], 0, machines=1 << 1)
     diverged = False

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.faultinjection import (
+    CampaignSupervisor,
     FaultDictionary,
     build_environment,
     signature_of,
@@ -110,7 +111,7 @@ def test_mux_x_select_pessimism():
 def dictionary():
     sub = MemorySubsystem(SubsystemConfig.small_improved())
     env = build_environment(sub, quick=True)
-    campaign = env.supervisor(workers=1).run(env.candidates())
+    campaign = CampaignSupervisor(env.spec(), workers=1).run(env.candidates())
     return campaign, FaultDictionary.build(campaign)
 
 
