@@ -42,6 +42,13 @@ Campaign execution itself lives in embedded
 :class:`~repro.service.daemon.ServiceDaemon` worker threads (or a
 separate ``soc-fmea serve`` daemon pointed at the same store — the
 queue is the only coupling).
+
+An event stream wakes on the queue's in-process change feed
+(:data:`~repro.service.queue.CHANGE_FEED`): a transition committed by
+an embedded worker or by a request of this server reaches the client
+at once, without a thread blocked per stream.  ``stream_poll_interval``
+is the fallback period for transitions the feed cannot see, those of
+a separate daemon process and lease expiry.
 """
 
 from __future__ import annotations
@@ -56,7 +63,7 @@ from ..chaos.failpoints import fail_at
 from ..diagnostics import DiagnosticError
 from ..diagnostics.codes import default_hint, describe
 from ..service.core import CampaignRequest, CampaignService
-from ..service.queue import JobQueue, JobRow
+from ..service.queue import CHANGE_FEED, JobQueue, JobRow
 from ..store.db import StoreBusyError
 from ..store.errors import StoreIOError
 from .auth import AuthConfig, estimate_faults
@@ -96,7 +103,9 @@ class ApiConfig:
     #: global admission watermark: active jobs beyond this shed
     #: submits with E427 / 429 + Retry-After
     max_queue_depth: int = 64
-    #: poll period of the progress stream (state-snapshot events)
+    #: fallback period of the progress stream: a transition committed
+    #: in this process wakes it at once, this period bounds how late
+    #: it sees one made by another process or a lease expiry
     stream_poll_interval: float = 0.2
     verbose: bool = True
 
@@ -232,10 +241,10 @@ class ApiServer:
     def _stop_workers(self) -> None:
         if self.daemon is None:
             return
-        # the daemon's own drain path: the heartbeat raises
-        # _GracefulStop, the supervisor checkpoints, the lease is
-        # released — same as SIGTERM on a standalone serve
-        self.daemon._stop = True
+        # the daemon's own drain path: idle claim loops wake, the
+        # heartbeat raises _GracefulStop, the supervisor checkpoints,
+        # the lease is released — same as SIGTERM on a standalone serve
+        self.daemon.request_stop()
         for thread in self._workers:
             thread.join(timeout=30.0)
 
@@ -586,11 +595,14 @@ class ApiServer:
                       writer) -> None:
         """Chunked JSON-line progress stream.
 
-        Events are state snapshots fed by the worker's heartbeat
-        (the ``progress`` column), emitted on change; the stream
-        ends after the terminal snapshot.  A dropped connection
-        loses nothing: reconnecting replays the current state as
-        the first event (see :mod:`repro.api.events`).
+        Events are state snapshots of the job row (status, and the
+        progress the worker's heartbeat writes), emitted on change;
+        the stream ends after the terminal snapshot.  A transition
+        committed in this process wakes the stream through the
+        queue's change feed; other changes are read every
+        ``stream_poll_interval``.  A dropped connection loses nothing:
+        reconnecting replays the current state as the first event
+        (see :mod:`repro.api.events`).
         """
         cfg = self.config
         principal = self._authenticate(request)
@@ -598,28 +610,48 @@ class ApiServer:
         fail_at("api.pre-response")
         writer.write(chunked_head(200))
         await writer.drain()
-        last = None
-        while True:
-            job = await self._queue_op(lambda q: q.job(job_id))
-            if job is None:
-                break              # deleted under us: end the stream
-            event = job_event(job)
-            key = event_key(event)
-            if key != last:
-                # crash window: a mid-stream kill here is the
-                # harness's dropped-stream scenario — the client
-                # reconnects and resumes from the current snapshot
-                fail_at("api.stream")
-                writer.write(chunk(
-                    (key + "\n").encode("utf-8")))
-                await writer.drain()
-                last = key
-            if job.status in TERMINAL_STATES:
-                break
-            if self._stopping is not None \
-                    and self._stopping.is_set():
-                break             # drain: finish the response now
-            await asyncio.sleep(cfg.stream_poll_interval)
+        loop = asyncio.get_running_loop()
+        changed = asyncio.Event()
+
+        def wake():
+            try:
+                loop.call_soon_threadsafe(changed.set)
+            except RuntimeError:
+                pass            # the loop has closed: nobody to wake
+
+        CHANGE_FEED.listen(wake)
+        try:
+            last = None
+            while True:
+                # clear before the read: a transition committed after
+                # this point sets the event again
+                changed.clear()
+                job = await self._queue_op(lambda q: q.job(job_id))
+                if job is None:
+                    break          # deleted under us: end the stream
+                event = job_event(job)
+                key = event_key(event)
+                if key != last:
+                    # crash window: a mid-stream kill here is the
+                    # harness's dropped-stream scenario — the client
+                    # reconnects and resumes from the current snapshot
+                    fail_at("api.stream")
+                    writer.write(chunk(
+                        (key + "\n").encode("utf-8")))
+                    await writer.drain()
+                    last = key
+                if job.status in TERMINAL_STATES:
+                    break
+                if self._stopping is not None \
+                        and self._stopping.is_set():
+                    break         # drain: finish the response now
+                try:
+                    await asyncio.wait_for(changed.wait(),
+                                           cfg.stream_poll_interval)
+                except asyncio.TimeoutError:
+                    pass
+        finally:
+            CHANGE_FEED.unlisten(wake)
         writer.write(last_chunk())
         await writer.drain()
         fail_at("api.post-response")

@@ -876,8 +876,11 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: 1)")
     p.add_argument("--poll-interval", type=float, default=0.5,
                    metavar="SECONDS",
-                   help="idle sleep between claim attempts "
-                        "(default: 0.5)")
+                   help="fallback period of an idle claim loop: "
+                        "queue changes made in this process wake it "
+                        "at once, this period covers submits from "
+                        "other processes, lease expiry and retry "
+                        "backoff (default: 0.5)")
     p.add_argument("--drain", action="store_true",
                    help="exit once the queue holds no actionable "
                         "work instead of serving forever")

@@ -21,6 +21,15 @@ event loop.  The failure model stacks three layers:
 With ``--workers N`` the daemon runs N claim loops in child
 processes and replaces any that die; ``--drain`` exits once the
 queue holds no actionable work (the mode CI and tests use).
+
+Nothing here sleeps out a fixed period while it could act.  An idle
+claim loop waits on the queue's in-process change feed
+(:data:`~repro.service.queue.CHANGE_FEED`), so a submit, a release or
+a stop request in this process wakes it at once; ``poll_interval``
+is only the fallback for what the feed cannot see: a submit from
+another process, an expired lease, an elapsed retry backoff.  The
+pool parent waits on its children's exit sentinels, so a dead worker
+is replaced, and a drained pool returns, as soon as the child exits.
 """
 
 from __future__ import annotations
@@ -41,8 +50,8 @@ from .core import (
     CampaignRequest,
     CampaignService,
 )
-from .queue import JOB_DEAD, JobLeaseLost, JobQueue, JobRow, \
-    QueuePolicy
+from .queue import CHANGE_FEED, JOB_DEAD, JobLeaseLost, JobQueue, \
+    JobRow, QueuePolicy
 
 
 class _GracefulStop(Exception):
@@ -61,7 +70,10 @@ class DaemonConfig:
     lease_seconds: float = 30.0
     #: how often the supervisor loop renews the lease
     heartbeat_interval: float = 1.0
-    #: idle poll period while the queue is empty
+    #: fallback period of an idle claim loop: a transition committed
+    #: in this process wakes it at once, this period bounds how late
+    #: it sees another process's submit, a lease expiry or a backoff
+    #: ending
     poll_interval: float = 0.5
     #: exit once no actionable work remains (instead of serving
     #: forever)
@@ -113,7 +125,7 @@ class ServiceDaemon:
         released, then the daemon exits 0.  No-op when not on the
         main thread (embedded use)."""
         def handler(signum, frame):
-            self._stop = True
+            self.request_stop()
             try:
                 name = signal.Signals(signum).name
             except ValueError:
@@ -124,6 +136,11 @@ class ServiceDaemon:
             signal.signal(signal.SIGINT, handler)
         except ValueError:
             pass
+
+    def request_stop(self) -> None:
+        """Ask every claim loop to drain, waking the idle ones now."""
+        self._stop = True
+        CHANGE_FEED.bump()
 
     # ------------------------------------------------------------------
     # one worker's claim loop
@@ -139,7 +156,12 @@ class ServiceDaemon:
         queue = JobQueue(self.root, policy=QueuePolicy(
             lease_seconds=cfg.lease_seconds))
         try:
-            while not self._stop:
+            while True:
+                # read before the stop check and the claim: a bump
+                # after this point ends the wait below at once
+                seen = CHANGE_FEED.version
+                if self._stop:
+                    return executed
                 try:
                     job = queue.claim(owner, cfg.lease_seconds)
                 except StoreIOError as exc:
@@ -155,7 +177,7 @@ class ServiceDaemon:
                     if cfg.drain and not queue.has_work():
                         fail_at("daemon.drain")
                         return executed
-                    time.sleep(cfg.poll_interval)
+                    CHANGE_FEED.wait(seen, cfg.poll_interval)
                     continue
                 self._log(f"worker {index}: claimed job "
                           f"#{job.job_id} (attempt {job.attempts}/"
@@ -168,7 +190,6 @@ class ServiceDaemon:
                         # the released job queued for the next serve
                         return executed
                     time.sleep(cfg.io_pause_seconds)
-            return executed
         finally:
             queue.close()
 
@@ -312,9 +333,11 @@ class ServiceDaemon:
         return EXIT_OK
 
     def _serve_pool(self) -> None:
-        """N claim loops in child processes; dead children are
-        replaced (their in-flight job recovers via lease expiry)."""
+        """N claim loops in child processes; a child that dies is
+        replaced as soon as it exits (its in-flight job recovers via
+        lease expiry)."""
         from multiprocessing import get_context
+        from multiprocessing.connection import wait
         from ..faultinjection.parallel import _default_start_method
         cfg = self.config
         mp = get_context(_default_start_method())
@@ -340,7 +363,8 @@ class ServiceDaemon:
                     for process in alive.values():
                         process.join(timeout=30.0)
                     return
-                time.sleep(cfg.poll_interval)
+                wait([process.sentinel for process in alive.values()],
+                     timeout=cfg.poll_interval)
                 for index, process in list(alive.items()):
                     if process.is_alive():
                         continue

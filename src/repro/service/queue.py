@@ -38,11 +38,17 @@ Lifecycle (docs/methodology.md §4g)::
 Because every campaign's evidence is content-addressed, a re-claimed
 job resumes from the store: only the cones the dead worker never
 finished are re-simulated.
+
+Every transition this process commits bumps :data:`CHANGE_FEED`, so
+the daemon's claim loops and the API's event streams in the same
+process wake on a change instead of sleeping out a poll period.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -65,6 +71,65 @@ ACTIVE_STATES = ACTIVE_JOB_STATES
 #: growth and ceiling (seconds) of the failed-attempt backoff
 RETRY_BACKOFF_FACTOR = 2.0
 RETRY_BACKOFF_CAP = 60.0
+
+
+class ChangeFeed:
+    """Wake-ups for in-process observers of the job queue.
+
+    A counter that :class:`JobQueue` bumps after each transition it
+    commits, a :class:`threading.Condition` that claim loops wait on,
+    and callbacks that the API server's asyncio streams register.  It
+    sees only this process's writes: a job submitted by another
+    process, an expired lease or an elapsed ``not_before`` backoff
+    makes work actionable without a bump here, so every waiter keeps
+    its poll period as the timeout of its wait.
+    """
+
+    def __init__(self):
+        self._version = 0
+        self._after_fork()
+
+    def _after_fork(self) -> None:
+        # a forked child inherits the lock in whatever state one of
+        # the parent's threads held it, and none of its event loops
+        self._cond = threading.Condition()
+        self._listeners: set = set()
+
+    @property
+    def version(self) -> int:
+        return self._version
+
+    def bump(self) -> None:
+        """Announce a committed transition: wake every waiter."""
+        with self._cond:
+            self._version += 1
+            self._cond.notify_all()
+            listeners = tuple(self._listeners)
+        for listener in listeners:
+            listener()
+
+    def wait(self, seen: int, timeout: float) -> None:
+        """Block until the version differs from ``seen`` (read before
+        the check that found nothing to do, so a bump in between is
+        not lost) or ``timeout`` seconds pass."""
+        with self._cond:
+            self._cond.wait_for(lambda: self._version != seen, timeout)
+
+    def listen(self, callback) -> None:
+        """Call ``callback()`` after each bump, on the bumping thread;
+        it must not block."""
+        with self._cond:
+            self._listeners.add(callback)
+
+    def unlisten(self, callback) -> None:
+        with self._cond:
+            self._listeners.discard(callback)
+
+
+#: the one feed of this process; pool children and shard workers fork
+#: from threaded parents, so a child re-creates its lock
+CHANGE_FEED = ChangeFeed()
+os.register_at_fork(after_in_child=CHANGE_FEED._after_fork)
 
 
 class JobLeaseLost(RuntimeError):
@@ -218,39 +283,48 @@ class JobQueue:
                      JOB_CANCELLED)).fetchone()
                 if row is not None:
                     return row[0], True
-            cursor = conn.execute(
+            job_id = conn.execute(
                 "INSERT INTO jobs (created_at, updated_at, project,"
                 " status, spec, max_attempts, idempotency_key)"
                 " VALUES (?,?,?,?,?,?,?)",
                 (now, now, project, JOB_QUEUED,
                  json.dumps(spec, sort_keys=True), budget,
-                 idempotency_key))
-            return cursor.lastrowid, False
+                 idempotency_key)).lastrowid
+        CHANGE_FEED.bump()
+        return job_id, False
 
     def cancel(self, job_id: int) -> bool:
         """Cancel an active job.  A running worker notices on its next
         heartbeat and abandons the campaign (the store keeps whatever
         evidence already landed)."""
         marks = ",".join("?" * len(ACTIVE_STATES))
-        with self.db.immediate() as conn:
-            return conn.execute(
-                f"UPDATE jobs SET status=?, lease_owner=NULL,"
-                f" lease_deadline=NULL, updated_at=?"
-                f" WHERE job_id=? AND status IN ({marks})",
-                (JOB_CANCELLED, time.time(), job_id,
-                 *ACTIVE_STATES)).rowcount == 1
+        return self._transition(
+            f"UPDATE jobs SET status=?, lease_owner=NULL,"
+            f" lease_deadline=NULL, updated_at=?"
+            f" WHERE job_id=? AND status IN ({marks})",
+            (JOB_CANCELLED, time.time(), job_id, *ACTIVE_STATES))
 
     def retry(self, job_id: int) -> bool:
         """Re-queue a dead-lettered or cancelled job with a fresh
         attempt budget (use after fixing the recorded cause)."""
+        return self._transition(
+            "UPDATE jobs SET status=?, attempts=0, not_before=0,"
+            " lease_owner=NULL, lease_deadline=NULL, error=NULL,"
+            " result=NULL, updated_at=?"
+            " WHERE job_id=? AND status IN (?,?)",
+            (JOB_QUEUED, time.time(), job_id, JOB_DEAD, JOB_CANCELLED))
+
+    def _transition(self, sql: str, params: tuple) -> bool:
+        """One single-row UPDATE; ``True`` when it matched a row.
+
+        The feed is bumped only once the transaction has committed: a
+        reader woken inside it would not see the row yet.
+        """
         with self.db.immediate() as conn:
-            return conn.execute(
-                "UPDATE jobs SET status=?, attempts=0, not_before=0,"
-                " lease_owner=NULL, lease_deadline=NULL, error=NULL,"
-                " result=NULL, updated_at=?"
-                " WHERE job_id=? AND status IN (?,?)",
-                (JOB_QUEUED, time.time(), job_id, JOB_DEAD,
-                 JOB_CANCELLED)).rowcount == 1
+            changed = conn.execute(sql, params).rowcount == 1
+        if changed:
+            CHANGE_FEED.bump()
+        return changed
 
     # ------------------------------------------------------------------
     # worker side
@@ -274,6 +348,11 @@ class JobQueue:
         whose retry budget is already spent is dead-lettered on the
         spot — recording the worker death as a structured error —
         and the scan continues.
+
+        A claim takes work away and is followed at once by
+        :meth:`start`, so it does not bump the change feed; a job it
+        dead-letters had an expired lease, which the waiters' poll
+        periods cover.
         """
         lease = lease_seconds if lease_seconds is not None \
             else self.policy.lease_seconds
@@ -339,33 +418,20 @@ class JobQueue:
         # holding the renewal past the lease deadline
         self._fail_at("queue.heartbeat")
         now = time.time()
-        with self.db.immediate() as conn:
-            if progress is not None:
-                return conn.execute(
-                    "UPDATE jobs SET lease_deadline="
-                    " MAX(lease_deadline, ?), progress=?,"
-                    " updated_at=? WHERE job_id=? AND lease_owner=?"
-                    " AND status IN (?,?)",
-                    (now + lease,
-                     json.dumps(progress, sort_keys=True), now,
-                     job_id, owner, JOB_LEASED,
-                     JOB_RUNNING)).rowcount == 1
-            return conn.execute(
-                "UPDATE jobs SET lease_deadline="
-                " MAX(lease_deadline, ?), updated_at=?"
-                " WHERE job_id=? AND lease_owner=?"
-                " AND status IN (?,?)",
-                (now + lease, now, job_id, owner, JOB_LEASED,
-                 JOB_RUNNING)).rowcount == 1
+        return self._transition(
+            "UPDATE jobs SET lease_deadline=MAX(lease_deadline, ?),"
+            " progress=COALESCE(?, progress), updated_at=?"
+            " WHERE job_id=? AND lease_owner=? AND status IN (?,?)",
+            (now + lease, json.dumps(progress, sort_keys=True)
+             if progress is not None else None,
+             now, job_id, owner, JOB_LEASED, JOB_RUNNING))
 
     def start(self, job_id: int, owner: str) -> bool:
         """Mark a leased job as actually executing."""
-        with self.db.immediate() as conn:
-            return conn.execute(
-                "UPDATE jobs SET status=?, updated_at=?"
-                " WHERE job_id=? AND lease_owner=? AND status=?",
-                (JOB_RUNNING, time.time(), job_id, owner,
-                 JOB_LEASED)).rowcount == 1
+        return self._transition(
+            "UPDATE jobs SET status=?, updated_at=?"
+            " WHERE job_id=? AND lease_owner=? AND status=?",
+            (JOB_RUNNING, time.time(), job_id, owner, JOB_LEASED))
 
     def record_run(self, job_id: int, owner: str,
                    run_id: int) -> bool:
@@ -386,15 +452,13 @@ class JobQueue:
         # store but the job is still leased — recovery is lease
         # expiry plus an idempotent warm re-run (zero simulations)
         self._fail_at("queue.transition")
-        with self.db.immediate() as conn:
-            return conn.execute(
-                "UPDATE jobs SET status=?, result=?, error=NULL,"
-                " lease_owner=NULL, lease_deadline=NULL, updated_at=?"
-                " WHERE job_id=? AND lease_owner=?"
-                " AND status IN (?,?)",
-                (JOB_DONE, json.dumps(result, sort_keys=True),
-                 time.time(), job_id, owner, JOB_LEASED,
-                 JOB_RUNNING)).rowcount == 1
+        return self._transition(
+            "UPDATE jobs SET status=?, result=?, error=NULL,"
+            " lease_owner=NULL, lease_deadline=NULL, updated_at=?"
+            " WHERE job_id=? AND lease_owner=?"
+            " AND status IN (?,?)",
+            (JOB_DONE, json.dumps(result, sort_keys=True),
+             time.time(), job_id, owner, JOB_LEASED, JOB_RUNNING))
 
     def fail(self, job_id: int, owner: str, error: dict,
              fatal: bool = False) -> str | None:
@@ -432,7 +496,8 @@ class JobQueue:
                 " WHERE job_id=?",
                 (status, not_before, json.dumps(error, sort_keys=True),
                  now, job_id))
-            return status
+        CHANGE_FEED.bump()
+        return status
 
     def release(self, job_id: int, owner: str, delay: float = 0.0,
                 error: dict | None = None) -> bool:
@@ -448,18 +513,16 @@ class JobQueue:
         semantics.  Owner-fenced like every transition.
         """
         now = time.time()
-        with self.db.immediate() as conn:
-            return conn.execute(
-                "UPDATE jobs SET status=?,"
-                " attempts=MAX(attempts-1, 0), not_before=?,"
-                " error=?, lease_owner=NULL, lease_deadline=NULL,"
-                " updated_at=? WHERE job_id=? AND lease_owner=?"
-                " AND status IN (?,?)",
-                (JOB_QUEUED, now + delay,
-                 json.dumps(error, sort_keys=True)
-                 if error is not None else None,
-                 now, job_id, owner, JOB_LEASED,
-                 JOB_RUNNING)).rowcount == 1
+        return self._transition(
+            "UPDATE jobs SET status=?,"
+            " attempts=MAX(attempts-1, 0), not_before=?,"
+            " error=?, lease_owner=NULL, lease_deadline=NULL,"
+            " updated_at=? WHERE job_id=? AND lease_owner=?"
+            " AND status IN (?,?)",
+            (JOB_QUEUED, now + delay,
+             json.dumps(error, sort_keys=True)
+             if error is not None else None,
+             now, job_id, owner, JOB_LEASED, JOB_RUNNING))
 
     # ------------------------------------------------------------------
     # queries

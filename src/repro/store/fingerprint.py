@@ -88,7 +88,7 @@ def profile_key(circuit: Circuit, stimuli, setup,
         "kind": "fault_free_replay",
         "circuit": circuit.structural_hash(),
         "stimuli": _stimuli_digest(stimuli),
-        "setup": _setup_canonical(setup),
+        "setup": _setup_canonical(circuit, setup),
         "read_strobes": sorted(read_strobes.items()),
     })
 
@@ -278,7 +278,7 @@ class FingerprintContext:
         stimuli = list(stimuli)
         self.stimuli_fp = _stimuli_digest(stimuli)
         self.cycles = len(stimuli)
-        self.setup_fp = _setup_canonical(setup)
+        self.setup_fp = _setup_canonical(circuit, setup)
         # only reachable after _setup_canonical accepted it: None or a
         # MemoryImageSetup (restricted per fault below)
         self._setup = setup
@@ -320,11 +320,12 @@ class FingerprintContext:
         if setup is not None:
             # the setup state a cone can contain: memory images by the
             # memory nodes and initial flop values by the q nets
+            self._mem_images = loaded_images(circuit, setup)
             n = circuit.num_nets
             self._setup_mems = [
                 (name, [n + i for i, m in enumerate(circuit.memories)
                         if m.name == name])
-                for name in sorted(setup.mem_images)]
+                for name in sorted(self._mem_images)]
             q_nets: dict[str, list[int]] = {}
             for flop in circuit.flops:
                 q_nets.setdefault(flop.name, []).append(flop.q)
@@ -401,7 +402,7 @@ class FingerprintContext:
         if fp is None:
             mem_names, flop_names = key
             fp = self._setup_fps[key] = digest({
-                "mem_images": {name: list(self._setup.mem_images[name])
+                "mem_images": {name: self._mem_images[name]
                                for name in mem_names},
                 "flop_values": {name: self._setup.flop_values[name]
                                 for name in flop_names},
@@ -506,14 +507,33 @@ def _stimuli_digest(stimuli) -> str:
     return fp
 
 
-def _setup_canonical(setup) -> str | None:
-    """Canonical digest of a simulator setup held as data."""
+def loaded_images(circuit: Circuit,
+                  setup: MemoryImageSetup) -> dict[str, list[int]]:
+    """Every memory of ``circuit`` as ``setup`` leaves it loaded.
+
+    Loading truncates an image at the memory's depth, masks each word
+    to its width and leaves unlisted words at 0, so this full-depth
+    form is the same for every spelling of one loaded state: a short
+    image, the same image zero-padded, or a setup that also lists an
+    all-zero memory.  An image naming no memory of the circuit loads
+    nothing here; the simulator rejects it when the setup is applied.
+    """
+    images = {}
+    for memory in circuit.memories:
+        mask = (1 << memory.width) - 1
+        image = [word & mask for word in
+                 setup.mem_images.get(memory.name, ())[:memory.depth]]
+        images[memory.name] = image + [0] * (memory.depth - len(image))
+    return images
+
+
+def _setup_canonical(circuit: Circuit, setup) -> str | None:
+    """Canonical digest of the state a simulator setup loads."""
     if setup is None:
         return None
     if isinstance(setup, MemoryImageSetup):
         return digest({
-            "mem_images": {name: list(image) for name, image
-                           in sorted(setup.mem_images.items())},
+            "mem_images": loaded_images(circuit, setup),
             "flop_values": dict(sorted(setup.flop_values.items())),
         })
     raise ValueError(

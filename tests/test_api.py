@@ -378,3 +378,77 @@ def test_end_to_end_campaign_through_embedded_workers(tmp_path):
         # the retried key converges on the finished job, quota-free
         again = client.submit(spec, idempotency_key="e2e")
         assert again["deduped"] is True and again["job"] == job_id
+
+
+# ----------------------------------------------------------------------
+# wake-ups: in-process transitions reach claim loops and streams at
+# once; the poll periods below are far longer than any bound asserted
+# ----------------------------------------------------------------------
+def _idle_daemon(root) -> ServiceDaemon:
+    return ServiceDaemon(root, DaemonConfig(
+        workers=1, lease_seconds=10.0, heartbeat_interval=0.2,
+        poll_interval=30.0, verbose=False))
+
+
+def test_stop_wakes_an_idle_embedded_worker(tmp_path):
+    running = _RunningServer(tmp_path / "store",
+                             daemon=_idle_daemon(tmp_path / "store"))
+    with running:
+        time.sleep(0.3)             # the worker is waiting on the feed
+        started = time.monotonic()
+    elapsed = time.monotonic() - started
+    assert not running.thread.is_alive()
+    assert running.exit_code == 0
+    assert elapsed < 5.0, f"stop() took {elapsed:.1f} s"
+
+
+def test_streams_and_claims_wake_on_queue_change(tmp_path):
+    """With 30 s poll periods only a wake-up can meet the 10 s bounds:
+    the submit wakes the idle claim loop, each transition the stream's
+    read."""
+    root = tmp_path / "store"
+    config = ApiConfig(verbose=False, stream_poll_interval=30.0)
+    with _RunningServer(root, config, daemon=_idle_daemon(root)) as srv:
+        client = _client(srv)
+        spec = {"variant": "small-improved", "sample": 16}
+        for attempt in range(2):
+            # the second submit lands while the worker waits idle
+            time.sleep(0.5)
+            started = time.monotonic()
+            job_id = client.submit(spec)["job"]
+            final = list(client.stream(job_id))[-1]
+            elapsed = time.monotonic() - started
+            assert final["status"] == "done", final
+            assert final["result"]["faults"] == 16
+            assert elapsed < 10.0, \
+                f"job {attempt + 1} took {elapsed:.1f} s to stream"
+
+
+def _drain_store(root) -> None:
+    ServiceDaemon(root, DaemonConfig(drain=True, verbose=False)).serve()
+
+
+def test_stream_polls_transitions_of_another_process(tmp_path):
+    """A queue-only server sees nothing of a separate daemon's commits
+    on its feed: the stream falls back to its poll period."""
+    import multiprocessing
+
+    root = tmp_path / "store"
+    config = ApiConfig(verbose=False, stream_poll_interval=0.05)
+    with _RunningServer(root, config) as srv:
+        client = _client(srv)
+        job_id = client.submit({"variant": "small-improved",
+                                "sample": 16})["job"]
+        stream = client.stream(job_id)
+        assert next(stream)["status"] == "queued"
+        # the stream is open before the other process claims the job
+        worker = multiprocessing.get_context("fork").Process(
+            target=_drain_store, args=(root,))
+        worker.start()
+        try:
+            final = list(stream)[-1]
+        finally:
+            worker.join(timeout=60)
+        assert not worker.is_alive() and worker.exitcode == 0
+        assert final["status"] == "done", final
+        assert final["result"]["faults"] == 16

@@ -34,7 +34,9 @@ from repro.faultinjection import (
 )
 from repro.service.core import make_subsystem
 from repro.soc.minicpu import CpuConfig, MiniCpu, assemble
-from repro.store.fingerprint import FP_VERSION, FingerprintContext
+from repro.hdl.compiled import CompiledSimulator
+from repro.store.fingerprint import FP_VERSION, FingerprintContext, \
+    loaded_images, profile_key
 from repro.zones import ZoneKind, extract_zones
 
 PINS = Path(__file__).parent / "data" / "fingerprints_pinned.json"
@@ -50,12 +52,28 @@ def _subsystem_case(variant: str, banks: int = 1):
             env.candidates().faults)
 
 
-def _minicpu_case():
+def _minicpu_images(spelling: str = "full depth") -> dict:
+    """Spellings of one loaded state of the CPU's memories: the pinned
+    form names every memory at full depth (the program padded with
+    zeros, an all-zero RAM); the others leave out what loading fills
+    in or drops (zero words, words past the depth, bits past the
+    width)."""
+    program = assemble(MINICPU_PROGRAM)
+    padded = program + [0] * (32 - len(program))
+    return {
+        "full depth": {"imem/rom": padded, "dmem/ram": [0] * 32},
+        "program only": {"imem/rom": program},
+        "padded rom": {"imem/rom": padded},
+        "overlong and wide": {
+            "imem/rom": [word | 0x300 for word in padded] + [7, 7],
+            "dmem/ram": [0x100] * 40},
+    }[spelling]
+
+
+def _minicpu_case(spelling: str = "full depth"):
     """Zone-attributed register faults, unresolvable net-index targets
     and zone-less memory flips on the lock-step CPU with a preloaded
-    program ROM.  The setup names every memory at full depth (the
-    program padded with zeros, an all-zero RAM), the form the pinned
-    digests were taken with."""
+    program ROM, the setup spelled as :func:`_minicpu_images` names."""
     cpu = MiniCpu(CpuConfig.lockstep_pair())
     circuit = cpu.circuit
     zone_set = extract_zones(circuit)
@@ -78,10 +96,7 @@ def _minicpu_case():
                             bit=rng.randrange(ram.width),
                             offset=rng.randrange(30))
                for _ in range(8)]
-    program = assemble(MINICPU_PROGRAM)
-    setup = MemoryImageSetup(mem_images={
-        "imem/rom": program + [0] * (32 - len(program)),
-        "dmem/ram": [0] * 32})
+    setup = MemoryImageSetup(mem_images=_minicpu_images(spelling))
     spec = CampaignSpec.from_zone_set(
         circuit, [cpu.idle(rst=1)] * 2 + [cpu.idle()] * 80, zone_set,
         setup=setup)
@@ -99,7 +114,10 @@ CASES = {
 
 
 def pins_of(name: str) -> dict:
-    ctx, faults = CASES[name]()
+    return _pins(*CASES[name]())
+
+
+def _pins(ctx, faults) -> dict:
     ordered = hashlib.sha256()
     for fault in faults:
         ordered.update(ctx.fault_fingerprint(fault).encode())
@@ -117,6 +135,28 @@ def test_pins_cover_the_current_format():
 def test_fingerprints_match_pinned_values(name):
     pinned = json.loads(PINS.read_text())["designs"][name]
     assert pins_of(name) == pinned
+
+
+@pytest.mark.parametrize("spelling", [
+    "program only", "padded rom", "overlong and wide"])
+def test_setup_address_is_the_state_it_loads(spelling):
+    """A setup's content address is that of the state it loads: every
+    spelling of the pinned CPU setup gets the pinned profile key and
+    fault fingerprints."""
+    pinned_ctx, faults = _minicpu_case()
+    ctx, _ = _minicpu_case(spelling)
+    assert _pins(ctx, faults) == _pins(pinned_ctx, faults)
+    circuit, stimuli = ctx.circuit, [{}] * 4
+    setup = MemoryImageSetup(mem_images=_minicpu_images(spelling))
+    assert profile_key(circuit, stimuli, setup, {}) == profile_key(
+        circuit, stimuli, MemoryImageSetup(
+            mem_images=_minicpu_images()), {})
+    # the canonical images are what the simulator holds after loading
+    sim = CompiledSimulator(circuit)
+    setup(sim)
+    assert loaded_images(circuit, setup) == {
+        m.name: [sim.read_mem_word(m.name, w) for w in range(m.depth)]
+        for m in circuit.memories}
 
 
 if __name__ == "__main__":

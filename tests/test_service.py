@@ -777,3 +777,13 @@ def test_gc_keeps_runs_of_active_jobs(tmp_path, env, candidates):
         gc_store(cache, keep_runs=1)
         assert first_run not in \
             [r["run_id"] for r in cache.db.runs()]
+
+
+def test_drained_pool_returns_when_its_children_exit(tmp_path):
+    """The pool parent waits on its children's exit, not on a poll."""
+    started = time.monotonic()
+    assert ServiceDaemon(tmp_path / "store", DaemonConfig(
+        workers=2, drain=True, poll_interval=30.0,
+        verbose=False)).serve() == 0
+    elapsed = time.monotonic() - started
+    assert elapsed < 5.0, f"the drained pool took {elapsed:.1f} s"

@@ -520,7 +520,7 @@ def test_profile_written_without_net_activity_is_a_clean_miss(
         "v": FP_VERSION, "kind": "operational_profile",
         "circuit": env.circuit.structural_hash(),
         "stimuli": _stimuli_digest(env.stimuli),
-        "setup": _setup_canonical(env.setup),
+        "setup": _setup_canonical(env.circuit, env.setup),
         "read_strobes": sorted(env.read_strobes.items())})
     store = tmp_path / "store"
     with CampaignCache(store) as cache:
