@@ -64,6 +64,9 @@ class ChaosScenario:
     arg: float | None = None
     trigger_at: int = 1
     smoke: bool = False           # in the --quick (PR) subset
+    #: service mode: extra ``jobs submit`` / armed ``serve`` options
+    submit_args: tuple[str, ...] = ()
+    serve_args: tuple[str, ...] = ()
 
     @property
     def spec(self) -> str:
@@ -245,8 +248,12 @@ def scenarios() -> list[ChaosScenario]:
                     "JobLeaseLost (skew_grace absorbs real clock "
                     "skew)",
           recovery="the job completes exactly once either way"),
+        # one fault per pass and a 0.05 s heartbeat: the quick job
+        # runs about 0.5 s and its third heartbeat lands near 0.2 s
         _("daemon killed mid-execution (between heartbeats)",
           "queue.heartbeat", "kill", trigger_at=3, mode="service",
+          submit_args=("--machines-per-pass", "1"),
+          serve_args=("--heartbeat-interval", "0.05"),
           effect="a running job loses its worker mid-campaign",
           detection="lease expiry after the missed heartbeat",
           recovery="re-claim resumes from the store: committed "
@@ -696,13 +703,15 @@ class ChaosHarness:
         elif scenario.mode == "api":
             self._run_api(scenario, store, checks)
         else:
-            submit = self._cli(self._submit_args(), store)
+            submit = self._cli(
+                self._submit_args() + list(scenario.submit_args), store)
             checks.append(OracleCheck(
                 "job submitted", submit.returncode == 0,
                 f"submit exit {submit.returncode}:"
                 f"\n{submit.stderr[-300:]}"))
-            proc = self._cli(self._serve_args(), store,
-                             failpoints=scenario.spec)
+            proc = self._cli(
+                self._serve_args() + list(scenario.serve_args), store,
+                failpoints=scenario.spec)
             self._check_crash(scenario, proc, checks)
             self._check_fsck(store, checks,
                              "post-crash fsck repairable", True)

@@ -135,7 +135,7 @@ def run_pass_compiled(manager, batch, result) -> None:
     supervisor's hang quarantine relies on it).
     """
     cfg = manager.config
-    sim = CompiledSimulator(manager.compiled_circuit(),
+    sim = CompiledSimulator(manager.program.compiled(),
                             machines=len(batch) + 1,
                             collect_toggles=cfg.collect_toggles,
                             cycle_budget=cfg.cycle_budget)
@@ -168,7 +168,7 @@ def run_pass_compiled(manager, batch, result) -> None:
                     res.diag_cycle = cycle
                     res.first_alarm = name
 
-    table = manager.stimulus_table()
+    table = manager.program.table()
     sim.run(table, len(table), (offsets, cells, diag, seen, fresh, hit),
             record)
     result.cycles_simulated += len(table)

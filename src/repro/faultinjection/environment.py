@@ -8,7 +8,8 @@ environment configuration files."
 circuit, zones, FMEA worksheet, workload, observation points, simulator
 setup — and hands out its operational profile, fault lists and the
 :class:`~repro.faultinjection.parallel.CampaignSpec` that managers and
-supervisors are built from.
+supervisors are built from.  Its one :meth:`program
+<InjectionEnvironment.program>` serves the profile replay and them all.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from dataclasses import replace
 
 from ..diagnostics import DiagnosticError, DiagnosticReport
 from ..fmea.worksheet import FmeaWorksheet
+from ..hdl.compiled import Program
 from ..hdl.netlist import Circuit
 from ..hdl.simulator import MemoryImageSetup
 from ..zones.extractor import ZoneSet
@@ -193,8 +195,18 @@ class InjectionEnvironment:
         self.read_strobes = read_strobes or {}
         self.test_windows = tuple(test_windows)
         self._profile = None
+        self._program = None
 
     # ------------------------------------------------------------------
+    def program(self) -> Program:
+        """The compiled (circuit, stimuli) pair the profile replay and
+        every spec's manager run on; assigning either starts anew."""
+        program = self._program
+        if program is None or program.circuit is not self.circuit \
+                or program.stimuli is not self.stimuli:
+            self._program = program = Program(self.circuit, self.stimuli)
+        return program
+
     def profile(self, cache=None) -> OperationalProfile:
         """The (memoized) operational profile of the workload.
 
@@ -206,7 +218,8 @@ class InjectionEnvironment:
             self._profile = cache.profile(self) if cache is not None \
                 else profile_workload(self.circuit, self.stimuli,
                                       setup=self.setup,
-                                      read_strobes=self.read_strobes)
+                                      read_strobes=self.read_strobes,
+                                      program=self.program())
         return self._profile
 
     def candidates(self, config: FaultListConfig | None = None
@@ -224,19 +237,15 @@ class InjectionEnvironment:
         The config's test windows default to the workload's (the
         caller's config is never modified), and the (memoized)
         operational profile supplies the golden activity, so the
-        workload is replayed at most once.
+        workload is replayed at most once, on :meth:`program`.
         """
         config = config or CampaignConfig()
         config = replace(config, test_windows=config.test_windows
                          or self.test_windows)
-        return CampaignSpec(circuit=self.circuit,
-                            stimuli=list(self.stimuli),
-                            zones=list(self.zone_set.zones),
-                            observation_points=list(
-                                self.zone_set.observation_points),
-                            config=config,
-                            setup=self.setup,
-                            activity=self.profile().activity)
+        return CampaignSpec.from_zone_set(
+            self.circuit, self.stimuli, self.zone_set, setup=self.setup,
+            config=config, activity=self.profile().activity,
+            program=self.program())
 
     # ------------------------------------------------------------------
     def as_config_dict(self) -> dict:

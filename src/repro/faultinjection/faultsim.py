@@ -19,6 +19,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
+from ..hdl.compiled import Program
 from ..hdl.netlist import Circuit
 from ..hdl.simulator import MemoryImageSetup
 from ..zones.model import ObservationKind, ObservationPoint
@@ -50,13 +51,15 @@ class FaultSimReport:
 def simulate_faults(circuit: Circuit, stimuli,
                     candidates: CandidateList | None = None,
                     observe: list[str] | None = None,
-                    setup: MemoryImageSetup | None = None
+                    setup: MemoryImageSetup | None = None,
+                    program: Program | None = None
                     ) -> FaultSimReport:
     """Measure detected fraction of a stuck-at fault list.
 
     ``observe`` lists output port names to compare (default: all
     primary outputs — functional and alarms alike, matching the "with
-    the implemented diagnostic" reading).
+    the implemented diagnostic" reading).  ``program`` is an
+    environment's compiled ``(circuit, stimuli)`` pair.
     """
     if candidates is None:
         candidates = generate_gate_faults(circuit)
@@ -66,7 +69,8 @@ def simulate_faults(circuit: Circuit, stimuli,
                                nets=tuple(circuit.outputs[name]))
               for name in observe]
     manager = FaultInjectionManager(
-        circuit, stimuli, observation_points=points, setup=setup)
+        circuit, stimuli, observation_points=points, setup=setup,
+        program=program)
 
     start = time.time()
     result = manager.run_batches(list(candidates.faults))

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..hdl.compiled import Program
 from ..hdl.netlist import Circuit
 from ..hdl.simulator import MemoryImageSetup
 from ..zones.model import (
@@ -182,9 +183,17 @@ class FaultInjectionManager:
                  zones: list[SensibleZone] = (),
                  observation_points: list[ObservationPoint] = (),
                  setup: MemoryImageSetup | None = None,
-                 config: CampaignConfig | None = None):
+                 config: CampaignConfig | None = None,
+                 program: Program | None = None):
         self.circuit = circuit
         self.stimuli = list(stimuli)
+        # an environment's program serves only its own circuit and
+        # workload: a spec edited after env.spec() builds its own
+        if program is None or program.circuit is not circuit \
+                or program.stimuli != self.stimuli:
+            program = Program(circuit, self.stimuli)
+        #: what every pass runs on
+        self.program = program
         self.setup = setup
         self.config = config or CampaignConfig()
         self.functional = [p for p in observation_points
@@ -196,8 +205,6 @@ class FaultInjectionManager:
         self._zones_by_name = {z.name: z for z in zones}
         self._flop_index = {f.name: i
                             for i, f in enumerate(circuit.flops)}
-        self._compiled = None
-        self._stimulus_table = None
 
     # ------------------------------------------------------------------
     def new_result(self) -> CampaignResult:
@@ -257,25 +264,6 @@ class FaultInjectionManager:
             cov.obse.setdefault(point.name, False)
         for point in self.diagnostic:
             cov.diag.setdefault(point.name, False)
-
-    # ------------------------------------------------------------------
-    def compiled_circuit(self):
-        """The compiled program for this circuit, compiled once per
-        manager and shared by all passes.  A netlist the compiler
-        rejects (a combinational loop, a multi-driven net) raises its
-        :class:`~repro.hdl.netlist.NetlistError` here."""
-        if self._compiled is None:
-            from ..hdl.compiled import compile_circuit
-            self._compiled = compile_circuit(self.circuit)
-        return self._compiled
-
-    def stimulus_table(self):
-        """The workload packed once for all passes
-        (:meth:`~repro.hdl.CompiledCircuit.pack_inputs`)."""
-        if self._stimulus_table is None:
-            self._stimulus_table = self.compiled_circuit().pack_inputs(
-                self.stimuli)
-        return self._stimulus_table
 
     # ------------------------------------------------------------------
     def _zone_probe(self, zone: SensibleZone, fault: Fault):

@@ -15,8 +15,8 @@ the pieces defined here:
 * a campaign is described by a **picklable** :class:`CampaignSpec`
   — circuit, stimuli, zones, observation points, configuration and
   the setup as data (see :class:`MemoryImageSetup`); the supervisor
-  builds one manager from it, compiles the circuit and packs the
-  stimuli once, and hands that manager to every shard's worker;
+  builds one manager from it, builds its compiled program once (or
+  finds the environment's built), and hands it to every worker;
 * the **golden (fault-free) trace** is derived once in the parent
   (:func:`compute_golden_trace`) from the per-net first events the
   operational-profile replay recorded, and its activity bits are
@@ -41,6 +41,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 
+from ..hdl.compiled import Program
 from ..hdl.netlist import Circuit
 from ..hdl.simulator import MemoryImageSetup
 from ..zones.extractor import ZoneSet
@@ -104,6 +105,8 @@ class CampaignSpec:
     (:attr:`OperationalProfile.activity
     <repro.faultinjection.profiler.OperationalProfile.activity>`); the
     golden trace is derived from it, or from one replay when absent.
+    ``program`` is its environment's; without one the manager builds
+    its own.
     """
 
     circuit: Circuit
@@ -114,24 +117,26 @@ class CampaignSpec:
     config: CampaignConfig = field(default_factory=CampaignConfig)
     setup: MemoryImageSetup | None = None
     activity: NetActivity | None = None
+    program: Program | None = None
 
     def __post_init__(self):
         require_setup_data(self.setup)
 
     @classmethod
     def from_zone_set(cls, circuit: Circuit, stimuli, zone_set: ZoneSet,
-                      setup=None, config: CampaignConfig | None = None
-                      ) -> "CampaignSpec":
+                      setup=None, config: CampaignConfig | None = None,
+                      **extra) -> "CampaignSpec":
         return cls(circuit=circuit, stimuli=list(stimuli),
                    zones=list(zone_set.zones),
                    observation_points=list(zone_set.observation_points),
-                   config=config or CampaignConfig(), setup=setup)
+                   config=config or CampaignConfig(), setup=setup,
+                   **extra)
 
     def manager(self) -> FaultInjectionManager:
         return FaultInjectionManager(
             self.circuit, self.stimuli, zones=self.zones,
             observation_points=self.observation_points,
-            setup=self.setup, config=self.config)
+            setup=self.setup, config=self.config, program=self.program)
 
 
 # ----------------------------------------------------------------------
@@ -167,7 +172,8 @@ def compute_golden_trace(manager: FaultInjectionManager,
     cycles = len(manager.stimuli)
     if activity is None:
         activity = profile_workload(manager.circuit, manager.stimuli,
-                                    setup=manager.setup).activity
+                                    setup=manager.setup,
+                                    program=manager.program).activity
     change, one = activity
     obse = {p.name for p in manager.functional
             if any(0 <= change[net] < cycles for net in p.nets)}

@@ -30,7 +30,7 @@ import random
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from ..hdl.compiled import Activity, CompiledSimulator
+from ..hdl.compiled import Activity, CompiledSimulator, Program
 from ..hdl.netlist import Circuit
 from ..hdl.simulator import MemoryImageSetup
 from ..zones.extractor import ZoneSet
@@ -157,14 +157,18 @@ class OperationalProfile:
 
 def profile_workload(circuit: Circuit, stimuli,
                      setup: MemoryImageSetup | None = None,
-                     read_strobes: dict[str, str] | None = None
+                     read_strobes: dict[str, str] | None = None,
+                     program: Program | None = None
                      ) -> OperationalProfile:
     """Replay ``stimuli`` fault-free and record the OP.
 
     ``read_strobes`` maps memory names to a 1-bit net asserting "the
     array is actively read this cycle" (e.g. the subsystem's
     ``memctrl/port/read_any``); without it every non-write cycle is
-    conservatively treated as a potential read.
+    conservatively treated as a potential read.  ``program`` is the
+    :class:`~repro.hdl.compiled.Program` of ``(circuit, stimuli)`` an
+    environment shares with its campaigns; without one the replay
+    compiles and packs its own.
 
     The replay runs on the compiled kernel's C cycle loop
     (:meth:`~repro.hdl.compiled.CompiledSimulator.run`) at one lane,
@@ -174,20 +178,21 @@ def profile_workload(circuit: Circuit, stimuli,
     little-endian bytes so any port width stays exact.  Python touches
     only the flop toggles and memory accesses it records.
     """
-    workload = list(stimuli)
-    sim = CompiledSimulator(circuit, machines=1)
+    if program is None:
+        program = Program(circuit, list(stimuli))
+    sim = CompiledSimulator(program.compiled(), machines=1)
     if setup is not None:
         setup(sim)
     strobes = read_strobes or {}
     activity = Activity(sim, {
         mi: circuit.find_net(strobes[m.name])
         for mi, m in enumerate(circuit.memories) if m.name in strobes})
-    sim.run(sim.compiled.pack_inputs(workload), len(workload),
-            activity=activity)
+    table = program.table()
+    sim.run(table, len(table), activity=activity)
 
     perm = sim.compiled.perm
     profile = OperationalProfile(
-        length=len(workload),
+        length=len(table),
         flop_toggles={circuit.flops[flop].name: cycles for flop, cycles
                       in activity.toggles().items()},
         activity=NetActivity(activity.first_change[perm].tolist(),

@@ -305,8 +305,8 @@ class CampaignSupervisor:
             self.progress(self._done_count(), self._total)
 
         if miss_indices:
-            # compile and pack once; every shard runs this manager
-            manager.stimulus_table()
+            # build the program before forking; every shard runs it
+            manager.program.table()
             self._execute(miss_indices)
 
         if faults:

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..fmea.ranking import rank_zones
+from ..hdl.compiled import Program
 from ..hdl.netlist import OP_CONST0, OP_CONST1, Circuit
 from ..hdl.simulator import MemoryImageSetup
 from ..soc.workloads import validation_workload
@@ -145,20 +146,20 @@ def run_validation(subsystem, env: InjectionEnvironment | None = None,
         env = build_environment(subsystem, quick=quick)
     report = ValidationReport()
 
-    # campaigns first (a, c, d), then the one fault-free replay of the
-    # full workload: its output activity joins the coverage ledger
-    # before the top-up decision (e), and its per-net activity is the
+    # campaigns first (a, c, d), then the full workload's fault-free
+    # activity: its output activity joins the coverage ledger before
+    # the top-up decision (e), and its per-net activity is the
     # workload-completeness measurement (b), which also credits
     # diagnostic-only nets with the toggles of all faulty machines
     predicted = predict_effects_table(env.zone_set)
     _step_a(env, report, predicted)
     _step_c(env, report)
     _step_d(env, report, predicted)
-    activity = _replay_full_workload(subsystem)
+    activity = _full_workload_activity(subsystem, env)
     _step_coverage(report, env,
-                   toggled_outputs=_toggled_outputs(subsystem.circuit,
+                   toggled_outputs=_toggled_outputs(env.circuit,
                                                     activity))
-    _step_b(subsystem.circuit, env, report, activity)
+    _step_b(env.circuit, env, report, activity)
     report.steps.sort(key=lambda s: s.name)
     return report
 
@@ -177,11 +178,17 @@ def _run_campaign(env: InjectionEnvironment,
         config=SupervisorConfig(quarantine=False)).run(candidates)
 
 
-def _replay_full_workload(subsystem) -> NetActivity:
-    """Per-net activity of the full workload's fault-free replay."""
-    return profile_workload(
-        subsystem.circuit, validation_workload(subsystem, quick=False),
-        setup=subsystem.preload_image()).activity
+def _full_workload_activity(subsystem, env: InjectionEnvironment
+                            ) -> NetActivity:
+    """Per-net activity of the full workload's fault-free replay: the
+    environment's own when it runs that workload, else one replay on
+    its compiled circuit."""
+    full = list(validation_workload(subsystem, quick=False))
+    if full == env.stimuli:
+        return env.profile().activity
+    program = Program(env.circuit, full, env.program().compiled())
+    return profile_workload(env.circuit, full, setup=env.setup,
+                            program=program).activity
 
 
 def _toggled_outputs(circuit: Circuit, activity: NetActivity
@@ -339,7 +346,8 @@ def _step_c(env: InjectionEnvironment, report: ValidationReport) -> None:
 
     # fault simulator: permanent fault coverage of the areas
     fcov = simulate_faults(env.circuit, env.stimuli,
-                           candidates=gate_faults, setup=env.setup)
+                           candidates=gate_faults, setup=env.setup,
+                           program=env.program())
     report.fault_coverage = fcov.coverage
 
     detail = (f"areas {paths}: {len(gate_faults.faults)} stuck-at "

@@ -12,6 +12,7 @@ evaluates *all* machines of a campaign pass in packed 64-bit words:
   tables (levels, groups, operand-major gather rows).  Combinational
   loops are rejected with :class:`CompileError` carrying the stable
   diagnostic code ``E120`` instead of a raw traceback.
+* :class:`Program` — a compiled circuit with one packed workload.
 * :func:`decompile` — reconstruct an equivalent :class:`Circuit` from a
   compiled program.  The round-trip preserves ``structural_hash``.
 * :class:`CompiledSimulator` — a drop-in replacement for the interpreted
@@ -48,6 +49,7 @@ net) is rejected with a :class:`~repro.hdl.netlist.NetlistError`.
 
 from __future__ import annotations
 
+import copy
 import ctypes
 import functools
 import hashlib
@@ -850,6 +852,36 @@ def compile_circuit(circuit: Circuit) -> CompiledCircuit:
     the compiled renumbering cannot represent (multi-driven nets).
     """
     return CompiledCircuit(circuit)
+
+
+class Program:
+    """A circuit's compiled program and one workload's stimulus table,
+    each built on first use (the compile through
+    :func:`compile_circuit`) and shared by every replay and campaign
+    pass of that pair.  A deep copy starts unbuilt: a copy is made to
+    be edited (a gate flipped in place) and must compile what it holds.
+    """
+
+    def __init__(self, circuit: Circuit, stimuli: list,
+                 compiled: CompiledCircuit | None = None):
+        self.circuit = circuit
+        self.stimuli = stimuli
+        self._compiled = compiled
+        self._table = None
+
+    def compiled(self) -> CompiledCircuit:
+        if self._compiled is None:
+            self._compiled = compile_circuit(self.circuit)
+        return self._compiled
+
+    def table(self) -> np.ndarray:
+        if self._table is None:
+            self._table = self.compiled().pack_inputs(self.stimuli)
+        return self._table
+
+    def __deepcopy__(self, memo) -> "Program":
+        return Program(copy.deepcopy(self.circuit, memo),
+                       copy.deepcopy(self.stimuli, memo))
 
 
 def decompile(compiled: CompiledCircuit) -> Circuit:

@@ -29,7 +29,9 @@ a stop request in this process wakes it at once; ``poll_interval``
 is only the fallback for what the feed cannot see: a submit from
 another process, an expired lease, an elapsed retry backoff.  The
 pool parent waits on its children's exit sentinels, so a dead worker
-is replaced, and a drained pool returns, as soon as the child exits.
+is replaced, and a drained pool returns, as soon as the child exits;
+a stop request writes to a pipe in the same wait, so SIGTERM ends it
+at once too.
 """
 
 from __future__ import annotations
@@ -115,6 +117,8 @@ class ServiceDaemon:
         self.service = CampaignService(store_root)
         self.root = self.service.root
         self._stop = False
+        #: write end of the pool parent's wake pipe
+        self._wake: int | None = None
 
     # ------------------------------------------------------------------
     # graceful shutdown
@@ -138,9 +142,12 @@ class ServiceDaemon:
             pass
 
     def request_stop(self) -> None:
-        """Ask every claim loop to drain, waking the idle ones now."""
+        """Ask every claim loop to drain, waking the idle ones and the
+        pool parent now."""
         self._stop = True
         CHANGE_FEED.bump()
+        if self._wake is not None:
+            os.write(self._wake, b"\0")
 
     # ------------------------------------------------------------------
     # one worker's claim loop
@@ -284,9 +291,12 @@ class ServiceDaemon:
             return "failed"
         finally:
             if cache is not None:
-                if not recorded and cache.last_run_id is not None:
-                    recorded = queue.record_run(job.job_id, owner,
-                                                cache.last_run_id)
+                try:
+                    if not recorded and cache.last_run_id is not None:
+                        recorded = queue.record_run(job.job_id, owner,
+                                                    cache.last_run_id)
+                except StoreIOError:    # the queue's disk is full
+                    pass
                 cache.close()
 
         if outcome.exit_code in (EXIT_OK, EXIT_QUARANTINE):
@@ -342,6 +352,8 @@ class ServiceDaemon:
         cfg = self.config
         mp = get_context(_default_start_method())
         alive: dict[int, object] = {}
+        wake, self._wake = os.pipe()
+        os.set_blocking(self._wake, False)
 
         def spawn(index: int):
             process = mp.Process(
@@ -363,7 +375,8 @@ class ServiceDaemon:
                     for process in alive.values():
                         process.join(timeout=30.0)
                     return
-                wait([process.sentinel for process in alive.values()],
+                wait([wake, *(process.sentinel
+                              for process in alive.values())],
                      timeout=cfg.poll_interval)
                 for index, process in list(alive.items()):
                     if process.is_alive():
@@ -380,6 +393,9 @@ class ServiceDaemon:
                 process.terminate()
             for process in alive.values():
                 process.join(timeout=5.0)
+            write, self._wake = self._wake, None
+            os.close(write)
+            os.close(wake)
 
     def _log(self, message: str) -> None:
         if self.config.verbose:

@@ -130,7 +130,7 @@ class CampaignCache:
         else:
             profile = profiler.profile_workload(
                 env.circuit, env.stimuli, setup=env.setup,
-                read_strobes=env.read_strobes)
+                read_strobes=env.read_strobes, program=env.program())
             digest = self._put_blob(key, json.dumps(
                 profile.to_dict(), separators=(",", ":")).encode())
             self.stats.profile_misses += 1

@@ -256,6 +256,24 @@ def test_daemon_releases_job_on_store_io_error(tmp_path, monkeypatch):
         assert job.error["kind"] == "io-pause"
 
 
+def test_drain_absorbs_a_disk_that_stays_full(tmp_path):
+    """The chaos sweep's 'disk fills while a job executes': from the
+    8th index commit on every commit fails, the job's release and its
+    run link included, and the drain still returns instead of raising
+    E413 out of the claim loop."""
+    root = tmp_path / "store"
+    with JobQueue(root) as queue:
+        queue.submit({"variant": "small-improved", "shards": 4})
+    daemon = ServiceDaemon(root, DaemonConfig(
+        drain=True, verbose=False, io_pause_seconds=0.0))
+    activate("store.db.pre-commit", "enospc", trigger_at=8)
+    try:
+        assert daemon.worker_loop(0) == 1
+        assert failpoints.active()["store.db.pre-commit"].fired > 1
+    finally:
+        clear()
+
+
 # ----------------------------------------------------------------------
 # graceful SIGTERM drain (subprocess)
 # ----------------------------------------------------------------------

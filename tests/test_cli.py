@@ -73,6 +73,8 @@ GOLDEN = Path(__file__).parent / "data" / "golden"
      "validate_small-baseline.txt", 0),
     (("derating", "--variant", "small-improved", "--seed", "3"),
      "derating_small-improved_seed3.txt", 0),
+    (("validate", "--variant", "small-improved", "--full"),
+     "validate_small-improved_full.txt", 0),
 ])
 def test_cli_output_matches_golden(capsys, argv, golden, exit_code):
     """The verdict text and numbers are pinned byte for byte."""

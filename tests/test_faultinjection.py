@@ -477,12 +477,12 @@ def test_step_coverage_credits_the_replays_output_toggles(improved):
     ledger the e-step reports (and the dossier prints)."""
     from repro.faultinjection.validation import (
         ValidationReport,
-        _replay_full_workload,
+        _full_workload_activity,
         _step_coverage,
         _toggled_outputs,
     )
-    toggled = _toggled_outputs(improved.circuit,
-                               _replay_full_workload(improved))
+    toggled = _toggled_outputs(improved.circuit, _full_workload_activity(
+        improved, build_environment(improved, quick=True)))
     assert "hrdata" in toggled
     campaign = CampaignResult(coverage=CoverageCollection(
         sens={"z": True}, obse={"hrdata": False}, diag={"d": True}))
@@ -527,6 +527,34 @@ def test_validation_replays_the_full_workload_once(improved,
         cycles[id(sim)] = cycles.get(id(sim), 0) + 1
     full = validation_workload(improved, quick=False)
     assert list(cycles.values()) == [len(full)]
+
+
+def test_step_b_reuses_the_full_environments_activity(improved):
+    """Step b's toggle report and the e-step's toggled outputs, taken
+    from a full environment's own profile, equal those of a separate
+    fault-free replay of the full workload."""
+    from repro.faultinjection.validation import (
+        TOGGLE_THRESHOLD,
+        _toggle_nets,
+        _toggle_report,
+        _toggled_outputs,
+    )
+    from repro.zones.effects import diagnostic_only_nets
+    env = build_environment(improved, quick=False)
+    report = run_validation(improved, env=env)
+    assert report.passed, report.summary()
+    separate = profile_workload(
+        improved.circuit, validation_workload(improved, quick=False),
+        setup=improved.preload_image()).activity
+    reused = env.profile().activity
+    assert reused == separate
+    circuit = improved.circuit
+    diag_only = diagnostic_only_nets(env.zone_set)
+    nets = [n for n in _toggle_nets(circuit) if n not in diag_only]
+    assert report.toggle == _toggle_report(
+        circuit, separate.first_change, nets, TOGGLE_THRESHOLD)
+    assert _toggled_outputs(circuit, reused) == \
+        _toggled_outputs(circuit, separate)
 
 
 def test_analyzer_csv_export(env, campaign, tmp_path):

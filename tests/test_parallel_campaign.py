@@ -242,14 +242,16 @@ def test_empty_campaign_through_runner(env):
 
 
 # ----------------------------------------------------------------------
-# one compile and one stimulus table per campaign
+# one compile and one stimulus table per environment
 # ----------------------------------------------------------------------
 def _log_compiles_and_packs(monkeypatch, log: Path) -> None:
-    """Append ``<pid> compile`` / ``<pid> pack`` to ``log`` on every
-    call; a file, so forked workers' calls are counted too."""
+    """Append ``<pid> compile`` / ``<pid> pack`` / ``<pid> replay`` to
+    ``log`` on every compile, stimulus pack and profile replay; a
+    file, so forked workers' calls are counted too."""
     from repro.hdl import compiled
     real_compile = compiled.compile_circuit
     real_pack = compiled.CompiledCircuit.pack_inputs
+    real_replay = compiled.Activity.__init__
 
     def note(name):
         with open(log, "a") as handle:
@@ -263,16 +265,32 @@ def _log_compiles_and_packs(monkeypatch, log: Path) -> None:
         note("pack")
         return real_pack(self, stimuli)
 
+    def replay(self, sim, strobes):
+        note("replay")
+        real_replay(self, sim, strobes)
+
     monkeypatch.setattr(compiled, "compile_circuit", compile_circuit)
     monkeypatch.setattr(compiled.CompiledCircuit, "pack_inputs",
                         pack_inputs)
+    monkeypatch.setattr(compiled.Activity, "__init__", replay)
+
+
+def _logged(log: Path) -> tuple[list[str], set[int]]:
+    """The logged call names, sorted, and the pids that made them."""
+    calls = [line.split() for line in log.read_text().splitlines()]
+    return sorted(name for _, name in calls), \
+        {int(pid) for pid, _ in calls}
 
 
 def test_campaign_compiles_and_packs_once_in_the_parent(
-        env, candidates, serial, tmp_path, monkeypatch):
-    spec = env.spec()        # the profile replay is not the campaign's
+        candidates, serial, tmp_path, monkeypatch):
+    """The profile replay and every shard run on the environment's
+    one program: one compile and one pack, both in the parent."""
     log = tmp_path / "calls.log"
     _log_compiles_and_packs(monkeypatch, log)
+    env = build_environment(
+        MemorySubsystem(SubsystemConfig.small_improved()), quick=True)
+    spec = env.spec()        # replays the workload on env.program()
     with CampaignCache(tmp_path / "store") as cache:
         supervisor = CampaignSupervisor(spec, workers=2, shards=3,
                                         cache=cache, start_method="fork")
@@ -281,10 +299,57 @@ def test_campaign_compiles_and_packs_once_in_the_parent(
     workers = {s.worker for s in supervisor.last_stats.shards}
     assert len(supervisor.last_stats.shards) == 3
     assert os.getpid() not in workers
-    calls = [line.split() for line in log.read_text().splitlines()]
-    assert sorted(name for _, name in calls) == ["compile", "pack"]
-    assert {int(pid) for pid, _ in calls} == {os.getpid()}
+    assert _logged(log) == (["compile", "pack", "replay"],
+                            {os.getpid()})
     assert _fault_rows(campaign) == _fault_rows(serial)
+
+
+def test_cold_service_campaign_compiles_and_packs_once(tmp_path,
+                                                       monkeypatch):
+    """A cold ``run_campaign`` on small-baseline x2 with the full
+    workload: its profile replay (a store miss) and its campaign share
+    one compile and one pack."""
+    from repro.service import CampaignRequest, CampaignService
+    log = tmp_path / "calls.log"
+    _log_compiles_and_packs(monkeypatch, log)
+    outcome = CampaignService(tmp_path / "store").run_campaign(
+        CampaignRequest(variant="small-baseline", banks=2, full=True))
+    assert outcome.exit_code == 0, outcome.err
+    assert _logged(log) == (["compile", "pack", "replay"],
+                            {os.getpid()})
+
+
+def test_edited_spec_does_not_run_the_environments_program(
+        env, candidates):
+    """Stimuli edited in a spec after ``env.spec()`` are simulated:
+    the manager builds its own program instead of the environment's
+    stale table."""
+    spec = env.spec()
+    env.program().table()
+    spec.stimuli[5] = dict(spec.stimuli[5], haddr=3)
+    shard = list(candidates.faults[:24])
+    fresh = CampaignSpec.from_zone_set(env.circuit, spec.stimuli,
+                                       env.zone_set, setup=env.setup)
+    assert spec.manager().program is not env.program()
+    assert _fault_rows(spec.manager().run_batches(shard)) == \
+        _fault_rows(fresh.manager().run_batches(shard))
+
+
+@pytest.mark.parametrize("quick", [True, False], ids=["quick", "full"])
+def test_validation_compiles_once(quick, tmp_path, monkeypatch):
+    """The environment's replay, the four campaigns, the fault
+    simulation and step b share one compiled circuit.  A quick
+    environment packs and replays the full workload once more for
+    step b; a full one already holds step b's activity."""
+    from repro.faultinjection import run_validation
+    log = tmp_path / "calls.log"
+    _log_compiles_and_packs(monkeypatch, log)
+    report = run_validation(
+        MemorySubsystem(SubsystemConfig.small_improved()), quick=quick)
+    assert report.passed, report.summary()
+    runs = 2 if quick else 1
+    assert _logged(log) == (["compile"] + ["pack"] * runs
+                            + ["replay"] * runs, {os.getpid()})
 
 
 def test_spawned_workers_equal_forked_workers(env, candidates):

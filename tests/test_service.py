@@ -787,3 +787,26 @@ def test_drained_pool_returns_when_its_children_exit(tmp_path):
         verbose=False)).serve() == 0
     elapsed = time.monotonic() - started
     assert elapsed < 5.0, f"the drained pool took {elapsed:.1f} s"
+
+
+def test_pooled_serve_stops_promptly_on_sigterm(tmp_path):
+    """SIGTERM ends the pool parent's wait on its children at once,
+    not after its poll period."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "serve", "--workers", "2",
+         "--poll-interval", "30", "--store", str(tmp_path / "store")],
+        env=ENV, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+        text=True)
+    try:
+        assert "serving" in proc.stdout.readline()
+        time.sleep(0.5)             # let the parent enter its wait
+        proc.send_signal(signal.SIGTERM)
+        started = time.monotonic()
+        exit_code = proc.wait(timeout=60)
+        elapsed = time.monotonic() - started
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(timeout=30)
+    assert exit_code == 0, proc.stdout.read()
+    assert elapsed < 5.0, f"the pool took {elapsed:.1f} s to stop"
