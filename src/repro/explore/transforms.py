@@ -231,10 +231,11 @@ def touched_zones(env_a, env_b) -> tuple[set[str], set[str], int]:
     def fingerprints(env):
         # key on (name, offset) — the collapser's identity — because
         # fault *names* alone collide (same-flop SEUs at two instants)
-        ctx = FingerprintContext.from_spec(env.spec())
+        faults = env.candidates().faults
+        ctx = FingerprintContext.from_spec(env.spec(), faults)
         return {(f.name, getattr(f, "offset", None)):
                 (ctx.fault_fingerprint(f), f.zone or "?")
-                for f in env.candidates().faults}
+                for f in faults}
 
     fp_a, fp_b = fingerprints(env_a), fingerprints(env_b)
     touched: set[str] = set()

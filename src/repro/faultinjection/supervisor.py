@@ -341,7 +341,7 @@ class CampaignSupervisor:
         self._plan_hits = 0
         if not faults:
             return None, None, []
-        ctx = self._context()
+        ctx = self._context(faults)
         if ctx is None:
             if self.cache is not None:
                 self.cache.stats.uncacheable += len(faults)
@@ -377,11 +377,11 @@ class CampaignSupervisor:
             miss_indices = still
         return ctx, run_id, miss_indices
 
-    def _context(self):
+    def _context(self, faults):
         if self.cache is None or self.spec.config.collect_toggles:
             return None
         from ..store.fingerprint import FingerprintContext
-        return FingerprintContext.from_spec(self.spec)
+        return FingerprintContext.from_spec(self.spec, faults)
 
     def _done_count(self) -> int:
         return len(self._merged) + len(self._quarantined)

@@ -16,10 +16,11 @@ behind fault fingerprints are walks over the same structure.
   its driving gate (``-1`` if none) and a *combinational* flag: driven
   by a gate, not a primary input, flop ``q`` or memory ``rdata``.
 
-Three walks read it: a closure marking a ``bytearray`` (forward or
-backward, through flops and memories; :meth:`NetGraph.spread` extends
-one already marked), the bounded fan-in cone of a set of nets, and
-0-1 BFS distances counting sequential crossings.
+Four walks read it: a closure marking a ``bytearray`` (forward or
+backward, through flops and memories), the bit-parallel support sweep
+of many seed sets at once over the graph's strongly connected
+components (:meth:`NetGraph.support_bits`), the bounded fan-in cone of
+a set of nets, and 0-1 BFS distances counting sequential crossings.
 
 The graph is a snapshot: build a new one after editing the circuit.
 """
@@ -102,31 +103,105 @@ class NetGraph:
         return depth
 
     # ------------------------------------------------------------------
-    def closure(self, seeds, backward: bool = False
-                ) -> tuple[bytearray, list[int]]:
+    def closure(self, seeds, backward: bool = False) -> bytearray:
         """The mark of every node reachable from ``seeds`` (nodes)
-        along the edges, or against them when ``backward``, and those
-        nodes in visit order (the cheapest order to :meth:`spread`
-        from again)."""
+        along the edges, or against them when ``backward``."""
+        adjacency = self.pred if backward else self.succ
         mark = bytearray(self.size)
         reached = []
         for node in seeds:
             if not mark[node]:
                 mark[node] = 1
                 reached.append(node)
-        self.spread(reached, mark, backward)
-        return mark, reached
-
-    def spread(self, reached: list[int], mark: bytearray,
-               backward: bool = False) -> None:
-        """Extend ``reached`` (nodes already marked in ``mark``) to its
-        closure, marking every node it adds."""
-        adjacency = self.pred if backward else self.succ
         for node in reached:            # visits what the loop appends
             for nxt in adjacency[node]:
                 if not mark[nxt]:
                     mark[nxt] = 1
                     reached.append(nxt)
+        return mark
+
+    @cached_property
+    def components(self) -> tuple[list[int], list[int]]:
+        """The strongly connected components: the component of every
+        node, numbered sinks first (an edge between two components runs
+        from the higher number to the lower), and the nodes in that
+        order, each component's nodes adjacent.
+
+        Tarjan's algorithm with an explicit stack, so a long chain of
+        nodes cannot exhaust the interpreter's recursion limit.
+        """
+        succ = self.succ
+        visit = [0] * self.size     # visit number + 1; 0 = unvisited
+        low = [0] * self.size
+        comp = [-1] * self.size
+        order: list[int] = []
+        stack: list[int] = []
+        visits = components = 0
+        for root in range(self.size):
+            if visit[root]:
+                continue
+            visits += 1
+            visit[root] = low[root] = visits
+            stack.append(root)
+            work = [(root, iter(succ[root]))]
+            while work:
+                node, edges = work[-1]
+                for nxt in edges:
+                    if not visit[nxt]:
+                        visits += 1
+                        visit[nxt] = low[nxt] = visits
+                        stack.append(nxt)
+                        work.append((nxt, iter(succ[nxt])))
+                        break
+                    # visited and not yet in a component: on the stack
+                    if comp[nxt] < 0 and visit[nxt] < low[node]:
+                        low[node] = visit[nxt]
+                else:
+                    work.pop()
+                    if work and low[node] < low[work[-1][0]]:
+                        low[work[-1][0]] = low[node]
+                    if low[node] == visit[node]:
+                        while True:
+                            member = stack.pop()
+                            comp[member] = components
+                            order.append(member)
+                            if member == node:
+                                break
+                        components += 1
+        return comp, order
+
+    def support_bits(self, seeds: dict[int, int]
+                     ) -> tuple[list[int], list[int]]:
+        """The forward and support closures of many seed sets at once,
+        per component of :attr:`components`.
+
+        ``seeds`` maps a node to the bits of the seed sets it belongs
+        to (bit ``k`` for set ``k``).  Returns ``(forward, support)``
+        indexed by component: bit ``k`` of ``forward[c]`` is set when
+        set ``k`` reaches the nodes of ``c`` along the edges, and of
+        ``support[c]`` when they reach set ``k``'s forward closure.
+        One sweep does every set: forward bits are pushed to
+        successors sources first, then support bits to predecessors
+        sinks first (a component's bits are final when its first node
+        is reached).
+        """
+        comp, order = self.components
+        succ, pred = self.succ, self.pred
+        forward = [0] * self.size      # components number at most this
+        for node, bits in seeds.items():
+            forward[comp[node]] |= bits
+        for node in reversed(order):
+            bits = forward[comp[node]]
+            if bits:
+                for nxt in succ[node]:
+                    forward[comp[nxt]] |= bits
+        support = forward[:]
+        for node in order:
+            bits = support[comp[node]]
+            if bits:
+                for prev in pred[node]:
+                    support[comp[prev]] |= bits
+        return forward, support
 
     def fanin_cone(self, roots) -> tuple[set[int], set[int], int]:
         """``(gates, boundary nets, depth)`` of the combinational logic

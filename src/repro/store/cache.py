@@ -45,8 +45,8 @@ class CacheStats:
     profile_hits: int = 0    # operational profiles served from the store
     profile_misses: int = 0  # operational profiles replayed
     profile_s: float = 0.0   # time spent obtaining the profile
-    fingerprint_s: float = 0.0   # time spent fingerprinting faults
-    seed_sets: int = 0       # distinct support cones walked
+    fingerprint_s: float = 0.0   # fingerprinting, cone sweep included
+    seed_sets: int = 0       # distinct resolved seed sets swept
 
     def hit_rate(self) -> float:
         total = self.hits + self.misses

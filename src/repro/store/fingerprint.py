@@ -48,10 +48,13 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import fields
+from functools import cached_property
 from itertools import compress
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import NamedTuple
+
+import numpy
 
 from ..faultinjection.faults import Fault
 from ..hdl.netgraph import NetGraph
@@ -111,9 +114,9 @@ class Cone(NamedTuple):
     """The closures of one seed set, as marks over the index's nodes."""
 
     #: fan-out closure of the seeds
-    forward: bytearray
+    forward: bytes
     #: fan-in closure of the forward closure
-    support: bytearray
+    support: bytes
     #: content address of the sub-circuit inside ``support``
     fingerprint: str
 
@@ -128,13 +131,18 @@ class SupportIndex:
     fan-in of the region (including golden write streams into any
     memory the fault can touch).
 
-    Both closures are walks of the circuit's
-    :class:`~repro.hdl.netgraph.NetGraph`, whose nodes are the nets
-    ``0 .. num_nets - 1`` followed by one node per memory macro.  Each
-    gate, flop, memory and input bit carries its canonical JSON
-    fragment in one global sorted order; the canonical document of a
-    cone is therefore a filter-and-join over those fragments, byte for
-    byte the ``json.dumps`` of the cone's sorted records.
+    :meth:`cones` takes the closures of a batch of seed sets in one
+    bit-parallel sweep of the circuit's
+    :class:`~repro.hdl.netgraph.NetGraph`
+    (:meth:`~repro.hdl.netgraph.NetGraph.support_bits`), whose nodes
+    are the nets ``0 .. num_nets - 1`` followed by one node per memory
+    macro, and unpacks one bit per set into a byte mark per set.  Many
+    seed sets share a support (every zone of one logic island does),
+    so a cone document is built and hashed once per distinct support
+    mark.  Each gate, flop, memory and input bit carries its canonical
+    JSON fragment in one global sorted order; the canonical document
+    of a cone is therefore a filter-and-join over those fragments,
+    byte for byte the ``json.dumps`` of the cone's sorted records.
     """
 
     def __init__(self, circuit: Circuit):
@@ -148,6 +156,8 @@ class SupportIndex:
         for i, name in enumerate(circuit.net_names):
             self._net_index.setdefault(name, i)
         self._fragments = _Fragments(circuit)
+        #: support mark -> its cone document's SHA-256
+        self._documents: dict[bytes, str] = {}
         self._full_fp: str | None = None
 
     # ------------------------------------------------------------------
@@ -165,16 +175,30 @@ class SupportIndex:
             return self._net_index[name], None
         return None, None
 
-    def cone(self, nets, mems) -> Cone:
-        """Walk the closures of a resolved seed set and fingerprint its
-        support cone."""
-        graph = self.graph
-        forward, reached = graph.closure(
-            (*nets, *(self.num_nets + mi for mi in mems)))
-        support = bytearray(forward)
-        graph.spread(reached, support, backward=True)
-        return Cone(forward, support, hashlib.sha256(
-            self._fragments.document(support)).hexdigest())
+    def cones(self, seed_sets) -> list[Cone]:
+        """The cone of every resolved seed set ``(nets, mems)``, in
+        order, from one sweep over the graph."""
+        if not seed_sets:
+            return []
+        seeds: dict[int, int] = {}
+        n = self.num_nets
+        for k, (nets, mems) in enumerate(seed_sets):
+            bit = 1 << k
+            for node in (*nets, *(n + mi for mi in mems)):
+                seeds[node] = seeds.get(node, 0) | bit
+        count = len(seed_sets)
+        comp, _ = self.graph.components
+        forward, support = self.graph.support_bits(seeds)
+        documents = self._documents
+        cones = []
+        for fwd, sup in zip(_marks(forward, comp, count),
+                            _marks(support, comp, count)):
+            fp = documents.get(sup)
+            if fp is None:
+                fp = documents[sup] = hashlib.sha256(
+                    self._fragments.document(sup)).hexdigest()
+            cones.append(Cone(fwd, sup, fp))
+        return cones
 
     def full_fingerprint(self) -> str:
         """Whole-circuit fallback (unresolvable or zone-less faults)."""
@@ -184,8 +208,26 @@ class SupportIndex:
         return self._full_fp
 
 
-def _picker(indices: list[int]):
-    """``seq -> (seq[i] for i in indices)`` as one C-level call."""
+def _marks(bits: list[int], comp: list[int], count: int
+           ) -> list[bytes]:
+    """Transpose per-component bitsets of ``count`` sets into one byte
+    mark per set (1 on the nodes, mapped to components by ``comp``,
+    whose bit is set).  Equal marks are one object, so a batch holds
+    one copy per distinct closure."""
+    width = (count + 7) // 8
+    packed = numpy.frombuffer(
+        b"".join([b.to_bytes(width, "little") for b in bits]),
+        numpy.uint8).reshape(len(bits), width)[comp]
+    rows = numpy.unpackbits(numpy.ascontiguousarray(packed.T), axis=0,
+                            count=count, bitorder="little")
+    distinct: dict[bytes, bytes] = {}
+    return [distinct.setdefault(mark, mark)
+            for mark in map(bytes, rows)]
+
+
+def _picker(indices: list):
+    """``seq -> (seq[i] for i in indices)`` as one C-level call (the
+    indices may be list positions or dict keys)."""
     if len(indices) > 1:
         return itemgetter(*indices)
     if indices:
@@ -237,7 +279,7 @@ class _Fragments:
              _picker(list(port_nets)))
             for port, port_nets in sorted(circuit.inputs.items())]
 
-    def document(self, mark: bytearray) -> bytes:
+    def document(self, mark: bytes) -> bytes:
         """``json.dumps(canonical, sort_keys=True, separators=(",",
         ":"))`` of the records inside ``mark``."""
         ports = []
@@ -268,12 +310,19 @@ class FingerprintContext:
     :class:`SupportIndex` producing per-fault netlist cones, and hands
     out :meth:`fault_fingerprint` — the content address under which a
     fault's raw outcome record is stored.
+
+    The faults a context is built with are *declared*: the first
+    :meth:`fault_fingerprint` call walks the cones of all their seed
+    sets in one sweep.  A fault whose seed set was not declared is
+    swept alone when it is first asked for.  A fault's address never
+    depends on which faults share its sweep.
     """
 
     def __init__(self, circuit: Circuit, stimuli,
                  zones: list[SensibleZone],
                  observation_points: list[ObservationPoint],
-                 setup: MemoryImageSetup | None = None):
+                 setup: MemoryImageSetup | None = None,
+                 faults=()):
         self.circuit = circuit
         stimuli = list(stimuli)
         self.stimuli_fp = _stimuli_digest(stimuli)
@@ -296,7 +345,7 @@ class FingerprintContext:
 
         # Per group: canonical entries paired with their nets, in group
         # order, so :meth:`_reachable_obs_fp` can take the reachable
-        # subsequence per seed set without re-deriving either.
+        # subsequence per forward closure without re-deriving either.
         self._obs_groups = [
             (group, [(canon(p), tuple(p.nets)) for p in points])
             for group, points in (
@@ -309,13 +358,16 @@ class FingerprintContext:
             )]
         self.obs_fp = digest({group: [entry for entry, _ in entries]
                               for group, entries in self._obs_groups})
-        self.support = SupportIndex(circuit)
         self._zones = {z.name: z for z in zones}
-        #: (zone, fault targets) -> (resolved seed set or None, zone
-        #: canon); None marks an unresolvable or empty seed set
-        self._seeds: dict[tuple, tuple[tuple | None, dict | None]] = {}
+        #: declared faults whose cones are not walked yet
+        self._pending = list(faults)
+        #: (zone, fault targets) -> the canonical JSON of a fault's
+        #: address after its descriptor: ``,"obs":…,"zone":…}``
+        self._tails: dict[tuple, str] = {}
         #: resolved seed set -> (support, observation, setup) digests
         self._cones: dict[tuple, tuple[str, str, str | None]] = {}
+        #: forward mark -> digest of the observation points it reaches
+        self._obs_fps: dict[bytes, str] = {}
         self._setup_fps: dict[tuple, str] = {}
         if setup is not None:
             # the setup state a cone can contain: memory images by the
@@ -332,12 +384,20 @@ class FingerprintContext:
             self._setup_flops = [(name, q_nets.get(name, []))
                                  for name in sorted(setup.flop_values)]
 
+    @cached_property
+    def support(self) -> SupportIndex:
+        """The circuit's support-cone index, built by the first sweep
+        (so the planning pass that fingerprints faults times it)."""
+        return SupportIndex(self.circuit)
+
     # ------------------------------------------------------------------
     @classmethod
-    def from_spec(cls, spec) -> "FingerprintContext":
-        """Context for a picklable :class:`CampaignSpec`."""
+    def from_spec(cls, spec, faults=()) -> "FingerprintContext":
+        """Context for a picklable :class:`CampaignSpec`, declaring
+        ``faults``."""
         return cls(spec.circuit, spec.stimuli, list(spec.zones),
-                   list(spec.observation_points), setup=spec.setup)
+                   list(spec.observation_points), setup=spec.setup,
+                   faults=faults)
 
     # ------------------------------------------------------------------
     def environment_fingerprint(self) -> str:
@@ -352,25 +412,63 @@ class FingerprintContext:
         })
 
     def fault_fingerprint(self, fault: Fault) -> str:
-        support_fp, zone_canon, obs_fp, setup_fp = \
-            self._zone_support(fault)
-        return digest({
-            "v": FP_VERSION,
-            "fault": fault_descriptor(fault),
-            "zone": zone_canon,
-            "support": support_fp,
-            "stimuli": self.stimuli_fp,
-            "setup": setup_fp,
-            "obs": obs_fp,
-        })
+        """``digest`` of the fault's descriptor, zone canon, support,
+        stimuli, setup and observation digests; everything after the
+        descriptor is encoded once per ``(zone, targets)``."""
+        key = (fault.zone, _fault_targets(fault))
+        tail = self._tails.get(key)
+        if tail is None:
+            self._sweep([fault, *self._pending])
+            self._pending = []
+            tail = self._tails[key]
+        return hashlib.sha256(('{"fault":%s,%s' % (json.dumps(
+            fault_descriptor(fault), sort_keys=True,
+            separators=(",", ":")), tail)).encode()).hexdigest()
 
     @property
     def seed_sets(self) -> int:
-        """Distinct resolved seed sets whose cones were walked."""
+        """Distinct resolved seed sets whose cones were swept."""
         return len(self._cones)
 
     # ------------------------------------------------------------------
-    def _reachable_obs_fp(self, forward: bytearray) -> str:
+    def _sweep(self, faults) -> None:
+        """Encode the address tail of every ``(zone, targets)`` key of
+        ``faults`` not encoded yet, walking their new seed sets' cones
+        in one sweep."""
+        resolved = {}
+        for fault in faults:
+            key = (fault.zone, _fault_targets(fault))
+            if key not in self._tails and key not in resolved:
+                resolved[key] = self._resolve(*key)
+        walk = list(dict.fromkeys(
+            seed_set for seed_set, _ in resolved.values()
+            if seed_set is not None and seed_set not in self._cones))
+        for seed_set, cone in zip(walk, self.support.cones(walk)):
+            self._cones[seed_set] = (
+                cone.fingerprint, self._reachable_obs_fp(cone.forward),
+                self._restricted_setup_fp(cone.support))
+        for key, (seed_set, zone_canon) in resolved.items():
+            if seed_set is None:
+                # unknown target or empty seed set: the only sound cone
+                # is the whole circuit, observed everywhere with full
+                # state
+                support_fp, obs_fp, setup_fp = (
+                    self.support.full_fingerprint(), self.obs_fp,
+                    self.setup_fp)
+            else:
+                support_fp, obs_fp, setup_fp = self._cones[seed_set]
+            # "fault" sorts before every other key, so the tail is the
+            # rest of the address's sorted, compact JSON
+            self._tails[key] = json.dumps({
+                "v": FP_VERSION,
+                "zone": zone_canon,
+                "support": support_fp,
+                "stimuli": self.stimuli_fp,
+                "setup": setup_fp,
+                "obs": obs_fp,
+            }, sort_keys=True, separators=(",", ":"))[1:]
+
+    def _reachable_obs_fp(self, forward: bytes) -> str:
         """Digest of the observation points the fault can reach.
 
         Points with no net in the fan-out closure see faulty values
@@ -380,12 +478,15 @@ class FingerprintContext:
         reachable points stay in group order because ``first_alarm``
         tie-breaks on it (a subsequence preserves relative order).
         """
-        return digest({
-            group: [entry for entry, nets in entries
-                    if any(forward[n] for n in nets)]
-            for group, entries in self._obs_groups})
+        fp = self._obs_fps.get(forward)
+        if fp is None:
+            fp = self._obs_fps[forward] = digest({
+                group: [entry for entry, nets in entries
+                        if any(forward[n] for n in nets)]
+                for group, entries in self._obs_groups})
+        return fp
 
-    def _restricted_setup_fp(self, support: bytearray) -> str | None:
+    def _restricted_setup_fp(self, support: bytes) -> str | None:
         """Digest of the setup state inside the support cone.
 
         A preload image or initial flop value outside the cone drives
@@ -408,30 +509,6 @@ class FingerprintContext:
                                 for name in flop_names},
             })
         return fp
-
-    def _zone_support(self, fault: Fault
-                      ) -> tuple[str, dict | None, str, str | None]:
-        targets = _fault_targets(fault)
-        seeds_key = (fault.zone, targets)
-        resolved = self._seeds.get(seeds_key)
-        if resolved is None:
-            resolved = self._seeds[seeds_key] = self._resolve(
-                fault.zone, targets)
-        seed_set, zone_canon = resolved
-        if seed_set is None:
-            # unknown target or empty seed set: the only sound cone is
-            # the whole circuit, observed everywhere with full state
-            return (self.support.full_fingerprint(), zone_canon,
-                    self.obs_fp, self.setup_fp)
-        cone = self._cones.get(seed_set)
-        if cone is None:
-            walked = self.support.cone(*seed_set)
-            cone = self._cones[seed_set] = (
-                walked.fingerprint,
-                self._reachable_obs_fp(walked.forward),
-                self._restricted_setup_fp(walked.support))
-        support_fp, obs_fp, setup_fp = cone
-        return support_fp, zone_canon, obs_fp, setup_fp
 
     def _resolve(self, zone_name: str | None, targets: tuple
                  ) -> tuple[tuple | None, dict | None]:
@@ -502,9 +579,48 @@ def _stimuli_digest(stimuli) -> str:
     last = _last_stimuli
     if last is not None and last[0] == cycles:
         return last[1]
-    fp = digest([sorted(cycle.items()) for cycle in cycles])
+    fp = hashlib.sha256(_stimuli_json(cycles).encode()).hexdigest()
     _last_stimuli = ([dict(cycle) for cycle in cycles], fp)
     return fp
+
+
+def _stimuli_json(cycles: list[dict]) -> str:
+    """``json.dumps([sorted(cycle.items()) for cycle in cycles])``,
+    sorted and compact, as :func:`digest` encodes it.
+
+    Workload cycles repeat one key set with int values, so each key set
+    gets a ``%``-template of its encoded, sorted keys; a cycle with any
+    value that is not an exact ``int`` (a ``bool`` encodes as ``true``)
+    or any key that is not a ``str`` takes ``json.dumps``.
+    """
+    templates: dict[tuple, tuple | None] = {}
+    parts = []
+    for cycle in cycles:
+        keys = tuple(cycle)
+        if keys in templates:
+            entry = templates[keys]
+        else:
+            entry = templates[keys] = _cycle_template(keys)
+        if entry is not None:
+            template, pick = entry
+            values = pick(cycle)
+            if set(map(type, values)) <= {int}:
+                parts.append(template % values)
+                continue
+        parts.append(json.dumps(sorted(cycle.items()), sort_keys=True,
+                                separators=(",", ":")))
+    return "[%s]" % ",".join(parts)
+
+
+def _cycle_template(keys: tuple) -> tuple[str, object] | None:
+    """``(template, value picker)`` of one cycle key set, or ``None``
+    when a key is not a ``str``."""
+    if not set(map(type, keys)) <= {str}:
+        return None
+    ordered = sorted(keys)
+    return ("[%s]" % ",".join(
+        "[%s,%%s]" % encode_basestring_ascii(key).replace("%", "%%")
+        for key in ordered), _picker(ordered))
 
 
 def loaded_images(circuit: Circuit,

@@ -89,7 +89,7 @@ def diagnostic_only_nets(zone_set: ZoneSet) -> set[int]:
             alarm_roots.extend(point.nets)
         else:
             func_roots.extend(point.nets)
-    reaches_alarm, _ = graph.closure(alarm_roots, backward=True)
-    reaches_func, _ = graph.closure(func_roots, backward=True)
+    reaches_alarm = graph.closure(alarm_roots, backward=True)
+    reaches_func = graph.closure(func_roots, backward=True)
     return {net for net in range(graph.num_nets)
             if reaches_alarm[net] and not reaches_func[net]}

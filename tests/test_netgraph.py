@@ -10,6 +10,8 @@ differential fuzzer every walk of the shared graph must give their
 results exactly.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,10 +19,12 @@ from hypothesis import strategies as st
 from repro.hdl import CompileError, NetGraph, compile_circuit
 from repro.hdl.netlist import (
     OP_AND,
+    OP_BUF,
     OP_CONST0,
     OP_CONST1,
     OP_OR,
     Circuit,
+    Flop,
 )
 from repro.store.fingerprint import SupportIndex
 from repro.zones.extractor import ZoneExtractor
@@ -141,9 +145,98 @@ def seeded_circuits(draw):
 @given(seeded_circuits())
 def test_support_closures_match_oracle(case):
     circuit, nets, mems = case
-    cone = SupportIndex(circuit).cone(nets, mems)
+    [cone] = SupportIndex(circuit).cones([(nets, mems)])
     assert (cone.forward, cone.support) == \
         support_closures(circuit, nets, mems)
+
+
+def looped_circuit(seed: int):
+    """:func:`fuzz_circuit` with sequential feedback, which the fuzzer
+    never builds: every flop's ``d`` and memory's ``we`` rewired to one
+    of the last fifth of the nets, which are mostly downstream of the
+    flops (the ``y`` output XORs every ``q``), closing loops through
+    flops and memory macros."""
+    circuit = fuzz_circuit(seed)
+    rng = random.Random(seed)
+    late = range(circuit.num_nets * 4 // 5, circuit.num_nets)
+    for flop in circuit.flops:
+        flop.d = rng.choice(late)
+    for mem in circuit.memories:
+        mem.we = rng.choice(late)
+    return circuit
+
+
+def test_looped_corpus_has_cycles_through_flops_and_memories():
+    through_flops = through_memories = 0
+    for seed in range(40):
+        circuit = looped_circuit(seed)
+        comp, _ = NetGraph(circuit).components
+        members: dict[int, list[int]] = {}
+        for node, c in enumerate(comp):
+            members.setdefault(c, []).append(node)
+        n = circuit.num_nets
+        for nodes in members.values():
+            if len(nodes) > 1:
+                through_memories += any(node >= n for node in nodes)
+                through_flops += any(node < n for node in nodes)
+    assert through_flops and through_memories
+
+
+@st.composite
+def seed_set_batches(draw):
+    """A fuzzed circuit with feedback and 1-8 seed sets drawn from a
+    few nets and memories, so the sets overlap.  (The acyclic fuzzed
+    circuits are the single-set oracle test's.)"""
+    circuit = looped_circuit(draw(st.integers(0, 10_000)))
+    pool = draw(st.lists(st.integers(0, circuit.num_nets - 1),
+                         min_size=1, max_size=6))
+    mems = st.sets(st.sampled_from(range(len(circuit.memories))),
+                   max_size=1) if circuit.memories else st.just(set())
+    sets = draw(st.lists(st.tuples(
+        st.sets(st.sampled_from(pool), min_size=1, max_size=4), mems),
+        min_size=1, max_size=8))
+    return circuit, sets
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed_set_batches())
+def test_batched_support_closures_match_oracle(case):
+    """One sweep over many seed sets gives each set the closures of its
+    own walk, and the cone fingerprint of a batch of one."""
+    circuit, sets = case
+    cones = SupportIndex(circuit).cones(sets)
+    assert len(cones) == len(sets)
+    for (nets, mems), cone in zip(sets, cones):
+        assert (cone.forward, cone.support) == \
+            support_closures(circuit, nets, mems)
+        [alone] = SupportIndex(circuit).cones([(nets, mems)])
+        assert cone.fingerprint == alone.fingerprint
+
+
+def test_more_seed_sets_than_a_machine_word():
+    circuit = looped_circuit(3)
+    sets = [({net}, set()) for net in range(circuit.num_nets)] * 3
+    assert len(sets) > 64
+    for (nets, mems), cone in zip(sets, SupportIndex(circuit).cones(sets)):
+        assert (cone.forward, cone.support) == \
+            support_closures(circuit, nets, mems)
+
+
+def test_components_of_a_long_loop_need_no_recursion():
+    """A 5000-buffer chain closed by a flop is one component; the
+    iterative walk does not hit the interpreter's recursion limit."""
+    c = Circuit(name="ring")
+    q = c.new_net("q")
+    net = q
+    for i in range(5000):
+        out = c.new_net(f"b{i}")
+        c.add_gate(OP_BUF, (net,), out)
+        net = out
+    c.flops.append(Flop("r", d=net, q=q))
+    comp, order = NetGraph(c).components
+    assert set(comp) == {0} and sorted(order) == list(range(c.num_nets))
+    [cone] = SupportIndex(c).cones([({q}, set())])
+    assert cone.forward == cone.support == b"\x01" * c.num_nets
 
 
 def assert_levels_match(circuit):

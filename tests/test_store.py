@@ -9,6 +9,7 @@ one store directory concurrently.
 import copy
 import json
 import os
+import random
 import signal
 import sqlite3
 import subprocess
@@ -39,8 +40,8 @@ from repro.store import (
 )
 from repro.store import db as db_module
 from repro.store.db import StoreDB
-from repro.store.fingerprint import digest, fault_descriptor, \
-    profile_key
+from repro.store.fingerprint import _stimuli_json, digest, \
+    fault_descriptor, profile_key
 
 from .campaign_oracle import run_interpreted
 
@@ -111,6 +112,27 @@ def test_classification_params_do_not_invalidate(env, candidates):
             tweaked.fault_fingerprint(fault)
 
 
+def test_fingerprints_do_not_depend_on_the_sweep(env, candidates):
+    """A context sweeps the cones of the faults it is built with at
+    once; a fault's address is the same whether it shared that sweep
+    with the whole fault list, with a random subset, or was swept
+    alone."""
+    spec, faults = env.spec(), candidates.faults
+    whole = FingerprintContext.from_spec(spec, faults)
+    expected = [whole.fault_fingerprint(f) for f in faults]
+    assert whole.seed_sets == 36
+    for fault, fp in zip(faults, expected):
+        alone = FingerprintContext.from_spec(spec, [fault])
+        assert alone.fault_fingerprint(fault) == fp
+    rng = random.Random(11)
+    for _ in range(3):
+        subset = rng.sample(faults, rng.randrange(1, len(faults)))
+        ctx = FingerprintContext.from_spec(spec, subset)
+        assert [ctx.fault_fingerprint(f) for f in faults] == expected
+    undeclared = FingerprintContext.from_spec(spec)
+    assert [undeclared.fault_fingerprint(f) for f in faults] == expected
+
+
 def test_stimuli_change_invalidates(env, candidates):
     base = FingerprintContext.from_spec(env.spec())
     spec = env.spec()
@@ -120,6 +142,26 @@ def test_stimuli_change_invalidates(env, candidates):
     assert base.fault_fingerprint(fault) != \
         changed.fault_fingerprint(fault)
 
+
+
+@pytest.mark.parametrize("cycles", [
+    [],
+    [{}, {}],
+    [{"b": 1, "a": 0}, {"a": 2, "b": 3}, {"b": 4, "a": 5}],
+    [{"x": -7, "y": 2 ** 70}, {"x": 0, "y": -(2 ** 65)}],
+    [{"en": True, "d": 1}, {"en": 1, "d": 0}, {"en": False, "d": 1}],
+    [{"a": 1.0}, {"a": None}, {"a": "1"}, {"a": [1, 2]}, {"a": 1}],
+    [{"50%": 1, "q\"": 2, "\u00e9\n": 3}, {"50%": 4, "q\"": 5,
+                                           "\u00e9\n": 6}],
+    [{1: 2, 0: 3}, {"a": 1}, {2: 1}],
+], ids=["none", "empty", "orders", "big", "bools", "non-ints",
+        "escaped-keys", "non-str-keys"])
+def test_stimuli_bytes_equal_their_json_encoding(cycles):
+    """The per-key-set template gives :func:`digest`'s bytes for every
+    cycle, and falls back to ``json.dumps`` for what it cannot spell."""
+    assert _stimuli_json(cycles) == json.dumps(
+        [sorted(cycle.items()) for cycle in cycles], sort_keys=True,
+        separators=(",", ":"))
 
 def _mutate_one_gate(spec):
     """Flip one OR gate to XOR; return (mutated spec, gate out name)."""

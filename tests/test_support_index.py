@@ -118,7 +118,7 @@ def decode(index, mark):
 
 def assert_matches_reference(circuit, nets, mems):
     index = SupportIndex(circuit)
-    cone = index.cone(nets, mems)
+    [cone] = index.cones([(nets, mems)])
     assert decode(index, cone.forward) == \
         reference_forward(circuit, nets, mems)
     support = reference_support(circuit, nets, mems)
