@@ -6,9 +6,9 @@ a circuit and the exploration of possible implementations for best
 safety as well".  This example drives :mod:`repro.explore` — the
 automated version of that sentence: a criticality-seeded Pareto walk
 over the mitigation library, each candidate evaluated as a real
-injection campaign routed through the durable job queue and deduped
-by the content-addressed store, so each step re-simulates only the
-fault cones it touched.
+injection campaign on the design the walk already elaborated and
+deduped by the content-addressed store, so each step re-simulates
+only the fault cones it touched.
 
 Run:  python examples/design_space_exploration.py
 """

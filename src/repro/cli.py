@@ -162,6 +162,7 @@ def cmd_derating(args) -> int:
 
 def cmd_dossier(args) -> int:
     """Full certification dossier: FMEA + validation + sensitivity."""
+    from .faultinjection import build_environment
     from .faultinjection.validation import run_validation
     from .reporting.dossier import build_dossier
     sub = _make_subsystem(args)
@@ -169,7 +170,10 @@ def cmd_dossier(args) -> int:
     sheet = sub.worksheet(zone_set)
     validation = None
     if not args.no_validation:
-        validation = run_validation(sub)
+        # the environment builds its own worksheet: step a writes the
+        # measured factors into it, and ``sheet`` stays as claimed
+        validation = run_validation(
+            sub, env=build_environment(sub, zone_set=zone_set))
     text = build_dossier(sub.cfg.name, sub, zone_set, sheet,
                          validation=validation,
                          target_sil=SIL(args.target_sil),

@@ -121,8 +121,7 @@ def render_explore_dossier(result: ExplorationResult) -> str:
              f"(scalar {rec.cost.scalar})"),
             ("measured DC", pct(rec.measured_dc)
              if rec.measured_dc is not None else "n/a"),
-            ("campaign run", f"run {rec.run_id}"
-             + (f", job {rec.job_id}" if rec.job_id else "")),
+            ("campaign run", f"run {rec.run_id}"),
         ]))
         parts.append("   mechanisms:")
         parts.extend(f"     - {line}" for line in applied)

@@ -9,23 +9,28 @@ The walk is greedy and criticality-seeded:
 3. score the open candidate steps *analytically* — elaborate the
    candidate, read the worksheet's claimed SFF and the measured
    gate/flop delta, no simulation — and take the best claimed-ΔSFF;
-4. evaluate the chosen point with a campaign routed through
-   :class:`~repro.service.core.CampaignService` — queued as a durable
-   job, lease-recovered if a worker dies, and deduped by the
-   content-addressed store so only the cones the step touched are
-   re-simulated;
+4. evaluate the chosen point with one
+   :meth:`~repro.service.core.CampaignService.run_campaign` call on
+   the design the probe already elaborated (its subsystem, zones and
+   worksheet), deduped by the content-addressed store so only the
+   cones the step touched are re-simulated;
 5. insert into the :class:`ParetoFront`, pruning dominated points,
    until the SFF target is met, the campaign budget is spent, or no
    candidate remains.
 
-A final verification campaign re-runs the recommended configuration;
-by construction it must be served entirely warm from the store, and
-its metrics must be bit-identical to the accepted evaluation.
+Each point is elaborated once.  The walk keeps an elaborated design
+only until its campaign: the base until it is evaluated, and in a
+probe round the best probe so far.  A chosen point whose design was
+let go (an earlier round probed it) is elaborated again.
+
+A final verification campaign re-runs the recommended configuration
+on a freshly elaborated design; by construction it must be served
+entirely warm from the store, and its metrics must be bit-identical
+to the accepted evaluation.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from ..fmea.ranking import rank_zones
@@ -74,7 +79,6 @@ class EvaluatedPoint:
     misses: int = 0
     simulated: int = 0
     run_id: int | None = None
-    job_id: int | None = None
     exit_code: int = 0
 
     def sil_at(self, hft: int) -> SIL | None:
@@ -183,37 +187,42 @@ class ExplorationResult:
 
 
 # ----------------------------------------------------------------------
-# evaluation: one campaign through the service
+# evaluation: one campaign on the walk's elaborated design
 # ----------------------------------------------------------------------
 def _evaluate(service, point: DesignPoint, config: ExploreConfig,
-              cost: StructuralCost) -> EvaluatedPoint:
-    """Evaluate one point: a queued campaign job, drained in process."""
-    from ..service.daemon import DaemonConfig, ServiceDaemon
-    job_id = service.submit(
-        point.request(full=config.full, workers=config.workers))
-    ServiceDaemon(service.root, DaemonConfig(
-        drain=True, verbose=False)).worker_loop(0)
-    job = service.status(job_id)
-    if job is None or job.result is None:
-        error = getattr(job, "error", None)
-        detail = f": {json.dumps(error)}" if error else ""
+              cost: StructuralCost, design: tuple | None = None
+              ) -> EvaluatedPoint:
+    """Evaluate one point: a campaign on the design the walk built,
+    or on a fresh elaboration when ``design`` is None.
+
+    An exit other than 0 (clean) or 3 (bounded evidence) raises: the
+    walk cannot rank a point it has no evidence for.
+    """
+    from ..faultinjection import build_environment
+    from ..service.core import EXIT_OK, EXIT_QUARANTINE
+    sub, zone_set, worksheet = design or elaborate_design(point)[1]
+    outcome = service.run_campaign(
+        point.request(full=config.full, workers=config.workers),
+        env=build_environment(sub, zone_set=zone_set,
+                              worksheet=worksheet,
+                              quick=not config.full))
+    if outcome.exit_code not in (EXIT_OK, EXIT_QUARANTINE):
+        detail = next((line for line in outcome.err.splitlines()
+                       if line.strip() and not line.startswith("===")),
+                      None)
         raise RuntimeError(
-            f"exploration job {job_id} for {point.name!r} did not "
-            f"complete{detail}")
-    summary = job.result
+            f"exploration campaign for {point.name!r} failed with "
+            f"exit {outcome.exit_code}"
+            + (f": {detail}" if detail else ""))
     return EvaluatedPoint(
         point=point, cost=cost,
-        claimed_sff=summary.get("claimed_sff") or 0.0,
-        claimed_dc=summary.get("claimed_dc") or 0.0,
-        measured_dc=summary.get("measured_dc"),
-        safe_fraction=summary.get("safe_fraction"),
-        faults=summary.get("faults") or 0,
-        hits=summary.get("hits") or 0,
-        misses=summary.get("misses") or 0,
-        simulated=summary.get("simulated") or 0,
-        run_id=summary.get("run_id"),
-        job_id=job_id,
-        exit_code=summary.get("exit_code") or 0)
+        claimed_sff=outcome.claimed_sff or 0.0,
+        claimed_dc=outcome.claimed_dc or 0.0,
+        measured_dc=outcome.measured_dc,
+        safe_fraction=outcome.safe_fraction,
+        faults=outcome.faults, hits=outcome.hits,
+        misses=outcome.misses, simulated=outcome.simulated,
+        run_id=outcome.run_id, exit_code=outcome.exit_code)
 
 
 # ----------------------------------------------------------------------
@@ -263,17 +272,26 @@ class PointRecord:
     steps: tuple[tuple[int, str], ...] = ()
 
 
-def elaborate(point: DesignPoint) -> PointRecord:
-    """Build a design point and its worksheet once; keep the numbers."""
+def elaborate_design(point: DesignPoint) -> tuple[PointRecord, tuple]:
+    """Build a design point, its zones and its worksheet once; return
+    the numbers the walk keeps and the ``(subsystem, zone set,
+    worksheet)`` design a campaign runs on."""
     sub = point.build()
-    worksheet = sub.worksheet()
-    return PointRecord(
+    zone_set = sub.extract_zones()
+    worksheet = sub.worksheet(zone_set)
+    record = PointRecord(
         tally=(len(sub.circuit.gates), len(sub.circuit.flops)),
         claimed_sff=worksheet.totals().sff,
         lambda_du={zone: rates.lambda_du for zone, rates
                    in worksheet.totals_by_zone().items()},
         steps=() if point.applied
         else tuple(candidate_steps(worksheet, point.banks)))
+    return record, (sub, zone_set, worksheet)
+
+
+def elaborate(point: DesignPoint) -> PointRecord:
+    """A design point's numbers, without keeping its design."""
+    return elaborate_design(point)[0]
 
 
 # ----------------------------------------------------------------------
@@ -292,20 +310,43 @@ def explore(service, config: ExploreConfig | None = None,
 
     base_point = DesignPoint(variant=config.variant,
                              banks=config.banks)
-    records = {base_point.applied: elaborate(base_point)}
-
-    def record(point: DesignPoint) -> PointRecord:
-        if point.applied not in records:
-            records[point.applied] = elaborate(point)
-        return records[point.applied]
+    # one record per elaborated point; at most one design, held until
+    # its campaign: the base, then the best probe of the round
+    records: dict[tuple, PointRecord] = {}
+    kept: dict[tuple, tuple] = {}
+    records[base_point.applied], kept[base_point.applied] = \
+        elaborate_design(base_point)
 
     def cost(point: DesignPoint) -> StructuralCost:
         return structural_cost(records[point.applied].tally,
                                records[base_point.applied].tally)
 
+    def evaluate(point: DesignPoint) -> EvaluatedPoint:
+        return _evaluate(service, point, config, cost(point),
+                         kept.pop(point.applied, None))
+
+    def probe(current: EvaluatedPoint, open_steps: list):
+        """Score the criticality-ordered head analytically; return the
+        best ``(candidate, gain, step)`` and keep only its design."""
+        best = None
+        for step in open_steps[:config.probe_width]:
+            candidate = current.point.with_transform(*step)
+            design = None       # let the last probe's design go
+            if candidate.applied not in records:
+                records[candidate.applied], design = \
+                    elaborate_design(candidate)
+            gain = records[candidate.applied].claimed_sff \
+                - current.claimed_sff
+            if best is None or gain > best[1]:
+                best = (candidate, gain, step)
+                kept.clear()
+                if design is not None:
+                    kept[candidate.applied] = design
+        return best
+
     say(f"evaluating base point {base_point.name!r} "
         f"({config.banks} banks)")
-    base = _evaluate(service, base_point, config, cost(base_point))
+    base = evaluate(base_point)
     result = ExplorationResult(config=config, base=base,
                                records=records)
     result.evaluations.append(base)
@@ -326,14 +367,7 @@ def explore(service, config: ExploreConfig | None = None,
         if not open_steps:
             result.log.append("frontier exhausted: no step left")
             break
-        # analytic probe of the criticality-ordered head
-        best = None
-        for step in open_steps[:config.probe_width]:
-            candidate = current.point.with_transform(*step)
-            gain = record(candidate).claimed_sff - current.claimed_sff
-            if best is None or gain > best[1]:
-                best = (candidate, gain, step)
-        candidate, gain, step = best
+        candidate, gain, step = probe(current, open_steps)
         if gain <= 0:
             # head of the ranking is a no-op from here; drop it and
             # let the next-ranked steps bid
@@ -343,9 +377,9 @@ def explore(service, config: ExploreConfig | None = None,
                 f"SFF gain at this point")
             continue
         say(f"step: {step[1]} on bank {step[0]} "
-            f"(claimed SFF -> {record(candidate).claimed_sff:.4%})")
-        evaluated = _evaluate(service, candidate, config,
-                              cost(candidate))
+            f"(claimed SFF -> "
+            f"{records[candidate.applied].claimed_sff:.4%})")
+        evaluated = evaluate(candidate)
         budget -= 1
         result.evaluations.append(evaluated)
         on_front = result.front.add(evaluated)
@@ -364,6 +398,8 @@ def explore(service, config: ExploreConfig | None = None,
         if len(result.front) else None)
 
     if config.verify and result.recommended is not None:
+        # elaborated afresh on purpose: a rebuilt design must hit the
+        # same store addresses
         point = result.recommended.point
         say(f"verification re-run of {point.name!r}")
         verification = _evaluate(service, point, config, cost(point))

@@ -330,7 +330,7 @@ class CampaignService:
     # ------------------------------------------------------------------
     def run_campaign(self, request: CampaignRequest, progress=None,
                      cache=None, heartbeat=None,
-                     heartbeat_interval: float = 1.0
+                     heartbeat_interval: float = 1.0, env=None
                      ) -> CampaignOutcome:
         """Run one campaign; never prints — output is returned.
 
@@ -340,7 +340,11 @@ class CampaignService:
         live (the CLI prints its lines immediately).  ``cache``
         overrides the store the request would open (the daemon passes
         a per-job cache it also watches for the run id); ``heartbeat``
-        is threaded into the supervisor's event loop.
+        is threaded into the supervisor's event loop.  ``env`` is an
+        :class:`~repro.faultinjection.environment.InjectionEnvironment`
+        the caller already elaborated for this request's design (the
+        explore walk passes the point it built); without it the
+        request's design is elaborated here.
         """
         from ..faultinjection import build_environment, randomize
         from ..faultinjection.environment import (
@@ -367,10 +371,13 @@ class CampaignService:
         if not vreport.ok:
             err.append(vreport.render(title="campaign request"))
             return outcome(EXIT_DIAGNOSTIC)
-        sub = make_subsystem(request.variant, banks=request.banks,
-                             flags=request.flags,
-                             bank_flags=request.bank_flags)
-        env = build_environment(sub, quick=not request.full)
+        if env is None:
+            env = build_environment(
+                make_subsystem(request.variant, banks=request.banks,
+                               flags=request.flags,
+                               bank_flags=request.bank_flags),
+                quick=not request.full)
+        design = env.worksheet.name
 
         if request.stimuli:
             from ..diagnostics import DiagnosticReport
@@ -392,7 +399,7 @@ class CampaignService:
                 validate_stimuli(env.circuit, env.stimuli)
             except StimuliValidationError as exc:
                 err.append(f"error: invalid stimuli for "
-                           f"{sub.cfg.name}:\n{exc}")
+                           f"{design}:\n{exc}")
                 return outcome(EXIT_DIAGNOSTIC)
 
         skipped_zones: list[str] = []
@@ -450,8 +457,7 @@ class CampaignService:
             err.append(f"error: campaign aborted: {exc}")
             if cache is not None:
                 cache.close()
-            return outcome(EXIT_FAILURE,
-                           design=sub.cfg.name)
+            return outcome(EXIT_FAILURE, design=design)
         anomalies = runner.anomalies
 
         counts = campaign.outcomes()
@@ -460,7 +466,7 @@ class CampaignService:
                 for name, count in counts.items()]
         out.append(render_table(
             ["outcome", "faults", "fraction"], rows,
-            title=f"=== campaign: {sub.cfg.name}, "
+            title=f"=== campaign: {design}, "
                   f"{len(campaign.results)} faults ==="))
         out.append(f"measured DC:            "
                    f"{pct(campaign.measured_dc())}")
@@ -491,7 +497,7 @@ class CampaignService:
         return outcome(
             EXIT_QUARANTINE if anomalies or skipped_zones
             else EXIT_OK,
-            design=sub.cfg.name, faults=len(campaign.results),
+            design=design, faults=len(campaign.results),
             measured_dc=campaign.measured_dc(),
             safe_fraction=campaign.measured_safe_fraction(),
             quarantined=len(anomalies),

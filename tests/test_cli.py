@@ -75,12 +75,30 @@ GOLDEN = Path(__file__).parent / "data" / "golden"
      "derating_small-improved_seed3.txt", 0),
     (("validate", "--variant", "small-improved", "--full"),
      "validate_small-improved_full.txt", 0),
+    (("dossier", "--variant", "small-improved"),
+     "dossier_small-improved.txt", 0),
 ])
 def test_cli_output_matches_golden(capsys, argv, golden, exit_code):
     """The verdict text and numbers are pinned byte for byte."""
     code, out = run_cli(capsys, *argv)
     assert code == exit_code
     assert out == (GOLDEN / golden).read_text()
+
+
+def test_dossier_extracts_zones_once(capsys, monkeypatch):
+    """The dossier's validation runs on the zone set the dossier
+    already extracted."""
+    from repro.soc.subsystem import MemorySubsystem
+    calls = []
+    extract = MemorySubsystem.extract_zones
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.cfg.name)
+        return extract(self, *args, **kwargs)
+    monkeypatch.setattr(MemorySubsystem, "extract_zones", counted)
+    code, _ = run_cli(capsys, "dossier", "--variant", "small-improved")
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_compare_command(capsys):

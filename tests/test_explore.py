@@ -241,7 +241,8 @@ def test_run_diff_names_only_mitigated_bank_zones(bank1_mitigation):
 
 
 # ----------------------------------------------------------------------
-# the search, end to end (evaluations through the job queue)
+# the search, end to end (each evaluation one in-process campaign on
+# the design the walk elaborated)
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def small_search(tmp_path_factory):
@@ -336,13 +337,15 @@ def test_zone_sff_deltas_do_not_follow_the_hash_seed():
 
 
 def test_exploration_elaborates_each_point_once(tmp_path, monkeypatch):
-    """A budget-3 walk builds each probed point and each campaign job's
-    design once (base + 6 probes + 4 jobs), and the dossier reads the
-    walk's records instead of building anything."""
+    """A budget-3 walk elaborates the base and each of its 6 probes
+    once, runs every campaign on the design the walk already built,
+    and rebuilds only for the verification re-run: 8 subsystems, 8
+    zone sets and 8 worksheets.  The dossier reads the walk's records
+    instead of building anything."""
     import repro.service.core as core
     from repro.soc.banked import BankedMemorySubsystem
     from repro.soc.subsystem import MemorySubsystem
-    counts = {"builds": 0, "worksheets": 0}
+    counts = {"builds": 0, "zones": 0, "worksheets": 0}
 
     def counted(key, call):
         def wrapper(*args, **kwargs):
@@ -352,6 +355,8 @@ def test_exploration_elaborates_each_point_once(tmp_path, monkeypatch):
     monkeypatch.setattr(core, "make_subsystem",
                         counted("builds", core.make_subsystem))
     for cls in (MemorySubsystem, BankedMemorySubsystem):
+        monkeypatch.setattr(cls, "extract_zones",
+                            counted("zones", cls.extract_zones))
         monkeypatch.setattr(cls, "worksheet",
                             counted("worksheets", cls.worksheet))
     config = ExploreConfig(variant="small-baseline", banks=2,
@@ -359,7 +364,58 @@ def test_exploration_elaborates_each_point_once(tmp_path, monkeypatch):
     result = explore(CampaignService(str(tmp_path / "store")), config)
     assert len(result.evaluations) == 3
     assert result.verification is not None
-    assert counts["builds"] <= 11 and counts["worksheets"] <= 11
-    counts.update(builds=0, worksheets=0)
+    assert counts == {"builds": 8, "zones": 8, "worksheets": 8}
+    counts.update(builds=0, zones=0, worksheets=0)
     assert "per-zone evidence" in render_explore_dossier(result)
-    assert counts == {"builds": 0, "worksheets": 0}
+    assert counts == {"builds": 0, "zones": 0, "worksheets": 0}
+
+
+_ONE_POINT = dict(variant="small-baseline", banks=2, budget=1)
+
+
+def test_exploration_leaves_other_jobs_queued(tmp_path):
+    """The walk runs its own campaigns and nobody else's: a job queued
+    in the same store root stays queued, and the walk adds none."""
+    from repro.service.core import CampaignRequest
+    root = str(tmp_path / "store")
+    job_id = CampaignService(root, project="other").submit(
+        CampaignRequest(variant="small-improved", sample=4))
+    service = CampaignService(root)
+    result = explore(service, ExploreConfig(**_ONE_POINT))
+    assert result.base.run_id is not None
+    assert service.status(job_id).status == "queued"
+    assert [job.job_id for job in service.list_jobs()] == [job_id]
+
+
+def test_exploration_writes_into_its_project_store(tmp_path):
+    """A walk of project ``p`` records its runs under
+    ``<root>/projects/p`` and none in the root store."""
+    root = tmp_path / "store"
+    result = explore(CampaignService(str(root), project="p"),
+                     ExploreConfig(**_ONE_POINT))
+    with CampaignService(str(root), project="p").open_cache() as cache:
+        run_ids = {run["run_id"] for run in cache.db.runs()}
+    assert run_ids == {result.base.run_id,
+                       result.verification.run_id}
+    assert cache.root == root / "projects" / "p"
+    with CampaignService(str(root)).open_cache() as cache:
+        assert cache.db.runs() == []
+
+
+def test_failed_evaluation_raises_at_once(tmp_path, monkeypatch):
+    """A campaign that exits 1 stops the walk with the point's name
+    and the campaign's diagnostic, without a retry."""
+    from repro.service.core import CampaignOutcome
+    calls = []
+
+    def failing(self, request, **kwargs):
+        calls.append(request)
+        return CampaignOutcome(
+            exit_code=1, err="error: campaign aborted: shard 0 died")
+    monkeypatch.setattr(CampaignService, "run_campaign", failing)
+    with pytest.raises(RuntimeError) as info:
+        explore(CampaignService(str(tmp_path / "store")),
+                ExploreConfig(**_ONE_POINT))
+    assert "'small-baseline'" in str(info.value)
+    assert "error: campaign aborted: shard 0 died" in str(info.value)
+    assert len(calls) == 1
